@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .units import dbm_to_watt, thermal_noise_dbm
+from .units import dbm_to_watt
 
 
 class ChannelShapeError(ValueError):
@@ -54,7 +54,6 @@ class LinkBudget:
     b_exponent: float = 2.0
     shadow_sigma: float = 5.8
     rician_mu: float = 10.0
-    carrier_hz: float = 28e9
     bandwidth_hz: float = 251.1886e6
     noise_power: float = dbm_to_watt(-90.0)
     tx_power: float = dbm_to_watt(30.0)
@@ -62,10 +61,6 @@ class LinkBudget:
     def __post_init__(self):
         if self.noise_power <= 0 or self.tx_power <= 0 or self.bandwidth_hz <= 0:
             raise ValueError("noise_power, tx_power and bandwidth_hz must be positive")
-
-    @property
-    def noise_dbm(self) -> float:
-        return thermal_noise_dbm(self.bandwidth_hz)
 
 
 @dataclass(frozen=True)

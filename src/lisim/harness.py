@@ -130,7 +130,7 @@ class SweepResult:
 _INT_KEYS = {"n_tx", "n_rx", "lis_y", "lis_z", "r_t", "r_r", "n_streams",
              "p_paths", "l_paths", "trials", "seed"}
 _FLOAT_KEYS = {"spacing_ratio", "tx_power_dbm", "noise_dbm", "bandwidth_hz",
-               "carrier_hz", "tx_gain_dbi", "rx_gain_dbi", "rician_mu_db",
+               "tx_gain_dbi", "rx_gain_dbi", "rician_mu_db",
                "pathloss_a", "pathloss_b", "shadow_sigma_db",
                "descent_epsilon", "descent_max_iters"}
 _POS_KEYS = {"bs_pos", "lis_pos", "ue_pos"}
@@ -194,7 +194,6 @@ def load_config(path) -> ExperimentConfig:
         b_exponent=raw.get("pathloss_b", 2.0),
         shadow_sigma=raw.get("shadow_sigma_db", 5.8),
         rician_mu=raw.get("rician_mu_db", 10.0),
-        carrier_hz=raw.get("carrier_hz", 28e9),
         bandwidth_hz=bandwidth,
         noise_power=dbm_to_watt(noise_dbm),
         tx_power=dbm_to_watt(raw.get("tx_power_dbm", 30.0)))
@@ -204,7 +203,7 @@ def load_config(path) -> ExperimentConfig:
         max_iters=int(raw.get("descent_max_iters", 500)))
 
     try:
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             geometry=geometry, budget=budget,
             n_streams=raw.get("n_streams", 4),
             n_rf_tx=raw.get("r_t", 6), n_rf_rx=raw.get("r_r", 6),
@@ -221,8 +220,10 @@ def load_config(path) -> ExperimentConfig:
             methods=raw.get("methods", METHODS),
             precoding=raw.get("precoding", "digital"),
             descent=descent)
+        _check_sweep(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 # -- sweep execution --------------------------------------------------------
@@ -252,6 +253,12 @@ def _apply_sweep(cfg: ExperimentConfig, value: float) -> tuple[ExperimentConfig,
     if cfg.sweep_variable == "n_streams":
         return replace(cfg, n_streams=int(value)), 0.0
     return cfg, math.radians(value)  # angle_error_deg
+
+
+def _check_sweep(cfg: ExperimentConfig) -> None:
+    """Specialize the config for every sweep value so a bad one fails before any trial."""
+    for value in cfg.sweep_values:
+        _apply_sweep(cfg, value)
 
 
 def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
@@ -330,6 +337,7 @@ def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
 
 def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepResult:
     """Execute the configured sweep; deterministic for fixed config + seed."""
+    _check_sweep(cfg)
     tasks = [(si, ti, value)
              for si, value in enumerate(cfg.sweep_values)
              for ti in range(cfg.trials)]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 PINV_RTOL = 1e-12
@@ -11,14 +9,6 @@ PINV_RTOL = 1e-12
 
 class CombinerRankError(ValueError):
     """The combiner is rank deficient."""
-
-
-@dataclass(frozen=True)
-class LinkMetrics:
-    spectral_efficiency: float
-    truncated_condition_number: float
-    frobenius_bound: float
-    offdiag_ratio: float
 
 
 def spectral_efficiency(h_eff: np.ndarray, f: np.ndarray, w: np.ndarray,

@@ -1,19 +1,21 @@
 """Digital-optimal and hybrid precoder/combiner construction.
 
 The fully digital optimum comes from the truncated SVD of the cascade
-channel with water-filling (or the near-optimal equal-power split).
-The hybrid factorization approximates that optimum with a unit-modulus
-analog matrix times a small digital matrix via alternating least squares,
-where the analog stage is updated by manifold descent.
+channel with an equal power split (water-filling is available as a library
+function). The hybrid factorization approximates that optimum with a
+unit-modulus analog matrix times a small digital matrix: it alternates the
+least-squares digital update with closed-form column-wise phase updates of
+the analog matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import DescentConfig, PhaseVector, ccm_descent
+from .manifold import DescentConfig
+from .manifold import ccm_descent  # noqa: F401 -- unused; perfbench/spans.py rebinds it
 from .passive_bf import random_phases
 
 PINV_RTOL = 1e-12
@@ -38,26 +40,6 @@ class PowerAllocation:
 
     powers: np.ndarray
     water_level: float
-
-
-@dataclass(frozen=True)
-class HybridPrecoder:
-    f_rf: np.ndarray  # (N_t, R_t) unit-modulus entries
-    f_bb: np.ndarray  # (R_t, N_s)
-
-    @property
-    def full(self) -> np.ndarray:
-        return self.f_rf @ self.f_bb
-
-
-@dataclass(frozen=True)
-class HybridCombiner:
-    w_rf: np.ndarray  # (N_r, R_r) unit-modulus entries
-    w_bb: np.ndarray  # (R_r, N_s)
-
-    @property
-    def full(self) -> np.ndarray:
-        return self.w_rf @ self.w_bb
 
 
 def truncated_svd(h: np.ndarray, n_streams: int) -> TruncatedSvd:
@@ -121,10 +103,18 @@ def hybrid_factorize(target: np.ndarray, n_rf: int, cfg: DescentConfig,
                      max_alternations: int = 30) -> tuple[np.ndarray, np.ndarray]:
     """Factor `target` (N x N_s) into unit-modulus analog x digital matrices.
 
-    Alternates the least-squares digital update with manifold descent on the
-    vectorized analog matrix until the relative residual change drops below
-    cfg.epsilon. When `power_norm` is given (precoder side), the digital
-    matrix is rescaled so the product has squared Frobenius norm power_norm.
+    Starts from random analog phases and alternates two exact block updates
+    of ||target - F_RF F_BB||_F until the relative residual change drops
+    below cfg.epsilon (at most `max_alternations` rounds):
+    - F_BB = pinv(F_RF) target, the least-squares digital stage;
+    - one pass over the analog columns. With the other columns and F_BB
+      fixed, the residual separates by rows of F_RF, so column k's best
+      unit-modulus entries are exp(j arg(D F_BB[k]^H)), where D is the
+      residual with column k's own contribution added back.
+    Neither step can increase the residual. The digital stage is solved once
+    more for the final analog matrix. When `power_norm` is given (precoder
+    side), the digital matrix is rescaled so the product has squared
+    Frobenius norm power_norm.
     """
     target = np.asarray(target)
     n, n_streams = target.shape
@@ -132,27 +122,18 @@ def hybrid_factorize(target: np.ndarray, n_rf: int, cfg: DescentConfig,
         raise ValueError("need N_s <= n_rf <= N")
 
     f_rf = random_phases(rng, n * n_rf).entries.reshape(n, n_rf)
-    inner_cfg = replace(cfg, max_iters=min(cfg.max_iters, 20))
     prev_residual = np.inf
     for _ in range(max_alternations):
         f_bb = _pinv(f_rf) @ target
+        diff = target - f_rf @ f_bb
+        for k in range(n_rf):
+            diff += np.outer(f_rf[:, k], f_bb[k])
+            f_rf[:, k] = np.exp(1j * np.angle(diff @ f_bb[k].conj()))
+            diff -= np.outer(f_rf[:, k], f_bb[k])
 
-        def f(w):
-            diff = target - w.reshape(n, n_rf) @ f_bb
-            return float(np.real(np.vdot(diff, diff)))
-
-        def grad(w):
-            diff = target - w.reshape(n, n_rf) @ f_bb
-            return (-2.0 * diff @ f_bb.conj().T).reshape(-1)
-
-        w0 = PhaseVector(f_rf.reshape(-1))
-        w_opt, _ = ccm_descent(f, grad, w0, inner_cfg)
-        f_rf = w_opt.entries.reshape(n, n_rf)
-
-        residual = float(np.linalg.norm(target - f_rf @ f_bb))
+        residual = float(np.linalg.norm(diff))
         denom = max(prev_residual, np.finfo(float).tiny)
         if residual == 0.0 or abs(prev_residual - residual) / denom < cfg.epsilon:
-            prev_residual = residual
             break
         prev_residual = residual
 

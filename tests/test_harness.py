@@ -85,6 +85,10 @@ def test_load_config_overrides(tmp_path):
     ("sweep_variable = frequency", "unknown sweep variable"),
     ("methods = tsvd, bogus", "methods"),
     ("precoding = analog", "precoding"),
+    ("carrier_hz = 28e9", "unknown key"),
+    ("n_streams = 2\nr_t = 3\nsweep_variable = n_streams\nsweep_values = 2, 4",
+     "n_streams must not exceed"),
+    ("sweep_variable = lis_elements\nsweep_values = 256, 100", "multiples of lis_y"),
 ])
 def test_load_config_errors(tmp_path, line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -168,6 +172,17 @@ def test_run_sweep_hybrid_mode():
     assert [r.precoding for r in result.rows] == ["digital", "hybrid"]
     dig, hyb = result.rows
     assert hyb.mean_se > 0.5 * dig.mean_se
+
+
+def test_run_sweep_rejects_bad_value_before_any_trial(monkeypatch):
+    from dataclasses import replace
+    from lisim import harness
+    calls = []
+    monkeypatch.setattr(harness, "_run_trial", lambda *args: calls.append(args) or [])
+    cfg = replace(SMALL, sweep_variable="n_streams", sweep_values=(2.0, 4.0))
+    with pytest.raises(ConfigError):
+        run_sweep(cfg)
+    assert calls == []
 
 
 def test_emit_csv_format(tmp_path):
