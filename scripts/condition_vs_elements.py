@@ -56,7 +56,7 @@ def main():
                                  tx_gain)
             conds["tsvd"].append(truncated_condition_number(
                 effective_channel(chan, v), args.streams))
-            v = optimize_spgm(chan, cfg, rng)
+            v, _ = optimize_spgm(chan, cfg, rng)
             conds["spgm"].append(truncated_condition_number(
                 effective_channel(chan, v), args.streams))
         print(f"{geometry.m:>5} {np.mean(conds['tsvd']):>12.1f} "

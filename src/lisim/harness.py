@@ -29,9 +29,10 @@ from .channel import (
     sample_paths,
     sort_paths_descending,
 )
-from .manifold import DescentConfig, PhaseVector
-from .metrics import spectral_efficiency, truncated_condition_number
+from .manifold import DescentConfig, LineSearchError, PhaseVector, RetractionError
+from .metrics import CombinerRankError, spectral_efficiency, truncated_condition_number
 from .passive_bf import (
+    StreamCountError,
     build_tsvd_problem,
     coupling_matrix,
     optimize_rate,
@@ -39,7 +40,13 @@ from .passive_bf import (
     optimize_tsvd,
     random_phases,
 )
-from .transceiver import digital_combiner, digital_precoder, hybrid_factorize, truncated_svd
+from .transceiver import (
+    RankError,
+    digital_combiner,
+    digital_precoder,
+    hybrid_factorize,
+    truncated_svd,
+)
 from .units import dbi_to_amplitude, dbm_to_watt, thermal_noise_dbm
 
 SWEEP_VARIABLES = ("tx_power_dbm", "lis_elements", "n_streams", "angle_error_deg")
@@ -49,6 +56,11 @@ CSV_COLUMNS = ("sweep_value", "method", "precoding", "mean_se", "std_se",
                "mean_cond", "mean_offdiag", "mean_iters", "errors", "wall_ms")
 
 ORACLE_STATE_LIMIT = 10 ** 7
+
+# Failures a trial may meet on a bad channel draw; they count in the row's
+# `errors`. Any other exception is a bug and propagates out of run_sweep.
+NUMERICAL_FAILURES = (LineSearchError, RetractionError, StreamCountError, RankError,
+                      CombinerRankError, FloatingPointError, np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
@@ -304,7 +316,8 @@ def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
                                            tx_g, rx_g)
                 iters = float(len(trace) + len(refined) - 2)
             elif method == "spgm":
-                v = optimize_spgm(est_chan, run_cfg.descent, rng)
+                v, trace = optimize_spgm(est_chan, run_cfg.descent, rng)
+                iters = float(len(trace) - 1)
             else:
                 v = random_phases(rng, geometry.m)
 
@@ -332,7 +345,7 @@ def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
             for mode in modes:
                 records.append(_TrialRecord(method, mode, per_mode[mode], cond,
                                             offdiag, iters, wall))
-        except Exception:
+        except NUMERICAL_FAILURES:
             wall = (perf_counter() - start) * 1e3
             for mode in modes:
                 records.append(_TrialRecord(method, mode, math.nan, math.nan,

@@ -238,12 +238,12 @@ def optimize_rate(paths: PathSet, geometry: ArrayGeometry, budget: LinkBudget,
 
 
 def optimize_spgm(channel: MmWaveChannel, cfg: DescentConfig,
-                  rng: np.random.Generator) -> PhaseVector:
+                  rng: np.random.Generator) -> tuple[PhaseVector, list[float]]:
     """Maximize tr(H_eff H_eff^H) over the LIS phases.
 
     Uses tr(Phi^H R^H R Phi G G^H) = w^H Q w with w_m = e^{j phi_m} and
     Q = (R^H R) o (G G^H)^T = (R^H R) o (conj(G) G^T), solved by manifold
-    ascent; returns v = conj(w).
+    ascent; returns v = conj(w) and the descent's objective trace.
     Q is divided by its positive real trace first: the maximizer is
     unchanged, but the objective no longer carries the path loss, so the
     descent's absolute stop gap means the same at any channel scale.
@@ -256,8 +256,8 @@ def optimize_spgm(channel: MmWaveChannel, cfg: DescentConfig,
         return float(-np.real(np.vdot(w, qw))), -2.0 * qw
 
     w0 = random_phases(rng, channel.m)
-    w_opt, _ = ccm_descent(*_descent_pair(evaluate), w0, cfg)
-    return PhaseVector(w_opt.entries.conj())
+    w_opt, trace = ccm_descent(*_descent_pair(evaluate), w0, cfg)
+    return PhaseVector(w_opt.entries.conj()), trace
 
 
 def coupling_matrix(v: np.ndarray, paths: PathSet,

@@ -4,8 +4,10 @@ The fully digital optimum comes from the truncated SVD of the cascade
 channel with an equal power split (water-filling is available as a library
 function). The hybrid factorization approximates that optimum with a
 unit-modulus analog matrix times a small digital matrix: it alternates the
-least-squares digital update with closed-form column-wise phase updates of
-the analog matrix.
+least-squares digital update, solved on the n_rf x n_rf Gram matrix of the
+analog matrix, with closed-form column-wise phase updates of the analog
+matrix (Sohrabi & Yu, IEEE JSTSP 2016), computed from the small products
+target F_BB^H and F_BB F_BB^H rather than from an explicit residual matrix.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import numpy as np
 from .manifold import DescentConfig
 from .manifold import ccm_descent  # noqa: F401 -- unused; perfbench/spans.py rebinds it
 from .passive_bf import random_phases
-
-PINV_RTOL = 1e-12
 
 
 class RankError(ValueError):
@@ -93,8 +93,10 @@ def digital_combiner(svd: TruncatedSvd) -> np.ndarray:
     return svd.u1
 
 
-def _pinv(a: np.ndarray) -> np.ndarray:
-    return np.linalg.pinv(a, rcond=PINV_RTOL)
+def _digital_stage(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Least-squares F_BB for F_RF = rows.T, from the n_rf x n_rf normal equations."""
+    rows_h = rows.conj()
+    return np.linalg.solve(rows_h @ rows.T, rows_h @ target)
 
 
 def hybrid_factorize(target: np.ndarray, n_rf: int, cfg: DescentConfig,
@@ -106,11 +108,15 @@ def hybrid_factorize(target: np.ndarray, n_rf: int, cfg: DescentConfig,
     Starts from random analog phases and alternates two exact block updates
     of ||target - F_RF F_BB||_F until the relative residual change drops
     below cfg.epsilon (at most `max_alternations` rounds):
-    - F_BB = pinv(F_RF) target, the least-squares digital stage;
-    - one pass over the analog columns. With the other columns and F_BB
-      fixed, the residual separates by rows of F_RF, so column k's best
-      unit-modulus entries are exp(j arg(D F_BB[k]^H)), where D is the
-      residual with column k's own contribution added back.
+    - F_BB = (F_RF^H F_RF)^-1 F_RF^H target, the least-squares digital stage,
+      solved on the n_rf x n_rf Gram matrix (raises LinAlgError if singular);
+    - one Gauss-Seidel pass over the analog columns. With the other columns
+      and F_BB fixed, the residual separates by rows of F_RF, so column k's
+      best unit-modulus entries are exp(j arg(D F_BB[k]^H)), where D is the
+      residual with column k's own contribution added back. With
+      A = target F_BB^H and B = F_BB F_BB^H formed once per pass,
+      D F_BB[k]^H = A[:, k] - F_RF B[:, k] + F_RF[:, k] B[k, k], so the
+      N x N_s residual is never updated column by column.
     Neither step can increase the residual. The digital stage is solved once
     more for the final analog matrix. When `power_norm` is given (precoder
     side), the digital matrix is rescaled so the product has squared
@@ -121,23 +127,25 @@ def hybrid_factorize(target: np.ndarray, n_rf: int, cfg: DescentConfig,
     if not (n_streams <= n_rf <= n):
         raise ValueError("need N_s <= n_rf <= N")
 
-    f_rf = random_phases(rng, n * n_rf).entries.reshape(n, n_rf)
+    # the analog columns, kept as contiguous rows of F_RF^T
+    rows = random_phases(rng, n * n_rf).entries.reshape(n, n_rf).T.copy()
     prev_residual = np.inf
     for _ in range(max_alternations):
-        f_bb = _pinv(f_rf) @ target
-        diff = target - f_rf @ f_bb
+        f_bb = _digital_stage(rows, target)
+        a_rows = f_bb.conj() @ target.T   # row k is A[:, k]
+        b = f_bb @ f_bb.conj().T
         for k in range(n_rf):
-            diff += np.outer(f_rf[:, k], f_bb[k])
-            f_rf[:, k] = np.exp(1j * np.angle(diff @ f_bb[k].conj()))
-            diff -= np.outer(f_rf[:, k], f_bb[k])
+            col = a_rows[k] - b[:, k] @ rows + rows[k] * b[k, k]
+            rows[k] = np.exp(1j * np.angle(col))
 
-        residual = float(np.linalg.norm(diff))
+        residual = float(np.linalg.norm(target - rows.T @ f_bb))
         denom = max(prev_residual, np.finfo(float).tiny)
         if residual == 0.0 or abs(prev_residual - residual) / denom < cfg.epsilon:
             break
         prev_residual = residual
 
-    f_bb = _pinv(f_rf) @ target
+    f_rf = np.ascontiguousarray(rows.T)
+    f_bb = _digital_stage(rows, target)
     if power_norm is not None:
         norm = np.linalg.norm(f_rf @ f_bb)
         if norm == 0:

@@ -141,6 +141,7 @@ def test_run_sweep_row_layout():
         assert row.std_se >= 0 and row.mean_cond >= 1.0
     by_method = {r.method: r for r in result.rows if r.sweep_value == 40.0}
     assert by_method["tsvd"].mean_iters > 0
+    assert by_method["spgm"].mean_iters > 0
     assert by_method["random"].mean_iters == 0
 
 
@@ -183,6 +184,33 @@ def test_run_sweep_rejects_bad_value_before_any_trial(monkeypatch):
     with pytest.raises(ConfigError):
         run_sweep(cfg)
     assert calls == []
+
+
+def _raise(exc_type):
+    def hybrid_factorize(*_args, **_kwargs):
+        raise exc_type("injected")
+    return hybrid_factorize
+
+
+def test_run_sweep_counts_numerical_failures(monkeypatch):
+    from dataclasses import replace
+    from lisim import harness
+    monkeypatch.setattr(harness, "hybrid_factorize", _raise(np.linalg.LinAlgError))
+    cfg = replace(SMALL, precoding="both", trials=2, sweep_values=(40.0,),
+                  methods=("tsvd",))
+    _, hyb = run_sweep(cfg).rows
+    assert hyb.errors == 2
+    assert math.isnan(hyb.mean_se)
+
+
+def test_run_sweep_lets_bugs_through(monkeypatch):
+    from dataclasses import replace
+    from lisim import harness
+    monkeypatch.setattr(harness, "hybrid_factorize", _raise(TypeError))
+    cfg = replace(SMALL, precoding="hybrid", trials=1, sweep_values=(40.0,),
+                  methods=("random",))
+    with pytest.raises(TypeError, match="injected"):
+        run_sweep(cfg)
 
 
 def test_emit_csv_format(tmp_path):

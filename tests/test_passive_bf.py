@@ -173,7 +173,7 @@ def test_optimize_rate_ascends_from_the_surrogate_solution():
 def test_optimize_spgm_maximizes_frobenius_norm():
     rng, paths = _instance(5)
     chan = assemble_channels(paths, GEOMETRY)
-    v = optimize_spgm(chan, DescentConfig(epsilon=1e-8), rng)
+    v, _ = optimize_spgm(chan, DescentConfig(epsilon=1e-8), rng)
     opt = np.linalg.norm(effective_channel(chan, v)) ** 2
     draws = [np.linalg.norm(effective_channel(chan, random_phases(rng, GEOMETRY.m))) ** 2
              for _ in range(50)]
@@ -188,8 +188,8 @@ def test_optimize_spgm_independent_of_channel_scale():
         _, paths = _instance(seed)
         chan = assemble_channels(paths, GEOMETRY)
         loud = replace(chan, g=1e8 * chan.g)
-        v = optimize_spgm(chan, DescentConfig(), np.random.default_rng(seed))
-        v_loud = optimize_spgm(loud, DescentConfig(), np.random.default_rng(seed))
+        v, _ = optimize_spgm(chan, DescentConfig(), np.random.default_rng(seed))
+        v_loud, _ = optimize_spgm(loud, DescentConfig(), np.random.default_rng(seed))
         np.testing.assert_allclose(v.entries, v_loud.entries, rtol=0, atol=1e-9)
 
 

@@ -1,0 +1,46 @@
+"""What the benchmark in perfbench/ reads from the program.
+
+perfbench/spans.py rebinds functions by name and reads the hybrid
+alternation cap from `hybrid_factorize`'s signature when it is imported; a
+change that breaks either makes every benchmark run fail, so it is checked
+here on a one-trial sweep.
+"""
+
+import inspect
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+from time import perf_counter
+
+import pytest
+
+from lisim.harness import load_config, run_sweep
+from lisim.transceiver import hybrid_factorize
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import spans  # noqa: E402
+
+
+def test_hybrid_cap_is_the_signature_default():
+    default = inspect.signature(hybrid_factorize).parameters["max_alternations"].default
+    assert spans.HYBRID_CAP == default
+
+
+def test_traced_sweep_emits_every_declared_layer_metric():
+    cfg = replace(load_config(ROOT / "configs" / "csi_sweep.cfg"),
+                  trials=1, sweep_values=(0.0, 1.0), precoding="both")
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        start = perf_counter()
+        result = run_sweep(cfg)
+        wall = perf_counter() - start
+    assert all(row.errors == 0 for row in result.rows)
+    metrics = spans.layer_metrics(tracer, wall)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = {m["name"]: m["unit"] for m in spec["per_layer"]}
+    # the overhead ratio compares traced with untraced chunks in perfbench/run.py
+    del declared["trace.overhead_ratio"]
+    assert {name: unit for name, (_, unit) in metrics.items()} == declared
+    assert metrics["transceiver.hybrid_factorize.calls"][0] == pytest.approx(2 * 3)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lisim.manifold import DescentConfig
+from lisim.passive_bf import random_phases
 from lisim.transceiver import (
     RankError,
     digital_combiner,
@@ -162,6 +163,52 @@ def test_hybrid_residual_monotone_in_alternations(seed):
         np.testing.assert_allclose(np.abs(f_rf), 1.0, rtol=1e-12)
         residuals.append(np.linalg.norm(target - f_rf @ f_bb) / np.linalg.norm(target))
     assert np.all(np.diff(residuals) <= 1e-12)
+
+
+def _reference_hybrid(target, n_rf, cfg, rng, power_norm=None, max_alternations=30):
+    """The plain form of the algorithm: pinv least squares, then column
+    updates on an explicit residual matrix kept current with rank-one terms."""
+    n = target.shape[0]
+    f_rf = random_phases(rng, n * n_rf).entries.reshape(n, n_rf)
+    prev_residual = np.inf
+    for _ in range(max_alternations):
+        f_bb = np.linalg.pinv(f_rf, rcond=1e-12) @ target
+        diff = target - f_rf @ f_bb
+        for k in range(n_rf):
+            diff += np.outer(f_rf[:, k], f_bb[k])
+            f_rf[:, k] = np.exp(1j * np.angle(diff @ f_bb[k].conj()))
+            diff -= np.outer(f_rf[:, k], f_bb[k])
+        residual = float(np.linalg.norm(diff))
+        denom = max(prev_residual, np.finfo(float).tiny)
+        if residual == 0.0 or abs(prev_residual - residual) / denom < cfg.epsilon:
+            break
+        prev_residual = residual
+    f_bb = np.linalg.pinv(f_rf, rcond=1e-12) @ target
+    if power_norm is not None:
+        f_bb = f_bb * (np.sqrt(power_norm) / np.linalg.norm(f_rf @ f_bb))
+    return f_rf, f_bb
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([None, 2.5]), st.sampled_from([1, 30]))
+def test_hybrid_matches_residual_matrix_reference(seed, power_norm, max_alternations):
+    # the Gram-matrix solve and the A/B column targets are a cheaper route
+    # to the same iterates, so both forms agree from the same phase draw
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 65))
+    n_s = int(rng.integers(1, 5))
+    n_rf = int(rng.integers(n_s, min(n, 8) + 1))
+    target = _random_matrix(rng, n, n_s)
+    got_rf, got_bb = hybrid_factorize(target, n_rf, DescentConfig(),
+                                      np.random.default_rng(seed), power_norm,
+                                      max_alternations)
+    want_rf, want_bb = _reference_hybrid(target, n_rf, DescentConfig(),
+                                         np.random.default_rng(seed), power_norm,
+                                         max_alternations)
+    assert got_rf.shape == (n, n_rf)
+    np.testing.assert_allclose(got_rf, want_rf, rtol=0, atol=1e-9)
+    want = want_rf @ want_bb
+    assert np.linalg.norm(got_rf @ got_bb - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_hybrid_rejects_bad_rf_count():
