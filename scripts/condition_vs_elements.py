@@ -15,14 +15,13 @@ import numpy as np
 from lisim.channel import (
     ArrayGeometry,
     LinkBudget,
-    assemble_channels,
-    effective_channel,
+    path_core,
     sample_paths,
     sort_paths_descending,
 )
 from lisim.manifold import DescentConfig
 from lisim.metrics import truncated_condition_number
-from lisim.passive_bf import optimize_rate, optimize_spgm, optimize_tsvd
+from lisim.passive_bf import optimize_rate, optimize_spgm, optimize_tsvd, stream_weights
 from lisim.units import dbi_to_amplitude
 
 
@@ -49,16 +48,15 @@ def main():
         for trial in range(args.trials):
             rng = np.random.default_rng([args.seed, trial])
             paths = sort_paths_descending(sample_paths(rng, geometry, budget, 7, 7))
-            chan = assemble_channels(paths, geometry, tx_gain)
-            v, _ = optimize_tsvd(paths, geometry, budget, args.streams, cfg, rng,
-                                 tx_gain)
-            v, _ = optimize_rate(paths, geometry, budget, args.streams, cfg, v,
-                                 tx_gain)
-            conds["tsvd"].append(truncated_condition_number(
-                effective_channel(chan, v), args.streams))
-            v, _ = optimize_spgm(chan, cfg, rng)
-            conds["spgm"].append(truncated_condition_number(
-                effective_channel(chan, v), args.streams))
+            core = path_core(paths, geometry, tx_gain)
+            weights = stream_weights(paths, budget, args.streams, tx_gain)
+            v, _ = optimize_tsvd(core, weights, cfg, rng)
+            v, _ = optimize_rate(core, budget, args.streams, cfg, v)
+            conds["tsvd"].append(truncated_condition_number(core.at(v.entries),
+                                                            args.streams))
+            v, _ = optimize_spgm(core, cfg, rng)
+            conds["spgm"].append(truncated_condition_number(core.at(v.entries),
+                                                            args.streams))
         print(f"{geometry.m:>5} {np.mean(conds['tsvd']):>12.1f} "
               f"{np.median(conds['tsvd']):>10.1f} {np.mean(conds['spgm']):>12.1f} "
               f"{np.median(conds['spgm']):>10.1f}")

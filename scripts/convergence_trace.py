@@ -10,9 +10,15 @@ import argparse
 
 import numpy as np
 
-from lisim.channel import ArrayGeometry, LinkBudget, sample_paths, sort_paths_descending
+from lisim.channel import (
+    ArrayGeometry,
+    LinkBudget,
+    path_core,
+    sample_paths,
+    sort_paths_descending,
+)
 from lisim.manifold import DescentConfig
-from lisim.passive_bf import optimize_tsvd
+from lisim.passive_bf import optimize_tsvd, stream_weights
 from lisim.units import dbi_to_amplitude
 
 
@@ -31,8 +37,8 @@ def main():
     for seed in range(args.seeds):
         rng = np.random.default_rng(seed)
         paths = sort_paths_descending(sample_paths(rng, geometry, budget, 7, 7))
-        _, trace = optimize_tsvd(paths, geometry, budget, args.streams, cfg, rng,
-                                 tx_gain)
+        weights = stream_weights(paths, budget, args.streams, tx_gain)
+        _, trace = optimize_tsvd(path_core(paths, geometry), weights, cfg, rng)
         rates = [-x for x in trace]
         print(f"seed {seed}: {len(trace) - 1} iterations, "
               f"rate surrogate {rates[0]:.3f} -> {rates[-1]:.3f} bits/s/Hz")

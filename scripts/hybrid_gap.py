@@ -12,14 +12,13 @@ import numpy as np
 from lisim.channel import (
     ArrayGeometry,
     LinkBudget,
-    assemble_channels,
-    effective_channel,
+    path_core,
     sample_paths,
     sort_paths_descending,
 )
 from lisim.manifold import DescentConfig
 from lisim.metrics import spectral_efficiency
-from lisim.passive_bf import optimize_rate, optimize_tsvd
+from lisim.passive_bf import optimize_rate, optimize_tsvd, stream_weights
 from lisim.transceiver import (
     digital_combiner,
     digital_precoder,
@@ -49,20 +48,21 @@ def main():
         for trial in range(args.trials):
             rng = np.random.default_rng([args.seed, trial])
             paths = sort_paths_descending(sample_paths(rng, geometry, budget, 7, 7))
-            chan = assemble_channels(paths, geometry, tx_gain)
-            v, _ = optimize_tsvd(paths, geometry, budget, args.streams, cfg, rng,
-                                 tx_gain)
-            v, _ = optimize_rate(paths, geometry, budget, args.streams, cfg, v,
-                                 tx_gain)
-            h = effective_channel(chan, v)
-            svd = truncated_svd(h, args.streams)
+            core = path_core(paths, geometry, tx_gain)
+            weights = stream_weights(paths, budget, args.streams, tx_gain)
+            v, _ = optimize_tsvd(core, weights, cfg, rng)
+            v, _ = optimize_rate(core, budget, args.streams, cfg, v)
+            # the digital transceiver on the core; the hybrid one on the dense
+            # channel, with the precoder and combiner lifted to the antennas
+            c = core.at(v.entries)
+            svd = truncated_svd(c, args.streams)
             f = digital_precoder(svd, budget.tx_power)
             w = digital_combiner(svd)
-            digital.append(spectral_efficiency(h, f, w, budget.noise_power))
-            f_rf, f_bb = hybrid_factorize(f, n_rf, cfg, rng,
+            digital.append(spectral_efficiency(c, f, w, budget.noise_power))
+            f_rf, f_bb = hybrid_factorize(core.q_b @ f, n_rf, cfg, rng,
                                           power_norm=budget.tx_power)
-            w_rf, w_bb = hybrid_factorize(w, n_rf, cfg, rng)
-            hybrid.append(spectral_efficiency(h, f_rf @ f_bb, w_rf @ w_bb,
+            w_rf, w_bb = hybrid_factorize(core.q_u @ w, n_rf, cfg, rng)
+            hybrid.append(spectral_efficiency(core.lift(c), f_rf @ f_bb, w_rf @ w_bb,
                                               budget.noise_power))
         ratio = np.mean(hybrid) / np.mean(digital)
         print(f"RF chains {n_rf}: digital {np.mean(digital):.3f}, "

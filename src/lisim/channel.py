@@ -1,8 +1,10 @@
 """Clustered mmWave channel synthesis for an LIS-assisted BS-LIS-UE link.
 
 Steering vectors (ULA at BS/UE, UPA at the LIS), path sampling with a
-LOS/NLOS power offset, log-distance path loss with shadowing, and the
-composite-path vectors consumed by the passive-beamforming optimizer.
+LOS/NLOS power offset, log-distance path loss with shadowing, the
+composite-path vectors, and the L x P path core of the cascade channel that
+the sweeps run on. The dense channel matrices (`assemble_channels`,
+`effective_channel`) are the reference the core is tested against.
 
 Conventions:
 - UPA elements are ordered row-major over (m1, m2) with the z-index m2
@@ -120,18 +122,50 @@ class MmWaveChannel:
 
 
 @dataclass(frozen=True)
-class CompositePathBank:
-    """L x P grid of length-M composite-path vectors p^{ij}.
+class PathCore:
+    """Cascade channel H(v) = Q_u (left X(v) right) Q_b^H of one path set.
 
-    p^{ij} couples the j-th BS->LIS path into the i-th LIS->UE path; each
-    entry has modulus 1/M, so sqrt(M) * p^{ij} has unit norm.
+    X(v)[i, j] = v^H p^{ij} is L x P. Q_u T_u and Q_b T_b are the reduced QR
+    factorizations of the UE and BS steering matrices (one column per path),
+    `left` = g T_u diag(beta) and `right` = diag(alpha) T_b^H, with g the
+    product of the scalar antenna gains; the triangular factors enter only
+    through `left` and `right`. Q_u and Q_b have orthonormal columns, so
+    H(v) and its small core left X(v) right share their singular values and
+    everything that lives in the column spaces of H(v) can be computed on
+    the core.
     """
 
-    vectors: np.ndarray  # (L, P, M)
+    bank: np.ndarray   # (L * P, M), row i * P + j holds p^{ij}
+    q_u: np.ndarray    # (N_r, min(N_r, L))
+    q_b: np.ndarray    # (N_t, min(N_t, P))
+    left: np.ndarray   # (min(N_r, L), L)
+    right: np.ndarray  # (P, min(N_t, P))
 
-    def __post_init__(self):
-        if self.vectors.ndim != 3:
-            raise ChannelShapeError("vectors must be an (L, P, M) array")
+    @property
+    def m(self) -> int:
+        return self.bank.shape[1]
+
+    @property
+    def n_lis_ue(self) -> int:
+        return self.left.shape[1]
+
+    @property
+    def n_bs_lis(self) -> int:
+        return self.right.shape[0]
+
+    def gains(self, v: np.ndarray) -> np.ndarray:
+        """X(v), the L x P passive beamforming gains v^H p^{ij} at phase entries v."""
+        if v.shape != (self.m,):
+            raise ChannelShapeError("phase vector length must equal the LIS size")
+        return (self.bank @ v.conj()).reshape(self.n_lis_ue, self.n_bs_lis)
+
+    def at(self, v: np.ndarray) -> np.ndarray:
+        """The core left X(v) right at phase entries v."""
+        return self.left @ self.gains(v) @ self.right
+
+    def lift(self, core: np.ndarray) -> np.ndarray:
+        """The dense N_r x N_t channel Q_u core Q_b^H of a core matrix."""
+        return self.q_u @ core @ self.q_b.conj().T
 
 
 def ula_response(gamma: float, n: int, spacing_ratio: float = 0.5) -> np.ndarray:
@@ -264,22 +298,40 @@ def assemble_channels(paths: PathSet, geometry: ArrayGeometry,
     return MmWaveChannel(g=g, r=r, tx_gain=tx_gain, rx_gain=rx_gain)
 
 
-def composite_path_vectors(paths: PathSet, geometry: ArrayGeometry) -> CompositePathBank:
-    """All p^{ij} = conj(a_LIS,T(i)) * a_LIS,R(j), elementwise."""
+def composite_path_vectors(paths: PathSet, geometry: ArrayGeometry) -> np.ndarray:
+    """All p^{ij} = conj(a_LIS,T(i)) * a_LIS,R(j), elementwise, as an (L, P, M) array.
+
+    p^{ij} couples the j-th BS->LIS path into the i-th LIS->UE path; each
+    entry has modulus 1/M, so sqrt(M) * p^{ij} has unit norm.
+    """
     m_y, m_z, s = geometry.lis_y, geometry.lis_z, geometry.spacing_ratio
     depart = upa_responses(paths.lis_ue_aod_az, paths.lis_ue_aod_el, m_y, m_z, s)
     arrive = upa_responses(paths.bs_lis_aoa_az, paths.bs_lis_aoa_el, m_y, m_z, s)
-    vectors = depart.conj()[:, None, :] * arrive[None, :, :]
-    return CompositePathBank(vectors=vectors)
+    return depart.conj()[:, None, :] * arrive[None, :, :]
+
+
+def path_core(paths: PathSet, geometry: ArrayGeometry,
+              tx_gain: float = 1.0, rx_gain: float = 1.0) -> PathCore:
+    """Factor the cascade channel of `paths` into its path core."""
+    s = geometry.spacing_ratio
+    q_u, t_u = np.linalg.qr(ula_responses(paths.lis_ue_aoa, geometry.n_rx, s).T)
+    q_b, t_b = np.linalg.qr(ula_responses(paths.bs_lis_aod, geometry.n_tx, s).T)
+    return PathCore(
+        bank=composite_path_vectors(paths, geometry).reshape(-1, geometry.m),
+        q_u=q_u, q_b=q_b,
+        left=tx_gain * rx_gain * t_u * paths.lis_ue_gain[None, :],
+        right=t_b.conj().T * paths.bs_lis_gain[:, None])
 
 
 def effective_channel(channel: MmWaveChannel, v: np.ndarray) -> np.ndarray:
-    """Cascade channel tx_gain * rx_gain * R diag(conj(v)) G."""
-    entries = np.asarray(getattr(v, "entries", v))
-    if entries.shape != (channel.m,):
+    """Cascade channel tx_gain * rx_gain * R diag(conj(v)) G at phase entries v.
+
+    The dense form, kept as the reference the path core is tested against.
+    """
+    if v.shape != (channel.m,):
         raise ChannelShapeError("phase vector length must equal the LIS size")
     scale = channel.tx_gain * channel.rx_gain
-    return scale * (channel.r * entries.conj()[None, :]) @ channel.g
+    return scale * (channel.r * v.conj()[None, :]) @ channel.g
 
 
 def perturb_angles(paths: PathSet, beta: float, rng: np.random.Generator) -> PathSet:

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .channel import sample_paths, sort_paths_descending
+from .channel import path_core, sample_paths, sort_paths_descending
 from .harness import (
     ConfigError,
     brute_force_phase_oracle,
@@ -18,7 +18,7 @@ from .harness import (
     run_sweep,
 )
 from .manifold import DescentConfig
-from .passive_bf import tsvd_objective, build_tsvd_problem, optimize_tsvd
+from .passive_bf import build_tsvd_problem, optimize_tsvd, stream_weights, tsvd_objective
 from .units import dbi_to_amplitude
 
 
@@ -68,8 +68,8 @@ def _cmd_oracle(args) -> int:
     rx_g = dbi_to_amplitude(cfg.rx_gain_dbi)
     _, best_obj = brute_force_phase_oracle(
         paths, cfg.geometry, cfg.budget, cfg.n_streams, args.levels, tx_g, rx_g)
-    v, _ = optimize_tsvd(paths, cfg.geometry, cfg.budget, cfg.n_streams,
-                         cfg.descent, rng, tx_g, rx_g)
+    weights = stream_weights(paths, cfg.budget, cfg.n_streams, tx_g, rx_g)
+    v, _ = optimize_tsvd(path_core(paths, cfg.geometry), weights, cfg.descent, rng)
     prob = build_tsvd_problem(paths, cfg.geometry, cfg.budget, cfg.n_streams,
                               tx_g, rx_g)
     achieved = -tsvd_objective(v.entries, prob)

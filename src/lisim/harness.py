@@ -22,12 +22,18 @@ import numpy as np
 from .channel import (
     ArrayGeometry,
     LinkBudget,
-    assemble_channels,
-    composite_path_vectors,
-    effective_channel,
+    PathCore,
+    PathSet,
+    path_core,
     perturb_angles,
     sample_paths,
     sort_paths_descending,
+)
+# A sweep builds no dense channel; perfbench/spans.py looks these names up here.
+from .channel import (  # noqa: F401
+    assemble_channels,
+    composite_path_vectors,
+    effective_channel,
 )
 from .manifold import DescentConfig, LineSearchError, PhaseVector, RetractionError
 from .metrics import CombinerRankError, spectral_efficiency, truncated_condition_number
@@ -39,6 +45,7 @@ from .passive_bf import (
     optimize_spgm,
     optimize_tsvd,
     random_phases,
+    stream_weights,
 )
 from .transceiver import (
     RankError,
@@ -274,10 +281,38 @@ def _check_sweep(cfg: ExperimentConfig) -> None:
         _apply_sweep(cfg, value)
 
 
+def _passive_beamforming(method: str, core: PathCore, paths: PathSet,
+                         cfg: ExperimentConfig, tx_g: float, rx_g: float,
+                         rng: np.random.Generator) -> tuple[PhaseVector, float]:
+    """The method's LIS phases for the path core and its descent iterations."""
+    if method == "tsvd":
+        weights = stream_weights(paths, cfg.budget, cfg.n_streams, tx_g, rx_g)
+        v, trace = optimize_tsvd(core, weights, cfg.descent, rng)
+        v, refined = optimize_rate(core, cfg.budget, cfg.n_streams, cfg.descent, v)
+        return v, float(len(trace) + len(refined) - 2)
+    if method == "spgm":
+        v, trace = optimize_spgm(core, cfg.descent, rng)
+        return v, float(len(trace) - 1)
+    return random_phases(rng, core.m), 0.0
+
+
+def _elapsed_ms(start: float) -> float:
+    return (perf_counter() - start) * 1e3
+
+
 def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
                value: float) -> list[_TrialRecord]:
+    """One channel draw, every method on it, in path-core coordinates.
+
+    The precoder and combiner come from the SVD of the estimated core and
+    live in the column spaces Q_b, Q_u of the estimated steering matrices;
+    the digital rate is evaluated on the true core written in those bases,
+    (Q_u^est^H Q_u) core (Q_b^H Q_b^est), and the dense channel is formed
+    only for the hybrid rate.
+    """
     run_cfg, beta = _apply_sweep(cfg, value)
     geometry, budget = run_cfg.geometry, run_cfg.budget
+    n_streams = run_cfg.n_streams
     seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sweep_idx, trial_idx))
     children = seed_seq.spawn(2 + len(run_cfg.methods))
     # The channel draw is keyed by the trial index alone so that trial t sees
@@ -292,13 +327,14 @@ def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
     paths = sort_paths_descending(sample_paths(
         chan_rng, geometry, budget, run_cfg.p_paths, run_cfg.l_paths,
         run_cfg.bs_lis_distance, run_cfg.lis_ue_distance))
-    true_chan = assemble_channels(paths, geometry, tx_g, rx_g)
-    composite = composite_path_vectors(paths, geometry)
+    true_core = path_core(paths, geometry, tx_g, rx_g)
     if beta > 0:
         est_paths = sort_paths_descending(perturb_angles(paths, beta, err_rng))
-        est_chan = assemble_channels(est_paths, geometry, tx_g, rx_g)
+        est_core = path_core(est_paths, geometry, tx_g, rx_g)
+        to_est_u = est_core.q_u.conj().T @ true_core.q_u
+        to_est_b = true_core.q_b.conj().T @ est_core.q_b
     else:
-        est_paths, est_chan = paths, true_chan
+        est_paths, est_core = paths, true_core
 
     modes = ("digital", "hybrid") if run_cfg.precoding == "both" else (run_cfg.precoding,)
     records: list[_TrialRecord] = []
@@ -306,50 +342,44 @@ def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
         rng = np.random.default_rng(children[2 + k])
         start = perf_counter()
         try:
-            iters = 0.0
-            if method == "tsvd":
-                v, trace = optimize_tsvd(est_paths, geometry, budget,
-                                         run_cfg.n_streams, run_cfg.descent, rng,
-                                         tx_g, rx_g)
-                v, refined = optimize_rate(est_paths, geometry, budget,
-                                           run_cfg.n_streams, run_cfg.descent, v,
-                                           tx_g, rx_g)
-                iters = float(len(trace) + len(refined) - 2)
-            elif method == "spgm":
-                v, trace = optimize_spgm(est_chan, run_cfg.descent, rng)
-                iters = float(len(trace) - 1)
+            v, iters = _passive_beamforming(method, est_core, est_paths, run_cfg,
+                                            tx_g, rx_g, rng)
+            c_est = est_core.at(v.entries)
+            svd = truncated_svd(c_est, n_streams)
+            f_core = digital_precoder(svd, budget.tx_power)
+            w_core = digital_combiner(svd)
+            if est_core is true_core:
+                c_true = c_seen = c_est
+                cond = truncated_condition_number(c_true, n_streams, svd.sigma1)
             else:
-                v = random_phases(rng, geometry.m)
-
-            h_est = effective_channel(est_chan, v)
-            svd = truncated_svd(h_est, run_cfg.n_streams)
-            f_mat = digital_precoder(svd, budget.tx_power)
-            w_mat = digital_combiner(svd)
-
-            h_true = h_est if est_chan is true_chan else effective_channel(true_chan, v)
-            cond = truncated_condition_number(
-                h_true, run_cfg.n_streams, svd.sigma1 if h_true is h_est else None)
-            offdiag = coupling_matrix(v, paths, composite).offdiag_ratio(run_cfg.n_streams)
-
-            per_mode: dict[str, float] = {}
+                c_true = true_core.at(v.entries)
+                c_seen = to_est_u @ c_true @ to_est_b
+                cond = truncated_condition_number(c_true, n_streams)
+            offdiag = coupling_matrix(v.entries, paths, true_core).offdiag_ratio(n_streams)
             if "digital" in modes:
-                per_mode["digital"] = spectral_efficiency(
-                    h_true, f_mat, w_mat, budget.noise_power)
-            if "hybrid" in modes:
-                f_rf, f_bb = hybrid_factorize(f_mat, run_cfg.n_rf_tx, run_cfg.descent,
-                                              rng, power_norm=budget.tx_power)
-                w_rf, w_bb = hybrid_factorize(w_mat, run_cfg.n_rf_rx, run_cfg.descent, rng)
-                per_mode["hybrid"] = spectral_efficiency(
-                    h_true, f_rf @ f_bb, w_rf @ w_bb, budget.noise_power)
-            wall = (perf_counter() - start) * 1e3
-            for mode in modes:
-                records.append(_TrialRecord(method, mode, per_mode[mode], cond,
-                                            offdiag, iters, wall))
+                se = spectral_efficiency(c_seen, f_core, w_core, budget.noise_power)
+                records.append(_TrialRecord(method, "digital", se, cond, offdiag, iters,
+                                            _elapsed_ms(start)))
         except NUMERICAL_FAILURES:
-            wall = (perf_counter() - start) * 1e3
-            for mode in modes:
-                records.append(_TrialRecord(method, mode, math.nan, math.nan,
-                                            math.nan, math.nan, wall, failed=True))
+            wall = _elapsed_ms(start)
+            records.extend(_TrialRecord(method, mode, math.nan, math.nan, math.nan,
+                                        math.nan, wall, failed=True) for mode in modes)
+            continue
+        if "hybrid" in modes:
+            # The hybrid row's wall time includes the digital row's.
+            try:
+                f_rf, f_bb = hybrid_factorize(est_core.q_b @ f_core, run_cfg.n_rf_tx,
+                                              run_cfg.descent, rng,
+                                              power_norm=budget.tx_power)
+                w_rf, w_bb = hybrid_factorize(est_core.q_u @ w_core, run_cfg.n_rf_rx,
+                                              run_cfg.descent, rng)
+                se = spectral_efficiency(true_core.lift(c_true), f_rf @ f_bb,
+                                         w_rf @ w_bb, budget.noise_power)
+                records.append(_TrialRecord(method, "hybrid", se, cond, offdiag, iters,
+                                            _elapsed_ms(start)))
+            except NUMERICAL_FAILURES:
+                records.append(_TrialRecord(method, "hybrid", math.nan, math.nan, math.nan,
+                                            math.nan, _elapsed_ms(start), failed=True))
     return records
 
 

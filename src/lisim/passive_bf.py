@@ -1,15 +1,15 @@
 """Passive-beamforming objectives and solvers for the LIS phase vector.
 
-Three optimizers share the manifold engine:
+Three optimizers share the manifold engine, and all three work on the
+L x P path core of the cascade channel (`channel.PathCore`):
 - `optimize_tsvd` maximizes the per-stream composite-path rate surrogate
   sum_i log2(1 + a_i |v^H p^{ii}|^2) over the top-N_s sorted paths;
 - `optimize_rate` maximizes the truncated-SVD rate
   sum_{k <= N_s} log2(1 + rho sigma_k^2 / (N_s sigma^2)) of the cascade
-  channel itself, evaluated on its L x P path core; the harness starts it
-  from the `optimize_tsvd` solution;
+  channel itself; the harness starts it from the `optimize_tsvd` solution;
 - `optimize_spgm` maximizes the Frobenius norm of the cascade channel
-  (the sum-path-gain baseline) via the quadratic form w^H Q w, with Q
-  normalized by its trace so the descent runs to convergence.
+  (the sum-path-gain baseline), normalized by its mean over uniformly
+  random phases so the descent runs to convergence.
 
 `coupling_matrix` exposes the D matrix and the off-diagonal diagnostic
 ratio used to check that the optimized phases suppress cross-path leakage.
@@ -23,13 +23,11 @@ import numpy as np
 
 from .channel import (
     ArrayGeometry,
-    CompositePathBank,
     LinkBudget,
-    MmWaveChannel,
+    PathCore,
     PathSet,
-    composite_path_vectors,
+    path_core,
     sort_paths_descending,
-    ula_responses,
 )
 from .manifold import DescentConfig, PhaseVector, ccm_descent
 
@@ -85,9 +83,8 @@ def tsvd_euclidean_gradient(v: np.ndarray, prob: TsvdProblem) -> np.ndarray:
     return _tsvd_and_gradient(v, prob)[1]
 
 
-def _tsvd_and_gradient(v, prob: TsvdProblem) -> tuple[float, np.ndarray]:
-    entries = np.asarray(getattr(v, "entries", v))
-    d = prob.diag_vectors @ entries.conj()          # v^H p^{ii} per stream
+def _tsvd_and_gradient(v: np.ndarray, prob: TsvdProblem) -> tuple[float, np.ndarray]:
+    d = prob.diag_vectors @ v.conj()                # v^H p^{ii} per stream
     gain = prob.weights * np.abs(d) ** 2
     coeff = 2.0 * prob.weights * d.conj() / (_LN2 * (1.0 + gain))
     return (float(-np.sum(np.log2(1.0 + gain))),
@@ -117,42 +114,21 @@ def _descent_pair(evaluate):
 
 @dataclass(frozen=True)
 class RateProblem:
-    """Cascade channel H(v) = Q_u (left X(v) right) Q_b^H in its path core.
+    """The truncated-SVD rate of the cascade channel, on its path core."""
 
-    X(v)[i, j] = v^H p^{ij} is L x P; `left` = g T_u diag(beta) and `right` =
-    diag(alpha) T_b^H, with Q T = A the QR factorizations of the UE and BS
-    steering matrices and g the product of the scalar antenna gains, so H(v)
-    and the core left X(v) right share their singular values.
-    """
-
-    vectors: np.ndarray  # (L * P, M), row i * P + j holds p^{ij}
-    left: np.ndarray     # (min(N_r, L), L)
-    right: np.ndarray    # (P, min(N_t, P))
+    core: PathCore
     snr: float           # rho / (N_s sigma^2)
     n_streams: int
 
-    def core(self, v: np.ndarray) -> np.ndarray:
-        """The core left X(v) right at phase entries v."""
-        x = (self.vectors @ v.conj()).reshape(self.left.shape[1], -1)
-        return self.left @ x @ self.right
 
-
-def build_rate_problem(paths: PathSet, geometry: ArrayGeometry, budget: LinkBudget,
-                       n_streams: int, tx_gain: float = 1.0,
-                       rx_gain: float = 1.0) -> RateProblem:
-    """Factor the cascade channel of `paths` into its path core."""
-    if n_streams > min(paths.n_bs_lis, paths.n_lis_ue, geometry.n_tx, geometry.n_rx):
+def build_rate_problem(core: PathCore, budget: LinkBudget,
+                       n_streams: int) -> RateProblem:
+    """The rate problem of `core` with the equal per-stream power split."""
+    if n_streams > min(core.left.shape + core.right.shape):
         raise StreamCountError("n_streams exceeds the rank of the cascade channel")
-    s = geometry.spacing_ratio
-    t_u = np.linalg.qr(ula_responses(paths.lis_ue_aoa, geometry.n_rx, s).T, mode="r")
-    t_b = np.linalg.qr(ula_responses(paths.bs_lis_aod, geometry.n_tx, s).T, mode="r")
-    bank = composite_path_vectors(paths, geometry).vectors
-    return RateProblem(
-        vectors=bank.reshape(-1, bank.shape[-1]),
-        left=tx_gain * rx_gain * t_u * paths.lis_ue_gain[None, :],
-        right=t_b.conj().T * paths.bs_lis_gain[:, None],
-        snr=budget.tx_power / (n_streams * budget.noise_power),
-        n_streams=n_streams)
+    return RateProblem(core=core,
+                       snr=budget.tx_power / (n_streams * budget.noise_power),
+                       n_streams=n_streams)
 
 
 def rate_objective(v: np.ndarray, prob: RateProblem) -> float:
@@ -168,15 +144,16 @@ def rate_euclidean_gradient(v: np.ndarray, prob: RateProblem) -> np.ndarray:
 def _rate_and_gradient(v: np.ndarray, prob: RateProblem) -> tuple[float, np.ndarray]:
     """Both from one SVD of the core: d sigma_k = Re(u_k^H left dX right w_k)
     for the k-th singular triple, and dX[i, j] = dv^H p^{ij}."""
-    u, sigma, vh = np.linalg.svd(prob.core(v), full_matrices=False)
+    core = prob.core
+    u, sigma, vh = np.linalg.svd(core.at(v), full_matrices=False)
     k = prob.n_streams
     sigma = sigma[:k]
     gain = prob.snr * sigma ** 2
-    lu = prob.left.conj().T @ u[:, :k]        # (L, N_s)
-    rw = prob.right @ vh[:k].conj().T         # (P, N_s)
+    lu = core.left.conj().T @ u[:, :k]        # (L, N_s)
+    rw = core.right @ vh[:k].conj().T         # (P, N_s)
     slope = 2.0 * prob.snr * sigma / (_LN2 * (1.0 + gain))
     coeff = (lu.conj() * slope) @ rw.T          # (L, P)
-    return float(-np.sum(np.log2(1.0 + gain))), -(coeff.reshape(-1) @ prob.vectors)
+    return float(-np.sum(np.log2(1.0 + gain))), -(coeff.reshape(-1) @ core.bank)
 
 
 def random_phases(rng: np.random.Generator, m: int) -> PhaseVector:
@@ -193,6 +170,8 @@ def stream_weights(paths: PathSet, budget: LinkBudget, n_streams: int,
     `paths` must already be sorted descending; the scalar antenna gains enter
     because they scale the cascade channel the rates are evaluated on.
     """
+    if n_streams > min(paths.n_bs_lis, paths.n_lis_ue):
+        raise StreamCountError("n_streams exceeds the available path count")
     alpha = paths.bs_lis_gain[:n_streams]
     beta = paths.lis_ue_gain[:n_streams]
     scale = (tx_gain * rx_gain) ** 2
@@ -200,73 +179,108 @@ def stream_weights(paths: PathSet, budget: LinkBudget, n_streams: int,
         n_streams * budget.noise_power)
 
 
+def tsvd_problem(core: PathCore, weights: np.ndarray) -> TsvdProblem:
+    """Pair path i with path i for the first len(weights) paths of `core`.
+
+    `core` must come from paths sorted descending, so the pairs are the
+    strongest ones (the ordering lemma), and `weights` from `stream_weights`.
+    """
+    idx = np.arange(len(weights))
+    bank = core.bank.reshape(core.n_lis_ue, core.n_bs_lis, core.m)
+    return TsvdProblem(diag_vectors=bank[idx, idx], weights=weights)
+
+
 def build_tsvd_problem(paths: PathSet, geometry: ArrayGeometry, budget: LinkBudget,
                        n_streams: int, tx_gain: float = 1.0,
                        rx_gain: float = 1.0) -> TsvdProblem:
     """Sort paths, pair the strongest N_s, and collect p^{ii} plus weights."""
-    if n_streams > min(paths.n_bs_lis, paths.n_lis_ue):
-        raise StreamCountError("n_streams exceeds the available path count")
     paths = sort_paths_descending(paths)
-    bank = composite_path_vectors(paths, geometry)
-    diag = np.stack([bank.vectors[i, i] for i in range(n_streams)])
     weights = stream_weights(paths, budget, n_streams, tx_gain, rx_gain)
-    return TsvdProblem(diag_vectors=diag, weights=weights)
+    return tsvd_problem(path_core(paths, geometry), weights)
 
 
-def optimize_tsvd(paths: PathSet, geometry: ArrayGeometry, budget: LinkBudget,
-                  n_streams: int, cfg: DescentConfig, rng: np.random.Generator,
-                  tx_gain: float = 1.0, rx_gain: float = 1.0,
-                  ) -> tuple[PhaseVector, list[float]]:
-    """Manifold descent on the truncated-SVD rate surrogate from a random start."""
-    prob = build_tsvd_problem(paths, geometry, budget, n_streams, tx_gain, rx_gain)
-    v0 = random_phases(rng, geometry.m)
+def optimize_tsvd(core: PathCore, weights: np.ndarray, cfg: DescentConfig,
+                  rng: np.random.Generator) -> tuple[PhaseVector, list[float]]:
+    """Manifold descent on the truncated-SVD rate surrogate from a random start.
+
+    `core` and `weights` are as for `tsvd_problem`.
+    """
+    prob = tsvd_problem(core, weights)
+    v0 = random_phases(rng, core.m)
     return ccm_descent(*_descent_pair(lambda v: _tsvd_and_gradient(v, prob)), v0, cfg)
 
 
-def optimize_rate(paths: PathSet, geometry: ArrayGeometry, budget: LinkBudget,
-                  n_streams: int, cfg: DescentConfig, v0: PhaseVector,
-                  tx_gain: float = 1.0, rx_gain: float = 1.0,
-                  ) -> tuple[PhaseVector, list[float]]:
+def optimize_rate(core: PathCore, budget: LinkBudget, n_streams: int,
+                  cfg: DescentConfig, v0: PhaseVector) -> tuple[PhaseVector, list[float]]:
     """Manifold descent on the truncated-SVD rate of the cascade channel from v0.
 
     The surrogate of `optimize_tsvd` reads sigma_i as |beta_i alpha_i
     v^H p^{ii}|, which holds when the steering vectors of the strongest paths
     are near-orthogonal; this objective keeps every path and their overlaps.
     """
-    prob = build_rate_problem(paths, geometry, budget, n_streams, tx_gain, rx_gain)
+    prob = build_rate_problem(core, budget, n_streams)
     return ccm_descent(*_descent_pair(lambda v: _rate_and_gradient(v, prob)), v0, cfg)
 
 
-def optimize_spgm(channel: MmWaveChannel, cfg: DescentConfig,
-                  rng: np.random.Generator) -> tuple[PhaseVector, list[float]]:
-    """Maximize tr(H_eff H_eff^H) over the LIS phases.
+@dataclass(frozen=True)
+class SpgmProblem:
+    """The sum-path gain ||H||_F^2 as a function of w = conj(v), on the path core.
 
-    Uses tr(Phi^H R^H R Phi G G^H) = w^H Q w with w_m = e^{j phi_m} and
-    Q = (R^H R) o (G G^H)^T = (R^H R) o (conj(G) G^T), solved by manifold
-    ascent; returns v = conj(w) and the descent's objective trace.
-    Q is divided by its positive real trace first: the maximizer is
-    unchanged, but the objective no longer carries the path loss, so the
-    descent's absolute stop gap means the same at any channel scale.
+    X(v) = reshape(bank w) is linear in w, so vec(left X right) = F w with
+    F = (left kron right^T) bank, of size min(N_r, L) min(N_t, P) x M, and
+    ||H||_F^2 = ||F w||^2 is the quadratic form g^2 w^H Q w of the dense
+    formulation, Q = (R^H R) o (conj(G) G^T), which is never formed. F is
+    divided by its Frobenius norm: ||F||_F^2 = g^2 tr Q is the mean of
+    ||H||_F^2 over uniformly random phases, so the maximizer is unchanged
+    but the objective no longer carries the path loss, and the descent's
+    absolute stop gap means the same at any channel scale.
     """
-    q = (channel.r.conj().T @ channel.r) * (channel.g.conj() @ channel.g.T)
-    q = q / np.real(np.trace(q))
 
-    def evaluate(w):
-        qw = q @ w
-        return float(-np.real(np.vdot(w, qw))), -2.0 * qw
+    f: np.ndarray  # (min(N_r, L) * min(N_t, P), M), unit Frobenius norm
 
-    w0 = random_phases(rng, channel.m)
-    w_opt, trace = ccm_descent(*_descent_pair(evaluate), w0, cfg)
+
+def build_spgm_problem(core: PathCore) -> SpgmProblem:
+    """Form the normalized F of `core`."""
+    f = np.kron(core.left, core.right.T) @ core.bank
+    return SpgmProblem(f=f / np.linalg.norm(f))
+
+
+def spgm_objective(w: np.ndarray, prob: SpgmProblem) -> float:
+    """Negated normalized sum-path gain -||H||_F^2 / (g^2 tr Q) at w = conj(v)."""
+    return _spgm_and_gradient(w, prob)[0]
+
+
+def spgm_euclidean_gradient(w: np.ndarray, prob: SpgmProblem) -> np.ndarray:
+    """Wirtinger gradient of `spgm_objective` with respect to w."""
+    return _spgm_and_gradient(w, prob)[1]
+
+
+def _spgm_and_gradient(w: np.ndarray, prob: SpgmProblem) -> tuple[float, np.ndarray]:
+    """-||F w||^2 and its Wirtinger gradient -2 F^H F w."""
+    fw = prob.f @ w
+    return float(-np.vdot(fw, fw).real), -2.0 * (fw.conj() @ prob.f).conj()
+
+
+def optimize_spgm(core: PathCore, cfg: DescentConfig,
+                  rng: np.random.Generator) -> tuple[PhaseVector, list[float]]:
+    """Maximize ||H(v)||_F^2 over the LIS phases by manifold ascent in w = conj(v).
+
+    Returns v = conj(w) and the descent's objective trace (`SpgmProblem`).
+    """
+    prob = build_spgm_problem(core)
+    w0 = random_phases(rng, core.m)
+    w_opt, trace = ccm_descent(*_descent_pair(lambda w: _spgm_and_gradient(w, prob)),
+                               w0, cfg)
     return PhaseVector(w_opt.entries.conj()), trace
 
 
-def coupling_matrix(v: np.ndarray, paths: PathSet,
-                    composite: CompositePathBank) -> CouplingMatrix:
-    """Evaluate every passive beamforming gain d_ij = v^H p^{ij} at v."""
-    entries = np.asarray(getattr(v, "entries", v))
-    l, p, m = composite.vectors.shape
-    if entries.shape != (m,) or l != paths.n_lis_ue or p != paths.n_bs_lis:
-        raise ValueError("phase vector / paths / composite bank are inconsistent")
-    gains = composite.vectors @ entries.conj()
+def coupling_matrix(v: np.ndarray, paths: PathSet, core: PathCore) -> CouplingMatrix:
+    """Evaluate every passive beamforming gain d_ij = v^H p^{ij} at phase entries v.
+
+    `core` must be the path core of `paths`.
+    """
+    if core.n_lis_ue != paths.n_lis_ue or core.n_bs_lis != paths.n_bs_lis:
+        raise ValueError("paths and path core are inconsistent")
+    gains = core.gains(v)
     d = paths.lis_ue_gain[:, None] * paths.bs_lis_gain[None, :] * gains
     return CouplingMatrix(d=d, gains=gains)

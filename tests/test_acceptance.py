@@ -13,8 +13,7 @@ from lisim.channel import (
     ArrayGeometry,
     LinkBudget,
     assemble_channels,
-    composite_path_vectors,
-    effective_channel,
+    path_core,
     sample_paths,
     sort_paths_descending,
 )
@@ -35,6 +34,7 @@ from lisim.passive_bf import (
     coupling_matrix,
     optimize_tsvd,
     random_phases,
+    stream_weights,
     tsvd_euclidean_gradient,
     tsvd_objective,
 )
@@ -118,8 +118,8 @@ def test_criterion_2_manifold_engine_convergence():
         rng = np.random.default_rng(seed)
         paths = sort_paths_descending(
             sample_paths(rng, PAPER_GEOMETRY, PAPER_BUDGET, 7, 7))
-        v, trace = optimize_tsvd(paths, PAPER_GEOMETRY, PAPER_BUDGET, 4, cfg, rng,
-                                 TX_GAIN)
+        v, trace = optimize_tsvd(path_core(paths, PAPER_GEOMETRY),
+                                 stream_weights(paths, PAPER_BUDGET, 4, TX_GAIN), cfg, rng)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:])), \
             "objective trace must be non-increasing"
         worst_modulus = max(worst_modulus, np.max(np.abs(np.abs(v.entries) - 1.0)))
@@ -139,7 +139,8 @@ def test_criterion_3_tiny_scale_oracle():
         paths = sort_paths_descending(sample_paths(rng, geometry, DESK_BUDGET, 2, 2))
         _, best = brute_force_phase_oracle(paths, geometry, DESK_BUDGET, 2, 8,
                                            TX_GAIN)
-        v, _ = optimize_tsvd(paths, geometry, DESK_BUDGET, 2, cfg, rng, TX_GAIN)
+        v, _ = optimize_tsvd(path_core(paths, geometry),
+                             stream_weights(paths, DESK_BUDGET, 2, TX_GAIN), cfg, rng)
         prob = build_tsvd_problem(paths, geometry, DESK_BUDGET, 2, TX_GAIN)
         ratios.append(-tsvd_objective(v.entries, prob) / best)
     ok = min(ratios) >= 0.95
@@ -223,10 +224,10 @@ def test_criterion_7_diagonal_dominance():
         for seed in range(20):
             rng = np.random.default_rng([55, seed])
             paths = sort_paths_descending(sample_paths(rng, geometry, budget, 7, 7))
-            bank = composite_path_vectors(paths, geometry)
-            v, _ = optimize_tsvd(paths, geometry, budget, 4, DescentConfig(), rng,
-                                 TX_GAIN)
-            ratios.append(coupling_matrix(v, paths, bank).offdiag_ratio(4))
+            core = path_core(paths, geometry)
+            v, _ = optimize_tsvd(core, stream_weights(paths, budget, 4, TX_GAIN),
+                                 DescentConfig(), rng)
+            ratios.append(coupling_matrix(v.entries, paths, core).offdiag_ratio(4))
         means[16 * lis_z] = float(np.mean(ratios))
     decreasing = means[16] > means[64] > means[256]
     ok = means[256] < 0.3 and decreasing

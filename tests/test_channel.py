@@ -20,7 +20,6 @@ from lisim.channel import (
     upa_response,
     upa_responses,
 )
-from lisim.manifold import PhaseVector
 from lisim.passive_bf import random_phases
 from lisim.units import dbm_to_watt
 
@@ -165,7 +164,7 @@ def test_effective_channel_matches_triple_product():
     chan = assemble_channels(paths, GEOMETRY, tx_gain=2.0, rx_gain=0.5)
     v = random_phases(rng, GEOMETRY.m)
     naive = 2.0 * 0.5 * chan.r @ np.diag(v.entries.conj()) @ chan.g
-    np.testing.assert_allclose(effective_channel(chan, v), naive, rtol=1e-12)
+    np.testing.assert_allclose(effective_channel(chan, v.entries), naive, rtol=1e-12)
 
 
 def test_effective_channel_composite_path_decomposition():
@@ -180,17 +179,17 @@ def test_effective_channel_composite_path_decomposition():
         a_ue = ula_response(paths.lis_ue_aoa[i], GEOMETRY.n_rx)
         for j in range(paths.n_bs_lis):
             a_bs = ula_response(paths.bs_lis_aod[j], GEOMETRY.n_tx)
-            d_ij = v.entries.conj() @ bank.vectors[i, j]
+            d_ij = v.entries.conj() @ bank[i, j]
             h += (paths.lis_ue_gain[i] * paths.bs_lis_gain[j] * d_ij
                   * np.outer(a_ue, a_bs.conj()))
-    np.testing.assert_allclose(effective_channel(chan, v), h, rtol=1e-10)
+    np.testing.assert_allclose(effective_channel(chan, v.entries), h, rtol=1e-10)
 
 
 def test_composite_vector_modulus():
     rng = np.random.default_rng(8)
     paths = sample_paths(rng, GEOMETRY, BUDGET, 2, 2)
     bank = composite_path_vectors(paths, GEOMETRY)
-    np.testing.assert_allclose(np.abs(bank.vectors), 1.0 / GEOMETRY.m, rtol=1e-12)
+    np.testing.assert_allclose(np.abs(bank), 1.0 / GEOMETRY.m, rtol=1e-12)
 
 
 def test_effective_channel_rejects_wrong_length():
@@ -198,7 +197,7 @@ def test_effective_channel_rejects_wrong_length():
     paths = sample_paths(rng, GEOMETRY, BUDGET, 2, 2)
     chan = assemble_channels(paths, GEOMETRY)
     with pytest.raises(ChannelShapeError):
-        effective_channel(chan, PhaseVector(np.ones(3, dtype=complex)))
+        effective_channel(chan, np.ones(3, dtype=complex))
 
 
 # -- angle perturbation ------------------------------------------------------

@@ -198,9 +198,30 @@ def test_run_sweep_counts_numerical_failures(monkeypatch):
     monkeypatch.setattr(harness, "hybrid_factorize", _raise(np.linalg.LinAlgError))
     cfg = replace(SMALL, precoding="both", trials=2, sweep_values=(40.0,),
                   methods=("tsvd",))
-    _, hyb = run_sweep(cfg).rows
+    dig, hyb = run_sweep(cfg).rows
     assert hyb.errors == 2
     assert math.isnan(hyb.mean_se)
+    # the digital rate was computed before the hybrid step failed
+    assert dig.errors == 0
+    assert math.isfinite(dig.mean_se)
+
+
+def test_run_sweep_times_each_mode(monkeypatch):
+    # the hybrid row's wall time adds its two factorizations to the digital row's
+    import time
+    from dataclasses import replace
+    from lisim import harness
+    real = harness.hybrid_factorize
+
+    def slow_hybrid(*args, **kwargs):
+        time.sleep(0.02)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "hybrid_factorize", slow_hybrid)
+    cfg = replace(SMALL, precoding="both", trials=2, sweep_values=(40.0,),
+                  methods=("random",))
+    dig, hyb = run_sweep(cfg).rows
+    assert hyb.wall_ms - dig.wall_ms >= 2 * 20.0 * 0.9
 
 
 def test_run_sweep_lets_bugs_through(monkeypatch):

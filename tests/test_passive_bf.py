@@ -9,6 +9,7 @@ from lisim.channel import (
     assemble_channels,
     composite_path_vectors,
     effective_channel,
+    path_core,
     sample_paths,
     sort_paths_descending,
 )
@@ -18,6 +19,7 @@ from lisim.passive_bf import (
     StreamCountError,
     TsvdProblem,
     build_rate_problem,
+    build_spgm_problem,
     build_tsvd_problem,
     coupling_matrix,
     optimize_rate,
@@ -26,6 +28,8 @@ from lisim.passive_bf import (
     random_phases,
     rate_euclidean_gradient,
     rate_objective,
+    spgm_euclidean_gradient,
+    spgm_objective,
     stream_weights,
     tsvd_euclidean_gradient,
     tsvd_objective,
@@ -115,9 +119,9 @@ def test_rate_objective_equals_svd_transceiver_rate():
     # channel, so the objective is minus the equal-power SVD transceiver rate.
     for seed in range(10):
         rng, paths = _instance(seed, p=4, l=3)
-        prob = build_rate_problem(paths, GEOMETRY, BUDGET, 2, TX_GAIN, 1.3)
+        prob = build_rate_problem(path_core(paths, GEOMETRY, TX_GAIN, 1.3), BUDGET, 2)
         v = random_phases(rng, GEOMETRY.m)
-        h = effective_channel(assemble_channels(paths, GEOMETRY, TX_GAIN, 1.3), v)
+        h = effective_channel(assemble_channels(paths, GEOMETRY, TX_GAIN, 1.3), v.entries)
         svd = truncated_svd(h, 2)
         se = spectral_efficiency(h, digital_precoder(svd, BUDGET.tx_power),
                                  digital_combiner(svd), BUDGET.noise_power)
@@ -131,7 +135,7 @@ def test_rate_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(20):
         rng, paths = _instance(seed, p=4, l=3)
-        prob = build_rate_problem(paths, GEOMETRY, BUDGET, 2, TX_GAIN, 30.0)
+        prob = build_rate_problem(path_core(paths, GEOMETRY, TX_GAIN, 30.0), BUDGET, 2)
         v = random_phases(rng, GEOMETRY.m).entries
         grad = rate_euclidean_gradient(v, prob)
         fd = _wirtinger_fd(lambda x: rate_objective(x, prob), v)
@@ -142,7 +146,19 @@ def test_rate_gradient_matches_finite_differences():
 def test_build_rate_problem_rejects_too_many_streams():
     _, paths = _instance(3, p=2, l=2)
     with pytest.raises(StreamCountError):
-        build_rate_problem(paths, GEOMETRY, BUDGET, 3)
+        build_rate_problem(path_core(paths, GEOMETRY), BUDGET, 3)
+
+
+def test_spgm_gradient_matches_finite_differences():
+    worst = 0.0
+    for seed in range(20):
+        rng, paths = _instance(seed, p=4, l=3)
+        prob = build_spgm_problem(path_core(paths, GEOMETRY, TX_GAIN, 1.3))
+        w = random_phases(rng, GEOMETRY.m).entries
+        grad = spgm_euclidean_gradient(w, prob)
+        fd = _wirtinger_fd(lambda x: spgm_objective(x, prob), w)
+        worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
+    assert worst < 1e-5
 
 
 # -- optimizers --------------------------------------------------------------
@@ -150,8 +166,9 @@ def test_build_rate_problem_rejects_too_many_streams():
 def test_optimize_tsvd_improves_over_start():
     rng, paths = _instance(4)
     prob = build_tsvd_problem(paths, GEOMETRY, BUDGET, 2, TX_GAIN)
-    v, trace = optimize_tsvd(paths, GEOMETRY, BUDGET, 2,
-                             DescentConfig(epsilon=1e-8), rng, TX_GAIN)
+    v, trace = optimize_tsvd(path_core(paths, GEOMETRY),
+                             stream_weights(paths, BUDGET, 2, TX_GAIN),
+                             DescentConfig(epsilon=1e-8), rng)
     assert trace[-1] <= trace[0]
     assert tsvd_objective(v.entries, prob) == pytest.approx(trace[-1], rel=1e-9)
     assert np.max(np.abs(np.abs(v.entries) - 1.0)) < 1e-12
@@ -160,10 +177,11 @@ def test_optimize_tsvd_improves_over_start():
 def test_optimize_rate_ascends_from_the_surrogate_solution():
     for seed in range(5):
         rng, paths = _instance(seed, p=4, l=4)
-        v0, _ = optimize_tsvd(paths, GEOMETRY, BUDGET, 2, DescentConfig(), rng, TX_GAIN)
-        v, trace = optimize_rate(paths, GEOMETRY, BUDGET, 2, DescentConfig(epsilon=1e-8),
-                                 v0, TX_GAIN)
-        prob = build_rate_problem(paths, GEOMETRY, BUDGET, 2, TX_GAIN)
+        core = path_core(paths, GEOMETRY, TX_GAIN)
+        v0, _ = optimize_tsvd(core, stream_weights(paths, BUDGET, 2, TX_GAIN),
+                              DescentConfig(), rng)
+        v, trace = optimize_rate(core, BUDGET, 2, DescentConfig(epsilon=1e-8), v0)
+        prob = build_rate_problem(core, BUDGET, 2)
         assert trace[0] == pytest.approx(rate_objective(v0.entries, prob), rel=1e-12)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         assert rate_objective(v.entries, prob) == pytest.approx(trace[-1], rel=1e-9)
@@ -172,37 +190,42 @@ def test_optimize_rate_ascends_from_the_surrogate_solution():
 
 def test_optimize_spgm_maximizes_frobenius_norm():
     rng, paths = _instance(5)
+    # scored on the dense channel, not on the core the optimizer runs on
     chan = assemble_channels(paths, GEOMETRY)
-    v, _ = optimize_spgm(chan, DescentConfig(epsilon=1e-8), rng)
-    opt = np.linalg.norm(effective_channel(chan, v)) ** 2
-    draws = [np.linalg.norm(effective_channel(chan, random_phases(rng, GEOMETRY.m))) ** 2
-             for _ in range(50)]
+    v, _ = optimize_spgm(path_core(paths, GEOMETRY), DescentConfig(epsilon=1e-8), rng)
+    opt = np.linalg.norm(effective_channel(chan, v.entries)) ** 2
+    draws = [np.linalg.norm(effective_channel(
+        chan, random_phases(rng, GEOMETRY.m).entries)) ** 2 for _ in range(50)]
     assert opt > max(draws)
 
 
 def test_optimize_spgm_independent_of_channel_scale():
     # The path loss scales w^H Q w by ~1e-14; an absolute stop gap must not
-    # turn that into a one-step descent, so scaling G must not move the phases.
+    # turn that into a one-step descent, so scaling the BS->LIS hop must not
+    # move the phases.
     from dataclasses import replace
     for seed in range(10):
         _, paths = _instance(seed)
-        chan = assemble_channels(paths, GEOMETRY)
-        loud = replace(chan, g=1e8 * chan.g)
-        v, _ = optimize_spgm(chan, DescentConfig(), np.random.default_rng(seed))
+        core = path_core(paths, GEOMETRY)
+        loud = replace(core, right=1e8 * core.right)
+        v, _ = optimize_spgm(core, DescentConfig(), np.random.default_rng(seed))
         v_loud, _ = optimize_spgm(loud, DescentConfig(), np.random.default_rng(seed))
         np.testing.assert_allclose(v.entries, v_loud.entries, rtol=0, atol=1e-9)
 
 
 def test_spgm_quadratic_form_identity():
-    # tr(H_eff H_eff^H) must equal w^H Q w with w = conj(v)
+    # tr(H_eff H_eff^H) must equal w^H Q w with w = conj(v), and the core
+    # objective must be minus that divided by tr Q
     rng, paths = _instance(6)
     chan = assemble_channels(paths, GEOMETRY)
     q = (chan.r.conj().T @ chan.r) * (chan.g @ chan.g.conj().T).T
     v = random_phases(rng, GEOMETRY.m)
     w = v.entries.conj()
-    lhs = np.linalg.norm(effective_channel(chan, v)) ** 2
+    lhs = np.linalg.norm(effective_channel(chan, v.entries)) ** 2
     rhs = np.real(np.vdot(w, q @ w))
     assert lhs == pytest.approx(rhs, rel=1e-10)
+    prob = build_spgm_problem(path_core(paths, GEOMETRY))
+    assert spgm_objective(w, prob) == pytest.approx(-rhs / np.real(np.trace(q)), rel=1e-10)
 
 
 def test_random_phases_stats():
@@ -220,10 +243,10 @@ def test_coupling_matrix_entries():
     rng, paths = _instance(8)
     bank = composite_path_vectors(paths, GEOMETRY)
     v = random_phases(rng, GEOMETRY.m)
-    cm = coupling_matrix(v, paths, bank)
+    cm = coupling_matrix(v.entries, paths, path_core(paths, GEOMETRY))
     for i in range(paths.n_lis_ue):
         for j in range(paths.n_bs_lis):
-            d_ij = v.entries.conj() @ bank.vectors[i, j]
+            d_ij = v.entries.conj() @ bank[i, j]
             assert cm.gains[i, j] == pytest.approx(d_ij, rel=1e-12)
             want = paths.lis_ue_gain[i] * paths.bs_lis_gain[j] * d_ij
             assert cm.d[i, j] == pytest.approx(want, rel=1e-12)
@@ -241,6 +264,9 @@ def test_offdiag_ratio_limits():
 
 def test_coupling_matrix_shape_mismatch():
     rng, paths = _instance(9)
-    bank = composite_path_vectors(paths, GEOMETRY)
+    core = path_core(paths, GEOMETRY)
     with pytest.raises(ValueError):
-        coupling_matrix(np.ones(3, dtype=complex), paths, bank)
+        coupling_matrix(np.ones(3, dtype=complex), paths, core)
+    _, other = _instance(9, p=2)
+    with pytest.raises(ValueError):
+        coupling_matrix(np.ones(GEOMETRY.m, dtype=complex), other, core)
