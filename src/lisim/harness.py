@@ -1,8 +1,8 @@
 """Seeded Monte-Carlo experiment runner and CSV emission.
 
-A sweep varies one of {tx_power_dbm, lis_elements, n_streams, angle_error_deg}
-over a value grid. Within a trial every method sees the same channel
-realization, and trial t sees the same realization at every sweep value
+A sweep varies one of {tx_power_dbm, lis_elements, n_streams, n_rf,
+angle_error_deg} over a value grid (n_rf sets both RF chain counts). Within
+a trial every method sees the same channel realization, and trial t sees the same realization at every sweep value
 (paired comparison along both axes). Per-trial seeds are derived from the
 master seed and the (sweep index, trial index) pair — the channel stream from
 the trial index alone — so growing the trial count never reshuffles earlier
@@ -56,7 +56,7 @@ from .transceiver import (
 )
 from .units import dbi_to_amplitude, dbm_to_watt, thermal_noise_dbm
 
-SWEEP_VARIABLES = ("tx_power_dbm", "lis_elements", "n_streams", "angle_error_deg")
+SWEEP_VARIABLES = ("tx_power_dbm", "lis_elements", "n_streams", "n_rf", "angle_error_deg")
 METHODS = ("tsvd", "spgm", "random")
 PRECODING_MODES = ("digital", "hybrid", "both")
 CSV_COLUMNS = ("sweep_value", "method", "precoding", "mean_se", "std_se",
@@ -270,8 +270,13 @@ def _apply_sweep(cfg: ExperimentConfig, value: float) -> tuple[ExperimentConfig,
             raise ConfigError("lis_elements sweep values must be multiples of lis_y")
         geometry = replace(cfg.geometry, lis_z=m // cfg.geometry.lis_y)
         return replace(cfg, geometry=geometry), 0.0
-    if cfg.sweep_variable == "n_streams":
-        return replace(cfg, n_streams=int(value)), 0.0
+    if cfg.sweep_variable in ("n_streams", "n_rf"):
+        count = int(value)
+        if count != value:
+            raise ConfigError(f"{cfg.sweep_variable} sweep values must be integers")
+        if cfg.sweep_variable == "n_streams":
+            return replace(cfg, n_streams=count), 0.0
+        return replace(cfg, n_rf_tx=count, n_rf_rx=count), 0.0
     return cfg, math.radians(value)  # angle_error_deg
 
 
@@ -300,6 +305,82 @@ def _elapsed_ms(start: float) -> float:
     return (perf_counter() - start) * 1e3
 
 
+@dataclass(frozen=True)
+class _HybridJob:
+    """A method's lifted precoder and combiner, waiting for the trial's hybrid batch."""
+
+    method: str
+    f_target: np.ndarray   # Q_b V_c scaled, N_t x N_s
+    w_target: np.ndarray   # Q_u U_c, N_r x N_s
+    rng: np.random.Generator
+    c_true: np.ndarray
+    cond: float
+    offdiag: float
+    iters: float
+    digital_ms: float      # the method's time up to the end of its digital row
+
+
+def _factor_hybrid(jobs: list[_HybridJob], cfg: ExperimentConfig):
+    """Stacks (F_RF, F_BB, W_RF, W_BB) with one slot per job.
+
+    One hybrid_factorize call when both sides have the same shape (slots
+    ordered precoder, combiner per job), else one call per side; either
+    way each job's generator draws its precoder start before its combiner
+    start.
+    """
+    rngs = [job.rng for job in jobs]
+    power = cfg.budget.tx_power
+    if (cfg.geometry.n_tx, cfg.n_rf_tx) == (cfg.geometry.n_rx, cfg.n_rf_rx):
+        targets = np.stack([m for job in jobs for m in (job.f_target, job.w_target)])
+        rf, bb = hybrid_factorize(targets, cfg.n_rf_tx, cfg.descent,
+                                  [rng for rng in rngs for _ in range(2)],
+                                  [power, None] * len(jobs))
+        return rf[0::2], bb[0::2], rf[1::2], bb[1::2]
+    f_rf, f_bb = hybrid_factorize(np.stack([job.f_target for job in jobs]), cfg.n_rf_tx,
+                                  cfg.descent, rngs, [power] * len(jobs))
+    w_rf, w_bb = hybrid_factorize(np.stack([job.w_target for job in jobs]), cfg.n_rf_rx,
+                                  cfg.descent, rngs)
+    return f_rf, f_bb, w_rf, w_bb
+
+
+def _hybrid_records(jobs: list[_HybridJob], cfg: ExperimentConfig,
+                    true_core: PathCore) -> list[_TrialRecord]:
+    """Factor every job's precoder and combiner in one batch, then rate each.
+
+    If the batch meets a numerical failure, each job is factored alone from
+    the generator state it had before the batch, so only a failing method's
+    hybrid row counts the error. A row's wall time is its digital time plus
+    an equal share of the batch plus its own rate (and fallback) time.
+    """
+    states = [job.rng.bit_generator.state for job in jobs]
+    start = perf_counter()
+    try:
+        stacks = _factor_hybrid(jobs, cfg)
+    except NUMERICAL_FAILURES:
+        stacks = None
+    share_ms = _elapsed_ms(start) / len(jobs)
+
+    records = []
+    for i, (job, state) in enumerate(zip(jobs, states)):
+        start = perf_counter()
+        try:
+            if stacks is None:
+                job.rng.bit_generator.state = state
+                f_rf, f_bb, w_rf, w_bb = (s[0] for s in _factor_hybrid([job], cfg))
+            else:
+                f_rf, f_bb, w_rf, w_bb = (s[i] for s in stacks)
+            se = spectral_efficiency(true_core.lift(job.c_true), f_rf @ f_bb,
+                                     w_rf @ w_bb, cfg.budget.noise_power)
+            record = _TrialRecord(job.method, "hybrid", se, job.cond, job.offdiag,
+                                  job.iters, 0.0)
+        except NUMERICAL_FAILURES:
+            record = _TrialRecord(job.method, "hybrid", math.nan, math.nan, math.nan,
+                                  math.nan, 0.0, failed=True)
+        wall = job.digital_ms + share_ms + _elapsed_ms(start)
+        records.append(replace(record, wall_ms=wall))
+    return records
+
+
 def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
                value: float) -> list[_TrialRecord]:
     """One channel draw, every method on it, in path-core coordinates.
@@ -308,7 +389,8 @@ def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
     live in the column spaces Q_b, Q_u of the estimated steering matrices;
     the digital rate is evaluated on the true core written in those bases,
     (Q_u^est^H Q_u) core (Q_b^H Q_b^est), and the dense channel is formed
-    only for the hybrid rate.
+    only for the hybrid rate. The hybrid factorizations of all methods run
+    in one batch after the method loop.
     """
     run_cfg, beta = _apply_sweep(cfg, value)
     geometry, budget = run_cfg.geometry, run_cfg.budget
@@ -338,6 +420,7 @@ def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
 
     modes = ("digital", "hybrid") if run_cfg.precoding == "both" else (run_cfg.precoding,)
     records: list[_TrialRecord] = []
+    jobs: list[_HybridJob] = []
     for k, method in enumerate(run_cfg.methods):
         rng = np.random.default_rng(children[2 + k])
         start = perf_counter()
@@ -366,20 +449,10 @@ def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
                                         math.nan, wall, failed=True) for mode in modes)
             continue
         if "hybrid" in modes:
-            # The hybrid row's wall time includes the digital row's.
-            try:
-                f_rf, f_bb = hybrid_factorize(est_core.q_b @ f_core, run_cfg.n_rf_tx,
-                                              run_cfg.descent, rng,
-                                              power_norm=budget.tx_power)
-                w_rf, w_bb = hybrid_factorize(est_core.q_u @ w_core, run_cfg.n_rf_rx,
-                                              run_cfg.descent, rng)
-                se = spectral_efficiency(true_core.lift(c_true), f_rf @ f_bb,
-                                         w_rf @ w_bb, budget.noise_power)
-                records.append(_TrialRecord(method, "hybrid", se, cond, offdiag, iters,
-                                            _elapsed_ms(start)))
-            except NUMERICAL_FAILURES:
-                records.append(_TrialRecord(method, "hybrid", math.nan, math.nan, math.nan,
-                                            math.nan, _elapsed_ms(start), failed=True))
+            jobs.append(_HybridJob(method, est_core.q_b @ f_core, est_core.q_u @ w_core, rng,
+                                   c_true, cond, offdiag, iters, _elapsed_ms(start)))
+    if jobs:
+        records.extend(_hybrid_records(jobs, run_cfg, true_core))
     return records
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-PINV_RTOL = 1e-12
-
 
 class CombinerRankError(ValueError):
     """The combiner is rank deficient."""
@@ -15,18 +13,18 @@ def spectral_efficiency(h_eff: np.ndarray, f: np.ndarray, w: np.ndarray,
                         sigma2: float) -> float:
     """Rate log2 det(I + (1/sigma2) (W)^+ H F F^H H^H W) in bits/s/Hz.
 
-    Evaluated as the Hermitian form F^H H^H P_W H F with P_W the orthogonal
-    projector onto the combiner column space, accumulated in the log domain.
+    Only the combiner's column space counts: with U_W its left singular
+    vectors, the rate is that of the Hermitian form S^H S, S = U_W^H H F,
+    accumulated in the log domain. One SVD of W gives both U_W and the rank
+    test (numpy's matrix_rank tolerance).
     """
     w = np.asarray(w)
-    rank = np.linalg.matrix_rank(w, tol=None)
-    if rank < w.shape[1]:
+    u, sv, _ = np.linalg.svd(w, full_matrices=False)
+    tol = sv[0] * max(w.shape) * np.finfo(sv.dtype).eps   # sv is descending
+    if np.count_nonzero(sv > tol) < w.shape[1]:
         raise CombinerRankError("combiner must have full column rank")
-    projector = w @ np.linalg.pinv(w, rcond=PINV_RTOL)
-    s = h_eff @ f
-    inner = s.conj().T @ projector @ s
-    inner = (inner + inner.conj().T) / 2.0
-    eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    s = u.conj().T @ (h_eff @ f)
+    eigs = np.clip(np.linalg.eigvalsh(s.conj().T @ s), 0.0, None)
     return float(np.sum(np.log2(1.0 + eigs / sigma2)))
 
 

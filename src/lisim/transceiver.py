@@ -8,10 +8,14 @@ least-squares digital update, solved on the n_rf x n_rf Gram matrix of the
 analog matrix, with closed-form column-wise phase updates of the analog
 matrix (Sohrabi & Yu, IEEE JSTSP 2016), computed from the small products
 target F_BB^H and F_BB F_BB^H rather than from an explicit residual matrix.
+It factors a stack of targets (slots) in one loop: every slot has its own
+random start, generator and stop, a slot that has stopped is frozen while
+the others go on, and each slot's result does not depend on the others.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,62 +97,91 @@ def digital_combiner(svd: TruncatedSvd) -> np.ndarray:
     return svd.u1
 
 
-def _digital_stage(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Least-squares F_BB for F_RF = rows.T, from the n_rf x n_rf normal equations."""
+def _digital_stage(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Least-squares F_BB per slot for F_RF = rows^T, from the n_rf x n_rf normal equations."""
     rows_h = rows.conj()
-    return np.linalg.solve(rows_h @ rows.T, rows_h @ target)
+    return np.linalg.solve(rows_h @ rows.transpose(0, 2, 1), rows_h @ targets)
 
 
-def hybrid_factorize(target: np.ndarray, n_rf: int, cfg: DescentConfig,
-                     rng: np.random.Generator,
-                     power_norm: float | None = None,
+def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
+                     rngs: Sequence[np.random.Generator],
+                     power_norms: Sequence[float | None] | None = None,
                      max_alternations: int = 30) -> tuple[np.ndarray, np.ndarray]:
-    """Factor `target` (N x N_s) into unit-modulus analog x digital matrices.
+    """Factor each slot of `targets` (K x N x N_s) into unit-modulus analog
+    (K x N x n_rf) times digital (K x n_rf x N_s) matrices.
 
-    Starts from random analog phases and alternates two exact block updates
-    of ||target - F_RF F_BB||_F until the relative residual change drops
-    below cfg.epsilon (at most `max_alternations` rounds):
+    Slot k starts from random analog phases drawn from rngs[k], the slots
+    drawing in order (a generator may serve several slots), and alternates
+    two exact block updates of ||target - F_RF F_BB||_F until its relative
+    residual change drops below cfg.epsilon (at most `max_alternations`
+    rounds); a slot that has stopped is frozen while the others go on, so a
+    slot's result is the same alone as in any stack. The updates:
     - F_BB = (F_RF^H F_RF)^-1 F_RF^H target, the least-squares digital stage,
       solved on the n_rf x n_rf Gram matrix (raises LinAlgError if singular);
     - one Gauss-Seidel pass over the analog columns. With the other columns
       and F_BB fixed, the residual separates by rows of F_RF, so column k's
-      best unit-modulus entries are exp(j arg(D F_BB[k]^H)), where D is the
+      best unit-modulus entries are the phases of D F_BB[k]^H, where D is the
       residual with column k's own contribution added back. With
-      A = target F_BB^H and B = F_BB F_BB^H formed once per pass,
-      D F_BB[k]^H = A[:, k] - F_RF B[:, k] + F_RF[:, k] B[k, k], so the
-      N x N_s residual is never updated column by column.
+      A = target F_BB^H and B = F_BB F_BB^H with its diagonal zeroed, formed
+      once per pass, D F_BB[k]^H = A[:, k] - F_RF B[:, k], so the N x N_s
+      residual is never updated column by column. An entry whose
+      D F_BB[k]^H entry is 0 becomes 1.
     Neither step can increase the residual. The digital stage is solved once
-    more for the final analog matrix. When `power_norm` is given (precoder
-    side), the digital matrix is rescaled so the product has squared
-    Frobenius norm power_norm.
+    more for the final analog matrices. Where power_norms[k] is given
+    (precoder slots), slot k's digital matrix is rescaled so its product has
+    squared Frobenius norm power_norms[k].
     """
-    target = np.asarray(target)
-    n, n_streams = target.shape
+    targets = np.ascontiguousarray(targets, dtype=complex)
+    n_slots, n, n_streams = targets.shape
     if not (n_streams <= n_rf <= n):
         raise ValueError("need N_s <= n_rf <= N")
+    if len(rngs) != n_slots:
+        raise ValueError("need one generator per slot")
 
-    # the analog columns, kept as contiguous rows of F_RF^T
-    rows = random_phases(rng, n * n_rf).entries.reshape(n, n_rf).T.copy()
-    prev_residual = np.inf
+    # the analog columns of each slot, kept as contiguous rows of F_RF^T
+    rows = np.stack([random_phases(rng, n * n_rf).entries.reshape(n, n_rf).T
+                     for rng in rngs])
+    offdiag = ~np.eye(n_rf, dtype=bool)
+    live = np.arange(n_slots)              # slots still alternating
+    r, t = rows, targets                   # their analog rows and targets
+    prev_residual = np.full(n_slots, np.inf)
     for _ in range(max_alternations):
-        f_bb = _digital_stage(rows, target)
-        a_rows = f_bb.conj() @ target.T   # row k is A[:, k]
-        b = f_bb @ f_bb.conj().T
+        f_bb = _digital_stage(r, t)
+        f_bb_h = f_bb.conj()
+        a_rows = f_bb_h @ t.transpose(0, 2, 1)              # row k is A[:, k]
+        b_rows = f_bb_h @ f_bb.transpose(0, 2, 1) * offdiag  # row k is B[:, k]
         for k in range(n_rf):
-            col = a_rows[k] - b[:, k] @ rows + rows[k] * b[k, k]
-            rows[k] = np.exp(1j * np.angle(col))
+            col = a_rows[:, k] - (b_rows[:, k, None] @ r)[:, 0]
+            mag = np.abs(col)
+            if not mag.all():   # a zero entry gets phase 0
+                zero = mag == 0
+                col[zero], mag[zero] = 1.0, 1.0
+            np.divide(col, mag, out=r[:, k])
 
-        residual = float(np.linalg.norm(target - rows.T @ f_bb))
-        denom = max(prev_residual, np.finfo(float).tiny)
-        if residual == 0.0 or abs(prev_residual - residual) / denom < cfg.epsilon:
-            break
+        residual = np.linalg.norm(t - r.transpose(0, 2, 1) @ f_bb, axis=(1, 2))
+        # relative change below epsilon, multiplied out so the first round's
+        # infinite previous residual gives no inf/inf
+        stop = (residual == 0.0) | (
+            np.abs(prev_residual - residual)
+            < cfg.epsilon * np.maximum(prev_residual, np.finfo(float).tiny))
+        if stop.any():
+            rows[live] = r
+            go = ~stop
+            live, r, t = live[go], r[go], t[go]
+            if not live.size:
+                break
+            residual = residual[go]
         prev_residual = residual
+    rows[live] = r
 
-    f_rf = np.ascontiguousarray(rows.T)
-    f_bb = _digital_stage(rows, target)
-    if power_norm is not None:
-        norm = np.linalg.norm(f_rf @ f_bb)
-        if norm == 0:
-            raise RankError("degenerate factorization; cannot normalize power")
-        f_bb = f_bb * (np.sqrt(power_norm) / norm)
+    f_rf = np.ascontiguousarray(rows.transpose(0, 2, 1))
+    f_bb = _digital_stage(rows, targets)
+    if power_norms is not None:
+        for k, power in enumerate(power_norms):
+            if power is None:
+                continue
+            norm = np.linalg.norm(f_rf[k] @ f_bb[k])
+            if norm == 0:
+                raise RankError("degenerate factorization; cannot normalize power")
+            f_bb[k] *= np.sqrt(power) / norm
     return f_rf, f_bb

@@ -89,6 +89,8 @@ def test_load_config_overrides(tmp_path):
     ("n_streams = 2\nr_t = 3\nsweep_variable = n_streams\nsweep_values = 2, 4",
      "n_streams must not exceed"),
     ("sweep_variable = lis_elements\nsweep_values = 256, 100", "multiples of lis_y"),
+    ("sweep_variable = n_rf\nsweep_values = 6, 3", "n_streams must not exceed"),
+    ("sweep_variable = n_rf\nsweep_values = 4.5", "integers"),
 ])
 def test_load_config_errors(tmp_path, line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -118,6 +120,12 @@ def test_apply_sweep_lis_elements():
     assert cfg.geometry.m == 64 and cfg.geometry.lis_y == 16
     with pytest.raises(ConfigError):
         _apply_sweep(base, 60.0)   # not a multiple of lis_y
+
+
+def test_apply_sweep_n_rf():
+    base = ExperimentConfig(sweep_variable="n_rf", sweep_values=(8.0,))
+    cfg, beta = _apply_sweep(base, 8.0)
+    assert (cfg.n_rf_tx, cfg.n_rf_rx, beta) == (8, 8, 0.0)
 
 
 def test_apply_sweep_angle_error():
@@ -207,13 +215,16 @@ def test_run_sweep_counts_numerical_failures(monkeypatch):
 
 
 def test_run_sweep_times_each_mode(monkeypatch):
-    # the hybrid row's wall time adds its two factorizations to the digital row's
+    # the hybrid row's wall time adds its share of the trial's factorizations
+    # to the digital row's: every wrapped call sleeps 20 ms
     import time
     from dataclasses import replace
     from lisim import harness
     real = harness.hybrid_factorize
+    calls = []
 
     def slow_hybrid(*args, **kwargs):
+        calls.append(args)
         time.sleep(0.02)
         return real(*args, **kwargs)
 
@@ -221,7 +232,54 @@ def test_run_sweep_times_each_mode(monkeypatch):
     cfg = replace(SMALL, precoding="both", trials=2, sweep_values=(40.0,),
                   methods=("random",))
     dig, hyb = run_sweep(cfg).rows
-    assert hyb.wall_ms - dig.wall_ms >= 2 * 20.0 * 0.9
+    calls_per_method = len(calls) / (cfg.trials * len(cfg.methods))
+    assert calls_per_method >= 1
+    assert hyb.wall_ms - dig.wall_ms >= 0.9 * 20.0 * calls_per_method
+
+
+def test_run_sweep_hybrid_failure_is_per_method(monkeypatch):
+    # a singular solve in one method's slots fails the trial's batch; each
+    # method is then factored alone, so only that method's hybrid row counts
+    # the error and the others keep the values the batch would have given
+    from dataclasses import replace
+    from lisim import harness
+    cfg = replace(SMALL, precoding="both", trials=2, sweep_values=(40.0,))
+    clean = run_sweep(cfg).rows
+    spgm_rngs = []   # kept alive, so no later generator is mistaken for one
+    real_passive, real_hybrid = harness._passive_beamforming, harness.hybrid_factorize
+
+    def passive(method, core, paths, run_cfg, tx_g, rx_g, rng):
+        if method == "spgm":
+            spgm_rngs.append(rng)
+        return real_passive(method, core, paths, run_cfg, tx_g, rx_g, rng)
+
+    def hybrid(targets, n_rf, descent, rngs, *args, **kwargs):
+        # fail after the starts are drawn, as a singular solve would
+        factors = real_hybrid(targets, n_rf, descent, rngs, *args, **kwargs)
+        if any(rng is bad for rng in rngs for bad in spgm_rngs):
+            raise np.linalg.LinAlgError("injected")
+        return factors
+
+    monkeypatch.setattr(harness, "_passive_beamforming", passive)
+    monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
+    rows = run_sweep(cfg).rows
+    strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
+                       r.errors)
+    for got, want in zip(rows, clean):
+        assert (got.method, got.precoding) == (want.method, want.precoding)
+        if (got.method, got.precoding) == ("spgm", "hybrid"):
+            assert got.errors == cfg.trials and math.isnan(got.mean_se)
+        else:
+            assert strip(got) == strip(want)
+
+
+def test_digital_rows_ignore_hybrid():
+    from dataclasses import replace
+    both = run_sweep(replace(SMALL, precoding="both")).rows
+    digital = run_sweep(SMALL).rows
+    strip = lambda r: (r.sweep_value, r.method, r.mean_se, r.std_se, r.mean_cond,
+                       r.mean_offdiag, r.mean_iters, r.errors)
+    assert [strip(r) for r in both if r.precoding == "digital"] == [strip(r) for r in digital]
 
 
 def test_run_sweep_lets_bugs_through(monkeypatch):

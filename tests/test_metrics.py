@@ -58,6 +58,31 @@ def test_se_invariant_to_combiner_mixing():
     assert spectral_efficiency(h, f, w @ mix, 0.5) == pytest.approx(base, rel=1e-8)
 
 
+def _projector_se(h, f, w, sigma2):
+    """The projector form: F^H H^H P_W H F with P_W = W W^+ from pinv."""
+    if np.linalg.matrix_rank(w) < w.shape[1]:
+        raise CombinerRankError("combiner must have full column rank")
+    s = h @ f
+    inner = s.conj().T @ (w @ np.linalg.pinv(w, rcond=1e-12)) @ s
+    eigs = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0), 0.0, None)
+    return float(np.sum(np.log2(1.0 + eigs / sigma2)))
+
+
+@pytest.mark.parametrize("n,n_s,n_w", [(7, 4, 4), (64, 4, 4), (64, 4, 6)],
+                         ids=["core", "channel", "wide-combiner"])
+def test_se_matches_projector_form(n, n_s, n_w):
+    # orthonormal combiners (digital U_c), general ones (hybrid W_RF W_BB)
+    rng = np.random.default_rng(n + n_w)
+    for _ in range(20):
+        h = _random_matrix(rng, n, n)
+        f = _random_matrix(rng, n, n_s)
+        general = _random_matrix(rng, n, n_w)
+        orthonormal = np.linalg.qr(general)[0]
+        for w in (orthonormal, general):
+            want = _projector_se(h, f, w, 0.7)
+            assert spectral_efficiency(h, f, w, 0.7) == pytest.approx(want, rel=1e-12)
+
+
 def test_se_rank_deficient_combiner():
     rng = np.random.default_rng(3)
     h = _random_matrix(rng, 4, 4)

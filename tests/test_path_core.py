@@ -41,7 +41,8 @@ DESK = ExperimentConfig(
 
 
 class _Spy:
-    """Records what a trial drew: paths, estimated paths, phases, hybrid rng state."""
+    """Records what a trial drew: paths, estimated paths, phases, and the state of
+    the generator behind the first slot of the trial's hybrid batch."""
 
     def __init__(self, monkeypatch):
         self.seen = {}
@@ -49,9 +50,9 @@ class _Spy:
             monkeypatch.setattr(harness, name, self._recording(name, getattr(harness, name)))
         real_hybrid = harness.hybrid_factorize
 
-        def hybrid(target, n_rf, cfg, rng, **kwargs):
-            self.seen.setdefault("hybrid_rng", copy.deepcopy(rng.bit_generator.state))
-            return real_hybrid(target, n_rf, cfg, rng, **kwargs)
+        def hybrid(targets, n_rf, cfg, rngs, *args, **kwargs):
+            self.seen.setdefault("hybrid_rng", copy.deepcopy(rngs[0].bit_generator.state))
+            return real_hybrid(targets, n_rf, cfg, rngs, *args, **kwargs)
 
         monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
 
@@ -76,12 +77,13 @@ def _dense_trial(cfg, seen):
     w = digital_combiner(svd)
     rng = np.random.default_rng()
     rng.bit_generator.state = seen["hybrid_rng"]
-    f_rf, f_bb = hybrid_factorize(f, cfg.n_rf_tx, cfg.descent, rng,
-                                  power_norm=budget.tx_power)
-    w_rf, w_bb = hybrid_factorize(w, cfg.n_rf_rx, cfg.descent, rng)
+    # each side factored alone, as a stack of one
+    f_rf, f_bb = hybrid_factorize(f[None], cfg.n_rf_tx, cfg.descent, [rng], [budget.tx_power])
+    w_rf, w_bb = hybrid_factorize(w[None], cfg.n_rf_rx, cfg.descent, [rng])
     return (svd.sigma1, truncated_condition_number(h_true, n_s),
             spectral_efficiency(h_true, f, w, budget.noise_power),
-            spectral_efficiency(h_true, f_rf @ f_bb, w_rf @ w_bb, budget.noise_power))
+            spectral_efficiency(h_true, f_rf[0] @ f_bb[0], w_rf[0] @ w_bb[0],
+                                budget.noise_power))
 
 
 @pytest.mark.parametrize("cfg", [PAPER, DESK], ids=["paper", "desk"])

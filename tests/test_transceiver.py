@@ -119,12 +119,19 @@ def test_digital_combiner_is_u1():
 
 # -- hybrid factorization ----------------------------------------------------
 
+def _factor_one(target, n_rf, rng, power_norm=None, **kwargs):
+    """Factor a single target as a stack of one; returns 2-D (F_RF, F_BB)."""
+    f_rf, f_bb = hybrid_factorize(target[None], n_rf, DescentConfig(), [rng],
+                                  [power_norm], **kwargs)
+    return f_rf[0], f_bb[0]
+
+
 def test_hybrid_exact_with_full_rf():
     # n_rf = N: a random square unit-modulus matrix is invertible, so the
     # least-squares digital stage alone reproduces the target exactly
     rng = np.random.default_rng(5)
     target = _random_matrix(rng, 6, 2)
-    f_rf, f_bb = hybrid_factorize(target, 6, DescentConfig(), rng)
+    f_rf, f_bb = _factor_one(target, 6, rng)
     np.testing.assert_allclose(f_rf @ f_bb, target, atol=1e-8)
     np.testing.assert_allclose(np.abs(f_rf), 1.0, rtol=1e-12)
 
@@ -132,7 +139,7 @@ def test_hybrid_exact_with_full_rf():
 def test_hybrid_reduces_residual():
     rng = np.random.default_rng(6)
     target = _random_matrix(rng, 16, 3)
-    f_rf, f_bb = hybrid_factorize(target, 5, DescentConfig(), rng)
+    f_rf, f_bb = _factor_one(target, 5, rng)
     res = np.linalg.norm(target - f_rf @ f_bb) / np.linalg.norm(target)
     assert res < 0.15
     np.testing.assert_allclose(np.abs(f_rf), 1.0, rtol=1e-12)
@@ -140,9 +147,16 @@ def test_hybrid_reduces_residual():
 
 def test_hybrid_power_normalization():
     rng = np.random.default_rng(7)
-    target = _random_matrix(rng, 12, 2)
-    f_rf, f_bb = hybrid_factorize(target, 4, DescentConfig(), rng, power_norm=3.0)
-    assert np.linalg.norm(f_rf @ f_bb) ** 2 == pytest.approx(3.0, rel=1e-10)
+    targets = np.stack([_random_matrix(rng, 12, 2) for _ in range(3)])
+    f_rf, f_bb = hybrid_factorize(targets, 4, DescentConfig(),
+                                  [np.random.default_rng(s) for s in range(3)],
+                                  [3.0, None, 0.5])
+    norms = np.linalg.norm(f_rf @ f_bb, axis=(1, 2)) ** 2
+    assert norms[0] == pytest.approx(3.0, rel=1e-10)
+    assert norms[2] == pytest.approx(0.5, rel=1e-10)
+    # the slot without a power norm keeps its least-squares digital stage
+    _, f_bb_alone = _factor_one(targets[1], 4, np.random.default_rng(1))
+    np.testing.assert_array_equal(f_bb[1], f_bb_alone)
 
 
 @settings(max_examples=30, deadline=None)
@@ -158,8 +172,8 @@ def test_hybrid_residual_monotone_in_alternations(seed):
     target = _random_matrix(rng, n, n_s)
     residuals = []
     for k in (1, 2, 4, 8, 30):
-        f_rf, f_bb = hybrid_factorize(target, n_rf, DescentConfig(),
-                                      np.random.default_rng(seed), max_alternations=k)
+        f_rf, f_bb = _factor_one(target, n_rf, np.random.default_rng(seed),
+                                 max_alternations=k)
         np.testing.assert_allclose(np.abs(f_rf), 1.0, rtol=1e-12)
         residuals.append(np.linalg.norm(target - f_rf @ f_bb) / np.linalg.norm(target))
     assert np.all(np.diff(residuals) <= 1e-12)
@@ -189,32 +203,114 @@ def _reference_hybrid(target, n_rf, cfg, rng, power_norm=None, max_alternations=
     return f_rf, f_bb
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([None, 2.5]), st.sampled_from([1, 30]))
-def test_hybrid_matches_residual_matrix_reference(seed, power_norm, max_alternations):
-    # the Gram-matrix solve and the A/B column targets are a cheaper route
-    # to the same iterates, so both forms agree from the same phase draw
-    rng = np.random.default_rng(seed)
+def _random_stack(rng, k):
+    """k random N x N_s targets and an RF chain count N_s <= n_rf <= min(N, 8)."""
     n = int(rng.integers(4, 65))
     n_s = int(rng.integers(1, 5))
     n_rf = int(rng.integers(n_s, min(n, 8) + 1))
-    target = _random_matrix(rng, n, n_s)
-    got_rf, got_bb = hybrid_factorize(target, n_rf, DescentConfig(),
-                                      np.random.default_rng(seed), power_norm,
-                                      max_alternations)
-    want_rf, want_bb = _reference_hybrid(target, n_rf, DescentConfig(),
-                                         np.random.default_rng(seed), power_norm,
-                                         max_alternations)
-    assert got_rf.shape == (n, n_rf)
-    np.testing.assert_allclose(got_rf, want_rf, rtol=0, atol=1e-9)
-    want = want_rf @ want_bb
-    assert np.linalg.norm(got_rf @ got_bb - want) <= 1e-10 * np.linalg.norm(want)
+    return np.stack([_random_matrix(rng, n, n_s) for _ in range(k)]), n_rf
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([None, 2.5]), st.sampled_from([1, 30]),
+       st.sampled_from([1, 3]))
+def test_hybrid_matches_residual_matrix_reference(seed, power_norm, max_alternations, k):
+    # the Gram-matrix solve and the A/B column targets are a cheaper route
+    # to the same iterates, so both forms agree from the same phase draws,
+    # slot by slot of a stack drawing from one generator in slot order
+    targets, n_rf = _random_stack(np.random.default_rng(seed), k)
+    n = targets.shape[1]
+    got_rf, got_bb = hybrid_factorize(targets, n_rf, DescentConfig(),
+                                      [np.random.default_rng(seed)] * k,
+                                      [power_norm] * k, max_alternations)
+    assert got_rf.shape == (k, n, n_rf)
+    ref_rng = np.random.default_rng(seed)
+    for target, slot_rf, slot_bb in zip(targets, got_rf, got_bb):
+        want_rf, want_bb = _reference_hybrid(target, n_rf, DescentConfig(), ref_rng,
+                                             power_norm, max_alternations)
+        np.testing.assert_allclose(slot_rf, want_rf, rtol=0, atol=1e-9)
+        want = want_rf @ want_bb
+        assert np.linalg.norm(slot_rf @ slot_bb - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 6), st.sampled_from([1, 30]))
+def test_hybrid_slot_alone_equals_slot_in_stack(seed, k, max_alternations):
+    rng = np.random.default_rng(seed)
+    targets, n_rf = _random_stack(rng, k)
+    power = [2.0 if rng.random() < 0.5 else None for _ in range(k)]
+    seeds = rng.integers(0, 2 ** 32, size=k)
+    got_rf, got_bb = hybrid_factorize(targets, n_rf, DescentConfig(),
+                                      [np.random.default_rng(s) for s in seeds],
+                                      power, max_alternations)
+    for slot in range(k):
+        alone_rf, alone_bb = _factor_one(targets[slot], n_rf,
+                                         np.random.default_rng(seeds[slot]),
+                                         power[slot], max_alternations=max_alternations)
+        np.testing.assert_array_equal(got_rf[slot], alone_rf)
+        np.testing.assert_array_equal(got_bb[slot], alone_bb)
+
+
+def _stop_alternation(target, n_rf, seed, cfg):
+    """The smallest cap at which the slot's result equals its uncapped result."""
+    def run(cap):
+        return hybrid_factorize(target[None], n_rf, cfg, [np.random.default_rng(seed)],
+                                max_alternations=cap)[0][0]
+    final = run(30)
+    return next(cap for cap in range(1, 31) if np.array_equal(run(cap), final))
+
+
+def test_hybrid_stopped_slot_is_frozen():
+    # slot 0 meets its stop rule after 13 alternations, short of a fixed
+    # point (alternating on moves it); slot 1 runs to the cap beside it
+    cfg = DescentConfig()
+    targets = np.stack([_random_matrix(np.random.default_rng(s), 8, 2) for s in (104, 102)])
+    seeds = (4, 2)
+    assert _stop_alternation(targets[0], 2, seeds[0], cfg) == 13
+    assert _stop_alternation(targets[1], 2, seeds[1], cfg) == 30
+    never_stops = DescentConfig(epsilon=1e-300)
+    moved, _ = hybrid_factorize(targets[:1], 2, never_stops, [np.random.default_rng(seeds[0])])
+    got_rf, got_bb = hybrid_factorize(targets, 2, cfg,
+                                      [np.random.default_rng(s) for s in seeds])
+    assert not np.allclose(got_rf[0], moved[0])
+    for slot, seed in enumerate(seeds):
+        alone_rf, alone_bb = _factor_one(targets[slot], 2, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got_rf[slot], alone_rf)
+        np.testing.assert_array_equal(got_bb[slot], alone_bb)
+
+
+def test_hybrid_zero_column_target_keeps_unit_entries():
+    # a zero target gives zero column targets: the analog entries become 1
+    # and the residual is exactly 0 after one alternation
+    f_rf, f_bb = _factor_one(np.zeros((5, 1), dtype=complex), 1, np.random.default_rng(3))
+    np.testing.assert_array_equal(f_rf, np.ones((5, 1)))
+    np.testing.assert_array_equal(f_bb, np.zeros((1, 1)))
+
+
+def test_hybrid_starts_are_random_phase_draws():
+    # with no alternation the analog stage is the random start: slot after
+    # slot, the generator's random_phases(rng, N * n_rf) draws, column-major
+    rng = np.random.default_rng(12)
+    targets = np.stack([_random_matrix(rng, 10, 2) for _ in range(3)])
+    f_rf, _ = hybrid_factorize(targets, 3, DescentConfig(), [np.random.default_rng(4)] * 3,
+                               max_alternations=0)
+    draw = np.random.default_rng(4)
+    for slot in range(3):
+        want = random_phases(draw, 10 * 3).entries.reshape(10, 3)
+        np.testing.assert_array_equal(f_rf[slot], want)
 
 
 def test_hybrid_rejects_bad_rf_count():
     rng = np.random.default_rng(9)
-    target = _random_matrix(rng, 6, 3)
+    targets = _random_matrix(rng, 6, 3)[None]
     with pytest.raises(ValueError):
-        hybrid_factorize(target, 2, DescentConfig(), rng)   # n_rf < N_s
+        hybrid_factorize(targets, 2, DescentConfig(), [rng])   # n_rf < N_s
     with pytest.raises(ValueError):
-        hybrid_factorize(target, 7, DescentConfig(), rng)   # n_rf > N
+        hybrid_factorize(targets, 7, DescentConfig(), [rng])   # n_rf > N
+
+
+def test_hybrid_needs_one_generator_per_slot():
+    rng = np.random.default_rng(10)
+    targets = np.stack([_random_matrix(rng, 6, 2)] * 2)
+    with pytest.raises(ValueError, match="one generator per slot"):
+        hybrid_factorize(targets, 3, DescentConfig(), [rng])
