@@ -7,6 +7,14 @@ a trial every method sees the same channel realization, and trial t sees the sam
 master seed and the (sweep index, trial index) pair — the channel stream from
 the trial index alone — so growing the trial count never reshuffles earlier
 trials.
+
+A sweep runs in groups of points (sweep value, trial) that share a geometry
+and stream count, cut by point index to fit GROUP_BYTES. Each point is
+drawn alone; each method's manifold descents run as one stack over the
+group (`passive_bf.optimize_*_stack`); precoding, metrics and the hybrid
+batch run per point again. A point's values do not depend on its group, so
+the CSV is the same for any grouping, serial or parallel. `_run_trial` is a
+group of one point.
 """
 
 from __future__ import annotations
@@ -41,12 +49,14 @@ from .passive_bf import (
     StreamCountError,
     build_tsvd_problem,
     coupling_matrix,
-    optimize_rate,
-    optimize_spgm,
-    optimize_tsvd,
+    optimize_rate_stack,
+    optimize_spgm_stack,
+    optimize_tsvd_stack,
     random_phases,
     stream_weights,
 )
+# Sweeps descend stacks of points; perfbench/spans.py looks these names up here.
+from .passive_bf import optimize_spgm, optimize_tsvd  # noqa: F401
 from .transceiver import (
     RankError,
     digital_combiner,
@@ -63,6 +73,13 @@ CSV_COLUMNS = ("sweep_value", "method", "precoding", "mean_se", "std_se",
                "mean_cond", "mean_offdiag", "mean_iters", "errors", "wall_ms")
 
 ORACLE_STATE_LIMIT = 10 ** 7
+
+# Byte budget of one group's stacked path-core banks: 5 points of the paper
+# geometry (64-antenna ULAs, 16x16 LIS, 7x7 paths), 64 of the desk geometry
+# (16-antenna ULAs, 8x8 LIS, 4x4 paths). A group holds its points' banks and
+# one stacked copy at a time, so the budget bounds the memory a sweep adds;
+# larger paper groups gain little, as their descents are long-tailed.
+GROUP_BYTES = 2 ** 20
 
 # Failures a trial may meet on a bad channel draw; they count in the row's
 # `errors`. Any other exception is a bug and propagates out of run_sweep.
@@ -286,23 +303,113 @@ def _check_sweep(cfg: ExperimentConfig) -> None:
         _apply_sweep(cfg, value)
 
 
-def _passive_beamforming(method: str, core: PathCore, paths: PathSet,
-                         cfg: ExperimentConfig, tx_g: float, rx_g: float,
-                         rng: np.random.Generator) -> tuple[PhaseVector, float]:
-    """The method's LIS phases for the path core and its descent iterations."""
+@dataclass(frozen=True)
+class _Point:
+    """One (sweep value, trial) pair's channel draw and method generators."""
+
+    cfg: ExperimentConfig    # specialized for the sweep value
+    paths: PathSet
+    true_core: PathCore
+    est_paths: PathSet
+    est_core: PathCore       # true_core itself when there is no angle error
+    to_est: tuple[np.ndarray, np.ndarray] | None  # true core -> estimated bases
+    tx_g: float
+    rx_g: float
+    rngs: dict[str, np.random.Generator]  # one per method
+
+
+def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
+                value: float) -> _Point:
+    """Seed, sample and build the path cores of one (sweep value, trial) pair."""
+    run_cfg, beta = _apply_sweep(cfg, value)
+    geometry, budget = run_cfg.geometry, run_cfg.budget
+    seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sweep_idx, trial_idx))
+    children = seed_seq.spawn(2 + len(run_cfg.methods))
+    # The channel draw is keyed by the trial index alone so that trial t sees
+    # the same realization at every sweep value (paired along the sweep axis);
+    # angle errors and method starts stay keyed by (sweep, trial).
+    chan_rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial_idx,)))
+    err_rng = np.random.default_rng(children[1])
+
+    tx_g = dbi_to_amplitude(run_cfg.tx_gain_dbi)
+    rx_g = dbi_to_amplitude(run_cfg.rx_gain_dbi)
+    paths = sort_paths_descending(sample_paths(
+        chan_rng, geometry, budget, run_cfg.p_paths, run_cfg.l_paths,
+        run_cfg.bs_lis_distance, run_cfg.lis_ue_distance))
+    true_core = path_core(paths, geometry, tx_g, rx_g)
+    if beta > 0:
+        est_paths = sort_paths_descending(perturb_angles(paths, beta, err_rng))
+        est_core = path_core(est_paths, geometry, tx_g, rx_g)
+        to_est = (est_core.q_u.conj().T @ true_core.q_u, true_core.q_b.conj().T @ est_core.q_b)
+    else:
+        est_paths, est_core, to_est = paths, true_core, None
+    rngs = {method: np.random.default_rng(children[2 + k])
+            for k, method in enumerate(run_cfg.methods)}
+    return _Point(run_cfg, paths, true_core, est_paths, est_core, to_est, tx_g, rx_g, rngs)
+
+
+def _passive_beamforming(method: str, points: list[_Point],
+                         cfg: ExperimentConfig) -> list[tuple[PhaseVector, float]]:
+    """Each point's LIS phases for its estimated core and its descent iterations.
+
+    The points share a geometry and stream count, so each descent runs on
+    all of them as one stack; each point's generator draws its start.
+    """
+    cores = [p.est_core for p in points]
+    rngs = [p.rngs[method] for p in points]
     if method == "tsvd":
-        weights = stream_weights(paths, cfg.budget, cfg.n_streams, tx_g, rx_g)
-        v, trace = optimize_tsvd(core, weights, cfg.descent, rng)
-        v, refined = optimize_rate(core, cfg.budget, cfg.n_streams, cfg.descent, v)
-        return v, float(len(trace) + len(refined) - 2)
-    if method == "spgm":
-        v, trace = optimize_spgm(core, cfg.descent, rng)
-        return v, float(len(trace) - 1)
-    return random_phases(rng, core.m), 0.0
+        weights = np.stack([stream_weights(p.est_paths, p.cfg.budget, p.cfg.n_streams,
+                                           p.tx_g, p.rx_g) for p in points])
+        surrogate = optimize_tsvd_stack(cores, weights, cfg.descent, rngs)
+        refined = optimize_rate_stack(cores, [p.cfg.budget for p in points],
+                                      points[0].cfg.n_streams, cfg.descent, surrogate.points)
+        phases, iters = refined.points, surrogate.iters + refined.iters
+    elif method == "spgm":
+        result = optimize_spgm_stack(cores, cfg.descent, rngs)
+        phases, iters = result.points, result.iters
+    else:
+        phases = [random_phases(rng, core.m).entries for core, rng in zip(cores, rngs)]
+        iters = np.zeros(len(points))
+    return [(PhaseVector(v), float(n)) for v, n in zip(phases, iters)]
+
+
+def _descend(method: str, points: list[_Point],
+             cfg: ExperimentConfig) -> list[tuple[tuple[PhaseVector, float] | None, float]]:
+    """(phases and iterations, or None on failure; ms) per point for `method`.
+
+    One stacked descent over all points, each charged an equal share of its
+    time. If it meets a numerical failure, each point descends alone from the
+    generator state it had before, so only a failing point counts the error.
+    """
+    states = [p.rngs[method].bit_generator.state for p in points]
+    start = perf_counter()
+    try:
+        found = _passive_beamforming(method, points, cfg)
+    except NUMERICAL_FAILURES:
+        found = None
+    share_ms = _elapsed_ms(start) / len(points)
+    if found is not None:
+        return [(f, share_ms) for f in found]
+    out = []
+    for point, state in zip(points, states):
+        start = perf_counter()
+        point.rngs[method].bit_generator.state = state
+        try:
+            alone = _passive_beamforming(method, [point], cfg)[0]
+        except NUMERICAL_FAILURES:
+            alone = None
+        out.append((alone, share_ms + _elapsed_ms(start)))
+    return out
 
 
 def _elapsed_ms(start: float) -> float:
     return (perf_counter() - start) * 1e3
+
+
+def _failed_records(method: str, modes, wall_ms: float) -> list[_TrialRecord]:
+    return [_TrialRecord(method, mode, math.nan, math.nan, math.nan, math.nan, wall_ms,
+                         failed=True) for mode in modes]
 
 
 @dataclass(frozen=True)
@@ -374,16 +481,14 @@ def _hybrid_records(jobs: list[_HybridJob], cfg: ExperimentConfig,
             record = _TrialRecord(job.method, "hybrid", se, job.cond, job.offdiag,
                                   job.iters, 0.0)
         except NUMERICAL_FAILURES:
-            record = _TrialRecord(job.method, "hybrid", math.nan, math.nan, math.nan,
-                                  math.nan, 0.0, failed=True)
+            record = _failed_records(job.method, ("hybrid",), 0.0)[0]
         wall = job.digital_ms + share_ms + _elapsed_ms(start)
         records.append(replace(record, wall_ms=wall))
     return records
 
 
-def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
-               value: float) -> list[_TrialRecord]:
-    """One channel draw, every method on it, in path-core coordinates.
+def _point_records(point: _Point, descents: dict) -> list[_TrialRecord]:
+    """Every method's rows for one point, in path-core coordinates.
 
     The precoder and combiner come from the SVD of the estimated core and
     live in the column spaces Q_b, Q_u of the estimated steering matrices;
@@ -392,88 +497,111 @@ def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
     only for the hybrid rate. The hybrid factorizations of all methods run
     in one batch after the method loop.
     """
-    run_cfg, beta = _apply_sweep(cfg, value)
-    geometry, budget = run_cfg.geometry, run_cfg.budget
-    n_streams = run_cfg.n_streams
-    seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sweep_idx, trial_idx))
-    children = seed_seq.spawn(2 + len(run_cfg.methods))
-    # The channel draw is keyed by the trial index alone so that trial t sees
-    # the same realization at every sweep value (paired along the sweep axis);
-    # angle errors and method starts stay keyed by (sweep, trial).
-    chan_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial_idx,)))
-    err_rng = np.random.default_rng(children[1])
-
-    tx_g = dbi_to_amplitude(run_cfg.tx_gain_dbi)
-    rx_g = dbi_to_amplitude(run_cfg.rx_gain_dbi)
-    paths = sort_paths_descending(sample_paths(
-        chan_rng, geometry, budget, run_cfg.p_paths, run_cfg.l_paths,
-        run_cfg.bs_lis_distance, run_cfg.lis_ue_distance))
-    true_core = path_core(paths, geometry, tx_g, rx_g)
-    if beta > 0:
-        est_paths = sort_paths_descending(perturb_angles(paths, beta, err_rng))
-        est_core = path_core(est_paths, geometry, tx_g, rx_g)
-        to_est_u = est_core.q_u.conj().T @ true_core.q_u
-        to_est_b = true_core.q_b.conj().T @ est_core.q_b
-    else:
-        est_paths, est_core = paths, true_core
-
+    run_cfg, est_core, true_core = point.cfg, point.est_core, point.true_core
+    budget, n_streams = run_cfg.budget, run_cfg.n_streams
     modes = ("digital", "hybrid") if run_cfg.precoding == "both" else (run_cfg.precoding,)
     records: list[_TrialRecord] = []
     jobs: list[_HybridJob] = []
-    for k, method in enumerate(run_cfg.methods):
-        rng = np.random.default_rng(children[2 + k])
+    for method in run_cfg.methods:
+        found, descent_ms = descents[method]
         start = perf_counter()
+        if found is None:
+            records.extend(_failed_records(method, modes, descent_ms))
+            continue
+        v, iters = found
         try:
-            v, iters = _passive_beamforming(method, est_core, est_paths, run_cfg,
-                                            tx_g, rx_g, rng)
             c_est = est_core.at(v.entries)
             svd = truncated_svd(c_est, n_streams)
             f_core = digital_precoder(svd, budget.tx_power)
             w_core = digital_combiner(svd)
-            if est_core is true_core:
+            if point.to_est is None:
                 c_true = c_seen = c_est
                 cond = truncated_condition_number(c_true, n_streams, svd.sigma1)
             else:
                 c_true = true_core.at(v.entries)
-                c_seen = to_est_u @ c_true @ to_est_b
+                c_seen = point.to_est[0] @ c_true @ point.to_est[1]
                 cond = truncated_condition_number(c_true, n_streams)
-            offdiag = coupling_matrix(v.entries, paths, true_core).offdiag_ratio(n_streams)
+            offdiag = coupling_matrix(v.entries, point.paths, true_core).offdiag_ratio(n_streams)
             if "digital" in modes:
                 se = spectral_efficiency(c_seen, f_core, w_core, budget.noise_power)
                 records.append(_TrialRecord(method, "digital", se, cond, offdiag, iters,
-                                            _elapsed_ms(start)))
+                                            descent_ms + _elapsed_ms(start)))
         except NUMERICAL_FAILURES:
-            wall = _elapsed_ms(start)
-            records.extend(_TrialRecord(method, mode, math.nan, math.nan, math.nan,
-                                        math.nan, wall, failed=True) for mode in modes)
+            records.extend(_failed_records(method, modes, descent_ms + _elapsed_ms(start)))
             continue
         if "hybrid" in modes:
-            jobs.append(_HybridJob(method, est_core.q_b @ f_core, est_core.q_u @ w_core, rng,
-                                   c_true, cond, offdiag, iters, _elapsed_ms(start)))
+            jobs.append(_HybridJob(method, est_core.q_b @ f_core, est_core.q_u @ w_core,
+                                   point.rngs[method], c_true, cond, offdiag, iters,
+                                   descent_ms + _elapsed_ms(start)))
     if jobs:
         records.extend(_hybrid_records(jobs, run_cfg, true_core))
     return records
 
 
+def _run_group(cfg: ExperimentConfig,
+               tasks: list[tuple[int, int, float]]) -> list[list[_TrialRecord]]:
+    """Records of each (sweep index, trial index, value) task of one group.
+
+    The tasks' specialized configs share a geometry and stream count. Each
+    point is drawn alone, each method's descents run as one stack over all
+    points, and the rest of each point (precoding, metrics, its hybrid
+    batch) runs alone again.
+    """
+    points = [_draw_point(cfg, *task) for task in tasks]
+    descents = {method: _descend(method, points, cfg) for method in cfg.methods}
+    return [_point_records(point, {method: found[i] for method, found in descents.items()})
+            for i, point in enumerate(points)]
+
+
+def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
+               value: float) -> list[_TrialRecord]:
+    """One channel draw, every method on it: a group of one point."""
+    return _run_group(cfg, [(sweep_idx, trial_idx, value)])[0]
+
+
+def _groups(cfg: ExperimentConfig, tasks: list[tuple[int, int, float]],
+            parallel: int) -> list[list[tuple[int, int, float]]]:
+    """Split the tasks into groups that share a geometry and stream count.
+
+    A group is cut by task index into runs whose stacked path-core banks fit
+    GROUP_BYTES, and into at least `parallel` runs, so every worker gets a
+    contiguous share.
+    """
+    by_shape: dict[tuple, list] = {}
+    for task in tasks:
+        run_cfg, _ = _apply_sweep(cfg, task[2])
+        by_shape.setdefault((run_cfg.geometry, run_cfg.n_streams), []).append(task)
+    groups = []
+    for (geometry, _), members in by_shape.items():
+        bank_bytes = cfg.l_paths * cfg.p_paths * geometry.m * np.dtype(complex).itemsize
+        size = min(max(1, GROUP_BYTES // bank_bytes), -(-len(members) // parallel))
+        groups.extend(members[i:i + size] for i in range(0, len(members), size))
+    return groups
+
+
 def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepResult:
-    """Execute the configured sweep; deterministic for fixed config + seed."""
+    """Execute the configured sweep; deterministic for fixed config + seed.
+
+    The result does not depend on `parallel` or on how the points are
+    grouped: every point's values equal those of its one-point group.
+    """
     _check_sweep(cfg)
     tasks = [(si, ti, value)
              for si, value in enumerate(cfg.sweep_values)
              for ti in range(cfg.trials)]
+    groups = _groups(cfg, tasks, parallel)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            all_records = list(pool.map(
-                _run_trial_star, [(cfg, si, ti, value) for si, ti, value in tasks],
-                chunksize=1))
+            per_group = list(pool.map(_run_group, [cfg] * len(groups), groups, chunksize=1))
     else:
-        all_records = [_run_trial(cfg, si, ti, value) for si, ti, value in tasks]
+        per_group = [_run_group(cfg, group) for group in groups]
+    by_task = {task: records for group, found in zip(groups, per_group)
+               for task, records in zip(group, found)}
 
     grouped: dict[tuple[int, str, str], list[_TrialRecord]] = {}
-    for (si, _, _), records in zip(tasks, all_records):
-        for rec in records:
-            grouped.setdefault((si, rec.method, rec.precoding), []).append(rec)
+    for task in tasks:
+        for rec in by_task[task]:
+            grouped.setdefault((task[0], rec.method, rec.precoding), []).append(rec)
 
     modes = ("digital", "hybrid") if cfg.precoding == "both" else (cfg.precoding,)
     rows = []
@@ -494,10 +622,6 @@ def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepResult:
                     errors=n_err,
                     wall_ms=float(np.mean([r.wall_ms for r in recs])) if recs else math.nan))
     return SweepResult(rows=tuple(rows))
-
-
-def _run_trial_star(args):
-    return _run_trial(*args)
 
 
 def emit_csv(result: SweepResult, path) -> None:

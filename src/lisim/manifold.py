@@ -4,14 +4,18 @@ The feasible set is {v in C^M : |v_m| = 1}. Gradients follow the Wirtinger
 convention grad f = 2 df/d(conj v), so central finite differences along the
 real (imaginary) coordinate axes recover the real (imaginary) parts.
 
-The engine minimizes; callers negate maximization objectives.
+The engine minimizes; callers negate maximization objectives. It descends a
+stack of T independent problems in one loop (`ccm_descent_stack`): every row
+has its own trial step, Armijo backtracking and stop, a row that has stopped
+is frozen while the others go on, and a row's result does not depend on the
+other rows, bit for bit. `ccm_descent` is the loop on a stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,6 +70,15 @@ class DescentConfig:
 
 Objective = Callable[[np.ndarray], float]
 Gradient = Callable[[np.ndarray], np.ndarray]
+# evaluate(data, points) -> (values, gradient): the objective at each row of
+# `points` (n x M) given the matching rows of every array in `data`, and a
+# function without arguments that returns the (n x M) Wirtinger gradients
+# there. Values come first so that a line search pays for gradients only
+# where a point is accepted.
+StackObjective = Callable[[tuple, np.ndarray],
+                          tuple[np.ndarray, Callable[[], np.ndarray]]]
+
+STOP_REASONS = ("gap", "max_iters", "line_search", "zero_grad")
 
 
 def tangent_project(v: PhaseVector, g: np.ndarray) -> np.ndarray:
@@ -80,9 +93,31 @@ def _tangent(entries: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - (g * entries.conj()).real * entries
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a_t^H b_t) for each row t of two (T, M) stacks, with the bits of
+    np.vdot on each row alone (both reduce with the BLAS dot product)."""
+    return np.vecdot(a, b).real
+
+
+def row_norm(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a complex (T, M) stack, with its bits
+    (the real and imaginary parts each reduce with the BLAS dot product)."""
+    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+
+
+def _all(mask: np.ndarray) -> bool:
+    """mask.all(), at a third of its call overhead on the short masks of a stack."""
+    return np.count_nonzero(mask) == mask.size
+
+
+def _any(mask: np.ndarray) -> bool:
+    """mask.any(), at a third of its call overhead."""
+    return np.count_nonzero(mask) > 0
+
+
 def _normalize(v_bar: np.ndarray) -> np.ndarray:
     mags = np.abs(v_bar)
-    if not mags.all():
+    if not _all(mags):
         raise RetractionError("cannot retract a vector with a zero entry")
     return v_bar / mags
 
@@ -99,7 +134,8 @@ def armijo_step(f: Objective, v: np.ndarray, riem_grad: np.ndarray, cfg: Descent
 
     `v` holds the entries of a point on the manifold and `f_v` is f(v).
     Returns the accepted step, the entries of the accepted point and its
-    objective value.
+    objective value. The descent loop searches every row of a stack at once
+    and does not call this; perfbench/spans.py rebinds the name.
     """
     grad_sq = float(np.vdot(riem_grad, riem_grad).real)
     if grad_sq == 0.0:
@@ -113,48 +149,191 @@ def armijo_step(f: Objective, v: np.ndarray, riem_grad: np.ndarray, cfg: Descent
     raise LineSearchError("no Armijo step accepted")
 
 
-def ccm_descent(f: Objective, grad_f: Gradient, v0: PhaseVector,
-                cfg: DescentConfig) -> tuple[PhaseVector, list[float]]:
-    """Riemannian gradient descent with Armijo backtracking.
+@dataclass(frozen=True)
+class StackDescent:
+    """Per-row outcome of `ccm_descent_stack`."""
+
+    points: np.ndarray                     # (T, M) final points
+    traces: tuple[tuple[float, ...], ...]  # objective per iterate, start included
+    stops: tuple[str, ...]                 # one of STOP_REASONS per row
+
+    @property
+    def iters(self) -> np.ndarray:
+        """Iterations per row: trace length minus the start."""
+        return np.array([len(trace) - 1 for trace in self.traces])
+
+    def row(self, i: int) -> tuple[PhaseVector, list[float]]:
+        """Row i's final point and objective trace."""
+        return PhaseVector(self.points[i]), list(self.traces[i])
+
+
+def _compact(arrays: tuple, keep: np.ndarray) -> tuple:
+    """Move rows `keep` (ascending) of each array to its front, in place, and
+    return views of them; no copy, so a stack costs its memory once."""
+    n = len(keep)
+    for a in arrays:
+        for j, i in enumerate(keep.tolist()):
+            if i != j:
+                a[j] = a[i]
+    return tuple(a[:n] for a in arrays)
+
+
+def _plain_step(first_step: float, riem: np.ndarray) -> np.ndarray:
+    """The first iteration's trial step: a unit RMS per-element displacement."""
+    with np.errstate(divide="ignore"):   # a zero gradient stops its row unused
+        return first_step / row_norm(riem)
+
+
+def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.ndarray,
+                 riem: np.ndarray, grad_sq: np.ndarray, step: np.ndarray,
+                 cfg: DescentConfig, need_grad: bool):
+    """Armijo backtracking on every row of v from its trial `step`.
+
+    Each row takes the largest step * shrink^t meeting the sufficient decrease
+    f(retract(v - step g)) <= f(v) - slope step ||g||^2. A row with a zero
+    gradient does not search; one whose squared gradient underflows accepts
+    its own point. Returns the next points and values (a row that accepted
+    nothing keeps its own), the gradients there of the accepted rows that go
+    on (objective gap at least cfg.epsilon; taken when `need_grad`, other
+    rows are undefined), and the masks of accepted rows, of rows that go on
+    and of rows with a zero gradient.
+    """
+    n = len(v)
+    flat = grad_sq == 0.0
+    zero, accepted = flat, np.zeros(n, dtype=bool)
+    if _any(flat):
+        zero = np.zeros(n, dtype=bool)
+        zero[flat] = row_norm(riem[flat]) == 0.0
+        accepted = flat & ~zero
+    go_on = np.zeros(n, dtype=bool)
+    v_next, f_next, grad_next = v, f_v, np.empty_like(v)
+    searching = (~flat).nonzero()[0]
+    for _ in range(cfg.max_shrinks + 1):
+        if not searching.size:
+            break
+        first, last = searching[0], searching[-1]
+        # a run of consecutive rows is a view of `data`; others are gathered
+        sel = slice(first, last + 1) if last - first + 1 == searching.size else searching
+        s = step[sel]
+        candidate = _normalize(v[sel] - s[:, None] * riem[sel])
+        f_cand, gradient = evaluate(tuple(a[sel] for a in data), candidate)
+        ok = f_cand <= f_v[sel] - cfg.armijo_slope * s * grad_sq[sel]
+        if _any(ok):
+            if not _all(np.isfinite(f_cand[ok])):
+                raise FloatingPointError("objective became non-finite")
+            go = ok & (np.abs(f_cand - f_v[sel]) >= cfg.epsilon)
+            if searching.size == n and _all(ok):   # every row accepts its first trial
+                grad = gradient() if need_grad and _any(go) else grad_next
+                return candidate, f_cand, grad, ok, go, zero
+            if v_next is v:
+                v_next, f_next = v.copy(), f_v.copy()
+            rows = searching[ok]
+            v_next[rows], f_next[rows] = candidate[ok], f_cand[ok]
+            accepted[rows] = True
+            if _any(go):
+                go_on[searching[go]] = True
+                if need_grad:
+                    grad_next[searching[go]] = gradient()[go]
+            searching = searching[~ok]
+        step[searching] *= cfg.armijo_shrink
+        gradient = None   # frees a gathered copy of `data` before the next round
+    return v_next, f_next, grad_next, accepted, go_on, zero
+
+
+def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
+                      v0: np.ndarray, cfg: DescentConfig) -> StackDescent:
+    """Riemannian gradient descent with Armijo backtracking on each row of v0.
+
+    `v0` is a (T, M) stack of points on the manifold and `data` holds arrays
+    whose leading axis has one entry per row; `evaluate` sees the rows of
+    both that it is asked about. The loop owns `data`: it moves the rows of
+    those arrays in place as rows stop. Each row runs the single-vector rule:
 
     The Armijo trial step is warm-started each iteration: the first iteration
     normalizes cfg.initial_step to a unit RMS per-element displacement, later
     iterations use the Barzilai-Borwein quotient from the previous step. A
     fixed trial step stalls badly on the composite-path objective because its
     curvature scales with the LIS size; backtracking still guards descent.
+    A row stops when its objective gap drops below cfg.epsilon (`gap`), its
+    iteration budget is exhausted (`max_iters`), its line search fails
+    (`line_search`, treated as converged) or its Riemannian gradient is zero
+    (`zero_grad`, which repeats the last value in the trace).
+
+    Backtracking re-evaluates only the rows still searching, and gradients
+    are taken only from evaluations where some row accepted a point and goes
+    on. The live rows, and `data`, are compacted only when a row stops.
+
+    Raises FloatingPointError if a start value, or an accepted value, is not
+    finite; RetractionError if a trial point has a zero entry.
+    """
+    v = np.array(v0, dtype=complex)
+    if v.ndim != 2:
+        raise ValueError("v0 must be a (T, M) stack of phase vectors")
+    n_rows, m = v.shape
+    data = tuple(data)
+    f_v, gradient = evaluate(data, v)
+    if not _all(np.isfinite(f_v)):
+        raise FloatingPointError("objective is not finite at a start point")
+    grad = gradient()
+    traces = [[value] for value in f_v.tolist()]
+    stops = ["max_iters"] * n_rows
+    final = v.copy()
+    live = np.arange(n_rows)   # original index of each live row
+    first_step = cfg.initial_step * math.sqrt(m)
+    prev_v = prev_riem = None
+    for it in range(cfg.max_iters):
+        riem = _tangent(v, grad)
+        grad_sq = row_dot(riem, riem)
+        if prev_v is None:
+            trial = _plain_step(first_step, riem)
+        else:
+            move = v - prev_v
+            curvature = np.abs(row_dot(move, riem - prev_riem))
+            move_sq = row_dot(move, move)
+            bb = curvature > 0
+            if _all(bb):
+                trial = move_sq / curvature
+            else:
+                trial = _plain_step(first_step, riem)
+                trial[bb] = move_sq[bb] / curvature[bb]
+        v_next, f_next, grad, accepted, go_on, zero = _line_search(
+            evaluate, data, v, f_v, riem, grad_sq, trial, cfg, it + 1 < cfg.max_iters)
+        if _all(accepted):
+            for i, value in zip(live.tolist(), f_next.tolist()):
+                traces[i].append(value)
+        else:
+            for i, value in zip(live[accepted].tolist(), f_next[accepted].tolist()):
+                traces[i].append(value)
+            for i in live[zero].tolist():
+                traces[i].append(traces[i][-1])
+
+        prev_v, prev_riem = v, riem
+        v, f_v = v_next, f_next
+        if not _all(go_on):
+            for reason, mask in (("zero_grad", zero), ("gap", accepted & ~go_on),
+                                 ("line_search", ~zero & ~accepted)):
+                for i in live[mask].tolist():
+                    stops[i] = reason
+            final[live[~go_on]] = v[~go_on]
+            live, v, f_v, grad = live[go_on], v[go_on], f_v[go_on], grad[go_on]
+            prev_v, prev_riem = prev_v[go_on], prev_riem[go_on]
+            data = _compact(data, go_on.nonzero()[0])
+            if not live.size:
+                break
+    final[live] = v
+    return StackDescent(points=final, traces=tuple(tuple(t) for t in traces),
+                        stops=tuple(stops))
+
+
+def ccm_descent(f: Objective, grad_f: Gradient, v0: PhaseVector,
+                cfg: DescentConfig) -> tuple[PhaseVector, list[float]]:
+    """`ccm_descent_stack` on the single point v0 with objective f and gradient grad_f.
 
     Returns the final point and the objective trace (including the start).
-    Stops when the objective gap drops below cfg.epsilon, the iteration
-    budget is exhausted, or the line search fails (treated as converged).
     """
-    v = v0.entries
-    f_v = float(f(v))
-    if not math.isfinite(f_v):
-        raise FloatingPointError("objective is not finite at the start point")
-    trace = [f_v]
-    prev_entries = prev_riem = None
-    for _ in range(cfg.max_iters):
-        riem = _tangent(v, grad_f(v))
-        grad_norm = float(np.linalg.norm(riem))
-        if grad_norm == 0.0:
-            trace.append(f_v)
-            break
-        trial = cfg.initial_step * math.sqrt(len(v)) / grad_norm
-        if prev_entries is not None:
-            move = v - prev_entries
-            curvature = abs(np.vdot(move, riem - prev_riem).real)
-            if curvature > 0:
-                trial = float(np.vdot(move, move).real / curvature)
-        try:
-            _, v_next, f_next = armijo_step(f, v, riem, cfg, f_v, trial)
-        except LineSearchError:
-            break
-        prev_entries, prev_riem = v, riem
-        if not math.isfinite(f_next):
-            raise FloatingPointError("objective became non-finite")
-        v, gap = v_next, abs(f_next - f_v)
-        f_v = f_next
-        trace.append(f_v)
-        if gap < cfg.epsilon:
-            break
-    return PhaseVector(v), trace
+    def evaluate(_data, points):
+        point = points[0]
+        return (np.array([float(f(point))]),
+                lambda: np.asarray(grad_f(point), dtype=complex)[None])
+
+    return ccm_descent_stack(evaluate, (), v0.entries[None], cfg).row(0)

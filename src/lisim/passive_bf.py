@@ -11,13 +11,22 @@ L x P path core of the cascade channel (`channel.PathCore`):
   (the sum-path-gain baseline), normalized by its mean over uniformly
   random phases so the descent runs to convergence.
 
+Each optimizer has a stacked form (`optimize_*_stack`) that descends the
+problems of T path cores of one shape in one `manifold.ccm_descent_stack`
+loop, with stacked products and SVDs; a row's result equals its result
+alone, bit for bit, and the single-core optimizers are stacks of one. The
+rate and spgm objectives and gradients take one phase vector or a (T, M)
+stack against a problem with as many rows.
+
 `coupling_matrix` exposes the D matrix and the off-diagonal diagnostic
 ratio used to check that the optimized phases suppress cross-path leakage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +38,15 @@ from .channel import (
     path_core,
     sort_paths_descending,
 )
-from .manifold import DescentConfig, PhaseVector, ccm_descent
+from .manifold import (
+    DescentConfig,
+    PhaseVector,
+    StackDescent,
+    ccm_descent_stack,
+    row_dot,
+    row_norm,
+)
+from .manifold import ccm_descent  # noqa: F401 -- unused; perfbench/spans.py rebinds it
 
 _LN2 = np.log(2.0)
 
@@ -75,85 +92,106 @@ class CouplingMatrix:
 
 def tsvd_objective(v: np.ndarray, prob: TsvdProblem) -> float:
     """Negated rate surrogate -sum_i log2(1 + a_i |v^H p^{ii}|^2)."""
-    return _tsvd_and_gradient(v, prob)[0]
+    return float(_tsvd_stack(_tsvd_data(prob), v[None])[0][0])
 
 
 def tsvd_euclidean_gradient(v: np.ndarray, prob: TsvdProblem) -> np.ndarray:
     """Wirtinger gradient of `tsvd_objective` with respect to v."""
-    return _tsvd_and_gradient(v, prob)[1]
+    return _tsvd_stack(_tsvd_data(prob), v[None])[1]()[0]
 
 
-def _tsvd_and_gradient(v: np.ndarray, prob: TsvdProblem) -> tuple[float, np.ndarray]:
-    d = prob.diag_vectors @ v.conj()                # v^H p^{ii} per stream
-    gain = prob.weights * np.abs(d) ** 2
-    coeff = 2.0 * prob.weights * d.conj() / (_LN2 * (1.0 + gain))
-    return (float(-np.sum(np.log2(1.0 + gain))),
-            -(coeff[:, None] * prob.diag_vectors).sum(axis=0))
+def _tsvd_data(prob: TsvdProblem) -> tuple[np.ndarray, np.ndarray]:
+    return prob.diag_vectors[None], np.asarray(prob.weights)[None]
 
 
-def _descent_pair(evaluate):
-    """(f, grad) for `ccm_descent` from one function returning both.
+def _tsvd_stack(data, v: np.ndarray):
+    """The surrogate of each row and its gradient function (`StackObjective`);
+    data = (diagonal composite vectors (T, N_s, M), weights (T, N_s))."""
+    diag, weights = data
+    d = (diag @ v.conj()[:, :, None])[:, :, 0]       # v^H p^{ii} per stream
+    gain = weights * np.abs(d) ** 2
 
-    ccm_descent asks for the gradient only at the point it has just
-    accepted, which is the point f evaluated last, so grad reuses it.
-    """
-    last = [None, None]  # the point f saw last and the gradient there
+    def gradient():
+        coeff = 2.0 * weights * d.conj() / (_LN2 * (1.0 + gain))
+        return -(coeff[:, :, None] * diag).sum(axis=1)
 
-    def f(v):
-        value, last[1] = evaluate(v)
-        last[0] = v
-        return value
-
-    def grad(v):
-        if v is not last[0]:
-            f(v)
-        return last[1]
-
-    return f, grad
+    return -np.sum(np.log2(1.0 + gain), axis=1), gradient
 
 
 @dataclass(frozen=True)
 class RateProblem:
-    """The truncated-SVD rate of the cascade channel, on its path core."""
+    """The truncated-SVD rates of T cascade channels, on their path cores.
 
-    core: PathCore
-    snr: float           # rho / (N_s sigma^2)
+    Every array has one row per channel; the cores share one shape.
+    """
+
+    bank: np.ndarray   # (T, L * P, M)
+    left: np.ndarray   # (T, min(N_r, L), L)
+    right: np.ndarray  # (T, P, min(N_t, P))
+    snr: np.ndarray    # (T,) rho / (N_s sigma^2)
     n_streams: int
+
+    @property
+    def data(self) -> tuple[np.ndarray, ...]:
+        return self.bank, self.left, self.right, self.snr
 
 
 def build_rate_problem(core: PathCore, budget: LinkBudget,
                        n_streams: int) -> RateProblem:
-    """The rate problem of `core` with the equal per-stream power split."""
-    if n_streams > min(core.left.shape + core.right.shape):
-        raise StreamCountError("n_streams exceeds the rank of the cascade channel")
-    return RateProblem(core=core,
-                       snr=budget.tx_power / (n_streams * budget.noise_power),
-                       n_streams=n_streams)
+    """The one-row rate problem of `core` with the equal per-stream power split."""
+    return stack_rate_problems([core], [budget], n_streams)
 
 
-def rate_objective(v: np.ndarray, prob: RateProblem) -> float:
-    """Negated rate -sum_{k <= N_s} log2(1 + snr sigma_k^2) of the cascade channel."""
-    return _rate_and_gradient(v, prob)[0]
+def stack_rate_problems(cores: Sequence[PathCore], budgets: Sequence[LinkBudget],
+                        n_streams: int) -> RateProblem:
+    """The rate problem of each (core, budget) pair, one row each."""
+    for core in cores:
+        if n_streams > min(core.left.shape + core.right.shape):
+            raise StreamCountError("n_streams exceeds the rank of the cascade channel")
+    return RateProblem(
+        bank=np.stack([core.bank for core in cores]),
+        left=np.stack([core.left for core in cores]),
+        right=np.stack([core.right for core in cores]),
+        snr=np.array([b.tx_power / (n_streams * b.noise_power) for b in budgets]),
+        n_streams=n_streams)
+
+
+def rate_objective(v: np.ndarray, prob: RateProblem):
+    """Negated rate -sum_{k <= N_s} log2(1 + snr sigma_k^2) of the cascade channel.
+
+    One value for one phase vector and a one-row problem; a (T,) array for a
+    (T, M) stack of phase vectors, one per row of `prob`.
+    """
+    values = _rate_stack(prob.n_streams, prob.data, np.atleast_2d(v))[0]
+    return float(values[0]) if v.ndim == 1 else values
 
 
 def rate_euclidean_gradient(v: np.ndarray, prob: RateProblem) -> np.ndarray:
-    """Wirtinger gradient of `rate_objective`; needs sigma_{N_s} > sigma_{N_s + 1}."""
-    return _rate_and_gradient(v, prob)[1]
+    """Wirtinger gradient of `rate_objective`, shaped like v; needs
+    sigma_{N_s} > sigma_{N_s + 1}."""
+    grad = _rate_stack(prob.n_streams, prob.data, np.atleast_2d(v))[1]()
+    return grad[0] if v.ndim == 1 else grad
 
 
-def _rate_and_gradient(v: np.ndarray, prob: RateProblem) -> tuple[float, np.ndarray]:
-    """Both from one SVD of the core: d sigma_k = Re(u_k^H left dX right w_k)
-    for the k-th singular triple, and dX[i, j] = dv^H p^{ij}."""
-    core = prob.core
-    u, sigma, vh = np.linalg.svd(core.at(v), full_matrices=False)
-    k = prob.n_streams
-    sigma = sigma[:k]
-    gain = prob.snr * sigma ** 2
-    lu = core.left.conj().T @ u[:, :k]        # (L, N_s)
-    rw = core.right @ vh[:k].conj().T         # (P, N_s)
-    slope = 2.0 * prob.snr * sigma / (_LN2 * (1.0 + gain))
-    coeff = (lu.conj() * slope) @ rw.T          # (L, P)
-    return float(-np.sum(np.log2(1.0 + gain))), -(coeff.reshape(-1) @ core.bank)
+def _rate_stack(n_streams: int, data, v: np.ndarray):
+    """The rate of each row and its gradient function (`StackObjective`), both
+    from one SVD of the core: d sigma_k = Re(u_k^H left dX right w_k) for the
+    k-th singular triple, and dX[i, j] = dv^H p^{ij}."""
+    bank, left, right, snr = data
+    x = (bank @ v.conj()[:, :, None]).reshape(len(v), left.shape[2], right.shape[1])
+    u, sigma, vh = np.linalg.svd(left @ x @ right, full_matrices=False)
+    k = n_streams
+    sigma = sigma[:, :k]
+    gain = snr[:, None] * sigma ** 2
+
+    def gradient():
+        lu = left.conj().transpose(0, 2, 1) @ u[:, :, :k]      # (n, L, N_s)
+        rw = right @ vh[:, :k].conj().transpose(0, 2, 1)       # (n, P, N_s)
+        slope = 2.0 * snr[:, None] * sigma / (_LN2 * (1.0 + gain))
+        coeff = (lu.conj() * slope[:, None, :]) @ rw.transpose(0, 2, 1)  # (n, L, P)
+        return -(coeff.reshape(len(coeff), 1, -1) @ bank)[:, 0]
+
+    return -np.sum(np.log2(1.0 + gain), axis=1), gradient
 
 
 def random_phases(rng: np.random.Generator, m: int) -> PhaseVector:
@@ -205,9 +243,15 @@ def optimize_tsvd(core: PathCore, weights: np.ndarray, cfg: DescentConfig,
 
     `core` and `weights` are as for `tsvd_problem`.
     """
-    prob = tsvd_problem(core, weights)
-    v0 = random_phases(rng, core.m)
-    return ccm_descent(*_descent_pair(lambda v: _tsvd_and_gradient(v, prob)), v0, cfg)
+    return optimize_tsvd_stack([core], np.asarray(weights)[None], cfg, [rng]).row(0)
+
+
+def optimize_tsvd_stack(cores: Sequence[PathCore], weights: np.ndarray, cfg: DescentConfig,
+                        rngs: Sequence[np.random.Generator]) -> StackDescent:
+    """`optimize_tsvd` for each core, row of `weights` (T, N_s) and generator."""
+    diag = np.stack([tsvd_problem(core, w).diag_vectors for core, w in zip(cores, weights)])
+    v0 = np.stack([random_phases(rng, core.m).entries for core, rng in zip(cores, rngs)])
+    return ccm_descent_stack(_tsvd_stack, (diag, np.array(weights, dtype=float)), v0, cfg)
 
 
 def optimize_rate(core: PathCore, budget: LinkBudget, n_streams: int,
@@ -218,13 +262,20 @@ def optimize_rate(core: PathCore, budget: LinkBudget, n_streams: int,
     v^H p^{ii}|, which holds when the steering vectors of the strongest paths
     are near-orthogonal; this objective keeps every path and their overlaps.
     """
-    prob = build_rate_problem(core, budget, n_streams)
-    return ccm_descent(*_descent_pair(lambda v: _rate_and_gradient(v, prob)), v0, cfg)
+    return optimize_rate_stack([core], [budget], n_streams, cfg, v0.entries[None]).row(0)
+
+
+def optimize_rate_stack(cores: Sequence[PathCore], budgets: Sequence[LinkBudget],
+                        n_streams: int, cfg: DescentConfig, v0: np.ndarray) -> StackDescent:
+    """`optimize_rate` for each core and budget, from the rows of v0 (T, M)."""
+    prob = stack_rate_problems(cores, budgets, n_streams)
+    return ccm_descent_stack(partial(_rate_stack, n_streams), prob.data, v0, cfg)
 
 
 @dataclass(frozen=True)
 class SpgmProblem:
-    """The sum-path gain ||H||_F^2 as a function of w = conj(v), on the path core.
+    """The sum-path gains ||H||_F^2 of T cascade channels as functions of
+    w = conj(v), on their path cores.
 
     X(v) = reshape(bank w) is linear in w, so vec(left X right) = F w with
     F = (left kron right^T) bank, of size min(N_r, L) min(N_t, P) x M, and
@@ -236,29 +287,48 @@ class SpgmProblem:
     absolute stop gap means the same at any channel scale.
     """
 
-    f: np.ndarray  # (min(N_r, L) * min(N_t, P), M), unit Frobenius norm
+    f: np.ndarray  # (T, min(N_r, L) * min(N_t, P), M), each of unit Frobenius norm
 
 
 def build_spgm_problem(core: PathCore) -> SpgmProblem:
-    """Form the normalized F of `core`."""
-    f = np.kron(core.left, core.right.T) @ core.bank
-    return SpgmProblem(f=f / np.linalg.norm(f))
+    """The one-row problem: the normalized F of `core`."""
+    return stack_spgm_problems([core])
 
 
-def spgm_objective(w: np.ndarray, prob: SpgmProblem) -> float:
-    """Negated normalized sum-path gain -||H||_F^2 / (g^2 tr Q) at w = conj(v)."""
-    return _spgm_and_gradient(w, prob)[0]
+def stack_spgm_problems(cores: Sequence[PathCore]) -> SpgmProblem:
+    """The normalized F of each core, one row each."""
+    left = np.stack([core.left for core in cores])
+    right_t = np.stack([core.right.T for core in cores])
+    n, l_out, l_in = left.shape
+    _, p_out, p_in = right_t.shape
+    # left kron right^T per core, as np.kron forms it
+    kron = (left[:, :, None, :, None] * right_t[:, None, :, None, :]).reshape(
+        n, l_out * p_out, l_in * p_in)
+    f = np.empty((n, l_out * p_out, cores[0].m), dtype=complex)
+    for k, core in enumerate(cores):   # no stacked copy of the banks
+        np.matmul(kron[k], core.bank, out=f[k])
+    f /= row_norm(f.reshape(n, -1))[:, None, None]
+    return SpgmProblem(f=f)
+
+
+def spgm_objective(w: np.ndarray, prob: SpgmProblem):
+    """Negated normalized sum-path gain -||H||_F^2 / (g^2 tr Q) at w = conj(v);
+    one value for one vector, a (T,) array for a (T, M) stack."""
+    values = _spgm_stack((prob.f,), np.atleast_2d(w))[0]
+    return float(values[0]) if w.ndim == 1 else values
 
 
 def spgm_euclidean_gradient(w: np.ndarray, prob: SpgmProblem) -> np.ndarray:
-    """Wirtinger gradient of `spgm_objective` with respect to w."""
-    return _spgm_and_gradient(w, prob)[1]
+    """Wirtinger gradient of `spgm_objective` with respect to w, shaped like w."""
+    grad = _spgm_stack((prob.f,), np.atleast_2d(w))[1]()
+    return grad[0] if w.ndim == 1 else grad
 
 
-def _spgm_and_gradient(w: np.ndarray, prob: SpgmProblem) -> tuple[float, np.ndarray]:
-    """-||F w||^2 and its Wirtinger gradient -2 F^H F w."""
-    fw = prob.f @ w
-    return float(-np.vdot(fw, fw).real), -2.0 * (fw.conj() @ prob.f).conj()
+def _spgm_stack(data, w: np.ndarray):
+    """-||F w||^2 of each row and its gradient function -2 F^H F w (`StackObjective`)."""
+    (f,) = data
+    fw = (f @ w[:, :, None])[:, :, 0]
+    return -row_dot(fw, fw), lambda: -2.0 * (fw[:, None].conj() @ f)[:, 0].conj()
 
 
 def optimize_spgm(core: PathCore, cfg: DescentConfig,
@@ -267,11 +337,16 @@ def optimize_spgm(core: PathCore, cfg: DescentConfig,
 
     Returns v = conj(w) and the descent's objective trace (`SpgmProblem`).
     """
-    prob = build_spgm_problem(core)
-    w0 = random_phases(rng, core.m)
-    w_opt, trace = ccm_descent(*_descent_pair(lambda w: _spgm_and_gradient(w, prob)),
-                               w0, cfg)
-    return PhaseVector(w_opt.entries.conj()), trace
+    return optimize_spgm_stack([core], cfg, [rng]).row(0)
+
+
+def optimize_spgm_stack(cores: Sequence[PathCore], cfg: DescentConfig,
+                        rngs: Sequence[np.random.Generator]) -> StackDescent:
+    """`optimize_spgm` for each core and generator; the points are v = conj(w)."""
+    prob = stack_spgm_problems(cores)
+    w0 = np.stack([random_phases(rng, core.m).entries for core, rng in zip(cores, rngs)])
+    result = ccm_descent_stack(_spgm_stack, (prob.f,), w0, cfg)
+    return replace(result, points=result.points.conj())
 
 
 def coupling_matrix(v: np.ndarray, paths: PathSet, core: PathCore) -> CouplingMatrix:

@@ -25,6 +25,12 @@ from .manifold import ccm_descent  # noqa: F401 -- unused; perfbench/spans.py re
 from .passive_bf import random_phases
 
 
+# A slot whose residual is at most this times ||target||_F has reached
+# rounding level (n_rf = N, or an exactly realizable target): its relative
+# change is rounding noise, so only an absolute floor stops it.
+RESIDUAL_FLOOR = 1e-12
+
+
 class RankError(ValueError):
     """The channel does not support the requested stream count."""
 
@@ -113,8 +119,9 @@ def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
     Slot k starts from random analog phases drawn from rngs[k], the slots
     drawing in order (a generator may serve several slots), and alternates
     two exact block updates of ||target - F_RF F_BB||_F until its relative
-    residual change drops below cfg.epsilon (at most `max_alternations`
-    rounds); a slot that has stopped is frozen while the others go on, so a
+    residual change drops below cfg.epsilon or its residual is at most
+    RESIDUAL_FLOOR ||target||_F (at most `max_alternations` rounds); a slot
+    that has stopped is frozen while the others go on, so a
     slot's result is the same alone as in any stack. The updates:
     - F_BB = (F_RF^H F_RF)^-1 F_RF^H target, the least-squares digital stage,
       solved on the n_rf x n_rf Gram matrix (raises LinAlgError if singular);
@@ -145,6 +152,7 @@ def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
     live = np.arange(n_slots)              # slots still alternating
     r, t = rows, targets                   # their analog rows and targets
     prev_residual = np.full(n_slots, np.inf)
+    floor_scale = np.linalg.norm(targets, axis=(1, 2))
     for _ in range(max_alternations):
         f_bb = _digital_stage(r, t)
         f_bb_h = f_bb.conj()
@@ -159,15 +167,16 @@ def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
             np.divide(col, mag, out=r[:, k])
 
         residual = np.linalg.norm(t - r.transpose(0, 2, 1) @ f_bb, axis=(1, 2))
-        # relative change below epsilon, multiplied out so the first round's
-        # infinite previous residual gives no inf/inf
-        stop = (residual == 0.0) | (
+        # a residual at rounding level, or a relative change below epsilon
+        # (multiplied out so the first round's infinite previous residual
+        # gives no inf/inf)
+        stop = (residual <= RESIDUAL_FLOOR * floor_scale) | (
             np.abs(prev_residual - residual)
             < cfg.epsilon * np.maximum(prev_residual, np.finfo(float).tiny))
         if stop.any():
             rows[live] = r
             go = ~stop
-            live, r, t = live[go], r[go], t[go]
+            live, r, t, floor_scale = live[go], r[go], t[go], floor_scale[go]
             if not live.size:
                 break
             residual = residual[go]

@@ -173,6 +173,43 @@ def test_run_sweep_mean_is_over_per_trial_seeds():
     assert agg.mean_se == pytest.approx(np.mean(ses), rel=1e-12)
 
 
+def _csv_without_wall(result, path):
+    emit_csv(result, path)
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def test_run_sweep_grouping_leaves_the_csv_unchanged(tmp_path, monkeypatch):
+    # 5 trials x 3 powers share one geometry: one 15-point group serially,
+    # contiguous halves with parallel=2, and a group per point when the
+    # byte budget admits only one point
+    from dataclasses import replace
+    from lisim import harness
+    cfg = replace(SMALL, trials=5, sweep_values=(30.0, 35.0, 40.0), precoding="both")
+    sizes = []
+    real_group = harness._run_group
+    monkeypatch.setattr(harness, "_run_group",
+                        lambda c, tasks: sizes.append(len(tasks)) or real_group(c, tasks))
+    grouped = _csv_without_wall(run_sweep(cfg), tmp_path / "grouped.csv")
+    assert sizes == [15]
+    monkeypatch.setattr(harness, "_run_group", real_group)
+    parallel = _csv_without_wall(run_sweep(cfg, parallel=2), tmp_path / "parallel.csv")
+    monkeypatch.setattr(harness, "GROUP_BYTES", 1)
+    alone = _csv_without_wall(run_sweep(cfg), tmp_path / "alone.csv")
+    assert grouped == parallel == alone
+
+
+def test_groups_share_geometry_and_stream_count():
+    from dataclasses import replace
+    from lisim.harness import _groups
+    cfg = replace(SMALL, trials=2, sweep_variable="lis_elements",
+                  sweep_values=(16.0, 32.0, 16.0))
+    tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(2)]
+    assert _groups(cfg, tasks, 1) == [[tasks[0], tasks[1], tasks[4], tasks[5]],
+                                      [tasks[2], tasks[3]]]
+    assert _groups(cfg, tasks, 2) == [[tasks[0], tasks[1]], [tasks[4], tasks[5]],
+                                      [tasks[2]], [tasks[3]]]
+
+
 def test_run_sweep_hybrid_mode():
     from dataclasses import replace
     cfg = replace(SMALL, precoding="both", trials=2, sweep_values=(40.0,),
@@ -187,7 +224,7 @@ def test_run_sweep_rejects_bad_value_before_any_trial(monkeypatch):
     from dataclasses import replace
     from lisim import harness
     calls = []
-    monkeypatch.setattr(harness, "_run_trial", lambda *args: calls.append(args) or [])
+    monkeypatch.setattr(harness, "_run_group", lambda *args: calls.append(args) or [])
     cfg = replace(SMALL, sweep_variable="n_streams", sweep_values=(2.0, 4.0))
     with pytest.raises(ConfigError):
         run_sweep(cfg)
@@ -248,10 +285,10 @@ def test_run_sweep_hybrid_failure_is_per_method(monkeypatch):
     spgm_rngs = []   # kept alive, so no later generator is mistaken for one
     real_passive, real_hybrid = harness._passive_beamforming, harness.hybrid_factorize
 
-    def passive(method, core, paths, run_cfg, tx_g, rx_g, rng):
+    def passive(method, points, run_cfg):
         if method == "spgm":
-            spgm_rngs.append(rng)
-        return real_passive(method, core, paths, run_cfg, tx_g, rx_g, rng)
+            spgm_rngs.extend(point.rngs[method] for point in points)
+        return real_passive(method, points, run_cfg)
 
     def hybrid(targets, n_rf, descent, rngs, *args, **kwargs):
         # fail after the starts are drawn, as a singular solve would
@@ -269,6 +306,39 @@ def test_run_sweep_hybrid_failure_is_per_method(monkeypatch):
         assert (got.method, got.precoding) == (want.method, want.precoding)
         if (got.method, got.precoding) == ("spgm", "hybrid"):
             assert got.errors == cfg.trials and math.isnan(got.mean_se)
+        else:
+            assert strip(got) == strip(want)
+
+
+def test_run_sweep_descent_failure_is_per_point(monkeypatch):
+    # a numerical failure in the stacked spgm descent of a group: each point
+    # then descends alone from its saved generator state, so only the point
+    # that fails (sweep index 0, trial 1) counts errors, in both modes
+    from dataclasses import replace
+    from lisim import harness
+    cfg = replace(SMALL, precoding="both")
+    clean = run_sweep(cfg).rows
+    seen = []   # spgm's stacks; the second point of the first is the bad one
+    real_passive = harness._passive_beamforming
+
+    def passive(method, points, run_cfg):
+        found = real_passive(method, points, run_cfg)   # starts drawn, as a real failure
+        if method == "spgm":
+            seen.append(points)
+            if any(point is seen[0][1] for point in points):
+                raise np.linalg.LinAlgError("injected")
+        return found
+
+    monkeypatch.setattr(harness, "_passive_beamforming", passive)
+    rows = run_sweep(cfg).rows
+    assert [len(points) for points in seen] == [6] + [1] * 6
+    strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
+                       r.errors)
+    for got, want in zip(rows, clean):
+        assert (got.sweep_value, got.method, got.precoding) == (
+            want.sweep_value, want.method, want.precoding)
+        if (got.sweep_value, got.method) == (35.0, "spgm"):
+            assert got.errors == 1 and math.isfinite(got.mean_se)
         else:
             assert strip(got) == strip(want)
 

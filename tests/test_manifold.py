@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lisim.manifold import (
+    STOP_REASONS,
     DescentConfig,
     LineSearchError,
     PhaseVector,
     RetractionError,
     ccm_descent,
+    ccm_descent_stack,
     retract,
+    row_dot,
+    row_norm,
     tangent_project,
 )
 
@@ -165,3 +169,64 @@ def test_descent_deterministic(seed):
     b = ccm_descent(f, grad, v0, DescentConfig())
     np.testing.assert_array_equal(a[0].entries, b[0].entries)
     assert a[1] == b[1]
+
+
+# -- stacked descent ---------------------------------------------------------
+
+def _stacked_alignment(data, v):
+    """scale ||v - t||^2 per row; `sign` -1 turns the gradient uphill."""
+    t, sign, scale = data
+    d = v - t
+    return scale * row_dot(d, d), lambda: (sign * scale)[:, None] * 2.0 * d
+
+
+def _descend_rows(v0, t, sign, scale, cfg):
+    # the loop compacts the rows of its data in place, so each call gets copies
+    return ccm_descent_stack(_stacked_alignment, (t.copy(), sign.copy(), scale.copy()),
+                             v0, cfg)
+
+
+def test_stack_rows_stop_for_their_own_reasons():
+    m = 8
+    rng = np.random.default_rng(0)
+    t = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, m)))
+    v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, m)))
+    v0[0] = t[0]                                              # starts at its minimum
+    v0[1] = t[1] * np.exp(1j * 0.003 * rng.standard_normal(m))  # one small step away
+    sign = np.array([1.0, 1.0, 1.0, -1.0])                    # row 3 climbs
+    scale = np.array([1.0, 1.0, 1e3, 1.0])                    # row 2 stays steep
+    cfg = DescentConfig(epsilon=1e-3, max_iters=6)
+    stack = _descend_rows(v0, t, sign, scale, cfg)
+    assert stack.stops == ("zero_grad", "gap", "max_iters", "line_search")
+    assert set(stack.stops) == set(STOP_REASONS)
+    np.testing.assert_array_equal(stack.iters, [1, 1, 6, 0])
+    for i in range(4):
+        alone = _descend_rows(v0[i:i + 1], t[i:i + 1], sign[i:i + 1], scale[i:i + 1], cfg)
+        np.testing.assert_array_equal(stack.points[i], alone.points[0])
+        np.testing.assert_array_equal(stack.traces[i], alone.traces[0])
+        assert stack.stops[i] == alone.stops[0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 7))
+def test_stack_row_equals_row_alone(seed, rows):
+    # rows stop at different iterations, so the live rows get compacted
+    rng = np.random.default_rng(seed)
+    t = np.exp(1j * rng.uniform(0, 2 * np.pi, (rows, 12)))
+    v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, (rows, 12)))
+    scale = 10.0 ** rng.uniform(-1, 2, rows)
+    sign = np.ones(rows)
+    stack = _descend_rows(v0, t, sign, scale, DescentConfig(epsilon=1e-6))
+    for i in range(rows):
+        alone = _descend_rows(v0[i:i + 1], t[i:i + 1], sign[:1], scale[i:i + 1],
+                              DescentConfig(epsilon=1e-6))
+        np.testing.assert_array_equal(stack.points[i], alone.points[0])
+        assert stack.traces[i] == alone.traces[0]
+
+
+def test_row_reductions_match_numpy_per_row():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
+    b = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
+    np.testing.assert_array_equal(row_dot(a, b), [np.vdot(x, y).real for x, y in zip(a, b)])
+    np.testing.assert_array_equal(row_norm(a), [np.linalg.norm(x) for x in a])

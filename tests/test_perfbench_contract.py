@@ -29,14 +29,18 @@ def test_hybrid_cap_is_the_signature_default():
 
 
 def test_traced_sweep_emits_every_declared_layer_metric():
+    # 2 trials x 2 angle errors: one group of four points
     cfg = replace(load_config(ROOT / "configs" / "csi_sweep.cfg"),
-                  trials=1, sweep_values=(0.0, 1.0), precoding="both")
+                  trials=2, sweep_values=(0.0, 1.0), precoding="both")
     tracer = spans.Tracer()
     with spans.installed(tracer):
         start = perf_counter()
         result = run_sweep(cfg)
         wall = perf_counter() - start
     assert all(row.errors == 0 for row in result.rows)
+    # the wrappers change no value: traced rows equal untraced ones apart from wall_ms
+    assert [replace(row, wall_ms=0.0) for row in result.rows] == [
+        replace(row, wall_ms=0.0) for row in run_sweep(cfg).rows]
     metrics = spans.layer_metrics(tracer, wall)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = {m["name"]: m["unit"] for m in spec["per_layer"]}
