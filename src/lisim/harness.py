@@ -2,19 +2,22 @@
 
 A sweep varies one of {tx_power_dbm, lis_elements, n_streams, n_rf,
 angle_error_deg} over a value grid (n_rf sets both RF chain counts). Within
-a trial every method sees the same channel realization, and trial t sees the same realization at every sweep value
-(paired comparison along both axes). Per-trial seeds are derived from the
-master seed and the (sweep index, trial index) pair — the channel stream from
-the trial index alone — so growing the trial count never reshuffles earlier
-trials.
+a trial every method sees the same channel realization, and trial t sees
+the same realization at every sweep value (paired comparison along both
+axes). Per-trial seeds are derived from the master seed and the (sweep
+index, trial index) pair — the channel stream from the trial index alone —
+so growing the trial count never reshuffles earlier trials.
 
-A sweep runs in groups of points (sweep value, trial) that share a geometry
-and stream count, cut by point index to fit GROUP_BYTES. Each point is
-drawn alone; each method's manifold descents run as one stack over the
-group (`passive_bf.optimize_*_stack`); precoding, metrics and the hybrid
-batch run per point again. A point's values do not depend on its group, so
-the CSV is the same for any grouping, serial or parallel. `_run_trial` is a
-group of one point.
+A sweep runs in groups of points (sweep value, trial) that share a geometry,
+stream count and RF chain counts, cut by point index to fit GROUP_BYTES.
+Each point is drawn alone; each method's manifold descents run as one stack
+over the group (`passive_bf.optimize_*_stack`); precoding and the digital
+metrics run per point; and the group's hybrid jobs take two
+`hybrid_factorize` calls, precoders then combiners. `_batched` runs both
+batches and, on a numerical failure, reruns each item alone from its saved
+generator state. A point's values do not depend on its group, so the CSV is
+the same for any grouping, serial or parallel. `_run_trial` is a group of
+one point.
 """
 
 from __future__ import annotations
@@ -219,43 +222,47 @@ def load_config(path) -> ExperimentConfig:
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
+    # every default is the dataclasses' own, apart from the noise floor: the
+    # thermal floor of the bandwidth
+    base = ExperimentConfig()
+    g, b = base.geometry, base.budget
     geometry = ArrayGeometry(
-        n_tx=raw.get("n_tx", 64), n_rx=raw.get("n_rx", 64),
-        lis_y=raw.get("lis_y", 16), lis_z=raw.get("lis_z", 16),
-        spacing_ratio=raw.get("spacing_ratio", 0.5))
+        n_tx=raw.get("n_tx", g.n_tx), n_rx=raw.get("n_rx", g.n_rx),
+        lis_y=raw.get("lis_y", g.lis_y), lis_z=raw.get("lis_z", g.lis_z),
+        spacing_ratio=raw.get("spacing_ratio", g.spacing_ratio))
 
-    bandwidth = raw.get("bandwidth_hz", 251.1886e6)
+    bandwidth = raw.get("bandwidth_hz", b.bandwidth_hz)
     noise_dbm = raw.get("noise_dbm", thermal_noise_dbm(bandwidth))
     budget = LinkBudget(
-        a_intercept=raw.get("pathloss_a", 61.4),
-        b_exponent=raw.get("pathloss_b", 2.0),
-        shadow_sigma=raw.get("shadow_sigma_db", 5.8),
-        rician_mu=raw.get("rician_mu_db", 10.0),
+        a_intercept=raw.get("pathloss_a", b.a_intercept),
+        b_exponent=raw.get("pathloss_b", b.b_exponent),
+        shadow_sigma=raw.get("shadow_sigma_db", b.shadow_sigma),
+        rician_mu=raw.get("rician_mu_db", b.rician_mu),
         bandwidth_hz=bandwidth,
         noise_power=dbm_to_watt(noise_dbm),
-        tx_power=dbm_to_watt(raw.get("tx_power_dbm", 30.0)))
+        tx_power=dbm_to_watt(raw["tx_power_dbm"]) if "tx_power_dbm" in raw else b.tx_power)
 
     descent = DescentConfig(
-        epsilon=raw.get("descent_epsilon", 1e-4),
-        max_iters=int(raw.get("descent_max_iters", 500)))
+        epsilon=raw.get("descent_epsilon", base.descent.epsilon),
+        max_iters=int(raw.get("descent_max_iters", base.descent.max_iters)))
 
     try:
         cfg = ExperimentConfig(
             geometry=geometry, budget=budget,
-            n_streams=raw.get("n_streams", 4),
-            n_rf_tx=raw.get("r_t", 6), n_rf_rx=raw.get("r_r", 6),
-            p_paths=raw.get("p_paths", 7), l_paths=raw.get("l_paths", 7),
-            bs_pos=raw.get("bs_pos", (2.0, 0.0, 10.0)),
-            lis_pos=raw.get("lis_pos", (0.0, 148.0, 10.0)),
-            ue_pos=raw.get("ue_pos", (5.0, 150.0, 1.8)),
-            tx_gain_dbi=raw.get("tx_gain_dbi", 24.5),
-            rx_gain_dbi=raw.get("rx_gain_dbi", 0.0),
-            sweep_variable=raw.get("sweep_variable", "tx_power_dbm"),
-            sweep_values=raw.get("sweep_values", (30.0,)),
-            trials=raw.get("trials", 100),
-            seed=raw.get("seed", 0),
-            methods=raw.get("methods", METHODS),
-            precoding=raw.get("precoding", "digital"),
+            n_streams=raw.get("n_streams", base.n_streams),
+            n_rf_tx=raw.get("r_t", base.n_rf_tx), n_rf_rx=raw.get("r_r", base.n_rf_rx),
+            p_paths=raw.get("p_paths", base.p_paths), l_paths=raw.get("l_paths", base.l_paths),
+            bs_pos=raw.get("bs_pos", base.bs_pos),
+            lis_pos=raw.get("lis_pos", base.lis_pos),
+            ue_pos=raw.get("ue_pos", base.ue_pos),
+            tx_gain_dbi=raw.get("tx_gain_dbi", base.tx_gain_dbi),
+            rx_gain_dbi=raw.get("rx_gain_dbi", base.rx_gain_dbi),
+            sweep_variable=raw.get("sweep_variable", base.sweep_variable),
+            sweep_values=raw.get("sweep_values", base.sweep_values),
+            trials=raw.get("trials", base.trials),
+            seed=raw.get("seed", base.seed),
+            methods=raw.get("methods", base.methods),
+            precoding=raw.get("precoding", base.precoding),
             descent=descent)
         _check_sweep(cfg)
     except ValueError as exc:
@@ -374,29 +381,30 @@ def _passive_beamforming(method: str, points: list[_Point],
     return [(PhaseVector(v), float(n)) for v, n in zip(phases, iters)]
 
 
-def _descend(method: str, points: list[_Point],
-             cfg: ExperimentConfig) -> list[tuple[tuple[PhaseVector, float] | None, float]]:
-    """(phases and iterations, or None on failure; ms) per point for `method`.
+def _batched(run, items: list, rngs: list[np.random.Generator]) -> list[tuple[object, float]]:
+    """(result, or None on failure; ms) per item of `run(items)`.
 
-    One stacked descent over all points, each charged an equal share of its
-    time. If it meets a numerical failure, each point descends alone from the
-    generator state it had before, so only a failing point counts the error.
+    `run` maps a list of items to one result each, and item i draws only
+    from rngs[i]. The batch runs once and each item is charged an equal
+    share of its time. If it meets a numerical failure, each item runs
+    alone from the state its generator had before the batch, so only a
+    failing item counts the error.
     """
-    states = [p.rngs[method].bit_generator.state for p in points]
+    states = [rng.bit_generator.state for rng in rngs]
     start = perf_counter()
     try:
-        found = _passive_beamforming(method, points, cfg)
+        found = run(items)
     except NUMERICAL_FAILURES:
         found = None
-    share_ms = _elapsed_ms(start) / len(points)
+    share_ms = _elapsed_ms(start) / len(items)
     if found is not None:
         return [(f, share_ms) for f in found]
     out = []
-    for point, state in zip(points, states):
+    for item, rng, state in zip(items, rngs, states):
         start = perf_counter()
-        point.rngs[method].bit_generator.state = state
+        rng.bit_generator.state = state
         try:
-            alone = _passive_beamforming(method, [point], cfg)[0]
+            alone = run([item])[0]
         except NUMERICAL_FAILURES:
             alone = None
         out.append((alone, share_ms + _elapsed_ms(start)))
@@ -414,9 +422,11 @@ def _failed_records(method: str, modes, wall_ms: float) -> list[_TrialRecord]:
 
 @dataclass(frozen=True)
 class _HybridJob:
-    """A method's lifted precoder and combiner, waiting for the trial's hybrid batch."""
+    """A method's lifted precoder and combiner at one point, waiting for the
+    group's hybrid batch."""
 
     method: str
+    point: _Point
     f_target: np.ndarray   # Q_b V_c scaled, N_t x N_s
     w_target: np.ndarray   # Q_u U_c, N_r x N_s
     rng: np.random.Generator
@@ -427,75 +437,37 @@ class _HybridJob:
     digital_ms: float      # the method's time up to the end of its digital row
 
 
-def _factor_hybrid(jobs: list[_HybridJob], cfg: ExperimentConfig):
-    """Stacks (F_RF, F_BB, W_RF, W_BB) with one slot per job.
+def _hybrid_rates(jobs: list[_HybridJob]) -> list[float]:
+    """Each job's spectral efficiency with its hybrid precoder and combiner.
 
-    One hybrid_factorize call when both sides have the same shape (slots
-    ordered precoder, combiner per job), else one call per side; either
-    way each job's generator draws its precoder start before its combiner
-    start.
+    One hybrid_factorize call factors every precoder, each normalized to its
+    own point's transmit power, and one more every combiner, so each job's
+    generator draws its precoder start before its combiner start. The jobs
+    share their RF chain counts (see `_groups`).
     """
     rngs = [job.rng for job in jobs]
-    power = cfg.budget.tx_power
-    if (cfg.geometry.n_tx, cfg.n_rf_tx) == (cfg.geometry.n_rx, cfg.n_rf_rx):
-        targets = np.stack([m for job in jobs for m in (job.f_target, job.w_target)])
-        rf, bb = hybrid_factorize(targets, cfg.n_rf_tx, cfg.descent,
-                                  [rng for rng in rngs for _ in range(2)],
-                                  [power, None] * len(jobs))
-        return rf[0::2], bb[0::2], rf[1::2], bb[1::2]
-    f_rf, f_bb = hybrid_factorize(np.stack([job.f_target for job in jobs]), cfg.n_rf_tx,
-                                  cfg.descent, rngs, [power] * len(jobs))
-    w_rf, w_bb = hybrid_factorize(np.stack([job.w_target for job in jobs]), cfg.n_rf_rx,
-                                  cfg.descent, rngs)
-    return f_rf, f_bb, w_rf, w_bb
+    run_cfg = jobs[0].point.cfg
+    f_rf, f_bb = hybrid_factorize(np.stack([job.f_target for job in jobs]), run_cfg.n_rf_tx,
+                                  run_cfg.descent, rngs,
+                                  [job.point.cfg.budget.tx_power for job in jobs])
+    w_rf, w_bb = hybrid_factorize(np.stack([job.w_target for job in jobs]), run_cfg.n_rf_rx,
+                                  run_cfg.descent, rngs)
+    return [spectral_efficiency(job.point.true_core.lift(job.c_true), f_rf[i] @ f_bb[i],
+                                w_rf[i] @ w_bb[i], job.point.cfg.budget.noise_power)
+            for i, job in enumerate(jobs)]
 
 
-def _hybrid_records(jobs: list[_HybridJob], cfg: ExperimentConfig,
-                    true_core: PathCore) -> list[_TrialRecord]:
-    """Factor every job's precoder and combiner in one batch, then rate each.
-
-    If the batch meets a numerical failure, each job is factored alone from
-    the generator state it had before the batch, so only a failing method's
-    hybrid row counts the error. A row's wall time is its digital time plus
-    an equal share of the batch plus its own rate (and fallback) time.
-    """
-    states = [job.rng.bit_generator.state for job in jobs]
-    start = perf_counter()
-    try:
-        stacks = _factor_hybrid(jobs, cfg)
-    except NUMERICAL_FAILURES:
-        stacks = None
-    share_ms = _elapsed_ms(start) / len(jobs)
-
-    records = []
-    for i, (job, state) in enumerate(zip(jobs, states)):
-        start = perf_counter()
-        try:
-            if stacks is None:
-                job.rng.bit_generator.state = state
-                f_rf, f_bb, w_rf, w_bb = (s[0] for s in _factor_hybrid([job], cfg))
-            else:
-                f_rf, f_bb, w_rf, w_bb = (s[i] for s in stacks)
-            se = spectral_efficiency(true_core.lift(job.c_true), f_rf @ f_bb,
-                                     w_rf @ w_bb, cfg.budget.noise_power)
-            record = _TrialRecord(job.method, "hybrid", se, job.cond, job.offdiag,
-                                  job.iters, 0.0)
-        except NUMERICAL_FAILURES:
-            record = _failed_records(job.method, ("hybrid",), 0.0)[0]
-        wall = job.digital_ms + share_ms + _elapsed_ms(start)
-        records.append(replace(record, wall_ms=wall))
-    return records
-
-
-def _point_records(point: _Point, descents: dict) -> list[_TrialRecord]:
-    """Every method's rows for one point, in path-core coordinates.
+def _point_records(point: _Point, descents: dict) -> tuple[list[_TrialRecord],
+                                                           list[_HybridJob]]:
+    """Every method's digital rows for one point, in path-core coordinates,
+    and its hybrid jobs.
 
     The precoder and combiner come from the SVD of the estimated core and
     live in the column spaces Q_b, Q_u of the estimated steering matrices;
     the digital rate is evaluated on the true core written in those bases,
     (Q_u^est^H Q_u) core (Q_b^H Q_b^est), and the dense channel is formed
-    only for the hybrid rate. The hybrid factorizations of all methods run
-    in one batch after the method loop.
+    only for the hybrid rate. A method whose descent or digital step fails
+    gets failed rows in every mode and no hybrid job.
     """
     run_cfg, est_core, true_core = point.cfg, point.est_core, point.true_core
     budget, n_streams = run_cfg.budget, run_cfg.n_streams
@@ -530,27 +502,39 @@ def _point_records(point: _Point, descents: dict) -> list[_TrialRecord]:
             records.extend(_failed_records(method, modes, descent_ms + _elapsed_ms(start)))
             continue
         if "hybrid" in modes:
-            jobs.append(_HybridJob(method, est_core.q_b @ f_core, est_core.q_u @ w_core,
+            jobs.append(_HybridJob(method, point, est_core.q_b @ f_core, est_core.q_u @ w_core,
                                    point.rngs[method], c_true, cond, offdiag, iters,
                                    descent_ms + _elapsed_ms(start)))
-    if jobs:
-        records.extend(_hybrid_records(jobs, run_cfg, true_core))
-    return records
+    return records, jobs
+
+
+def _hybrid_record(job: _HybridJob, se: float | None, ms: float) -> _TrialRecord:
+    wall = job.digital_ms + ms
+    if se is None:
+        return _failed_records(job.method, ("hybrid",), wall)[0]
+    return _TrialRecord(job.method, "hybrid", se, job.cond, job.offdiag, job.iters, wall)
 
 
 def _run_group(cfg: ExperimentConfig,
                tasks: list[tuple[int, int, float]]) -> list[list[_TrialRecord]]:
     """Records of each (sweep index, trial index, value) task of one group.
 
-    The tasks' specialized configs share a geometry and stream count. Each
-    point is drawn alone, each method's descents run as one stack over all
-    points, and the rest of each point (precoding, metrics, its hybrid
-    batch) runs alone again.
+    The tasks' specialized configs share a geometry, stream count and RF
+    chain counts. Each point is drawn alone; each method's descents run as
+    one batch over all points, then each point's digital rows alone, then
+    every hybrid job of the group as one batch. A hybrid row's wall time is
+    its digital time plus its share of that batch.
     """
     points = [_draw_point(cfg, *task) for task in tasks]
-    descents = {method: _descend(method, points, cfg) for method in cfg.methods}
-    return [_point_records(point, {method: found[i] for method, found in descents.items()})
-            for i, point in enumerate(points)]
+    descents = {method: _batched(lambda batch: _passive_beamforming(method, batch, cfg),
+                                 points, [p.rngs[method] for p in points])
+                for method in cfg.methods}
+    per_point = [_point_records(point, {method: found[i] for method, found in descents.items()})
+                 for i, point in enumerate(points)]
+    jobs = [job for _, point_jobs in per_point for job in point_jobs]
+    rates = iter(_batched(_hybrid_rates, jobs, [job.rng for job in jobs]) if jobs else ())
+    return [records + [_hybrid_record(job, *next(rates)) for job in point_jobs]
+            for records, point_jobs in per_point]
 
 
 def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
@@ -561,7 +545,9 @@ def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
 
 def _groups(cfg: ExperimentConfig, tasks: list[tuple[int, int, float]],
             parallel: int) -> list[list[tuple[int, int, float]]]:
-    """Split the tasks into groups that share a geometry and stream count.
+    """Split the tasks into groups that share a geometry, stream count and
+    RF chain counts, so a group's descents stack and its hybrid slots share
+    their shapes.
 
     A group is cut by task index into runs whose stacked path-core banks fit
     GROUP_BYTES, and into at least `parallel` runs, so every worker gets a
@@ -570,9 +556,10 @@ def _groups(cfg: ExperimentConfig, tasks: list[tuple[int, int, float]],
     by_shape: dict[tuple, list] = {}
     for task in tasks:
         run_cfg, _ = _apply_sweep(cfg, task[2])
-        by_shape.setdefault((run_cfg.geometry, run_cfg.n_streams), []).append(task)
+        by_shape.setdefault((run_cfg.geometry, run_cfg.n_streams, run_cfg.n_rf_tx,
+                             run_cfg.n_rf_rx), []).append(task)
     groups = []
-    for (geometry, _), members in by_shape.items():
+    for (geometry, *_), members in by_shape.items():
         bank_bytes = cfg.l_paths * cfg.p_paths * geometry.m * np.dtype(complex).itemsize
         size = min(max(1, GROUP_BYTES // bank_bytes), -(-len(members) // parallel))
         groups.extend(members[i:i + size] for i in range(0, len(members), size))

@@ -21,6 +21,15 @@ import numpy as np
 
 UNIT_MODULUS_TOL = 1e-10
 
+# Armijo backtracking: a trial step shrinks by ARMIJO_SHRINK until the
+# objective falls by at least ARMIJO_SLOPE * step * ||g||^2, at most
+# MAX_SHRINKS times; the first trial step of a descent is a displacement of
+# INITIAL_STEP RMS per element.
+ARMIJO_SHRINK = 0.5
+ARMIJO_SLOPE = 1e-4
+INITIAL_STEP = 1.0
+MAX_SHRINKS = 50
+
 
 class RetractionError(ValueError):
     """A zero entry cannot be normalized back onto the manifold."""
@@ -50,22 +59,14 @@ class PhaseVector:
 
 @dataclass(frozen=True)
 class DescentConfig:
-    """Stopping rule and Armijo backtracking constants."""
+    """Stopping rule: objective gap and iteration budget."""
 
     epsilon: float = 1e-4
     max_iters: int = 500
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    initial_step: float = 1.0
-    max_shrinks: int = 50
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not (0 < self.armijo_shrink < 1 and 0 < self.armijo_slope < 1):
-            raise ValueError("armijo constants must lie in (0, 1)")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
 
 
 Objective = Callable[[np.ndarray], float]
@@ -127,8 +128,8 @@ def retract(v_bar: np.ndarray) -> PhaseVector:
     return PhaseVector(_normalize(np.asarray(v_bar, dtype=complex)))
 
 
-def armijo_step(f: Objective, v: np.ndarray, riem_grad: np.ndarray, cfg: DescentConfig,
-                f_v: float, step: float) -> tuple[float, np.ndarray, float]:
+def armijo_step(f: Objective, v: np.ndarray, riem_grad: np.ndarray, f_v: float,
+                step: float) -> tuple[float, np.ndarray, float]:
     """Largest step * shrink^t meeting the sufficient decrease
     f(retract(v - step * g)) <= f(v) - slope * step * ||g||^2.
 
@@ -140,12 +141,12 @@ def armijo_step(f: Objective, v: np.ndarray, riem_grad: np.ndarray, cfg: Descent
     grad_sq = float(np.vdot(riem_grad, riem_grad).real)
     if grad_sq == 0.0:
         return step, v, f_v
-    for _ in range(cfg.max_shrinks + 1):
+    for _ in range(MAX_SHRINKS + 1):
         candidate = _normalize(v - step * riem_grad)
         f_candidate = float(f(candidate))
-        if f_candidate <= f_v - cfg.armijo_slope * step * grad_sq:
+        if f_candidate <= f_v - ARMIJO_SLOPE * step * grad_sq:
             return step, candidate, f_candidate
-        step *= cfg.armijo_shrink
+        step *= ARMIJO_SHRINK
     raise LineSearchError("no Armijo step accepted")
 
 
@@ -208,7 +209,7 @@ def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.n
     go_on = np.zeros(n, dtype=bool)
     v_next, f_next, grad_next = v, f_v, np.empty_like(v)
     searching = (~flat).nonzero()[0]
-    for _ in range(cfg.max_shrinks + 1):
+    for _ in range(MAX_SHRINKS + 1):
         if not searching.size:
             break
         first, last = searching[0], searching[-1]
@@ -217,7 +218,7 @@ def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.n
         s = step[sel]
         candidate = _normalize(v[sel] - s[:, None] * riem[sel])
         f_cand, gradient = evaluate(tuple(a[sel] for a in data), candidate)
-        ok = f_cand <= f_v[sel] - cfg.armijo_slope * s * grad_sq[sel]
+        ok = f_cand <= f_v[sel] - ARMIJO_SLOPE * s * grad_sq[sel]
         if _any(ok):
             if not _all(np.isfinite(f_cand[ok])):
                 raise FloatingPointError("objective became non-finite")
@@ -235,7 +236,7 @@ def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.n
                 if need_grad:
                     grad_next[searching[go]] = gradient()[go]
             searching = searching[~ok]
-        step[searching] *= cfg.armijo_shrink
+        step[searching] *= ARMIJO_SHRINK
         gradient = None   # frees a gathered copy of `data` before the next round
     return v_next, f_next, grad_next, accepted, go_on, zero
 
@@ -250,7 +251,7 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     those arrays in place as rows stop. Each row runs the single-vector rule:
 
     The Armijo trial step is warm-started each iteration: the first iteration
-    normalizes cfg.initial_step to a unit RMS per-element displacement, later
+    normalizes INITIAL_STEP to a unit RMS per-element displacement, later
     iterations use the Barzilai-Borwein quotient from the previous step. A
     fixed trial step stalls badly on the composite-path objective because its
     curvature scales with the LIS size; backtracking still guards descent.
@@ -279,7 +280,7 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     stops = ["max_iters"] * n_rows
     final = v.copy()
     live = np.arange(n_rows)   # original index of each live row
-    first_step = cfg.initial_step * math.sqrt(m)
+    first_step = INITIAL_STEP * math.sqrt(m)
     prev_v = prev_riem = None
     for it in range(cfg.max_iters):
         riem = _tangent(v, grad)

@@ -18,7 +18,7 @@ from lisim.harness import (
 )
 from lisim.manifold import DescentConfig
 from lisim.passive_bf import build_tsvd_problem, tsvd_objective
-from lisim.units import dbm_to_watt
+from lisim.units import dbm_to_watt, thermal_noise_dbm
 
 
 SMALL = ExperimentConfig(
@@ -46,6 +46,16 @@ def test_load_config_defaults(tmp_path):
     assert cfg.lis_ue_distance == pytest.approx(9.8, abs=0.05)
     assert cfg.sweep_variable == "tx_power_dbm"
     assert cfg.methods == ("tsvd", "spgm", "random")
+
+
+def test_load_config_defaults_are_the_dataclass_defaults(tmp_path):
+    # only the noise floor is derived: the thermal floor of the bandwidth,
+    # -90.00000075 dBm, where LinkBudget's own default is -90 dBm
+    from dataclasses import replace
+    base = ExperimentConfig()
+    noise = dbm_to_watt(thermal_noise_dbm(base.budget.bandwidth_hz))
+    assert load_config(_write(tmp_path, "trials = 7\n")) == replace(
+        base, trials=7, budget=replace(base.budget, noise_power=noise))
 
 
 def test_load_config_overrides(tmp_path):
@@ -208,6 +218,24 @@ def test_groups_share_geometry_and_stream_count():
                                       [tasks[2], tasks[3]]]
     assert _groups(cfg, tasks, 2) == [[tasks[0], tasks[1]], [tasks[4], tasks[5]],
                                       [tasks[2]], [tasks[3]]]
+    # the points of a group also share their RF chain counts
+    cfg = replace(SMALL, trials=2, sweep_variable="n_rf", sweep_values=(4.0, 6.0, 4.0))
+    tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(2)]
+    assert _groups(cfg, tasks, 1) == [[tasks[0], tasks[1], tasks[4], tasks[5]],
+                                      [tasks[2], tasks[3]]]
+
+
+def test_rf_sweep_grouping_leaves_the_csv_unchanged(tmp_path, monkeypatch):
+    from dataclasses import replace
+    from lisim import harness
+    cfg = replace(SMALL, trials=2, sweep_variable="n_rf", sweep_values=(4.0, 6.0, 4.0),
+                  precoding="both")
+    serial = _csv_without_wall(run_sweep(cfg), tmp_path / "serial.csv")
+    parallel = _csv_without_wall(run_sweep(cfg, parallel=2), tmp_path / "parallel.csv")
+    monkeypatch.setattr(harness, "GROUP_BYTES", 1)
+    alone = _csv_without_wall(run_sweep(cfg), tmp_path / "alone.csv")
+    assert serial == parallel == alone
+    assert all(row.split(",")[-1] == "0" for row in serial[1:])   # no errors
 
 
 def test_run_sweep_hybrid_mode():
@@ -306,6 +334,48 @@ def test_run_sweep_hybrid_failure_is_per_method(monkeypatch):
         assert (got.method, got.precoding) == (want.method, want.precoding)
         if (got.method, got.precoding) == ("spgm", "hybrid"):
             assert got.errors == cfg.trials and math.isnan(got.mean_se)
+        else:
+            assert strip(got) == strip(want)
+
+
+def test_run_sweep_hybrid_failure_is_per_point(monkeypatch):
+    # a singular solve in one point's spgm slots fails the group's hybrid
+    # batch (2 powers x 2 trials, one group); each job is then factored
+    # alone, so only that point's spgm hybrid row counts the error
+    from dataclasses import replace
+    from lisim import harness
+    cfg = replace(SMALL, precoding="both", trials=2)
+    clean = run_sweep(cfg).rows
+    seen = []   # spgm's stacks; the second point of the first is the bad one
+    real_passive, real_hybrid = harness._passive_beamforming, harness.hybrid_factorize
+
+    def passive(method, points, run_cfg):
+        if method == "spgm":
+            seen.append(points)
+        return real_passive(method, points, run_cfg)
+
+    calls = []
+
+    def hybrid(targets, n_rf, descent, rngs, *args, **kwargs):
+        calls.append(len(rngs))
+        factors = real_hybrid(targets, n_rf, descent, rngs, *args, **kwargs)
+        if any(rng is seen[0][1].rngs["spgm"] for rng in rngs):
+            raise np.linalg.LinAlgError("injected")
+        return factors
+
+    monkeypatch.setattr(harness, "_passive_beamforming", passive)
+    monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
+    rows = run_sweep(cfg).rows
+    # the batch of 4 points x 3 methods fails at its precoder call; then each
+    # job runs alone: two calls each, one for the bad job's failing precoder
+    assert calls == [12] + [1] * (2 * 11 + 1)
+    strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
+                       r.errors)
+    for got, want in zip(rows, clean):
+        assert (got.sweep_value, got.method, got.precoding) == (
+            want.sweep_value, want.method, want.precoding)
+        if (got.sweep_value, got.method, got.precoding) == (35.0, "spgm", "hybrid"):
+            assert got.errors == 1 and math.isfinite(got.mean_se)
         else:
             assert strip(got) == strip(want)
 

@@ -154,10 +154,6 @@ def test_descent_non_finite_objective_raises():
 def test_config_validation():
     with pytest.raises(ValueError):
         DescentConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        DescentConfig(armijo_shrink=1.0)
-    with pytest.raises(ValueError):
-        DescentConfig(initial_step=-1.0)
 
 
 @settings(max_examples=15, deadline=None)
