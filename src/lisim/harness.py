@@ -5,16 +5,19 @@ angle_error_deg} over a value grid (n_rf sets both RF chain counts). Within
 a trial every method sees the same channel realization, and trial t sees
 the same realization at every sweep value (paired comparison along both
 axes). Per-trial seeds are derived from the master seed and the (sweep
-index, trial index) pair — the channel stream from the trial index alone —
-so growing the trial count never reshuffles earlier trials.
+index, trial index) pair — the channel stream, and in an n_rf sweep the
+method streams, from the trial index alone — so growing the trial count
+never reshuffles earlier trials.
 
 A sweep runs in groups of points (sweep value, trial) that share a geometry,
 stream count and RF chain counts, cut by point index to fit GROUP_BYTES.
-Each point is drawn alone; each method's manifold descents run as one stack
-over the group (`passive_bf.optimize_*_stack`); precoding and the digital
-metrics run per point; and the group's hybrid jobs take two
-`hybrid_factorize` calls, precoders then combiners. `_batched` runs both
-batches and, on a numerical failure, reruns each item alone from its saved
+Each point is drawn alone. Each method then takes one batch over the group:
+its manifold descents as one stack (`passive_bf.optimize_*_stack`), then
+the stacked digital stage on the L x P path cores (SVD, precoder and
+combiner, condition number, digital rate, lifted hybrid targets). The
+group's hybrid jobs take one more batch: two `hybrid_factorize` calls,
+precoders then combiners, and one stacked rate. `_batched` runs every batch
+and, on a numerical failure, reruns each item alone from its saved
 generator state. A point's values do not depend on its group, so the CSV is
 the same for any grouping, serial or parallel. `_run_trial` is a group of
 one point.
@@ -168,11 +171,10 @@ class SweepResult:
 # -- configuration file parsing ---------------------------------------------
 
 _INT_KEYS = {"n_tx", "n_rx", "lis_y", "lis_z", "r_t", "r_r", "n_streams",
-             "p_paths", "l_paths", "trials", "seed"}
+             "p_paths", "l_paths", "trials", "seed", "descent_max_iters"}
 _FLOAT_KEYS = {"spacing_ratio", "tx_power_dbm", "noise_dbm", "bandwidth_hz",
                "tx_gain_dbi", "rx_gain_dbi", "rician_mu_db",
-               "pathloss_a", "pathloss_b", "shadow_sigma_db",
-               "descent_epsilon", "descent_max_iters"}
+               "pathloss_a", "pathloss_b", "shadow_sigma_db", "descent_epsilon"}
 _POS_KEYS = {"bs_pos", "lis_pos", "ue_pos"}
 _LIST_KEYS = {"sweep_values", "methods"}
 _STR_KEYS = {"sweep_variable", "precoding"}
@@ -226,27 +228,24 @@ def load_config(path) -> ExperimentConfig:
     # thermal floor of the bandwidth
     base = ExperimentConfig()
     g, b = base.geometry, base.budget
-    geometry = ArrayGeometry(
-        n_tx=raw.get("n_tx", g.n_tx), n_rx=raw.get("n_rx", g.n_rx),
-        lis_y=raw.get("lis_y", g.lis_y), lis_z=raw.get("lis_z", g.lis_z),
-        spacing_ratio=raw.get("spacing_ratio", g.spacing_ratio))
-
-    bandwidth = raw.get("bandwidth_hz", b.bandwidth_hz)
-    noise_dbm = raw.get("noise_dbm", thermal_noise_dbm(bandwidth))
-    budget = LinkBudget(
-        a_intercept=raw.get("pathloss_a", b.a_intercept),
-        b_exponent=raw.get("pathloss_b", b.b_exponent),
-        shadow_sigma=raw.get("shadow_sigma_db", b.shadow_sigma),
-        rician_mu=raw.get("rician_mu_db", b.rician_mu),
-        bandwidth_hz=bandwidth,
-        noise_power=dbm_to_watt(noise_dbm),
-        tx_power=dbm_to_watt(raw["tx_power_dbm"]) if "tx_power_dbm" in raw else b.tx_power)
-
-    descent = DescentConfig(
-        epsilon=raw.get("descent_epsilon", base.descent.epsilon),
-        max_iters=int(raw.get("descent_max_iters", base.descent.max_iters)))
-
     try:
+        geometry = ArrayGeometry(
+            n_tx=raw.get("n_tx", g.n_tx), n_rx=raw.get("n_rx", g.n_rx),
+            lis_y=raw.get("lis_y", g.lis_y), lis_z=raw.get("lis_z", g.lis_z),
+            spacing_ratio=raw.get("spacing_ratio", g.spacing_ratio))
+        bandwidth = raw.get("bandwidth_hz", b.bandwidth_hz)
+        noise_dbm = raw.get("noise_dbm", thermal_noise_dbm(bandwidth))
+        budget = LinkBudget(
+            a_intercept=raw.get("pathloss_a", b.a_intercept),
+            b_exponent=raw.get("pathloss_b", b.b_exponent),
+            shadow_sigma=raw.get("shadow_sigma_db", b.shadow_sigma),
+            rician_mu=raw.get("rician_mu_db", b.rician_mu),
+            bandwidth_hz=bandwidth,
+            noise_power=dbm_to_watt(noise_dbm),
+            tx_power=dbm_to_watt(raw["tx_power_dbm"]) if "tx_power_dbm" in raw else b.tx_power)
+        descent = DescentConfig(
+            epsilon=raw.get("descent_epsilon", base.descent.epsilon),
+            max_iters=raw.get("descent_max_iters", base.descent.max_iters))
         cfg = ExperimentConfig(
             geometry=geometry, budget=budget,
             n_streams=raw.get("n_streams", base.n_streams),
@@ -301,7 +300,9 @@ def _apply_sweep(cfg: ExperimentConfig, value: float) -> tuple[ExperimentConfig,
         if cfg.sweep_variable == "n_streams":
             return replace(cfg, n_streams=count), 0.0
         return replace(cfg, n_rf_tx=count, n_rf_rx=count), 0.0
-    return cfg, math.radians(value)  # angle_error_deg
+    if value < 0:
+        raise ConfigError("angle_error_deg sweep values must be non-negative")
+    return cfg, math.radians(value)
 
 
 def _check_sweep(cfg: ExperimentConfig) -> None:
@@ -330,11 +331,14 @@ def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
     """Seed, sample and build the path cores of one (sweep value, trial) pair."""
     run_cfg, beta = _apply_sweep(cfg, value)
     geometry, budget = run_cfg.geometry, run_cfg.budget
-    seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sweep_idx, trial_idx))
-    children = seed_seq.spawn(2 + len(run_cfg.methods))
     # The channel draw is keyed by the trial index alone so that trial t sees
     # the same realization at every sweep value (paired along the sweep axis);
-    # angle errors and method starts stay keyed by (sweep, trial).
+    # angle errors and method starts stay keyed by (sweep, trial). An n_rf
+    # sweep leaves the digital design unchanged, so there the method starts
+    # are keyed by the trial alone too, and its digital rows are paired.
+    key = (0 if cfg.sweep_variable == "n_rf" else sweep_idx, trial_idx)
+    children = np.random.SeedSequence(entropy=cfg.seed, spawn_key=key).spawn(
+        2 + len(run_cfg.methods))
     chan_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial_idx,)))
     err_rng = np.random.default_rng(children[1])
@@ -357,8 +361,9 @@ def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
 
 
 def _passive_beamforming(method: str, points: list[_Point],
-                         cfg: ExperimentConfig) -> list[tuple[PhaseVector, float]]:
-    """Each point's LIS phases for its estimated core and its descent iterations.
+                         cfg: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each point's LIS phase entries for its estimated core, and its descent
+    iterations.
 
     The points share a geometry and stream count, so each descent runs on
     all of them as one stack; each point's generator draws its start.
@@ -378,7 +383,7 @@ def _passive_beamforming(method: str, points: list[_Point],
     else:
         phases = [random_phases(rng, core.m).entries for core, rng in zip(cores, rngs)]
         iters = np.zeros(len(points))
-    return [(PhaseVector(v), float(n)) for v, n in zip(phases, iters)]
+    return phases, np.asarray(iters, dtype=float)
 
 
 def _batched(run, items: list, rngs: list[np.random.Generator]) -> list[tuple[object, float]]:
@@ -415,104 +420,80 @@ def _elapsed_ms(start: float) -> float:
     return (perf_counter() - start) * 1e3
 
 
-def _failed_records(method: str, modes, wall_ms: float) -> list[_TrialRecord]:
-    return [_TrialRecord(method, mode, math.nan, math.nan, math.nan, math.nan, wall_ms,
-                         failed=True) for mode in modes]
-
-
 @dataclass(frozen=True)
-class _HybridJob:
-    """A method's lifted precoder and combiner at one point, waiting for the
-    group's hybrid batch."""
+class _Design:
+    """One method's design at one point: its digital row's values and what
+    its hybrid row needs."""
 
-    method: str
-    point: _Point
-    f_target: np.ndarray   # Q_b V_c scaled, N_t x N_s
-    w_target: np.ndarray   # Q_u U_c, N_r x N_s
-    rng: np.random.Generator
-    c_true: np.ndarray
+    se: float             # digital rate
     cond: float
     offdiag: float
     iters: float
-    digital_ms: float      # the method's time up to the end of its digital row
+    c_true: np.ndarray    # the true core at the method's phases
+    f_target: np.ndarray  # Q_b V_c scaled, N_t x N_s
+    w_target: np.ndarray  # Q_u U_c, N_r x N_s
 
 
-def _hybrid_rates(jobs: list[_HybridJob]) -> list[float]:
+def _designs(method: str, points: list[_Point], cfg: ExperimentConfig) -> list[_Design]:
+    """Each point's design with `method`, in path-core coordinates, as one
+    stack over the points.
+
+    The precoder and combiner come from the SVD of the estimated core and
+    live in the column spaces Q_b, Q_u of the estimated steering matrices.
+    The digital rate is that of the true core written in those bases,
+    (Q_u^est^H Q_u) core (Q_b^H Q_b^est), and the condition number that of
+    the true core; the dense channel is formed only for the hybrid rate.
+    """
+    phases, iters = _passive_beamforming(method, points, cfg)
+    run_cfg = points[0].cfg
+    n_streams = run_cfg.n_streams
+    c_est = np.stack([p.est_core.at(v) for p, v in zip(points, phases)])
+    svd = truncated_svd(c_est, n_streams)
+    f_core = digital_precoder(svd, np.array([p.cfg.budget.tx_power for p in points]))
+    w_core = digital_combiner(svd)
+    # with an angle error, rate and cond are those of the true core, whose
+    # singular values the estimated core's SVD does not give
+    c_true, c_seen, sigma = c_est.copy(), c_est.copy(), svd.sigma1.copy()
+    erred = [i for i, p in enumerate(points) if p.to_est is not None]
+    for i in erred:
+        c_true[i] = points[i].true_core.at(phases[i])
+        c_seen[i] = points[i].to_est[0] @ c_true[i] @ points[i].to_est[1]
+    sigma[erred] = np.linalg.svd(c_true[erred], compute_uv=False)[:, :n_streams]
+    cond = truncated_condition_number(c_true, n_streams, sigma)
+    offdiag = [coupling_matrix(v, p.paths, p.true_core).offdiag_ratio(n_streams)
+               for p, v in zip(points, phases)]
+    se = spectral_efficiency(c_seen, f_core, w_core, run_cfg.budget.noise_power)
+    f_target = np.stack([p.est_core.q_b for p in points]) @ f_core
+    w_target = np.stack([p.est_core.q_u for p in points]) @ w_core
+    return [_Design(*row) for row in zip(se, cond, offdiag, iters, c_true, f_target, w_target)]
+
+
+def _hybrid_rates(jobs: list[tuple[_Point, np.random.Generator, _Design]]) -> np.ndarray:
     """Each job's spectral efficiency with its hybrid precoder and combiner.
 
     One hybrid_factorize call factors every precoder, each normalized to its
     own point's transmit power, and one more every combiner, so each job's
     generator draws its precoder start before its combiner start. The jobs
-    share their RF chain counts (see `_groups`).
+    share their RF chain counts (see `_groups`) and noise power.
     """
-    rngs = [job.rng for job in jobs]
-    run_cfg = jobs[0].point.cfg
-    f_rf, f_bb = hybrid_factorize(np.stack([job.f_target for job in jobs]), run_cfg.n_rf_tx,
+    points, rngs, designs = zip(*jobs)
+    run_cfg = points[0].cfg
+    f_rf, f_bb = hybrid_factorize(np.stack([d.f_target for d in designs]), run_cfg.n_rf_tx,
                                   run_cfg.descent, rngs,
-                                  [job.point.cfg.budget.tx_power for job in jobs])
-    w_rf, w_bb = hybrid_factorize(np.stack([job.w_target for job in jobs]), run_cfg.n_rf_rx,
+                                  [p.cfg.budget.tx_power for p in points])
+    w_rf, w_bb = hybrid_factorize(np.stack([d.w_target for d in designs]), run_cfg.n_rf_rx,
                                   run_cfg.descent, rngs)
-    return [spectral_efficiency(job.point.true_core.lift(job.c_true), f_rf[i] @ f_bb[i],
-                                w_rf[i] @ w_bb[i], job.point.cfg.budget.noise_power)
-            for i, job in enumerate(jobs)]
+    channels = np.stack([p.true_core.lift(d.c_true) for p, d in zip(points, designs)])
+    return spectral_efficiency(channels, f_rf @ f_bb, w_rf @ w_bb, run_cfg.budget.noise_power)
 
 
-def _point_records(point: _Point, descents: dict) -> tuple[list[_TrialRecord],
-                                                           list[_HybridJob]]:
-    """Every method's digital rows for one point, in path-core coordinates,
-    and its hybrid jobs.
-
-    The precoder and combiner come from the SVD of the estimated core and
-    live in the column spaces Q_b, Q_u of the estimated steering matrices;
-    the digital rate is evaluated on the true core written in those bases,
-    (Q_u^est^H Q_u) core (Q_b^H Q_b^est), and the dense channel is formed
-    only for the hybrid rate. A method whose descent or digital step fails
-    gets failed rows in every mode and no hybrid job.
-    """
-    run_cfg, est_core, true_core = point.cfg, point.est_core, point.true_core
-    budget, n_streams = run_cfg.budget, run_cfg.n_streams
-    modes = ("digital", "hybrid") if run_cfg.precoding == "both" else (run_cfg.precoding,)
-    records: list[_TrialRecord] = []
-    jobs: list[_HybridJob] = []
-    for method in run_cfg.methods:
-        found, descent_ms = descents[method]
-        start = perf_counter()
-        if found is None:
-            records.extend(_failed_records(method, modes, descent_ms))
-            continue
-        v, iters = found
-        try:
-            c_est = est_core.at(v.entries)
-            svd = truncated_svd(c_est, n_streams)
-            f_core = digital_precoder(svd, budget.tx_power)
-            w_core = digital_combiner(svd)
-            if point.to_est is None:
-                c_true = c_seen = c_est
-                cond = truncated_condition_number(c_true, n_streams, svd.sigma1)
-            else:
-                c_true = true_core.at(v.entries)
-                c_seen = point.to_est[0] @ c_true @ point.to_est[1]
-                cond = truncated_condition_number(c_true, n_streams)
-            offdiag = coupling_matrix(v.entries, point.paths, true_core).offdiag_ratio(n_streams)
-            if "digital" in modes:
-                se = spectral_efficiency(c_seen, f_core, w_core, budget.noise_power)
-                records.append(_TrialRecord(method, "digital", se, cond, offdiag, iters,
-                                            descent_ms + _elapsed_ms(start)))
-        except NUMERICAL_FAILURES:
-            records.extend(_failed_records(method, modes, descent_ms + _elapsed_ms(start)))
-            continue
-        if "hybrid" in modes:
-            jobs.append(_HybridJob(method, point, est_core.q_b @ f_core, est_core.q_u @ w_core,
-                                   point.rngs[method], c_true, cond, offdiag, iters,
-                                   descent_ms + _elapsed_ms(start)))
-    return records, jobs
-
-
-def _hybrid_record(job: _HybridJob, se: float | None, ms: float) -> _TrialRecord:
-    wall = job.digital_ms + ms
+def _record(method: str, mode: str, design: _Design | None, se: float | None,
+            wall_ms: float) -> _TrialRecord:
+    """A row's record for one point: a failed one without a rate."""
     if se is None:
-        return _failed_records(job.method, ("hybrid",), wall)[0]
-    return _TrialRecord(job.method, "hybrid", se, job.cond, job.offdiag, job.iters, wall)
+        return _TrialRecord(method, mode, math.nan, math.nan, math.nan, math.nan, wall_ms,
+                            failed=True)
+    return _TrialRecord(method, mode, se, design.cond, design.offdiag, design.iters, wall_ms)
 
 
 def _run_group(cfg: ExperimentConfig,
@@ -520,21 +501,32 @@ def _run_group(cfg: ExperimentConfig,
     """Records of each (sweep index, trial index, value) task of one group.
 
     The tasks' specialized configs share a geometry, stream count and RF
-    chain counts. Each point is drawn alone; each method's descents run as
-    one batch over all points, then each point's digital rows alone, then
-    every hybrid job of the group as one batch. A hybrid row's wall time is
-    its digital time plus its share of that batch.
+    chain counts. Each point is drawn alone; each method's designs run as
+    one batch over all points, then every hybrid job of the group as one
+    batch. A digital row's wall time is its share of its method's batch, a
+    hybrid row's that plus its share of the hybrid batch. A method that
+    fails at a point fails that point's rows in every mode.
     """
     points = [_draw_point(cfg, *task) for task in tasks]
-    descents = {method: _batched(lambda batch: _passive_beamforming(method, batch, cfg),
-                                 points, [p.rngs[method] for p in points])
-                for method in cfg.methods}
-    per_point = [_point_records(point, {method: found[i] for method, found in descents.items()})
-                 for i, point in enumerate(points)]
-    jobs = [job for _, point_jobs in per_point for job in point_jobs]
-    rates = iter(_batched(_hybrid_rates, jobs, [job.rng for job in jobs]) if jobs else ())
-    return [records + [_hybrid_record(job, *next(rates)) for job in point_jobs]
-            for records, point_jobs in per_point]
+    modes = ("digital", "hybrid") if cfg.precoding == "both" else (cfg.precoding,)
+    records: list[list[_TrialRecord]] = [[] for _ in points]
+    jobs, owners = [], []   # (point, generator, design) and (point index, method, ms)
+    for method in cfg.methods:
+        rngs = [p.rngs[method] for p in points]
+        found = _batched(lambda batch: _designs(method, batch, cfg), points, rngs)
+        for i, (design, ms) in enumerate(found):
+            if design is None:
+                records[i] += [_record(method, mode, None, None, ms) for mode in modes]
+                continue
+            if "digital" in modes:
+                records[i].append(_record(method, "digital", design, design.se, ms))
+            if "hybrid" in modes:
+                jobs.append((points[i], rngs[i], design))
+                owners.append((i, method, ms))
+    rates = _batched(_hybrid_rates, jobs, [rng for _, rng, _ in jobs]) if jobs else []
+    for (_, _, design), (i, method, ms), (se, hybrid_ms) in zip(jobs, owners, rates):
+        records[i].append(_record(method, "hybrid", design, se, ms + hybrid_ms))
+    return records
 
 
 def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,

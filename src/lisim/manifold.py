@@ -67,6 +67,8 @@ class DescentConfig:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 Objective = Callable[[np.ndarray], float]

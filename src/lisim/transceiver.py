@@ -39,9 +39,9 @@ class RankError(ValueError):
 class TruncatedSvd:
     """Top-N_s singular triplets of a channel matrix."""
 
-    u1: np.ndarray      # (N_r, N_s)
-    sigma1: np.ndarray  # (N_s,) descending
-    v1: np.ndarray      # (N_t, N_s)
+    u1: np.ndarray      # (N_r, N_s), or (K, N_r, N_s) for a stack
+    sigma1: np.ndarray  # (N_s,) descending, or (K, N_s)
+    v1: np.ndarray      # (N_t, N_s), or (K, N_t, N_s)
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,16 @@ class PowerAllocation:
 
 
 def truncated_svd(h: np.ndarray, n_streams: int) -> TruncatedSvd:
-    """Best rank-N_s factors of h, singular values descending."""
+    """Best rank-N_s factors of h, or of each matrix of a stack h (K x N_r x
+    N_t), singular values descending."""
     h = np.asarray(h)
-    if n_streams > min(h.shape):
+    if n_streams > min(h.shape[-2:]):
         raise ValueError("n_streams exceeds the matrix rank bound")
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("channel matrix has non-finite entries")
     u, s, vh = np.linalg.svd(h, full_matrices=False)
-    return TruncatedSvd(u1=u[:, :n_streams], sigma1=s[:n_streams],
-                        v1=vh[:n_streams].conj().T)
+    return TruncatedSvd(u1=u[..., :n_streams], sigma1=s[..., :n_streams],
+                        v1=vh[..., :n_streams, :].conj().swapaxes(-1, -2))
 
 
 def water_filling(sigma1: np.ndarray, rho: float, sigma2_noise: float) -> PowerAllocation:
@@ -90,11 +91,12 @@ def water_filling(sigma1: np.ndarray, rho: float, sigma2_noise: float) -> PowerA
     raise RankError("water-filling found no feasible support")
 
 
-def digital_precoder(svd: TruncatedSvd, rho: float,
+def digital_precoder(svd: TruncatedSvd, rho: float | np.ndarray,
                      alloc: PowerAllocation | None = None) -> np.ndarray:
-    """V_1 scaled per-stream: equal power when alloc is None, else sqrt(p_i)."""
+    """V_1 scaled per-stream: equal power when alloc is None, else sqrt(p_i);
+    for the SVD of a stack, rho holds one power per matrix."""
     if alloc is None:
-        return np.sqrt(rho / svd.v1.shape[1]) * svd.v1
+        return np.sqrt(np.asarray(rho) / svd.v1.shape[-1])[..., None, None] * svd.v1
     return svd.v1 * np.sqrt(alloc.powers)[None, :]
 
 
@@ -111,7 +113,7 @@ def _digital_stage(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
                      rngs: Sequence[np.random.Generator],
-                     power_norms: Sequence[float | None] | None = None,
+                     power_norms: Sequence[float] | None = None,
                      max_alternations: int = 30) -> tuple[np.ndarray, np.ndarray]:
     """Factor each slot of `targets` (K x N x N_s) into unit-modulus analog
     (K x N x n_rf) times digital (K x n_rf x N_s) matrices.
@@ -134,8 +136,8 @@ def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
       residual is never updated column by column. An entry whose
       D F_BB[k]^H entry is 0 becomes 1.
     Neither step can increase the residual. The digital stage is solved once
-    more for the final analog matrices. Where power_norms[k] is given
-    (precoder slots), slot k's digital matrix is rescaled so its product has
+    more for the final analog matrices. When power_norms is given (precoder
+    slots), each slot k's digital matrix is rescaled so its product has
     squared Frobenius norm power_norms[k].
     """
     targets = np.ascontiguousarray(targets, dtype=complex)
@@ -187,8 +189,6 @@ def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
     f_bb = _digital_stage(rows, targets)
     if power_norms is not None:
         for k, power in enumerate(power_norms):
-            if power is None:
-                continue
             norm = np.linalg.norm(f_rf[k] @ f_bb[k])
             if norm == 0:
                 raise RankError("degenerate factorization; cannot normalize power")

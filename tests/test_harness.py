@@ -101,6 +101,13 @@ def test_load_config_overrides(tmp_path):
     ("sweep_variable = lis_elements\nsweep_values = 256, 100", "multiples of lis_y"),
     ("sweep_variable = n_rf\nsweep_values = 6, 3", "n_streams must not exceed"),
     ("sweep_variable = n_rf\nsweep_values = 4.5", "integers"),
+    ("n_tx = 0", "counts must be >= 1"),
+    ("spacing_ratio = 0", "spacing_ratio must be positive"),
+    ("bandwidth_hz = -1", "bandwidth must be positive"),
+    ("descent_epsilon = 0", "epsilon must be positive"),
+    ("descent_max_iters = 0", "max_iters must be >= 1"),
+    ("descent_max_iters = 2.5", "cannot parse"),
+    ("sweep_variable = angle_error_deg\nsweep_values = 0, -1", "non-negative"),
 ])
 def test_load_config_errors(tmp_path, line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -143,6 +150,8 @@ def test_apply_sweep_angle_error():
     cfg, beta = _apply_sweep(base, 2.0)
     assert cfg is base
     assert beta == pytest.approx(math.radians(2.0))
+    with pytest.raises(ConfigError, match="non-negative"):
+        _apply_sweep(base, -1.0)
 
 
 # -- sweep execution ---------------------------------------------------------
@@ -236,6 +245,19 @@ def test_rf_sweep_grouping_leaves_the_csv_unchanged(tmp_path, monkeypatch):
     alone = _csv_without_wall(run_sweep(cfg), tmp_path / "alone.csv")
     assert serial == parallel == alone
     assert all(row.split(",")[-1] == "0" for row in serial[1:])   # no errors
+
+
+def test_rf_sweep_digital_rows_are_paired():
+    # the digital design does not depend on the RF chain count, so trial t
+    # draws the same method starts at every n_rf and the digital rows agree
+    from dataclasses import replace
+    cfg = replace(SMALL, trials=2, sweep_variable="n_rf", sweep_values=(3.0, 4.0, 6.0),
+                  precoding="both")
+    rows = run_sweep(cfg).rows
+    digital = [replace(r, sweep_value=0.0, wall_ms=0.0) for r in rows
+               if r.precoding == "digital"]
+    assert digital[:3] == digital[3:6] == digital[6:]
+    assert all(r.errors == 0 for r in rows)
 
 
 def test_run_sweep_hybrid_mode():
@@ -400,6 +422,45 @@ def test_run_sweep_descent_failure_is_per_point(monkeypatch):
         return found
 
     monkeypatch.setattr(harness, "_passive_beamforming", passive)
+    rows = run_sweep(cfg).rows
+    assert [len(points) for points in seen] == [6] + [1] * 6
+    strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
+                       r.errors)
+    for got, want in zip(rows, clean):
+        assert (got.sweep_value, got.method, got.precoding) == (
+            want.sweep_value, want.method, want.precoding)
+        if (got.sweep_value, got.method) == (35.0, "spgm"):
+            assert got.errors == 1 and math.isfinite(got.mean_se)
+        else:
+            assert strip(got) == strip(want)
+
+
+def test_run_sweep_digital_stage_failure_is_per_point(monkeypatch):
+    # a numerical failure in the stacked spgm digital stage of a group, after
+    # the descents have drawn their starts: each point then runs the method
+    # alone from its saved generator state, so only the failing point
+    # (sweep index 0, trial 1) counts errors, digital and hybrid
+    from dataclasses import replace
+    from lisim import harness
+    cfg = replace(SMALL, precoding="both")
+    clean = run_sweep(cfg).rows
+    seen, current = [], []   # spgm's stacks; the second point of the first is the bad one
+    real_passive, real_svd = harness._passive_beamforming, harness.truncated_svd
+
+    def passive(method, points, run_cfg):
+        current[:] = [method, points]
+        if method == "spgm":
+            seen.append(points)
+        return real_passive(method, points, run_cfg)
+
+    def svd(h, n_streams):
+        method, points = current
+        if method == "spgm" and any(point is seen[0][1] for point in points):
+            raise np.linalg.LinAlgError("injected")
+        return real_svd(h, n_streams)
+
+    monkeypatch.setattr(harness, "_passive_beamforming", passive)
+    monkeypatch.setattr(harness, "truncated_svd", svd)
     rows = run_sweep(cfg).rows
     assert [len(points) for points in seen] == [6] + [1] * 6
     strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,

@@ -154,6 +154,8 @@ def test_descent_non_finite_objective_raises():
 def test_config_validation():
     with pytest.raises(ValueError):
         DescentConfig(epsilon=0.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        DescentConfig(max_iters=0)
 
 
 @settings(max_examples=15, deadline=None)

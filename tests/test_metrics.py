@@ -154,3 +154,42 @@ def test_global_phase_invariance():
         spectral_efficiency(h, f, w, 0.4), rel=1e-10)
     assert truncated_condition_number(rot, 2) == pytest.approx(
         truncated_condition_number(h, 2), rel=1e-10)
+
+
+@pytest.mark.parametrize("n,n_s", [(7, 4), (4, 2), (64, 4)],
+                         ids=["paper-core", "desk-core", "lifted"])
+def test_stacked_digital_stage_equals_each_matrix_alone(n, n_s):
+    # the sweeps run the digital stage on stacks of path cores (L x P) and
+    # the hybrid rate on stacks of lifted N_r x N_t channels; each matrix of
+    # a stack must get the bits it gets alone
+    rng = np.random.default_rng(n)
+    h = np.stack([_random_matrix(rng, n, n) for _ in range(5)])
+    rho = rng.uniform(0.1, 10.0, len(h))
+    svd = truncated_svd(h, n_s)
+    f, w = digital_precoder(svd, rho), digital_combiner(svd)
+    se = spectral_efficiency(h, f, w, 0.3)
+    cond = truncated_condition_number(h, n_s)
+    cond_given = truncated_condition_number(h, n_s, svd.sigma1)
+    assert se.shape == cond.shape == (len(h),)
+    for k in range(len(h)):
+        alone = truncated_svd(h[k], n_s)
+        np.testing.assert_array_equal(svd.u1[k], alone.u1)
+        np.testing.assert_array_equal(svd.sigma1[k], alone.sigma1)
+        np.testing.assert_array_equal(svd.v1[k], alone.v1)
+        f_alone = digital_precoder(alone, rho[k])
+        np.testing.assert_array_equal(f[k], f_alone)
+        np.testing.assert_array_equal(
+            se[k], spectral_efficiency(h[k], f_alone, digital_combiner(alone), 0.3))
+        np.testing.assert_array_equal(cond[k], truncated_condition_number(h[k], n_s))
+        np.testing.assert_array_equal(
+            cond_given[k], truncated_condition_number(h[k], n_s, alone.sigma1))
+
+
+def test_stack_with_one_bad_matrix_raises():
+    rng = np.random.default_rng(4)
+    h = np.stack([_random_matrix(rng, 4, 4), np.diag([1.0, 0.0, 0.0, 0.0])])
+    with pytest.raises(CombinerRankError):
+        truncated_condition_number(h, 2)
+    w = np.stack([_random_matrix(rng, 4, 2), np.ones((4, 2))])
+    with pytest.raises(CombinerRankError):
+        spectral_efficiency(h, w, w, 1.0)
