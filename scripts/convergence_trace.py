@@ -38,7 +38,7 @@ def main():
         rng = np.random.default_rng(seed)
         paths = sort_paths_descending(sample_paths(rng, geometry, budget, 7, 7))
         weights = stream_weights(paths, budget, args.streams, tx_gain)
-        _, trace = optimize_tsvd(path_core(paths, geometry), weights, cfg, rng)
+        _, trace = optimize_tsvd(path_core([paths], geometry), weights, cfg, rng)
         rates = [-x for x in trace]
         print(f"seed {seed}: {len(trace) - 1} iterations, "
               f"rate surrogate {rates[0]:.3f} -> {rates[-1]:.3f} bits/s/Hz")

@@ -8,7 +8,7 @@ the sweeps run on. The dense channel matrices (`assemble_channels`,
 
 Conventions:
 - UPA elements are ordered row-major over (m1, m2) with the z-index m2
-  varying fastest; `upa_response` and `composite_path_vectors` share it.
+  varying fastest; `upa_responses` and `composite_path_vectors` share it.
 - The LIS reflection state is a unit-modulus vector v with v_m = e^{-j phi_m},
   so the reflection matrix is diag(conj(v)).
 - CN(0, s) means independent real/imag parts, each Normal(0, s/2).
@@ -16,7 +16,8 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -70,7 +71,8 @@ class PathSet:
     """Sampled path gains and angles for the BS->LIS and LIS->UE links.
 
     Gains carry the sqrt(N_t M / P) (resp. sqrt(M N_r / L)) array prefactors,
-    so channel assembly is a plain sum of scaled outer products.
+    so channel assembly is a plain sum of scaled outer products. The arrays
+    may carry leading axes, one entry per path set of a stack (`path_core`).
     """
 
     bs_lis_gain: np.ndarray   # (P,) complex
@@ -83,24 +85,24 @@ class PathSet:
     lis_ue_aoa: np.ndarray    # (L,) UE arrival angle
 
     def __post_init__(self):
-        p = len(self.bs_lis_gain)
-        l = len(self.lis_ue_gain)
+        p = self.bs_lis_gain.shape[-1]
+        l = self.lis_ue_gain.shape[-1]
         if p < 1 or l < 1:
             raise ValueError("need at least one path per link")
         for arr in (self.bs_lis_aod, self.bs_lis_aoa_az, self.bs_lis_aoa_el):
-            if len(arr) != p:
+            if arr.shape != self.bs_lis_gain.shape:
                 raise ChannelShapeError("BS-LIS angle arrays must match gain count")
         for arr in (self.lis_ue_aod_az, self.lis_ue_aod_el, self.lis_ue_aoa):
-            if len(arr) != l:
+            if arr.shape != self.lis_ue_gain.shape:
                 raise ChannelShapeError("LIS-UE angle arrays must match gain count")
 
     @property
     def n_bs_lis(self) -> int:
-        return len(self.bs_lis_gain)
+        return self.bs_lis_gain.shape[-1]
 
     @property
     def n_lis_ue(self) -> int:
-        return len(self.lis_ue_gain)
+        return self.lis_ue_gain.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,8 @@ class MmWaveChannel:
 
 @dataclass(frozen=True)
 class PathCore:
-    """Cascade channel H(v) = Q_u (left X(v) right) Q_b^H of one path set.
+    """Cascade channels H(v) = Q_u (left X(v) right) Q_b^H of a stack of T
+    path sets of one shape, one row of every array per path set.
 
     X(v)[i, j] = v^H p^{ij} is L x P. Q_u T_u and Q_b T_b are the reduced QR
     factorizations of the UE and BS steering matrices (one column per path),
@@ -132,78 +135,65 @@ class PathCore:
     through `left` and `right`. Q_u and Q_b have orthonormal columns, so
     H(v) and its small core left X(v) right share their singular values and
     everything that lives in the column spaces of H(v) can be computed on
-    the core.
+    the core. Every row equals, bit for bit, the core of its path set alone.
     """
 
-    bank: np.ndarray   # (L * P, M), row i * P + j holds p^{ij}
-    q_u: np.ndarray    # (N_r, min(N_r, L))
-    q_b: np.ndarray    # (N_t, min(N_t, P))
-    left: np.ndarray   # (min(N_r, L), L)
-    right: np.ndarray  # (P, min(N_t, P))
+    bank: np.ndarray   # (T, L * P, M), row i * P + j holds p^{ij}
+    q_u: np.ndarray    # (T, N_r, min(N_r, L))
+    q_b: np.ndarray    # (T, N_t, min(N_t, P))
+    left: np.ndarray   # (T, min(N_r, L), L)
+    right: np.ndarray  # (T, P, min(N_t, P))
 
     @property
     def m(self) -> int:
-        return self.bank.shape[1]
+        return self.bank.shape[2]
 
-    @property
-    def n_lis_ue(self) -> int:
-        return self.left.shape[1]
-
-    @property
-    def n_bs_lis(self) -> int:
-        return self.right.shape[0]
+    def __getitem__(self, rows: slice) -> PathCore:
+        """The cores of `rows`, as views."""
+        return PathCore(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     def gains(self, v: np.ndarray) -> np.ndarray:
-        """X(v), the L x P passive beamforming gains v^H p^{ij} at phase entries v."""
-        if v.shape != (self.m,):
-            raise ChannelShapeError("phase vector length must equal the LIS size")
-        return (self.bank @ v.conj()).reshape(self.n_lis_ue, self.n_bs_lis)
+        """X(v), the (T, L, P) passive beamforming gains v^H p^{ij} at (T, M) phases v."""
+        if v.shape != (len(self.bank), self.m):
+            raise ChannelShapeError("need one phase vector of the LIS size per core")
+        return (self.bank @ v.conj()[:, :, None]).reshape(
+            len(v), self.left.shape[2], self.right.shape[1])
 
     def at(self, v: np.ndarray) -> np.ndarray:
-        """The core left X(v) right at phase entries v."""
+        """The cores left X(v) right at the (T, M) phase entries v."""
         return self.left @ self.gains(v) @ self.right
 
     def lift(self, core: np.ndarray) -> np.ndarray:
-        """The dense N_r x N_t channel Q_u core Q_b^H of a core matrix."""
-        return self.q_u @ core @ self.q_b.conj().T
-
-
-def ula_response(gamma: float, n: int, spacing_ratio: float = 0.5) -> np.ndarray:
-    """Normalized ULA steering vector for arrival/departure angle gamma."""
-    return ula_responses(np.array([gamma]), n, spacing_ratio)[0]
+        """The dense (T, N_r, N_t) channels Q_u core Q_b^H of (T, ., .) core matrices."""
+        return self.q_u @ core @ self.q_b.conj().swapaxes(1, 2)
 
 
 def ula_responses(gammas: np.ndarray, n: int, spacing_ratio: float = 0.5) -> np.ndarray:
-    """`ula_response` for each angle in `gammas`, one row per angle."""
+    """Normalized ULA steering vectors for the angles `gammas` (any shape), on a new last axis."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(n)
     gammas = np.asarray(gammas, dtype=float)
-    return np.exp(2j * np.pi * spacing_ratio * k * np.sin(gammas)[:, None]) / np.sqrt(n)
-
-
-def upa_response(theta: float, eta: float, m_y: int, m_z: int,
-                 spacing_ratio: float = 0.5) -> np.ndarray:
-    """Normalized UPA steering vector for azimuth theta, elevation eta.
-
-    Element order is row-major over (m1, m2), z-index fastest.
-    """
-    return upa_responses(np.array([theta]), np.array([eta]), m_y, m_z, spacing_ratio)[0]
+    return np.exp(2j * np.pi * spacing_ratio * k * np.sin(gammas)[..., None]) / np.sqrt(n)
 
 
 def upa_responses(thetas: np.ndarray, etas: np.ndarray, m_y: int, m_z: int,
                   spacing_ratio: float = 0.5) -> np.ndarray:
-    """`upa_response` for each (theta, eta) pair, one row per pair."""
+    """Normalized UPA steering vectors for azimuths `thetas` and elevations `etas`
+    (one shape, any), on a new last axis.
+
+    Element order is row-major over (m1, m2), z-index fastest.
+    """
     if m_y < 1 or m_z < 1:
         raise ValueError("m_y and m_z must be >= 1")
-    thetas = np.asarray(thetas, dtype=float)[:, None, None]
-    etas = np.asarray(etas, dtype=float)[:, None, None]
+    thetas = np.asarray(thetas, dtype=float)[..., None, None]
+    etas = np.asarray(etas, dtype=float)[..., None, None]
     m1 = np.arange(m_y)[:, None]
     m2 = np.arange(m_z)[None, :]
     phase = 2 * np.pi * spacing_ratio * (m1 * np.cos(etas) * np.sin(thetas)
                                          + m2 * np.sin(etas))
     m = m_y * m_z
-    return np.exp(1j * phase).reshape(len(phase), m) / np.sqrt(m)
+    return np.exp(1j * phase).reshape(phase.shape[:-2] + (m,)) / np.sqrt(m)
 
 
 def path_loss_db(distance_m: float, budget: LinkBudget,
@@ -299,7 +289,7 @@ def assemble_channels(paths: PathSet, geometry: ArrayGeometry,
 
 
 def composite_path_vectors(paths: PathSet, geometry: ArrayGeometry) -> np.ndarray:
-    """All p^{ij} = conj(a_LIS,T(i)) * a_LIS,R(j), elementwise, as an (L, P, M) array.
+    """All p^{ij} = conj(a_LIS,T(i)) * a_LIS,R(j), elementwise, as an (..., L, P, M) array.
 
     p^{ij} couples the j-th BS->LIS path into the i-th LIS->UE path; each
     entry has modulus 1/M, so sqrt(M) * p^{ij} has unit norm.
@@ -307,20 +297,24 @@ def composite_path_vectors(paths: PathSet, geometry: ArrayGeometry) -> np.ndarra
     m_y, m_z, s = geometry.lis_y, geometry.lis_z, geometry.spacing_ratio
     depart = upa_responses(paths.lis_ue_aod_az, paths.lis_ue_aod_el, m_y, m_z, s)
     arrive = upa_responses(paths.bs_lis_aoa_az, paths.bs_lis_aoa_el, m_y, m_z, s)
-    return depart.conj()[:, None, :] * arrive[None, :, :]
+    return depart.conj()[..., :, None, :] * arrive[..., None, :, :]
 
 
-def path_core(paths: PathSet, geometry: ArrayGeometry,
+def path_core(paths: Sequence[PathSet], geometry: ArrayGeometry,
               tx_gain: float = 1.0, rx_gain: float = 1.0) -> PathCore:
-    """Factor the cascade channel of `paths` into its path core."""
+    """Factor the cascade channels of T path sets of one shape into one stacked
+    path core; one path set is a stack of one."""
+    paths = PathSet(**{f.name: np.stack([getattr(p, f.name) for p in paths])
+                       for f in fields(PathSet)})
     s = geometry.spacing_ratio
-    q_u, t_u = np.linalg.qr(ula_responses(paths.lis_ue_aoa, geometry.n_rx, s).T)
-    q_b, t_b = np.linalg.qr(ula_responses(paths.bs_lis_aod, geometry.n_tx, s).T)
+    q_u, t_u = np.linalg.qr(ula_responses(paths.lis_ue_aoa, geometry.n_rx, s).swapaxes(1, 2))
+    q_b, t_b = np.linalg.qr(ula_responses(paths.bs_lis_aod, geometry.n_tx, s).swapaxes(1, 2))
+    bank = composite_path_vectors(paths, geometry)
     return PathCore(
-        bank=composite_path_vectors(paths, geometry).reshape(-1, geometry.m),
+        bank=bank.reshape(len(bank), -1, geometry.m),
         q_u=q_u, q_b=q_b,
-        left=tx_gain * rx_gain * t_u * paths.lis_ue_gain[None, :],
-        right=t_b.conj().T * paths.bs_lis_gain[:, None])
+        left=tx_gain * rx_gain * t_u * paths.lis_ue_gain[:, None, :],
+        right=t_b.conj().swapaxes(1, 2) * paths.bs_lis_gain[:, :, None])
 
 
 def effective_channel(channel: MmWaveChannel, v: np.ndarray) -> np.ndarray:

@@ -69,7 +69,7 @@ def _cmd_oracle(args) -> int:
     _, best_obj = brute_force_phase_oracle(
         paths, cfg.geometry, cfg.budget, cfg.n_streams, args.levels, tx_g, rx_g)
     weights = stream_weights(paths, cfg.budget, cfg.n_streams, tx_g, rx_g)
-    v, _ = optimize_tsvd(path_core(paths, cfg.geometry), weights, cfg.descent, rng)
+    v, _ = optimize_tsvd(path_core([paths], cfg.geometry), weights, cfg.descent, rng)
     prob = build_tsvd_problem(paths, cfg.geometry, cfg.budget, cfg.n_streams,
                               tx_g, rx_g)
     achieved = -tsvd_objective(v.entries, prob)

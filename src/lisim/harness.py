@@ -11,16 +11,17 @@ never reshuffles earlier trials.
 
 A sweep runs in groups of points (sweep value, trial) that share a geometry,
 stream count and RF chain counts, cut by point index to fit GROUP_BYTES.
-Each point is drawn alone. Each method then takes one batch over the group:
-its manifold descents as one stack (`passive_bf.optimize_*_stack`), then
-the stacked digital stage on the L x P path cores (SVD, precoder and
-combiner, condition number, digital rate, lifted hybrid targets). The
-group's hybrid jobs take one more batch: two `hybrid_factorize` calls,
-precoders then combiners, and one stacked rate. `_batched` runs every batch
-and, on a numerical failure, reruns each item alone from its saved
-generator state. A point's values do not depend on its group, so the CSV is
-the same for any grouping, serial or parallel. `_run_trial` is a group of
-one point.
+Each point draws its path sets alone; the group stacks them into one L x P
+path core, one row per point, plus one of the estimated path sets when some
+point has an angle error. Each method takes one batch over the group: its
+manifold descents as one stack (`passive_bf.optimize_*_stack`), then the
+stacked digital stage (SVD, precoder and combiner, condition number,
+digital rate, hybrid targets and channels). The group's hybrid jobs take
+one more batch: two `hybrid_factorize` calls, precoders then combiners, and
+one stacked rate. `_batched` runs every batch and, on a numerical failure,
+reruns each item alone on its rows from its saved generator state. A
+point's values do not depend on its group, so the CSV is the same for any
+grouping, serial or parallel. `_run_trial` is a group of one point.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ CSV_COLUMNS = ("sweep_value", "method", "precoding", "mean_se", "std_se",
 
 ORACLE_STATE_LIMIT = 10 ** 7
 
-# Byte budget of one group's stacked path-core banks: 5 points of the paper
+# Byte budget of one group's stacked path-core bank: 5 points of the paper
 # geometry (64-antenna ULAs, 16x16 LIS, 7x7 paths), 64 of the desk geometry
-# (16-antenna ULAs, 8x8 LIS, 4x4 paths). A group holds its points' banks and
-# one stacked copy at a time, so the budget bounds the memory a sweep adds;
-# larger paper groups gain little, as their descents are long-tailed.
+# (16-antenna ULAs, 8x8 LIS, 4x4 paths). A group holds its true core, its
+# estimated core if it has one and the rate descent's copy of a bank, so the
+# budget bounds the memory a sweep adds; larger paper groups gain little, as
+# their descents are long-tailed.
 GROUP_BYTES = 2 ** 20
 
 # Failures a trial may meet on a bad channel draw; they count in the row's
@@ -124,8 +126,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_streams > min(self.n_rf_tx, self.n_rf_rx):
             raise ConfigError("n_streams must not exceed min(n_rf_tx, n_rf_rx)")
-        if min(self.n_rf_tx, self.n_rf_rx) > min(self.geometry.n_tx, self.geometry.n_rx):
-            raise ConfigError("RF chain counts must not exceed antenna counts")
+        if self.n_rf_tx > self.geometry.n_tx or self.n_rf_rx > self.geometry.n_rx:
+            raise ConfigError("RF chain counts must not exceed the antenna counts of their side")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.sweep_values:
@@ -313,22 +315,17 @@ def _check_sweep(cfg: ExperimentConfig) -> None:
 
 @dataclass(frozen=True)
 class _Point:
-    """One (sweep value, trial) pair's channel draw and method generators."""
+    """One (sweep value, trial) pair's path sets and method generators."""
 
     cfg: ExperimentConfig    # specialized for the sweep value
     paths: PathSet
-    true_core: PathCore
-    est_paths: PathSet
-    est_core: PathCore       # true_core itself when there is no angle error
-    to_est: tuple[np.ndarray, np.ndarray] | None  # true core -> estimated bases
-    tx_g: float
-    rx_g: float
+    est_paths: PathSet       # paths itself when there is no angle error
     rngs: dict[str, np.random.Generator]  # one per method
 
 
 def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
                 value: float) -> _Point:
-    """Seed, sample and build the path cores of one (sweep value, trial) pair."""
+    """Seed and sample the path sets of one (sweep value, trial) pair."""
     run_cfg, beta = _apply_sweep(cfg, value)
     geometry, budget = run_cfg.geometry, run_cfg.budget
     # The channel draw is keyed by the trial index alone so that trial t sees
@@ -343,73 +340,81 @@ def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial_idx,)))
     err_rng = np.random.default_rng(children[1])
 
-    tx_g = dbi_to_amplitude(run_cfg.tx_gain_dbi)
-    rx_g = dbi_to_amplitude(run_cfg.rx_gain_dbi)
     paths = sort_paths_descending(sample_paths(
         chan_rng, geometry, budget, run_cfg.p_paths, run_cfg.l_paths,
         run_cfg.bs_lis_distance, run_cfg.lis_ue_distance))
-    true_core = path_core(paths, geometry, tx_g, rx_g)
+    est_paths = paths
     if beta > 0:
         est_paths = sort_paths_descending(perturb_angles(paths, beta, err_rng))
-        est_core = path_core(est_paths, geometry, tx_g, rx_g)
-        to_est = (est_core.q_u.conj().T @ true_core.q_u, true_core.q_b.conj().T @ est_core.q_b)
-    else:
-        est_paths, est_core, to_est = paths, true_core, None
     rngs = {method: np.random.default_rng(children[2 + k])
             for k, method in enumerate(run_cfg.methods)}
-    return _Point(run_cfg, paths, true_core, est_paths, est_core, to_est, tx_g, rx_g, rngs)
+    return _Point(run_cfg, paths, est_paths, rngs)
 
 
-def _passive_beamforming(method: str, points: list[_Point],
-                         cfg: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each point's LIS phase entries for its estimated core, and its descent
-    iterations.
+@dataclass(frozen=True)
+class _Group:
+    """The points of one group and their stacked path cores, one row per point."""
+
+    points: list[_Point]
+    true: PathCore      # of the true path sets
+    est: PathCore       # of the estimated path sets; `true` when no point has an error
+    erred: np.ndarray   # (T,) bool, the points with an angle error
+
+    def __getitem__(self, rows: slice) -> _Group:
+        return _Group(self.points[rows], self.true[rows], self.est[rows], self.erred[rows])
+
+
+def _passive_beamforming(method: str, group: _Group,
+                         cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's LIS phase entries (T, M) for its estimated core, and its
+    descent iterations.
 
     The points share a geometry and stream count, so each descent runs on
-    all of them as one stack; each point's generator draws its start.
+    the group's stacked core; each point's generator draws its start.
     """
-    cores = [p.est_core for p in points]
+    points, core = group.points, group.est
     rngs = [p.rngs[method] for p in points]
     if method == "tsvd":
+        gains = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
         weights = np.stack([stream_weights(p.est_paths, p.cfg.budget, p.cfg.n_streams,
-                                           p.tx_g, p.rx_g) for p in points])
-        surrogate = optimize_tsvd_stack(cores, weights, cfg.descent, rngs)
-        refined = optimize_rate_stack(cores, [p.cfg.budget for p in points],
+                                           *gains) for p in points])
+        surrogate = optimize_tsvd_stack(core, weights, cfg.descent, rngs)
+        refined = optimize_rate_stack(core, [p.cfg.budget for p in points],
                                       points[0].cfg.n_streams, cfg.descent, surrogate.points)
         phases, iters = refined.points, surrogate.iters + refined.iters
     elif method == "spgm":
-        result = optimize_spgm_stack(cores, cfg.descent, rngs)
+        result = optimize_spgm_stack(core, cfg.descent, rngs)
         phases, iters = result.points, result.iters
     else:
-        phases = [random_phases(rng, core.m).entries for core, rng in zip(cores, rngs)]
+        phases = np.stack([random_phases(rng, core.m).entries for rng in rngs])
         iters = np.zeros(len(points))
     return phases, np.asarray(iters, dtype=float)
 
 
-def _batched(run, items: list, rngs: list[np.random.Generator]) -> list[tuple[object, float]]:
-    """(result, or None on failure; ms) per item of `run(items)`.
+def _batched(run, rngs: list[np.random.Generator]) -> list[tuple[object, float]]:
+    """(result, or None on failure; ms) per item of `run(slice(None))`.
 
-    `run` maps a list of items to one result each, and item i draws only
-    from rngs[i]. The batch runs once and each item is charged an equal
-    share of its time. If it meets a numerical failure, each item runs
-    alone from the state its generator had before the batch, so only a
-    failing item counts the error.
+    `run` maps a slice of the items to one result each, and item i draws
+    only from rngs[i]. The batch runs once and each item is charged an
+    equal share of its time. If it meets a numerical failure, each item
+    runs alone, on its own slice, from the state its generator had before
+    the batch, so only a failing item counts the error.
     """
     states = [rng.bit_generator.state for rng in rngs]
     start = perf_counter()
     try:
-        found = run(items)
+        found = run(slice(None))
     except NUMERICAL_FAILURES:
         found = None
-    share_ms = _elapsed_ms(start) / len(items)
+    share_ms = _elapsed_ms(start) / len(rngs)
     if found is not None:
         return [(f, share_ms) for f in found]
     out = []
-    for item, rng, state in zip(items, rngs, states):
+    for i, (rng, state) in enumerate(zip(rngs, states)):
         start = perf_counter()
         rng.bit_generator.state = state
         try:
-            alone = run([item])[0]
+            alone = run(slice(i, i + 1))[0]
         except NUMERICAL_FAILURES:
             alone = None
         out.append((alone, share_ms + _elapsed_ms(start)))
@@ -429,14 +434,14 @@ class _Design:
     cond: float
     offdiag: float
     iters: float
-    c_true: np.ndarray    # the true core at the method's phases
     f_target: np.ndarray  # Q_b V_c scaled, N_t x N_s
     w_target: np.ndarray  # Q_u U_c, N_r x N_s
+    h_true: np.ndarray | None  # the dense true channel, N_r x N_t; hybrid runs only
 
 
-def _designs(method: str, points: list[_Point], cfg: ExperimentConfig) -> list[_Design]:
+def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> list[_Design]:
     """Each point's design with `method`, in path-core coordinates, as one
-    stack over the points.
+    stack over the group's rows.
 
     The precoder and combiner come from the SVD of the estimated core and
     live in the column spaces Q_b, Q_u of the estimated steering matrices.
@@ -444,31 +449,34 @@ def _designs(method: str, points: list[_Point], cfg: ExperimentConfig) -> list[_
     (Q_u^est^H Q_u) core (Q_b^H Q_b^est), and the condition number that of
     the true core; the dense channel is formed only for the hybrid rate.
     """
-    phases, iters = _passive_beamforming(method, points, cfg)
+    phases, iters = _passive_beamforming(method, group, cfg)
+    points, true, est = group.points, group.true, group.est
     run_cfg = points[0].cfg
     n_streams = run_cfg.n_streams
-    c_est = np.stack([p.est_core.at(v) for p, v in zip(points, phases)])
+    c_est = est.at(phases)
     svd = truncated_svd(c_est, n_streams)
     f_core = digital_precoder(svd, np.array([p.cfg.budget.tx_power for p in points]))
     w_core = digital_combiner(svd)
     # with an angle error, rate and cond are those of the true core, whose
     # singular values the estimated core's SVD does not give
-    c_true, c_seen, sigma = c_est.copy(), c_est.copy(), svd.sigma1.copy()
-    erred = [i for i, p in enumerate(points) if p.to_est is not None]
-    for i in erred:
-        c_true[i] = points[i].true_core.at(phases[i])
-        c_seen[i] = points[i].to_est[0] @ c_true[i] @ points[i].to_est[1]
-    sigma[erred] = np.linalg.svd(c_true[erred], compute_uv=False)[:, :n_streams]
+    c_true, c_seen, sigma = c_est, c_est, svd.sigma1
+    erred = group.erred
+    if erred.any():
+        c_true, c_seen, sigma = true.at(phases), c_est.copy(), sigma.copy()
+        to_u = est.q_u[erred].conj().swapaxes(1, 2) @ true.q_u[erred]
+        to_b = true.q_b[erred].conj().swapaxes(1, 2) @ est.q_b[erred]
+        c_seen[erred] = to_u @ c_true[erred] @ to_b
+        sigma[erred] = np.linalg.svd(c_true[erred], compute_uv=False)[:, :n_streams]
     cond = truncated_condition_number(c_true, n_streams, sigma)
-    offdiag = [coupling_matrix(v, p.paths, p.true_core).offdiag_ratio(n_streams)
-               for p, v in zip(points, phases)]
+    offdiag = coupling_matrix(phases, [p.paths for p in points], true).offdiag_ratio(n_streams)
     se = spectral_efficiency(c_seen, f_core, w_core, run_cfg.budget.noise_power)
-    f_target = np.stack([p.est_core.q_b for p in points]) @ f_core
-    w_target = np.stack([p.est_core.q_u for p in points]) @ w_core
-    return [_Design(*row) for row in zip(se, cond, offdiag, iters, c_true, f_target, w_target)]
+    h_true = true.lift(c_true) if cfg.precoding != "digital" else [None] * len(points)
+    return [_Design(*row) for row in zip(se, cond, offdiag, iters, est.q_b @ f_core,
+                                         est.q_u @ w_core, h_true)]
 
 
-def _hybrid_rates(jobs: list[tuple[_Point, np.random.Generator, _Design]]) -> np.ndarray:
+def _hybrid_rates(group: _Group,
+                  jobs: list[tuple[int, np.random.Generator, _Design]]) -> np.ndarray:
     """Each job's spectral efficiency with its hybrid precoder and combiner.
 
     One hybrid_factorize call factors every precoder, each normalized to its
@@ -476,15 +484,15 @@ def _hybrid_rates(jobs: list[tuple[_Point, np.random.Generator, _Design]]) -> np
     generator draws its precoder start before its combiner start. The jobs
     share their RF chain counts (see `_groups`) and noise power.
     """
-    points, rngs, designs = zip(*jobs)
-    run_cfg = points[0].cfg
+    rows, rngs, designs = zip(*jobs)
+    run_cfg = group.points[0].cfg
     f_rf, f_bb = hybrid_factorize(np.stack([d.f_target for d in designs]), run_cfg.n_rf_tx,
                                   run_cfg.descent, rngs,
-                                  [p.cfg.budget.tx_power for p in points])
+                                  [group.points[i].cfg.budget.tx_power for i in rows])
     w_rf, w_bb = hybrid_factorize(np.stack([d.w_target for d in designs]), run_cfg.n_rf_rx,
                                   run_cfg.descent, rngs)
-    channels = np.stack([p.true_core.lift(d.c_true) for p, d in zip(points, designs)])
-    return spectral_efficiency(channels, f_rf @ f_bb, w_rf @ w_bb, run_cfg.budget.noise_power)
+    return spectral_efficiency(np.stack([d.h_true for d in designs]), f_rf @ f_bb,
+                               w_rf @ w_bb, run_cfg.budget.noise_power)
 
 
 def _record(method: str, mode: str, design: _Design | None, se: float | None,
@@ -501,19 +509,25 @@ def _run_group(cfg: ExperimentConfig,
     """Records of each (sweep index, trial index, value) task of one group.
 
     The tasks' specialized configs share a geometry, stream count and RF
-    chain counts. Each point is drawn alone; each method's designs run as
-    one batch over all points, then every hybrid job of the group as one
-    batch. A digital row's wall time is its share of its method's batch, a
-    hybrid row's that plus its share of the hybrid batch. A method that
-    fails at a point fails that point's rows in every mode.
+    chain counts, so their path cores stack; each method's designs run as one
+    batch over all points, then every hybrid job of the group as one batch.
+    A digital row's wall time is its share of its method's batch, a hybrid
+    row's that plus its share of the hybrid batch. A method that fails at a
+    point fails that point's rows in every mode.
     """
     points = [_draw_point(cfg, *task) for task in tasks]
+    geometry = points[0].cfg.geometry
+    gains = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
+    true = path_core([p.paths for p in points], geometry, *gains)
+    erred = np.array([p.est_paths is not p.paths for p in points])
+    est = path_core([p.est_paths for p in points], geometry, *gains) if erred.any() else true
+    group = _Group(points, true, est, erred)
     modes = ("digital", "hybrid") if cfg.precoding == "both" else (cfg.precoding,)
     records: list[list[_TrialRecord]] = [[] for _ in points]
-    jobs, owners = [], []   # (point, generator, design) and (point index, method, ms)
+    jobs, owners = [], []   # (row, generator, design) and (method, ms)
     for method in cfg.methods:
         rngs = [p.rngs[method] for p in points]
-        found = _batched(lambda batch: _designs(method, batch, cfg), points, rngs)
+        found = _batched(lambda rows: _designs(method, group[rows], cfg), rngs)
         for i, (design, ms) in enumerate(found):
             if design is None:
                 records[i] += [_record(method, mode, None, None, ms) for mode in modes]
@@ -521,10 +535,11 @@ def _run_group(cfg: ExperimentConfig,
             if "digital" in modes:
                 records[i].append(_record(method, "digital", design, design.se, ms))
             if "hybrid" in modes:
-                jobs.append((points[i], rngs[i], design))
-                owners.append((i, method, ms))
-    rates = _batched(_hybrid_rates, jobs, [rng for _, rng, _ in jobs]) if jobs else []
-    for (_, _, design), (i, method, ms), (se, hybrid_ms) in zip(jobs, owners, rates):
+                jobs.append((i, rngs[i], design))
+                owners.append((method, ms))
+    rates = _batched(lambda sel: _hybrid_rates(group, jobs[sel]),
+                     [rng for _, rng, _ in jobs]) if jobs else []
+    for (i, _, design), (method, ms), (se, hybrid_ms) in zip(jobs, owners, rates):
         records[i].append(_record(method, "hybrid", design, se, ms + hybrid_ms))
     return records
 
@@ -633,6 +648,7 @@ def brute_force_phase_oracle(paths, geometry: ArrayGeometry, budget: LinkBudget,
     if total > ORACLE_STATE_LIMIT:
         raise ValueError(f"search space {levels}^{m} exceeds {ORACLE_STATE_LIMIT}")
     prob = build_tsvd_problem(paths, geometry, budget, n_streams, tx_gain, rx_gain)
+    diag_vectors, weights = prob.diag_vectors[0], prob.weights[0]
     step = 2.0 * np.pi / levels
     best_obj = -np.inf
     best_v = None
@@ -641,8 +657,8 @@ def brute_force_phase_oracle(paths, geometry: ArrayGeometry, budget: LinkBudget,
         idx = np.arange(start, min(start + chunk, total))
         digits = np.stack(np.unravel_index(idx, (levels,) * m), axis=1)
         v = np.exp(1j * step * digits)                    # (chunk, M)
-        d = v.conj() @ prob.diag_vectors.T                # (chunk, N_s)
-        obj = np.sum(np.log2(1.0 + prob.weights * np.abs(d) ** 2), axis=1)
+        d = v.conj() @ diag_vectors.T                     # (chunk, N_s)
+        obj = np.sum(np.log2(1.0 + weights * np.abs(d) ** 2), axis=1)
         k = int(np.argmax(obj))
         if obj[k] > best_obj:
             best_obj = float(obj[k])

@@ -11,12 +11,12 @@ L x P path core of the cascade channel (`channel.PathCore`):
   (the sum-path-gain baseline), normalized by its mean over uniformly
   random phases so the descent runs to convergence.
 
-Each optimizer has a stacked form (`optimize_*_stack`) that descends the
-problems of T path cores of one shape in one `manifold.ccm_descent_stack`
-loop, with stacked products and SVDs; a row's result equals its result
-alone, bit for bit, and the single-core optimizers are stacks of one. The
-rate and spgm objectives and gradients take one phase vector or a (T, M)
-stack against a problem with as many rows.
+Each objective has one problem constructor on a stacked path core, one
+row per core. Each optimizer has a stacked form (`optimize_*_stack`) that
+descends every row in one `manifold.ccm_descent_stack` loop; a row's result
+equals its result alone, bit for bit, and the single-core optimizers run on
+a stack of one. The objectives and gradients take one phase vector against
+a one-row problem or a (T, M) stack against a problem with as many rows.
 
 `coupling_matrix` exposes the D matrix and the off-diagonal diagnostic
 ratio used to check that the optimized phases suppress cross-path leakage.
@@ -57,51 +57,47 @@ class StreamCountError(ValueError):
 
 @dataclass(frozen=True)
 class TsvdProblem:
-    """Diagonal composite vectors p^{ii} plus per-stream effective SNRs."""
+    """Diagonal composite vectors p^{ii} and per-stream effective SNRs, one row per core."""
 
-    diag_vectors: np.ndarray  # (N_s, M)
-    weights: np.ndarray       # (N_s,) positive
+    diag_vectors: np.ndarray  # (T, N_s, M)
+    weights: np.ndarray       # (T, N_s) non-negative
 
     def __post_init__(self):
-        if self.diag_vectors.ndim != 2 or len(self.weights) != len(self.diag_vectors):
+        if self.diag_vectors.ndim != 3 or self.weights.shape != self.diag_vectors.shape[:2]:
             raise ValueError("need one weight per diagonal composite vector")
-        if np.any(np.asarray(self.weights) < 0):
+        if np.any(self.weights < 0):
             raise ValueError("weights must be non-negative")
-
-    @property
-    def n_streams(self) -> int:
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Path-coupling matrix D(i,j) = beta_i alpha_j d_ij and the raw gains d_ij."""
+    """Path-coupling matrices D(i,j) = beta_i alpha_j d_ij and the raw gains
+    d_ij of T path sets, one row each."""
 
-    d: np.ndarray      # (L, P) complex, beta_i alpha_j v^H p^{ij}
-    gains: np.ndarray  # (L, P) complex, v^H p^{ij}
+    d: np.ndarray      # (T, L, P) complex, beta_i alpha_j v^H p^{ij}
+    gains: np.ndarray  # (T, L, P) complex, v^H p^{ij}
 
-    def offdiag_ratio(self, n_streams: int) -> float:
-        """mean |d_ij| off the diagonal over mean |d_ii|, top-N_s block."""
-        block = np.abs(self.gains[:n_streams, :n_streams])
-        diag = np.mean(np.diag(block))
-        off = block[~np.eye(n_streams, dtype=bool)]
-        if off.size == 0:
-            return 0.0
-        return float(np.mean(off) / diag)
+    def offdiag_ratio(self, n_streams: int) -> np.ndarray:
+        """mean |d_ij| off the diagonal over mean |d_ii|, top-N_s block, per row."""
+        off = ~np.eye(n_streams, dtype=bool)
+        if not off.any():
+            return np.zeros(len(self.gains))
+        # row by row, so each row's means sum in the order they take alone
+        return np.array([np.mean(block[off]) / np.mean(np.diag(block))
+                         for block in np.abs(self.gains[:, :n_streams, :n_streams])])
 
 
-def tsvd_objective(v: np.ndarray, prob: TsvdProblem) -> float:
-    """Negated rate surrogate -sum_i log2(1 + a_i |v^H p^{ii}|^2)."""
-    return float(_tsvd_stack(_tsvd_data(prob), v[None])[0][0])
+def tsvd_objective(v: np.ndarray, prob: TsvdProblem):
+    """Negated rate surrogate -sum_i log2(1 + a_i |v^H p^{ii}|^2); one value
+    for one vector, a (T,) array for a (T, M) stack."""
+    values = _tsvd_stack((prob.diag_vectors, prob.weights), np.atleast_2d(v))[0]
+    return float(values[0]) if v.ndim == 1 else values
 
 
 def tsvd_euclidean_gradient(v: np.ndarray, prob: TsvdProblem) -> np.ndarray:
-    """Wirtinger gradient of `tsvd_objective` with respect to v."""
-    return _tsvd_stack(_tsvd_data(prob), v[None])[1]()[0]
-
-
-def _tsvd_data(prob: TsvdProblem) -> tuple[np.ndarray, np.ndarray]:
-    return prob.diag_vectors[None], np.asarray(prob.weights)[None]
+    """Wirtinger gradient of `tsvd_objective` with respect to v, shaped like v."""
+    grad = _tsvd_stack((prob.diag_vectors, prob.weights), np.atleast_2d(v))[1]()
+    return grad[0] if v.ndim == 1 else grad
 
 
 def _tsvd_stack(data, v: np.ndarray):
@@ -122,7 +118,7 @@ def _tsvd_stack(data, v: np.ndarray):
 class RateProblem:
     """The truncated-SVD rates of T cascade channels, on their path cores.
 
-    Every array has one row per channel; the cores share one shape.
+    Every array has one row per channel; bank, left and right are the core's.
     """
 
     bank: np.ndarray   # (T, L * P, M)
@@ -136,22 +132,13 @@ class RateProblem:
         return self.bank, self.left, self.right, self.snr
 
 
-def build_rate_problem(core: PathCore, budget: LinkBudget,
+def build_rate_problem(core: PathCore, budgets: Sequence[LinkBudget],
                        n_streams: int) -> RateProblem:
-    """The one-row rate problem of `core` with the equal per-stream power split."""
-    return stack_rate_problems([core], [budget], n_streams)
-
-
-def stack_rate_problems(cores: Sequence[PathCore], budgets: Sequence[LinkBudget],
-                        n_streams: int) -> RateProblem:
-    """The rate problem of each (core, budget) pair, one row each."""
-    for core in cores:
-        if n_streams > min(core.left.shape + core.right.shape):
-            raise StreamCountError("n_streams exceeds the rank of the cascade channel")
+    """The rate problem of each row of `core` and budget, equal power per stream."""
+    if n_streams > min(core.left.shape[1:] + core.right.shape[1:]):
+        raise StreamCountError("n_streams exceeds the rank of the cascade channel")
     return RateProblem(
-        bank=np.stack([core.bank for core in cores]),
-        left=np.stack([core.left for core in cores]),
-        right=np.stack([core.right for core in cores]),
+        bank=core.bank, left=core.left, right=core.right,
         snr=np.array([b.tx_power / (n_streams * b.noise_power) for b in budgets]),
         n_streams=n_streams)
 
@@ -218,40 +205,42 @@ def stream_weights(paths: PathSet, budget: LinkBudget, n_streams: int,
 
 
 def tsvd_problem(core: PathCore, weights: np.ndarray) -> TsvdProblem:
-    """Pair path i with path i for the first len(weights) paths of `core`.
+    """Pair path i with path i for the first N_s paths of each row of `core`,
+    with that row of `weights` (T, N_s).
 
     `core` must come from paths sorted descending, so the pairs are the
     strongest ones (the ordering lemma), and `weights` from `stream_weights`.
     """
-    idx = np.arange(len(weights))
-    bank = core.bank.reshape(core.n_lis_ue, core.n_bs_lis, core.m)
-    return TsvdProblem(diag_vectors=bank[idx, idx], weights=weights)
+    weights = np.array(weights, dtype=float)
+    idx = np.arange(weights.shape[1])
+    bank = core.bank.reshape(len(core.bank), core.left.shape[2], core.right.shape[1], -1)
+    return TsvdProblem(diag_vectors=bank[:, idx, idx], weights=weights)
 
 
 def build_tsvd_problem(paths: PathSet, geometry: ArrayGeometry, budget: LinkBudget,
                        n_streams: int, tx_gain: float = 1.0,
                        rx_gain: float = 1.0) -> TsvdProblem:
-    """Sort paths, pair the strongest N_s, and collect p^{ii} plus weights."""
+    """Sort paths, pair the strongest N_s, and collect p^{ii} plus weights, as one row."""
     paths = sort_paths_descending(paths)
     weights = stream_weights(paths, budget, n_streams, tx_gain, rx_gain)
-    return tsvd_problem(path_core(paths, geometry), weights)
+    return tsvd_problem(path_core([paths], geometry), weights[None])
 
 
 def optimize_tsvd(core: PathCore, weights: np.ndarray, cfg: DescentConfig,
                   rng: np.random.Generator) -> tuple[PhaseVector, list[float]]:
     """Manifold descent on the truncated-SVD rate surrogate from a random start.
 
-    `core` and `weights` are as for `tsvd_problem`.
+    `core` is a stack of one and `weights` (N_s,) is as for `tsvd_problem`.
     """
-    return optimize_tsvd_stack([core], np.asarray(weights)[None], cfg, [rng]).row(0)
+    return optimize_tsvd_stack(core, np.asarray(weights)[None], cfg, [rng]).row(0)
 
 
-def optimize_tsvd_stack(cores: Sequence[PathCore], weights: np.ndarray, cfg: DescentConfig,
+def optimize_tsvd_stack(core: PathCore, weights: np.ndarray, cfg: DescentConfig,
                         rngs: Sequence[np.random.Generator]) -> StackDescent:
-    """`optimize_tsvd` for each core, row of `weights` (T, N_s) and generator."""
-    diag = np.stack([tsvd_problem(core, w).diag_vectors for core, w in zip(cores, weights)])
-    v0 = np.stack([random_phases(rng, core.m).entries for core, rng in zip(cores, rngs)])
-    return ccm_descent_stack(_tsvd_stack, (diag, np.array(weights, dtype=float)), v0, cfg)
+    """`optimize_tsvd` for each row of `core`, of `weights` (T, N_s) and of `rngs`."""
+    prob = tsvd_problem(core, weights)
+    v0 = np.stack([random_phases(rng, core.m).entries for rng in rngs])
+    return ccm_descent_stack(_tsvd_stack, (prob.diag_vectors, prob.weights), v0, cfg)
 
 
 def optimize_rate(core: PathCore, budget: LinkBudget, n_streams: int,
@@ -261,15 +250,19 @@ def optimize_rate(core: PathCore, budget: LinkBudget, n_streams: int,
     The surrogate of `optimize_tsvd` reads sigma_i as |beta_i alpha_i
     v^H p^{ii}|, which holds when the steering vectors of the strongest paths
     are near-orthogonal; this objective keeps every path and their overlaps.
+    `core` is a stack of one.
     """
-    return optimize_rate_stack([core], [budget], n_streams, cfg, v0.entries[None]).row(0)
+    return optimize_rate_stack(core, [budget], n_streams, cfg, v0.entries[None]).row(0)
 
 
-def optimize_rate_stack(cores: Sequence[PathCore], budgets: Sequence[LinkBudget],
+def optimize_rate_stack(core: PathCore, budgets: Sequence[LinkBudget],
                         n_streams: int, cfg: DescentConfig, v0: np.ndarray) -> StackDescent:
-    """`optimize_rate` for each core and budget, from the rows of v0 (T, M)."""
-    prob = stack_rate_problems(cores, budgets, n_streams)
-    return ccm_descent_stack(partial(_rate_stack, n_streams), prob.data, v0, cfg)
+    """`optimize_rate` for each row of `core` and budget, from the rows of v0 (T, M)."""
+    prob = build_rate_problem(core, budgets, n_streams)
+    # the descent moves the rows of its data in place as they stop: it gets a
+    # copy, so the core keeps its row order for the caller
+    data = tuple(a.copy() for a in prob.data)
+    return ccm_descent_stack(partial(_rate_stack, n_streams), data, v0, cfg)
 
 
 @dataclass(frozen=True)
@@ -291,22 +284,14 @@ class SpgmProblem:
 
 
 def build_spgm_problem(core: PathCore) -> SpgmProblem:
-    """The one-row problem: the normalized F of `core`."""
-    return stack_spgm_problems([core])
-
-
-def stack_spgm_problems(cores: Sequence[PathCore]) -> SpgmProblem:
-    """The normalized F of each core, one row each."""
-    left = np.stack([core.left for core in cores])
-    right_t = np.stack([core.right.T for core in cores])
+    """The normalized F of each row of `core`."""
+    left, right_t = core.left, core.right.swapaxes(1, 2)
     n, l_out, l_in = left.shape
     _, p_out, p_in = right_t.shape
     # left kron right^T per core, as np.kron forms it
     kron = (left[:, :, None, :, None] * right_t[:, None, :, None, :]).reshape(
         n, l_out * p_out, l_in * p_in)
-    f = np.empty((n, l_out * p_out, cores[0].m), dtype=complex)
-    for k, core in enumerate(cores):   # no stacked copy of the banks
-        np.matmul(kron[k], core.bank, out=f[k])
+    f = kron @ core.bank
     f /= row_norm(f.reshape(n, -1))[:, None, None]
     return SpgmProblem(f=f)
 
@@ -335,27 +320,30 @@ def optimize_spgm(core: PathCore, cfg: DescentConfig,
                   rng: np.random.Generator) -> tuple[PhaseVector, list[float]]:
     """Maximize ||H(v)||_F^2 over the LIS phases by manifold ascent in w = conj(v).
 
-    Returns v = conj(w) and the descent's objective trace (`SpgmProblem`).
+    Returns v = conj(w) and the descent's objective trace (`SpgmProblem`);
+    `core` is a stack of one.
     """
-    return optimize_spgm_stack([core], cfg, [rng]).row(0)
+    return optimize_spgm_stack(core, cfg, [rng]).row(0)
 
 
-def optimize_spgm_stack(cores: Sequence[PathCore], cfg: DescentConfig,
+def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
                         rngs: Sequence[np.random.Generator]) -> StackDescent:
-    """`optimize_spgm` for each core and generator; the points are v = conj(w)."""
-    prob = stack_spgm_problems(cores)
-    w0 = np.stack([random_phases(rng, core.m).entries for core, rng in zip(cores, rngs)])
+    """`optimize_spgm` for each row of `core` and generator; the points are v = conj(w)."""
+    prob = build_spgm_problem(core)
+    w0 = np.stack([random_phases(rng, core.m).entries for rng in rngs])
     result = ccm_descent_stack(_spgm_stack, (prob.f,), w0, cfg)
     return replace(result, points=result.points.conj())
 
 
-def coupling_matrix(v: np.ndarray, paths: PathSet, core: PathCore) -> CouplingMatrix:
-    """Evaluate every passive beamforming gain d_ij = v^H p^{ij} at phase entries v.
+def coupling_matrix(v: np.ndarray, paths: Sequence[PathSet], core: PathCore) -> CouplingMatrix:
+    """Evaluate every passive beamforming gain d_ij = v^H p^{ij} at the (T, M)
+    phase entries v, one row per path set.
 
-    `core` must be the path core of `paths`.
+    `core` must be the stacked path core of `paths`.
     """
-    if core.n_lis_ue != paths.n_lis_ue or core.n_bs_lis != paths.n_bs_lis:
-        raise ValueError("paths and path core are inconsistent")
     gains = core.gains(v)
-    d = paths.lis_ue_gain[:, None] * paths.bs_lis_gain[None, :] * gains
+    if len(paths) != len(gains) or any(
+            (p.n_lis_ue, p.n_bs_lis) != gains.shape[1:] for p in paths):
+        raise ValueError("paths and path core are inconsistent")
+    d = np.array([p.lis_ue_gain[:, None] * p.bs_lis_gain[None, :] for p in paths]) * gains
     return CouplingMatrix(d=d, gains=gains)

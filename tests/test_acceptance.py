@@ -33,12 +33,12 @@ from lisim.passive_bf import (
     coupling_matrix,
     optimize_tsvd,
     random_phases,
+    build_rate_problem,
+    build_spgm_problem,
     rate_euclidean_gradient,
     rate_objective,
     spgm_euclidean_gradient,
     spgm_objective,
-    stack_rate_problems,
-    stack_spgm_problems,
     stream_weights,
     tsvd_euclidean_gradient,
     tsvd_objective,
@@ -97,7 +97,7 @@ def _row_fd_error(objective, gradient, v, prob):
 def test_criterion_1_gradient_correctness():
     worst = 0.0
     geometry = ArrayGeometry(n_tx=8, n_rx=8, lis_y=4, lis_z=4)
-    cores = []
+    path_sets = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
         paths = sort_paths_descending(sample_paths(rng, geometry, DESK_BUDGET, 3, 3))
@@ -109,18 +109,18 @@ def test_criterion_1_gradient_correctness():
         worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
         # a 30x receive gain puts the per-stream SNRs where the rate's log is
         # curved; at this geometry's raw SNRs the differences drown in rounding
-        cores.append(path_core(paths, geometry, TX_GAIN, 30.0))
+        path_sets.append(paths)
     # the exact rate and the sum-path gain, as the descents evaluate them:
-    # stacks of 4 cores, each row against its own finite differences
+    # stacked cores of 4 path sets, each row against its own finite differences
     rng = np.random.default_rng(99)
-    for group in range(0, len(cores), 4):
-        stack = cores[group:group + 4]
-        v = np.stack([random_phases(rng, geometry.m).entries for _ in stack])
+    for group in range(0, len(path_sets), 4):
+        stack = path_core(path_sets[group:group + 4], geometry, TX_GAIN, 30.0)
+        v = np.stack([random_phases(rng, geometry.m).entries for _ in range(4)])
         worst = max(worst, _row_fd_error(rate_objective, rate_euclidean_gradient, v,
-                                         stack_rate_problems(stack, [DESK_BUDGET] * 4, 2)))
-        w = np.stack([random_phases(rng, geometry.m).entries for _ in stack])
+                                         build_rate_problem(stack, [DESK_BUDGET] * 4, 2)))
+        w = np.stack([random_phases(rng, geometry.m).entries for _ in range(4)])
         worst = max(worst, _row_fd_error(spgm_objective, spgm_euclidean_gradient, w,
-                                         stack_spgm_problems(stack)))
+                                         build_spgm_problem(stack)))
     ok = worst < 1e-5
     _report(1, ok, f"max relative gradient error {worst:.3e} (tolerance 1e-5)")
     assert ok
@@ -134,7 +134,7 @@ def test_criterion_2_manifold_engine_convergence():
         rng = np.random.default_rng(seed)
         paths = sort_paths_descending(
             sample_paths(rng, PAPER_GEOMETRY, PAPER_BUDGET, 7, 7))
-        v, trace = optimize_tsvd(path_core(paths, PAPER_GEOMETRY),
+        v, trace = optimize_tsvd(path_core([paths], PAPER_GEOMETRY),
                                  stream_weights(paths, PAPER_BUDGET, 4, TX_GAIN), cfg, rng)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:])), \
             "objective trace must be non-increasing"
@@ -155,7 +155,7 @@ def test_criterion_3_tiny_scale_oracle():
         paths = sort_paths_descending(sample_paths(rng, geometry, DESK_BUDGET, 2, 2))
         _, best = brute_force_phase_oracle(paths, geometry, DESK_BUDGET, 2, 8,
                                            TX_GAIN)
-        v, _ = optimize_tsvd(path_core(paths, geometry),
+        v, _ = optimize_tsvd(path_core([paths], geometry),
                              stream_weights(paths, DESK_BUDGET, 2, TX_GAIN), cfg, rng)
         prob = build_tsvd_problem(paths, geometry, DESK_BUDGET, 2, TX_GAIN)
         ratios.append(-tsvd_objective(v.entries, prob) / best)
@@ -240,10 +240,10 @@ def test_criterion_7_diagonal_dominance():
         for seed in range(20):
             rng = np.random.default_rng([55, seed])
             paths = sort_paths_descending(sample_paths(rng, geometry, budget, 7, 7))
-            core = path_core(paths, geometry)
+            core = path_core([paths], geometry)
             v, _ = optimize_tsvd(core, stream_weights(paths, budget, 4, TX_GAIN),
                                  DescentConfig(), rng)
-            ratios.append(coupling_matrix(v.entries, paths, core).offdiag_ratio(4))
+            ratios.append(coupling_matrix(v.entries[None], [paths], core).offdiag_ratio(4)[0])
         means[16 * lis_z] = float(np.mean(ratios))
     decreasing = means[16] > means[64] > means[256]
     ok = means[256] < 0.3 and decreasing

@@ -15,9 +15,7 @@ from lisim.channel import (
     perturb_angles,
     sample_paths,
     sort_paths_descending,
-    ula_response,
     ula_responses,
-    upa_response,
     upa_responses,
 )
 from lisim.passive_bf import random_phases
@@ -36,19 +34,19 @@ def _no_shadow(budget):
 
 def test_ula_closed_form():
     # sin(pi/6) = 1/2, half-wavelength spacing: phases are pi*k/2
-    got = ula_response(np.pi / 6, 4)
+    got = ula_responses(np.pi / 6, 4)
     want = np.array([1.0, 1j, -1.0, -1j]) / 2.0
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_ula_unit_norm_and_broadside():
-    np.testing.assert_allclose(np.linalg.norm(ula_response(0.37, 16)), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(ula_response(0.0, 5), np.ones(5) / np.sqrt(5), atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(ula_responses(0.37, 16)), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(ula_responses(0.0, 5), np.ones(5) / np.sqrt(5), atol=1e-12)
 
 
 def test_upa_closed_form():
     # theta = pi/2, eta = 0: phase = pi*m1, z-index m2 varies fastest
-    got = upa_response(np.pi / 2, 0.0, 2, 2)
+    got = upa_responses(np.pi / 2, 0.0, 2, 2)
     want = np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -56,7 +54,7 @@ def test_upa_closed_form():
 def test_upa_elevation_only():
     # theta = 0: phase depends only on m2 through sin(eta)
     eta = 0.4
-    got = upa_response(0.0, eta, 3, 2)
+    got = upa_responses(0.0, eta, 3, 2)
     col = np.exp(2j * np.pi * 0.5 * np.arange(2) * np.sin(eta))
     want = np.tile(col, 3) / np.sqrt(6)
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -64,13 +62,13 @@ def test_upa_elevation_only():
 
 @given(st.floats(-1.5, 1.5), st.floats(-0.7, 0.7), st.integers(1, 6), st.integers(1, 6))
 def test_upa_entry_modulus(theta, eta, m_y, m_z):
-    a = upa_response(theta, eta, m_y, m_z)
+    a = upa_responses(theta, eta, m_y, m_z)
     np.testing.assert_allclose(np.abs(a), 1.0 / np.sqrt(m_y * m_z), rtol=1e-12)
 
 
 def test_ula_rejects_empty():
     with pytest.raises(ValueError):
-        ula_response(0.1, 0)
+        ula_responses(0.1, 0)
 
 
 def test_batched_responses_match_single_vectors():
@@ -83,8 +81,8 @@ def test_batched_responses_match_single_vectors():
     planar = upa_responses(thetas, etas, 3, 4)
     assert planar.shape == (5, 12)
     for k in range(5):
-        assert np.array_equal(rows[k], ula_response(thetas[k], 7, 0.4))
-        assert np.array_equal(planar[k], upa_response(thetas[k], etas[k], 3, 4))
+        assert np.array_equal(rows[k], ula_responses(thetas[k], 7, 0.4))
+        assert np.array_equal(planar[k], upa_responses(thetas[k], etas[k], 3, 4))
 
 
 # -- path loss and sampling --------------------------------------------------
@@ -176,9 +174,9 @@ def test_effective_channel_composite_path_decomposition():
     v = random_phases(rng, GEOMETRY.m)
     h = np.zeros((GEOMETRY.n_rx, GEOMETRY.n_tx), dtype=complex)
     for i in range(paths.n_lis_ue):
-        a_ue = ula_response(paths.lis_ue_aoa[i], GEOMETRY.n_rx)
+        a_ue = ula_responses(paths.lis_ue_aoa[i], GEOMETRY.n_rx)
         for j in range(paths.n_bs_lis):
-            a_bs = ula_response(paths.bs_lis_aod[j], GEOMETRY.n_tx)
+            a_bs = ula_responses(paths.bs_lis_aod[j], GEOMETRY.n_tx)
             d_ij = v.entries.conj() @ bank[i, j]
             h += (paths.lis_ue_gain[i] * paths.bs_lis_gain[j] * d_ij
                   * np.outer(a_ue, a_bs.conj()))

@@ -108,6 +108,8 @@ def test_load_config_overrides(tmp_path):
     ("descent_max_iters = 0", "max_iters must be >= 1"),
     ("descent_max_iters = 2.5", "cannot parse"),
     ("sweep_variable = angle_error_deg\nsweep_values = 0, -1", "non-negative"),
+    ("n_tx = 4\nn_rx = 16\nr_t = 6\nr_r = 3\nn_streams = 3\nprecoding = hybrid",
+     "RF chain counts must not exceed"),
 ])
 def test_load_config_errors(tmp_path, line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -197,24 +199,37 @@ def _csv_without_wall(result, path):
     return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
 
+DESK_ANGLES = ExperimentConfig(
+    geometry=ArrayGeometry(n_tx=16, n_rx=16, lis_y=8, lis_z=8),
+    budget=LinkBudget(tx_power=dbm_to_watt(40.0)),
+    n_streams=2, n_rf_tx=3, n_rf_rx=3, p_paths=4, l_paths=4,
+    sweep_variable="angle_error_deg", sweep_values=(0.0, 1.0), trials=5, seed=77,
+    precoding="both")
+
+
 def test_run_sweep_grouping_leaves_the_csv_unchanged(tmp_path, monkeypatch):
-    # 5 trials x 3 powers share one geometry: one 15-point group serially,
-    # contiguous halves with parallel=2, and a group per point when the
-    # byte budget admits only one point
+    # each sweep runs as one group serially, as contiguous halves with
+    # parallel=2, and as a group per point when the byte budget admits only
+    # one point: 5 trials x 3 powers, and 5 trials x 2 angle errors, whose
+    # group mixes points with and without an error and so builds an
+    # estimated core beside the true one
     from dataclasses import replace
     from lisim import harness
-    cfg = replace(SMALL, trials=5, sweep_values=(30.0, 35.0, 40.0), precoding="both")
-    sizes = []
     real_group = harness._run_group
-    monkeypatch.setattr(harness, "_run_group",
-                        lambda c, tasks: sizes.append(len(tasks)) or real_group(c, tasks))
-    grouped = _csv_without_wall(run_sweep(cfg), tmp_path / "grouped.csv")
-    assert sizes == [15]
-    monkeypatch.setattr(harness, "_run_group", real_group)
-    parallel = _csv_without_wall(run_sweep(cfg, parallel=2), tmp_path / "parallel.csv")
-    monkeypatch.setattr(harness, "GROUP_BYTES", 1)
-    alone = _csv_without_wall(run_sweep(cfg), tmp_path / "alone.csv")
-    assert grouped == parallel == alone
+    powers = replace(SMALL, trials=5, sweep_values=(30.0, 35.0, 40.0), precoding="both")
+    for cfg, points in ((powers, 15), (DESK_ANGLES, 10)):
+        sizes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_run_group",
+                          lambda c, tasks: sizes.append(len(tasks)) or real_group(c, tasks))
+            grouped = _csv_without_wall(run_sweep(cfg), tmp_path / "grouped.csv")
+        assert sizes == [points]
+        parallel = _csv_without_wall(run_sweep(cfg, parallel=2), tmp_path / "parallel.csv")
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "GROUP_BYTES", 1)
+            alone = _csv_without_wall(run_sweep(cfg), tmp_path / "alone.csv")
+        assert grouped == parallel == alone
+        assert all(row.split(",")[-1] == "0" for row in grouped[1:])   # no errors
 
 
 def test_groups_share_geometry_and_stream_count():
@@ -335,10 +350,10 @@ def test_run_sweep_hybrid_failure_is_per_method(monkeypatch):
     spgm_rngs = []   # kept alive, so no later generator is mistaken for one
     real_passive, real_hybrid = harness._passive_beamforming, harness.hybrid_factorize
 
-    def passive(method, points, run_cfg):
+    def passive(method, group, run_cfg):
         if method == "spgm":
-            spgm_rngs.extend(point.rngs[method] for point in points)
-        return real_passive(method, points, run_cfg)
+            spgm_rngs.extend(point.rngs[method] for point in group.points)
+        return real_passive(method, group, run_cfg)
 
     def hybrid(targets, n_rf, descent, rngs, *args, **kwargs):
         # fail after the starts are drawn, as a singular solve would
@@ -371,10 +386,10 @@ def test_run_sweep_hybrid_failure_is_per_point(monkeypatch):
     seen = []   # spgm's stacks; the second point of the first is the bad one
     real_passive, real_hybrid = harness._passive_beamforming, harness.hybrid_factorize
 
-    def passive(method, points, run_cfg):
+    def passive(method, group, run_cfg):
         if method == "spgm":
-            seen.append(points)
-        return real_passive(method, points, run_cfg)
+            seen.append(group.points)
+        return real_passive(method, group, run_cfg)
 
     calls = []
 
@@ -413,11 +428,11 @@ def test_run_sweep_descent_failure_is_per_point(monkeypatch):
     seen = []   # spgm's stacks; the second point of the first is the bad one
     real_passive = harness._passive_beamforming
 
-    def passive(method, points, run_cfg):
-        found = real_passive(method, points, run_cfg)   # starts drawn, as a real failure
+    def passive(method, group, run_cfg):
+        found = real_passive(method, group, run_cfg)   # starts drawn, as a real failure
         if method == "spgm":
-            seen.append(points)
-            if any(point is seen[0][1] for point in points):
+            seen.append(group.points)
+            if any(point is seen[0][1] for point in group.points):
                 raise np.linalg.LinAlgError("injected")
         return found
 
@@ -447,11 +462,11 @@ def test_run_sweep_digital_stage_failure_is_per_point(monkeypatch):
     seen, current = [], []   # spgm's stacks; the second point of the first is the bad one
     real_passive, real_svd = harness._passive_beamforming, harness.truncated_svd
 
-    def passive(method, points, run_cfg):
-        current[:] = [method, points]
+    def passive(method, group, run_cfg):
+        current[:] = [method, group.points]
         if method == "spgm":
-            seen.append(points)
-        return real_passive(method, points, run_cfg)
+            seen.append(group.points)
+        return real_passive(method, group, run_cfg)
 
     def svd(h, n_streams):
         method, points = current

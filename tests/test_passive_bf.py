@@ -64,7 +64,7 @@ def _wirtinger_fd(fun, v, h=1e-6):
 def test_objective_frozen_single_stream():
     # one stream, p = ones/M, v = ones: |v^H p| = 1, f = -log2(1 + a)
     m = 4
-    prob = TsvdProblem(diag_vectors=np.ones((1, m)) / m, weights=np.array([3.0]))
+    prob = TsvdProblem(diag_vectors=np.ones((1, 1, m)) / m, weights=np.array([[3.0]]))
     v = np.ones(m, dtype=complex)
     assert tsvd_objective(v, prob) == pytest.approx(-2.0, rel=1e-12)
 
@@ -107,9 +107,9 @@ def test_build_rejects_too_many_streams():
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        TsvdProblem(diag_vectors=np.ones((2, 4)), weights=np.array([1.0]))
+        TsvdProblem(diag_vectors=np.ones((1, 2, 4)), weights=np.array([[1.0]]))
     with pytest.raises(ValueError):
-        TsvdProblem(diag_vectors=np.ones((1, 4)), weights=np.array([-1.0]))
+        TsvdProblem(diag_vectors=np.ones((1, 1, 4)), weights=np.array([[-1.0]]))
 
 
 # -- cascade-channel rate ----------------------------------------------------
@@ -119,7 +119,7 @@ def test_rate_objective_equals_svd_transceiver_rate():
     # channel, so the objective is minus the equal-power SVD transceiver rate.
     for seed in range(10):
         rng, paths = _instance(seed, p=4, l=3)
-        prob = build_rate_problem(path_core(paths, GEOMETRY, TX_GAIN, 1.3), BUDGET, 2)
+        prob = build_rate_problem(path_core([paths], GEOMETRY, TX_GAIN, 1.3), [BUDGET], 2)
         v = random_phases(rng, GEOMETRY.m)
         h = effective_channel(assemble_channels(paths, GEOMETRY, TX_GAIN, 1.3), v.entries)
         svd = truncated_svd(h, 2)
@@ -135,7 +135,7 @@ def test_rate_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(20):
         rng, paths = _instance(seed, p=4, l=3)
-        prob = build_rate_problem(path_core(paths, GEOMETRY, TX_GAIN, 30.0), BUDGET, 2)
+        prob = build_rate_problem(path_core([paths], GEOMETRY, TX_GAIN, 30.0), [BUDGET], 2)
         v = random_phases(rng, GEOMETRY.m).entries
         grad = rate_euclidean_gradient(v, prob)
         fd = _wirtinger_fd(lambda x: rate_objective(x, prob), v)
@@ -146,14 +146,14 @@ def test_rate_gradient_matches_finite_differences():
 def test_build_rate_problem_rejects_too_many_streams():
     _, paths = _instance(3, p=2, l=2)
     with pytest.raises(StreamCountError):
-        build_rate_problem(path_core(paths, GEOMETRY), BUDGET, 3)
+        build_rate_problem(path_core([paths], GEOMETRY), [BUDGET], 3)
 
 
 def test_spgm_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(20):
         rng, paths = _instance(seed, p=4, l=3)
-        prob = build_spgm_problem(path_core(paths, GEOMETRY, TX_GAIN, 1.3))
+        prob = build_spgm_problem(path_core([paths], GEOMETRY, TX_GAIN, 1.3))
         w = random_phases(rng, GEOMETRY.m).entries
         grad = spgm_euclidean_gradient(w, prob)
         fd = _wirtinger_fd(lambda x: spgm_objective(x, prob), w)
@@ -166,7 +166,7 @@ def test_spgm_gradient_matches_finite_differences():
 def test_optimize_tsvd_improves_over_start():
     rng, paths = _instance(4)
     prob = build_tsvd_problem(paths, GEOMETRY, BUDGET, 2, TX_GAIN)
-    v, trace = optimize_tsvd(path_core(paths, GEOMETRY),
+    v, trace = optimize_tsvd(path_core([paths], GEOMETRY),
                              stream_weights(paths, BUDGET, 2, TX_GAIN),
                              DescentConfig(epsilon=1e-8), rng)
     assert trace[-1] <= trace[0]
@@ -177,11 +177,11 @@ def test_optimize_tsvd_improves_over_start():
 def test_optimize_rate_ascends_from_the_surrogate_solution():
     for seed in range(5):
         rng, paths = _instance(seed, p=4, l=4)
-        core = path_core(paths, GEOMETRY, TX_GAIN)
+        core = path_core([paths], GEOMETRY, TX_GAIN)
         v0, _ = optimize_tsvd(core, stream_weights(paths, BUDGET, 2, TX_GAIN),
                               DescentConfig(), rng)
         v, trace = optimize_rate(core, BUDGET, 2, DescentConfig(epsilon=1e-8), v0)
-        prob = build_rate_problem(core, BUDGET, 2)
+        prob = build_rate_problem(core, [BUDGET], 2)
         assert trace[0] == pytest.approx(rate_objective(v0.entries, prob), rel=1e-12)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         assert rate_objective(v.entries, prob) == pytest.approx(trace[-1], rel=1e-9)
@@ -192,7 +192,7 @@ def test_optimize_spgm_maximizes_frobenius_norm():
     rng, paths = _instance(5)
     # scored on the dense channel, not on the core the optimizer runs on
     chan = assemble_channels(paths, GEOMETRY)
-    v, _ = optimize_spgm(path_core(paths, GEOMETRY), DescentConfig(epsilon=1e-8), rng)
+    v, _ = optimize_spgm(path_core([paths], GEOMETRY), DescentConfig(epsilon=1e-8), rng)
     opt = np.linalg.norm(effective_channel(chan, v.entries)) ** 2
     draws = [np.linalg.norm(effective_channel(
         chan, random_phases(rng, GEOMETRY.m).entries)) ** 2 for _ in range(50)]
@@ -206,7 +206,7 @@ def test_optimize_spgm_independent_of_channel_scale():
     from dataclasses import replace
     for seed in range(10):
         _, paths = _instance(seed)
-        core = path_core(paths, GEOMETRY)
+        core = path_core([paths], GEOMETRY)
         loud = replace(core, right=1e8 * core.right)
         v, _ = optimize_spgm(core, DescentConfig(), np.random.default_rng(seed))
         v_loud, _ = optimize_spgm(loud, DescentConfig(), np.random.default_rng(seed))
@@ -224,7 +224,7 @@ def test_spgm_quadratic_form_identity():
     lhs = np.linalg.norm(effective_channel(chan, v.entries)) ** 2
     rhs = np.real(np.vdot(w, q @ w))
     assert lhs == pytest.approx(rhs, rel=1e-10)
-    prob = build_spgm_problem(path_core(paths, GEOMETRY))
+    prob = build_spgm_problem(path_core([paths], GEOMETRY))
     assert spgm_objective(w, prob) == pytest.approx(-rhs / np.real(np.trace(q)), rel=1e-10)
 
 
@@ -243,30 +243,30 @@ def test_coupling_matrix_entries():
     rng, paths = _instance(8)
     bank = composite_path_vectors(paths, GEOMETRY)
     v = random_phases(rng, GEOMETRY.m)
-    cm = coupling_matrix(v.entries, paths, path_core(paths, GEOMETRY))
+    cm = coupling_matrix(v.entries[None], [paths], path_core([paths], GEOMETRY))
     for i in range(paths.n_lis_ue):
         for j in range(paths.n_bs_lis):
             d_ij = v.entries.conj() @ bank[i, j]
-            assert cm.gains[i, j] == pytest.approx(d_ij, rel=1e-12)
+            assert cm.gains[0, i, j] == pytest.approx(d_ij, rel=1e-12)
             want = paths.lis_ue_gain[i] * paths.bs_lis_gain[j] * d_ij
-            assert cm.d[i, j] == pytest.approx(want, rel=1e-12)
+            assert cm.d[0, i, j] == pytest.approx(want, rel=1e-12)
 
 
 def test_offdiag_ratio_limits():
     from lisim.passive_bf import CouplingMatrix
-    gains = np.eye(3, dtype=complex)
+    gains = np.eye(3, dtype=complex)[None]
     diag_only = CouplingMatrix(d=gains, gains=gains)
-    assert diag_only.offdiag_ratio(3) == 0.0
-    assert diag_only.offdiag_ratio(1) == 0.0
-    flat = CouplingMatrix(d=np.ones((3, 3)), gains=np.ones((3, 3), dtype=complex))
-    assert flat.offdiag_ratio(3) == pytest.approx(1.0)
+    assert diag_only.offdiag_ratio(3) == [0.0]
+    assert diag_only.offdiag_ratio(1) == [0.0]
+    flat = CouplingMatrix(d=np.ones((1, 3, 3)), gains=np.ones((1, 3, 3), dtype=complex))
+    assert flat.offdiag_ratio(3) == pytest.approx([1.0])
 
 
 def test_coupling_matrix_shape_mismatch():
     rng, paths = _instance(9)
-    core = path_core(paths, GEOMETRY)
+    core = path_core([paths], GEOMETRY)
     with pytest.raises(ValueError):
-        coupling_matrix(np.ones(3, dtype=complex), paths, core)
+        coupling_matrix(np.ones((1, 3), dtype=complex), [paths], core)
     _, other = _instance(9, p=2)
     with pytest.raises(ValueError):
-        coupling_matrix(np.ones(GEOMETRY.m, dtype=complex), other, core)
+        coupling_matrix(np.ones((1, GEOMETRY.m), dtype=complex), [other], core)

@@ -3,7 +3,9 @@
 A sweep trial runs on the L x P core of the cascade channel. The dense
 oracle is the chain it replaced: assemble_channels -> effective_channel ->
 truncated_svd -> spectral_efficiency on N_r x N_t matrices, fed with the
-paths, phases and random state the trial used.
+paths, phases and random state the trial used. A sweep group builds one
+stacked core of its points' path sets; each row must equal the core of its
+path set built alone.
 """
 
 import copy
@@ -98,9 +100,9 @@ def test_trial_on_the_core_matches_the_dense_channel(monkeypatch, cfg):
             sigma, cond, se, se_hybrid = _dense_trial(cfg, spy.seen)
             est_paths = sort_paths_descending(
                 spy.seen.get("perturb_angles", spy.seen["sample_paths"]))
-            core = path_core(est_paths, cfg.geometry, tx_g, rx_g)
+            core = path_core([est_paths], cfg.geometry, tx_g, rx_g)
             core_sigma = truncated_svd(
-                core.at(spy.seen["random_phases"].entries), cfg.n_streams).sigma1
+                core.at(spy.seen["random_phases"].entries[None])[0], cfg.n_streams).sigma1
             errors = [np.max(np.abs(core_sigma - sigma) / sigma),
                       abs(digital.cond - cond) / cond, abs(hybrid.cond - cond) / cond,
                       abs(digital.se - se) / se, abs(hybrid.se - se_hybrid) / se_hybrid]
@@ -113,9 +115,30 @@ def test_path_core_lifts_to_the_dense_channel():
     rng = np.random.default_rng(3)
     geometry = ArrayGeometry(n_tx=3, n_rx=16, lis_y=2, lis_z=4)
     paths = sample_paths(rng, geometry, LinkBudget(), 5, 4)
-    core = path_core(paths, geometry, 2.0, 0.5)
-    assert core.q_b.shape == (3, 3) and core.right.shape == (5, 3)
+    core = path_core([paths], geometry, 2.0, 0.5)
+    assert core.q_b.shape == (1, 3, 3) and core.right.shape == (1, 5, 3)
     v = np.exp(1j * rng.uniform(0, 2 * np.pi, geometry.m))
     dense = effective_channel(assemble_channels(paths, geometry, 2.0, 0.5), v)
-    np.testing.assert_allclose(core.lift(core.at(v)), dense, rtol=0,
+    np.testing.assert_allclose(core.lift(core.at(v[None]))[0], dense, rtol=0,
                                atol=1e-12 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("geometry, p, l, trials", [
+    (PAPER.geometry, 7, 7, 5),
+    (DESK.geometry, 4, 4, 64),
+    (ArrayGeometry(n_tx=3, n_rx=16, lis_y=2, lis_z=4), 5, 4, 6),   # n_tx < P
+], ids=["paper", "desk", "n_tx<P"])
+def test_stacked_path_core_equals_stacks_of_one(geometry, p, l, trials):
+    rng = np.random.default_rng(11)
+    path_sets = [sort_paths_descending(sample_paths(rng, geometry, LinkBudget(), p, l))
+                 for _ in range(trials)]
+    stacked = path_core(path_sets, geometry, 2.0, 0.5)
+    v = np.exp(1j * rng.uniform(0, 2 * np.pi, (trials, geometry.m)))
+    at = stacked.at(v)
+    lifted = stacked.lift(at)
+    for i, paths in enumerate(path_sets):
+        alone = path_core([paths], geometry, 2.0, 0.5)
+        for name in ("bank", "q_u", "q_b", "left", "right"):
+            np.testing.assert_array_equal(getattr(stacked, name)[i], getattr(alone, name)[0])
+        np.testing.assert_array_equal(at[i], alone.at(v[i:i + 1])[0])
+        np.testing.assert_array_equal(lifted[i], alone.lift(alone.at(v[i:i + 1]))[0])
