@@ -8,9 +8,14 @@ least-squares digital update, solved on the n_rf x n_rf Gram matrix of the
 analog matrix, with closed-form column-wise phase updates of the analog
 matrix (Sohrabi & Yu, IEEE JSTSP 2016), computed from the small products
 target F_BB^H and F_BB F_BB^H rather than from an explicit residual matrix.
-It factors a stack of targets (slots) in one loop: every slot has its own
-random start, generator and stop, a slot that has stopped is frozen while
-the others go on, and each slot's result does not depend on the others.
+The analog start is built from the target: with n_rf >= 2 N_s the
+two-phase split of each target column (Sohrabi & Yu) realizes the target
+exactly, and with fewer chains the phases of the target's columns, plus
+phases of random vectors in their span for the extra chains, start the
+alternation near a good point, so a cap of 10 alternations serves. It
+factors a stack of targets (slots) in one loop: every slot has its own
+start, generator and stop, a slot that has stopped is frozen while the
+others go on, and each slot's result does not depend on the others.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 
 from .manifold import DescentConfig
 from .manifold import ccm_descent  # noqa: F401 -- unused; perfbench/spans.py rebinds it
-from .passive_bf import random_phases
 
 
 # A slot whose residual is at most this times ||target||_F has reached
@@ -111,20 +115,71 @@ def _digital_stage(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.linalg.solve(rows_h @ rows.transpose(0, 2, 1), rows_h @ targets)
 
 
+def _phases(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The unit-modulus entries x / |x|, with 1 where x is 0 (x is modified there)."""
+    mag = np.abs(x)
+    if not mag.all():
+        zero = mag == 0
+        x[zero], mag[zero] = 1.0, 1.0
+    return np.divide(x, mag, out=out)
+
+
+def _analog_start(targets: np.ndarray, n_rf: int,
+                  rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Each slot's starting analog columns, as contiguous rows of F_RF^T
+    (K x n_rf x N); see hybrid_factorize."""
+    n_slots, n, n_streams = targets.shape
+    cols = targets.transpose(0, 2, 1)                  # row i is target column i
+    unit = _phases(cols.copy())
+    n_extra = n_rf - 2 * n_streams
+    if n_extra >= 0:
+        # t = c e^{j(arg t + theta)} + c e^{j(arg t - theta)} with 2c = max|t|
+        # and cos theta = |t| / 2c, so the pair's span holds the column
+        mag = np.abs(cols)
+        peak = mag.max(axis=2, keepdims=True)
+        cos = np.divide(mag, peak, out=np.zeros_like(mag), where=peak > 0)
+        turn = cos + 1j * np.sqrt(1.0 - cos ** 2)      # e^{j theta}
+        pairs = np.stack([unit * turn, unit * turn.conj()], axis=2)
+        extra = np.stack([np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n_extra, n)))
+                          for rng in rngs])
+        return np.concatenate([pairs.reshape(n_slots, 2 * n_streams, n), extra], axis=1)
+    # the extra chains: phases of random vectors projected onto the target's
+    # column space (pinv keeps the projector defined for a rank-deficient target)
+    shape = (n, n_rf - n_streams)
+    z = np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                  for rng in rngs])
+    in_span = targets @ (np.linalg.pinv(targets, rtol=None) @ z)
+    return np.concatenate([unit, _phases(in_span.transpose(0, 2, 1))], axis=1)
+
+
 def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
                      rngs: Sequence[np.random.Generator],
                      power_norms: Sequence[float] | None = None,
-                     max_alternations: int = 30) -> tuple[np.ndarray, np.ndarray]:
+                     max_alternations: int = 10) -> tuple[np.ndarray, np.ndarray]:
     """Factor each slot of `targets` (K x N x N_s) into unit-modulus analog
     (K x N x n_rf) times digital (K x n_rf x N_s) matrices.
 
-    Slot k starts from random analog phases drawn from rngs[k], the slots
-    drawing in order (a generator may serve several slots), and alternates
-    two exact block updates of ||target - F_RF F_BB||_F until its relative
-    residual change drops below cfg.epsilon or its residual is at most
-    RESIDUAL_FLOOR ||target||_F (at most `max_alternations` rounds); a slot
-    that has stopped is frozen while the others go on, so a
-    slot's result is the same alone as in any stack. The updates:
+    Slot k's analog start is built from its target t_k (an entry whose
+    source value is 0 gets phase 0):
+    - n_rf >= 2 N_s: chains 2i and 2i + 1 split target column t into
+      e^{j(arg t +- arccos(|t| / max|t|))}, and max|t| / 2 times their sum is
+      t (Sohrabi & Yu), so the first digital stage is exact and the slot
+      stops at the residual floor after one alternation; the chains after
+      2 N_s are uniform random phases drawn from rngs[k]. The pair sums
+      repeat any linear dependency among the target's columns, so a
+      rank-deficient target makes this start singular;
+    - N_s <= n_rf < 2 N_s: chain i < N_s is the phases of target column i,
+      and each further chain the phases of P z, with P the projector onto
+      the target's columns and z complex Gaussian drawn from rngs[k].
+    Both rules turn with a phase of a target column (the phase an SVD leaves
+    free): t_k D, D diagonal unit-modulus, gives the product F_RF F_BB D.
+    The slots draw in order (a generator may serve several slots). Each
+    slot alternates two exact block updates of ||target - F_RF F_BB||_F
+    until its relative residual change drops below cfg.epsilon or its
+    residual is at most RESIDUAL_FLOOR ||target||_F (at most
+    `max_alternations` rounds); a slot that has stopped is frozen while the
+    others go on, so a slot's result is the same alone as in any stack. The
+    updates:
     - F_BB = (F_RF^H F_RF)^-1 F_RF^H target, the least-squares digital stage,
       solved on the n_rf x n_rf Gram matrix (raises LinAlgError if singular);
     - one Gauss-Seidel pass over the analog columns. With the other columns
@@ -147,9 +202,7 @@ def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
     if len(rngs) != n_slots:
         raise ValueError("need one generator per slot")
 
-    # the analog columns of each slot, kept as contiguous rows of F_RF^T
-    rows = np.stack([random_phases(rng, n * n_rf).entries.reshape(n, n_rf).T
-                     for rng in rngs])
+    rows = _analog_start(targets, n_rf, rngs)
     offdiag = ~np.eye(n_rf, dtype=bool)
     live = np.arange(n_slots)              # slots still alternating
     r, t = rows, targets                   # their analog rows and targets
@@ -161,12 +214,7 @@ def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
         a_rows = f_bb_h @ t.transpose(0, 2, 1)              # row k is A[:, k]
         b_rows = f_bb_h @ f_bb.transpose(0, 2, 1) * offdiag  # row k is B[:, k]
         for k in range(n_rf):
-            col = a_rows[:, k] - (b_rows[:, k, None] @ r)[:, 0]
-            mag = np.abs(col)
-            if not mag.all():   # a zero entry gets phase 0
-                zero = mag == 0
-                col[zero], mag[zero] = 1.0, 1.0
-            np.divide(col, mag, out=r[:, k])
+            _phases(a_rows[:, k] - (b_rows[:, k, None] @ r)[:, 0], out=r[:, k])
 
         residual = np.linalg.norm(t - r.transpose(0, 2, 1) @ f_bb, axis=(1, 2))
         # a residual at rounding level, or a relative change below epsilon

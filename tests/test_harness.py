@@ -1,6 +1,7 @@
 """Config parsing, sweep execution, CSV emission, and the brute-force oracle."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +274,29 @@ def test_rf_sweep_digital_rows_are_paired():
                if r.precoding == "digital"]
     assert digital[:3] == digital[3:6] == digital[6:]
     assert all(r.errors == 0 for r in rows)
+
+
+@pytest.fixture(scope="module")
+def shipped_rf_sweep():
+    """Mean SE of the shipped rf_sweep.cfg at its own trial count, keyed by
+    (n_rf, precoding)."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "rf_sweep.cfg")
+    rows = run_sweep(cfg).rows
+    assert all(r.errors == 0 for r in rows)
+    return {(r.sweep_value, r.precoding): r.mean_se for r in rows}
+
+
+def test_rf_sweep_hybrid_rate_does_not_fall_with_more_rf_chains(shipped_rf_sweep):
+    # n_rf + 1 chains can realize every n_rf-chain factorization; an extra
+    # chain must not land the alternation on a worse point
+    hybrid = [se for (_, mode), se in sorted(shipped_rf_sweep.items()) if mode == "hybrid"]
+    assert len(hybrid) == 4 and np.all(np.diff(hybrid) >= 0)
+
+
+def test_rf_sweep_hybrid_is_digital_at_twice_the_streams(shipped_rf_sweep):
+    # n_rf = 8 = 2 N_s: the two-phase split realizes every digital design
+    assert shipped_rf_sweep[8.0, "hybrid"] == pytest.approx(shipped_rf_sweep[8.0, "digital"],
+                                                            rel=1e-9)
 
 
 def test_run_sweep_hybrid_mode():
