@@ -14,7 +14,7 @@ stream count and RF chain counts, cut by point index to fit GROUP_BYTES.
 Each point draws its path sets alone; the group stacks them into one L x P
 path core, one row per point, plus one of the estimated path sets when some
 point has an angle error. Each method takes one batch over the group: its
-manifold descents as one stack (`passive_bf.optimize_*_stack`), then the
+optimizer runs as one stack (`passive_bf.optimize_*_stack`), then the
 stacked digital stage (SVD, precoder and combiner, condition number,
 digital rate, hybrid targets and channels). The group's hybrid jobs take
 one more batch: two `hybrid_factorize` calls, precoders then combiners, and
@@ -81,13 +81,15 @@ CSV_COLUMNS = ("sweep_value", "method", "precoding", "mean_se", "std_se",
 
 ORACLE_STATE_LIMIT = 10 ** 7
 
-# Byte budget of one group's stacked path-core bank: 5 points of the paper
-# geometry (64-antenna ULAs, 16x16 LIS, 7x7 paths), 64 of the desk geometry
+# Byte budget of one group's stacked path-core bank: 10 points of the paper
+# geometry (64-antenna ULAs, 16x16 LIS, 7x7 paths), 128 of the desk geometry
 # (16-antenna ULAs, 8x8 LIS, 4x4 paths). A group holds its true core, its
 # estimated core if it has one and the rate descent's copy of a bank, so the
-# budget bounds the memory a sweep adds; larger paper groups gain little, as
-# their descents are long-tailed.
-GROUP_BYTES = 2 ** 20
+# budget bounds the memory a sweep adds. Every descent round and batched call
+# is paid once per group, and the exact-rate descent costs less per point in
+# larger stacks, so a paper sweep of up to 10 points (a chunk of either paper
+# workload in perfbench/) runs as one group.
+GROUP_BYTES = 2 ** 21
 
 # Failures a trial may meet on a bad channel draw; they count in the row's
 # `errors`. Any other exception is a bug and propagates out of run_sweep.
@@ -367,9 +369,9 @@ class _Group:
 def _passive_beamforming(method: str, group: _Group,
                          cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Each point's LIS phase entries (T, M) for its estimated core, and its
-    descent iterations.
+    optimizer iterations.
 
-    The points share a geometry and stream count, so each descent runs on
+    The points share a geometry and stream count, so each optimizer runs on
     the group's stacked core; each point's generator draws its start.
     """
     points, core = group.points, group.est

@@ -1,7 +1,7 @@
 """Passive-beamforming objectives and solvers for the LIS phase vector.
 
-Three optimizers share the manifold engine, and all three work on the
-L x P path core of the cascade channel (`channel.PathCore`):
+Three optimizers work on the L x P path core of the cascade channel
+(`channel.PathCore`):
 - `optimize_tsvd` maximizes the per-stream composite-path rate surrogate
   sum_i log2(1 + a_i |v^H p^{ii}|^2) over the top-N_s sorted paths;
 - `optimize_rate` maximizes the truncated-SVD rate
@@ -9,14 +9,19 @@ L x P path core of the cascade channel (`channel.PathCore`):
   channel itself; the harness starts it from the `optimize_tsvd` solution;
 - `optimize_spgm` maximizes the Frobenius norm of the cascade channel
   (the sum-path-gain baseline), normalized by its mean over uniformly
-  random phases so the descent runs to convergence.
+  random phases so its absolute stop gap means the same at any channel
+  scale.
 
-Each objective has one problem constructor on a stacked path core, one
-row per core. Each optimizer has a stacked form (`optimize_*_stack`) that
-descends every row in one `manifold.ccm_descent_stack` loop; a row's result
-equals its result alone, bit for bit, and the single-core optimizers run on
-a stack of one. The objectives and gradients take one phase vector against
-a one-row problem or a (T, M) stack against a problem with as many rows.
+The first two descend on the manifold engine; `optimize_spgm` maximizes a
+positive semidefinite quadratic form and takes the unimodular power method
+instead, with no step size or line search. The surrogate and the rate each
+have one problem constructor on a stacked path core, one row per core, and
+the sum-path gain reads the core itself. Each optimizer has a
+stacked form (`optimize_*_stack`) that runs every row in one masked loop
+(`manifold.ccm_descent_stack` for the descents); a row's result equals its
+result alone, bit for bit, and the single-core optimizers run on a stack of
+one. The objectives and gradients take one phase vector against a one-row
+problem or core, or a (T, M) stack against one with as many rows.
 
 `coupling_matrix` exposes the D matrix and the off-diagonal diagnostic
 ratio used to check that the optimized phases suppress cross-path leakage.
@@ -25,7 +30,7 @@ ratio used to check that the optimized phases suppress cross-path leakage.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -44,7 +49,6 @@ from .manifold import (
     StackDescent,
     ccm_descent_stack,
     row_dot,
-    row_norm,
 )
 from .manifold import ccm_descent  # noqa: F401 -- unused; perfbench/spans.py rebinds it
 
@@ -265,74 +269,119 @@ def optimize_rate_stack(core: PathCore, budgets: Sequence[LinkBudget],
     return ccm_descent_stack(partial(_rate_stack, n_streams), data, v0, cfg)
 
 
-@dataclass(frozen=True)
-class SpgmProblem:
-    """The sum-path gains ||H||_F^2 of T cascade channels as functions of
-    w = conj(v), on their path cores.
+def _spgm_data(core: PathCore) -> tuple[np.ndarray, ...]:
+    """The core's bank, left and right, and ||F||_F^2 per row, for `_spgm_gains`.
 
-    X(v) = reshape(bank w) is linear in w, so vec(left X right) = F w with
-    F = (left kron right^T) bank, of size min(N_r, L) min(N_t, P) x M, and
+    With w = conj(v), X(w) = reshape(bank w) is linear in w, so
+    vec(left X right) = F w for F = (left kron right^T) bank, and
     ||H||_F^2 = ||F w||^2 is the quadratic form g^2 w^H Q w of the dense
-    formulation, Q = (R^H R) o (conj(G) G^T), which is never formed. F is
-    divided by its Frobenius norm: ||F||_F^2 = g^2 tr Q is the mean of
-    ||H||_F^2 over uniformly random phases, so the maximizer is unchanged
-    but the objective no longer carries the path loss, and the descent's
-    absolute stop gap means the same at any channel scale.
+    formulation; neither F nor Q is formed. ||F||_F^2 = g^2 tr Q is the mean
+    of ||H||_F^2 over uniformly random phases. Column m of F is
+    vec(left X_m right) for the unit vector w = e_m, and X_m[i, j] is the
+    m-th entry of p^{ij}, a product of a departure and an arrival entry, so
+    X_m is rank one with |X_m[0, 0]| = 1 / M:
+    ||F||_F^2 = M^2 sum_m ||left X_m[:, 0]||^2 ||X_m[0, :] right||^2.
     """
-
-    f: np.ndarray  # (T, min(N_r, L) * min(N_t, P), M), each of unit Frobenius norm
-
-
-def build_spgm_problem(core: PathCore) -> SpgmProblem:
-    """The normalized F of each row of `core`."""
-    left, right_t = core.left, core.right.swapaxes(1, 2)
-    n, l_out, l_in = left.shape
-    _, p_out, p_in = right_t.shape
-    # left kron right^T per core, as np.kron forms it
-    kron = (left[:, :, None, :, None] * right_t[:, None, :, None, :]).reshape(
-        n, l_out * p_out, l_in * p_in)
-    f = kron @ core.bank
-    f /= row_norm(f.reshape(n, -1))[:, None, None]
-    return SpgmProblem(f=f)
+    bank, left, right = core.bank, core.left, core.right
+    x = bank.reshape(len(bank), left.shape[2], right.shape[1], -1)
+    first_col = left @ x[:, :, 0]                  # left X_m[:, 0], one column per m
+    first_row = right.swapaxes(1, 2) @ x[:, 0]     # (X_m[0, :] right)^T
+    col_sq = (first_col.real ** 2 + first_col.imag ** 2).sum(axis=1)
+    row_sq = (first_row.real ** 2 + first_row.imag ** 2).sum(axis=1)
+    return bank, left, right, core.m ** 2 * (col_sq * row_sq).sum(axis=1)
 
 
-def spgm_objective(w: np.ndarray, prob: SpgmProblem):
+def _spgm_gains(data, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cores C = left X(w) right of each row and their normalized sum-path
+    gains ||C||_F^2 / ||F||_F^2; data is as `_spgm_data` gives it."""
+    bank, left, right, scale = data
+    x = (bank @ w[:, :, None]).reshape(len(w), left.shape[2], right.shape[1])
+    c = left @ x @ right
+    flat = c.reshape(len(c), -1)
+    return c, row_dot(flat, flat) / scale
+
+
+def _spgm_ascent(data, c: np.ndarray) -> np.ndarray:
+    """F^H F w = bank^H vec(left^H C right^H) of each row, from its C = left X(w) right."""
+    bank, left, right, _ = data
+    y = left.conj().swapaxes(1, 2) @ c @ right.conj().swapaxes(1, 2)
+    return (y.reshape(len(y), 1, -1).conj() @ bank)[:, 0].conj()
+
+
+def spgm_objective(w: np.ndarray, core: PathCore):
     """Negated normalized sum-path gain -||H||_F^2 / (g^2 tr Q) at w = conj(v);
-    one value for one vector, a (T,) array for a (T, M) stack."""
-    values = _spgm_stack((prob.f,), np.atleast_2d(w))[0]
+    one value for one vector and a one-row core, a (T,) array for a (T, M)
+    stack."""
+    values = -_spgm_gains(_spgm_data(core), np.atleast_2d(w))[1]
     return float(values[0]) if w.ndim == 1 else values
 
 
-def spgm_euclidean_gradient(w: np.ndarray, prob: SpgmProblem) -> np.ndarray:
-    """Wirtinger gradient of `spgm_objective` with respect to w, shaped like w."""
-    grad = _spgm_stack((prob.f,), np.atleast_2d(w))[1]()
+def spgm_euclidean_gradient(w: np.ndarray, core: PathCore) -> np.ndarray:
+    """Wirtinger gradient -2 F^H F w / ||F||_F^2 of `spgm_objective` with respect
+    to w, shaped like w; the power update of `optimize_spgm` takes its phases."""
+    data = _spgm_data(core)
+    ascent = _spgm_ascent(data, _spgm_gains(data, np.atleast_2d(w))[0])
+    grad = -2.0 * ascent / data[3][:, None]
     return grad[0] if w.ndim == 1 else grad
-
-
-def _spgm_stack(data, w: np.ndarray):
-    """-||F w||^2 of each row and its gradient function -2 F^H F w (`StackObjective`)."""
-    (f,) = data
-    fw = (f @ w[:, :, None])[:, :, 0]
-    return -row_dot(fw, fw), lambda: -2.0 * (fw[:, None].conj() @ f)[:, 0].conj()
 
 
 def optimize_spgm(core: PathCore, cfg: DescentConfig,
                   rng: np.random.Generator) -> tuple[PhaseVector, list[float]]:
-    """Maximize ||H(v)||_F^2 over the LIS phases by manifold ascent in w = conj(v).
+    """Maximize ||H(v)||_F^2 over the LIS phases by the unimodular power method
+    in w = conj(v) from a random start.
 
-    Returns v = conj(w) and the descent's objective trace (`SpgmProblem`);
-    `core` is a stack of one.
+    Returns v = conj(w) and the trace of the normalized sum-path gain
+    ||H||_F^2 / (g^2 tr Q), start included; `core` is a stack of one.
     """
     return optimize_spgm_stack(core, cfg, [rng]).row(0)
 
 
 def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
                         rngs: Sequence[np.random.Generator]) -> StackDescent:
-    """`optimize_spgm` for each row of `core` and generator; the points are v = conj(w)."""
-    prob = build_spgm_problem(core)
-    w0 = np.stack([random_phases(rng, core.m).entries for rng in rngs])
-    result = ccm_descent_stack(_spgm_stack, (prob.f,), w0, cfg)
-    return replace(result, points=result.points.conj())
+    """`optimize_spgm` for each row of `core` and generator; the points are v = conj(w).
+
+    ||F w||^2 is a positive semidefinite form, so the power update
+    w <- exp(j arg(F^H F w)) never lowers it (Soltanalian & Stoica, IEEE TSP
+    2014); an entry of F^H F w that is 0 keeps its phase. It needs no step
+    size and no line search, and F^H F w is taken on the core. A row stops
+    when its gain moves by less than cfg.epsilon (`gap`) or after
+    cfg.max_iters updates (`max_iters`), and is frozen while the others go
+    on; a row's result equals its result alone, bit for bit. The traces
+    hold the normalized gains, which do not decrease.
+
+    Raises FloatingPointError if a gain is not finite.
+    """
+    w = np.stack([random_phases(rng, core.m).entries for rng in rngs])
+    data = full = _spgm_data(core)
+    c, gain = _spgm_gains(data, w)
+    if not np.isfinite(gain).all():
+        raise FloatingPointError("sum-path gain is not finite at a start point")
+    traces = [[value] for value in gain.tolist()]
+    stops = ["max_iters"] * len(w)
+    final = w.copy()
+    live = np.arange(len(w))   # original index of each live row
+    for _ in range(cfg.max_iters):
+        ascent = _spgm_ascent(data, c)
+        mag = np.abs(ascent)
+        w = np.divide(ascent, mag, out=w.copy(), where=mag > 0)
+        c, gain_next = _spgm_gains(data, w)
+        if not np.isfinite(gain_next).all():
+            raise FloatingPointError("sum-path gain became non-finite")
+        for i, value in zip(live.tolist(), gain_next.tolist()):
+            traces[i].append(value)
+        go_on = np.abs(gain_next - gain) >= cfg.epsilon
+        gain = gain_next
+        if not go_on.all():
+            for i in live[~go_on].tolist():
+                stops[i] = "gap"
+            final[live[~go_on]] = w[~go_on]
+            live, w, c, gain = live[go_on], w[go_on], c[go_on], gain[go_on]
+            if not live.size:
+                break
+            data = tuple(a[live] for a in full)
+    final[live] = w
+    return StackDescent(points=final.conj(), traces=tuple(tuple(t) for t in traces),
+                        stops=tuple(stops))
 
 
 def coupling_matrix(v: np.ndarray, paths: Sequence[PathSet], core: PathCore) -> CouplingMatrix:

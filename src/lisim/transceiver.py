@@ -140,9 +140,19 @@ def _analog_start(targets: np.ndarray, n_rf: int,
         cos = np.divide(mag, peak, out=np.zeros_like(mag), where=peak > 0)
         turn = cos + 1j * np.sqrt(1.0 - cos ** 2)      # e^{j theta}
         pairs = np.stack([unit * turn, unit * turn.conj()], axis=2)
-        extra = np.stack([np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n_extra, n)))
-                          for rng in rngs])
-        return np.concatenate([pairs.reshape(n_slots, 2 * n_streams, n), extra], axis=1)
+        # a column within rounding of the span of the columns before it is
+        # held by their pairs already; its own pair would repeat that
+        # dependency, so it gets two uniform random chains after the extras
+        r_diag = np.abs(np.diagonal(np.linalg.qr(targets, mode="r"), axis1=1, axis2=2))
+        dependent = r_diag <= RESIDUAL_FLOOR * np.linalg.norm(targets, axis=(1, 2))[:, None]
+        extra = []
+        for k, rng in enumerate(rngs):
+            n_dep = int(np.count_nonzero(dependent[k]))
+            chains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n_extra + 2 * n_dep, n)))
+            pairs[k, dependent[k]] = chains[n_extra:].reshape(n_dep, 2, n)
+            extra.append(chains[:n_extra])
+        return np.concatenate([pairs.reshape(n_slots, 2 * n_streams, n), np.stack(extra)],
+                              axis=1)
     # the extra chains: phases of random vectors projected onto the target's
     # column space (pinv keeps the projector defined for a rank-deficient target)
     shape = (n, n_rf - n_streams)
@@ -165,9 +175,11 @@ def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
       e^{j(arg t +- arccos(|t| / max|t|))}, and max|t| / 2 times their sum is
       t (Sohrabi & Yu), so the first digital stage is exact and the slot
       stops at the residual floor after one alternation; the chains after
-      2 N_s are uniform random phases drawn from rngs[k]. The pair sums
-      repeat any linear dependency among the target's columns, so a
-      rank-deficient target makes this start singular;
+      2 N_s are uniform random phases drawn from rngs[k]. A column whose
+      part outside the span of the columns before it is at most
+      RESIDUAL_FLOOR ||t_k||_F is held by their pairs already, and its pair
+      sum would repeat that dependency; its two chains are uniform random
+      phases instead, drawn from rngs[k] after the extra chains;
     - N_s <= n_rf < 2 N_s: chain i < N_s is the phases of target column i,
       and each further chain the phases of P z, with P the projector onto
       the target's columns and z complex Gaussian drawn from rngs[k].

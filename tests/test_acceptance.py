@@ -34,7 +34,6 @@ from lisim.passive_bf import (
     optimize_tsvd,
     random_phases,
     build_rate_problem,
-    build_spgm_problem,
     rate_euclidean_gradient,
     rate_objective,
     spgm_euclidean_gradient,
@@ -110,7 +109,8 @@ def test_criterion_1_gradient_correctness():
         # a 30x receive gain puts the per-stream SNRs where the rate's log is
         # curved; at this geometry's raw SNRs the differences drown in rounding
         path_sets.append(paths)
-    # the exact rate and the sum-path gain, as the descents evaluate them:
+    # the exact rate, as its descent evaluates it, and the sum-path gain,
+    # whose gradient on the core gives the spgm power update its phases:
     # stacked cores of 4 path sets, each row against its own finite differences
     rng = np.random.default_rng(99)
     for group in range(0, len(path_sets), 4):
@@ -119,8 +119,7 @@ def test_criterion_1_gradient_correctness():
         worst = max(worst, _row_fd_error(rate_objective, rate_euclidean_gradient, v,
                                          build_rate_problem(stack, [DESK_BUDGET] * 4, 2)))
         w = np.stack([random_phases(rng, geometry.m).entries for _ in range(4)])
-        worst = max(worst, _row_fd_error(spgm_objective, spgm_euclidean_gradient, w,
-                                         build_spgm_problem(stack)))
+        worst = max(worst, _row_fd_error(spgm_objective, spgm_euclidean_gradient, w, stack))
     ok = worst < 1e-5
     _report(1, ok, f"max relative gradient error {worst:.3e} (tolerance 1e-5)")
     assert ok

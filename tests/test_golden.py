@@ -4,10 +4,13 @@ Each config in `configs/` runs at two trials and its CSV, without the
 `wall_ms` column, must equal `tests/data/<config>.csv` character for
 character. A change that is meant to keep every value keeps these files; a
 change that moves values on purpose regenerates them with
-`PYTHONPATH=src python tests/test_golden.py` and lists the regenerated files
-in `CHANGES.md`.
+`PYTHONPATH=src python tests/test_golden.py`, which prints the
+(sweep_value, method, precoding) keys of the rows it changed in each file,
+and lists the regenerated files in `CHANGES.md`.
 """
 
+import csv
+import io
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,10 +35,37 @@ def test_shipped_config_csv_matches_its_fixture(tmp_path, name):
     assert _csv_without_wall(name, tmp_path / "run.csv") == (DATA / f"{name}.csv").read_text()
 
 
+def _rows_by_key(text: str) -> dict[tuple[str, str, str], list[str]]:
+    """A fixture's rows keyed by (sweep_value, method, precoding)."""
+    rows = list(csv.reader(io.StringIO(text)))
+    return {tuple(row[:3]): row for row in rows[1:]}
+
+
+def changed_keys(old: str, new: str) -> list[tuple[str, str, str]]:
+    """The keys of the rows that differ between two fixtures, or that only one has."""
+    before, after = _rows_by_key(old), _rows_by_key(new)
+    return [key for key in before | after if before.get(key) != after.get(key)]
+
+
+def test_changed_keys_names_the_rows_that_moved():
+    old = "sweep_value,method,precoding,mean_se\n10,tsvd,digital,1.0\n10,spgm,digital,2.0\n"
+    new = old.replace("spgm,digital,2.0", "spgm,digital,2.5") + "15,spgm,digital,3.0\n"
+    assert changed_keys(old, new) == [("10", "spgm", "digital"), ("15", "spgm", "digital")]
+    assert changed_keys(new, new) == []
+    assert changed_keys("", new) == [("10", "tsvd", "digital"), ("10", "spgm", "digital"),
+                                     ("15", "spgm", "digital")]
+
+
 if __name__ == "__main__":
     import tempfile
     DATA.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in CONFIGS:
-            (DATA / f"{name}.csv").write_text(_csv_without_wall(name, Path(tmp) / "run.csv"))
-            print(f"wrote {DATA / name}.csv")
+            path = DATA / f"{name}.csv"
+            old = path.read_text() if path.exists() else ""
+            new = _csv_without_wall(name, Path(tmp) / "run.csv")
+            path.write_text(new)
+            keys = changed_keys(old, new)
+            print(f"wrote {path}: {len(keys)} changed rows")
+            for key in keys:
+                print("  " + ", ".join(key))

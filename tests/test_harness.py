@@ -250,6 +250,23 @@ def test_groups_share_geometry_and_stream_count():
                                       [tasks[2], tasks[3]]]
 
 
+@pytest.mark.parametrize("name, trials, points", [("default", 8, 8), ("power_sweep", 1, 7),
+                                                   ("csi_sweep", 25, 125)])
+def test_a_paper_chunk_is_one_group(name, trials, points):
+    # the byte budget holds 10 paper points and 128 desk points, so each of
+    # these sweeps, 8 draws at one power, one draw at each of 7 powers and
+    # 25 draws at each of 5 angle errors, runs as one group
+    from dataclasses import replace
+    from lisim.harness import GROUP_BYTES, _groups
+    cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"),
+                  trials=trials)
+    tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(trials)]
+    assert len(tasks) == points
+    assert _groups(cfg, tasks, 1) == [tasks]
+    bank_bytes = cfg.l_paths * cfg.p_paths * cfg.geometry.m * 16
+    assert GROUP_BYTES // bank_bytes == (10 if cfg.geometry.m == 256 else 128)
+
+
 def test_rf_sweep_grouping_leaves_the_csv_unchanged(tmp_path, monkeypatch):
     from dataclasses import replace
     from lisim import harness

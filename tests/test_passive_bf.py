@@ -19,11 +19,11 @@ from lisim.passive_bf import (
     StreamCountError,
     TsvdProblem,
     build_rate_problem,
-    build_spgm_problem,
     build_tsvd_problem,
     coupling_matrix,
     optimize_rate,
     optimize_spgm,
+    optimize_spgm_stack,
     optimize_tsvd,
     random_phases,
     rate_euclidean_gradient,
@@ -153,10 +153,10 @@ def test_spgm_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(20):
         rng, paths = _instance(seed, p=4, l=3)
-        prob = build_spgm_problem(path_core([paths], GEOMETRY, TX_GAIN, 1.3))
+        core = path_core([paths], GEOMETRY, TX_GAIN, 1.3)
         w = random_phases(rng, GEOMETRY.m).entries
-        grad = spgm_euclidean_gradient(w, prob)
-        fd = _wirtinger_fd(lambda x: spgm_objective(x, prob), w)
+        grad = spgm_euclidean_gradient(w, core)
+        fd = _wirtinger_fd(lambda x: spgm_objective(x, core), w)
         worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
     assert worst < 1e-5
 
@@ -224,8 +224,57 @@ def test_spgm_quadratic_form_identity():
     lhs = np.linalg.norm(effective_channel(chan, v.entries)) ** 2
     rhs = np.real(np.vdot(w, q @ w))
     assert lhs == pytest.approx(rhs, rel=1e-10)
-    prob = build_spgm_problem(path_core([paths], GEOMETRY))
-    assert spgm_objective(w, prob) == pytest.approx(-rhs / np.real(np.trace(q)), rel=1e-10)
+    core = path_core([paths], GEOMETRY)
+    assert spgm_objective(w, core) == pytest.approx(-rhs / np.real(np.trace(q)), rel=1e-10)
+
+
+def _spgm_stack(seeds, geometry=GEOMETRY):
+    """The stacked core of the draws `seeds` and one start generator per row."""
+    core = path_core([_instance(seed, p=4, l=3)[1] for seed in seeds], geometry, TX_GAIN)
+    return core, [np.random.default_rng(100 + seed) for seed in seeds]
+
+
+def test_optimize_spgm_traces_do_not_decrease():
+    # the power update never lowers a positive semidefinite form, and the
+    # trace holds the normalized gain it maximizes, ending at the final point
+    core, rngs = _spgm_stack(range(12))
+    result = optimize_spgm_stack(core, DescentConfig(epsilon=1e-9), rngs)
+    for i, trace in enumerate(result.traces):
+        assert len(trace) > 2 and np.all(np.diff(trace) >= 0)
+        assert trace[-1] == pytest.approx(
+            -spgm_objective(result.points[i].conj(), core[i:i + 1]), rel=1e-12)
+    assert set(result.stops) == {"gap"}
+
+
+def test_optimize_spgm_rows_equal_their_runs_alone():
+    # rows that stop at different iterations are frozen while the others go
+    # on, and no row reads another: each equals its run alone, bit for bit
+    desk = ArrayGeometry(n_tx=16, n_rx=16, lis_y=8, lis_z=8)
+    core, rngs = _spgm_stack(range(7), desk)
+    result = optimize_spgm_stack(core, DescentConfig(), rngs)
+    assert len(set(result.iters.tolist())) > 2
+    for i in range(len(rngs)):
+        alone = optimize_spgm_stack(core[i:i + 1], DescentConfig(),
+                                    [np.random.default_rng(100 + i)])
+        np.testing.assert_array_equal(alone.points[0], result.points[i])
+        assert alone.traces[0] == result.traces[i]
+        assert alone.stops[0] == result.stops[i]
+
+
+def test_optimize_spgm_stops_at_the_iteration_cap():
+    # one power update: w1 = exp(j arg(-gradient at w0)), from the same start
+    # as the row's generator draws
+    core, rngs = _spgm_stack(range(3))
+    starts = np.stack([random_phases(np.random.default_rng(100 + s), GEOMETRY.m).entries
+                       for s in range(3)])
+    result = optimize_spgm_stack(core, DescentConfig(max_iters=1), rngs)
+    assert result.stops == ("max_iters",) * 3
+    np.testing.assert_array_equal(result.iters, [1, 1, 1])
+    ascent = -spgm_euclidean_gradient(starts, core)
+    np.testing.assert_allclose(result.points.conj(), ascent / np.abs(ascent), rtol=0,
+                               atol=1e-12)
+    assert [t[0] for t in result.traces] == pytest.approx(-spgm_objective(starts, core),
+                                                          rel=1e-12)
 
 
 def test_random_phases_stats():

@@ -315,6 +315,27 @@ def test_hybrid_full_rf_stops_at_rounding_level(n):
             np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("seed", [131, 221, 234, 279, 317, 420])
+def test_hybrid_split_start_of_a_rank_deficient_target_is_exact(seed):
+    # a rank-2 target with N_s = 3 or 4: a column in the span of the columns
+    # before it gets two random chains instead of its split pair, whose sum
+    # would repeat the dependency and leave F_RF singular (these draws raised
+    # LinAlgError in the first digital stage when every column was split)
+    rng = np.random.default_rng(seed)
+    n_s = int(rng.integers(3, 5))
+    target = _random_matrix(rng, 16, 2) @ _random_matrix(rng, 2, n_s)
+    f_rf, f_bb = _factor_one(target, 2 * n_s, np.random.default_rng(seed))
+    once = _factor_one(target, 2 * n_s, np.random.default_rng(seed), max_alternations=1)
+    np.testing.assert_array_equal(f_rf, once[0])
+    np.testing.assert_array_equal(f_bb, once[1])
+    assert np.linalg.norm(target - f_rf @ f_bb) <= RESIDUAL_FLOOR * np.linalg.norm(target)
+    # the first two columns are independent and keep their split pairs
+    start, _ = _factor_one(target, 2 * n_s, np.random.default_rng(seed), max_alternations=0)
+    peak = np.abs(target[:, :2]).max(axis=0)
+    np.testing.assert_allclose(peak / 2 * (start[:, 0:4:2] + start[:, 1:4:2]), target[:, :2],
+                               rtol=0, atol=1e-12)
+
+
 def test_hybrid_zero_column_target_keeps_unit_entries():
     # a zero target gives zero column targets: the analog entries become 1
     # and the residual is exactly 0 after one alternation
@@ -365,10 +386,11 @@ def test_hybrid_follows_a_column_phase_of_the_target(seed, kind):
     # the SVD fixes each singular vector only up to a phase; the start, and
     # so every iterate, turns with the target's columns, so T D factors into
     # F_RF F_BB D for D diagonal unit-modulus. N_s = 1 is drawn among the
-    # full-rank targets. A rank-2 target with N_s = 3 or 4 runs below the
-    # split (whose pair sums would repeat its column dependency) at N >= 16;
-    # its start's condition number reaches 2e3 there (1e4 at smaller N), and
-    # rounding grows with it, so it gets a looser bound
+    # full-rank targets. A rank-2 target with N_s = 3 or 4 runs at N >= 16,
+    # below the split or at n_rf = 2 N_s, where its dependent columns get
+    # random chains; below the split its start's condition number reaches
+    # 2e3 (1e4 at smaller N), and rounding grows with it, so it gets a
+    # looser bound
     rng = np.random.default_rng(seed)
     if kind == "zero":
         target, n_rf, power = np.zeros((int(rng.integers(1, 65)), 1), dtype=complex), 1, None
@@ -380,7 +402,7 @@ def test_hybrid_follows_a_column_phase_of_the_target(seed, kind):
         else:
             n, n_s = int(rng.integers(16, 65)), int(rng.integers(3, 5))
             target = _random_matrix(rng, n, 2) @ _random_matrix(rng, 2, n_s)
-            n_rf = int(rng.integers(n_s, 2 * n_s))
+            n_rf = int(rng.integers(n_s, 2 * n_s + 1))
         power = 2.0 if rng.random() < 0.5 else None
     d = np.exp(1j * rng.uniform(0, 2 * np.pi, target.shape[1]))
     f_rf, f_bb = _factor_one(target, n_rf, np.random.default_rng(seed), power)
