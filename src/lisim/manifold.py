@@ -9,6 +9,13 @@ stack of T independent problems in one loop (`ccm_descent_stack`): every row
 has its own trial step, Armijo backtracking and stop, a row that has stopped
 is frozen while the others go on, and a row's result does not depend on the
 other rows, bit for bit. `ccm_descent` is the loop on a stack of one.
+
+The search direction is the Riemannian gradient scaled per element by the
+inverse magnitude of the Euclidean gradient entry, d = riem / |G| (0 where
+G = 0): a per-element metric (Riemannian preconditioning, Mishra &
+Sepulchre, SIAM J. Optim. 2016) under which a step turns each phase by an
+amount that does not depend on the scale of its entry, as the unimodular
+power update of `spgm` does (Soltanalian & Stoica, IEEE TSP 2014).
 """
 
 from __future__ import annotations
@@ -21,10 +28,10 @@ import numpy as np
 
 UNIT_MODULUS_TOL = 1e-10
 
-# Armijo backtracking: a trial step shrinks by ARMIJO_SHRINK until the
-# objective falls by at least ARMIJO_SLOPE * step * ||g||^2, at most
-# MAX_SHRINKS times; the first trial step of a descent is a displacement of
-# INITIAL_STEP RMS per element.
+# Armijo backtracking: a trial step along the direction d shrinks by
+# ARMIJO_SHRINK until the objective falls by at least
+# ARMIJO_SLOPE * step * <riem, d>, at most MAX_SHRINKS times; the first trial
+# step of a descent is a displacement of INITIAL_STEP RMS per element.
 ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
 INITIAL_STEP = 1.0
@@ -84,12 +91,8 @@ StackObjective = Callable[[tuple, np.ndarray],
 STOP_REASONS = ("gap", "max_iters", "line_search", "zero_grad")
 
 
-def tangent_project(v: PhaseVector, g: np.ndarray) -> np.ndarray:
-    """Project a Euclidean gradient onto the tangent space at v."""
-    return _tangent(v.entries, g)
-
-
 def _tangent(entries: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Project a Euclidean gradient onto the tangent space at `entries`."""
     g = np.asarray(g, dtype=complex)
     if g.shape != entries.shape:
         raise ValueError("gradient length must match the phase vector")
@@ -119,21 +122,18 @@ def _any(mask: np.ndarray) -> bool:
 
 
 def _normalize(v_bar: np.ndarray) -> np.ndarray:
+    """The retraction: map a point back onto the manifold by entrywise normalization."""
     mags = np.abs(v_bar)
     if not _all(mags):
         raise RetractionError("cannot retract a vector with a zero entry")
     return v_bar / mags
 
 
-def retract(v_bar: np.ndarray) -> PhaseVector:
-    """Map a point back onto the manifold by entrywise normalization."""
-    return PhaseVector(_normalize(np.asarray(v_bar, dtype=complex)))
-
-
 def armijo_step(f: Objective, v: np.ndarray, riem_grad: np.ndarray, f_v: float,
                 step: float) -> tuple[float, np.ndarray, float]:
     """Largest step * shrink^t meeting the sufficient decrease
-    f(retract(v - step * g)) <= f(v) - slope * step * ||g||^2.
+    f(_normalize(v - step * g)) <= f(v) - ARMIJO_SLOPE * step * ||g||^2
+    along the unscaled Riemannian gradient g.
 
     `v` holds the entries of a point on the manifold and `f_v` is f(v).
     Returns the accepted step, the entries of the accepted point and its
@@ -181,28 +181,29 @@ def _compact(arrays: tuple, keep: np.ndarray) -> tuple:
     return tuple(a[:n] for a in arrays)
 
 
-def _plain_step(first_step: float, riem: np.ndarray) -> np.ndarray:
+def _plain_step(first_step: float, direction: np.ndarray) -> np.ndarray:
     """The first iteration's trial step: a unit RMS per-element displacement."""
     with np.errstate(divide="ignore"):   # a zero gradient stops its row unused
-        return first_step / row_norm(riem)
+        return first_step / row_norm(direction)
 
 
 def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.ndarray,
-                 riem: np.ndarray, grad_sq: np.ndarray, step: np.ndarray,
-                 cfg: DescentConfig, need_grad: bool):
-    """Armijo backtracking on every row of v from its trial `step`.
+                 riem: np.ndarray, direction: np.ndarray, slope: np.ndarray,
+                 step: np.ndarray, cfg: DescentConfig, need_grad: bool):
+    """Armijo backtracking on every row of v along `direction` from its trial `step`.
 
     Each row takes the largest step * shrink^t meeting the sufficient decrease
-    f(retract(v - step g)) <= f(v) - slope step ||g||^2. A row with a zero
-    gradient does not search; one whose squared gradient underflows accepts
-    its own point. Returns the next points and values (a row that accepted
-    nothing keeps its own), the gradients there of the accepted rows that go
-    on (objective gap at least cfg.epsilon; taken when `need_grad`, other
-    rows are undefined), and the masks of accepted rows, of rows that go on
-    and of rows with a zero gradient.
+    f(_normalize(v - step d)) <= f(v) - ARMIJO_SLOPE step <riem, d>, with
+    `slope` = <riem, d> per row. A row with a zero Riemannian gradient does
+    not search; one whose slope underflows accepts its own point. Returns
+    the next points and values (a row that accepted nothing keeps its own),
+    the gradients there of the accepted rows that go on (objective gap at
+    least cfg.epsilon; taken when `need_grad`, other rows are undefined),
+    and the masks of accepted rows, of rows that go on and of rows with a
+    zero gradient.
     """
     n = len(v)
-    flat = grad_sq == 0.0
+    flat = slope == 0.0
     zero, accepted = flat, np.zeros(n, dtype=bool)
     if _any(flat):
         zero = np.zeros(n, dtype=bool)
@@ -218,9 +219,9 @@ def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.n
         # a run of consecutive rows is a view of `data`; others are gathered
         sel = slice(first, last + 1) if last - first + 1 == searching.size else searching
         s = step[sel]
-        candidate = _normalize(v[sel] - s[:, None] * riem[sel])
+        candidate = _normalize(v[sel] - s[:, None] * direction[sel])
         f_cand, gradient = evaluate(tuple(a[sel] for a in data), candidate)
-        ok = f_cand <= f_v[sel] - ARMIJO_SLOPE * s * grad_sq[sel]
+        ok = f_cand <= f_v[sel] - ARMIJO_SLOPE * s * slope[sel]
         if _any(ok):
             if not _all(np.isfinite(f_cand[ok])):
                 raise FloatingPointError("objective became non-finite")
@@ -252,10 +253,15 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     both that it is asked about. The loop owns `data`: it moves the rows of
     those arrays in place as rows stop. Each row runs the single-vector rule:
 
-    The Armijo trial step is warm-started each iteration: the first iteration
-    normalizes INITIAL_STEP to a unit RMS per-element displacement, later
-    iterations use the Barzilai-Borwein quotient from the previous step. A
-    fixed trial step stalls badly on the composite-path objective because its
+    The direction is d = riem / |G|, the Riemannian gradient riem over the
+    magnitude of each entry of the Euclidean gradient G (0 where G = 0,
+    where riem is 0 too), and a trial point is _normalize(v - step d). The
+    Armijo trial step is warm-started each iteration: the first iteration
+    normalizes INITIAL_STEP to a unit RMS per-element displacement along d,
+    later iterations use the Barzilai-Borwein quotient of the previous move
+    dv = v - v_prev in the same metric, <dv, |G| dv> / |<dv, riem - riem_prev>|
+    with |G| at v (the first iteration's rule where the denominator is 0). A fixed
+    trial step stalls badly on the composite-path objective because its
     curvature scales with the LIS size; backtracking still guards descent.
     A row stops when its objective gap drops below cfg.epsilon (`gap`), its
     iteration budget is exhausted (`max_iters`), its line search fails
@@ -286,21 +292,24 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     prev_v = prev_riem = None
     for it in range(cfg.max_iters):
         riem = _tangent(v, grad)
-        grad_sq = row_dot(riem, riem)
+        metric = np.abs(grad)
+        direction = np.divide(riem, metric, out=np.zeros_like(riem), where=metric > 0)
+        slope = row_dot(riem, direction)
         if prev_v is None:
-            trial = _plain_step(first_step, riem)
+            trial = _plain_step(first_step, direction)
         else:
             move = v - prev_v
             curvature = np.abs(row_dot(move, riem - prev_riem))
-            move_sq = row_dot(move, move)
+            move_sq = row_dot(move, metric * move)
             bb = curvature > 0
             if _all(bb):
                 trial = move_sq / curvature
             else:
-                trial = _plain_step(first_step, riem)
+                trial = _plain_step(first_step, direction)
                 trial[bb] = move_sq[bb] / curvature[bb]
         v_next, f_next, grad, accepted, go_on, zero = _line_search(
-            evaluate, data, v, f_v, riem, grad_sq, trial, cfg, it + 1 < cfg.max_iters)
+            evaluate, data, v, f_v, riem, direction, slope, trial, cfg,
+            it + 1 < cfg.max_iters)
         if _all(accepted):
             for i, value in zip(live.tolist(), f_next.tolist()):
                 traces[i].append(value)

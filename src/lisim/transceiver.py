@@ -145,11 +145,19 @@ def _analog_start(targets: np.ndarray, n_rf: int,
         # dependency, so it gets two uniform random chains after the extras
         r_diag = np.abs(np.diagonal(np.linalg.qr(targets, mode="r"), axis1=1, axis2=2))
         dependent = r_diag <= RESIDUAL_FLOOR * np.linalg.norm(targets, axis=(1, 2))[:, None]
+        # a column of constant modulus (to the floor) has theta = 0, so its
+        # two chains would coincide; its phases alone realize it, and its
+        # second chain is a uniform random one, drawn after the dependents'
+        constant = ~dependent & np.all(cos >= 1.0 - RESIDUAL_FLOOR, axis=2)
+        pairs[constant, 0] = unit[constant]
         extra = []
         for k, rng in enumerate(rngs):
             n_dep = int(np.count_nonzero(dependent[k]))
-            chains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n_extra + 2 * n_dep, n)))
-            pairs[k, dependent[k]] = chains[n_extra:].reshape(n_dep, 2, n)
+            n_con = int(np.count_nonzero(constant[k]))
+            chains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi,
+                                             (n_extra + 2 * n_dep + n_con, n)))
+            pairs[k, dependent[k]] = chains[n_extra:n_extra + 2 * n_dep].reshape(n_dep, 2, n)
+            pairs[k, constant[k], 1] = chains[n_extra + 2 * n_dep:]
             extra.append(chains[:n_extra])
         return np.concatenate([pairs.reshape(n_slots, 2 * n_streams, n), np.stack(extra)],
                               axis=1)
@@ -179,7 +187,10 @@ def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
       part outside the span of the columns before it is at most
       RESIDUAL_FLOOR ||t_k||_F is held by their pairs already, and its pair
       sum would repeat that dependency; its two chains are uniform random
-      phases instead, drawn from rngs[k] after the extra chains;
+      phases instead, drawn from rngs[k] after the extra chains. A column
+      of constant modulus (min|t| >= (1 - RESIDUAL_FLOOR) max|t|) would get
+      two equal chains; its first chain is its phases, which realize it, and
+      its second a uniform random chain drawn from rngs[k] after those;
     - N_s <= n_rf < 2 N_s: chain i < N_s is the phases of target column i,
       and each further chain the phases of P z, with P the projector onto
       the target's columns and z complex Gaussian drawn from rngs[k].

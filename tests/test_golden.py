@@ -5,8 +5,9 @@ Each config in `configs/` runs at two trials and its CSV, without the
 character. A change that is meant to keep every value keeps these files; a
 change that moves values on purpose regenerates them with
 `PYTHONPATH=src python tests/test_golden.py`, which prints the
-(sweep_value, method, precoding) keys of the rows it changed in each file,
-and lists the regenerated files in `CHANGES.md`.
+(sweep_value, method, precoding) key of each row it changed in each file,
+with the row's old -> new `mean_se` and `mean_iters`, and lists the
+regenerated files in `CHANGES.md`.
 """
 
 import csv
@@ -35,16 +36,33 @@ def test_shipped_config_csv_matches_its_fixture(tmp_path, name):
     assert _csv_without_wall(name, tmp_path / "run.csv") == (DATA / f"{name}.csv").read_text()
 
 
-def _rows_by_key(text: str) -> dict[tuple[str, str, str], list[str]]:
-    """A fixture's rows keyed by (sweep_value, method, precoding)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    return {tuple(row[:3]): row for row in rows[1:]}
+SHOWN = ("mean_se", "mean_iters")   # the columns a changed row prints
+
+
+def _rows_by_key(text: str) -> dict[tuple[str, str, str], dict[str, str]]:
+    """A fixture's rows, as column -> cell, keyed by (sweep_value, method, precoding)."""
+    rows = list(csv.DictReader(io.StringIO(text)))
+    return {(row["sweep_value"], row["method"], row["precoding"]): row for row in rows}
 
 
 def changed_keys(old: str, new: str) -> list[tuple[str, str, str]]:
     """The keys of the rows that differ between two fixtures, or that only one has."""
     before, after = _rows_by_key(old), _rows_by_key(new)
     return [key for key in before | after if before.get(key) != after.get(key)]
+
+
+def describe_changes(old: str, new: str) -> list[str]:
+    """One line per changed row: its key, then old -> new of each SHOWN
+    column (`-` for a row that one fixture lacks)."""
+    before, after = _rows_by_key(old), _rows_by_key(new)
+
+    def cell(row, column):
+        return f"{float(row[column]):.8g}" if row else "-"
+
+    return [", ".join(key) + ": " + ", ".join(
+                f"{column} {cell(before.get(key), column)} -> {cell(after.get(key), column)}"
+                for column in SHOWN)
+            for key in changed_keys(old, new)]
 
 
 def test_changed_keys_names_the_rows_that_moved():
@@ -56,6 +74,15 @@ def test_changed_keys_names_the_rows_that_moved():
                                      ("15", "spgm", "digital")]
 
 
+def test_describe_changes_shows_old_and_new_values():
+    old = ("sweep_value,method,precoding,mean_se,mean_iters\n"
+           "10,tsvd,digital,1.0,2.5e+01\n10,spgm,digital,2.0,8\n")
+    new = old.replace("1.0,2.5e+01", "1.25,1.7e+01") + "15,spgm,digital,3.0,9\n"
+    assert describe_changes(old, new) == [
+        "10, tsvd, digital: mean_se 1 -> 1.25, mean_iters 25 -> 17",
+        "15, spgm, digital: mean_se - -> 3, mean_iters - -> 9"]
+
+
 if __name__ == "__main__":
     import tempfile
     DATA.mkdir(exist_ok=True)
@@ -65,7 +92,7 @@ if __name__ == "__main__":
             old = path.read_text() if path.exists() else ""
             new = _csv_without_wall(name, Path(tmp) / "run.csv")
             path.write_text(new)
-            keys = changed_keys(old, new)
-            print(f"wrote {path}: {len(keys)} changed rows")
-            for key in keys:
-                print("  " + ", ".join(key))
+            lines = describe_changes(old, new)
+            print(f"wrote {path}: {len(lines)} changed rows")
+            for line in lines:
+                print("  " + line)

@@ -10,12 +10,14 @@ from lisim.manifold import (
     LineSearchError,
     PhaseVector,
     RetractionError,
+    ARMIJO_SHRINK,
+    ARMIJO_SLOPE,
     ccm_descent,
     ccm_descent_stack,
-    retract,
     row_dot,
     row_norm,
-    tangent_project,
+    _normalize,
+    _tangent,
 )
 
 phase_arrays = st.integers(2, 32).flatmap(
@@ -43,43 +45,43 @@ def test_phase_vector_rejects_off_manifold():
 
 @given(phase_arrays, st.integers(0, 2 ** 31 - 1))
 def test_tangent_projection_is_tangent(phases, seed):
-    v = _vec(phases)
+    v = _vec(phases).entries
     g = _random_grad(np.random.default_rng(seed), len(v))
-    z = tangent_project(v, g)
+    z = _tangent(v, g)
     # tangent space at v: Re(z .* conj(v)) = 0 entrywise
-    np.testing.assert_allclose(np.real(z * v.entries.conj()), 0.0, atol=1e-12)
+    np.testing.assert_allclose(np.real(z * v.conj()), 0.0, atol=1e-12)
 
 
 @given(phase_arrays, st.integers(0, 2 ** 31 - 1))
 def test_tangent_projection_idempotent(phases, seed):
-    v = _vec(phases)
+    v = _vec(phases).entries
     g = _random_grad(np.random.default_rng(seed), len(v))
-    z = tangent_project(v, g)
-    np.testing.assert_allclose(tangent_project(v, z), z, atol=1e-12)
+    z = _tangent(v, g)
+    np.testing.assert_allclose(_tangent(v, z), z, atol=1e-12)
 
 
 @given(phase_arrays)
 def test_retract_fixes_manifold_points(phases):
-    v = _vec(phases)
-    np.testing.assert_allclose(retract(v.entries).entries, v.entries, atol=1e-12)
+    v = _vec(phases).entries
+    np.testing.assert_allclose(_normalize(v), v, atol=1e-12)
 
 
 def test_retract_normalizes():
-    out = retract(np.array([3.0, -4j, 1 + 1j]))
-    np.testing.assert_allclose(np.abs(out.entries), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(out.entries[0], 1.0)
-    np.testing.assert_allclose(out.entries[1], -1j)
+    out = _normalize(np.array([3.0, -4j, 1 + 1j]))
+    np.testing.assert_allclose(np.abs(out), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(out[0], 1.0)
+    np.testing.assert_allclose(out[1], -1j)
 
 
 def test_retract_zero_entry_raises():
     with pytest.raises(RetractionError):
-        retract(np.array([1.0, 0.0], dtype=complex))
+        _normalize(np.array([1.0, 0.0], dtype=complex))
 
 
 def test_projection_shape_mismatch():
-    v = _vec([0.0, 1.0])
+    v = _vec([0.0, 1.0]).entries
     with pytest.raises(ValueError):
-        tangent_project(v, np.ones(3, dtype=complex))
+        _tangent(v, np.ones(3, dtype=complex))
 
 
 # -- descent engine ----------------------------------------------------------
@@ -167,6 +169,51 @@ def test_descent_deterministic(seed):
     b = ccm_descent(f, grad, v0, DescentConfig())
     np.testing.assert_array_equal(a[0].entries, b[0].entries)
     assert a[1] == b[1]
+
+
+def _linear_problem(m, seed):
+    """f(v) = -Re(c^H v) with |c_m| = 10^U(-3, 3): separable, minimum at c / |c|."""
+    rng = np.random.default_rng(seed)
+    c = 10.0 ** rng.uniform(-3, 3, m) * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+
+    def f(v):
+        return -float(np.vdot(c, v).real)
+
+    def grad(v):
+        return -c
+
+    return f, grad, c
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_preconditioned_descent_solves_an_ill_scaled_objective(seed):
+    # the phases' curvatures span six decades; scaled by 1 / |G| every phase
+    # moves at the same rate, so the descent converges in a few iterations
+    # (an unscaled gradient step runs to the 500-iteration cap here)
+    f, grad, c = _linear_problem(32, seed)
+    v0 = PhaseVector(np.exp(1j * np.random.default_rng(seed + 10).uniform(0, 2 * np.pi, 32)))
+    v, trace = ccm_descent(f, grad, v0, DescentConfig(epsilon=1e-10))
+    assert len(trace) - 1 <= 15
+    np.testing.assert_allclose(np.angle(v.entries * np.conj(c)), 0.0, rtol=0, atol=1e-9)
+
+
+def test_first_iteration_is_a_scaled_armijo_step():
+    # one iteration: the unit-RMS trial along d = riem / |G|, halved until the
+    # decrease meets ARMIJO_SLOPE step <riem, d>
+    f, grad, t = _alignment_problem(20, 11)
+    rng = np.random.default_rng(12)
+    v0 = t * np.exp(1j * rng.uniform(-0.1, 0.1, 20))   # near t: the first trial overshoots
+    g = grad(v0)
+    riem = g - (g * v0.conj()).real * v0
+    d = riem / np.abs(g)
+    slope = np.vdot(riem, d).real
+    step, shrinks = np.sqrt(20) / np.linalg.norm(d), 0
+    while f(_normalize(v0 - step * d)) > f(v0) - ARMIJO_SLOPE * step * slope:
+        step, shrinks = step * ARMIJO_SHRINK, shrinks + 1
+    assert shrinks >= 1
+    v, trace = ccm_descent(f, grad, PhaseVector(v0), DescentConfig(max_iters=1))
+    np.testing.assert_allclose(v.entries, _normalize(v0 - step * d), rtol=0, atol=1e-14)
+    assert trace == [f(v0), pytest.approx(f(v.entries), rel=1e-14)]
 
 
 # -- stacked descent ---------------------------------------------------------

@@ -336,6 +336,22 @@ def test_hybrid_split_start_of_a_rank_deficient_target_is_exact(seed):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_rf", [4, 5])
+def test_hybrid_split_start_of_a_constant_modulus_column_is_exact(n_rf):
+    # a steering-vector column has |t| = max|t| on every entry, so its split
+    # pair would be two equal chains and F_RF near singular (condition
+    # number 2e8 and 3e9, relative residual 6e-9 and 6e-10 at n_rf = 4 and
+    # 5); its phases and one random chain realize it instead
+    rng = np.random.default_rng(17)
+    steering = np.exp(1j * np.pi * np.arange(8) * np.sin(0.4)) / np.sqrt(8)
+    target = np.column_stack([steering, _random_matrix(rng, 8, 1)[:, 0]])
+    f_rf, f_bb = _factor_one(target, n_rf, np.random.default_rng(18))
+    assert np.linalg.cond(f_rf) < 1e3
+    assert np.linalg.norm(target - f_rf @ f_bb) <= RESIDUAL_FLOOR * np.linalg.norm(target)
+    start, _ = _factor_one(target, n_rf, np.random.default_rng(18), max_alternations=0)
+    np.testing.assert_allclose(start[:, 0], steering * np.sqrt(8), rtol=0, atol=1e-15)
+
+
 def test_hybrid_zero_column_target_keeps_unit_entries():
     # a zero target gives zero column targets: the analog entries become 1
     # and the residual is exactly 0 after one alternation
