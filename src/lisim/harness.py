@@ -18,10 +18,13 @@ optimizer runs as one stack (`passive_bf.optimize_*_stack`), then the
 stacked digital stage (SVD, precoder and combiner, condition number,
 digital rate, hybrid targets and channels). The group's hybrid jobs take
 one more batch: two `hybrid_factorize` calls, precoders then combiners, and
-one stacked rate. `_batched` runs every batch and, on a numerical failure,
-reruns each item alone on its rows from its saved generator state. A
-point's values do not depend on its group, so the CSV is the same for any
-grouping, serial or parallel. `_run_trial` is a group of one point.
+one stacked rate. Each analog start holds the scaled steering vectors of
+the point's strongest estimated paths, whose span holds its targets, then
+random chains from the method's generator. `_batched` runs every batch
+and, on a numerical failure, reruns each item alone on its rows from its
+saved generator state. A point's values do not depend on its group, so the
+CSV is the same for any grouping, serial or parallel. `_run_trial` is a
+group of one point.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .channel import (
     perturb_angles,
     sample_paths,
     sort_paths_descending,
+    ula_responses,
 )
 # A sweep builds no dense channel; perfbench/spans.py looks these names up here.
 from .channel import (  # noqa: F401
@@ -470,11 +474,32 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> list[_Design]
         c_seen[erred] = to_u @ c_true[erred] @ to_b
         sigma[erred] = np.linalg.svd(c_true[erred], compute_uv=False)[:, :n_streams]
     cond = truncated_condition_number(c_true, n_streams, sigma)
-    offdiag = coupling_matrix(phases, [p.paths for p in points], true).offdiag_ratio(n_streams)
+    offdiag = coupling_matrix(phases, true).offdiag_ratio(n_streams)
     se = spectral_efficiency(c_seen, f_core, w_core, run_cfg.budget.noise_power)
     h_true = true.lift(c_true) if cfg.precoding != "digital" else [None] * len(points)
     return [_Design(*row) for row in zip(se, cond, offdiag, iters, est.q_b @ f_core,
                                          est.q_u @ w_core, h_true)]
+
+
+def _analog_starts(group: _Group, jobs: list[tuple[int, np.random.Generator, _Design]],
+                   ) -> list[np.ndarray]:
+    """Each job's analog starts (K x N x n_rf), precoders then combiners:
+    sqrt(N) times the steering vectors of its point's strongest min(n_rf, P)
+    estimated paths, then uniform random chains drawn from the job's own
+    generator, its precoder's before its combiner's."""
+    run_cfg = group.points[0].cfg
+    geometry = run_cfg.geometry
+    est = [group.points[i].est_paths for i, _, _ in jobs]
+    sides = ((geometry.n_tx, run_cfg.n_rf_tx, np.stack([p.bs_lis_aod for p in est])),
+             (geometry.n_rx, run_cfg.n_rf_rx, np.stack([p.lis_ue_aoa for p in est])))
+    starts = []
+    for n, n_rf, angles in sides:
+        steering = math.sqrt(n) * ula_responses(angles[:, :n_rf], n, geometry.spacing_ratio)
+        shape = (max(n_rf - angles.shape[1], 0), n)
+        chains = np.stack([np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape))
+                           for _, rng, _ in jobs])
+        starts.append(np.concatenate([steering, chains], axis=1).swapaxes(1, 2))
+    return starts
 
 
 def _hybrid_rates(group: _Group,
@@ -482,17 +507,18 @@ def _hybrid_rates(group: _Group,
     """Each job's spectral efficiency with its hybrid precoder and combiner.
 
     One hybrid_factorize call factors every precoder, each normalized to its
-    own point's transmit power, and one more every combiner, so each job's
-    generator draws its precoder start before its combiner start. The jobs
-    share their RF chain counts (see `_groups`) and noise power.
+    own point's transmit power, and one more every combiner, from the starts
+    of `_analog_starts`. The jobs share their RF chain counts (see `_groups`)
+    and noise power.
     """
-    rows, rngs, designs = zip(*jobs)
+    rows, _, designs = zip(*jobs)
     run_cfg = group.points[0].cfg
-    f_rf, f_bb = hybrid_factorize(np.stack([d.f_target for d in designs]), run_cfg.n_rf_tx,
-                                  run_cfg.descent, rngs,
+    f_start, w_start = _analog_starts(group, jobs)
+    f_rf, f_bb = hybrid_factorize(np.stack([d.f_target for d in designs]), f_start,
+                                  run_cfg.descent,
                                   [group.points[i].cfg.budget.tx_power for i in rows])
-    w_rf, w_bb = hybrid_factorize(np.stack([d.w_target for d in designs]), run_cfg.n_rf_rx,
-                                  run_cfg.descent, rngs)
+    w_rf, w_bb = hybrid_factorize(np.stack([d.w_target for d in designs]), w_start,
+                                  run_cfg.descent)
     return spectral_efficiency(np.stack([d.h_true for d in designs]), f_rf @ f_bb,
                                w_rf @ w_bb, run_cfg.budget.noise_power)
 

@@ -23,8 +23,9 @@ result alone, bit for bit, and the single-core optimizers run on a stack of
 one. The objectives and gradients take one phase vector against a one-row
 problem or core, or a (T, M) stack against one with as many rows.
 
-`coupling_matrix` exposes the D matrix and the off-diagonal diagnostic
-ratio used to check that the optimized phases suppress cross-path leakage.
+`coupling_matrix` exposes the path-coupling gains v^H p^{ij} and the
+off-diagonal diagnostic ratio used to check that the optimized phases
+suppress cross-path leakage.
 """
 
 from __future__ import annotations
@@ -75,11 +76,9 @@ class TsvdProblem:
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Path-coupling matrices D(i,j) = beta_i alpha_j d_ij and the raw gains
-    d_ij of T path sets, one row each."""
+    """Path-coupling gains d_ij = v^H p^{ij} of T path cores, one row each."""
 
-    d: np.ndarray      # (T, L, P) complex, beta_i alpha_j v^H p^{ij}
-    gains: np.ndarray  # (T, L, P) complex, v^H p^{ij}
+    gains: np.ndarray  # (T, L, P) complex
 
     def offdiag_ratio(self, n_streams: int) -> np.ndarray:
         """mean |d_ij| off the diagonal over mean |d_ii|, top-N_s block, per row."""
@@ -384,15 +383,7 @@ def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
                         stops=tuple(stops))
 
 
-def coupling_matrix(v: np.ndarray, paths: Sequence[PathSet], core: PathCore) -> CouplingMatrix:
-    """Evaluate every passive beamforming gain d_ij = v^H p^{ij} at the (T, M)
-    phase entries v, one row per path set.
-
-    `core` must be the stacked path core of `paths`.
-    """
-    gains = core.gains(v)
-    if len(paths) != len(gains) or any(
-            (p.n_lis_ue, p.n_bs_lis) != gains.shape[1:] for p in paths):
-        raise ValueError("paths and path core are inconsistent")
-    d = np.array([p.lis_ue_gain[:, None] * p.bs_lis_gain[None, :] for p in paths]) * gains
-    return CouplingMatrix(d=d, gains=gains)
+def coupling_matrix(v: np.ndarray, core: PathCore) -> CouplingMatrix:
+    """Evaluate every passive beamforming gain d_ij = v^H p^{ij} of the
+    stacked path core at the (T, M) phase entries v, one row per core."""
+    return CouplingMatrix(gains=core.gains(v))

@@ -3,19 +3,17 @@
 The fully digital optimum comes from the truncated SVD of the cascade
 channel with an equal power split (water-filling is available as a library
 function). The hybrid factorization approximates that optimum with a
-unit-modulus analog matrix times a small digital matrix: it alternates the
-least-squares digital update, solved on the n_rf x n_rf Gram matrix of the
-analog matrix, with closed-form column-wise phase updates of the analog
-matrix (Sohrabi & Yu, IEEE JSTSP 2016), computed from the small products
-target F_BB^H and F_BB F_BB^H rather than from an explicit residual matrix.
-The analog start is built from the target: with n_rf >= 2 N_s the
-two-phase split of each target column (Sohrabi & Yu) realizes the target
-exactly, and with fewer chains the phases of the target's columns, plus
-phases of random vectors in their span for the extra chains, start the
-alternation near a good point, so a cap of 10 alternations serves. It
-factors a stack of targets (slots) in one loop: every slot has its own
-start, generator and stop, a slot that has stopped is frozen while the
-others go on, and each slot's result does not depend on the others.
+unit-modulus analog matrix times a small digital matrix: from the caller's
+analog start it alternates the least-squares digital update, solved on the
+n_rf x n_rf Gram matrix of the analog matrix, with closed-form column-wise
+phase updates of the analog matrix (Sohrabi & Yu, IEEE JSTSP 2016), computed
+from the small products target F_BB^H and F_BB F_BB^H rather than from an
+explicit residual matrix. A sweep starts from the paths' own steering
+vectors, which span its targets (El Ayach et al., IEEE TWC 2014), so a cap
+of 10 alternations serves. It factors a stack of targets (slots) in one
+loop: every slot has its own start and stop, a slot that has stopped is
+frozen while the others go on, and each slot's result does not depend on
+the others.
 """
 
 from __future__ import annotations
@@ -124,85 +122,19 @@ def _phases(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(x, mag, out=out)
 
 
-def _analog_start(targets: np.ndarray, n_rf: int,
-                  rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Each slot's starting analog columns, as contiguous rows of F_RF^T
-    (K x n_rf x N); see hybrid_factorize."""
-    n_slots, n, n_streams = targets.shape
-    cols = targets.transpose(0, 2, 1)                  # row i is target column i
-    unit = _phases(cols.copy())
-    n_extra = n_rf - 2 * n_streams
-    if n_extra >= 0:
-        # t = c e^{j(arg t + theta)} + c e^{j(arg t - theta)} with 2c = max|t|
-        # and cos theta = |t| / 2c, so the pair's span holds the column
-        mag = np.abs(cols)
-        peak = mag.max(axis=2, keepdims=True)
-        cos = np.divide(mag, peak, out=np.zeros_like(mag), where=peak > 0)
-        turn = cos + 1j * np.sqrt(1.0 - cos ** 2)      # e^{j theta}
-        pairs = np.stack([unit * turn, unit * turn.conj()], axis=2)
-        # a column within rounding of the span of the columns before it is
-        # held by their pairs already; its own pair would repeat that
-        # dependency, so it gets two uniform random chains after the extras
-        r_diag = np.abs(np.diagonal(np.linalg.qr(targets, mode="r"), axis1=1, axis2=2))
-        dependent = r_diag <= RESIDUAL_FLOOR * np.linalg.norm(targets, axis=(1, 2))[:, None]
-        # a column of constant modulus (to the floor) has theta = 0, so its
-        # two chains would coincide; its phases alone realize it, and its
-        # second chain is a uniform random one, drawn after the dependents'
-        constant = ~dependent & np.all(cos >= 1.0 - RESIDUAL_FLOOR, axis=2)
-        pairs[constant, 0] = unit[constant]
-        extra = []
-        for k, rng in enumerate(rngs):
-            n_dep = int(np.count_nonzero(dependent[k]))
-            n_con = int(np.count_nonzero(constant[k]))
-            chains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi,
-                                             (n_extra + 2 * n_dep + n_con, n)))
-            pairs[k, dependent[k]] = chains[n_extra:n_extra + 2 * n_dep].reshape(n_dep, 2, n)
-            pairs[k, constant[k], 1] = chains[n_extra + 2 * n_dep:]
-            extra.append(chains[:n_extra])
-        return np.concatenate([pairs.reshape(n_slots, 2 * n_streams, n), np.stack(extra)],
-                              axis=1)
-    # the extra chains: phases of random vectors projected onto the target's
-    # column space (pinv keeps the projector defined for a rank-deficient target)
-    shape = (n, n_rf - n_streams)
-    z = np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                  for rng in rngs])
-    in_span = targets @ (np.linalg.pinv(targets, rtol=None) @ z)
-    return np.concatenate([unit, _phases(in_span.transpose(0, 2, 1))], axis=1)
-
-
-def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
-                     rngs: Sequence[np.random.Generator],
+def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
                      power_norms: Sequence[float] | None = None,
                      max_alternations: int = 10) -> tuple[np.ndarray, np.ndarray]:
     """Factor each slot of `targets` (K x N x N_s) into unit-modulus analog
     (K x N x n_rf) times digital (K x n_rf x N_s) matrices.
 
-    Slot k's analog start is built from its target t_k (an entry whose
-    source value is 0 gets phase 0):
-    - n_rf >= 2 N_s: chains 2i and 2i + 1 split target column t into
-      e^{j(arg t +- arccos(|t| / max|t|))}, and max|t| / 2 times their sum is
-      t (Sohrabi & Yu), so the first digital stage is exact and the slot
-      stops at the residual floor after one alternation; the chains after
-      2 N_s are uniform random phases drawn from rngs[k]. A column whose
-      part outside the span of the columns before it is at most
-      RESIDUAL_FLOOR ||t_k||_F is held by their pairs already, and its pair
-      sum would repeat that dependency; its two chains are uniform random
-      phases instead, drawn from rngs[k] after the extra chains. A column
-      of constant modulus (min|t| >= (1 - RESIDUAL_FLOOR) max|t|) would get
-      two equal chains; its first chain is its phases, which realize it, and
-      its second a uniform random chain drawn from rngs[k] after those;
-    - N_s <= n_rf < 2 N_s: chain i < N_s is the phases of target column i,
-      and each further chain the phases of P z, with P the projector onto
-      the target's columns and z complex Gaussian drawn from rngs[k].
-    Both rules turn with a phase of a target column (the phase an SVD leaves
-    free): t_k D, D diagonal unit-modulus, gives the product F_RF F_BB D.
-    The slots draw in order (a generator may serve several slots). Each
-    slot alternates two exact block updates of ||target - F_RF F_BB||_F
-    until its relative residual change drops below cfg.epsilon or its
-    residual is at most RESIDUAL_FLOOR ||target||_F (at most
-    `max_alternations` rounds); a slot that has stopped is frozen while the
-    others go on, so a slot's result is the same alone as in any stack. The
-    updates:
+    Slot k starts from the unit-modulus analog matrix start[k], and the
+    start's shape (K x N x n_rf) sets n_rf. Each slot alternates two exact
+    block updates of ||target - F_RF F_BB||_F until its relative residual
+    change drops below cfg.epsilon or its residual is at most
+    RESIDUAL_FLOOR ||target||_F (at most `max_alternations` rounds); a slot
+    that has stopped is frozen while the others go on, so a slot's result is
+    the same alone as in any stack. The updates:
     - F_BB = (F_RF^H F_RF)^-1 F_RF^H target, the least-squares digital stage,
       solved on the n_rf x n_rf Gram matrix (raises LinAlgError if singular);
     - one Gauss-Seidel pass over the analog columns. With the other columns
@@ -213,19 +145,22 @@ def hybrid_factorize(targets: np.ndarray, n_rf: int, cfg: DescentConfig,
       once per pass, D F_BB[k]^H = A[:, k] - F_RF B[:, k], so the N x N_s
       residual is never updated column by column. An entry whose
       D F_BB[k]^H entry is 0 becomes 1.
-    Neither step can increase the residual. The digital stage is solved once
-    more for the final analog matrices. When power_norms is given (precoder
-    slots), each slot k's digital matrix is rescaled so its product has
-    squared Frobenius norm power_norms[k].
+    Neither step can increase the residual, and both turn with a phase of a
+    target column (the phase an SVD leaves free): from one start, a target
+    T D, D diagonal unit-modulus, gives the product F_RF F_BB D. The digital
+    stage is solved once more for the final analog matrices. When power_norms
+    is given (precoder slots), each slot k's digital matrix is rescaled so
+    its product has squared Frobenius norm power_norms[k].
     """
     targets = np.ascontiguousarray(targets, dtype=complex)
     n_slots, n, n_streams = targets.shape
+    if start.shape[:2] != (n_slots, n):
+        raise ValueError("need one N x n_rf start per slot")
+    n_rf = start.shape[2]
     if not (n_streams <= n_rf <= n):
         raise ValueError("need N_s <= n_rf <= N")
-    if len(rngs) != n_slots:
-        raise ValueError("need one generator per slot")
 
-    rows = _analog_start(targets, n_rf, rngs)
+    rows = start.transpose(0, 2, 1).astype(complex, order="C")   # row k is analog column k
     offdiag = ~np.eye(n_rf, dtype=bool)
     live = np.arange(n_slots)              # slots still alternating
     r, t = rows, targets                   # their analog rows and targets

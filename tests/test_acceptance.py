@@ -242,7 +242,7 @@ def test_criterion_7_diagonal_dominance():
             core = path_core([paths], geometry)
             v, _ = optimize_tsvd(core, stream_weights(paths, budget, 4, TX_GAIN),
                                  DescentConfig(), rng)
-            ratios.append(coupling_matrix(v.entries[None], [paths], core).offdiag_ratio(4)[0])
+            ratios.append(coupling_matrix(v.entries[None], core).offdiag_ratio(4)[0])
         means[16 * lis_z] = float(np.mean(ratios))
     decreasing = means[16] > means[64] > means[256]
     ok = means[256] < 0.3 and decreasing

@@ -388,22 +388,23 @@ def test_run_sweep_hybrid_failure_is_per_method(monkeypatch):
     from lisim import harness
     cfg = replace(SMALL, precoding="both", trials=2, sweep_values=(40.0,))
     clean = run_sweep(cfg).rows
-    spgm_rngs = []   # kept alive, so no later generator is mistaken for one
-    real_passive, real_hybrid = harness._passive_beamforming, harness.hybrid_factorize
+    spgm_targets = []   # the precoder targets of spgm's designs
+    real_designs, real_hybrid = harness._designs, harness.hybrid_factorize
 
-    def passive(method, group, run_cfg):
+    def designs(method, group, run_cfg):
+        found = real_designs(method, group, run_cfg)
         if method == "spgm":
-            spgm_rngs.extend(point.rngs[method] for point in group.points)
-        return real_passive(method, group, run_cfg)
+            spgm_targets.extend(design.f_target for design in found)
+        return found
 
-    def hybrid(targets, n_rf, descent, rngs, *args, **kwargs):
+    def hybrid(targets, start, descent, *args, **kwargs):
         # fail after the starts are drawn, as a singular solve would
-        factors = real_hybrid(targets, n_rf, descent, rngs, *args, **kwargs)
-        if any(rng is bad for rng in rngs for bad in spgm_rngs):
+        factors = real_hybrid(targets, start, descent, *args, **kwargs)
+        if any(np.array_equal(t, bad) for t in targets for bad in spgm_targets):
             raise np.linalg.LinAlgError("injected")
         return factors
 
-    monkeypatch.setattr(harness, "_passive_beamforming", passive)
+    monkeypatch.setattr(harness, "_designs", designs)
     monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
     rows = run_sweep(cfg).rows
     strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
@@ -424,24 +425,25 @@ def test_run_sweep_hybrid_failure_is_per_point(monkeypatch):
     from lisim import harness
     cfg = replace(SMALL, precoding="both", trials=2)
     clean = run_sweep(cfg).rows
-    seen = []   # spgm's stacks; the second point of the first is the bad one
-    real_passive, real_hybrid = harness._passive_beamforming, harness.hybrid_factorize
+    seen = []   # spgm's design stacks; the second point of the first is the bad one
+    real_designs, real_hybrid = harness._designs, harness.hybrid_factorize
 
-    def passive(method, group, run_cfg):
+    def designs(method, group, run_cfg):
+        found = real_designs(method, group, run_cfg)
         if method == "spgm":
-            seen.append(group.points)
-        return real_passive(method, group, run_cfg)
+            seen.append(found)
+        return found
 
     calls = []
 
-    def hybrid(targets, n_rf, descent, rngs, *args, **kwargs):
-        calls.append(len(rngs))
-        factors = real_hybrid(targets, n_rf, descent, rngs, *args, **kwargs)
-        if any(rng is seen[0][1].rngs["spgm"] for rng in rngs):
+    def hybrid(targets, start, descent, *args, **kwargs):
+        calls.append(len(targets))
+        factors = real_hybrid(targets, start, descent, *args, **kwargs)
+        if any(np.array_equal(t, seen[0][1].f_target) for t in targets):
             raise np.linalg.LinAlgError("injected")
         return factors
 
-    monkeypatch.setattr(harness, "_passive_beamforming", passive)
+    monkeypatch.setattr(harness, "_designs", designs)
     monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
     rows = run_sweep(cfg).rows
     # the batch of 4 points x 3 methods fails at its precoder call; then each
@@ -537,6 +539,22 @@ def test_digital_rows_ignore_hybrid():
     strip = lambda r: (r.sweep_value, r.method, r.mean_se, r.std_se, r.mean_cond,
                        r.mean_offdiag, r.mean_iters, r.errors)
     assert [strip(r) for r in both if r.precoding == "digital"] == [strip(r) for r in digital]
+
+
+def test_hybrid_is_exact_with_a_chain_per_path():
+    # n_rf = P = L = 7 with N_s = 4: every target lies in the span of its
+    # paths' steering vectors, which the analog start holds, so the hybrid
+    # transceiver realizes the digital one on the true and on an estimated
+    # path set
+    from lisim.harness import _run_trial
+    cfg = ExperimentConfig(n_rf_tx=7, n_rf_rx=7, sweep_variable="angle_error_deg",
+                           sweep_values=(0.0, 1.0), trials=2, precoding="both", seed=3)
+    for si, value in enumerate(cfg.sweep_values):
+        for ti in range(cfg.trials):
+            records = _run_trial(cfg, si, ti, value)
+            se = {(rec.method, rec.precoding): rec.se for rec in records}
+            for method in cfg.methods:
+                assert se[method, "hybrid"] == pytest.approx(se[method, "digital"], rel=1e-9)
 
 
 def test_run_sweep_lets_bugs_through(monkeypatch):

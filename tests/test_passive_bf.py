@@ -292,22 +292,20 @@ def test_coupling_matrix_entries():
     rng, paths = _instance(8)
     bank = composite_path_vectors(paths, GEOMETRY)
     v = random_phases(rng, GEOMETRY.m)
-    cm = coupling_matrix(v.entries[None], [paths], path_core([paths], GEOMETRY))
+    cm = coupling_matrix(v.entries[None], path_core([paths], GEOMETRY))
     for i in range(paths.n_lis_ue):
         for j in range(paths.n_bs_lis):
             d_ij = v.entries.conj() @ bank[i, j]
             assert cm.gains[0, i, j] == pytest.approx(d_ij, rel=1e-12)
-            want = paths.lis_ue_gain[i] * paths.bs_lis_gain[j] * d_ij
-            assert cm.d[0, i, j] == pytest.approx(want, rel=1e-12)
 
 
 def test_offdiag_ratio_limits():
     from lisim.passive_bf import CouplingMatrix
     gains = np.eye(3, dtype=complex)[None]
-    diag_only = CouplingMatrix(d=gains, gains=gains)
+    diag_only = CouplingMatrix(gains=gains)
     assert diag_only.offdiag_ratio(3) == [0.0]
     assert diag_only.offdiag_ratio(1) == [0.0]
-    flat = CouplingMatrix(d=np.ones((1, 3, 3)), gains=np.ones((1, 3, 3), dtype=complex))
+    flat = CouplingMatrix(gains=np.ones((1, 3, 3), dtype=complex))
     assert flat.offdiag_ratio(3) == pytest.approx([1.0])
 
 
@@ -315,7 +313,4 @@ def test_coupling_matrix_shape_mismatch():
     rng, paths = _instance(9)
     core = path_core([paths], GEOMETRY)
     with pytest.raises(ValueError):
-        coupling_matrix(np.ones((1, 3), dtype=complex), [paths], core)
-    _, other = _instance(9, p=2)
-    with pytest.raises(ValueError):
-        coupling_matrix(np.ones((1, GEOMETRY.m), dtype=complex), [other], core)
+        coupling_matrix(np.ones((1, 3), dtype=complex), core)

@@ -3,12 +3,10 @@
 A sweep trial runs on the L x P core of the cascade channel. The dense
 oracle is the chain it replaced: assemble_channels -> effective_channel ->
 truncated_svd -> spectral_efficiency on N_r x N_t matrices, fed with the
-paths, phases and random state the trial used. A sweep group builds one
+paths, phases and analog starts the trial used. A sweep group builds one
 stacked core of its points' path sets; each row must equal the core of its
 path set built alone.
 """
-
-import copy
 
 import numpy as np
 import pytest
@@ -43,8 +41,8 @@ DESK = ExperimentConfig(
 
 
 class _Spy:
-    """Records what a trial drew: paths, estimated paths, phases, and the state of
-    the generator behind the first slot of the trial's hybrid batch."""
+    """Records what a trial drew: paths, estimated paths, phases, and the analog
+    starts of the first slot of the trial's precoder and combiner batches."""
 
     def __init__(self, monkeypatch):
         self.seen = {}
@@ -52,9 +50,9 @@ class _Spy:
             monkeypatch.setattr(harness, name, self._recording(name, getattr(harness, name)))
         real_hybrid = harness.hybrid_factorize
 
-        def hybrid(targets, n_rf, cfg, rngs, *args, **kwargs):
-            self.seen.setdefault("hybrid_rng", copy.deepcopy(rngs[0].bit_generator.state))
-            return real_hybrid(targets, n_rf, cfg, rngs, *args, **kwargs)
+        def hybrid(targets, start, cfg, *args, **kwargs):
+            self.seen.setdefault("hybrid_starts", []).append(start[:1].copy())
+            return real_hybrid(targets, start, cfg, *args, **kwargs)
 
         monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
 
@@ -77,11 +75,10 @@ def _dense_trial(cfg, seen):
     svd = truncated_svd(h_est, n_s)
     f = digital_precoder(svd, budget.tx_power)
     w = digital_combiner(svd)
-    rng = np.random.default_rng()
-    rng.bit_generator.state = seen["hybrid_rng"]
     # each side factored alone, as a stack of one
-    f_rf, f_bb = hybrid_factorize(f[None], cfg.n_rf_tx, cfg.descent, [rng], [budget.tx_power])
-    w_rf, w_bb = hybrid_factorize(w[None], cfg.n_rf_rx, cfg.descent, [rng])
+    f_start, w_start = seen["hybrid_starts"][:2]
+    f_rf, f_bb = hybrid_factorize(f[None], f_start, cfg.descent, [budget.tx_power])
+    w_rf, w_bb = hybrid_factorize(w[None], w_start, cfg.descent)
     return (svd.sigma1, truncated_condition_number(h_true, n_s),
             spectral_efficiency(h_true, f, w, budget.noise_power),
             spectral_efficiency(h_true, f_rf[0] @ f_bb[0], w_rf[0] @ w_bb[0],

@@ -119,9 +119,16 @@ def test_digital_combiner_is_u1():
 
 # -- hybrid factorization ----------------------------------------------------
 
+def _start(rng, n, n_rf):
+    """A uniform-phase N x n_rf analog start."""
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n_rf)))
+
+
 def _factor_one(target, n_rf, rng, power_norm=None, **kwargs):
-    """Factor a single target as a stack of one; returns 2-D (F_RF, F_BB)."""
-    f_rf, f_bb = hybrid_factorize(target[None], n_rf, DescentConfig(), [rng],
+    """Factor a single target as a stack of one from a uniform-phase start
+    drawn from rng; returns 2-D (F_RF, F_BB)."""
+    f_rf, f_bb = hybrid_factorize(target[None], _start(rng, len(target), n_rf)[None],
+                                  DescentConfig(),
                                   None if power_norm is None else [power_norm], **kwargs)
     return f_rf[0], f_bb[0]
 
@@ -148,12 +155,12 @@ def test_hybrid_reduces_residual():
 def test_hybrid_power_normalization():
     rng = np.random.default_rng(7)
     targets = np.stack([_random_matrix(rng, 12, 2) for _ in range(3)])
-    rngs = lambda: [np.random.default_rng(s) for s in range(3)]
-    f_rf, f_bb = hybrid_factorize(targets, 4, DescentConfig(), rngs(), [3.0, 1.0, 0.5])
+    starts = np.stack([_start(np.random.default_rng(s), 12, 4) for s in range(3)])
+    f_rf, f_bb = hybrid_factorize(targets, starts, DescentConfig(), [3.0, 1.0, 0.5])
     norms = np.linalg.norm(f_rf @ f_bb, axis=(1, 2)) ** 2
     np.testing.assert_allclose(norms, [3.0, 1.0, 0.5], rtol=1e-10)
     # without power norms each slot keeps its least-squares digital stage
-    _, f_bb_ls = hybrid_factorize(targets, 4, DescentConfig(), rngs())
+    _, f_bb_ls = hybrid_factorize(targets, starts, DescentConfig())
     _, f_bb_alone = _factor_one(targets[1], 4, np.random.default_rng(1))
     np.testing.assert_array_equal(f_bb_ls[1], f_bb_alone)
 
@@ -216,25 +223,20 @@ def _random_stack(rng, k):
        st.sampled_from([1, 3]))
 def test_hybrid_matches_residual_matrix_reference(seed, power_norm, max_alternations, k):
     # the Gram-matrix solve and the A/B column targets are a cheaper route
-    # to the same iterates, so both forms agree from the program's start
-    # (its result at no alternation), slot by slot of a stack drawing from
-    # one generator in slot order
-    targets, n_rf = _random_stack(np.random.default_rng(seed), k)
+    # to the same iterates, so both forms agree from one start, slot by slot
+    # of a stack
+    rng = np.random.default_rng(seed)
+    targets, n_rf = _random_stack(rng, k)
     n = targets.shape[1]
-    got_rf, got_bb = hybrid_factorize(targets, n_rf, DescentConfig(),
-                                      [np.random.default_rng(seed)] * k,
+    starts = np.stack([_start(rng, n, n_rf) for _ in range(k)])
+    got_rf, got_bb = hybrid_factorize(targets, starts, DescentConfig(),
                                       None if power_norm is None else [power_norm] * k,
                                       max_alternations)
     assert got_rf.shape == (k, n, n_rf)
-    starts, _ = hybrid_factorize(targets, n_rf, DescentConfig(),
-                                 [np.random.default_rng(seed)] * k, max_alternations=0)
     for target, start, slot_rf, slot_bb in zip(targets, starts, got_rf, got_bb):
         want_rf, want_bb = _reference_hybrid(target, start, DescentConfig(),
                                              power_norm, max_alternations)
-        # an analog column with a zero digital row (an extra chain beside an
-        # exact split start) takes the phases of rounding noise; the others match
-        used = np.linalg.norm(want_bb, axis=1) > 1e-9 * np.linalg.norm(want_bb)
-        np.testing.assert_allclose(slot_rf[:, used], want_rf[:, used], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(slot_rf, want_rf, rtol=0, atol=1e-9)
         want = want_rf @ want_bb
         assert np.linalg.norm(slot_rf @ slot_bb - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -246,9 +248,10 @@ def test_hybrid_slot_alone_equals_slot_in_stack(seed, k, max_alternations):
     targets, n_rf = _random_stack(rng, k)
     power = list(rng.uniform(0.5, 2.0, k)) if rng.random() < 0.5 else None
     seeds = rng.integers(0, 2 ** 32, size=k)
-    got_rf, got_bb = hybrid_factorize(targets, n_rf, DescentConfig(),
-                                      [np.random.default_rng(s) for s in seeds],
-                                      power, max_alternations)
+    starts = np.stack([_start(np.random.default_rng(s), targets.shape[1], n_rf)
+                       for s in seeds])
+    got_rf, got_bb = hybrid_factorize(targets, starts, DescentConfig(), power,
+                                      max_alternations)
     for slot in range(k):
         alone_rf, alone_bb = _factor_one(targets[slot], n_rf,
                                          np.random.default_rng(seeds[slot]),
@@ -261,45 +264,50 @@ def test_hybrid_slot_alone_equals_slot_in_stack(seed, k, max_alternations):
 def _stop_alternation(target, n_rf, seed, cfg):
     """The smallest cap at which the slot's result equals its result at the default cap."""
     def run(cap):
-        return hybrid_factorize(target[None], n_rf, cfg, [np.random.default_rng(seed)],
-                                max_alternations=cap)[0][0]
+        start = _start(np.random.default_rng(seed), len(target), n_rf)
+        return hybrid_factorize(target[None], start[None], cfg, max_alternations=cap)[0][0]
     final = run(10)
     return next(cap for cap in range(1, 11) if np.array_equal(run(cap), final))
 
 
 def test_hybrid_stopped_slot_is_frozen():
-    # slot 0 meets its relative-change stop after 5 alternations, short of a
+    # slot 0 meets its relative-change stop after 7 alternations, short of a
     # fixed point (alternating on moves it); slot 1 runs to the cap beside
-    # it. Both have an extra chain, so each slot's start draws from its seed.
+    # it. Each slot's start is drawn from its seed.
     cfg = DescentConfig()
-    targets = np.stack([_random_matrix(np.random.default_rng(s), 4, 2) for s in (139, 100)])
-    seeds = (139, 100)
-    assert _stop_alternation(targets[0], 3, seeds[0], cfg) == 5
-    assert _stop_alternation(targets[1], 3, seeds[1], cfg) == 10
+    seeds = (384, 100)
+    targets = np.stack([_random_matrix(np.random.default_rng(s), 4, 2) for s in seeds])
+    assert _stop_alternation(targets[0], 2, seeds[0], cfg) == 7
+    assert _stop_alternation(targets[1], 2, seeds[1], cfg) == 10
+    starts = np.stack([_start(np.random.default_rng(s), 4, 2) for s in seeds])
     never_stops = DescentConfig(epsilon=1e-300)
-    moved, _ = hybrid_factorize(targets[:1], 3, never_stops, [np.random.default_rng(seeds[0])])
-    got_rf, got_bb = hybrid_factorize(targets, 3, cfg,
-                                      [np.random.default_rng(s) for s in seeds])
+    moved, _ = hybrid_factorize(targets[:1], starts[:1], never_stops)
+    got_rf, got_bb = hybrid_factorize(targets, starts, cfg)
     assert not np.allclose(got_rf[0], moved[0])
     for slot, seed in enumerate(seeds):
-        alone_rf, alone_bb = _factor_one(targets[slot], 3, np.random.default_rng(seed))
+        alone_rf, alone_bb = _factor_one(targets[slot], 2, np.random.default_rng(seed))
         np.testing.assert_array_equal(got_rf[slot], alone_rf)
         np.testing.assert_array_equal(got_bb[slot], alone_bb)
 
 
-@pytest.mark.parametrize("n, n_s, n_rf", [(8, 1, 2), (8, 1, 8), (16, 2, 5), (6, 3, 6),
-                                          (64, 4, 8), (64, 4, 64)])
-def test_hybrid_split_start_is_exact(n, n_s, n_rf):
-    # n_rf >= 2 N_s: the two-phase split start holds every target column in
-    # the span of two analog columns, so the first least-squares stage is
-    # exact and the slot stops at the residual floor after one alternation
+@pytest.mark.parametrize("n, n_s, n_rf, n_span", [(8, 1, 2, 1), (8, 1, 8, 3), (16, 2, 5, 5),
+                                                  (6, 3, 6, 4), (64, 4, 7, 7),
+                                                  (64, 4, 8, 7), (64, 4, 64, 7)])
+def test_hybrid_start_spanning_the_target_is_exact(n, n_s, n_rf, n_span):
+    # the target lies in the span of the start's first n_span columns (as a
+    # sweep's targets lie in the span of their paths' steering vectors), so
+    # the first least-squares stage is exact and the slot stops at the
+    # residual floor after one alternation
     for seed in range(5):
-        target = _random_matrix(np.random.default_rng(seed), n, n_s)
-        once = _factor_one(target, n_rf, np.random.default_rng(seed), max_alternations=1)
-        f_rf, f_bb = _factor_one(target, n_rf, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        start = _start(rng, n, n_rf)
+        target = start[:, :n_span] @ _random_matrix(rng, n_span, n_s)
+        once = hybrid_factorize(target[None], start[None], DescentConfig(), max_alternations=1)
+        f_rf, f_bb = hybrid_factorize(target[None], start[None], DescentConfig())
         np.testing.assert_array_equal(f_rf, once[0])
         np.testing.assert_array_equal(f_bb, once[1])
-        assert np.linalg.norm(target - f_rf @ f_bb) <= RESIDUAL_FLOOR * np.linalg.norm(target)
+        assert np.linalg.norm(target - f_rf[0] @ f_bb[0]) <= (
+            RESIDUAL_FLOOR * np.linalg.norm(target))
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
@@ -315,43 +323,6 @@ def test_hybrid_full_rf_stops_at_rounding_level(n):
             np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("seed", [131, 221, 234, 279, 317, 420])
-def test_hybrid_split_start_of_a_rank_deficient_target_is_exact(seed):
-    # a rank-2 target with N_s = 3 or 4: a column in the span of the columns
-    # before it gets two random chains instead of its split pair, whose sum
-    # would repeat the dependency and leave F_RF singular (these draws raised
-    # LinAlgError in the first digital stage when every column was split)
-    rng = np.random.default_rng(seed)
-    n_s = int(rng.integers(3, 5))
-    target = _random_matrix(rng, 16, 2) @ _random_matrix(rng, 2, n_s)
-    f_rf, f_bb = _factor_one(target, 2 * n_s, np.random.default_rng(seed))
-    once = _factor_one(target, 2 * n_s, np.random.default_rng(seed), max_alternations=1)
-    np.testing.assert_array_equal(f_rf, once[0])
-    np.testing.assert_array_equal(f_bb, once[1])
-    assert np.linalg.norm(target - f_rf @ f_bb) <= RESIDUAL_FLOOR * np.linalg.norm(target)
-    # the first two columns are independent and keep their split pairs
-    start, _ = _factor_one(target, 2 * n_s, np.random.default_rng(seed), max_alternations=0)
-    peak = np.abs(target[:, :2]).max(axis=0)
-    np.testing.assert_allclose(peak / 2 * (start[:, 0:4:2] + start[:, 1:4:2]), target[:, :2],
-                               rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("n_rf", [4, 5])
-def test_hybrid_split_start_of_a_constant_modulus_column_is_exact(n_rf):
-    # a steering-vector column has |t| = max|t| on every entry, so its split
-    # pair would be two equal chains and F_RF near singular (condition
-    # number 2e8 and 3e9, relative residual 6e-9 and 6e-10 at n_rf = 4 and
-    # 5); its phases and one random chain realize it instead
-    rng = np.random.default_rng(17)
-    steering = np.exp(1j * np.pi * np.arange(8) * np.sin(0.4)) / np.sqrt(8)
-    target = np.column_stack([steering, _random_matrix(rng, 8, 1)[:, 0]])
-    f_rf, f_bb = _factor_one(target, n_rf, np.random.default_rng(18))
-    assert np.linalg.cond(f_rf) < 1e3
-    assert np.linalg.norm(target - f_rf @ f_bb) <= RESIDUAL_FLOOR * np.linalg.norm(target)
-    start, _ = _factor_one(target, n_rf, np.random.default_rng(18), max_alternations=0)
-    np.testing.assert_allclose(start[:, 0], steering * np.sqrt(8), rtol=0, atol=1e-15)
-
-
 def test_hybrid_zero_column_target_keeps_unit_entries():
     # a zero target gives zero column targets: the analog entries become 1
     # and the residual is exactly 0 after one alternation
@@ -360,53 +331,15 @@ def test_hybrid_zero_column_target_keeps_unit_entries():
     np.testing.assert_array_equal(f_bb, np.zeros((1, 1)))
 
 
-def test_hybrid_start_is_built_from_the_target():
-    # with no alternation the analog stage is the start
-    rng = np.random.default_rng(12)
-    # n_rf >= 2 N_s: chains 2i and 2i + 1 split target column t into
-    # e^{j(arg t +- arccos(|t| / max|t|))}, and max|t| / 2 times their sum is
-    # t; the chains after them are unit-modulus draws, one per slot
-    targets = np.stack([_random_matrix(rng, 10, 2) for _ in range(3)])
-    f_rf, _ = hybrid_factorize(targets, 5, DescentConfig(), [np.random.default_rng(4)] * 3,
-                               max_alternations=0)
-    for target, start in zip(targets, f_rf):
-        peak = np.abs(target).max(axis=0)
-        theta = np.arccos(np.abs(target) / peak)
-        np.testing.assert_allclose(start[:, 0:4:2], np.exp(1j * (np.angle(target) + theta)),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(start[:, 1:4:2], np.exp(1j * (np.angle(target) - theta)),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(peak / 2 * (start[:, 0:4:2] + start[:, 1:4:2]), target,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.abs(start[:, 4]), 1.0, rtol=1e-12)
-    assert not np.allclose(f_rf[0, :, 4], f_rf[1, :, 4])
-    # N_s <= n_rf < 2 N_s: the first N_s chains are the phases of the target's
-    # columns, each further chain the phases of P z, with P the projector onto
-    # the target's columns and z complex Gaussian (real part, then imaginary
-    # part) drawn from the slot's generator, slot after slot
-    targets = np.stack([_random_matrix(rng, 10, 3) for _ in range(3)])
-    f_rf, _ = hybrid_factorize(targets, 5, DescentConfig(), [np.random.default_rng(4)] * 3,
-                               max_alternations=0)
-    draw = np.random.default_rng(4)
-    for target, start in zip(targets, f_rf):
-        np.testing.assert_allclose(start[:, :3], target / np.abs(target), rtol=0, atol=1e-12)
-        z = draw.standard_normal((10, 2)) + 1j * draw.standard_normal((10, 2))
-        basis = np.linalg.qr(target)[0]
-        in_span = basis @ (basis.conj().T @ z)
-        np.testing.assert_allclose(start[:, 3:], in_span / np.abs(in_span), rtol=0, atol=1e-10)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["full", "rank-deficient", "zero"]))
 def test_hybrid_follows_a_column_phase_of_the_target(seed, kind):
-    # the SVD fixes each singular vector only up to a phase; the start, and
-    # so every iterate, turns with the target's columns, so T D factors into
+    # the SVD fixes each singular vector only up to a phase; from one start
+    # every iterate turns with the target's columns, so T D factors into
     # F_RF F_BB D for D diagonal unit-modulus. N_s = 1 is drawn among the
-    # full-rank targets. A rank-2 target with N_s = 3 or 4 runs at N >= 16,
-    # below the split or at n_rf = 2 N_s, where its dependent columns get
-    # random chains; below the split its start's condition number reaches
-    # 2e3 (1e4 at smaller N), and rounding grows with it, so it gets a
-    # looser bound
+    # full-rank targets. A rank-2 target with N_s = 3 or 4 runs at N >= 16
+    # and n_rf <= 2 N_s; its rounding reached 1.6e-12 of ||T|| in 3000 draws
+    # (full-rank targets 1.3e-13), so it gets a looser bound
     rng = np.random.default_rng(seed)
     if kind == "zero":
         target, n_rf, power = np.zeros((int(rng.integers(1, 65)), 1), dtype=complex), 1, None
@@ -431,14 +364,16 @@ def test_hybrid_follows_a_column_phase_of_the_target(seed, kind):
 def test_hybrid_rejects_bad_rf_count():
     rng = np.random.default_rng(9)
     targets = _random_matrix(rng, 6, 3)[None]
-    with pytest.raises(ValueError):
-        hybrid_factorize(targets, 2, DescentConfig(), [rng])   # n_rf < N_s
-    with pytest.raises(ValueError):
-        hybrid_factorize(targets, 7, DescentConfig(), [rng])   # n_rf > N
+    with pytest.raises(ValueError, match="N_s <= n_rf <= N"):
+        hybrid_factorize(targets, _start(rng, 6, 2)[None], DescentConfig())   # n_rf < N_s
+    with pytest.raises(ValueError, match="N_s <= n_rf <= N"):
+        hybrid_factorize(targets, _start(rng, 6, 7)[None], DescentConfig())   # n_rf > N
 
 
-def test_hybrid_needs_one_generator_per_slot():
+def test_hybrid_needs_one_start_per_slot():
     rng = np.random.default_rng(10)
     targets = np.stack([_random_matrix(rng, 6, 2)] * 2)
-    with pytest.raises(ValueError, match="one generator per slot"):
-        hybrid_factorize(targets, 3, DescentConfig(), [rng])
+    with pytest.raises(ValueError, match="one N x n_rf start per slot"):
+        hybrid_factorize(targets, _start(rng, 6, 3)[None], DescentConfig())   # K = 1
+    with pytest.raises(ValueError, match="one N x n_rf start per slot"):
+        hybrid_factorize(targets, np.stack([_start(rng, 5, 3)] * 2), DescentConfig())  # N = 5
