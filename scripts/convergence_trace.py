@@ -1,25 +1,23 @@
 #!/usr/bin/env python3
 """Print the descent trace of the rate-surrogate optimizer at full scale.
 
-Runs a handful of seeded channel realizations at the 64-antenna / 16x16-LIS
-setup and reports, per run, the objective trajectory and the iteration count
-needed for the trace to flatten.
+Draws trial 0 of configs/default.cfg (64-antenna ULAs, 16x16 LIS, 7x7
+paths) through the harness under each master seed 0, 1, ... and reports,
+per seed, the objective trajectory of the `tsvd` surrogate descent from the
+start the harness gives `tsvd`, and the iteration count needed for the
+trace to flatten.
 """
 
 import argparse
+from dataclasses import replace
+from pathlib import Path
 
-import numpy as np
-
-from lisim.channel import (
-    ArrayGeometry,
-    LinkBudget,
-    path_core,
-    sample_paths,
-    sort_paths_descending,
-)
-from lisim.manifold import DescentConfig
+from lisim.channel import path_core
+from lisim.harness import _draw_point, load_config
 from lisim.passive_bf import optimize_tsvd, stream_weights
 from lisim.units import dbi_to_amplitude
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
 
 
 def main():
@@ -29,16 +27,17 @@ def main():
     parser.add_argument("--streams", type=int, default=4)
     args = parser.parse_args()
 
-    geometry = ArrayGeometry(n_tx=64, n_rx=64, lis_y=16, lis_z=16)
-    budget = LinkBudget()
-    cfg = DescentConfig(epsilon=args.epsilon)
-    tx_gain = dbi_to_amplitude(24.5)
+    cfg = load_config(CONFIG)
+    cfg = replace(cfg, n_streams=args.streams,
+                  descent=replace(cfg.descent, epsilon=args.epsilon))
+    gains = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
 
     for seed in range(args.seeds):
-        rng = np.random.default_rng(seed)
-        paths = sort_paths_descending(sample_paths(rng, geometry, budget, 7, 7))
-        weights = stream_weights(paths, budget, args.streams, tx_gain)
-        _, trace = optimize_tsvd(path_core([paths], geometry), weights, cfg, rng)
+        point = _draw_point(replace(cfg, seed=seed), 0, 0, cfg.sweep_values[0])
+        run_cfg, paths = point.cfg, point.paths
+        weights = stream_weights(paths, run_cfg.budget, run_cfg.n_streams, *gains)
+        _, trace = optimize_tsvd(path_core([paths], run_cfg.geometry, *gains), weights,
+                                 run_cfg.descent, point.rngs["tsvd"])
         rates = [-x for x in trace]
         print(f"seed {seed}: {len(trace) - 1} iterations, "
               f"rate surrogate {rates[0]:.3f} -> {rates[-1]:.3f} bits/s/Hz")

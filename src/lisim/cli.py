@@ -6,19 +6,17 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
-from .channel import path_core, sample_paths, sort_paths_descending
+from .channel import path_core
 from .harness import (
     ConfigError,
+    _draw_point,
     brute_force_phase_oracle,
     emit_csv,
     load_config,
     run_sweep,
 )
-from .manifold import DescentConfig
-from .passive_bf import build_tsvd_problem, optimize_tsvd, stream_weights, tsvd_objective
+from .passive_bf import optimize_tsvd, stream_weights, tsvd_objective
 from .units import dbi_to_amplitude
 
 
@@ -60,19 +58,19 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    paths = sort_paths_descending(sample_paths(
-        rng, cfg.geometry, cfg.budget, cfg.p_paths, cfg.l_paths,
-        cfg.bs_lis_distance, cfg.lis_ue_distance))
-    tx_g = dbi_to_amplitude(cfg.tx_gain_dbi)
-    rx_g = dbi_to_amplitude(cfg.rx_gain_dbi)
-    _, best_obj = brute_force_phase_oracle(
-        paths, cfg.geometry, cfg.budget, cfg.n_streams, args.levels, tx_g, rx_g)
-    weights = stream_weights(paths, cfg.budget, cfg.n_streams, tx_g, rx_g)
-    v, _ = optimize_tsvd(path_core([paths], cfg.geometry), weights, cfg.descent, rng)
-    prob = build_tsvd_problem(paths, cfg.geometry, cfg.budget, cfg.n_streams,
-                              tx_g, rx_g)
-    achieved = -tsvd_objective(v.entries, prob)
+    if "tsvd" not in cfg.methods:
+        cfg = replace(cfg, methods=cfg.methods + ("tsvd",))
+    # trial 0 at the first sweep value, with the paths and the tsvd start
+    # generator that `lisim run` draws for it
+    point = _draw_point(cfg, 0, 0, cfg.sweep_values[0])
+    run_cfg = point.cfg
+    gains = dbi_to_amplitude(run_cfg.tx_gain_dbi), dbi_to_amplitude(run_cfg.rx_gain_dbi)
+    core = path_core([point.paths], run_cfg.geometry, *gains)
+    weights = stream_weights(point.paths, run_cfg.budget, run_cfg.n_streams, *gains)
+    _, best_obj = brute_force_phase_oracle(core, weights, args.levels)
+    v, _ = optimize_tsvd(core, weights, run_cfg.descent, point.rngs["tsvd"])
+    evaluate, data = tsvd_objective(core, weights[None])
+    achieved = -float(evaluate(data, v.entries[None])[0][0])
     ratio = achieved / best_obj if best_obj > 0 else float("nan")
     print(f"oracle objective:    {best_obj:.9f}")
     print(f"optimizer objective: {achieved:.9f}")

@@ -58,13 +58,13 @@ from .manifold import DescentConfig, LineSearchError, PhaseVector, RetractionErr
 from .metrics import CombinerRankError, spectral_efficiency, truncated_condition_number
 from .passive_bf import (
     StreamCountError,
-    build_tsvd_problem,
     coupling_matrix,
     optimize_rate_stack,
     optimize_spgm_stack,
     optimize_tsvd_stack,
     random_phases,
     stream_weights,
+    tsvd_objective,
 )
 # Sweeps descend stacks of points; perfbench/spans.py looks these names up here.
 from .passive_bf import optimize_spgm, optimize_tsvd  # noqa: F401
@@ -662,21 +662,19 @@ def emit_csv(result: SweepResult, path) -> None:
 
 # -- brute-force oracle -----------------------------------------------------
 
-def brute_force_phase_oracle(paths, geometry: ArrayGeometry, budget: LinkBudget,
-                             n_streams: int, levels: int,
-                             tx_gain: float = 1.0, rx_gain: float = 1.0,
-                             ) -> tuple[PhaseVector, float]:
+def brute_force_phase_oracle(core: PathCore, weights: np.ndarray,
+                             levels: int) -> tuple[PhaseVector, float]:
     """Exhaustive search over quantized phase states for the rate surrogate.
 
     Enumerates every v with phases on the `levels`-point grid and returns the
-    maximizer of sum_i log2(1 + a_i |v^H p^{ii}|^2) together with its value.
+    maximizer of sum_i log2(1 + a_i |v^H p^{ii}|^2) together with its value;
+    `core` is a stack of one and `weights` (N_s,) is as for `optimize_tsvd`.
     """
-    m = geometry.m
+    m = core.m
     total = levels ** m
     if total > ORACLE_STATE_LIMIT:
         raise ValueError(f"search space {levels}^{m} exceeds {ORACLE_STATE_LIMIT}")
-    prob = build_tsvd_problem(paths, geometry, budget, n_streams, tx_gain, rx_gain)
-    diag_vectors, weights = prob.diag_vectors[0], prob.weights[0]
+    _, (diag_vectors, weights) = tsvd_objective(core, np.asarray(weights)[None])
     step = 2.0 * np.pi / levels
     best_obj = -np.inf
     best_v = None
@@ -685,7 +683,7 @@ def brute_force_phase_oracle(paths, geometry: ArrayGeometry, budget: LinkBudget,
         idx = np.arange(start, min(start + chunk, total))
         digits = np.stack(np.unravel_index(idx, (levels,) * m), axis=1)
         v = np.exp(1j * step * digits)                    # (chunk, M)
-        d = v.conj() @ diag_vectors.T                     # (chunk, N_s)
+        d = v.conj() @ diag_vectors[0].T                  # (chunk, N_s)
         obj = np.sum(np.log2(1.0 + weights * np.abs(d) ** 2), axis=1)
         k = int(np.argmax(obj))
         if obj[k] > best_obj:

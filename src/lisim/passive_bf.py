@@ -1,27 +1,26 @@
 """Passive-beamforming objectives and solvers for the LIS phase vector.
 
-Three optimizers work on the L x P path core of the cascade channel
-(`channel.PathCore`):
-- `optimize_tsvd` maximizes the per-stream composite-path rate surrogate
-  sum_i log2(1 + a_i |v^H p^{ii}|^2) over the top-N_s sorted paths;
-- `optimize_rate` maximizes the truncated-SVD rate
+Three optimizers work on the stacked L x P path core of the cascade channel
+(`channel.PathCore`), one row per core:
+- `optimize_tsvd_stack` maximizes the per-stream composite-path rate
+  surrogate sum_i log2(1 + a_i |v^H p^{ii}|^2) over the top-N_s sorted paths;
+- `optimize_rate_stack` maximizes the truncated-SVD rate
   sum_{k <= N_s} log2(1 + rho sigma_k^2 / (N_s sigma^2)) of the cascade
-  channel itself; the harness starts it from the `optimize_tsvd` solution;
-- `optimize_spgm` maximizes the Frobenius norm of the cascade channel
+  channel itself; the harness starts it from the surrogate's solution;
+- `optimize_spgm_stack` maximizes the Frobenius norm of the cascade channel
   (the sum-path-gain baseline), normalized by its mean over uniformly
   random phases so its absolute stop gap means the same at any channel
   scale.
 
-The first two descend on the manifold engine; `optimize_spgm` maximizes a
-positive semidefinite quadratic form and takes the unimodular power method
-instead, with no step size or line search. The surrogate and the rate each
-have one problem constructor on a stacked path core, one row per core, and
-the sum-path gain reads the core itself. Each optimizer has a
-stacked form (`optimize_*_stack`) that runs every row in one masked loop
-(`manifold.ccm_descent_stack` for the descents); a row's result equals its
-result alone, bit for bit, and the single-core optimizers run on a stack of
-one. The objectives and gradients take one phase vector against a one-row
-problem or core, or a (T, M) stack against one with as many rows.
+The first two descend on the manifold engine (`manifold.ccm_descent_stack`).
+Each has one builder, `tsvd_objective` or `rate_objective`, that returns
+the `StackObjective` the engine calls and its per-row data: evaluate(data, v)
+gives the values of a (T, M) stack v and the function of their gradients.
+`optimize_spgm_stack` maximizes a positive semidefinite quadratic form by
+the unimodular power method instead, with no step size or line search.
+Every optimizer runs all its rows in one masked loop, and a row's result
+equals its result alone, bit for bit; `optimize_tsvd` and `optimize_spgm`
+run a stack of one.
 
 `coupling_matrix` exposes the path-coupling gains v^H p^{ij} and the
 off-diagonal diagnostic ratio used to check that the optimized phases
@@ -36,18 +35,12 @@ from functools import partial
 
 import numpy as np
 
-from .channel import (
-    ArrayGeometry,
-    LinkBudget,
-    PathCore,
-    PathSet,
-    path_core,
-    sort_paths_descending,
-)
+from .channel import LinkBudget, PathCore, PathSet
 from .manifold import (
     DescentConfig,
     PhaseVector,
     StackDescent,
+    StackObjective,
     ccm_descent_stack,
     row_dot,
 )
@@ -58,20 +51,6 @@ _LN2 = np.log(2.0)
 
 class StreamCountError(ValueError):
     """Requested more streams than available composite paths."""
-
-
-@dataclass(frozen=True)
-class TsvdProblem:
-    """Diagonal composite vectors p^{ii} and per-stream effective SNRs, one row per core."""
-
-    diag_vectors: np.ndarray  # (T, N_s, M)
-    weights: np.ndarray       # (T, N_s) non-negative
-
-    def __post_init__(self):
-        if self.diag_vectors.ndim != 3 or self.weights.shape != self.diag_vectors.shape[:2]:
-            raise ValueError("need one weight per diagonal composite vector")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -90,17 +69,20 @@ class CouplingMatrix:
                          for block in np.abs(self.gains[:, :n_streams, :n_streams])])
 
 
-def tsvd_objective(v: np.ndarray, prob: TsvdProblem):
-    """Negated rate surrogate -sum_i log2(1 + a_i |v^H p^{ii}|^2); one value
-    for one vector, a (T,) array for a (T, M) stack."""
-    values = _tsvd_stack((prob.diag_vectors, prob.weights), np.atleast_2d(v))[0]
-    return float(values[0]) if v.ndim == 1 else values
+def tsvd_objective(core: PathCore,
+                   weights: np.ndarray) -> tuple[StackObjective, tuple[np.ndarray, ...]]:
+    """The rate surrogate's `StackObjective` on `core` and its per-row data.
 
-
-def tsvd_euclidean_gradient(v: np.ndarray, prob: TsvdProblem) -> np.ndarray:
-    """Wirtinger gradient of `tsvd_objective` with respect to v, shaped like v."""
-    grad = _tsvd_stack((prob.diag_vectors, prob.weights), np.atleast_2d(v))[1]()
-    return grad[0] if v.ndim == 1 else grad
+    A row's value is -sum_i log2(1 + a_i |v^H p^{ii}|^2), negated for the
+    engine: path i pairs with path i for the first N_s paths of the row, with
+    that row of `weights` (T, N_s). `core` must come from paths sorted
+    descending, so the pairs are the strongest ones (the ordering lemma), and
+    `weights` from `stream_weights`.
+    """
+    weights = np.array(weights, dtype=float)
+    idx = np.arange(weights.shape[1])
+    bank = core.bank.reshape(len(core.bank), core.left.shape[2], core.right.shape[1], -1)
+    return _tsvd_stack, (bank[:, idx, idx], weights)
 
 
 def _tsvd_stack(data, v: np.ndarray):
@@ -117,50 +99,23 @@ def _tsvd_stack(data, v: np.ndarray):
     return -np.sum(np.log2(1.0 + gain), axis=1), gradient
 
 
-@dataclass(frozen=True)
-class RateProblem:
-    """The truncated-SVD rates of T cascade channels, on their path cores.
+def rate_objective(core: PathCore, budgets: Sequence[LinkBudget],
+                   n_streams: int) -> tuple[StackObjective, tuple[np.ndarray, ...]]:
+    """The truncated-SVD rate's `StackObjective` on `core` and its per-row data.
 
-    Every array has one row per channel; bank, left and right are the core's.
+    A row's value is -sum_{k <= N_s} log2(1 + snr sigma_k^2) of its cascade
+    channel, with snr = rho / (N_s sigma^2) from that row's budget (equal
+    power per stream); its gradient needs sigma_{N_s} > sigma_{N_s + 1}. The
+    surrogate of `optimize_tsvd` reads sigma_i as |beta_i alpha_i v^H p^{ii}|,
+    which holds when the steering vectors of the strongest paths are
+    near-orthogonal; this objective keeps every path and their overlaps.
+
+    Raises StreamCountError if n_streams exceeds the rank of the cascade channel.
     """
-
-    bank: np.ndarray   # (T, L * P, M)
-    left: np.ndarray   # (T, min(N_r, L), L)
-    right: np.ndarray  # (T, P, min(N_t, P))
-    snr: np.ndarray    # (T,) rho / (N_s sigma^2)
-    n_streams: int
-
-    @property
-    def data(self) -> tuple[np.ndarray, ...]:
-        return self.bank, self.left, self.right, self.snr
-
-
-def build_rate_problem(core: PathCore, budgets: Sequence[LinkBudget],
-                       n_streams: int) -> RateProblem:
-    """The rate problem of each row of `core` and budget, equal power per stream."""
     if n_streams > min(core.left.shape[1:] + core.right.shape[1:]):
         raise StreamCountError("n_streams exceeds the rank of the cascade channel")
-    return RateProblem(
-        bank=core.bank, left=core.left, right=core.right,
-        snr=np.array([b.tx_power / (n_streams * b.noise_power) for b in budgets]),
-        n_streams=n_streams)
-
-
-def rate_objective(v: np.ndarray, prob: RateProblem):
-    """Negated rate -sum_{k <= N_s} log2(1 + snr sigma_k^2) of the cascade channel.
-
-    One value for one phase vector and a one-row problem; a (T,) array for a
-    (T, M) stack of phase vectors, one per row of `prob`.
-    """
-    values = _rate_stack(prob.n_streams, prob.data, np.atleast_2d(v))[0]
-    return float(values[0]) if v.ndim == 1 else values
-
-
-def rate_euclidean_gradient(v: np.ndarray, prob: RateProblem) -> np.ndarray:
-    """Wirtinger gradient of `rate_objective`, shaped like v; needs
-    sigma_{N_s} > sigma_{N_s + 1}."""
-    grad = _rate_stack(prob.n_streams, prob.data, np.atleast_2d(v))[1]()
-    return grad[0] if v.ndim == 1 else grad
+    snr = np.array([b.tx_power / (n_streams * b.noise_power) for b in budgets])
+    return partial(_rate_stack, n_streams), (core.bank, core.left, core.right, snr)
 
 
 def _rate_stack(n_streams: int, data, v: np.ndarray):
@@ -207,33 +162,11 @@ def stream_weights(paths: PathSet, budget: LinkBudget, n_streams: int,
         n_streams * budget.noise_power)
 
 
-def tsvd_problem(core: PathCore, weights: np.ndarray) -> TsvdProblem:
-    """Pair path i with path i for the first N_s paths of each row of `core`,
-    with that row of `weights` (T, N_s).
-
-    `core` must come from paths sorted descending, so the pairs are the
-    strongest ones (the ordering lemma), and `weights` from `stream_weights`.
-    """
-    weights = np.array(weights, dtype=float)
-    idx = np.arange(weights.shape[1])
-    bank = core.bank.reshape(len(core.bank), core.left.shape[2], core.right.shape[1], -1)
-    return TsvdProblem(diag_vectors=bank[:, idx, idx], weights=weights)
-
-
-def build_tsvd_problem(paths: PathSet, geometry: ArrayGeometry, budget: LinkBudget,
-                       n_streams: int, tx_gain: float = 1.0,
-                       rx_gain: float = 1.0) -> TsvdProblem:
-    """Sort paths, pair the strongest N_s, and collect p^{ii} plus weights, as one row."""
-    paths = sort_paths_descending(paths)
-    weights = stream_weights(paths, budget, n_streams, tx_gain, rx_gain)
-    return tsvd_problem(path_core([paths], geometry), weights[None])
-
-
 def optimize_tsvd(core: PathCore, weights: np.ndarray, cfg: DescentConfig,
                   rng: np.random.Generator) -> tuple[PhaseVector, list[float]]:
     """Manifold descent on the truncated-SVD rate surrogate from a random start.
 
-    `core` is a stack of one and `weights` (N_s,) is as for `tsvd_problem`.
+    `core` is a stack of one and `weights` (N_s,) is one row of `tsvd_objective`'s.
     """
     return optimize_tsvd_stack(core, np.asarray(weights)[None], cfg, [rng]).row(0)
 
@@ -241,31 +174,19 @@ def optimize_tsvd(core: PathCore, weights: np.ndarray, cfg: DescentConfig,
 def optimize_tsvd_stack(core: PathCore, weights: np.ndarray, cfg: DescentConfig,
                         rngs: Sequence[np.random.Generator]) -> StackDescent:
     """`optimize_tsvd` for each row of `core`, of `weights` (T, N_s) and of `rngs`."""
-    prob = tsvd_problem(core, weights)
+    evaluate, data = tsvd_objective(core, weights)
     v0 = np.stack([random_phases(rng, core.m).entries for rng in rngs])
-    return ccm_descent_stack(_tsvd_stack, (prob.diag_vectors, prob.weights), v0, cfg)
-
-
-def optimize_rate(core: PathCore, budget: LinkBudget, n_streams: int,
-                  cfg: DescentConfig, v0: PhaseVector) -> tuple[PhaseVector, list[float]]:
-    """Manifold descent on the truncated-SVD rate of the cascade channel from v0.
-
-    The surrogate of `optimize_tsvd` reads sigma_i as |beta_i alpha_i
-    v^H p^{ii}|, which holds when the steering vectors of the strongest paths
-    are near-orthogonal; this objective keeps every path and their overlaps.
-    `core` is a stack of one.
-    """
-    return optimize_rate_stack(core, [budget], n_streams, cfg, v0.entries[None]).row(0)
+    return ccm_descent_stack(evaluate, data, v0, cfg)
 
 
 def optimize_rate_stack(core: PathCore, budgets: Sequence[LinkBudget],
                         n_streams: int, cfg: DescentConfig, v0: np.ndarray) -> StackDescent:
-    """`optimize_rate` for each row of `core` and budget, from the rows of v0 (T, M)."""
-    prob = build_rate_problem(core, budgets, n_streams)
+    """Manifold descent on the truncated-SVD rate (`rate_objective`) of each
+    row of `core` and budget, from the rows of v0 (T, M)."""
+    evaluate, data = rate_objective(core, budgets, n_streams)
     # the descent moves the rows of its data in place as they stop: it gets a
     # copy, so the core keeps its row order for the caller
-    data = tuple(a.copy() for a in prob.data)
-    return ccm_descent_stack(partial(_rate_stack, n_streams), data, v0, cfg)
+    return ccm_descent_stack(evaluate, tuple(a.copy() for a in data), v0, cfg)
 
 
 def _spgm_data(core: PathCore) -> tuple[np.ndarray, ...]:
@@ -305,23 +226,6 @@ def _spgm_ascent(data, c: np.ndarray) -> np.ndarray:
     bank, left, right, _ = data
     y = left.conj().swapaxes(1, 2) @ c @ right.conj().swapaxes(1, 2)
     return (y.reshape(len(y), 1, -1).conj() @ bank)[:, 0].conj()
-
-
-def spgm_objective(w: np.ndarray, core: PathCore):
-    """Negated normalized sum-path gain -||H||_F^2 / (g^2 tr Q) at w = conj(v);
-    one value for one vector and a one-row core, a (T,) array for a (T, M)
-    stack."""
-    values = -_spgm_gains(_spgm_data(core), np.atleast_2d(w))[1]
-    return float(values[0]) if w.ndim == 1 else values
-
-
-def spgm_euclidean_gradient(w: np.ndarray, core: PathCore) -> np.ndarray:
-    """Wirtinger gradient -2 F^H F w / ||F||_F^2 of `spgm_objective` with respect
-    to w, shaped like w; the power update of `optimize_spgm` takes its phases."""
-    data = _spgm_data(core)
-    ascent = _spgm_ascent(data, _spgm_gains(data, np.atleast_2d(w))[0])
-    grad = -2.0 * ascent / data[3][:, None]
-    return grad[0] if w.ndim == 1 else grad
 
 
 def optimize_spgm(core: PathCore, cfg: DescentConfig,

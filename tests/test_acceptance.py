@@ -29,17 +29,12 @@ from lisim.metrics import (
     spectral_efficiency_digital,
 )
 from lisim.passive_bf import (
-    build_tsvd_problem,
+    _spgm_data,
     coupling_matrix,
     optimize_tsvd,
     random_phases,
-    build_rate_problem,
-    rate_euclidean_gradient,
     rate_objective,
-    spgm_euclidean_gradient,
-    spgm_objective,
     stream_weights,
-    tsvd_euclidean_gradient,
     tsvd_objective,
 )
 from lisim.transceiver import (
@@ -49,6 +44,7 @@ from lisim.transceiver import (
     water_filling,
 )
 from lisim.units import dbi_to_amplitude, dbm_to_watt
+from wirtinger_fd import max_fd_error, spgm_evaluate
 
 TX_GAIN = dbi_to_amplitude(24.5)
 
@@ -67,33 +63,9 @@ def _report(criterion, ok, detail):
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def _wirtinger_fd(fun, v, h=1e-6):
-    fd = np.zeros_like(v)
-    for m in range(len(v)):
-        e = np.zeros(len(v), dtype=complex)
-        e[m] = 1.0
-        re = (fun(v + h * e) - fun(v - h * e)) / (2 * h)
-        im = (fun(v + 1j * h * e) - fun(v - 1j * h * e)) / (2 * h)
-        fd[m] = re + 1j * im
-    return fd
-
-
-def _row_fd_error(objective, gradient, v, prob):
-    """Worst relative error of each row of the stacked gradient at v (T, M)
-    against the finite differences of that row's own objective value."""
-    grad = gradient(v, prob)
-    worst = 0.0
-    for i in range(len(v)):
-        def row_value(x, i=i):
-            moved = v.copy()
-            moved[i] = x
-            return objective(moved, prob)[i]
-        fd = _wirtinger_fd(row_value, v[i])
-        worst = max(worst, np.linalg.norm(fd - grad[i]) / np.linalg.norm(grad[i]))
-    return worst
-
-
 def test_criterion_1_gradient_correctness():
+    # each gradient as the engine takes it: the second output of the
+    # evaluator at a (T, M) stack, each row against its own finite differences
     worst = 0.0
     geometry = ArrayGeometry(n_tx=8, n_rx=8, lis_y=4, lis_z=4)
     path_sets = []
@@ -101,25 +73,24 @@ def test_criterion_1_gradient_correctness():
         rng = np.random.default_rng(seed)
         paths = sort_paths_descending(sample_paths(rng, geometry, DESK_BUDGET, 3, 3))
         # composite-path rate surrogate
-        prob = build_tsvd_problem(paths, geometry, DESK_BUDGET, 2, TX_GAIN)
+        evaluate, data = tsvd_objective(
+            path_core([paths], geometry),
+            stream_weights(paths, DESK_BUDGET, 2, TX_GAIN)[None])
         v = random_phases(rng, geometry.m).entries
-        grad = tsvd_euclidean_gradient(v, prob)
-        fd = _wirtinger_fd(lambda x: tsvd_objective(x, prob), v)
-        worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
-        # a 30x receive gain puts the per-stream SNRs where the rate's log is
-        # curved; at this geometry's raw SNRs the differences drown in rounding
+        worst = max(worst, max_fd_error(evaluate, data, v[None]))
         path_sets.append(paths)
     # the exact rate, as its descent evaluates it, and the sum-path gain,
     # whose gradient on the core gives the spgm power update its phases:
-    # stacked cores of 4 path sets, each row against its own finite differences
+    # stacked cores of 4 path sets. A 30x receive gain puts the per-stream
+    # SNRs where the rate's log is curved; at this geometry's raw SNRs the
+    # differences drown in rounding.
     rng = np.random.default_rng(99)
     for group in range(0, len(path_sets), 4):
         stack = path_core(path_sets[group:group + 4], geometry, TX_GAIN, 30.0)
         v = np.stack([random_phases(rng, geometry.m).entries for _ in range(4)])
-        worst = max(worst, _row_fd_error(rate_objective, rate_euclidean_gradient, v,
-                                         build_rate_problem(stack, [DESK_BUDGET] * 4, 2)))
+        worst = max(worst, max_fd_error(*rate_objective(stack, [DESK_BUDGET] * 4, 2), v))
         w = np.stack([random_phases(rng, geometry.m).entries for _ in range(4)])
-        worst = max(worst, _row_fd_error(spgm_objective, spgm_euclidean_gradient, w, stack))
+        worst = max(worst, max_fd_error(spgm_evaluate, _spgm_data(stack), w))
     ok = worst < 1e-5
     _report(1, ok, f"max relative gradient error {worst:.3e} (tolerance 1e-5)")
     assert ok
@@ -152,12 +123,12 @@ def test_criterion_3_tiny_scale_oracle():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         paths = sort_paths_descending(sample_paths(rng, geometry, DESK_BUDGET, 2, 2))
-        _, best = brute_force_phase_oracle(paths, geometry, DESK_BUDGET, 2, 8,
-                                           TX_GAIN)
-        v, _ = optimize_tsvd(path_core([paths], geometry),
-                             stream_weights(paths, DESK_BUDGET, 2, TX_GAIN), cfg, rng)
-        prob = build_tsvd_problem(paths, geometry, DESK_BUDGET, 2, TX_GAIN)
-        ratios.append(-tsvd_objective(v.entries, prob) / best)
+        core = path_core([paths], geometry)
+        weights = stream_weights(paths, DESK_BUDGET, 2, TX_GAIN)
+        _, best = brute_force_phase_oracle(core, weights, 8)
+        v, _ = optimize_tsvd(core, weights, cfg, rng)
+        evaluate, data = tsvd_objective(core, weights[None])
+        ratios.append(-evaluate(data, v.entries[None])[0][0] / best)
     ok = min(ratios) >= 0.95
     _report(3, ok, f"min optimizer/oracle ratio {min(ratios):.4f} over 20 seeds "
                    f"(threshold 0.95)")

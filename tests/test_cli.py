@@ -37,6 +37,12 @@ tx_power_dbm = 40
 descent_epsilon = 1e-8
 """
 
+# 2 x 4 LIS elements in the base config, 4 at the one sweep value
+LIS_SWEEP_ORACLE_CFG = ORACLE_CFG.replace("lis_z = 2", "lis_z = 4") + """
+sweep_variable = lis_elements
+sweep_values = 4
+"""
+
 
 def _cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -95,6 +101,17 @@ def test_oracle_reports_ratio(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "oracle objective:" in out and "ratio:" in out
     ratio = float(out.strip().splitlines()[-1].split()[-1])
+    assert ratio >= 0.95
+
+
+@pytest.mark.parametrize("methods", ["", "methods = spgm, random\n"],
+                         ids=["default-methods", "without-tsvd"])
+def test_oracle_searches_at_the_first_sweep_value(tmp_path, capsys, methods):
+    # `lisim run` sweeps this config at M = 4 (8^4 oracle states), not at
+    # the base config's M = 8 (8^8 states, over the limit); the oracle runs
+    # tsvd whether or not the config lists it
+    assert main(["oracle", _cfg(tmp_path, LIS_SWEEP_ORACLE_CFG + methods)]) == 0
+    ratio = float(capsys.readouterr().out.strip().splitlines()[-1].split()[-1])
     assert ratio >= 0.95
 
 

@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lisim.channel import ArrayGeometry, LinkBudget, sample_paths, sort_paths_descending
+from lisim.channel import (
+    ArrayGeometry,
+    LinkBudget,
+    path_core,
+    sample_paths,
+    sort_paths_descending,
+)
 from lisim.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -18,7 +24,7 @@ from lisim.harness import (
     run_sweep,
 )
 from lisim.manifold import DescentConfig
-from lisim.passive_bf import build_tsvd_problem, tsvd_objective
+from lisim.passive_bf import stream_weights, tsvd_objective
 from lisim.units import dbm_to_watt, thermal_noise_dbm
 
 
@@ -595,14 +601,16 @@ def test_oracle_beats_every_quantized_competitor():
     budget = LinkBudget(tx_power=dbm_to_watt(40.0))
     rng = np.random.default_rng(0)
     paths = sort_paths_descending(sample_paths(rng, geometry, budget, 2, 2))
-    v, best = brute_force_phase_oracle(paths, geometry, budget, 2, levels=4)
-    prob = build_tsvd_problem(paths, geometry, budget, 2)
-    assert -tsvd_objective(v.entries, prob) == pytest.approx(best, rel=1e-12)
+    core = path_core([paths], geometry)
+    weights = stream_weights(paths, budget, 2)
+    v, best = brute_force_phase_oracle(core, weights, levels=4)
+    evaluate, data = tsvd_objective(core, weights[None])
+    assert -evaluate(data, v.entries[None])[0][0] == pytest.approx(best, rel=1e-12)
     # exhaustive re-check against an independent python-loop enumeration
     import itertools
     step = 2 * np.pi / 4
     brute = max(
-        -tsvd_objective(np.exp(1j * step * np.array(digits)), prob)
+        -evaluate(data, np.exp(1j * step * np.array(digits))[None])[0][0]
         for digits in itertools.product(range(4), repeat=4))
     assert best == pytest.approx(brute, rel=1e-12)
 
@@ -613,4 +621,5 @@ def test_oracle_state_limit():
     rng = np.random.default_rng(1)
     paths = sample_paths(rng, geometry, budget, 2, 2)
     with pytest.raises(ValueError, match="exceeds"):
-        brute_force_phase_oracle(paths, geometry, budget, 2, levels=8)
+        brute_force_phase_oracle(path_core([paths], geometry),
+                                 stream_weights(paths, budget, 2), levels=8)

@@ -1,4 +1,4 @@
-"""Passive-beamforming objectives, gradients, and the two optimizers."""
+"""Passive-beamforming objectives, gradients, and the optimizers."""
 
 import numpy as np
 import pytest
@@ -17,25 +17,22 @@ from lisim.manifold import DescentConfig
 from lisim.metrics import spectral_efficiency
 from lisim.passive_bf import (
     StreamCountError,
-    TsvdProblem,
-    build_rate_problem,
-    build_tsvd_problem,
+    _spgm_ascent,
+    _spgm_data,
+    _spgm_gains,
     coupling_matrix,
-    optimize_rate,
+    optimize_rate_stack,
     optimize_spgm,
     optimize_spgm_stack,
     optimize_tsvd,
     random_phases,
-    rate_euclidean_gradient,
     rate_objective,
-    spgm_euclidean_gradient,
-    spgm_objective,
     stream_weights,
-    tsvd_euclidean_gradient,
     tsvd_objective,
 )
 from lisim.transceiver import digital_combiner, digital_precoder, truncated_svd
 from lisim.units import dbi_to_amplitude, dbm_to_watt
+from wirtinger_fd import max_fd_error, spgm_evaluate
 
 GEOMETRY = ArrayGeometry(n_tx=8, n_rx=8, lis_y=4, lis_z=4)
 BUDGET = LinkBudget(tx_power=dbm_to_watt(40.0))
@@ -48,45 +45,38 @@ def _instance(seed, p=3, l=3):
     return rng, paths
 
 
-def _wirtinger_fd(fun, v, h=1e-6):
-    fd = np.zeros_like(v)
-    for m in range(len(v)):
-        e = np.zeros(len(v), dtype=complex)
-        e[m] = 1.0
-        re = (fun(v + h * e) - fun(v - h * e)) / (2 * h)
-        im = (fun(v + 1j * h * e) - fun(v - 1j * h * e)) / (2 * h)
-        fd[m] = re + 1j * im
-    return fd
+def _surrogate(paths):
+    """The two-stream surrogate's evaluator and data on the one-row core of `paths`."""
+    return tsvd_objective(path_core([paths], GEOMETRY),
+                          stream_weights(paths, BUDGET, 2, TX_GAIN)[None])
 
 
 # -- objective and gradient --------------------------------------------------
 
 def test_objective_frozen_single_stream():
-    # one stream, p = ones/M, v = ones: |v^H p| = 1, f = -log2(1 + a)
-    m = 4
-    prob = TsvdProblem(diag_vectors=np.ones((1, 1, m)) / m, weights=np.array([[3.0]]))
-    v = np.ones(m, dtype=complex)
-    assert tsvd_objective(v, prob) == pytest.approx(-2.0, rel=1e-12)
+    # v takes the phases of p^{11}, whose entries have modulus 1/M, so
+    # |v^H p^{11}| = 1 and f = -log2(1 + a) = -2 at a = 3
+    _, paths = _instance(0)
+    evaluate, data = tsvd_objective(path_core([paths], GEOMETRY), [[3.0]])
+    v = np.exp(1j * np.angle(data[0][:, 0]))
+    assert evaluate(data, v)[0] == pytest.approx([-2.0], rel=1e-12)
 
 
 def test_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(20):
         rng, paths = _instance(seed)
-        prob = build_tsvd_problem(paths, GEOMETRY, BUDGET, 2, TX_GAIN)
         v = random_phases(rng, GEOMETRY.m).entries
-        grad = tsvd_euclidean_gradient(v, prob)
-        fd = _wirtinger_fd(lambda x: tsvd_objective(x, prob), v)
-        worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
+        worst = max(worst, max_fd_error(*_surrogate(paths), v[None]))
     assert worst < 1e-5
 
 
 def test_objective_global_phase_invariant():
     rng, paths = _instance(1)
-    prob = build_tsvd_problem(paths, GEOMETRY, BUDGET, 2, TX_GAIN)
-    v = random_phases(rng, GEOMETRY.m).entries
+    evaluate, data = _surrogate(paths)
+    v = random_phases(rng, GEOMETRY.m).entries[None]
     rot = v * np.exp(1j * 0.83)
-    assert tsvd_objective(rot, prob) == pytest.approx(tsvd_objective(v, prob), rel=1e-12)
+    assert evaluate(data, rot)[0] == pytest.approx(evaluate(data, v)[0], rel=1e-12)
 
 
 def test_stream_weights_formula():
@@ -99,17 +89,10 @@ def test_stream_weights_formula():
     assert w[0] >= w[1]
 
 
-def test_build_rejects_too_many_streams():
+def test_stream_weights_rejects_too_many_streams():
     _, paths = _instance(3, p=2, l=2)
     with pytest.raises(StreamCountError):
-        build_tsvd_problem(paths, GEOMETRY, BUDGET, 3)
-
-
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        TsvdProblem(diag_vectors=np.ones((1, 2, 4)), weights=np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        TsvdProblem(diag_vectors=np.ones((1, 1, 4)), weights=np.array([[-1.0]]))
+        stream_weights(paths, BUDGET, 3)
 
 
 # -- cascade-channel rate ----------------------------------------------------
@@ -119,13 +102,13 @@ def test_rate_objective_equals_svd_transceiver_rate():
     # channel, so the objective is minus the equal-power SVD transceiver rate.
     for seed in range(10):
         rng, paths = _instance(seed, p=4, l=3)
-        prob = build_rate_problem(path_core([paths], GEOMETRY, TX_GAIN, 1.3), [BUDGET], 2)
+        evaluate, data = rate_objective(path_core([paths], GEOMETRY, TX_GAIN, 1.3), [BUDGET], 2)
         v = random_phases(rng, GEOMETRY.m)
         h = effective_channel(assemble_channels(paths, GEOMETRY, TX_GAIN, 1.3), v.entries)
         svd = truncated_svd(h, 2)
         se = spectral_efficiency(h, digital_precoder(svd, BUDGET.tx_power),
                                  digital_combiner(svd), BUDGET.noise_power)
-        assert rate_objective(v.entries, prob) == pytest.approx(-se, rel=1e-10)
+        assert evaluate(data, v.entries[None])[0] == pytest.approx([-se], rel=1e-10)
 
 
 def test_rate_gradient_matches_finite_differences():
@@ -135,29 +118,25 @@ def test_rate_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(20):
         rng, paths = _instance(seed, p=4, l=3)
-        prob = build_rate_problem(path_core([paths], GEOMETRY, TX_GAIN, 30.0), [BUDGET], 2)
+        evaluate, data = rate_objective(path_core([paths], GEOMETRY, TX_GAIN, 30.0), [BUDGET], 2)
         v = random_phases(rng, GEOMETRY.m).entries
-        grad = rate_euclidean_gradient(v, prob)
-        fd = _wirtinger_fd(lambda x: rate_objective(x, prob), v)
-        worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
+        worst = max(worst, max_fd_error(evaluate, data, v[None]))
     assert worst < 1e-5
 
 
-def test_build_rate_problem_rejects_too_many_streams():
+def test_rate_objective_rejects_too_many_streams():
     _, paths = _instance(3, p=2, l=2)
     with pytest.raises(StreamCountError):
-        build_rate_problem(path_core([paths], GEOMETRY), [BUDGET], 3)
+        rate_objective(path_core([paths], GEOMETRY), [BUDGET], 3)
 
 
 def test_spgm_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(20):
         rng, paths = _instance(seed, p=4, l=3)
-        core = path_core([paths], GEOMETRY, TX_GAIN, 1.3)
+        data = _spgm_data(path_core([paths], GEOMETRY, TX_GAIN, 1.3))
         w = random_phases(rng, GEOMETRY.m).entries
-        grad = spgm_euclidean_gradient(w, core)
-        fd = _wirtinger_fd(lambda x: spgm_objective(x, core), w)
-        worst = max(worst, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
+        worst = max(worst, max_fd_error(spgm_evaluate, data, w[None]))
     assert worst < 1e-5
 
 
@@ -165,12 +144,12 @@ def test_spgm_gradient_matches_finite_differences():
 
 def test_optimize_tsvd_improves_over_start():
     rng, paths = _instance(4)
-    prob = build_tsvd_problem(paths, GEOMETRY, BUDGET, 2, TX_GAIN)
+    evaluate, data = _surrogate(paths)
     v, trace = optimize_tsvd(path_core([paths], GEOMETRY),
                              stream_weights(paths, BUDGET, 2, TX_GAIN),
                              DescentConfig(epsilon=1e-8), rng)
     assert trace[-1] <= trace[0]
-    assert tsvd_objective(v.entries, prob) == pytest.approx(trace[-1], rel=1e-9)
+    assert evaluate(data, v.entries[None])[0] == pytest.approx([trace[-1]], rel=1e-9)
     assert np.max(np.abs(np.abs(v.entries) - 1.0)) < 1e-12
 
 
@@ -180,11 +159,13 @@ def test_optimize_rate_ascends_from_the_surrogate_solution():
         core = path_core([paths], GEOMETRY, TX_GAIN)
         v0, _ = optimize_tsvd(core, stream_weights(paths, BUDGET, 2, TX_GAIN),
                               DescentConfig(), rng)
-        v, trace = optimize_rate(core, BUDGET, 2, DescentConfig(epsilon=1e-8), v0)
-        prob = build_rate_problem(core, [BUDGET], 2)
-        assert trace[0] == pytest.approx(rate_objective(v0.entries, prob), rel=1e-12)
+        result = optimize_rate_stack(core, [BUDGET], 2, DescentConfig(epsilon=1e-8),
+                                     v0.entries[None])
+        v, trace = result.row(0)
+        evaluate, data = rate_objective(core, [BUDGET], 2)
+        assert trace[0] == pytest.approx(evaluate(data, v0.entries[None])[0][0], rel=1e-12)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-        assert rate_objective(v.entries, prob) == pytest.approx(trace[-1], rel=1e-9)
+        assert evaluate(data, v.entries[None])[0][0] == pytest.approx(trace[-1], rel=1e-9)
         assert np.max(np.abs(np.abs(v.entries) - 1.0)) < 1e-12
 
 
@@ -224,8 +205,8 @@ def test_spgm_quadratic_form_identity():
     lhs = np.linalg.norm(effective_channel(chan, v.entries)) ** 2
     rhs = np.real(np.vdot(w, q @ w))
     assert lhs == pytest.approx(rhs, rel=1e-10)
-    core = path_core([paths], GEOMETRY)
-    assert spgm_objective(w, core) == pytest.approx(-rhs / np.real(np.trace(q)), rel=1e-10)
+    gain = _spgm_gains(_spgm_data(path_core([paths], GEOMETRY)), w[None])[1]
+    assert gain == pytest.approx([rhs / np.real(np.trace(q))], rel=1e-10)
 
 
 def _spgm_stack(seeds, geometry=GEOMETRY):
@@ -239,10 +220,10 @@ def test_optimize_spgm_traces_do_not_decrease():
     # trace holds the normalized gain it maximizes, ending at the final point
     core, rngs = _spgm_stack(range(12))
     result = optimize_spgm_stack(core, DescentConfig(epsilon=1e-9), rngs)
-    for i, trace in enumerate(result.traces):
+    gains = _spgm_gains(_spgm_data(core), result.points.conj())[1]
+    for trace, gain in zip(result.traces, gains):
         assert len(trace) > 2 and np.all(np.diff(trace) >= 0)
-        assert trace[-1] == pytest.approx(
-            -spgm_objective(result.points[i].conj(), core[i:i + 1]), rel=1e-12)
+        assert trace[-1] == pytest.approx(gain, rel=1e-12)
     assert set(result.stops) == {"gap"}
 
 
@@ -262,19 +243,20 @@ def test_optimize_spgm_rows_equal_their_runs_alone():
 
 
 def test_optimize_spgm_stops_at_the_iteration_cap():
-    # one power update: w1 = exp(j arg(-gradient at w0)), from the same start
-    # as the row's generator draws
+    # one power update: w1 = exp(j arg(F^H F w0)), from the same start as the
+    # row's generator draws
     core, rngs = _spgm_stack(range(3))
     starts = np.stack([random_phases(np.random.default_rng(100 + s), GEOMETRY.m).entries
                        for s in range(3)])
     result = optimize_spgm_stack(core, DescentConfig(max_iters=1), rngs)
     assert result.stops == ("max_iters",) * 3
     np.testing.assert_array_equal(result.iters, [1, 1, 1])
-    ascent = -spgm_euclidean_gradient(starts, core)
+    data = _spgm_data(core)
+    c, gains = _spgm_gains(data, starts)
+    ascent = _spgm_ascent(data, c)
     np.testing.assert_allclose(result.points.conj(), ascent / np.abs(ascent), rtol=0,
                                atol=1e-12)
-    assert [t[0] for t in result.traces] == pytest.approx(-spgm_objective(starts, core),
-                                                          rel=1e-12)
+    assert [t[0] for t in result.traces] == pytest.approx(gains, rel=1e-12)
 
 
 def test_random_phases_stats():
