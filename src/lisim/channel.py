@@ -148,8 +148,8 @@ class PathCore:
     def m(self) -> int:
         return self.bank.shape[2]
 
-    def __getitem__(self, rows: slice) -> PathCore:
-        """The cores of `rows`, as views."""
+    def __getitem__(self, rows: slice | list[int]) -> PathCore:
+        """The cores of `rows`: views for a slice, gathered copies for a list."""
         return PathCore(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     def gains(self, v: np.ndarray) -> np.ndarray:

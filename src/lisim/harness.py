@@ -9,22 +9,25 @@ index, trial index) pair — the channel stream, and in an n_rf sweep the
 method streams, from the trial index alone — so growing the trial count
 never reshuffles earlier trials.
 
-A sweep runs in groups of points (sweep value, trial) that share a geometry,
-stream count and RF chain counts, cut by point index to fit GROUP_BYTES.
-Each point draws its path sets alone; the group stacks them into one L x P
-path core, one row per point, plus one of the estimated path sets when some
-point has an angle error. Each method takes one batch over the group: its
-optimizer runs as one stack (`passive_bf.optimize_*_stack`), then the
-stacked digital stage (SVD, precoder and combiner, condition number,
-digital rate, hybrid targets and channels). The group's hybrid jobs take
-one more batch: two `hybrid_factorize` calls, precoders then combiners, and
-one stacked rate. Each analog start holds the scaled steering vectors of
-the point's strongest estimated paths, whose span holds its targets, then
-random chains from the method's generator. `_batched` runs every batch
-and, on a numerical failure, reruns each item alone on its rows from its
-saved generator state. A point's values do not depend on its group, so the
-CSV is the same for any grouping, serial or parallel. `_run_trial` is a
-group of one point.
+A sweep runs in groups of points (sweep value, trial) that share a geometry
+and stream count, cut on trial boundaries to fit GROUP_BYTES. A group draws
+and sorts each of its trials' path sets once and factors them into one
+stacked L x P path core, with one more row for the estimated path set of
+each point that has an angle error; every point takes its true and its
+estimated row from that stack. Points with one seed key (in an n_rf sweep,
+a trial's points at every RF chain count) share one design. Each method
+takes one batch over the group's designs: its optimizer runs as one stack
+(`passive_bf.optimize_*_stack`), then the stacked digital stage (SVD,
+precoder and combiner, condition number, digital rate, hybrid targets and
+channels). The group's hybrid jobs, one per point and method, take one
+more batch: for each RF chain count, two `hybrid_factorize` calls,
+precoders then combiners, and one stacked rate. Each analog start holds the
+scaled steering vectors of the point's strongest estimated paths, whose
+span holds its targets, then random chains from the point's method
+generator. `_batched` runs every batch and, on a numerical failure, reruns
+each item alone on its rows from its saved generator state. A point's
+values do not depend on its group, so the CSV is the same for any grouping,
+serial or parallel. `_run_trial` is a group of one point.
 """
 
 from __future__ import annotations
@@ -85,14 +88,16 @@ CSV_COLUMNS = ("sweep_value", "method", "precoding", "mean_se", "std_se",
 
 ORACLE_STATE_LIMIT = 10 ** 7
 
-# Byte budget of one group's stacked path-core bank: 10 points of the paper
-# geometry (64-antenna ULAs, 16x16 LIS, 7x7 paths), 128 of the desk geometry
-# (16-antenna ULAs, 8x8 LIS, 4x4 paths). A group holds its true core, its
-# estimated core if it has one and the rate descent's copy of a bank, so the
-# budget bounds the memory a sweep adds. Every descent round and batched call
-# is paid once per group, and the exact-rate descent costs less per point in
-# larger stacks, so a paper sweep of up to 10 points (a chunk of either paper
-# workload in perfbench/) runs as one group.
+# Byte budget of one group's stacked path-core bank, one bank per design: 10
+# designs of the paper geometry (64-antenna ULAs, 16x16 LIS, 7x7 paths), 128
+# of the desk geometry (16-antenna ULAs, 8x8 LIS, 4x4 paths). Each point has
+# its own design, except in an n_rf sweep, where a trial's points share one.
+# A group holds the core of its trials' and estimated path sets, the true and
+# estimated rows gathered for its designs and the rate descent's copy of a
+# bank, so the budget bounds the memory a sweep adds. Every descent round and
+# batched call is paid once per group, and the exact-rate descent costs less
+# per point in larger stacks, so a paper sweep of up to 10 points (a chunk of
+# either paper workload in perfbench/) runs as one group.
 GROUP_BYTES = 2 ** 21
 
 # Failures a trial may meet on a bad channel draw; they count in the row's
@@ -236,6 +241,15 @@ def load_config(path) -> ExperimentConfig:
     # thermal floor of the bandwidth
     base = ExperimentConfig()
     g, b = base.geometry, base.budget
+    sweep_variable = raw.get("sweep_variable", base.sweep_variable)
+    sweep_values = raw.get("sweep_values", base.sweep_values)
+    # a power sweep sets the transmit power at every point, so the config's
+    # own power is the one-value default sweep or a conflict
+    if sweep_variable == "tx_power_dbm" and "tx_power_dbm" in raw:
+        if "sweep_values" in raw:
+            raise ConfigError("a tx_power_dbm sweep takes its powers from sweep_values; "
+                              "drop tx_power_dbm or sweep another variable")
+        sweep_values = (raw["tx_power_dbm"],)
     try:
         geometry = ArrayGeometry(
             n_tx=raw.get("n_tx", g.n_tx), n_rx=raw.get("n_rx", g.n_rx),
@@ -264,8 +278,8 @@ def load_config(path) -> ExperimentConfig:
             ue_pos=raw.get("ue_pos", base.ue_pos),
             tx_gain_dbi=raw.get("tx_gain_dbi", base.tx_gain_dbi),
             rx_gain_dbi=raw.get("rx_gain_dbi", base.rx_gain_dbi),
-            sweep_variable=raw.get("sweep_variable", base.sweep_variable),
-            sweep_values=raw.get("sweep_values", base.sweep_values),
+            sweep_variable=sweep_variable,
+            sweep_values=sweep_values,
             trials=raw.get("trials", base.trials),
             seed=raw.get("seed", base.seed),
             methods=raw.get("methods", base.methods),
@@ -324,42 +338,54 @@ class _Point:
     """One (sweep value, trial) pair's path sets and method generators."""
 
     cfg: ExperimentConfig    # specialized for the sweep value
+    key: tuple[int, int]     # `_seed_key`: (sweep index or 0, trial index)
     paths: PathSet
     est_paths: PathSet       # paths itself when there is no angle error
     rngs: dict[str, np.random.Generator]  # one per method
 
 
-def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
-                value: float) -> _Point:
-    """Seed and sample the path sets of one (sweep value, trial) pair."""
-    run_cfg, beta = _apply_sweep(cfg, value)
-    geometry, budget = run_cfg.geometry, run_cfg.budget
-    # The channel draw is keyed by the trial index alone so that trial t sees
-    # the same realization at every sweep value (paired along the sweep axis);
-    # angle errors and method starts stay keyed by (sweep, trial). An n_rf
-    # sweep leaves the digital design unchanged, so there the method starts
-    # are keyed by the trial alone too, and its digital rows are paired.
-    key = (0 if cfg.sweep_variable == "n_rf" else sweep_idx, trial_idx)
-    children = np.random.SeedSequence(entropy=cfg.seed, spawn_key=key).spawn(
-        2 + len(run_cfg.methods))
-    chan_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial_idx,)))
-    err_rng = np.random.default_rng(children[1])
+def _seed_key(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int) -> tuple[int, int]:
+    """The seed key of a point's angle error and method starts.
 
-    paths = sort_paths_descending(sample_paths(
-        chan_rng, geometry, budget, run_cfg.p_paths, run_cfg.l_paths,
-        run_cfg.bs_lis_distance, run_cfg.lis_ue_distance))
+    The channel draw is keyed by the trial index alone so that trial t sees
+    the same realization at every sweep value (paired along the sweep axis);
+    angle errors and method starts stay keyed by (sweep, trial). An n_rf
+    sweep leaves the digital design unchanged, so there the method starts
+    are keyed by the trial alone too: its digital rows are paired, and a
+    trial's points share one design.
+    """
+    return (0 if cfg.sweep_variable == "n_rf" else sweep_idx, trial_idx)
+
+
+def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int, value: float,
+                paths: PathSet | None = None) -> _Point:
+    """Seed one (sweep value, trial) pair and draw its path sets; `paths`, when
+    given, is the trial's true path set, drawn already at another value."""
+    run_cfg, beta = _apply_sweep(cfg, value)
+    key = _seed_key(cfg, sweep_idx, trial_idx)
+    if paths is None:
+        chan_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial_idx,)))
+        paths = sort_paths_descending(sample_paths(
+            chan_rng, run_cfg.geometry, run_cfg.budget, run_cfg.p_paths, run_cfg.l_paths,
+            run_cfg.bs_lis_distance, run_cfg.lis_ue_distance))
+
+    # child k of the key's seed sequence, as its spawn() would give it
+    def child(k: int) -> np.random.Generator:
+        return np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=key + (k,)))
+
     est_paths = paths
     if beta > 0:
-        est_paths = sort_paths_descending(perturb_angles(paths, beta, err_rng))
-    rngs = {method: np.random.default_rng(children[2 + k])
-            for k, method in enumerate(run_cfg.methods)}
-    return _Point(run_cfg, paths, est_paths, rngs)
+        est_paths = sort_paths_descending(perturb_angles(paths, beta, child(1)))
+    rngs = {method: child(2 + k) for k, method in enumerate(run_cfg.methods)}
+    return _Point(run_cfg, key, paths, est_paths, rngs)
 
 
 @dataclass(frozen=True)
 class _Group:
-    """The points of one group and their stacked path cores, one row per point."""
+    """The designs of one group: a point for each seed key, and its rows of
+    the group's stacked path cores."""
 
     points: list[_Point]
     true: PathCore      # of the true path sets
@@ -368,6 +394,38 @@ class _Group:
 
     def __getitem__(self, rows: slice) -> _Group:
         return _Group(self.points[rows], self.true[rows], self.est[rows], self.erred[rows])
+
+
+def _stack(points: list[_Point], trials: dict[int, PathSet],
+           cfg: ExperimentConfig) -> _Group:
+    """The group of `points`, whose true path sets are among `trials` (trial
+    index -> path set).
+
+    One `path_core` call factors each trial's path set and the estimated
+    path set of each point with an angle error; each point then gathers its
+    true row and, when it has an error, its estimated row. Every row has the
+    bits of its path set's core built alone.
+    """
+    erred = np.array([p.est_paths is not p.paths for p in points])
+    row = {trial: k for k, trial in enumerate(trials)}
+    true_rows = [row[p.key[1]] for p in points]   # by trial index
+    paths = list(trials.values())
+    est_rows = list(true_rows)
+    for i in np.flatnonzero(erred):
+        est_rows[i] = len(paths)
+        paths.append(points[i].est_paths)
+    gains = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
+    core = path_core(paths, points[0].cfg.geometry, *gains)
+    true = _rows(core, true_rows)
+    est = _rows(core, est_rows) if erred.any() else true
+    return _Group(points, true, est, erred)
+
+
+def _rows(core: PathCore, rows: list[int]) -> PathCore:
+    """The core's `rows`: views when they are consecutive, else gathered copies."""
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return core[rows[0]:rows[0] + len(rows)]
+    return core[rows]
 
 
 def _passive_beamforming(method: str, group: _Group,
@@ -481,15 +539,16 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> list[_Design]
                                          est.q_u @ w_core, h_true)]
 
 
-def _analog_starts(group: _Group, jobs: list[tuple[int, np.random.Generator, _Design]],
-                   ) -> list[np.ndarray]:
+def _analog_starts(points: list[_Point],
+                   jobs: list[tuple[int, np.random.Generator, _Design]]) -> list[np.ndarray]:
     """Each job's analog starts (K x N x n_rf), precoders then combiners:
     sqrt(N) times the steering vectors of its point's strongest min(n_rf, P)
     estimated paths, then uniform random chains drawn from the job's own
-    generator, its precoder's before its combiner's."""
-    run_cfg = group.points[0].cfg
+    generator, its precoder's before its combiner's. The jobs share their
+    RF chain counts."""
+    run_cfg = points[jobs[0][0]].cfg
     geometry = run_cfg.geometry
-    est = [group.points[i].est_paths for i, _, _ in jobs]
+    est = [points[i].est_paths for i, _, _ in jobs]
     sides = ((geometry.n_tx, run_cfg.n_rf_tx, np.stack([p.bs_lis_aod for p in est])),
              (geometry.n_rx, run_cfg.n_rf_rx, np.stack([p.lis_ue_aoa for p in est])))
     starts = []
@@ -502,25 +561,32 @@ def _analog_starts(group: _Group, jobs: list[tuple[int, np.random.Generator, _De
     return starts
 
 
-def _hybrid_rates(group: _Group,
+def _hybrid_rates(points: list[_Point],
                   jobs: list[tuple[int, np.random.Generator, _Design]]) -> np.ndarray:
     """Each job's spectral efficiency with its hybrid precoder and combiner.
 
-    One hybrid_factorize call factors every precoder, each normalized to its
-    own point's transmit power, and one more every combiner, from the starts
-    of `_analog_starts`. The jobs share their RF chain counts (see `_groups`)
-    and noise power.
+    The jobs of each RF chain count take one hybrid_factorize call for every
+    precoder, each normalized to its own point's transmit power, one more for
+    every combiner, from the starts of `_analog_starts`, and one stacked
+    rate. The jobs share their noise power.
     """
-    rows, _, designs = zip(*jobs)
-    run_cfg = group.points[0].cfg
-    f_start, w_start = _analog_starts(group, jobs)
-    f_rf, f_bb = hybrid_factorize(np.stack([d.f_target for d in designs]), f_start,
-                                  run_cfg.descent,
-                                  [group.points[i].cfg.budget.tx_power for i in rows])
-    w_rf, w_bb = hybrid_factorize(np.stack([d.w_target for d in designs]), w_start,
-                                  run_cfg.descent)
-    return spectral_efficiency(np.stack([d.h_true for d in designs]), f_rf @ f_bb,
-                               w_rf @ w_bb, run_cfg.budget.noise_power)
+    by_rf: dict[tuple[int, int], list[int]] = {}
+    for k, (i, _, _) in enumerate(jobs):
+        by_rf.setdefault((points[i].cfg.n_rf_tx, points[i].cfg.n_rf_rx), []).append(k)
+    rates = np.empty(len(jobs))
+    for ks in by_rf.values():
+        same_rf = [jobs[k] for k in ks]
+        rows, _, designs = zip(*same_rf)
+        run_cfg = points[rows[0]].cfg
+        f_start, w_start = _analog_starts(points, same_rf)
+        f_rf, f_bb = hybrid_factorize(np.stack([d.f_target for d in designs]), f_start,
+                                      run_cfg.descent,
+                                      [points[i].cfg.budget.tx_power for i in rows])
+        w_rf, w_bb = hybrid_factorize(np.stack([d.w_target for d in designs]), w_start,
+                                      run_cfg.descent)
+        rates[ks] = spectral_efficiency(np.stack([d.h_true for d in designs]), f_rf @ f_bb,
+                                        w_rf @ w_bb, run_cfg.budget.noise_power)
+    return rates
 
 
 def _record(method: str, mode: str, design: _Design | None, se: float | None,
@@ -536,36 +602,50 @@ def _run_group(cfg: ExperimentConfig,
                tasks: list[tuple[int, int, float]]) -> list[list[_TrialRecord]]:
     """Records of each (sweep index, trial index, value) task of one group.
 
-    The tasks' specialized configs share a geometry, stream count and RF
-    chain counts, so their path cores stack; each method's designs run as one
-    batch over all points, then every hybrid job of the group as one batch.
-    A digital row's wall time is its share of its method's batch, a hybrid
-    row's that plus its share of the hybrid batch. A method that fails at a
-    point fails that point's rows in every mode.
+    The tasks' specialized configs share a geometry and stream count, so
+    their path cores stack. Each trial's path set is drawn once, and the
+    points of one seed key share one design: each method's designs run as
+    one batch over the group's seed keys, then every hybrid job of the
+    group, one per point and method, as one batch. A point that shares a
+    design draws its hybrid chains from its own generator, at the state the
+    design left the designing point's in. A digital row's wall time is its
+    design's share of its method's batch, split evenly among the points that
+    share it, a hybrid row's that plus its share of the hybrid batch. A
+    method that fails on a design fails its points' rows in every mode.
     """
-    points = [_draw_point(cfg, *task) for task in tasks]
-    geometry = points[0].cfg.geometry
-    gains = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
-    true = path_core([p.paths for p in points], geometry, *gains)
-    erred = np.array([p.est_paths is not p.paths for p in points])
-    est = path_core([p.est_paths for p in points], geometry, *gains) if erred.any() else true
-    group = _Group(points, true, est, erred)
+    trials: dict[int, PathSet] = {}   # each trial's true path set
+    points = []
+    for sweep_idx, trial_idx, value in tasks:
+        points.append(_draw_point(cfg, sweep_idx, trial_idx, value, trials.get(trial_idx)))
+        trials.setdefault(trial_idx, points[-1].paths)
+    designers: dict[tuple[int, int], _Point] = {}   # the first point of each seed key
+    for point in points:
+        designers.setdefault(point.key, point)
+    design_row = {key: k for k, key in enumerate(designers)}
+    rows = [design_row[point.key] for point in points]
+    sharers = np.bincount(rows)
+    group = _stack(list(designers.values()), trials, cfg)
     modes = ("digital", "hybrid") if cfg.precoding == "both" else (cfg.precoding,)
     records: list[list[_TrialRecord]] = [[] for _ in points]
-    jobs, owners = [], []   # (row, generator, design) and (method, ms)
+    jobs, owners = [], []   # (point, generator, design) and (method, ms)
     for method in cfg.methods:
-        rngs = [p.rngs[method] for p in points]
-        found = _batched(lambda rows: _designs(method, group[rows], cfg), rngs)
-        for i, (design, ms) in enumerate(found):
+        found = _batched(lambda sel: _designs(method, group[sel], cfg),
+                         [p.rngs[method] for p in group.points])
+        for i, (point, k) in enumerate(zip(points, rows)):
+            design, ms = found[k]
+            ms /= sharers[k]
             if design is None:
                 records[i] += [_record(method, mode, None, None, ms) for mode in modes]
                 continue
             if "digital" in modes:
                 records[i].append(_record(method, "digital", design, design.se, ms))
             if "hybrid" in modes:
-                jobs.append((i, rngs[i], design))
+                rng, designer = point.rngs[method], group.points[k].rngs[method]
+                if rng is not designer:
+                    rng.bit_generator.state = designer.bit_generator.state
+                jobs.append((i, rng, design))
                 owners.append((method, ms))
-    rates = _batched(lambda sel: _hybrid_rates(group, jobs[sel]),
+    rates = _batched(lambda sel: _hybrid_rates(points, jobs[sel]),
                      [rng for _, rng, _ in jobs]) if jobs else []
     for (i, _, design), (method, ms), (se, hybrid_ms) in zip(jobs, owners, rates):
         records[i].append(_record(method, "hybrid", design, se, ms + hybrid_ms))
@@ -580,24 +660,32 @@ def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
 
 def _groups(cfg: ExperimentConfig, tasks: list[tuple[int, int, float]],
             parallel: int) -> list[list[tuple[int, int, float]]]:
-    """Split the tasks into groups that share a geometry, stream count and
-    RF chain counts, so a group's descents stack and its hybrid slots share
-    their shapes.
+    """Split the tasks into groups that share a geometry and stream count,
+    so a group's path cores and descents stack.
 
-    A group is cut by task index into runs whose stacked path-core banks fit
-    GROUP_BYTES, and into at least `parallel` runs, so every worker gets a
-    contiguous share.
+    Each shape's tasks, taken trial by trial, are cut into runs whose
+    stacked path-core banks, one per design, fit GROUP_BYTES, and into at
+    least `parallel` runs, so every worker gets a contiguous share. A run
+    holds whole trials wherever it has room for all of a trial's values, so
+    that it draws and factors each trial once. A group lists its tasks by
+    (sweep index, trial index), as `run_sweep` orders them.
     """
     by_shape: dict[tuple, list] = {}
     for task in tasks:
         run_cfg, _ = _apply_sweep(cfg, task[2])
-        by_shape.setdefault((run_cfg.geometry, run_cfg.n_streams, run_cfg.n_rf_tx,
-                             run_cfg.n_rf_rx), []).append(task)
+        by_shape.setdefault((run_cfg.geometry, run_cfg.n_streams), []).append(task)
     groups = []
-    for (geometry, *_), members in by_shape.items():
+    for (geometry, _), members in by_shape.items():
         bank_bytes = cfg.l_paths * cfg.p_paths * geometry.m * np.dtype(complex).itemsize
-        size = min(max(1, GROUP_BYTES // bank_bytes), -(-len(members) // parallel))
-        groups.extend(members[i:i + size] for i in range(0, len(members), size))
+        designs = len({_seed_key(cfg, sweep_idx, trial_idx)
+                       for sweep_idx, trial_idx, _ in members})
+        size = min(max(1, GROUP_BYTES // bank_bytes) * len(members) // designs,
+                   -(-len(members) // parallel))
+        values = len(members) // len({task[1] for task in members})
+        if size >= values:
+            size -= size % values
+        by_trial = sorted(members, key=lambda task: task[1])
+        groups.extend(sorted(by_trial[i:i + size]) for i in range(0, len(members), size))
     return groups
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from lisim import __version__
 from lisim.cli import main
+from lisim.harness import load_config
 
 SMALL_CFG = """
 n_tx = 8
@@ -17,7 +18,6 @@ p_paths = 3
 l_paths = 3
 trials = 2
 seed = 11
-tx_power_dbm = 40
 sweep_values = 40
 methods = tsvd, random
 """
@@ -94,6 +94,13 @@ def test_run_bad_config(tmp_path, capsys):
 def test_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_power_is_its_one_sweep_value(tmp_path):
+    # without sweep_values, a config's tx_power_dbm is the default power
+    # sweep's one value, so `run` and `oracle` draw at 40 dBm, not at 30
+    cfg = load_config(_cfg(tmp_path, ORACLE_CFG))
+    assert (cfg.sweep_variable, cfg.sweep_values) == ("tx_power_dbm", (40.0,))
 
 
 def test_oracle_reports_ratio(tmp_path, capsys):

@@ -117,6 +117,9 @@ def test_load_config_overrides(tmp_path):
     ("sweep_variable = angle_error_deg\nsweep_values = 0, -1", "non-negative"),
     ("n_tx = 4\nn_rx = 16\nr_t = 6\nr_r = 3\nn_streams = 3\nprecoding = hybrid",
      "RF chain counts must not exceed"),
+    ("tx_power_dbm = 40\nsweep_values = 30, 40", "takes its powers from sweep_values"),
+    ("tx_power_dbm = 40\nsweep_variable = tx_power_dbm\nsweep_values = 40",
+     "takes its powers from sweep_values"),
 ])
 def test_load_config_errors(tmp_path, line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -247,21 +250,25 @@ def test_groups_share_geometry_and_stream_count():
     tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(2)]
     assert _groups(cfg, tasks, 1) == [[tasks[0], tasks[1], tasks[4], tasks[5]],
                                       [tasks[2], tasks[3]]]
-    assert _groups(cfg, tasks, 2) == [[tasks[0], tasks[1]], [tasks[4], tasks[5]],
+    # cut trial by trial: each half holds one trial at both values of its shape
+    assert _groups(cfg, tasks, 2) == [[tasks[0], tasks[4]], [tasks[1], tasks[5]],
                                       [tasks[2]], [tasks[3]]]
-    # the points of a group also share their RF chain counts
+    # RF chain counts do not split a group: its hybrid batch factors each count apart
     cfg = replace(SMALL, trials=2, sweep_variable="n_rf", sweep_values=(4.0, 6.0, 4.0))
     tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(2)]
-    assert _groups(cfg, tasks, 1) == [[tasks[0], tasks[1], tasks[4], tasks[5]],
-                                      [tasks[2], tasks[3]]]
+    assert _groups(cfg, tasks, 1) == [tasks]
+    assert _groups(cfg, tasks, 2) == [[tasks[0], tasks[2], tasks[4]],
+                                      [tasks[1], tasks[3], tasks[5]]]
 
 
 @pytest.mark.parametrize("name, trials, points", [("default", 8, 8), ("power_sweep", 1, 7),
-                                                   ("csi_sweep", 25, 125)])
+                                                   ("csi_sweep", 25, 125), ("rf_sweep", 10, 40)])
 def test_a_paper_chunk_is_one_group(name, trials, points):
-    # the byte budget holds 10 paper points and 128 desk points, so each of
+    # the byte budget holds 10 paper designs and 128 desk designs, so each of
     # these sweeps, 8 draws at one power, one draw at each of 7 powers and
-    # 25 draws at each of 5 angle errors, runs as one group
+    # 25 draws at each of 5 angle errors, runs as one group; in an n_rf sweep
+    # a trial has one design at all its RF chain counts, so 10 draws at each
+    # of 4 counts run as one group too
     from dataclasses import replace
     from lisim.harness import GROUP_BYTES, _groups
     cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"),
@@ -297,6 +304,53 @@ def test_rf_sweep_digital_rows_are_paired():
                if r.precoding == "digital"]
     assert digital[:3] == digital[3:6] == digital[6:]
     assert all(r.errors == 0 for r in rows)
+
+
+def _spy(monkeypatch, name, record):
+    """Wrap harness.<name> so that each call appends record(*args) to a list."""
+    from lisim import harness
+    real, seen = getattr(harness, name), []
+
+    def spied(*args, **kwargs):
+        seen.append(record(*args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, spied)
+    return seen
+
+
+def test_a_group_draws_and_factors_each_trial_once(monkeypatch):
+    # 3 trials x 4 powers in one group: a trial has one path set at every power
+    from dataclasses import replace
+    draws = _spy(monkeypatch, "sample_paths", lambda *args: None)
+    cores = _spy(monkeypatch, "path_core", lambda paths, *args: len(paths))
+    cfg = replace(SMALL, trials=3, sweep_values=(25.0, 30.0, 35.0, 40.0))
+    assert all(row.errors == 0 for row in run_sweep(cfg).rows)
+    assert (len(draws), cores) == (3, [3])
+
+
+def test_a_group_factors_estimated_paths_of_erred_points_only(monkeypatch):
+    # 2 trials x angle errors 0, 1 and 2 degrees in one group: 2 true rows
+    # and 4 estimated ones; the error-free points take their true rows
+    from dataclasses import replace
+    cores = _spy(monkeypatch, "path_core", lambda paths, *args: len(paths))
+    stacks = _spy(monkeypatch, "optimize_spgm_stack", lambda core, *args: len(core.bank))
+    cfg = replace(DESK_ANGLES, trials=2, sweep_values=(0.0, 1.0, 2.0), precoding="digital")
+    assert all(row.errors == 0 for row in run_sweep(cfg).rows)
+    assert (cores, stacks) == ([6], [6])
+
+
+def test_rf_sweep_designs_each_trial_once(monkeypatch):
+    # 2 trials x 3 RF chain counts in one group: one tsvd design per trial,
+    # then a precoder and a combiner call for each RF chain count
+    from dataclasses import replace
+    designs = _spy(monkeypatch, "optimize_tsvd_stack", lambda core, *args: len(core.bank))
+    factors = _spy(monkeypatch, "hybrid_factorize", lambda targets, start, *args: start.shape)
+    cfg = replace(SMALL, trials=2, sweep_variable="n_rf", sweep_values=(3.0, 4.0, 6.0),
+                  methods=("tsvd",), precoding="both")
+    assert all(row.errors == 0 for row in run_sweep(cfg).rows)
+    assert designs == [2]
+    assert factors == [(2, 8, n_rf) for n_rf in (3, 3, 4, 4, 6, 6)]
 
 
 @pytest.fixture(scope="module")

@@ -48,5 +48,6 @@ def test_traced_sweep_emits_every_declared_layer_metric():
     del declared["trace.overhead_ratio"]
     assert {name: unit for name, (_, unit) in metrics.items()} == declared
     # two batched calls per group, one for every precoder and one for every
-    # combiner of its points and methods: 0.5 per trial for four points
-    assert metrics["transceiver.hybrid_factorize.calls"][0] == pytest.approx(0.5)
+    # combiner of its points and methods; the tracer counts a trial per
+    # sample_paths call, which a group makes once per trial: 2 / 2 = 1.0
+    assert metrics["transceiver.hybrid_factorize.calls"][0] == pytest.approx(1.0)
