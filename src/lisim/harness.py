@@ -92,9 +92,12 @@ ORACLE_STATE_LIMIT = 10 ** 7
 # designs of the paper geometry (64-antenna ULAs, 16x16 LIS, 7x7 paths), 128
 # of the desk geometry (16-antenna ULAs, 8x8 LIS, 4x4 paths). Each point has
 # its own design, except in an n_rf sweep, where a trial's points share one.
-# A group holds the core of its trials' and estimated path sets, the true and
-# estimated rows gathered for its designs and the rate descent's copy of a
-# bank, so the budget bounds the memory a sweep adds. Every descent round and
+# A group factors its trials' path sets and the estimated path sets of its
+# erred points into one core, then gathers a copy of its designs' true rows
+# and, when a point has an angle error, one of their estimated rows, so it
+# holds up to three budgets of banks (two without an angle error), plus the
+# rate descent's copy of a bank: the memory a sweep adds stays within a small
+# multiple of the budget, whatever its trial count. Every descent round and
 # batched call is paid once per group, and the exact-rate descent costs less
 # per point in larger stacks, so a paper sweep of up to 10 points (a chunk of
 # either paper workload in perfbench/) runs as one group.
@@ -416,16 +419,8 @@ def _stack(points: list[_Point], trials: dict[int, PathSet],
         paths.append(points[i].est_paths)
     gains = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
     core = path_core(paths, points[0].cfg.geometry, *gains)
-    true = _rows(core, true_rows)
-    est = _rows(core, est_rows) if erred.any() else true
-    return _Group(points, true, est, erred)
-
-
-def _rows(core: PathCore, rows: list[int]) -> PathCore:
-    """The core's `rows`: views when they are consecutive, else gathered copies."""
-    if rows == list(range(rows[0], rows[0] + len(rows))):
-        return core[rows[0]:rows[0] + len(rows)]
-    return core[rows]
+    true = core[true_rows]
+    return _Group(points, true, core[est_rows] if erred.any() else true, erred)
 
 
 def _passive_beamforming(method: str, group: _Group,

@@ -293,6 +293,24 @@ def test_rf_sweep_grouping_leaves_the_csv_unchanged(tmp_path, monkeypatch):
     assert all(row.split(",")[-1] == "0" for row in serial[1:])   # no errors
 
 
+def test_rf_sweep_shared_designs_equal_designs_alone():
+    # a trial's points share one design across RF chain counts; each point's
+    # records, hybrid rows too, equal those of its point designed alone. At
+    # 10 RF chains and 4 paths the hybrid rates depend on the random chains
+    # beyond the paths', which each point draws from its own generator
+    from dataclasses import replace
+    from lisim.harness import _groups, _run_group, _run_trial
+    cfg = replace(DESK_ANGLES, trials=2, sweep_variable="n_rf", sweep_values=(6.0, 10.0, 6.0))
+    tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(2)]
+    assert _groups(cfg, tasks, 1) == [tasks]
+    for task, shared in zip(tasks, _run_group(cfg, tasks)):
+        alone = _run_trial(cfg, *task)
+        assert [r.precoding for r in shared] == ["digital"] * 3 + ["hybrid"] * 3
+        assert not any(r.failed for r in shared)
+        assert [replace(r, wall_ms=0.0) for r in shared] == \
+            [replace(r, wall_ms=0.0) for r in alone]
+
+
 def test_rf_sweep_digital_rows_are_paired():
     # the digital design does not depend on the RF chain count, so trial t
     # draws the same method starts at every n_rf and the digital rows agree
