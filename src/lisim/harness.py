@@ -57,10 +57,9 @@ from .channel import (  # noqa: F401
     composite_path_vectors,
     effective_channel,
 )
-from .manifold import DescentConfig, LineSearchError, PhaseVector, RetractionError
+from .manifold import DescentConfig, PhaseVector, RetractionError
 from .metrics import CombinerRankError, spectral_efficiency, truncated_condition_number
 from .passive_bf import (
-    StreamCountError,
     coupling_matrix,
     optimize_rate_stack,
     optimize_spgm_stack,
@@ -104,9 +103,11 @@ ORACLE_STATE_LIMIT = 10 ** 7
 GROUP_BYTES = 2 ** 21
 
 # Failures a trial may meet on a bad channel draw; they count in the row's
-# `errors`. Any other exception is a bug and propagates out of run_sweep.
-NUMERICAL_FAILURES = (LineSearchError, RetractionError, StreamCountError, RankError,
-                      CombinerRankError, FloatingPointError, np.linalg.LinAlgError)
+# `errors`. Any other exception is a bug and propagates out of run_sweep,
+# among them passive_bf.StreamCountError, which a config that loads cannot
+# meet (n_streams is capped by the path and RF chain counts).
+NUMERICAL_FAILURES = (RetractionError, RankError, CombinerRankError, FloatingPointError,
+                      np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
@@ -138,12 +139,18 @@ class ExperimentConfig:
     descent: DescentConfig = field(default_factory=DescentConfig)
 
     def __post_init__(self):
+        if self.n_streams < 1:
+            raise ConfigError("n_streams must be >= 1")
         if self.n_streams > min(self.n_rf_tx, self.n_rf_rx):
             raise ConfigError("n_streams must not exceed min(n_rf_tx, n_rf_rx)")
         if self.n_rf_tx > self.geometry.n_tx or self.n_rf_rx > self.geometry.n_rx:
             raise ConfigError("RF chain counts must not exceed the antenna counts of their side")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if self.bs_lis_distance == 0 or self.lis_ue_distance == 0:
+            raise ConfigError("bs_pos and ue_pos must differ from lis_pos")
         if not self.sweep_values:
             raise ConfigError("sweep_values must be non-empty")
         if self.sweep_variable not in SWEEP_VARIABLES:
@@ -153,6 +160,8 @@ class ExperimentConfig:
         bad = set(self.methods) - set(METHODS)
         if bad or not self.methods:
             raise ConfigError(f"methods must be a non-empty subset of {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError("methods must not repeat")
         if self.n_streams > min(self.p_paths, self.l_paths):
             raise ConfigError("n_streams must not exceed min(p_paths, l_paths)")
 
@@ -198,11 +207,12 @@ _STR_KEYS = {"sweep_variable", "precoding"}
 
 def _parse_scalar(key, raw, lineno):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        value = int(raw) if key in _INT_KEYS else float(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"line {lineno}: {key!r} must be finite, not {raw!r}")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -226,13 +236,13 @@ def load_config(path) -> ExperimentConfig:
                 parts = value.split(",")
                 if len(parts) != 3:
                     raise ConfigError(f"line {lineno}: {key} needs an x,y,z triple")
-                raw[key] = tuple(_parse_scalar("f", p.strip(), lineno) for p in parts)
+                raw[key] = tuple(_parse_scalar(key, p.strip(), lineno) for p in parts)
             elif key in _LIST_KEYS:
                 items = [p.strip() for p in value.split(",") if p.strip()]
                 if not items:
                     raise ConfigError(f"line {lineno}: {key} must be non-empty")
                 if key == "sweep_values":
-                    raw[key] = tuple(_parse_scalar("f", p, lineno) for p in items)
+                    raw[key] = tuple(_parse_scalar(key, p, lineno) for p in items)
                 else:
                     raw[key] = tuple(items)
             elif key in _STR_KEYS:

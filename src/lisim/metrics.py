@@ -1,4 +1,4 @@
-"""Link-quality functionals: spectral efficiency, bounds, condition number."""
+"""Link-quality functionals: spectral efficiency and truncated condition number."""
 
 from __future__ import annotations
 
@@ -30,16 +30,6 @@ def spectral_efficiency(h_eff: np.ndarray, f: np.ndarray, w: np.ndarray,
     return float(rates) if rates.ndim == 0 else rates
 
 
-def spectral_efficiency_digital(sigma1: np.ndarray, powers: np.ndarray,
-                                sigma2: float) -> float:
-    """Closed form sum_i log2(1 + p_i sigma_i^2 / sigma2)."""
-    sigma1 = np.asarray(sigma1, dtype=float)
-    powers = np.asarray(powers, dtype=float)
-    if sigma1.shape != powers.shape:
-        raise ValueError("sigma1 and powers must have equal length")
-    return float(np.sum(np.log2(1.0 + powers * sigma1 ** 2 / sigma2)))
-
-
 def truncated_condition_number(h_eff: np.ndarray, n_streams: int,
                                sigma: np.ndarray | None = None) -> float | np.ndarray:
     """(sigma_1 / sigma_{N_s})^2 of the cascade channel, or of each channel
@@ -54,9 +44,3 @@ def truncated_condition_number(h_eff: np.ndarray, n_streams: int,
     cond = np.square(s[..., 0] / s[..., n_streams - 1])
     return float(cond) if cond.ndim == 0 else cond
 
-
-def frobenius_bound(h_eff: np.ndarray, rho: float, n_streams: int,
-                    sigma2: float) -> float:
-    """Jensen/Frobenius upper bound N_s log2(1 + rho ||H||_F^2 / (N_s^2 sigma2))."""
-    fro_sq = float(np.linalg.norm(h_eff) ** 2)
-    return n_streams * np.log2(1.0 + rho * fro_sq / (n_streams ** 2 * sigma2))

