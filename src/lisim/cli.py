@@ -84,7 +84,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_oracle(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError) as exc:   # anything else is a bug: let it show
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

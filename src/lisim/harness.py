@@ -699,7 +699,11 @@ def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepResult:
 
     The result does not depend on `parallel` or on how the points are
     grouped: every point's values equal those of its one-point group.
+
+    Raises ConfigError if `parallel` is below 1.
     """
+    if parallel < 1:
+        raise ConfigError(f"parallel must be >= 1, not {parallel}")
     _check_sweep(cfg)
     tasks = [(si, ti, value)
              for si, value in enumerate(cfg.sweep_values)
@@ -762,11 +766,16 @@ def brute_force_phase_oracle(core: PathCore, weights: np.ndarray,
     Enumerates every v with phases on the `levels`-point grid and returns the
     maximizer of sum_i log2(1 + a_i |v^H p^{ii}|^2) together with its value;
     `core` is a stack of one and `weights` (N_s,) is as for `optimize_tsvd`.
+
+    Raises ConfigError if `levels` is below 1 or the search space holds more
+    than ORACLE_STATE_LIMIT states.
     """
+    if levels < 1:
+        raise ConfigError(f"levels must be >= 1, not {levels}")
     m = core.m
     total = levels ** m
     if total > ORACLE_STATE_LIMIT:
-        raise ValueError(f"search space {levels}^{m} exceeds {ORACLE_STATE_LIMIT}")
+        raise ConfigError(f"search space {levels}^{m} exceeds {ORACLE_STATE_LIMIT}")
     _, (diag_vectors, weights) = tsvd_objective(core, np.asarray(weights)[None])
     step = 2.0 * np.pi / levels
     best_obj = -np.inf

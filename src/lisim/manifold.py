@@ -15,7 +15,10 @@ inverse magnitude of the Euclidean gradient entry, d = riem / |G| (0 where
 G = 0): a per-element metric (Riemannian preconditioning, Mishra &
 Sepulchre, SIAM J. Optim. 2016) under which a step turns each phase by an
 amount that does not depend on the scale of its entry, as the unimodular
-power update of `spgm` does (Soltanalian & Stoica, IEEE TSP 2014).
+power update of `spgm` does (Soltanalian & Stoica, IEEE TSP 2014). After
+the first iteration, the trial step is the geometric mean of the two
+Barzilai-Borwein quotients in that metric (Dai, Al-Baali & Yang 2015;
+Riemannian BB: Iannazzo & Porcelli, IMA J. Numer. Anal. 2018).
 """
 
 from __future__ import annotations
@@ -181,6 +184,11 @@ def _compact(arrays: tuple, keep: np.ndarray) -> tuple:
     return tuple(a[:n] for a in arrays)
 
 
+def _over(x: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """x / metric entrywise, 0 where the metric |G| is 0."""
+    return np.divide(x, metric, out=np.zeros_like(x), where=metric > 0)
+
+
 def _plain_step(first_step: float, direction: np.ndarray) -> np.ndarray:
     """The first iteration's trial step: a unit RMS per-element displacement."""
     with np.errstate(divide="ignore"):   # a zero gradient stops its row unused
@@ -258,11 +266,16 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     where riem is 0 too), and a trial point is _normalize(v - step d). The
     Armijo trial step is warm-started each iteration: the first iteration
     normalizes INITIAL_STEP to a unit RMS per-element displacement along d,
-    later iterations use the Barzilai-Borwein quotient of the previous move
-    dv = v - v_prev in the same metric, <dv, |G| dv> / |<dv, riem - riem_prev>|
-    with |G| at v (the first iteration's rule where the denominator is 0). A fixed
-    trial step stalls badly on the composite-path objective because its
-    curvature scales with the LIS size; backtracking still guards descent.
+    later iterations take the geometric mean of the two Barzilai-Borwein
+    quotients of the previous move dv = v - v_prev and gradient change
+    dr = riem - riem_prev in the same metric,
+    sqrt(<dv, |G| dv> / <dr, dr / |G|>), with |G| at v and entries where
+    G = 0 adding 0. Both sums are non-negative; a row where either is 0
+    keeps the first iteration's rule. The first quotient alone,
+    <dv, |G| dv> / |<dv, dr>|, overshoots and pays for it in Armijo
+    retries. A fixed trial step stalls badly on the composite-path
+    objective because its curvature scales with the LIS size; backtracking
+    still guards descent.
     A row stops when its objective gap drops below cfg.epsilon (`gap`), its
     iteration budget is exhausted (`max_iters`), its line search fails
     (`line_search`, treated as converged) or its Riemannian gradient is zero
@@ -293,20 +306,21 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     for it in range(cfg.max_iters):
         riem = _tangent(v, grad)
         metric = np.abs(grad)
-        direction = np.divide(riem, metric, out=np.zeros_like(riem), where=metric > 0)
+        direction = _over(riem, metric)
         slope = row_dot(riem, direction)
         if prev_v is None:
             trial = _plain_step(first_step, direction)
         else:
             move = v - prev_v
-            curvature = np.abs(row_dot(move, riem - prev_riem))
+            change = riem - prev_riem
             move_sq = row_dot(move, metric * move)
-            bb = curvature > 0
+            change_sq = row_dot(change, _over(change, metric))
+            bb = (move_sq > 0) & (change_sq > 0)
             if _all(bb):
-                trial = move_sq / curvature
+                trial = np.sqrt(move_sq / change_sq)
             else:
                 trial = _plain_step(first_step, direction)
-                trial[bb] = move_sq[bb] / curvature[bb]
+                trial[bb] = np.sqrt(move_sq[bb] / change_sq[bb])
         v_next, f_next, grad, accepted, go_on, zero = _line_search(
             evaluate, data, v, f_v, riem, direction, slope, trial, cfg,
             it + 1 < cfg.max_iters)

@@ -61,12 +61,15 @@ class CouplingMatrix:
 
     def offdiag_ratio(self, n_streams: int) -> np.ndarray:
         """mean |d_ij| off the diagonal over mean |d_ii|, top-N_s block, per row."""
-        off = ~np.eye(n_streams, dtype=bool)
-        if not off.any():
+        if n_streams == 1:
             return np.zeros(len(self.gains))
-        # row by row, so each row's means sum in the order they take alone
-        return np.array([np.mean(block[off]) / np.mean(np.diag(block))
-                         for block in np.abs(self.gains[:, :n_streams, :n_streams])])
+        diag = np.eye(n_streams, dtype=bool)
+        # (entries, T): `sum` adds entry after entry, elementwise across the
+        # rows, so a row's ratio has the bits it has alone (np.mean's
+        # reduction order can depend on the stack's size and alignment)
+        block = np.abs(self.gains[:, :n_streams, :n_streams]).transpose(1, 2, 0)
+        off, on = block[~diag], block[diag]
+        return (sum(off) / len(off)) / (sum(on) / len(on))
 
 
 def tsvd_objective(core: PathCore,

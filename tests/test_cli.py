@@ -132,3 +132,35 @@ def test_oracle_searches_at_the_first_sweep_value(tmp_path, capsys, methods):
 def test_oracle_refuses_large_state_space(tmp_path, capsys):
     assert main(["oracle", _cfg(tmp_path, SMALL_CFG)]) == 1
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg_text, option, value, message", [
+    ("run", SMALL_CFG, "--parallel", "0", "parallel must be >= 1"),
+    ("run", SMALL_CFG, "--parallel", "-1", "parallel must be >= 1"),
+    ("oracle", ORACLE_CFG, "--levels", "0", "levels must be >= 1"),
+    ("oracle", ORACLE_CFG, "--levels", "-2", "levels must be >= 1"),
+], ids=["parallel-0", "parallel-minus-1", "levels-0", "levels-minus-2"])
+def test_counts_below_one_are_rejected(tmp_path, capsys, command, cfg_text, option, value,
+                                       message):
+    out = tmp_path / "never.csv"
+    args = [command, _cfg(tmp_path, cfg_text), option, value]
+    if command == "run":
+        args += ["--out", str(out)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}, not {value}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_a_bug_in_a_run_is_not_reported_as_a_config_error(tmp_path, monkeypatch):
+    # StreamCountError is a ValueError, but a loaded config cannot meet it:
+    # raised in a run it is a bug, and it keeps its traceback
+    from lisim import harness
+    from lisim.passive_bf import StreamCountError
+
+    def raise_bug(*_args, **_kwargs):
+        raise StreamCountError("injected bug")
+
+    monkeypatch.setattr(harness, "stream_weights", raise_bug)
+    with pytest.raises(StreamCountError, match="injected bug"):
+        main(["run", _cfg(tmp_path, SMALL_CFG), "--out", str(tmp_path / "out.csv")])

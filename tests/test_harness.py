@@ -656,6 +656,14 @@ def test_run_sweep_lets_a_stream_count_error_through(monkeypatch):
         run_sweep(cfg)
 
 
+@pytest.mark.parametrize("parallel", [0, -1])
+def test_run_sweep_rejects_parallel_below_one(monkeypatch, parallel):
+    from lisim import harness
+    monkeypatch.setattr(harness, "_run_group", _raise(AssertionError))   # no point runs
+    with pytest.raises(ConfigError, match="parallel must be >= 1"):
+        run_sweep(SMALL, parallel=parallel)
+
+
 def test_run_sweep_lets_bugs_through(monkeypatch):
     from dataclasses import replace
     from lisim import harness
@@ -713,6 +721,16 @@ def test_oracle_state_limit():
     budget = LinkBudget()
     rng = np.random.default_rng(1)
     paths = sample_paths(rng, geometry, budget, 2, 2)
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ConfigError, match="exceeds"):
         brute_force_phase_oracle(path_core([paths], geometry),
                                  stream_weights(paths, budget, 2), levels=8)
+
+
+@pytest.mark.parametrize("levels", [0, -2])
+def test_oracle_rejects_levels_below_one(levels):
+    geometry = ArrayGeometry(n_tx=4, n_rx=4, lis_y=2, lis_z=2)
+    budget = LinkBudget()
+    paths = sample_paths(np.random.default_rng(1), geometry, budget, 2, 2)
+    with pytest.raises(ConfigError, match="levels must be >= 1"):
+        brute_force_phase_oracle(path_core([paths], geometry),
+                                 stream_weights(paths, budget, 2), levels=levels)

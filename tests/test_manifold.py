@@ -216,6 +216,57 @@ def test_first_iteration_is_a_scaled_armijo_step():
     assert trace == [f(v0), pytest.approx(f(v.entries), rel=1e-14)]
 
 
+def _armijo(f, v, d, slope, step):
+    """The largest step * ARMIJO_SHRINK^t meeting the sufficient decrease."""
+    while f(_normalize(v - step * d)) > f(v) - ARMIJO_SLOPE * step * slope:
+        step *= ARMIJO_SHRINK
+    return _normalize(v - step * d)
+
+
+def _scaled_direction(grad, v):
+    g = grad(v)
+    riem = g - (g * v.conj()).real * v
+    return riem, np.abs(g), riem / np.abs(g)
+
+
+def test_second_iteration_is_a_geometric_mean_bb_step():
+    # after the first move dv, the trial step is the geometric mean of the
+    # two Barzilai-Borwein quotients in the metric |G| at the new point,
+    # sqrt(<dv, |G| dv> / <d_riem, d_riem / |G|>), halved until Armijo holds
+    f, grad, t = _alignment_problem(20, 13)
+    v0 = t * np.exp(1j * np.random.default_rng(14).uniform(-1.0, 1.0, 20))
+    riem0, _, d0 = _scaled_direction(grad, v0)
+    v1 = _armijo(f, v0, d0, np.vdot(riem0, d0).real, np.sqrt(20) / np.linalg.norm(d0))
+    riem1, metric, d1 = _scaled_direction(grad, v1)
+    dv, d_riem = v1 - v0, riem1 - riem0
+    trial = np.sqrt(np.vdot(dv, metric * dv).real / np.vdot(d_riem, d_riem / metric).real)
+    v2 = _armijo(f, v1, d1, np.vdot(riem1, d1).real, trial)
+    v, trace = ccm_descent(f, grad, PhaseVector(v0), DescentConfig(epsilon=1e-12, max_iters=2))
+    assert len(trace) == 3
+    np.testing.assert_allclose(v.entries, v2, rtol=0, atol=1e-14)
+
+
+def test_an_undefined_bb_quotient_keeps_the_unit_rms_step():
+    # The first iteration moves only entry 1, where the gradient is 0 at the
+    # new point, so <dv, |G| dv> = 0: the quotient gives no step, and the
+    # second iteration takes the unit-RMS trial step along d again. (A zero
+    # d_riem with a nonzero Riemannian gradient cannot arise: riem at a point
+    # is tangent there, so it keeps its value only on entries that did not
+    # move; the denominator falls back the same way.) The engine reads only
+    # the values and gradients it is given, so they need not agree here.
+    def evaluate(_data, points):
+        start = points[:, 1] == 1.0
+        gradient = np.where(start[:, None], [0.0, 1j], [1j, 0.0])
+        return points.real.sum(axis=1) - 2.0, lambda: gradient
+
+    v0 = np.ones((1, 2), dtype=complex)
+    stack = ccm_descent_stack(evaluate, (), v0, DescentConfig(epsilon=1e-12, max_iters=2))
+    step = np.sqrt(2)   # unit RMS: d = (0, i), then (i, 0)
+    expected = _normalize(np.array([1.0 - step * 1j, 1.0 - step * 1j]))
+    np.testing.assert_allclose(stack.points[0], expected, rtol=0, atol=1e-15)
+    assert stack.iters[0] == 2 and stack.stops[0] == "max_iters"
+
+
 # -- stacked descent ---------------------------------------------------------
 
 def _stacked_alignment(data, v):

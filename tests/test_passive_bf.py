@@ -291,6 +291,26 @@ def test_offdiag_ratio_limits():
     assert flat.offdiag_ratio(3) == pytest.approx([1.0])
 
 
+@pytest.mark.parametrize("n_streams", range(1, 8))
+def test_offdiag_ratio_row_equals_row_alone(n_streams):
+    # a group's ratios must not depend on the rows stacked with them, or
+    # grouping would change a CSV; against the per-row np.mean loop they
+    # may differ in summation order only
+    from lisim.passive_bf import CouplingMatrix
+    rng = np.random.default_rng(n_streams)
+    off = ~np.eye(n_streams, dtype=bool)
+    for rows in (2, 5, 13, 25):
+        gains = rng.normal(size=(rows, 7, 7)) + 1j * rng.normal(size=(rows, 7, 7))
+        gains *= 10.0 ** rng.uniform(-8, 0, (rows, 1, 1))
+        stacked = CouplingMatrix(gains).offdiag_ratio(n_streams)
+        alone = [CouplingMatrix(gains[i:i + 1]).offdiag_ratio(n_streams)[0]
+                 for i in range(rows)]
+        np.testing.assert_array_equal(stacked, alone)
+        loop = [np.mean(b[off]) / np.mean(np.diag(b)) if off.any() else 0.0
+                for b in np.abs(gains[:, :n_streams, :n_streams])]
+        np.testing.assert_allclose(stacked, loop, rtol=1e-14, atol=0)
+
+
 def test_coupling_matrix_shape_mismatch():
     rng, paths = _instance(9)
     core = path_core([paths], GEOMETRY)
