@@ -163,10 +163,6 @@ class PathCore:
         """The cores left X(v) right at the (T, M) phase entries v."""
         return self.left @ self.gains(v) @ self.right
 
-    def lift(self, core: np.ndarray) -> np.ndarray:
-        """The dense (T, N_r, N_t) channels Q_u core Q_b^H of (T, ., .) core matrices."""
-        return self.q_u @ core @ self.q_b.conj().swapaxes(1, 2)
-
 
 def ula_responses(gammas: np.ndarray, n: int, spacing_ratio: float = 0.5) -> np.ndarray:
     """Normalized ULA steering vectors for the angles `gammas` (any shape), on a new last axis."""

@@ -5,35 +5,41 @@ angle_error_deg} over a value grid (n_rf sets both RF chain counts). Within
 a trial every method sees the same channel realization, and trial t sees
 the same realization at every sweep value (paired comparison along both
 axes). Per-trial seeds are derived from the master seed and the (sweep
-index, trial index) pair — the channel stream, and in an n_rf sweep the
-method streams, from the trial index alone — so growing the trial count
-never reshuffles earlier trials.
+index, trial index) pair, so growing the trial count never reshuffles
+earlier trials. The channel stream is keyed by the trial index alone, and
+so are a method's starts where the sweep variable does not enter its
+design (`_seed_key`): every method in an n_rf sweep, `spgm` and `random`
+in a power sweep.
 
 A sweep runs in groups of points (sweep value, trial) that share a geometry
 and stream count, cut on trial boundaries to fit GROUP_BYTES. A group draws
 and sorts each of its trials' path sets once and factors them into one
 stacked L x P path core, with one more row for the estimated path set of
-each point that has an angle error; every point takes its true and its
-estimated row from that stack. Points with one seed key (in an n_rf sweep,
-a trial's points at every RF chain count) share one design. Each method
-takes one batch over the group's designs: its optimizer runs as one stack
+each point that has an angle error. Points with one seed key for a method
+share its design, made at the key's sweep value, and each design gathers
+its true and its estimated row from that stack. Each method takes one
+batch over the group's designs: its optimizer runs as one stack
 (`passive_bf.optimize_*_stack`), then the stacked digital stage (SVD,
-precoder and combiner, condition number, digital rate, hybrid targets and
-channels). The group's hybrid jobs, one per point and method, take one
-more batch: for each RF chain count, two `hybrid_factorize` calls,
-precoders then combiners, and one stacked rate. Each analog start holds the
-scaled steering vectors of the point's strongest estimated paths, whose
-span holds its targets, then random chains from the point's method
-generator. `_batched` runs every batch and, on a numerical failure, reruns
-each item alone on its rows from its saved generator state. A point's
-values do not depend on its group, so the CSV is the same for any grouping,
-serial or parallel. `_run_trial` is a group of one point.
+precoder and combiner, condition number, the digital rate of every point
+that shares the design at its own power, and hybrid targets). The group's
+hybrid jobs, one per design and RF chain count, take one more batch: for
+each RF chain count, two `hybrid_factorize` calls, precoders then
+combiners, and one stacked rate on the true cores. Each analog start holds
+the scaled steering vectors of the design's strongest estimated paths,
+whose span holds its targets, then random chains from the method
+generator. A precoder is factored at its design's power; each point that
+shares it rescales the digital stage to its own power. `_batched` runs
+every batch and, on a numerical failure, reruns each item alone on its rows
+from its saved generator state. A point's values do not depend on its
+group, so the CSV is the same for any grouping, serial or parallel.
+`_run_trial` is a group of one point.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from itertools import accumulate
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from time import perf_counter
@@ -87,19 +93,22 @@ CSV_COLUMNS = ("sweep_value", "method", "precoding", "mean_se", "std_se",
 
 ORACLE_STATE_LIMIT = 10 ** 7
 
-# Byte budget of one group's stacked path-core bank, one bank per design: 10
-# designs of the paper geometry (64-antenna ULAs, 16x16 LIS, 7x7 paths), 128
-# of the desk geometry (16-antenna ULAs, 8x8 LIS, 4x4 paths). Each point has
-# its own design, except in an n_rf sweep, where a trial's points share one.
-# A group factors its trials' path sets and the estimated path sets of its
-# erred points into one core, then gathers a copy of its designs' true rows
-# and, when a point has an angle error, one of their estimated rows, so it
-# holds up to three budgets of banks (two without an angle error), plus the
-# rate descent's copy of a bank: the memory a sweep adds stays within a small
-# multiple of the budget, whatever its trial count. Every descent round and
-# batched call is paid once per group, and the exact-rate descent costs less
-# per point in larger stacks, so a paper sweep of up to 10 points (a chunk of
-# either paper workload in perfbench/) runs as one group.
+# Byte budget of one group's stacked path-core banks, one bank per design of
+# the method with the most designs (points with one seed key share a
+# method's design, `_seed_key`): 10 designs of the paper geometry
+# (64-antenna ULAs, 16x16 LIS, 7x7 paths), 128 of the desk geometry
+# (16-antenna ULAs, 8x8 LIS, 4x4 paths). A group factors its trials' path
+# sets and the estimated path sets of its erred points into one core, then
+# gathers a copy of each method's designs' true rows and, when a point has
+# an angle error, of their estimated rows; methods with the same designs
+# share the copies. So it holds up to three budgets of banks (two without an
+# angle error; in a power sweep one more row per trial, which `spgm` and
+# `random` share), plus the rate descent's copy of a bank: the memory a
+# sweep adds stays within a small multiple of the budget, whatever its trial
+# count. Every descent round and batched call is paid once per group, and
+# the exact-rate descent costs less per point in larger stacks, so a paper
+# sweep of up to 10 points (a chunk of either paper workload in perfbench/)
+# runs as one group.
 GROUP_BYTES = 2 ** 21
 
 # Failures a trial may meet on a bad channel draw; they count in the row's
@@ -351,23 +360,35 @@ class _Point:
     """One (sweep value, trial) pair's path sets and method generators."""
 
     cfg: ExperimentConfig    # specialized for the sweep value
-    key: tuple[int, int]     # `_seed_key`: (sweep index or 0, trial index)
+    index: tuple[int, int]   # (sweep index, trial index)
+    keys: dict[str, tuple[int, int]]      # `_seed_key` of each method
     paths: PathSet
     est_paths: PathSet       # paths itself when there is no angle error
-    rngs: dict[str, np.random.Generator]  # one per method
+    rngs: dict[str, np.random.Generator]  # one per method, seeded by its key
 
 
-def _seed_key(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int) -> tuple[int, int]:
-    """The seed key of a point's angle error and method starts.
+# The sweep variables that do not enter some methods' designs, and those
+# methods: an n_rf sweep changes only the hybrid stage, and a power sweep
+# only scales the digital stage of the designs that ignore the power.
+_SHARED_DESIGNS = {"n_rf": METHODS, "tx_power_dbm": ("spgm", "random")}
+
+
+def _seed_key(cfg: ExperimentConfig, method: str, sweep_idx: int,
+              trial_idx: int) -> tuple[int, int]:
+    """The seed key of a point's `method` starts.
 
     The channel draw is keyed by the trial index alone so that trial t sees
-    the same realization at every sweep value (paired along the sweep axis);
-    angle errors and method starts stay keyed by (sweep, trial). An n_rf
-    sweep leaves the digital design unchanged, so there the method starts
-    are keyed by the trial alone too: its digital rows are paired, and a
-    trial's points share one design.
+    the same realization at every sweep value (paired along the sweep axis),
+    and angle errors by (sweep, trial). Method starts are keyed by (sweep,
+    trial) too, unless the sweep variable does not enter the method's
+    design: every method in an n_rf sweep, `spgm` and `random` in a power
+    sweep. Their starts are keyed by (0, trial), so their rows are paired
+    along the sweep axis and a trial's points share one design, made at the
+    first sweep value. An n_streams sweep keeps (sweep, trial) for every
+    method, since its points never share a group.
     """
-    return (0 if cfg.sweep_variable == "n_rf" else sweep_idx, trial_idx)
+    shared = method in _SHARED_DESIGNS.get(cfg.sweep_variable, ())
+    return (0 if shared else sweep_idx, trial_idx)
 
 
 def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int, value: float,
@@ -375,7 +396,6 @@ def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int, value: fl
     """Seed one (sweep value, trial) pair and draw its path sets; `paths`, when
     given, is the trial's true path set, drawn already at another value."""
     run_cfg, beta = _apply_sweep(cfg, value)
-    key = _seed_key(cfg, sweep_idx, trial_idx)
     if paths is None:
         chan_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial_idx,)))
@@ -383,54 +403,86 @@ def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int, value: fl
             chan_rng, run_cfg.geometry, run_cfg.budget, run_cfg.p_paths, run_cfg.l_paths,
             run_cfg.bs_lis_distance, run_cfg.lis_ue_distance))
 
-    # child k of the key's seed sequence, as its spawn() would give it
-    def child(k: int) -> np.random.Generator:
+    # child k of a key's seed sequence, as its spawn() would give it
+    def child(key: tuple[int, int], k: int) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=key + (k,)))
 
+    index = (sweep_idx, trial_idx)
     est_paths = paths
     if beta > 0:
-        est_paths = sort_paths_descending(perturb_angles(paths, beta, child(1)))
-    rngs = {method: child(2 + k) for k, method in enumerate(run_cfg.methods)}
-    return _Point(run_cfg, key, paths, est_paths, rngs)
+        est_paths = sort_paths_descending(perturb_angles(paths, beta, child(index, 1)))
+    keys = {method: _seed_key(cfg, method, *index) for method in run_cfg.methods}
+    rngs = {method: child(keys[method], 2 + k) for k, method in enumerate(run_cfg.methods)}
+    return _Point(run_cfg, index, keys, paths, est_paths, rngs)
+
+
+def _designer(cfg: ExperimentConfig, point: _Point, method: str) -> _Point:
+    """The point at which `method` designs for `point`: `point` itself or,
+    when its seed key names another sweep value, `point` specialized for
+    that value."""
+    key = point.keys[method]
+    if key == point.index:
+        return point
+    return replace(point, cfg=_apply_sweep(cfg, cfg.sweep_values[key[0]])[0], index=key)
 
 
 @dataclass(frozen=True)
 class _Group:
-    """The designs of one group: a point for each seed key, and its rows of
-    the group's stacked path cores."""
+    """One method's designs in a group: the point each is made at, the
+    transmit powers of the points that share it, and its rows of the
+    group's stacked path cores."""
 
     points: list[_Point]
+    powers: list[list[float]]
     true: PathCore      # of the true path sets
     est: PathCore       # of the estimated path sets; `true` when no point has an error
-    erred: np.ndarray   # (T,) bool, the points with an angle error
+    erred: np.ndarray   # (T,) bool, the designs with an angle error
 
     def __getitem__(self, rows: slice) -> _Group:
-        return _Group(self.points[rows], self.true[rows], self.est[rows], self.erred[rows])
+        return _Group(self.points[rows], self.powers[rows], self.true[rows], self.est[rows],
+                      self.erred[rows])
 
 
-def _stack(points: list[_Point], trials: dict[int, PathSet],
-           cfg: ExperimentConfig) -> _Group:
-    """The group of `points`, whose true path sets are among `trials` (trial
-    index -> path set).
+def _stacks(cfg: ExperimentConfig, points: list[_Point],
+            trials: dict[int, PathSet]) -> dict[str, tuple[list[list[int]], _Group]]:
+    """Each method's designs in the group of `points`, whose true path sets
+    are among `trials` (trial index -> path set): the points that share each
+    design, and the designs' group.
 
     One `path_core` call factors each trial's path set and the estimated
-    path set of each point with an angle error; each point then gathers its
-    true row and, when it has an error, its estimated row. Every row has the
-    bits of its path set's core built alone.
+    path set of each point with an angle error. Each method's designs then
+    gather a copy of their true rows and, when one has an error, of their
+    estimated rows; methods with the same designs share the copies. Every
+    row has the bits of its path set's core built alone.
     """
-    erred = np.array([p.est_paths is not p.paths for p in points])
     row = {trial: k for k, trial in enumerate(trials)}
-    true_rows = [row[p.key[1]] for p in points]   # by trial index
+    true_rows = [row[p.index[1]] for p in points]
     paths = list(trials.values())
     est_rows = list(true_rows)
-    for i in np.flatnonzero(erred):
-        est_rows[i] = len(paths)
-        paths.append(points[i].est_paths)
+    for i, point in enumerate(points):
+        if point.est_paths is not point.paths:
+            est_rows[i] = len(paths)
+            paths.append(point.est_paths)
     gains = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
     core = path_core(paths, points[0].cfg.geometry, *gains)
-    true = core[true_rows]
-    return _Group(points, true, core[est_rows] if erred.any() else true, erred)
+    stacks, gathered = {}, {}
+    for method in cfg.methods:
+        by_key: dict[tuple[int, int], list[int]] = {}   # the points of each seed key
+        for i, point in enumerate(points):
+            by_key.setdefault(point.keys[method], []).append(i)
+        sharers = list(by_key.values())
+        firsts = tuple(rows[0] for rows in sharers)
+        if firsts not in gathered:
+            erred = np.array([est_rows[i] != true_rows[i] for i in firsts])
+            true = core[[true_rows[i] for i in firsts]]
+            est = core[[est_rows[i] for i in firsts]] if erred.any() else true
+            gathered[firsts] = true, est, erred
+        stacks[method] = sharers, _Group(
+            [_designer(cfg, points[i], method) for i in firsts],
+            [[points[i].cfg.budget.tx_power for i in rows] for rows in sharers],
+            *gathered[firsts])
+    return stacks
 
 
 def _passive_beamforming(method: str, group: _Group,
@@ -494,29 +546,40 @@ def _elapsed_ms(start: float) -> float:
     return (perf_counter() - start) * 1e3
 
 
+def _split(values: np.ndarray, counts: list[int]) -> list[np.ndarray]:
+    """`values` cut into consecutive runs of `counts` entries, as views (a
+    slice per run costs less than np.split's per-run overhead)."""
+    return [values[end - n:end] for n, end in zip(counts, accumulate(counts))]
+
+
 @dataclass(frozen=True)
 class _Design:
-    """One method's design at one point: its digital row's values and what
-    its hybrid row needs."""
+    """One method's design at one seed key: the values of its points'
+    digital rows and what their hybrid rows need."""
 
-    se: float             # digital rate
+    se: np.ndarray        # digital rate of each point that shares the design
     cond: float
     offdiag: float
     iters: float
-    f_target: np.ndarray  # Q_b V_c scaled, N_t x N_s
+    power: float          # transmit power of the design's point
+    f_target: np.ndarray  # Q_b V_c scaled to `power`, N_t x N_s
     w_target: np.ndarray  # Q_u U_c, N_r x N_s
-    h_true: np.ndarray | None  # the dense true channel, N_r x N_t; hybrid runs only
+    q_u: np.ndarray       # the true channel Q_u core Q_b^H: N_r x L',
+    core: np.ndarray      # L' x P' at the design's phases,
+    q_b: np.ndarray       # and N_t x P'
 
 
 def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> list[_Design]:
-    """Each point's design with `method`, in path-core coordinates, as one
-    stack over the group's rows.
+    """Each design with `method`, in path-core coordinates, as one stack
+    over the group's rows.
 
     The precoder and combiner come from the SVD of the estimated core and
-    live in the column spaces Q_b, Q_u of the estimated steering matrices.
-    The digital rate is that of the true core written in those bases,
+    live in the column spaces Q_b, Q_u of the estimated steering matrices;
+    the hybrid targets are their lifts, the precoder's at the design's
+    power. The digital rate, one for each point that shares the design at
+    that point's power, is that of the true core written in those bases,
     (Q_u^est^H Q_u) core (Q_b^H Q_b^est), and the condition number that of
-    the true core; the dense channel is formed only for the hybrid rate.
+    the true core.
     """
     phases, iters = _passive_beamforming(method, group, cfg)
     points, true, est = group.points, group.true, group.est
@@ -524,7 +587,6 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> list[_Design]
     n_streams = run_cfg.n_streams
     c_est = est.at(phases)
     svd = truncated_svd(c_est, n_streams)
-    f_core = digital_precoder(svd, np.array([p.cfg.budget.tx_power for p in points]))
     w_core = digital_combiner(svd)
     # with an angle error, rate and cond are those of the true core, whose
     # singular values the estimated core's SVD does not give
@@ -538,22 +600,26 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> list[_Design]
         sigma[erred] = np.linalg.svd(c_true[erred], compute_uv=False)[:, :n_streams]
     cond = truncated_condition_number(c_true, n_streams, sigma)
     offdiag = coupling_matrix(phases, true).offdiag_ratio(n_streams)
-    se = spectral_efficiency(c_seen, f_core, w_core, run_cfg.budget.noise_power)
-    h_true = true.lift(c_true) if cfg.precoding != "digital" else [None] * len(points)
-    return [_Design(*row) for row in zip(se, cond, offdiag, iters, est.q_b @ f_core,
-                                         est.q_u @ w_core, h_true)]
+    counts = [len(powers) for powers in group.powers]
+    shared = np.repeat(np.arange(len(points)), counts)
+    f_each = digital_precoder(replace(svd, v1=svd.v1[shared]), np.concatenate(group.powers))
+    se = spectral_efficiency(c_seen[shared], f_each, w_core[shared], run_cfg.budget.noise_power)
+    power = np.array([p.cfg.budget.tx_power for p in points])
+    return [_Design(*row) for row in zip(_split(se, counts), cond, offdiag,
+                                         iters, power, est.q_b @ digital_precoder(svd, power),
+                                         est.q_u @ w_core, true.q_u, c_true, true.q_b)]
 
 
 def _analog_starts(points: list[_Point],
-                   jobs: list[tuple[int, np.random.Generator, _Design]]) -> list[np.ndarray]:
+                   jobs: list[tuple[list[int], np.random.Generator, _Design]]) -> list[np.ndarray]:
     """Each job's analog starts (K x N x n_rf), precoders then combiners:
-    sqrt(N) times the steering vectors of its point's strongest min(n_rf, P)
+    sqrt(N) times the steering vectors of its points' strongest min(n_rf, P)
     estimated paths, then uniform random chains drawn from the job's own
     generator, its precoder's before its combiner's. The jobs share their
     RF chain counts."""
-    run_cfg = points[jobs[0][0]].cfg
+    run_cfg = points[jobs[0][0][0]].cfg
     geometry = run_cfg.geometry
-    est = [points[i].est_paths for i, _, _ in jobs]
+    est = [points[rows[0]].est_paths for rows, _, _ in jobs]
     sides = ((geometry.n_tx, run_cfg.n_rf_tx, np.stack([p.bs_lis_aod for p in est])),
              (geometry.n_rx, run_cfg.n_rf_rx, np.stack([p.lis_ue_aoa for p in est])))
     starts = []
@@ -567,30 +633,44 @@ def _analog_starts(points: list[_Point],
 
 
 def _hybrid_rates(points: list[_Point],
-                  jobs: list[tuple[int, np.random.Generator, _Design]]) -> np.ndarray:
-    """Each job's spectral efficiency with its hybrid precoder and combiner.
+                  jobs: list[tuple[list[int], np.random.Generator, _Design]]) -> list[np.ndarray]:
+    """The spectral efficiency of each job's points with their hybrid
+    precoders and combiners.
 
+    A job is a design and the points that share it at one RF chain count.
     The jobs of each RF chain count take one hybrid_factorize call for every
-    precoder, each normalized to its own point's transmit power, one more for
+    precoder, each normalized to its design's transmit power, one more for
     every combiner, from the starts of `_analog_starts`, and one stacked
-    rate. The jobs share their noise power.
+    rate on the true cores. Each point rescales its job's digital precoder
+    to its own transmit power: the factorization is scale-equivariant, so
+    this is the precoder factored at that power, up to rounding. The jobs
+    share their noise power.
     """
     by_rf: dict[tuple[int, int], list[int]] = {}
-    for k, (i, _, _) in enumerate(jobs):
-        by_rf.setdefault((points[i].cfg.n_rf_tx, points[i].cfg.n_rf_rx), []).append(k)
-    rates = np.empty(len(jobs))
+    for k, (rows, _, _) in enumerate(jobs):
+        run_cfg = points[rows[0]].cfg
+        by_rf.setdefault((run_cfg.n_rf_tx, run_cfg.n_rf_rx), []).append(k)
+    rates: list[np.ndarray] = [None] * len(jobs)
     for ks in by_rf.values():
         same_rf = [jobs[k] for k in ks]
-        rows, _, designs = zip(*same_rf)
-        run_cfg = points[rows[0]].cfg
+        sharers, _, designs = zip(*same_rf)
+        run_cfg = points[sharers[0][0]].cfg
         f_start, w_start = _analog_starts(points, same_rf)
         f_rf, f_bb = hybrid_factorize(np.stack([d.f_target for d in designs]), f_start,
-                                      run_cfg.descent,
-                                      [points[i].cfg.budget.tx_power for i in rows])
+                                      run_cfg.descent, [d.power for d in designs])
         w_rf, w_bb = hybrid_factorize(np.stack([d.w_target for d in designs]), w_start,
                                       run_cfg.descent)
-        rates[ks] = spectral_efficiency(np.stack([d.h_true for d in designs]), f_rf @ f_bb,
-                                        w_rf @ w_bb, run_cfg.budget.noise_power)
+        counts = [len(rows) for rows in sharers]
+        slot = np.repeat(np.arange(len(ks)), counts)
+        scale = np.sqrt([points[i].cfg.budget.tx_power / d.power
+                         for rows, d in zip(sharers, designs) for i in rows])
+        q_u, core, q_b = (np.stack([getattr(d, name) for d in designs])[slot]
+                          for name in ("q_u", "core", "q_b"))
+        se = spectral_efficiency(core, f_rf[slot] @ (f_bb[slot] * scale[:, None, None]),
+                                 (w_rf @ w_bb)[slot], run_cfg.budget.noise_power,
+                                 bases=(q_u, q_b))
+        for k, part in zip(ks, _split(se, counts)):
+            rates[k] = part
     return rates
 
 
@@ -608,52 +688,57 @@ def _run_group(cfg: ExperimentConfig,
     """Records of each (sweep index, trial index, value) task of one group.
 
     The tasks' specialized configs share a geometry and stream count, so
-    their path cores stack. Each trial's path set is drawn once, and the
-    points of one seed key share one design: each method's designs run as
-    one batch over the group's seed keys, then every hybrid job of the
-    group, one per point and method, as one batch. A point that shares a
-    design draws its hybrid chains from its own generator, at the state the
-    design left the designing point's in. A digital row's wall time is its
+    their path cores stack. Each trial's path set is drawn once, and for
+    each method the points of one seed key share one design: each method's
+    designs run as one batch over its seed keys, then every hybrid job of
+    the group, one per design and RF chain count, as one batch. A job draws
+    its chains from its first point's generator, at the state the design
+    left the designing point's in. A digital row's wall time is its
     design's share of its method's batch, split evenly among the points that
-    share it, a hybrid row's that plus its share of the hybrid batch. A
-    method that fails on a design fails its points' rows in every mode.
+    share it, a hybrid row's that plus its job's share of the hybrid batch,
+    split likewise. A method that fails on a design fails its points' rows
+    in every mode, and a failed job its points' hybrid rows.
     """
     trials: dict[int, PathSet] = {}   # each trial's true path set
     points = []
     for sweep_idx, trial_idx, value in tasks:
         points.append(_draw_point(cfg, sweep_idx, trial_idx, value, trials.get(trial_idx)))
         trials.setdefault(trial_idx, points[-1].paths)
-    designers: dict[tuple[int, int], _Point] = {}   # the first point of each seed key
-    for point in points:
-        designers.setdefault(point.key, point)
-    design_row = {key: k for k, key in enumerate(designers)}
-    rows = [design_row[point.key] for point in points]
-    sharers = np.bincount(rows)
-    group = _stack(list(designers.values()), trials, cfg)
+    stacks = _stacks(cfg, points, trials)
     modes = ("digital", "hybrid") if cfg.precoding == "both" else (cfg.precoding,)
     records: list[list[_TrialRecord]] = [[] for _ in points]
-    jobs, owners = [], []   # (point, generator, design) and (method, ms)
+    jobs, owners = [], []   # (points, generator, design) and (method, ms per point)
     for method in cfg.methods:
+        sharers, group = stacks[method]
         found = _batched(lambda sel: _designs(method, group[sel], cfg),
                          [p.rngs[method] for p in group.points])
-        for i, (point, k) in enumerate(zip(points, rows)):
-            design, ms = found[k]
-            ms /= sharers[k]
+        for rows, (design, ms) in zip(sharers, found):
+            ms /= len(rows)
             if design is None:
-                records[i] += [_record(method, mode, None, None, ms) for mode in modes]
+                for i in rows:
+                    records[i] += [_record(method, mode, None, None, ms) for mode in modes]
                 continue
             if "digital" in modes:
-                records[i].append(_record(method, "digital", design, design.se, ms))
-            if "hybrid" in modes:
-                rng, designer = point.rngs[method], group.points[k].rngs[method]
-                if rng is not designer:
-                    rng.bit_generator.state = designer.bit_generator.state
-                jobs.append((i, rng, design))
+                for i, se in zip(rows, design.se):
+                    records[i].append(_record(method, "digital", design, se, ms))
+            if "hybrid" not in modes:
+                continue
+            designed = points[rows[0]].rngs[method]   # the generator the design drew from
+            by_rf: dict[tuple[int, int], list[int]] = {}
+            for i in rows:
+                by_rf.setdefault((points[i].cfg.n_rf_tx, points[i].cfg.n_rf_rx), []).append(i)
+            for same_rf in by_rf.values():
+                rng = points[same_rf[0]].rngs[method]
+                if rng is not designed:
+                    rng.bit_generator.state = designed.bit_generator.state
+                jobs.append((same_rf, rng, design))
                 owners.append((method, ms))
     rates = _batched(lambda sel: _hybrid_rates(points, jobs[sel]),
                      [rng for _, rng, _ in jobs]) if jobs else []
-    for (i, _, design), (method, ms), (se, hybrid_ms) in zip(jobs, owners, rates):
-        records[i].append(_record(method, "hybrid", design, se, ms + hybrid_ms))
+    for (rows, _, design), (method, ms), (se, hybrid_ms) in zip(jobs, owners, rates):
+        for i, point_se in zip(rows, [None] * len(rows) if se is None else se):
+            records[i].append(_record(method, "hybrid", design, point_se,
+                                      ms + hybrid_ms / len(rows)))
     return records
 
 
@@ -669,7 +754,8 @@ def _groups(cfg: ExperimentConfig, tasks: list[tuple[int, int, float]],
     so a group's path cores and descents stack.
 
     Each shape's tasks, taken trial by trial, are cut into runs whose
-    stacked path-core banks, one per design, fit GROUP_BYTES, and into at
+    stacked path-core banks, one per design of the method with the most
+    designs (`_seed_key`), fit GROUP_BYTES, and into at
     least `parallel` runs, so every worker gets a contiguous share. A run
     holds whole trials wherever it has room for all of a trial's values, so
     that it draws and factors each trial once. A group lists its tasks by
@@ -682,8 +768,8 @@ def _groups(cfg: ExperimentConfig, tasks: list[tuple[int, int, float]],
     groups = []
     for (geometry, _), members in by_shape.items():
         bank_bytes = cfg.l_paths * cfg.p_paths * geometry.m * np.dtype(complex).itemsize
-        designs = len({_seed_key(cfg, sweep_idx, trial_idx)
-                       for sweep_idx, trial_idx, _ in members})
+        designs = max(len({_seed_key(cfg, method, sweep_idx, trial_idx)
+                           for sweep_idx, trial_idx, _ in members}) for method in cfg.methods)
         size = min(max(1, GROUP_BYTES // bank_bytes) * len(members) // designs,
                    -(-len(members) // parallel))
         values = len(members) // len({task[1] for task in members})

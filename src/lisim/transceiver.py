@@ -9,10 +9,17 @@ analog matrix, with closed-form column-wise phase updates of the analog
 matrix (Sohrabi & Yu, IEEE JSTSP 2016), computed from the small products
 target F_BB^H and F_BB F_BB^H rather than from an explicit residual matrix.
 A sweep starts from the paths' own steering vectors, which span its targets
-(El Ayach et al., IEEE TWC 2014), so a cap of 10 alternations serves. It
-factors a stack of targets (slots) in one loop: every slot has its own
-start and stop, a slot that has stopped is frozen while the others go on,
-and each slot's result does not depend on the others.
+(El Ayach et al., IEEE TWC 2014). The cap of 10 alternations is the rule,
+not a safeguard: a slot with at least as many RF chains as paths is exact
+after one alternation, but with fewer the epsilon stop seldom fires first
+(every slot of configs/power_sweep.cfg runs to the cap), so there the cap
+sets the result. It factors a stack of targets (slots) in one loop: every
+slot has its own start and stop, a slot that has stopped is frozen while
+the others go on, and each slot's result does not depend on the others.
+Scaling a target scales its digital matrix alone: the least-squares stage
+is linear in the target, and the column phases and both stop tests are
+scale-free, so a sweep factors a precoder once and rescales it for other
+transmit powers.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Config parsing, sweep execution, CSV emission, and the brute-force oracle."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,97 @@ def test_rf_sweep_designs_each_trial_once(monkeypatch):
     assert factors == [(2, 8, n_rf) for n_rf in (3, 3, 4, 4, 6, 6)]
 
 
+def test_power_sweep_designs_spgm_and_random_once_per_trial(monkeypatch):
+    # 2 trials x 3 powers in one group: tsvd designs each point, spgm and
+    # random each trial once; the hybrid batch factors one slot per design
+    # on each side
+    tsvd = _spy(monkeypatch, "optimize_tsvd_stack", lambda core, *args: len(core.bank))
+    spgm = _spy(monkeypatch, "optimize_spgm_stack", lambda core, *args: len(core.bank))
+    starts = _spy(monkeypatch, "random_phases", lambda *args: None)
+    factors = _spy(monkeypatch, "hybrid_factorize", lambda targets, *args: len(targets))
+    cfg = replace(SMALL, trials=2, sweep_values=(30.0, 35.0, 40.0), precoding="both")
+    assert all(row.errors == 0 for row in run_sweep(cfg).rows)
+    assert (tsvd, spgm, len(starts)) == ([6], [2], 2)
+    assert factors == [6 + 2 + 2] * 2
+
+
+POWERS = replace(DESK_ANGLES, trials=2, sweep_variable="tx_power_dbm",
+                 sweep_values=(30.0, 35.0, 40.0), n_rf_tx=6, n_rf_rx=6)
+
+
+def test_power_sweep_shared_designs_equal_designs_alone():
+    # a trial's points share one spgm and one random design across powers,
+    # made at the first power; each point's records, hybrid rows too, equal
+    # those of its point designed alone, also where its group lacks the
+    # first power. At 6 RF chains and 4 paths the hybrid rates depend on the
+    # random chains beyond the paths'
+    from lisim.harness import _groups, _run_group, _run_trial
+    tasks = [(si, ti, v) for si, v in enumerate(POWERS.sweep_values) for ti in range(2)]
+    assert _groups(POWERS, tasks, 1) == [tasks]
+    shared = _run_group(POWERS, tasks)
+    for task, records in zip(tasks, shared):
+        alone = _run_trial(POWERS, *task)
+        assert [r.precoding for r in records] == ["digital"] * 3 + ["hybrid"] * 3
+        assert not any(r.failed for r in records)
+        assert [replace(r, wall_ms=0.0) for r in records] == \
+            [replace(r, wall_ms=0.0) for r in alone]
+    # the shared designs' cond, offdiag and iterations are paired along the
+    # power axis; tsvd's, designed at each power, are not
+    design = lambda r: (r.cond, r.offdiag, r.iters)
+    for ti in range(2):
+        by_power = [shared[k] for k, task in enumerate(tasks) if task[1] == ti]
+        for m, method in enumerate(POWERS.methods):
+            values = {design(records[m]) for records in by_power}
+            assert len(values) == (3 if method == "tsvd" else 1)
+
+
+def test_a_shared_precoder_is_its_design_factored_at_each_power(monkeypatch):
+    # a point's hybrid precoder is its design's, factored at the design's
+    # power and its digital stage rescaled to the point's. hybrid_factorize
+    # is scale-equivariant, so that matches the design's target scaled to
+    # the point's power and factored there, to a relative 1e-10
+    from lisim import harness
+    real_hybrid, real_rate = harness.hybrid_factorize, harness.spectral_efficiency
+    calls, precoders = [], []
+
+    def hybrid(targets, start, descent, *args):
+        calls.append((targets, start, *args))
+        return real_hybrid(targets, start, descent, *args)
+
+    def rate(h, f, w, sigma2, bases=None):
+        if bases is not None:
+            precoders.append(f)
+        return real_rate(h, f, w, sigma2, bases)
+
+    monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
+    monkeypatch.setattr(harness, "spectral_efficiency", rate)
+    cfg = replace(SMALL, trials=2, sweep_values=(10.0, 25.0, 40.0), methods=("spgm",),
+                  precoding="hybrid")
+    assert all(row.errors == 0 for row in run_sweep(cfg).rows)
+    (targets, start, norms), _ = calls   # the precoders' call, then the combiners'
+    assert len(targets) == 2 and len(precoders) == 1
+    # the points of trial 0 at each power, then those of trial 1
+    powers = [dbm_to_watt(v) for v in cfg.sweep_values] * 2
+    for f, k, power in zip(precoders[0], [0, 0, 0, 1, 1, 1], powers):
+        scaled = targets[k:k + 1] * np.sqrt(power / norms[k])
+        f_rf, f_bb = real_hybrid(scaled, start[k:k + 1], cfg.descent, [power])
+        want = f_rf[0] @ f_bb[0]
+        assert np.linalg.norm(f - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_groups_hold_ten_paper_trials_of_a_power_sweep_without_tsvd():
+    # spgm and random design a power sweep's trial once, so a group of the
+    # paper geometry holds 10 trials at all 7 powers
+    from lisim.harness import _groups
+    cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs" /
+                              "power_sweep.cfg"), methods=("spgm", "random"), trials=20)
+    tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(20)]
+    groups = _groups(cfg, tasks, 1)
+    assert [len(group) for group in groups] == [70, 70]
+    assert [sorted({task[1] for task in group}) for group in groups] == \
+        [list(range(10)), list(range(10, 20))]
+
+
 @pytest.fixture(scope="module")
 def shipped_rf_sweep():
     """Mean SE of the shipped rf_sweep.cfg at its own trial count, keyed by
@@ -505,14 +597,15 @@ def test_run_sweep_hybrid_failure_is_per_method(monkeypatch):
 
 
 def test_run_sweep_hybrid_failure_is_per_point(monkeypatch):
-    # a singular solve in one point's spgm slots fails the group's hybrid
+    # a singular solve in one design's spgm slot fails the group's hybrid
     # batch (2 powers x 2 trials, one group); each job is then factored
-    # alone, so only that point's spgm hybrid row counts the error
+    # alone, so only the spgm hybrid rows of the points that share that
+    # design, trial 1 at both powers, count the error
     from dataclasses import replace
     from lisim import harness
     cfg = replace(SMALL, precoding="both", trials=2)
     clean = run_sweep(cfg).rows
-    seen = []   # spgm's design stacks; the second point of the first is the bad one
+    seen = []   # spgm's design stacks; the second design of the first is the bad one
     real_designs, real_hybrid = harness._designs, harness.hybrid_factorize
 
     def designs(method, group, run_cfg):
@@ -533,29 +626,31 @@ def test_run_sweep_hybrid_failure_is_per_point(monkeypatch):
     monkeypatch.setattr(harness, "_designs", designs)
     monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
     rows = run_sweep(cfg).rows
-    # the batch of 4 points x 3 methods fails at its precoder call; then each
-    # job runs alone: two calls each, one for the bad job's failing precoder
-    assert calls == [12] + [1] * (2 * 11 + 1)
+    # the batch of 4 tsvd jobs and 2 each of spgm and random (one per trial)
+    # fails at its precoder call; then each job runs alone: two calls each,
+    # one for the bad job's failing precoder
+    assert calls == [8] + [1] * (2 * 7 + 1)
     strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
                        r.errors)
     for got, want in zip(rows, clean):
         assert (got.sweep_value, got.method, got.precoding) == (
             want.sweep_value, want.method, want.precoding)
-        if (got.sweep_value, got.method, got.precoding) == (35.0, "spgm", "hybrid"):
+        if (got.method, got.precoding) == ("spgm", "hybrid"):
             assert got.errors == 1 and math.isfinite(got.mean_se)
         else:
             assert strip(got) == strip(want)
 
 
 def test_run_sweep_descent_failure_is_per_point(monkeypatch):
-    # a numerical failure in the stacked spgm descent of a group: each point
-    # then descends alone from its saved generator state, so only the point
-    # that fails (sweep index 0, trial 1) counts errors, in both modes
+    # a numerical failure in the stacked spgm descent of a group (3 trials x
+    # 2 powers, one spgm design per trial): each design then descends alone
+    # from its saved generator state, so only the points that share the one
+    # that fails (trial 1, at both powers) count errors, in both modes
     from dataclasses import replace
     from lisim import harness
     cfg = replace(SMALL, precoding="both")
     clean = run_sweep(cfg).rows
-    seen = []   # spgm's stacks; the second point of the first is the bad one
+    seen = []   # spgm's stacks; the second design of the first is the bad one
     real_passive = harness._passive_beamforming
 
     def passive(method, group, run_cfg):
@@ -568,28 +663,29 @@ def test_run_sweep_descent_failure_is_per_point(monkeypatch):
 
     monkeypatch.setattr(harness, "_passive_beamforming", passive)
     rows = run_sweep(cfg).rows
-    assert [len(points) for points in seen] == [6] + [1] * 6
+    assert [len(points) for points in seen] == [3] + [1] * 3
     strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
                        r.errors)
     for got, want in zip(rows, clean):
         assert (got.sweep_value, got.method, got.precoding) == (
             want.sweep_value, want.method, want.precoding)
-        if (got.sweep_value, got.method) == (35.0, "spgm"):
+        if got.method == "spgm":
             assert got.errors == 1 and math.isfinite(got.mean_se)
         else:
             assert strip(got) == strip(want)
 
 
 def test_run_sweep_digital_stage_failure_is_per_point(monkeypatch):
-    # a numerical failure in the stacked spgm digital stage of a group, after
-    # the descents have drawn their starts: each point then runs the method
-    # alone from its saved generator state, so only the failing point
-    # (sweep index 0, trial 1) counts errors, digital and hybrid
+    # a numerical failure in the stacked spgm digital stage of a group (3
+    # trials x 2 powers, one spgm design per trial), after the descents have
+    # drawn their starts: each design then runs the method alone from its
+    # saved generator state, so only the points that share the failing one
+    # (trial 1, at both powers) count errors, digital and hybrid
     from dataclasses import replace
     from lisim import harness
     cfg = replace(SMALL, precoding="both")
     clean = run_sweep(cfg).rows
-    seen, current = [], []   # spgm's stacks; the second point of the first is the bad one
+    seen, current = [], []   # spgm's stacks; the second design of the first is the bad one
     real_passive, real_svd = harness._passive_beamforming, harness.truncated_svd
 
     def passive(method, group, run_cfg):
@@ -607,13 +703,13 @@ def test_run_sweep_digital_stage_failure_is_per_point(monkeypatch):
     monkeypatch.setattr(harness, "_passive_beamforming", passive)
     monkeypatch.setattr(harness, "truncated_svd", svd)
     rows = run_sweep(cfg).rows
-    assert [len(points) for points in seen] == [6] + [1] * 6
+    assert [len(points) for points in seen] == [3] + [1] * 3
     strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
                        r.errors)
     for got, want in zip(rows, clean):
         assert (got.sweep_value, got.method, got.precoding) == (
             want.sweep_value, want.method, want.precoding)
-        if (got.sweep_value, got.method) == (35.0, "spgm"):
+        if got.method == "spgm":
             assert got.errors == 1 and math.isfinite(got.mean_se)
         else:
             assert strip(got) == strip(want)

@@ -89,6 +89,29 @@ def test_se_matches_projector_form(n, n_s, n_w):
             assert spectral_efficiency(h, f, w, 0.7) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_r, l, n_t, p", [(64, 7, 64, 7), (16, 4, 16, 4), (16, 4, 3, 3)],
+                         ids=["paper", "desk", "n_tx<P"])
+def test_se_on_a_core_equals_the_dense_rate(n_r, l, n_t, p):
+    # the sweeps rate hybrid transceivers on the path core C with the bases
+    # (Q_u, Q_b) of H = Q_u C Q_b^H; a hybrid combiner has parts outside
+    # span(Q_u), so its projection Q_u^H W alone is not a combiner of C
+    rng = np.random.default_rng(n_r + n_t)
+    q_u = np.stack([np.linalg.qr(_random_matrix(rng, n_r, l))[0] for _ in range(6)])
+    q_b = np.stack([np.linalg.qr(_random_matrix(rng, n_t, p))[0] for _ in range(6)])
+    core = np.stack([_random_matrix(rng, l, min(n_t, p)) for _ in range(6)])
+    f = np.stack([_random_matrix(rng, n_t, 2) for _ in range(6)])
+    w = np.stack([_random_matrix(rng, n_r, 2) for _ in range(6)])
+    dense = q_u @ core @ q_b.conj().swapaxes(1, 2)
+    want = spectral_efficiency(dense, f, w, 0.3)
+    got = spectral_efficiency(core, f, w, 0.3, bases=(q_u, q_b))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    for k in range(len(core)):
+        assert got[k] == spectral_efficiency(core[k], f[k], w[k], 0.3, (q_u[k], q_b[k]))
+    projected = spectral_efficiency(core, q_b.conj().swapaxes(1, 2) @ f,
+                                    q_u.conj().swapaxes(1, 2) @ w, 0.3)
+    assert np.all(np.abs(projected - want) > 1e-3 * want)
+
+
 def test_se_rank_deficient_combiner():
     rng = np.random.default_rng(3)
     h = _random_matrix(rng, 4, 4)
@@ -161,9 +184,9 @@ def test_global_phase_invariance():
 @pytest.mark.parametrize("n,n_s", [(7, 4), (4, 2), (64, 4)],
                          ids=["paper-core", "desk-core", "lifted"])
 def test_stacked_digital_stage_equals_each_matrix_alone(n, n_s):
-    # the sweeps run the digital stage on stacks of path cores (L x P) and
-    # the hybrid rate on stacks of lifted N_r x N_t channels; each matrix of
-    # a stack must get the bits it gets alone
+    # the sweeps run the digital stage on stacks of path cores (L x P), and
+    # the tests check them on dense N_r x N_t channels; each matrix of a
+    # stack must get the bits it gets alone
     rng = np.random.default_rng(n)
     h = np.stack([_random_matrix(rng, n, n) for _ in range(5)])
     rho = rng.uniform(0.1, 10.0, len(h))
