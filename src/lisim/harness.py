@@ -22,12 +22,14 @@ batch over the group's designs: its optimizer runs as one stack
 (`passive_bf.optimize_*_stack`), then the stacked digital stage (SVD,
 precoder and combiner, condition number, the digital rate of every point
 that shares the design at its own power, and hybrid targets). The group's
-hybrid jobs, one per design and RF chain count, take one more batch: for
-each RF chain count, two `hybrid_factorize` calls, precoders then
-combiners, and one stacked rate on the true cores. Each analog start holds
-the scaled steering vectors of the design's strongest estimated paths,
-whose span holds its targets, then random chains from the method
-generator. A precoder is factored at its design's power; each point that
+hybrid jobs, one per design and RF chain count, take one more batch: one
+`hybrid_factorize` call for every slot of one (N, n_rf) shape, precoders
+and combiners alike (one call per RF chain count when both sides have the
+same antenna and RF chain counts), and one stacked rate on the true cores
+per RF chain count. Each analog start holds the scaled steering vectors of
+the design's strongest estimated paths, whose span holds its targets, then
+random chains from the method generator, which the points of a seed key
+share. A precoder is factored at its design's power; each point that
 shares it rescales the digital stage to its own power. `_batched` runs
 every batch and, on a numerical failure, reruns each item alone on its rows
 from its saved generator state. A point's values do not depend on its
@@ -40,7 +42,6 @@ from __future__ import annotations
 import csv
 import math
 from itertools import accumulate
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -365,6 +366,7 @@ class _Point:
     paths: PathSet
     est_paths: PathSet       # paths itself when there is no angle error
     rngs: dict[str, np.random.Generator]  # one per method, seeded by its key
+                                          # and shared by the points of that key
 
 
 # The sweep variables that do not enter some methods' designs, and those
@@ -392,9 +394,16 @@ def _seed_key(cfg: ExperimentConfig, method: str, sweep_idx: int,
 
 
 def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int, value: float,
-                paths: PathSet | None = None) -> _Point:
+                paths: PathSet | None = None,
+                generators: dict[tuple[str, tuple[int, int]], np.random.Generator] | None = None
+                ) -> _Point:
     """Seed one (sweep value, trial) pair and draw its path sets; `paths`, when
-    given, is the trial's true path set, drawn already at another value."""
+    given, is the trial's true path set, drawn already at another value.
+
+    `generators`, when given, maps (method, seed key) to the method
+    generators of earlier points and gains this point's: points with one
+    seed key for a method share one generator, built once, as they share
+    the design that draws from it."""
     run_cfg, beta = _apply_sweep(cfg, value)
     if paths is None:
         chan_rng = np.random.default_rng(
@@ -413,7 +422,12 @@ def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int, value: fl
     if beta > 0:
         est_paths = sort_paths_descending(perturb_angles(paths, beta, child(index, 1)))
     keys = {method: _seed_key(cfg, method, *index) for method in run_cfg.methods}
-    rngs = {method: child(keys[method], 2 + k) for k, method in enumerate(run_cfg.methods)}
+    generators = {} if generators is None else generators
+    rngs = {}
+    for k, method in enumerate(run_cfg.methods):
+        if (method, keys[method]) not in generators:
+            generators[method, keys[method]] = child(keys[method], 2 + k)
+        rngs[method] = generators[method, keys[method]]
     return _Point(run_cfg, index, keys, paths, est_paths, rngs)
 
 
@@ -638,28 +652,46 @@ def _hybrid_rates(points: list[_Point],
     precoders and combiners.
 
     A job is a design and the points that share it at one RF chain count.
-    The jobs of each RF chain count take one hybrid_factorize call for every
-    precoder, each normalized to its design's transmit power, one more for
-    every combiner, from the starts of `_analog_starts`, and one stacked
-    rate on the true cores. Each point rescales its job's digital precoder
-    to its own transmit power: the factorization is scale-equivariant, so
-    this is the precoder factored at that power, up to rounding. The jobs
-    share their noise power.
+    Every slot of one (N, n_rf) shape, precoders and combiners alike, takes
+    one hybrid_factorize call from the starts of `_analog_starts`, each
+    precoder normalized to its design's transmit power (a slot's result does
+    not depend on its stack); so a config with as many receive as transmit
+    antennas and RF chains takes one call per RF chain count. The jobs of
+    each RF chain count then take one stacked rate on the true cores. Each
+    point rescales its job's digital precoder to its own transmit power: the
+    factorization is scale-equivariant, so this is the precoder factored at
+    that power, up to rounding. The jobs share their noise power and descent
+    settings.
     """
     by_rf: dict[tuple[int, int], list[int]] = {}
     for k, (rows, _, _) in enumerate(jobs):
         run_cfg = points[rows[0]].cfg
         by_rf.setdefault((run_cfg.n_rf_tx, run_cfg.n_rf_rx), []).append(k)
-    rates: list[np.ndarray] = [None] * len(jobs)
+    by_shape: dict[tuple[int, int], tuple[list, list, list]] = {}  # targets, starts, norms
+    places = []   # per RF chain count, the (shape, slice) of its precoders and combiners
     for ks in by_rf.values():
-        same_rf = [jobs[k] for k in ks]
-        sharers, _, designs = zip(*same_rf)
+        designs = [jobs[k][2] for k in ks]
+        sides = (([d.f_target for d in designs], [d.power for d in designs]),
+                 ([d.w_target for d in designs], [None] * len(ks)))
+        place = []
+        for start, (targets, norms) in zip(_analog_starts(points, [jobs[k] for k in ks]),
+                                           sides):
+            batch = by_shape.setdefault(start.shape[1:], ([], [], []))
+            place.append((start.shape[1:], slice(len(batch[2]), len(batch[2]) + len(ks))))
+            batch[0].extend(targets)
+            batch[1].append(start)
+            batch[2].extend(norms)
+        places.append(place)
+    descent = points[0].cfg.descent
+    factored = {shape: hybrid_factorize(np.stack(targets), np.concatenate(starts), descent,
+                                        norms)
+                for shape, (targets, starts, norms) in by_shape.items()}
+    rates: list[np.ndarray] = [None] * len(jobs)
+    for ks, ((f_shape, f_at), (w_shape, w_at)) in zip(by_rf.values(), places):
+        sharers, _, designs = zip(*[jobs[k] for k in ks])
         run_cfg = points[sharers[0][0]].cfg
-        f_start, w_start = _analog_starts(points, same_rf)
-        f_rf, f_bb = hybrid_factorize(np.stack([d.f_target for d in designs]), f_start,
-                                      run_cfg.descent, [d.power for d in designs])
-        w_rf, w_bb = hybrid_factorize(np.stack([d.w_target for d in designs]), w_start,
-                                      run_cfg.descent)
+        f_rf, f_bb = (a[f_at] for a in factored[f_shape])
+        w_rf, w_bb = (a[w_at] for a in factored[w_shape])
         counts = [len(rows) for rows in sharers]
         slot = np.repeat(np.arange(len(ks)), counts)
         scale = np.sqrt([points[i].cfg.budget.tx_power / d.power
@@ -691,18 +723,22 @@ def _run_group(cfg: ExperimentConfig,
     their path cores stack. Each trial's path set is drawn once, and for
     each method the points of one seed key share one design: each method's
     designs run as one batch over its seed keys, then every hybrid job of
-    the group, one per design and RF chain count, as one batch. A job draws
-    its chains from its first point's generator, at the state the design
-    left the designing point's in. A digital row's wall time is its
-    design's share of its method's batch, split evenly among the points that
-    share it, a hybrid row's that plus its job's share of the hybrid batch,
-    split likewise. A method that fails on a design fails its points' rows
-    in every mode, and a failed job its points' hybrid rows.
+    the group, one per design and RF chain count, as one batch. The points
+    of a seed key share its generator. A job draws its chains at the state
+    the design left that generator in: the first RF chain count of a design
+    from the generator itself, any other from a copy of that state. A
+    digital row's wall time is its design's share of its method's batch,
+    split evenly among the points that share it, a hybrid row's that plus
+    its job's share of the hybrid batch, split likewise. A method that fails
+    on a design fails its points' rows in every mode, and a failed job its
+    points' hybrid rows.
     """
     trials: dict[int, PathSet] = {}   # each trial's true path set
+    generators = {}                   # each (method, seed key)'s generator
     points = []
     for sweep_idx, trial_idx, value in tasks:
-        points.append(_draw_point(cfg, sweep_idx, trial_idx, value, trials.get(trial_idx)))
+        points.append(_draw_point(cfg, sweep_idx, trial_idx, value, trials.get(trial_idx),
+                                  generators))
         trials.setdefault(trial_idx, points[-1].paths)
     stacks = _stacks(cfg, points, trials)
     modes = ("digital", "hybrid") if cfg.precoding == "both" else (cfg.precoding,)
@@ -727,9 +763,10 @@ def _run_group(cfg: ExperimentConfig,
             by_rf: dict[tuple[int, int], list[int]] = {}
             for i in rows:
                 by_rf.setdefault((points[i].cfg.n_rf_tx, points[i].cfg.n_rf_rx), []).append(i)
-            for same_rf in by_rf.values():
-                rng = points[same_rf[0]].rngs[method]
-                if rng is not designed:
+            for n, same_rf in enumerate(by_rf.values()):
+                rng = designed
+                if n:   # another RF chain count draws from its own copy of that state
+                    rng = np.random.default_rng(0)
                     rng.bit_generator.state = designed.bit_generator.state
                 jobs.append((same_rf, rng, design))
                 owners.append((method, ms))
@@ -796,6 +833,8 @@ def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepResult:
              for ti in range(cfg.trials)]
     groups = _groups(cfg, tasks, parallel)
     if parallel > 1:
+        # imported here: it pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             per_group = list(pool.map(_run_group, [cfg] * len(groups), groups, chunksize=1))
     else:

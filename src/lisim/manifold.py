@@ -19,6 +19,14 @@ power update of `spgm` does (Soltanalian & Stoica, IEEE TSP 2014). After
 the first iteration, the trial step is the geometric mean of the two
 Barzilai-Borwein quotients in that metric (Dai, Al-Baali & Yang 2015;
 Riemannian BB: Iannazzo & Porcelli, IMA J. Numer. Anal. 2018).
+
+The engine's fixed cost per round, not its arithmetic, dominates at the
+stack sizes of a sweep group, so a round forms the reciprocal metric 1/|G|
+once and multiplies by it, as the retraction multiplies by 1/|v|: numpy
+divides a complex array by a real one by multiplying by the reciprocal, so
+the bits are those of the division. Every row's first trial step is tried
+on the whole stack, and the masks of backtracking are set up only when some
+row rejects it.
 """
 
 from __future__ import annotations
@@ -125,11 +133,14 @@ def _any(mask: np.ndarray) -> bool:
 
 
 def _normalize(v_bar: np.ndarray) -> np.ndarray:
-    """The retraction: map a point back onto the manifold by entrywise normalization."""
+    """The retraction: map a point back onto the manifold by entrywise normalization.
+
+    Multiplies a new array by 1 / |v_bar|, which has the bits of v_bar / |v_bar|
+    (numpy divides a complex array by a real one that way) at less cost."""
     mags = np.abs(v_bar)
     if not _all(mags):
         raise RetractionError("cannot retract a vector with a zero entry")
-    return v_bar / mags
+    return v_bar * (1.0 / mags)
 
 
 def armijo_step(f: Objective, v: np.ndarray, riem_grad: np.ndarray, f_v: float,
@@ -184,9 +195,13 @@ def _compact(arrays: tuple, keep: np.ndarray) -> tuple:
     return tuple(a[:n] for a in arrays)
 
 
-def _over(x: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """x / metric entrywise, 0 where the metric |G| is 0."""
-    return np.divide(x, metric, out=np.zeros_like(x), where=metric > 0)
+def _inverse(metric: np.ndarray) -> np.ndarray:
+    """1 / metric entrywise, 0 where the metric |G| is 0. Multiplying by it
+    has the bits of dividing by the metric (numpy divides a complex array by
+    a real one that way)."""
+    if _all(metric):
+        return 1.0 / metric
+    return np.divide(1.0, metric, out=np.zeros_like(metric), where=metric > 0)
 
 
 def _plain_step(first_step: float, direction: np.ndarray) -> np.ndarray:
@@ -209,9 +224,25 @@ def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.n
     least cfg.epsilon; taken when `need_grad`, other rows are undefined),
     and the masks of accepted rows, of rows that go on and of rows with a
     zero gradient.
+
+    When every row has a slope, all of them try their trial step first, on
+    the whole stack; if every row accepts it, that is the result, with no
+    mask set up. Otherwise backtracking goes on from that evaluation.
     """
-    n = len(v)
     flat = slope == 0.0
+    first = None
+    if not _any(flat):
+        candidate = _normalize(v - step[:, None] * direction)
+        f_cand, gradient = evaluate(data, candidate)
+        ok = f_cand <= f_v - ARMIJO_SLOPE * step * slope
+        if _all(ok):
+            if not _all(np.isfinite(f_cand)):
+                raise FloatingPointError("objective became non-finite")
+            go = np.abs(f_cand - f_v) >= cfg.epsilon
+            grad = gradient() if need_grad and _any(go) else np.empty_like(v)
+            return candidate, f_cand, grad, ok, go, flat
+        first = candidate, f_cand, gradient, ok
+    n = len(v)
     zero, accepted = flat, np.zeros(n, dtype=bool)
     if _any(flat):
         zero = np.zeros(n, dtype=bool)
@@ -223,18 +254,22 @@ def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.n
     for _ in range(MAX_SHRINKS + 1):
         if not searching.size:
             break
-        first, last = searching[0], searching[-1]
+        first_row, last_row = searching[0], searching[-1]
         # a run of consecutive rows is a view of `data`; others are gathered
-        sel = slice(first, last + 1) if last - first + 1 == searching.size else searching
+        sel = (slice(first_row, last_row + 1)
+               if last_row - first_row + 1 == searching.size else searching)
         s = step[sel]
-        candidate = _normalize(v[sel] - s[:, None] * direction[sel])
-        f_cand, gradient = evaluate(tuple(a[sel] for a in data), candidate)
-        ok = f_cand <= f_v[sel] - ARMIJO_SLOPE * s * slope[sel]
+        if first is None:
+            candidate = _normalize(v[sel] - s[:, None] * direction[sel])
+            f_cand, gradient = evaluate(tuple(a[sel] for a in data), candidate)
+            ok = f_cand <= f_v[sel] - ARMIJO_SLOPE * s * slope[sel]
+        else:   # every row's first trial, evaluated above
+            (candidate, f_cand, gradient, ok), first = first, None
         if _any(ok):
             if not _all(np.isfinite(f_cand[ok])):
                 raise FloatingPointError("objective became non-finite")
             go = ok & (np.abs(f_cand - f_v[sel]) >= cfg.epsilon)
-            if searching.size == n and _all(ok):   # every row accepts its first trial
+            if searching.size == n and _all(ok):   # every row accepts this trial
                 grad = gradient() if need_grad and _any(go) else grad_next
                 return candidate, f_cand, grad, ok, go, zero
             if v_next is v:
@@ -281,9 +316,12 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     (`line_search`, treated as converged) or its Riemannian gradient is zero
     (`zero_grad`, which repeats the last value in the trace).
 
-    Backtracking re-evaluates only the rows still searching, and gradients
-    are taken only from evaluations where some row accepted a point and goes
-    on. The live rows, and `data`, are compacted only when a row stops.
+    Each round forms 1/|G| (0 where G = 0) once, for the direction and the
+    second quotient. Every row tries its trial step on the whole stack;
+    backtracking then re-evaluates only the rows still searching, and
+    gradients are taken only from evaluations where some row accepted a
+    point and goes on. The live rows, and `data`, are compacted only when a
+    row stops.
 
     Raises FloatingPointError if a start value, or an accepted value, is not
     finite; RetractionError if a trial point has a zero entry.
@@ -306,7 +344,8 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     for it in range(cfg.max_iters):
         riem = _tangent(v, grad)
         metric = np.abs(grad)
-        direction = _over(riem, metric)
+        inverse = _inverse(metric)
+        direction = riem * inverse
         slope = row_dot(riem, direction)
         if prev_v is None:
             trial = _plain_step(first_step, direction)
@@ -314,7 +353,7 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
             move = v - prev_v
             change = riem - prev_riem
             move_sq = row_dot(move, metric * move)
-            change_sq = row_dot(change, _over(change, metric))
+            change_sq = row_dot(change, change * inverse)
             bb = (move_sq > 0) & (change_sq > 0)
             if _all(bb):
                 trial = np.sqrt(move_sq / change_sq)

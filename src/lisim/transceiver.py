@@ -14,8 +14,10 @@ not a safeguard: a slot with at least as many RF chains as paths is exact
 after one alternation, but with fewer the epsilon stop seldom fires first
 (every slot of configs/power_sweep.cfg runs to the cap), so there the cap
 sets the result. It factors a stack of targets (slots) in one loop: every
-slot has its own start and stop, a slot that has stopped is frozen while
-the others go on, and each slot's result does not depend on the others.
+slot has its own start, stop and power norm (None for a combiner), a slot
+that has stopped is frozen while the others go on, and each slot's result
+does not depend on the others, so precoders and combiners of one shape
+share a loop.
 Scaling a target scales its digital matrix alone: the least-squares stage
 is linear in the target, and the column phases and both stop tests are
 scale-free, so a sweep factors a precoder once and rescales it for other
@@ -83,16 +85,19 @@ def _digital_stage(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _phases(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The unit-modulus entries x / |x|, with 1 where x is 0 (x is modified there)."""
+    """The unit-modulus entries x / |x|, with 1 where x is 0 (x is modified there).
+
+    Multiplies by 1 / |x|: numpy divides a complex array by a real one that
+    way, so the bits are those of the division, at less cost."""
     mag = np.abs(x)
     if not mag.all():
         zero = mag == 0
         x[zero], mag[zero] = 1.0, 1.0
-    return np.divide(x, mag, out=out)
+    return np.multiply(x, 1.0 / mag, out=out)
 
 
 def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
-                     power_norms: Sequence[float] | None = None,
+                     power_norms: Sequence[float | None] | None = None,
                      max_alternations: int = 10) -> tuple[np.ndarray, np.ndarray]:
     """Factor each slot of `targets` (K x N x N_s) into unit-modulus analog
     (K x N x n_rf) times digital (K x n_rf x N_s) matrices.
@@ -118,8 +123,10 @@ def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
     target column (the phase an SVD leaves free): from one start, a target
     T D, D diagonal unit-modulus, gives the product F_RF F_BB D. The digital
     stage is solved once more for the final analog matrices. When power_norms
-    is given (precoder slots), each slot k's digital matrix is rescaled so
-    its product has squared Frobenius norm power_norms[k].
+    is given, each slot k with a norm (a precoder) has its digital matrix
+    rescaled so its product has squared Frobenius norm power_norms[k]; a
+    slot whose norm is None (a combiner) keeps its least-squares one, so
+    precoders and combiners of one shape factor in one call.
     """
     targets = np.ascontiguousarray(targets, dtype=complex)
     n_slots, n, n_streams = targets.shape
@@ -164,6 +171,8 @@ def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
     f_bb = _digital_stage(rows, targets)
     if power_norms is not None:
         for k, power in enumerate(power_norms):
+            if power is None:
+                continue
             norm = np.linalg.norm(f_rf[k] @ f_bb[k])
             if norm == 0:
                 raise RankError("degenerate factorization; cannot normalize power")

@@ -370,7 +370,8 @@ def test_a_group_factors_estimated_paths_of_erred_points_only(monkeypatch):
 
 def test_rf_sweep_designs_each_trial_once(monkeypatch):
     # 2 trials x 3 RF chain counts in one group: one tsvd design per trial,
-    # then a precoder and a combiner call for each RF chain count
+    # then one call for each RF chain count, its 2 precoders and 2 combiners
+    # (8 transmit and 8 receive antennas) stacked
     from dataclasses import replace
     designs = _spy(monkeypatch, "optimize_tsvd_stack", lambda core, *args: len(core.bank))
     factors = _spy(monkeypatch, "hybrid_factorize", lambda targets, start, *args: start.shape)
@@ -378,13 +379,47 @@ def test_rf_sweep_designs_each_trial_once(monkeypatch):
                   methods=("tsvd",), precoding="both")
     assert all(row.errors == 0 for row in run_sweep(cfg).rows)
     assert designs == [2]
-    assert factors == [(2, 8, n_rf) for n_rf in (3, 3, 4, 4, 6, 6)]
+    assert factors == [(4, 8, n_rf) for n_rf in (3, 4, 6)]
+
+
+@pytest.mark.parametrize("changes, shapes", [
+    ({}, {(8, 3)}),
+    (dict(geometry=ArrayGeometry(n_tx=8, n_rx=6, lis_y=4, lis_z=4)), {(8, 3), (6, 3)}),
+    (dict(n_rf_rx=4), {(8, 3), (8, 4)}),
+], ids=["square", "n_tx!=n_rx", "r_t!=r_r"])
+def test_hybrid_batch_stacks_each_slot_shape_once(monkeypatch, changes, shapes):
+    # the group's hybrid batch (2 trials x 2 powers) takes one call per
+    # (N, n_rf) slot shape, precoders (with a power norm) and combiners (with
+    # None) alike, and its rows equal those of factoring each side alone
+    from lisim import harness
+    cfg = replace(SMALL, trials=2, precoding="both", **changes)
+    clean = run_sweep(cfg).rows
+    real = harness.hybrid_factorize
+    seen = []
+
+    def by_side(targets, start, descent, norms, *args):
+        seen.append(start.shape[1:])
+        precoder = np.array([norm is not None for norm in norms])
+        f_rf = np.empty(start.shape, dtype=complex)
+        f_bb = np.empty((len(targets), start.shape[2], targets.shape[2]), dtype=complex)
+        for side, side_norms in ((precoder, [n for n in norms if n is not None]),
+                                 (~precoder, None)):
+            if side.any():
+                f_rf[side], f_bb[side] = real(targets[side], start[side], descent, side_norms,
+                                              *args)
+        return f_rf, f_bb
+
+    monkeypatch.setattr(harness, "hybrid_factorize", by_side)
+    rows = run_sweep(cfg).rows
+    assert len(seen) == len(shapes) and set(seen) == shapes
+    assert [replace(r, wall_ms=0.0) for r in rows] == [replace(r, wall_ms=0.0) for r in clean]
+    assert all(r.errors == 0 for r in rows)
 
 
 def test_power_sweep_designs_spgm_and_random_once_per_trial(monkeypatch):
     # 2 trials x 3 powers in one group: tsvd designs each point, spgm and
     # random each trial once; the hybrid batch factors one slot per design
-    # on each side
+    # on each side, both sides in one call
     tsvd = _spy(monkeypatch, "optimize_tsvd_stack", lambda core, *args: len(core.bank))
     spgm = _spy(monkeypatch, "optimize_spgm_stack", lambda core, *args: len(core.bank))
     starts = _spy(monkeypatch, "random_phases", lambda *args: None)
@@ -392,7 +427,7 @@ def test_power_sweep_designs_spgm_and_random_once_per_trial(monkeypatch):
     cfg = replace(SMALL, trials=2, sweep_values=(30.0, 35.0, 40.0), precoding="both")
     assert all(row.errors == 0 for row in run_sweep(cfg).rows)
     assert (tsvd, spgm, len(starts)) == ([6], [2], 2)
-    assert factors == [6 + 2 + 2] * 2
+    assert factors == [2 * (6 + 2 + 2)]
 
 
 POWERS = replace(DESK_ANGLES, trials=2, sweep_variable="tx_power_dbm",
@@ -448,8 +483,8 @@ def test_a_shared_precoder_is_its_design_factored_at_each_power(monkeypatch):
     cfg = replace(SMALL, trials=2, sweep_values=(10.0, 25.0, 40.0), methods=("spgm",),
                   precoding="hybrid")
     assert all(row.errors == 0 for row in run_sweep(cfg).rows)
-    (targets, start, norms), _ = calls   # the precoders' call, then the combiners'
-    assert len(targets) == 2 and len(precoders) == 1
+    (targets, start, norms), = calls   # the precoders, then the combiners
+    assert len(targets) == 4 and norms[2:] == [None, None] and len(precoders) == 1
     # the points of trial 0 at each power, then those of trial 1
     powers = [dbm_to_watt(v) for v in cfg.sweep_values] * 2
     for f, k, power in zip(precoders[0], [0, 0, 0, 1, 1, 1], powers):
@@ -537,8 +572,9 @@ def test_run_sweep_counts_numerical_failures(monkeypatch):
 
 
 def test_run_sweep_times_each_mode(monkeypatch):
-    # the hybrid row's wall time adds its share of the trial's factorizations
-    # to the digital row's: every wrapped call sleeps 20 ms
+    # the hybrid row's wall time adds its share of the group's factorizations
+    # to the digital row's: every wrapped call sleeps 20 ms, and the group's
+    # two trials share one call for their precoders and combiners
     import time
     from dataclasses import replace
     from lisim import harness
@@ -554,8 +590,8 @@ def test_run_sweep_times_each_mode(monkeypatch):
     cfg = replace(SMALL, precoding="both", trials=2, sweep_values=(40.0,),
                   methods=("random",))
     dig, hyb = run_sweep(cfg).rows
+    assert len(calls) == 1
     calls_per_method = len(calls) / (cfg.trials * len(cfg.methods))
-    assert calls_per_method >= 1
     assert hyb.wall_ms - dig.wall_ms >= 0.9 * 20.0 * calls_per_method
 
 
@@ -627,9 +663,9 @@ def test_run_sweep_hybrid_failure_is_per_point(monkeypatch):
     monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
     rows = run_sweep(cfg).rows
     # the batch of 4 tsvd jobs and 2 each of spgm and random (one per trial)
-    # fails at its precoder call; then each job runs alone: two calls each,
-    # one for the bad job's failing precoder
-    assert calls == [8] + [1] * (2 * 7 + 1)
+    # fails at its one call, 8 precoders and 8 combiners; then each job runs
+    # alone, one call of its precoder and its combiner each
+    assert calls == [16] + [2] * 8
     strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
                        r.errors)
     for got, want in zip(rows, clean):

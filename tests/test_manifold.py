@@ -84,6 +84,25 @@ def test_projection_shape_mismatch():
         _tangent(v, np.ones(3, dtype=complex))
 
 
+def test_complex_over_real_is_a_multiply_by_the_reciprocal():
+    # the engine's metric, the retraction and the hybrid phase update
+    # multiply by 1 / |x| where dividing by |x| defines them; numpy divides a
+    # complex array by a real one that way, so the bits agree (over 300
+    # decades of both operands, on a (T, M) stack as the engine holds them).
+    # If a numpy release breaks this, results move and this test says why.
+    rng = np.random.default_rng(0)
+    shape = (64, 1024)
+    x = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(
+        -150, 150, shape)
+    m = np.abs(rng.normal(size=shape)) * 10.0 ** rng.uniform(-150, 150, shape)
+    np.testing.assert_array_equal((x * (1.0 / m)).view(np.uint64), (x / m).view(np.uint64))
+    # the retraction has the bits of v / |v| and leaves its argument alone
+    kept = x.copy()
+    np.testing.assert_array_equal(_normalize(x).view(np.uint64),
+                                  (x / np.abs(x)).view(np.uint64))
+    np.testing.assert_array_equal(x.view(np.uint64), kept.view(np.uint64))
+
+
 # -- descent engine ----------------------------------------------------------
 
 def _alignment_problem(m, seed):

@@ -42,7 +42,7 @@ DESK = ExperimentConfig(
 
 class _Spy:
     """Records what a trial drew: paths, estimated paths, phases, and the analog
-    starts of the first slot of the trial's precoder and combiner batches."""
+    starts of the trial's hybrid call, its precoder's, then its combiner's."""
 
     def __init__(self, monkeypatch):
         self.seen = {}
@@ -51,7 +51,7 @@ class _Spy:
         real_hybrid = harness.hybrid_factorize
 
         def hybrid(targets, start, cfg, *args, **kwargs):
-            self.seen.setdefault("hybrid_starts", []).append(start[:1].copy())
+            self.seen["hybrid_starts"] = start.copy()
             return real_hybrid(targets, start, cfg, *args, **kwargs)
 
         monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
@@ -81,7 +81,7 @@ def _dense_trial(cfg, seen):
     f = digital_precoder(svd, budget.tx_power)
     w = digital_combiner(svd)
     # each side factored alone, as a stack of one
-    f_start, w_start = seen["hybrid_starts"][:2]
+    f_start, w_start = seen["hybrid_starts"][:1], seen["hybrid_starts"][1:]
     f_rf, f_bb = hybrid_factorize(f[None], f_start, cfg.descent, [budget.tx_power])
     w_rf, w_bb = hybrid_factorize(w[None], w_start, cfg.descent)
     return (svd.sigma1, truncated_condition_number(h_true, n_s),

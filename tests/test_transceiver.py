@@ -260,6 +260,31 @@ def test_hybrid_slot_alone_equals_slot_in_stack(seed, k, max_alternations):
         np.testing.assert_array_equal(got_bb[slot], alone_bb)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000),
+       st.lists(st.booleans(), min_size=2, max_size=5).filter(lambda k: any(k) and not all(k)),
+       st.sampled_from([1, 30]))
+def test_hybrid_precoders_and_combiners_in_one_call_equal_each_alone(seed, precoder,
+                                                                     max_alternations):
+    # slots of one shape, precoders with a power norm and combiners with
+    # None, factor in one call; each equals its slot factored alone
+    rng = np.random.default_rng(seed)
+    targets, n_rf = _random_stack(rng, len(precoder))
+    starts = np.stack([_start(rng, targets.shape[1], n_rf) for _ in precoder])
+    norms = [float(rng.uniform(0.5, 2.0)) if p else None for p in precoder]
+    got_rf, got_bb = hybrid_factorize(targets, starts, DescentConfig(), norms,
+                                      max_alternations)
+    for slot, norm in enumerate(norms):
+        alone_rf, alone_bb = hybrid_factorize(targets[slot:slot + 1], starts[slot:slot + 1],
+                                              DescentConfig(),
+                                              None if norm is None else [norm],
+                                              max_alternations)
+        np.testing.assert_array_equal(got_rf[slot], alone_rf[0])
+        np.testing.assert_array_equal(got_bb[slot], alone_bb[0])
+        if norm is not None:
+            assert np.linalg.norm(got_rf[slot] @ got_bb[slot]) ** 2 == pytest.approx(norm)
+
+
 def _stop_alternation(target, n_rf, seed, cfg):
     """The smallest cap at which the slot's result equals its result at the default cap."""
     def run(cap):
