@@ -149,8 +149,17 @@ class PathCore:
         return self.bank.shape[2]
 
     def __getitem__(self, rows: slice | list[int]) -> PathCore:
-        """The cores of `rows`: views for a slice, gathered copies for a list."""
-        return PathCore(*(getattr(self, f.name)[rows] for f in fields(self)))
+        """The cores of `rows`: views for a slice, gathered copies for a list.
+
+        A list that names one row more than once gives read-only views of
+        that row with a stride-0 leading axis instead, so its designs read
+        one bank in place (`manifold.shares_rows`)."""
+        arrays = (getattr(self, f.name) for f in fields(self))
+        if isinstance(rows, list) and len(rows) > 1 and rows.count(rows[0]) == len(rows):
+            r = rows[0]
+            return PathCore(*(np.broadcast_to(a[r:r + 1], (len(rows),) + a.shape[1:])
+                              for a in arrays))
+        return PathCore(*(a[rows] for a in arrays))
 
     def gains(self, v: np.ndarray) -> np.ndarray:
         """X(v), the (T, L, P) passive beamforming gains v^H p^{ij} at (T, M) phases v."""

@@ -17,7 +17,8 @@ and sorts each of its trials' path sets once and factors them into one
 stacked L x P path core, with one more row for the estimated path set of
 each point that has an angle error. Points with one seed key for a method
 share its design, made at the key's sweep value, and each design gathers
-its true and its estimated row from that stack. Each method takes one
+its true and its estimated row from that stack; a method's designs that
+all sit on one row read it in place. Each method takes one
 batch over the group's designs: its optimizer runs as one stack
 (`passive_bf.optimize_*_stack`), then the stacked digital stage (SVD,
 precoder and combiner, condition number, the digital rate of every point
@@ -102,14 +103,15 @@ ORACLE_STATE_LIMIT = 10 ** 7
 # sets and the estimated path sets of its erred points into one core, then
 # gathers a copy of each method's designs' true rows and, when a point has
 # an angle error, of their estimated rows; methods with the same designs
-# share the copies. So it holds up to three budgets of banks (two without an
-# angle error; in a power sweep one more row per trial, which `spgm` and
-# `random` share), plus the rate descent's copy of a bank: the memory a
-# sweep adds stays within a small multiple of the budget, whatever its trial
-# count. Every descent round and batched call is paid once per group, and
-# the exact-rate descent costs less per point in larger stacks, so a paper
-# sweep of up to 10 points (a chunk of either paper workload in perfbench/)
-# runs as one group.
+# share the copies, and designs that all sit on one row read it in place
+# (`PathCore.__getitem__`). So it holds up to three budgets of banks (two
+# without an angle error; in a power sweep one more row per trial, which
+# `spgm` and `random` share), plus the rate descent's copy of the banks it
+# gathered: the memory a sweep adds stays within a small multiple of the
+# budget, whatever its trial count. Every descent round and batched call is
+# paid once per group, and the exact-rate descent costs less per point in
+# larger stacks, so a paper sweep of up to 10 points (a chunk of either
+# paper workload in perfbench/) runs as one group.
 GROUP_BYTES = 2 ** 21
 
 # Failures a trial may meet on a bad channel draw; they count in the row's
@@ -467,8 +469,11 @@ def _stacks(cfg: ExperimentConfig, points: list[_Point],
     One `path_core` call factors each trial's path set and the estimated
     path set of each point with an angle error. Each method's designs then
     gather a copy of their true rows and, when one has an error, of their
-    estimated rows; methods with the same designs share the copies. Every
-    row has the bits of its path set's core built alone.
+    estimated rows; methods with the same designs share the copies. Designs
+    that all sit on one row, such as a one-trial group's `tsvd` designs in a
+    power sweep, get read-only stride-0 views of it instead, which the
+    descents read in place. Every row has the bits of its path set's core
+    built alone.
     """
     row = {trial: k for k, trial in enumerate(trials)}
     true_rows = [row[p.index[1]] for p in points]
@@ -599,21 +604,25 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> list[_Design]
     points, true, est = group.points, group.true, group.est
     run_cfg = points[0].cfg
     n_streams = run_cfg.n_streams
-    c_est = est.at(phases)
+    # X(v) of the true cores, taken once for the cores and the coupling; the
+    # estimated cores are the true ones when no design has an angle error
+    coupling = coupling_matrix(phases, true)
+    erred = group.erred
+    x_est = est.gains(phases) if erred.any() else coupling.gains
+    c_est = est.left @ x_est @ est.right
     svd = truncated_svd(c_est, n_streams)
     w_core = digital_combiner(svd)
     # with an angle error, rate and cond are those of the true core, whose
     # singular values the estimated core's SVD does not give
     c_true, c_seen, sigma = c_est, c_est, svd.sigma1
-    erred = group.erred
     if erred.any():
-        c_true, c_seen, sigma = true.at(phases), c_est.copy(), sigma.copy()
+        c_true, c_seen, sigma = true.left @ coupling.gains @ true.right, c_est.copy(), sigma.copy()
         to_u = est.q_u[erred].conj().swapaxes(1, 2) @ true.q_u[erred]
         to_b = true.q_b[erred].conj().swapaxes(1, 2) @ est.q_b[erred]
         c_seen[erred] = to_u @ c_true[erred] @ to_b
         sigma[erred] = np.linalg.svd(c_true[erred], compute_uv=False)[:, :n_streams]
     cond = truncated_condition_number(c_true, n_streams, sigma)
-    offdiag = coupling_matrix(phases, true).offdiag_ratio(n_streams)
+    offdiag = coupling.offdiag_ratio(n_streams)
     counts = [len(powers) for powers in group.powers]
     shared = np.repeat(np.arange(len(points)), counts)
     f_each = digital_precoder(replace(svd, v1=svd.v1[shared]), np.concatenate(group.powers))
@@ -848,24 +857,49 @@ def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepResult:
             grouped.setdefault((task[0], rec.method, rec.precoding), []).append(rec)
 
     modes = ("digital", "hybrid") if cfg.precoding == "both" else (cfg.precoding,)
-    rows = []
-    for si, value in enumerate(cfg.sweep_values):
-        for method in cfg.methods:
-            for mode in modes:
-                recs = grouped.get((si, method, mode), [])
-                good = [r for r in recs if not r.failed]
-                n_err = len(recs) - len(good)
-                se = np.array([r.se for r in good])
-                rows.append(SweepRow(
-                    sweep_value=value, method=method, precoding=mode,
-                    mean_se=float(se.mean()) if good else math.nan,
-                    std_se=float(se.std(ddof=0)) if good else math.nan,
-                    mean_cond=float(np.mean([r.cond for r in good])) if good else math.nan,
-                    mean_offdiag=float(np.mean([r.offdiag for r in good])) if good else math.nan,
-                    mean_iters=float(np.mean([r.iters for r in good])) if good else math.nan,
-                    errors=n_err,
-                    wall_ms=float(np.mean([r.wall_ms for r in recs])) if recs else math.nan))
-    return SweepResult(rows=tuple(rows))
+    keys = [(si, method, mode) for si in range(len(cfg.sweep_values))
+            for method in cfg.methods for mode in modes]
+    return SweepResult(rows=_sweep_rows(
+        [(cfg.sweep_values[si], method, mode) for si, method, mode in keys],
+        [grouped.get(key, []) for key in keys]))
+
+
+def _row_stats(samples: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and population std of each list of `samples`, NaN for an empty one.
+
+    The lists of one length are reduced as the rows of one C-ordered array:
+    numpy sums each row pairwise along its contiguous axis, as it sums the
+    list alone, so each mean and std has the bits of np.mean and np.std of
+    its list (a transposed layout sums sequentially and moves last bits).
+    """
+    mean, std = np.full(len(samples), math.nan), np.full(len(samples), math.nan)
+    by_length: dict[int, list[int]] = {}
+    for i, values in enumerate(samples):
+        if values:
+            by_length.setdefault(len(values), []).append(i)
+    for rows in by_length.values():
+        block = np.array([samples[i] for i in rows], dtype=float)
+        mean[rows], std[rows] = block.mean(axis=1), block.std(axis=1)
+    return mean, std
+
+
+def _sweep_rows(cells: list[tuple[float, str, str]],
+                records: list[list[_TrialRecord]]) -> tuple[SweepRow, ...]:
+    """One CSV row per (sweep value, method, mode) cell from its records: the
+    mean and std of the rates of its good records and the means of their
+    condition numbers, off-diagonal ratios and iterations (NaN without a good
+    record), its count of failed records and the mean wall time of all."""
+    good = [[r for r in recs if not r.failed] for recs in records]
+    se, std_se = _row_stats([[r.se for r in g] for g in good])
+    cond, offdiag, iters = (_row_stats([[getattr(r, name) for r in g] for g in good])[0]
+                            for name in ("cond", "offdiag", "iters"))
+    wall = _row_stats([[r.wall_ms for r in recs] for recs in records])[0]
+    return tuple(
+        SweepRow(sweep_value=value, method=method, precoding=mode,
+                 mean_se=float(se[k]), std_se=float(std_se[k]), mean_cond=float(cond[k]),
+                 mean_offdiag=float(offdiag[k]), mean_iters=float(iters[k]),
+                 errors=len(records[k]) - len(good[k]), wall_ms=float(wall[k]))
+        for k, (value, method, mode) in enumerate(cells))
 
 
 def emit_csv(result: SweepResult, path) -> None:

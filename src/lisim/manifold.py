@@ -184,11 +184,22 @@ class StackDescent:
         return PhaseVector(self.points[i]), list(self.traces[i])
 
 
+def shares_rows(a: np.ndarray) -> bool:
+    """Whether every row of the stacked array `a` is one row read in place, a
+    stride-0 leading axis (`channel.PathCore.__getitem__`). The descents
+    never copy, move or gather the rows of such an array: its first n rows
+    are the rows of any n live rows."""
+    return a.strides[0] == 0
+
+
 def _compact(arrays: tuple, keep: np.ndarray) -> tuple:
     """Move rows `keep` (ascending) of each array to its front, in place, and
-    return views of them; no copy, so a stack costs its memory once."""
+    return views of them; no copy, so a stack costs its memory once. An array
+    whose rows are one row (`shares_rows`) stays as it is."""
     n = len(keep)
     for a in arrays:
+        if shares_rows(a):
+            continue
         for j, i in enumerate(keep.tolist()):
             if i != j:
                 a[j] = a[i]
@@ -255,13 +266,16 @@ def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.n
         if not searching.size:
             break
         first_row, last_row = searching[0], searching[-1]
-        # a run of consecutive rows is a view of `data`; others are gathered
+        # a run of consecutive rows is a view of `data`; others are gathered,
+        # except from an array whose rows are all one row (`shares_rows`)
         sel = (slice(first_row, last_row + 1)
                if last_row - first_row + 1 == searching.size else searching)
         s = step[sel]
         if first is None:
             candidate = _normalize(v[sel] - s[:, None] * direction[sel])
-            f_cand, gradient = evaluate(tuple(a[sel] for a in data), candidate)
+            f_cand, gradient = evaluate(
+                tuple(a[:searching.size] if shares_rows(a) else a[sel] for a in data),
+                candidate)
             ok = f_cand <= f_v[sel] - ARMIJO_SLOPE * s * slope[sel]
         else:   # every row's first trial, evaluated above
             (candidate, f_cand, gradient, ok), first = first, None
@@ -294,7 +308,9 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     `v0` is a (T, M) stack of points on the manifold and `data` holds arrays
     whose leading axis has one entry per row; `evaluate` sees the rows of
     both that it is asked about. The loop owns `data`: it moves the rows of
-    those arrays in place as rows stop. Each row runs the single-vector rule:
+    those arrays in place as rows stop, apart from an array whose rows are
+    one row (`shares_rows`), which it only reads. Each row runs the
+    single-vector rule:
 
     The direction is d = riem / |G|, the Riemannian gradient riem over the
     magnitude of each entry of the Euclidean gradient G (0 where G = 0,

@@ -19,8 +19,9 @@ gives the values of a (T, M) stack v and the function of their gradients.
 `optimize_spgm_stack` maximizes a positive semidefinite quadratic form by
 the unimodular power method instead, with no step size or line search.
 Every optimizer runs all its rows in one masked loop, and a row's result
-equals its result alone, bit for bit; `optimize_tsvd` and `optimize_spgm`
-run a stack of one.
+equals its result alone, bit for bit, also where the rows read one core row
+in place (`manifold.shares_rows`); `optimize_tsvd` and `optimize_spgm` run a
+stack of one.
 
 `coupling_matrix` exposes the path-coupling gains v^H p^{ij} and the
 off-diagonal diagnostic ratio used to check that the optimized phases
@@ -43,6 +44,7 @@ from .manifold import (
     StackObjective,
     ccm_descent_stack,
     row_dot,
+    shares_rows,
 )
 from .manifold import ccm_descent  # noqa: F401 -- unused; perfbench/spans.py rebinds it
 
@@ -80,11 +82,18 @@ def tsvd_objective(core: PathCore,
     engine: path i pairs with path i for the first N_s paths of the row, with
     that row of `weights` (T, N_s). `core` must come from paths sorted
     descending, so the pairs are the strongest ones (the ordering lemma), and
-    `weights` from `stream_weights`.
+    `weights` from `stream_weights`. When the rows of `core` are one row
+    (`shares_rows`), so are those of the diagonal: it is taken from that row
+    and broadcast, which keeps each row's matrix contiguous, as numpy's BLAS
+    products need for the bits of a row alone.
     """
     weights = np.array(weights, dtype=float)
     idx = np.arange(weights.shape[1])
-    bank = core.bank.reshape(len(core.bank), core.left.shape[2], core.right.shape[1], -1)
+    n = len(core.bank)
+    bank = core.bank.reshape(n, core.left.shape[2], core.right.shape[1], -1)
+    if shares_rows(bank):
+        diag = bank[:1, idx, idx]
+        return _tsvd_stack, (np.broadcast_to(diag, (n,) + diag.shape[1:]), weights)
     return _tsvd_stack, (bank[:, idx, idx], weights)
 
 
@@ -188,8 +197,10 @@ def optimize_rate_stack(core: PathCore, budgets: Sequence[LinkBudget],
     row of `core` and budget, from the rows of v0 (T, M)."""
     evaluate, data = rate_objective(core, budgets, n_streams)
     # the descent moves the rows of its data in place as they stop: it gets a
-    # copy, so the core keeps its row order for the caller
-    return ccm_descent_stack(evaluate, tuple(a.copy() for a in data), v0, cfg)
+    # copy of each array that owns its rows, so the core keeps its row order
+    # for the caller; an array whose rows are one row it only reads
+    return ccm_descent_stack(evaluate, tuple(a if shares_rows(a) else a.copy() for a in data),
+                             v0, cfg)
 
 
 def _spgm_data(core: PathCore) -> tuple[np.ndarray, ...]:
@@ -284,7 +295,7 @@ def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
             live, w, c, gain = live[go_on], w[go_on], c[go_on], gain[go_on]
             if not live.size:
                 break
-            data = tuple(a[live] for a in full)
+            data = tuple(a[:live.size] if shares_rows(a) else a[live] for a in full)
     final[live] = w
     return StackDescent(points=final.conj(), traces=tuple(tuple(t) for t in traces),
                         stops=tuple(stops))

@@ -1,11 +1,12 @@
 """Config parsing, sweep execution, CSV emission, and the brute-force oracle."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lisim.channel import (
     ArrayGeometry,
@@ -18,7 +19,10 @@ from lisim.harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    SweepRow,
+    _TrialRecord,
     _apply_sweep,
+    _sweep_rows,
     brute_force_phase_oracle,
     emit_csv,
     load_config,
@@ -212,6 +216,63 @@ def test_run_sweep_mean_is_over_per_trial_seeds():
     agg = run_sweep(cfg).rows[0]
     ses = [_run_trial(cfg, 0, ti, 40.0)[0].se for ti in range(3)]
     assert agg.mean_se == pytest.approx(np.mean(ses), rel=1e-12)
+
+
+def _rows_one_by_one(cells, records):
+    """The CSV rows as run_sweep built them one at a time, with numpy's 1-D
+    reductions on each row's records: the reference for `_sweep_rows`."""
+    rows = []
+    for (value, method, mode), recs in zip(cells, records):
+        good = [r for r in recs if not r.failed]
+        se = np.array([r.se for r in good])
+        rows.append(SweepRow(
+            sweep_value=value, method=method, precoding=mode,
+            mean_se=float(se.mean()) if good else math.nan,
+            std_se=float(se.std(ddof=0)) if good else math.nan,
+            mean_cond=float(np.mean([r.cond for r in good])) if good else math.nan,
+            mean_offdiag=float(np.mean([r.offdiag for r in good])) if good else math.nan,
+            mean_iters=float(np.mean([r.iters for r in good])) if good else math.nan,
+            errors=len(recs) - len(good),
+            wall_ms=float(np.mean([r.wall_ms for r in recs])) if recs else math.nan))
+    return tuple(rows)
+
+
+@given(st.lists(st.tuples(st.integers(1, 300), st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+                min_size=1, max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+@example([(9, 0.0), (13, 0.1), (300, 0.5), (9, 1.0), (13, 0.0)], 0)
+@settings(max_examples=60, deadline=None)
+def test_sweep_rows_reduce_exactly_as_one_row_at_a_time(cells, seed):
+    # rows of one record count reduce together; a row keeps its own count of
+    # good records, one without any is NaN, and wall_ms averages them all
+    rng = np.random.default_rng(seed)
+    records = []
+    for count, failing in cells:
+        failed = rng.random(count) < failing
+        values = rng.normal(size=(5, count)) * 10.0 ** rng.uniform(-3, 3, (5, count))
+        records.append([
+            _TrialRecord("tsvd", "digital", *((math.nan,) * 4 if bad else values[:4, k]),
+                         values[4, k], failed=bool(bad))
+            for k, bad in enumerate(failed)])
+    keys = [(float(k), "tsvd", "digital") for k in range(len(cells))]
+    bits = lambda rows: [tuple(x.hex() if isinstance(x, float) else x for x in astuple(row))
+                         for row in rows]
+    assert bits(_sweep_rows(keys, records)) == bits(_rows_one_by_one(keys, records))
+
+
+def test_a_c_ordered_row_mean_and_std_have_the_bits_of_each_row():
+    # `_sweep_rows` reduces the rows of one record count as one C-ordered
+    # array: numpy sums each of its rows pairwise along the contiguous axis,
+    # as it sums the row alone. If a numpy release breaks this, CSVs move
+    # and this test says why.
+    rng = np.random.default_rng(2)
+    for n in range(1, 301):
+        block = rng.normal(size=(4, n)) * 10.0 ** rng.uniform(-3, 3, (4, n))
+        mean, std = block.mean(axis=1), block.std(axis=1)
+        np.testing.assert_array_equal(mean.view(np.uint64),
+                                      np.array([np.mean(row) for row in block]).view(np.uint64))
+        np.testing.assert_array_equal(std.view(np.uint64),
+                                      np.array([np.std(row) for row in block]).view(np.uint64))
 
 
 def _csv_without_wall(result, path):

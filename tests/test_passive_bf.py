@@ -1,11 +1,14 @@
 """Passive-beamforming objectives, gradients, and the optimizers."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from lisim.channel import (
     ArrayGeometry,
     LinkBudget,
+    PathCore,
     assemble_channels,
     composite_path_vectors,
     effective_channel,
@@ -25,6 +28,7 @@ from lisim.passive_bf import (
     optimize_spgm,
     optimize_spgm_stack,
     optimize_tsvd,
+    optimize_tsvd_stack,
     random_phases,
     rate_objective,
     stream_weights,
@@ -257,6 +261,76 @@ def test_optimize_spgm_stops_at_the_iteration_cap():
     np.testing.assert_allclose(result.points.conj(), ascent / np.abs(ascent), rtol=0,
                                atol=1e-12)
     assert [t[0] for t in result.traces] == pytest.approx(gains, rel=1e-12)
+
+
+PAPER = ArrayGeometry(n_tx=64, n_rx=64, lis_y=16, lis_z=16)
+
+
+def _one_bank(seed, rows):
+    """`rows` stride-0 views of one paper-geometry core row, as a one-trial
+    power sweep's designs read it, and the same rows gathered into copies,
+    with the row's paths."""
+    paths = sort_paths_descending(sample_paths(np.random.default_rng(seed), PAPER,
+                                               LinkBudget(), 7, 7))
+    shared = path_core([paths], PAPER, TX_GAIN)[[0] * rows]
+    assert shared.bank.strides[0] == 0
+    gathered = PathCore(*(np.ascontiguousarray(getattr(shared, f.name))
+                          for f in fields(PathCore)))
+    return shared, gathered, paths
+
+
+def _assert_same_descent(one, other):
+    np.testing.assert_array_equal(one.points, other.points)
+    assert one.traces == other.traces
+    assert one.stops == other.stops
+
+
+def test_optimizers_on_one_bank_equal_their_runs_on_its_copies():
+    # seven powers on one channel, as a power sweep designs them: the rows
+    # stop at different iterations, so the descents compact and gather rows
+    powers = np.arange(10.0, 41.0, 5.0)
+    budgets = [LinkBudget(tx_power=dbm_to_watt(p)) for p in powers]
+    shared, gathered, paths = _one_bank(3, len(powers))
+    weights = np.stack([stream_weights(paths, b, 4, TX_GAIN) for b in budgets])
+    cfg = DescentConfig()
+    rngs = lambda: [np.random.default_rng(200 + k) for k in range(len(powers))]
+    surrogate = [optimize_tsvd_stack(core, weights, cfg, rngs()) for core in (shared, gathered)]
+    _assert_same_descent(*surrogate)
+    assert len(set(surrogate[0].iters.tolist())) > 2
+    refined = [optimize_rate_stack(core, budgets, 4, cfg, surrogate[0].points)
+               for core in (shared, gathered)]
+    _assert_same_descent(*refined)
+    assert len(set(refined[0].iters.tolist())) > 2
+    spgm = [optimize_spgm_stack(core, cfg, rngs()) for core in (shared, gathered)]
+    _assert_same_descent(*spgm)
+    assert len(set(spgm[0].iters.tolist())) > 2
+
+
+@pytest.mark.parametrize("left, right, shared", [
+    ((49, 256), (256, 1), "left"),    # X(v) = bank v
+    ((4, 256), (256, 1), "left"),     # the surrogate's diagonal times v
+    ((1, 49), (49, 256), "right"),    # the rate gradient's coefficients times bank
+    ((7, 7), (7, 7), "left"),         # the core products left X right
+    ((7, 7), (7, 7), "right"),
+])
+def test_a_stride_0_batch_matmul_has_the_bits_of_each_row(left, right, shared):
+    # numpy's matmul makes one BLAS call per row on the row's own layout, so
+    # a stride-0 operand (one bank for a stack of designs) gives the bits of
+    # its gathered copies and of each row alone. If a numpy or BLAS release
+    # breaks this, sweep CSVs move and this test says why.
+    rng = np.random.default_rng(1)
+    n = 7
+    draw = lambda shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    one = np.broadcast_to(draw((1,) + (left if shared == "left" else right)),
+                          (n,) + (left if shared == "left" else right))
+    other = draw((n,) + (right if shared == "left" else left))
+    a, b = (one, other) if shared == "left" else (other, one)
+    product = a @ b
+    bits = lambda x: x.view(np.uint64)
+    np.testing.assert_array_equal(bits(product),
+                                  bits(np.ascontiguousarray(a) @ np.ascontiguousarray(b)))
+    for i in range(n):
+        np.testing.assert_array_equal(bits(product[i]), bits(a[i] @ b[i]))
 
 
 def test_random_phases_stats():

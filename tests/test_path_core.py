@@ -5,8 +5,13 @@ oracle is the chain it replaced: assemble_channels -> effective_channel ->
 truncated_svd -> spectral_efficiency on N_r x N_t matrices, fed with the
 paths, phases and analog starts the trial used. A sweep group builds one
 stacked core of its points' path sets; each row must equal the core of its
-path set built alone.
+path set built alone, and designs that read one row in place must equal
+designs on its gathered copies.
 """
+
+import tracemalloc
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +20,22 @@ from lisim import harness
 from lisim.channel import (
     ArrayGeometry,
     LinkBudget,
+    PathCore,
     assemble_channels,
     effective_channel,
     path_core,
     sample_paths,
     sort_paths_descending,
 )
-from lisim.harness import ExperimentConfig, _run_trial
+from lisim.harness import (
+    ExperimentConfig,
+    _designs,
+    _draw_point,
+    _run_group,
+    _run_trial,
+    _stacks,
+    load_config,
+)
 from lisim.metrics import spectral_efficiency, truncated_condition_number
 from lisim.transceiver import (
     digital_combiner,
@@ -144,3 +158,88 @@ def test_stacked_path_core_equals_stacks_of_one(geometry, p, l, trials):
             np.testing.assert_array_equal(getattr(stacked, name)[i], getattr(alone, name)[0])
         np.testing.assert_array_equal(at[i], alone.at(v[i:i + 1])[0])
         np.testing.assert_array_equal(lifted[i], _lift(alone, alone.at(v[i:i + 1]))[0])
+
+
+# -- one bank read in place ----------------------------------------------------
+#
+# A group's designs that all sit on one core row (a one-trial power sweep's
+# `tsvd` designs, one per power) read that row in place: `PathCore.__getitem__`
+# gives stride-0 views, and every stage must give the bits it gives on n
+# gathered copies of the row.
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _gathered(core):
+    """`core` with every array copied into its own C-ordered rows."""
+    return PathCore(*(np.ascontiguousarray(getattr(core, f.name)) for f in fields(core)))
+
+
+def test_a_list_of_one_row_gives_stride_0_views():
+    rng = np.random.default_rng(4)
+    path_sets = [sort_paths_descending(sample_paths(rng, DESK.geometry, LinkBudget(), 4, 4))
+                 for _ in range(3)]
+    core = path_core(path_sets, DESK.geometry, 2.0, 0.5)
+    shared = core[[1, 1, 1, 1]]
+    for f in fields(core):
+        a = getattr(shared, f.name)
+        assert a.shape == (4,) + getattr(core, f.name).shape[1:]
+        assert a.strides[0] == 0 and not a.flags.writeable
+        assert np.shares_memory(a, getattr(core, f.name))
+        np.testing.assert_array_equal(a, getattr(core, f.name)[[1, 1, 1, 1]])
+    # one entry, or distinct rows, are gathered copies as before
+    for rows in ([1], [1, 2, 1]):
+        assert all(getattr(core[rows], f.name).flags.owndata for f in fields(core))
+    with pytest.raises(ValueError):
+        shared.bank[0, 0, 0] = 0.0
+
+
+def _one_trial_stacks(name):
+    """A one-trial group of a shipped config at every sweep value, drawn afresh."""
+    cfg = replace(load_config(CONFIGS / f"{name}.cfg"), trials=1)
+    generators, trials, points = {}, {}, []
+    for si, value in enumerate(cfg.sweep_values):
+        points.append(_draw_point(cfg, si, 0, value, trials.get(0), generators))
+        trials.setdefault(0, points[-1].paths)
+    return cfg, _stacks(cfg, points, trials)
+
+
+def test_a_power_sweep_trial_gives_tsvd_one_bank():
+    cfg, stacks = _one_trial_stacks("power_sweep")
+    group = stacks["tsvd"][1]
+    assert len(group.points) == len(cfg.sweep_values) > 1
+    assert group.true.bank.strides[0] == 0 and group.est is group.true
+    # spgm and random share one design, a gathered row
+    assert stacks["spgm"][1].true.bank.flags.owndata
+
+
+@pytest.mark.parametrize("name", ["power_sweep", "csi_sweep"])
+def test_designs_on_one_bank_equal_designs_on_its_copies(name):
+    # csi_sweep: the true cores are one row, the estimated ones are not
+    cfg, stacks = _one_trial_stacks(name)
+    shared = stacks["tsvd"][1]
+    assert shared.true.bank.strides[0] == 0
+    assert (name == "csi_sweep") == shared.erred.any()
+    _, again = _one_trial_stacks(name)   # fresh generators for the same starts
+    copy = again["tsvd"][1]
+    true = _gathered(copy.true)
+    copy = replace(copy, true=true, est=_gathered(copy.est) if copy.erred.any() else true)
+    for one, other in zip(_designs("tsvd", shared, cfg), _designs("tsvd", copy, cfg)):
+        for f in fields(one):
+            np.testing.assert_array_equal(getattr(one, f.name), getattr(other, f.name))
+
+
+def test_a_power_sweep_trial_reads_its_bank_once():
+    # the 7 tsvd designs read one 196 KiB bank in place, with no gathered
+    # copies and no copy for the rate descent (3.4 MiB when they were made)
+    cfg = replace(load_config(CONFIGS / "power_sweep.cfg"), trials=1)
+    tasks = [(si, 0, value) for si, value in enumerate(cfg.sweep_values)]
+    _run_group(cfg, tasks)   # first calls set up what later calls reuse
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _run_group(cfg, tasks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
