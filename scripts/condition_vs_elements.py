@@ -35,7 +35,7 @@ def main():
     conds: dict[tuple[str, float], list[float]] = {}
     for si, m in enumerate(cfg.sweep_values):
         for ti in range(cfg.trials):
-            for rec in _run_trial(cfg, si, ti, m):
+            for rec in _run_trial(cfg, si, ti):
                 if not rec.failed:
                     conds.setdefault((rec.method, m), []).append(rec.cond)
     for method in cfg.methods:

@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from lisim.channel import path_core
-from lisim.harness import _draw_point, load_config
+from lisim.harness import _draw_point, _specialize, load_config
 from lisim.passive_bf import optimize_tsvd, stream_weights
 from lisim.units import dbi_to_amplitude
 
@@ -33,7 +33,8 @@ def main():
     gains = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
 
     for seed in range(args.seeds):
-        point = _draw_point(replace(cfg, seed=seed), 0, 0, cfg.sweep_values[0])
+        seeded = replace(cfg, seed=seed)
+        point = _draw_point(seeded, _specialize(seeded), 0, 0)
         run_cfg, paths = point.cfg, point.paths
         weights = stream_weights(paths, run_cfg.budget, run_cfg.n_streams, *gains)
         _, trace = optimize_tsvd(path_core([paths], run_cfg.geometry, *gains), weights,

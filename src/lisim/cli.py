@@ -11,6 +11,7 @@ from .channel import path_core
 from .harness import (
     ConfigError,
     _draw_point,
+    _specialize,
     brute_force_phase_oracle,
     emit_csv,
     load_config,
@@ -62,7 +63,7 @@ def _cmd_oracle(args) -> int:
         cfg = replace(cfg, methods=cfg.methods + ("tsvd",))
     # trial 0 at the first sweep value, with the paths and the tsvd start
     # generator that `lisim run` draws for it
-    point = _draw_point(cfg, 0, 0, cfg.sweep_values[0])
+    point = _draw_point(cfg, _specialize(cfg), 0, 0)
     run_cfg = point.cfg
     gains = dbi_to_amplitude(run_cfg.tx_gain_dbi), dbi_to_amplitude(run_cfg.rx_gain_dbi)
     core = path_core([point.paths], run_cfg.geometry, *gains)

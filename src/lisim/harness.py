@@ -11,15 +11,17 @@ so are a method's starts where the sweep variable does not enter its
 design (`_seed_key`): every method in an n_rf sweep, `spgm` and `random`
 in a power sweep.
 
-A sweep runs in groups of points (sweep value, trial) that share a geometry
-and stream count, cut on trial boundaries to fit GROUP_BYTES. A group draws
-and sorts each of its trials' path sets once and factors them into one
-stacked L x P path core, with one more row for the estimated path set of
-each point that has an angle error. Points with one seed key for a method
-share its design, made at the key's sweep value, and each design gathers
-its true and its estimated row from that stack; a method's designs that
-all sit on one row read it in place. Each method takes one
-batch over the group's designs: its optimizer runs as one stack
+A run specializes the config once for each sweep value (`_specialize`), and
+its points, groups and shared designs all read those configs. It runs in
+groups of points (sweep index, trial index) whose specializations share a
+geometry and stream count, cut on trial boundaries to fit GROUP_BYTES. A
+group draws and sorts each of its trials' path sets once and factors them
+into one stacked L x P path core, with one more row for the estimated path
+set of each point that has an angle error. Points with one seed key for a
+method share its design, made at the key's sweep value, and each design
+gathers its true and its estimated row from that stack; a method's designs
+that all sit on one row read it in place. Each method takes one batch over
+the group's designs: its optimizer runs as one stack
 (`passive_bf.optimize_*_stack`), then the stacked digital stage (SVD,
 precoder and combiner, condition number, the digital rate of every point
 that shares the design at its own power, and hybrid targets). The group's
@@ -30,12 +32,12 @@ same antenna and RF chain counts), and one stacked rate on the true cores
 per RF chain count. Each analog start holds the scaled steering vectors of
 the design's strongest estimated paths, whose span holds its targets, then
 random chains from the method generator, which the points of a seed key
-share. A precoder is factored at its design's power; each point that
-shares it rescales the digital stage to its own power. `_batched` runs
-every batch and, on a numerical failure, reruns each item alone on its rows
-from its saved generator state. A point's values do not depend on its
-group, so the CSV is the same for any grouping, serial or parallel.
-`_run_trial` is a group of one point.
+share. A precoder is factored at its design's power; each point that shares
+it rescales the digital stage to its own power. `_batched` runs every batch
+and, on a numerical failure, reruns each item alone on its rows from its
+saved generator state. A point's values do not depend on its group, so the
+CSV is the same for any grouping, serial or parallel. `_run_trial` is a
+group of one point.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .manifold import DescentConfig, PhaseVector, RetractionError
 from .metrics import CombinerRankError, spectral_efficiency, truncated_condition_number
 from .passive_bf import (
     coupling_matrix,
+    offdiag_ratio,
     optimize_rate_stack,
     optimize_spgm_stack,
     optimize_tsvd_stack,
@@ -310,7 +313,7 @@ def load_config(path) -> ExperimentConfig:
             methods=raw.get("methods", base.methods),
             precoding=raw.get("precoding", base.precoding),
             descent=descent)
-        _check_sweep(cfg)
+        _specialize(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -332,30 +335,33 @@ class _TrialRecord:
 
 def _apply_sweep(cfg: ExperimentConfig, value: float) -> tuple[ExperimentConfig, float]:
     """Specialize the config for one sweep value; returns (config, angle error rad)."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{cfg.sweep_variable} sweep values must be finite")
     if cfg.sweep_variable == "tx_power_dbm":
         return replace(cfg, budget=replace(cfg.budget, tx_power=dbm_to_watt(value))), 0.0
-    if cfg.sweep_variable == "lis_elements":
-        m = int(value)
-        if m % cfg.geometry.lis_y != 0:
-            raise ConfigError("lis_elements sweep values must be multiples of lis_y")
-        geometry = replace(cfg.geometry, lis_z=m // cfg.geometry.lis_y)
-        return replace(cfg, geometry=geometry), 0.0
-    if cfg.sweep_variable in ("n_streams", "n_rf"):
-        count = int(value)
-        if count != value:
-            raise ConfigError(f"{cfg.sweep_variable} sweep values must be integers")
-        if cfg.sweep_variable == "n_streams":
-            return replace(cfg, n_streams=count), 0.0
+    if cfg.sweep_variable == "angle_error_deg":
+        if value < 0:
+            raise ConfigError("angle_error_deg sweep values must be non-negative")
+        return cfg, math.radians(value)
+    count = int(value)
+    if count != value:
+        raise ConfigError(f"{cfg.sweep_variable} sweep values must be integers")
+    if cfg.sweep_variable == "n_streams":
+        return replace(cfg, n_streams=count), 0.0
+    if cfg.sweep_variable == "n_rf":
         return replace(cfg, n_rf_tx=count, n_rf_rx=count), 0.0
-    if value < 0:
-        raise ConfigError("angle_error_deg sweep values must be non-negative")
-    return cfg, math.radians(value)
+    if count < 1 or count % cfg.geometry.lis_y:
+        raise ConfigError("lis_elements sweep values must be positive multiples of lis_y")
+    return replace(cfg, geometry=replace(cfg.geometry, lis_z=count // cfg.geometry.lis_y)), 0.0
 
 
-def _check_sweep(cfg: ExperimentConfig) -> None:
-    """Specialize the config for every sweep value so a bad one fails before any trial."""
-    for value in cfg.sweep_values:
-        _apply_sweep(cfg, value)
+def _specialize(cfg: ExperimentConfig) -> tuple[tuple[ExperimentConfig, float], ...]:
+    """`_apply_sweep` of each sweep value, in order, shared by a run's points;
+    ConfigError for any bad value, also a power that makes no link budget."""
+    try:
+        return tuple(_apply_sweep(cfg, value) for value in cfg.sweep_values)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -395,18 +401,19 @@ def _seed_key(cfg: ExperimentConfig, method: str, sweep_idx: int,
     return (0 if shared else sweep_idx, trial_idx)
 
 
-def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int, value: float,
-                paths: PathSet | None = None,
+def _draw_point(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
+                sweep_idx: int, trial_idx: int, paths: PathSet | None = None,
                 generators: dict[tuple[str, tuple[int, int]], np.random.Generator] | None = None
                 ) -> _Point:
-    """Seed one (sweep value, trial) pair and draw its path sets; `paths`, when
-    given, is the trial's true path set, drawn already at another value.
+    """Seed one (sweep index, trial index) pair and draw its path sets at
+    its sweep value's specialization in `specs` (`_specialize`); `paths`,
+    when given, is the trial's true path set, drawn already at another value.
 
     `generators`, when given, maps (method, seed key) to the method
     generators of earlier points and gains this point's: points with one
     seed key for a method share one generator, built once, as they share
     the design that draws from it."""
-    run_cfg, beta = _apply_sweep(cfg, value)
+    run_cfg, beta = specs[sweep_idx]
     if paths is None:
         chan_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial_idx,)))
@@ -433,16 +440,6 @@ def _draw_point(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int, value: fl
     return _Point(run_cfg, index, keys, paths, est_paths, rngs)
 
 
-def _designer(cfg: ExperimentConfig, point: _Point, method: str) -> _Point:
-    """The point at which `method` designs for `point`: `point` itself or,
-    when its seed key names another sweep value, `point` specialized for
-    that value."""
-    key = point.keys[method]
-    if key == point.index:
-        return point
-    return replace(point, cfg=_apply_sweep(cfg, cfg.sweep_values[key[0]])[0], index=key)
-
-
 @dataclass(frozen=True)
 class _Group:
     """One method's designs in a group: the point each is made at, the
@@ -460,11 +457,13 @@ class _Group:
                       self.erred[rows])
 
 
-def _stacks(cfg: ExperimentConfig, points: list[_Point],
+def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
+            points: list[_Point],
             trials: dict[int, PathSet]) -> dict[str, tuple[list[list[int]], _Group]]:
     """Each method's designs in the group of `points`, whose true path sets
     are among `trials` (trial index -> path set): the points that share each
-    design, and the designs' group.
+    design, and the designs' group. Each design is made at its first point,
+    specialized by `specs` for the sweep value of its seed key.
 
     One `path_core` call factors each trial's path set and the estimated
     path set of each point with an angle error. Each method's designs then
@@ -498,7 +497,9 @@ def _stacks(cfg: ExperimentConfig, points: list[_Point],
             est = core[[est_rows[i] for i in firsts]] if erred.any() else true
             gathered[firsts] = true, est, erred
         stacks[method] = sharers, _Group(
-            [_designer(cfg, points[i], method) for i in firsts],
+            [points[i] if key == points[i].index
+             else replace(points[i], cfg=specs[key[0]][0], index=key)
+             for key, i in zip(by_key, firsts)],
             [[points[i].cfg.budget.tx_power for i in rows] for rows in sharers],
             *gathered[firsts])
     return stacks
@@ -606,9 +607,9 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> list[_Design]
     n_streams = run_cfg.n_streams
     # X(v) of the true cores, taken once for the cores and the coupling; the
     # estimated cores are the true ones when no design has an angle error
-    coupling = coupling_matrix(phases, true)
+    x_true = coupling_matrix(phases, true)
     erred = group.erred
-    x_est = est.gains(phases) if erred.any() else coupling.gains
+    x_est = est.gains(phases) if erred.any() else x_true
     c_est = est.left @ x_est @ est.right
     svd = truncated_svd(c_est, n_streams)
     w_core = digital_combiner(svd)
@@ -616,13 +617,13 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> list[_Design]
     # singular values the estimated core's SVD does not give
     c_true, c_seen, sigma = c_est, c_est, svd.sigma1
     if erred.any():
-        c_true, c_seen, sigma = true.left @ coupling.gains @ true.right, c_est.copy(), sigma.copy()
+        c_true, c_seen, sigma = true.left @ x_true @ true.right, c_est.copy(), sigma.copy()
         to_u = est.q_u[erred].conj().swapaxes(1, 2) @ true.q_u[erred]
         to_b = true.q_b[erred].conj().swapaxes(1, 2) @ est.q_b[erred]
         c_seen[erred] = to_u @ c_true[erred] @ to_b
         sigma[erred] = np.linalg.svd(c_true[erred], compute_uv=False)[:, :n_streams]
     cond = truncated_condition_number(c_true, n_streams, sigma)
-    offdiag = coupling.offdiag_ratio(n_streams)
+    offdiag = offdiag_ratio(x_true, n_streams)
     counts = [len(powers) for powers in group.powers]
     shared = np.repeat(np.arange(len(points)), counts)
     f_each = digital_precoder(replace(svd, v1=svd.v1[shared]), np.concatenate(group.powers))
@@ -724,9 +725,10 @@ def _record(method: str, mode: str, design: _Design | None, se: float | None,
     return _TrialRecord(method, mode, se, design.cond, design.offdiag, design.iters, wall_ms)
 
 
-def _run_group(cfg: ExperimentConfig,
-               tasks: list[tuple[int, int, float]]) -> list[list[_TrialRecord]]:
-    """Records of each (sweep index, trial index, value) task of one group.
+def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
+               tasks: list[tuple[int, int]]) -> list[list[_TrialRecord]]:
+    """Records of each (sweep index, trial index) task of one group, at
+    its sweep value's specialization in `specs` (`_specialize`).
 
     The tasks' specialized configs share a geometry and stream count, so
     their path cores stack. Each trial's path set is drawn once, and for
@@ -745,11 +747,11 @@ def _run_group(cfg: ExperimentConfig,
     trials: dict[int, PathSet] = {}   # each trial's true path set
     generators = {}                   # each (method, seed key)'s generator
     points = []
-    for sweep_idx, trial_idx, value in tasks:
-        points.append(_draw_point(cfg, sweep_idx, trial_idx, value, trials.get(trial_idx),
+    for sweep_idx, trial_idx in tasks:
+        points.append(_draw_point(cfg, specs, sweep_idx, trial_idx, trials.get(trial_idx),
                                   generators))
         trials.setdefault(trial_idx, points[-1].paths)
-    stacks = _stacks(cfg, points, trials)
+    stacks = _stacks(cfg, specs, points, trials)
     modes = ("digital", "hybrid") if cfg.precoding == "both" else (cfg.precoding,)
     records: list[list[_TrialRecord]] = [[] for _ in points]
     jobs, owners = [], []   # (points, generator, design) and (method, ms per point)
@@ -788,16 +790,16 @@ def _run_group(cfg: ExperimentConfig,
     return records
 
 
-def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int,
-               value: float) -> list[_TrialRecord]:
+def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int) -> list[_TrialRecord]:
     """One channel draw, every method on it: a group of one point."""
-    return _run_group(cfg, [(sweep_idx, trial_idx, value)])[0]
+    return _run_group(cfg, _specialize(cfg), [(sweep_idx, trial_idx)])[0]
 
 
-def _groups(cfg: ExperimentConfig, tasks: list[tuple[int, int, float]],
-            parallel: int) -> list[list[tuple[int, int, float]]]:
-    """Split the tasks into groups that share a geometry and stream count,
-    so a group's path cores and descents stack.
+def _groups(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
+            tasks: list[tuple[int, int]], parallel: int) -> list[list[tuple[int, int]]]:
+    """Split the (sweep index, trial index) tasks into groups whose
+    specializations in `specs` share a geometry and stream count, so a
+    group's path cores and descents stack.
 
     Each shape's tasks, taken trial by trial, are cut into runs whose
     stacked path-core banks, one per design of the method with the most
@@ -809,13 +811,13 @@ def _groups(cfg: ExperimentConfig, tasks: list[tuple[int, int, float]],
     """
     by_shape: dict[tuple, list] = {}
     for task in tasks:
-        run_cfg, _ = _apply_sweep(cfg, task[2])
+        run_cfg = specs[task[0]][0]
         by_shape.setdefault((run_cfg.geometry, run_cfg.n_streams), []).append(task)
     groups = []
     for (geometry, _), members in by_shape.items():
         bank_bytes = cfg.l_paths * cfg.p_paths * geometry.m * np.dtype(complex).itemsize
         designs = max(len({_seed_key(cfg, method, sweep_idx, trial_idx)
-                           for sweep_idx, trial_idx, _ in members}) for method in cfg.methods)
+                           for sweep_idx, trial_idx in members}) for method in cfg.methods)
         size = min(max(1, GROUP_BYTES // bank_bytes) * len(members) // designs,
                    -(-len(members) // parallel))
         values = len(members) // len({task[1] for task in members})
@@ -832,22 +834,22 @@ def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepResult:
     The result does not depend on `parallel` or on how the points are
     grouped: every point's values equal those of its one-point group.
 
-    Raises ConfigError if `parallel` is below 1.
+    Raises ConfigError if `parallel` is below 1 or a sweep value is bad,
+    as `load_config` does, before any trial runs.
     """
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, not {parallel}")
-    _check_sweep(cfg)
-    tasks = [(si, ti, value)
-             for si, value in enumerate(cfg.sweep_values)
-             for ti in range(cfg.trials)]
-    groups = _groups(cfg, tasks, parallel)
+    specs = _specialize(cfg)
+    tasks = [(si, ti) for si in range(len(specs)) for ti in range(cfg.trials)]
+    groups = _groups(cfg, specs, tasks, parallel)
     if parallel > 1:
         # imported here: it pulls in multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            per_group = list(pool.map(_run_group, [cfg] * len(groups), groups, chunksize=1))
+            per_group = list(pool.map(_run_group, [cfg] * len(groups), [specs] * len(groups),
+                                      groups, chunksize=1))
     else:
-        per_group = [_run_group(cfg, group) for group in groups]
+        per_group = [_run_group(cfg, specs, group) for group in groups]
     by_task = {task: records for group, found in zip(groups, per_group)
                for task, records in zip(group, found)}
 

@@ -23,15 +23,14 @@ equals its result alone, bit for bit, also where the rows read one core row
 in place (`manifold.shares_rows`); `optimize_tsvd` and `optimize_spgm` run a
 stack of one.
 
-`coupling_matrix` exposes the path-coupling gains v^H p^{ij} and the
-off-diagonal diagnostic ratio used to check that the optimized phases
-suppress cross-path leakage.
+`coupling_matrix` gives the path-coupling gains v^H p^{ij}, and
+`offdiag_ratio` their off-diagonal diagnostic ratio, used to check that the
+optimized phases suppress cross-path leakage.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -55,23 +54,18 @@ class StreamCountError(ValueError):
     """Requested more streams than available composite paths."""
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Path-coupling gains d_ij = v^H p^{ij} of T path cores, one row each."""
-
-    gains: np.ndarray  # (T, L, P) complex
-
-    def offdiag_ratio(self, n_streams: int) -> np.ndarray:
-        """mean |d_ij| off the diagonal over mean |d_ii|, top-N_s block, per row."""
-        if n_streams == 1:
-            return np.zeros(len(self.gains))
-        diag = np.eye(n_streams, dtype=bool)
-        # (entries, T): `sum` adds entry after entry, elementwise across the
-        # rows, so a row's ratio has the bits it has alone (np.mean's
-        # reduction order can depend on the stack's size and alignment)
-        block = np.abs(self.gains[:, :n_streams, :n_streams]).transpose(1, 2, 0)
-        off, on = block[~diag], block[diag]
-        return (sum(off) / len(off)) / (sum(on) / len(on))
+def offdiag_ratio(gains: np.ndarray, n_streams: int) -> np.ndarray:
+    """mean |d_ij| off the diagonal over mean |d_ii| of the top-N_s block of
+    each row of the (T, L, P) path-coupling gains d_ij (`coupling_matrix`)."""
+    if n_streams == 1:
+        return np.zeros(len(gains))
+    diag = np.eye(n_streams, dtype=bool)
+    # (entries, T): `sum` adds entry after entry, elementwise across the
+    # rows, so a row's ratio has the bits it has alone (np.mean's
+    # reduction order can depend on the stack's size and alignment)
+    block = np.abs(gains[:, :n_streams, :n_streams]).transpose(1, 2, 0)
+    off, on = block[~diag], block[diag]
+    return (sum(off) / len(off)) / (sum(on) / len(on))
 
 
 def tsvd_objective(core: PathCore,
@@ -301,7 +295,7 @@ def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
                         stops=tuple(stops))
 
 
-def coupling_matrix(v: np.ndarray, core: PathCore) -> CouplingMatrix:
-    """Evaluate every passive beamforming gain d_ij = v^H p^{ij} of the
+def coupling_matrix(v: np.ndarray, core: PathCore) -> np.ndarray:
+    """Every passive beamforming gain d_ij = v^H p^{ij} (T, L, P) of the
     stacked path core at the (T, M) phase entries v, one row per core."""
-    return CouplingMatrix(gains=core.gains(v))
+    return core.gains(v)

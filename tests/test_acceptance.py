@@ -27,6 +27,7 @@ from lisim.metrics import spectral_efficiency
 from lisim.passive_bf import (
     _spgm_data,
     coupling_matrix,
+    offdiag_ratio,
     optimize_tsvd,
     random_phases,
     rate_objective,
@@ -152,7 +153,7 @@ def test_criterion_5_condition_number_trend():
     conds = {}
     for si, m in enumerate(grid):
         for ti in range(cfg.trials):
-            for rec in _run_trial(cfg, si, ti, m):
+            for rec in _run_trial(cfg, si, ti):
                 if not rec.failed:
                     conds.setdefault((m, rec.method), []).append(rec.cond)
     for row in run_sweep(cfg).rows:
@@ -205,7 +206,7 @@ def test_criterion_7_diagonal_dominance():
             core = path_core([paths], geometry)
             v, _ = optimize_tsvd(core, stream_weights(paths, budget, 4, TX_GAIN),
                                  DescentConfig(), rng)
-            ratios.append(coupling_matrix(v.entries[None], core).offdiag_ratio(4)[0])
+            ratios.append(offdiag_ratio(coupling_matrix(v.entries[None], core), 4)[0])
         means[16 * lis_z] = float(np.mean(ratios))
     decreasing = means[16] > means[64] > means[256]
     ok = means[256] < 0.3 and decreasing

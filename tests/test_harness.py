@@ -22,6 +22,7 @@ from lisim.harness import (
     SweepRow,
     _TrialRecord,
     _apply_sweep,
+    _specialize,
     _sweep_rows,
     brute_force_phase_oracle,
     emit_csv,
@@ -111,6 +112,7 @@ def test_load_config_overrides(tmp_path):
     ("n_streams = 2\nr_t = 3\nsweep_variable = n_streams\nsweep_values = 2, 4",
      "n_streams must not exceed"),
     ("sweep_variable = lis_elements\nsweep_values = 256, 100", "multiples of lis_y"),
+    ("lis_y = 8\nsweep_variable = lis_elements\nsweep_values = 64.5", "integers"),
     ("sweep_variable = n_rf\nsweep_values = 6, 3", "n_streams must not exceed"),
     ("sweep_variable = n_rf\nsweep_values = 4.5", "integers"),
     ("n_tx = 0", "counts must be >= 1"),
@@ -128,6 +130,7 @@ def test_load_config_overrides(tmp_path):
     ("descent_epsilon = nan", "must be finite"),
     ("sweep_values = nan", "must be finite"),
     ("sweep_variable = angle_error_deg\nsweep_values = inf", "must be finite"),
+    ("sweep_values = 1e4", "out of range"),   # 10^997 W overflows
     ("methods = tsvd, tsvd", "must not repeat"),
     ("n_streams = 0", "n_streams must be >= 1"),
     ("sweep_variable = n_streams\nsweep_values = 0, 2", "n_streams must be >= 1"),
@@ -163,6 +166,8 @@ def test_apply_sweep_lis_elements():
     assert cfg.geometry.m == 64 and cfg.geometry.lis_y == 16
     with pytest.raises(ConfigError):
         _apply_sweep(base, 60.0)   # not a multiple of lis_y
+    with pytest.raises(ConfigError, match="integers"):
+        _apply_sweep(base, 64.5)   # int(64.5) is a multiple, 64.5 is not an LIS size
 
 
 def test_apply_sweep_n_rf():
@@ -214,7 +219,7 @@ def test_run_sweep_mean_is_over_per_trial_seeds():
     from lisim.harness import _run_trial
     cfg = replace(SMALL, trials=3, sweep_values=(40.0,), methods=("random",))
     agg = run_sweep(cfg).rows[0]
-    ses = [_run_trial(cfg, 0, ti, 40.0)[0].se for ti in range(3)]
+    ses = [_run_trial(cfg, 0, ti)[0].se for ti in range(3)]
     assert agg.mean_se == pytest.approx(np.mean(ses), rel=1e-12)
 
 
@@ -302,7 +307,8 @@ def test_run_sweep_grouping_leaves_the_csv_unchanged(tmp_path, monkeypatch):
         sizes = []
         with monkeypatch.context() as patch:
             patch.setattr(harness, "_run_group",
-                          lambda c, tasks: sizes.append(len(tasks)) or real_group(c, tasks))
+                          lambda c, specs, tasks: sizes.append(len(tasks))
+                          or real_group(c, specs, tasks))
             grouped = _csv_without_wall(run_sweep(cfg), tmp_path / "grouped.csv")
         assert sizes == [points]
         parallel = _csv_without_wall(run_sweep(cfg, parallel=2), tmp_path / "parallel.csv")
@@ -318,17 +324,17 @@ def test_groups_share_geometry_and_stream_count():
     from lisim.harness import _groups
     cfg = replace(SMALL, trials=2, sweep_variable="lis_elements",
                   sweep_values=(16.0, 32.0, 16.0))
-    tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(2)]
-    assert _groups(cfg, tasks, 1) == [[tasks[0], tasks[1], tasks[4], tasks[5]],
+    tasks = [(si, ti) for si in range(len(cfg.sweep_values)) for ti in range(2)]
+    assert _groups(cfg, _specialize(cfg), tasks, 1) == [[tasks[0], tasks[1], tasks[4], tasks[5]],
                                       [tasks[2], tasks[3]]]
     # cut trial by trial: each half holds one trial at both values of its shape
-    assert _groups(cfg, tasks, 2) == [[tasks[0], tasks[4]], [tasks[1], tasks[5]],
+    assert _groups(cfg, _specialize(cfg), tasks, 2) == [[tasks[0], tasks[4]], [tasks[1], tasks[5]],
                                       [tasks[2]], [tasks[3]]]
     # RF chain counts do not split a group: its hybrid batch factors each count apart
     cfg = replace(SMALL, trials=2, sweep_variable="n_rf", sweep_values=(4.0, 6.0, 4.0))
-    tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(2)]
-    assert _groups(cfg, tasks, 1) == [tasks]
-    assert _groups(cfg, tasks, 2) == [[tasks[0], tasks[2], tasks[4]],
+    tasks = [(si, ti) for si in range(len(cfg.sweep_values)) for ti in range(2)]
+    assert _groups(cfg, _specialize(cfg), tasks, 1) == [tasks]
+    assert _groups(cfg, _specialize(cfg), tasks, 2) == [[tasks[0], tasks[2], tasks[4]],
                                       [tasks[1], tasks[3], tasks[5]]]
 
 
@@ -344,9 +350,9 @@ def test_a_paper_chunk_is_one_group(name, trials, points):
     from lisim.harness import GROUP_BYTES, _groups
     cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"),
                   trials=trials)
-    tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(trials)]
+    tasks = [(si, ti) for si in range(len(cfg.sweep_values)) for ti in range(trials)]
     assert len(tasks) == points
-    assert _groups(cfg, tasks, 1) == [tasks]
+    assert _groups(cfg, _specialize(cfg), tasks, 1) == [tasks]
     bank_bytes = cfg.l_paths * cfg.p_paths * cfg.geometry.m * 16
     assert GROUP_BYTES // bank_bytes == (10 if cfg.geometry.m == 256 else 128)
 
@@ -372,9 +378,9 @@ def test_rf_sweep_shared_designs_equal_designs_alone():
     from dataclasses import replace
     from lisim.harness import _groups, _run_group, _run_trial
     cfg = replace(DESK_ANGLES, trials=2, sweep_variable="n_rf", sweep_values=(6.0, 10.0, 6.0))
-    tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(2)]
-    assert _groups(cfg, tasks, 1) == [tasks]
-    for task, shared in zip(tasks, _run_group(cfg, tasks)):
+    tasks = [(si, ti) for si in range(len(cfg.sweep_values)) for ti in range(2)]
+    assert _groups(cfg, _specialize(cfg), tasks, 1) == [tasks]
+    for task, shared in zip(tasks, _run_group(cfg, _specialize(cfg), tasks)):
         alone = _run_trial(cfg, *task)
         assert [r.precoding for r in shared] == ["digital"] * 3 + ["hybrid"] * 3
         assert not any(r.failed for r in shared)
@@ -502,9 +508,9 @@ def test_power_sweep_shared_designs_equal_designs_alone():
     # first power. At 6 RF chains and 4 paths the hybrid rates depend on the
     # random chains beyond the paths'
     from lisim.harness import _groups, _run_group, _run_trial
-    tasks = [(si, ti, v) for si, v in enumerate(POWERS.sweep_values) for ti in range(2)]
-    assert _groups(POWERS, tasks, 1) == [tasks]
-    shared = _run_group(POWERS, tasks)
+    tasks = [(si, ti) for si in range(len(POWERS.sweep_values)) for ti in range(2)]
+    assert _groups(POWERS, _specialize(POWERS), tasks, 1) == [tasks]
+    shared = _run_group(POWERS, _specialize(POWERS), tasks)
     for task, records in zip(tasks, shared):
         alone = _run_trial(POWERS, *task)
         assert [r.precoding for r in records] == ["digital"] * 3 + ["hybrid"] * 3
@@ -561,8 +567,8 @@ def test_groups_hold_ten_paper_trials_of_a_power_sweep_without_tsvd():
     from lisim.harness import _groups
     cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs" /
                               "power_sweep.cfg"), methods=("spgm", "random"), trials=20)
-    tasks = [(si, ti, v) for si, v in enumerate(cfg.sweep_values) for ti in range(20)]
-    groups = _groups(cfg, tasks, 1)
+    tasks = [(si, ti) for si in range(len(cfg.sweep_values)) for ti in range(20)]
+    groups = _groups(cfg, _specialize(cfg), tasks, 1)
     assert [len(group) for group in groups] == [70, 70]
     assert [sorted({task[1] for task in group}) for group in groups] == \
         [list(range(10)), list(range(10, 20))]
@@ -610,6 +616,35 @@ def test_run_sweep_rejects_bad_value_before_any_trial(monkeypatch):
     with pytest.raises(ConfigError):
         run_sweep(cfg)
     assert calls == []
+
+
+@pytest.mark.parametrize("variable, value", [
+    ("lis_elements", 0.0), ("lis_elements", -64.0),
+    ("tx_power_dbm", math.nan), ("tx_power_dbm", 1e4), ("angle_error_deg", math.inf),
+])
+def test_run_sweep_raises_config_error_for_a_bad_value(monkeypatch, variable, value):
+    # a config built in code skips load_config, so run_sweep's own check
+    # must name every bad value a ConfigError, not a geometry's ValueError,
+    # an OverflowError or nothing at all
+    from lisim import harness
+    monkeypatch.setattr(harness, "_run_group", _raise(AssertionError))   # no point runs
+    cfg = replace(SMALL, sweep_variable=variable, sweep_values=(value,))
+    with pytest.raises(ConfigError):
+        run_sweep(cfg)
+
+
+def test_run_sweep_specializes_each_sweep_value_once(monkeypatch):
+    # one specialization per sweep value serves the grouping, every point's
+    # draw and every shared design, at any trial count
+    from lisim import harness
+    cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs" /
+                              "power_sweep.cfg"), trials=2)
+    calls = []
+    real = harness._apply_sweep
+    monkeypatch.setattr(harness, "_apply_sweep",
+                        lambda c, value: calls.append(value) or real(c, value))
+    run_sweep(cfg)
+    assert calls == list(cfg.sweep_values) and len(calls) == 7
 
 
 def _raise(exc_type):
@@ -829,9 +864,9 @@ def test_hybrid_is_exact_with_a_chain_per_path():
     from lisim.harness import _run_trial
     cfg = ExperimentConfig(n_rf_tx=7, n_rf_rx=7, sweep_variable="angle_error_deg",
                            sweep_values=(0.0, 1.0), trials=2, precoding="both", seed=3)
-    for si, value in enumerate(cfg.sweep_values):
+    for si in range(len(cfg.sweep_values)):
         for ti in range(cfg.trials):
-            records = _run_trial(cfg, si, ti, value)
+            records = _run_trial(cfg, si, ti)
             se = {(rec.method, rec.precoding): rec.se for rec in records}
             for method in cfg.methods:
                 assert se[method, "hybrid"] == pytest.approx(se[method, "digital"], rel=1e-9)

@@ -24,6 +24,7 @@ from lisim.passive_bf import (
     _spgm_data,
     _spgm_gains,
     coupling_matrix,
+    offdiag_ratio,
     optimize_rate_stack,
     optimize_spgm,
     optimize_spgm_stack,
@@ -348,21 +349,19 @@ def test_coupling_matrix_entries():
     rng, paths = _instance(8)
     bank = composite_path_vectors(paths, GEOMETRY)
     v = random_phases(rng, GEOMETRY.m)
-    cm = coupling_matrix(v.entries[None], path_core([paths], GEOMETRY))
+    gains = coupling_matrix(v.entries[None], path_core([paths], GEOMETRY))
     for i in range(paths.n_lis_ue):
         for j in range(paths.n_bs_lis):
             d_ij = v.entries.conj() @ bank[i, j]
-            assert cm.gains[0, i, j] == pytest.approx(d_ij, rel=1e-12)
+            assert gains[0, i, j] == pytest.approx(d_ij, rel=1e-12)
 
 
 def test_offdiag_ratio_limits():
-    from lisim.passive_bf import CouplingMatrix
-    gains = np.eye(3, dtype=complex)[None]
-    diag_only = CouplingMatrix(gains=gains)
-    assert diag_only.offdiag_ratio(3) == [0.0]
-    assert diag_only.offdiag_ratio(1) == [0.0]
-    flat = CouplingMatrix(gains=np.ones((1, 3, 3), dtype=complex))
-    assert flat.offdiag_ratio(3) == pytest.approx([1.0])
+    diag_only = np.eye(3, dtype=complex)[None]
+    assert offdiag_ratio(diag_only, 3) == [0.0]
+    assert offdiag_ratio(diag_only, 1) == [0.0]
+    flat = np.ones((1, 3, 3), dtype=complex)
+    assert offdiag_ratio(flat, 3) == pytest.approx([1.0])
 
 
 @pytest.mark.parametrize("n_streams", range(1, 8))
@@ -370,15 +369,13 @@ def test_offdiag_ratio_row_equals_row_alone(n_streams):
     # a group's ratios must not depend on the rows stacked with them, or
     # grouping would change a CSV; against the per-row np.mean loop they
     # may differ in summation order only
-    from lisim.passive_bf import CouplingMatrix
     rng = np.random.default_rng(n_streams)
     off = ~np.eye(n_streams, dtype=bool)
     for rows in (2, 5, 13, 25):
         gains = rng.normal(size=(rows, 7, 7)) + 1j * rng.normal(size=(rows, 7, 7))
         gains *= 10.0 ** rng.uniform(-8, 0, (rows, 1, 1))
-        stacked = CouplingMatrix(gains).offdiag_ratio(n_streams)
-        alone = [CouplingMatrix(gains[i:i + 1]).offdiag_ratio(n_streams)[0]
-                 for i in range(rows)]
+        stacked = offdiag_ratio(gains, n_streams)
+        alone = [offdiag_ratio(gains[i:i + 1], n_streams)[0] for i in range(rows)]
         np.testing.assert_array_equal(stacked, alone)
         loop = [np.mean(b[off]) / np.mean(np.diag(b)) if off.any() else 0.0
                 for b in np.abs(gains[:, :n_streams, :n_streams])]

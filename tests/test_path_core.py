@@ -33,6 +33,7 @@ from lisim.harness import (
     _draw_point,
     _run_group,
     _run_trial,
+    _specialize,
     _stacks,
     load_config,
 )
@@ -109,10 +110,10 @@ def test_trial_on_the_core_matches_the_dense_channel(monkeypatch, cfg):
     spy = _Spy(monkeypatch)
     tx_g, rx_g = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
     worst = 0.0
-    for si, beta in enumerate(cfg.sweep_values):
+    for si in range(len(cfg.sweep_values)):
         for ti in range(cfg.trials):
             spy.seen.clear()
-            digital, hybrid = _run_trial(cfg, si, ti, beta)
+            digital, hybrid = _run_trial(cfg, si, ti)
             sigma, cond, se, se_hybrid = _dense_trial(cfg, spy.seen)
             est_paths = sort_paths_descending(
                 spy.seen.get("perturb_angles", spy.seen["sample_paths"]))
@@ -197,11 +198,11 @@ def test_a_list_of_one_row_gives_stride_0_views():
 def _one_trial_stacks(name):
     """A one-trial group of a shipped config at every sweep value, drawn afresh."""
     cfg = replace(load_config(CONFIGS / f"{name}.cfg"), trials=1)
-    generators, trials, points = {}, {}, []
-    for si, value in enumerate(cfg.sweep_values):
-        points.append(_draw_point(cfg, si, 0, value, trials.get(0), generators))
+    specs, generators, trials, points = _specialize(cfg), {}, {}, []
+    for si in range(len(specs)):
+        points.append(_draw_point(cfg, specs, si, 0, trials.get(0), generators))
         trials.setdefault(0, points[-1].paths)
-    return cfg, _stacks(cfg, points, trials)
+    return cfg, _stacks(cfg, specs, points, trials)
 
 
 def test_a_power_sweep_trial_gives_tsvd_one_bank():
@@ -233,12 +234,12 @@ def test_a_power_sweep_trial_reads_its_bank_once():
     # the 7 tsvd designs read one 196 KiB bank in place, with no gathered
     # copies and no copy for the rate descent (3.4 MiB when they were made)
     cfg = replace(load_config(CONFIGS / "power_sweep.cfg"), trials=1)
-    tasks = [(si, 0, value) for si, value in enumerate(cfg.sweep_values)]
-    _run_group(cfg, tasks)   # first calls set up what later calls reuse
+    specs, tasks = _specialize(cfg), [(si, 0) for si in range(len(cfg.sweep_values))]
+    _run_group(cfg, specs, tasks)   # first calls set up what later calls reuse
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        _run_group(cfg, tasks)
+        _run_group(cfg, specs, tasks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
