@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Truncated condition number of the cascade channel vs LIS size.
 
-Runs the trials of configs/lis_sweep.cfg one point at a time through the
-harness and prints, per method and LIS element count M, the mean and the
-median of the per-trial condition numbers whose mean the sweep's
-`mean_cond` column reports. The distribution is heavy-tailed, so the two
-statistics tell different stories; the median tracks the typical
-realization.
+Runs configs/lis_sweep.cfg through the harness and prints, per method and
+LIS element count M, the mean and the median of the per-trial condition
+numbers whose mean the sweep's `mean_cond` column reports. The
+distribution is heavy-tailed, so the two statistics tell different
+stories; the median tracks the typical realization.
 """
 
 import argparse
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lisim.harness import _run_trial, load_config
+from lisim.harness import _run_trials, load_config
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "lis_sweep.cfg"
 
@@ -32,15 +31,11 @@ def main():
     cfg = replace(cfg, trials=cfg.trials if args.trials is None else args.trials,
                   seed=cfg.seed if args.seed is None else args.seed)
     print(f"{'method':>8} {'M':>5} {'mean cond':>12} {'median cond':>12}")
-    conds: dict[tuple[str, float], list[float]] = {}
-    for si, m in enumerate(cfg.sweep_values):
-        for ti in range(cfg.trials):
-            for rec in _run_trial(cfg, si, ti):
-                if not rec.failed:
-                    conds.setdefault((rec.method, m), []).append(rec.cond)
-    for method in cfg.methods:
-        for m in cfg.sweep_values:
-            found = conds.get((method, m), [np.nan])
+    trials = _run_trials(cfg)   # arrays (M values, methods, modes, trials)
+    for k, method in enumerate(cfg.methods):
+        for si, m in enumerate(cfg.sweep_values):
+            good = ~trials.failed[si, k]
+            found = trials.cond[si, k][good] if good.any() else [np.nan]
             print(f"{method:>8} {m:>5.0f} {np.mean(found):>12.1f} {np.median(found):>12.1f}")
 
 

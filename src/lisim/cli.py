@@ -18,7 +18,6 @@ from .harness import (
     run_sweep,
 )
 from .passive_bf import optimize_tsvd, stream_weights, tsvd_objective
-from .units import dbi_to_amplitude
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +64,7 @@ def _cmd_oracle(args) -> int:
     # generator that `lisim run` draws for it
     point = _draw_point(cfg, _specialize(cfg), 0, 0)
     run_cfg = point.cfg
-    gains = dbi_to_amplitude(run_cfg.tx_gain_dbi), dbi_to_amplitude(run_cfg.rx_gain_dbi)
+    gains = run_cfg.gains
     core = path_core([point.paths], run_cfg.geometry, *gains)
     weights = stream_weights(point.paths, run_cfg.budget, run_cfg.n_streams, *gains)
     _, best_obj = brute_force_phase_oracle(core, weights, args.levels)

@@ -6,46 +6,33 @@ a trial every method sees the same channel realization, and trial t sees
 the same realization at every sweep value (paired comparison along both
 axes). Per-trial seeds are derived from the master seed and the (sweep
 index, trial index) pair, so growing the trial count never reshuffles
-earlier trials. The channel stream is keyed by the trial index alone, and
-so are a method's starts where the sweep variable does not enter its
-design (`_seed_key`): every method in an n_rf sweep, `spgm` and `random`
-in a power sweep.
+earlier trials; a method's starts are keyed by the trial alone where the
+sweep variable does not enter its design (`_seed_key`).
 
-A run specializes the config once for each sweep value (`_specialize`), and
-its points, groups and shared designs all read those configs. It runs in
-groups of points (sweep index, trial index) whose specializations share a
-geometry and stream count, cut on trial boundaries to fit GROUP_BYTES. A
-group draws and sorts each of its trials' path sets once and factors them
-into one stacked L x P path core, with one more row for the estimated path
-set of each point that has an angle error. Points with one seed key for a
-method share its design, made at the key's sweep value, and each design
-gathers its true and its estimated row from that stack; a method's designs
-that all sit on one row read it in place. Each method takes one batch over
-the group's designs: its optimizer runs as one stack
-(`passive_bf.optimize_*_stack`), then the stacked digital stage (SVD,
-precoder and combiner, condition number, the digital rate of every point
-that shares the design at its own power, and hybrid targets). The group's
-hybrid jobs, one per design and RF chain count, take one more batch: one
-`hybrid_factorize` call for every slot of one (N, n_rf) shape, precoders
-and combiners alike (one call per RF chain count when both sides have the
-same antenna and RF chain counts), and one stacked rate on the true cores
-per RF chain count. Each analog start holds the scaled steering vectors of
-the design's strongest estimated paths, whose span holds its targets, then
-random chains from the method generator, which the points of a seed key
-share. A precoder is factored at its design's power; each point that shares
-it rescales the digital stage to its own power. `_batched` runs every batch
-and, on a numerical failure, reruns each item alone on its rows from its
-saved generator state. A point's values do not depend on its group, so the
-CSV is the same for any grouping, serial or parallel. `_run_trial` is a
-group of one point.
+A run specializes the config once per sweep value (`_specialize`) and runs
+its points, (sweep index, trial index) pairs, in groups that share a
+geometry and stream count (`_groups`). A group factors its path sets into
+one stacked path core (`_stacks`), and the points with one seed key for a
+method share its design. Each method's designs take one batch, which gives
+one design table (`_designs`): arrays with a leading design axis, and the
+digital rate of every point that shares a design. The group's hybrid jobs,
+index rows (design, RF chain count) into the table of all its designs,
+take one more batch (`_hybrid_rates`). `_batched` runs every batch and, on
+a numerical failure, reruns each item alone from its saved generator
+state. A group gives per-trial arrays over its points (`_run_group`);
+`_run_trials` scatters them into (sweep value, method, mode, trial) arrays,
+whose rows `run_sweep` reduces to CSV rows. A point's values do not depend
+on its group, so the CSV is the same for any grouping, serial or parallel.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from copy import deepcopy
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import accumulate
-from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
@@ -179,6 +166,17 @@ class ExperimentConfig:
             raise ConfigError("methods must not repeat")
         if self.n_streams > min(self.p_paths, self.l_paths):
             raise ConfigError("n_streams must not exceed min(p_paths, l_paths)")
+        try:
+            finite = all(0.0 < gain < math.inf for gain in self.gains)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError("tx_gain_dbi and rx_gain_dbi must give a positive, finite amplitude")
+
+    @property
+    def gains(self) -> tuple[float, float]:
+        """The linear amplitudes of the transmit and receive antenna gains."""
+        return dbi_to_amplitude(self.tx_gain_dbi), dbi_to_amplitude(self.rx_gain_dbi)
 
     @property
     def bs_lis_distance(self) -> float:
@@ -314,24 +312,12 @@ def load_config(path) -> ExperimentConfig:
             precoding=raw.get("precoding", base.precoding),
             descent=descent)
         _specialize(cfg)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 
 
 # -- sweep execution --------------------------------------------------------
-
-@dataclass(frozen=True)
-class _TrialRecord:
-    method: str
-    precoding: str
-    se: float
-    cond: float
-    offdiag: float
-    iters: float
-    wall_ms: float
-    failed: bool = False
-
 
 def _apply_sweep(cfg: ExperimentConfig, value: float) -> tuple[ExperimentConfig, float]:
     """Specialize the config for one sweep value; returns (config, angle error rad)."""
@@ -443,27 +429,26 @@ def _draw_point(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, floa
 @dataclass(frozen=True)
 class _Group:
     """One method's designs in a group: the point each is made at, the
-    transmit powers of the points that share it, and its rows of the
-    group's stacked path cores."""
+    group's points that share it and their transmit powers, and its rows of
+    the group's stacked path cores."""
 
     points: list[_Point]
+    sharers: list[list[int]]
     powers: list[list[float]]
     true: PathCore      # of the true path sets
     est: PathCore       # of the estimated path sets; `true` when no point has an error
     erred: np.ndarray   # (T,) bool, the designs with an angle error
 
     def __getitem__(self, rows: slice) -> _Group:
-        return _Group(self.points[rows], self.powers[rows], self.true[rows], self.est[rows],
-                      self.erred[rows])
+        return _Group(self.points[rows], self.sharers[rows], self.powers[rows], self.true[rows],
+                      self.est[rows], self.erred[rows])
 
 
 def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
-            points: list[_Point],
-            trials: dict[int, PathSet]) -> dict[str, tuple[list[list[int]], _Group]]:
+            points: list[_Point], trials: dict[int, PathSet]) -> dict[str, _Group]:
     """Each method's designs in the group of `points`, whose true path sets
-    are among `trials` (trial index -> path set): the points that share each
-    design, and the designs' group. Each design is made at its first point,
-    specialized by `specs` for the sweep value of its seed key.
+    are among `trials` (trial index -> path set). Each design is made at its
+    first point, specialized by `specs` for the sweep value of its seed key.
 
     One `path_core` call factors each trial's path set and the estimated
     path set of each point with an angle error. Each method's designs then
@@ -482,8 +467,7 @@ def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], 
         if point.est_paths is not point.paths:
             est_rows[i] = len(paths)
             paths.append(point.est_paths)
-    gains = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
-    core = path_core(paths, points[0].cfg.geometry, *gains)
+    core = path_core(paths, points[0].cfg.geometry, *cfg.gains)
     stacks, gathered = {}, {}
     for method in cfg.methods:
         by_key: dict[tuple[int, int], list[int]] = {}   # the points of each seed key
@@ -496,11 +480,11 @@ def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], 
             true = core[[true_rows[i] for i in firsts]]
             est = core[[est_rows[i] for i in firsts]] if erred.any() else true
             gathered[firsts] = true, est, erred
-        stacks[method] = sharers, _Group(
+        stacks[method] = _Group(
             [points[i] if key == points[i].index
              else replace(points[i], cfg=specs[key[0]][0], index=key)
              for key, i in zip(by_key, firsts)],
-            [[points[i].cfg.budget.tx_power for i in rows] for rows in sharers],
+            sharers, [[points[i].cfg.budget.tx_power for i in rows] for rows in sharers],
             *gathered[firsts])
     return stacks
 
@@ -516,7 +500,7 @@ def _passive_beamforming(method: str, group: _Group,
     points, core = group.points, group.est
     rngs = [p.rngs[method] for p in points]
     if method == "tsvd":
-        gains = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
+        gains = cfg.gains
         weights = np.stack([stream_weights(p.est_paths, p.cfg.budget, p.cfg.n_streams,
                                            *gains) for p in points])
         surrogate = optimize_tsvd_stack(core, weights, cfg.descent, rngs)
@@ -527,76 +511,80 @@ def _passive_beamforming(method: str, group: _Group,
         result = optimize_spgm_stack(core, cfg.descent, rngs)
         phases, iters = result.points, result.iters
     else:
-        phases = np.stack([random_phases(rng, core.m).entries for rng in rngs])
+        phases = np.stack([random_phases(rng, core.m) for rng in rngs])
         iters = np.zeros(len(points))
     return phases, np.asarray(iters, dtype=float)
 
 
-def _batched(run, rngs: list[np.random.Generator]) -> list[tuple[object, float]]:
-    """(result, or None on failure; ms) per item of `run(slice(None))`.
+def _batched(run, rngs: list[np.random.Generator]) -> tuple[list, np.ndarray, np.ndarray]:
+    """The results of `run` that succeeded, and each item's success and ms.
 
-    `run` maps a slice of the items to one result each, and item i draws
+    `run` maps a slice of the items to one result for them, and item i draws
     only from rngs[i]. The batch runs once and each item is charged an
     equal share of its time. If it meets a numerical failure, each item
     runs alone, on its own slice, from the state its generator had before
-    the batch, so only a failing item counts the error.
+    the batch, so only a failing item counts the error; the results are
+    then those of the items that succeeded, in order.
     """
     states = [rng.bit_generator.state for rng in rngs]
     start = perf_counter()
     try:
-        found = run(slice(None))
+        found = [run(slice(None))]
     except NUMERICAL_FAILURES:
-        found = None
-    share_ms = _elapsed_ms(start) / len(rngs)
-    if found is not None:
-        return [(f, share_ms) for f in found]
-    out = []
+        found = []
+    ms = np.full(len(rngs), (perf_counter() - start) * 1e3 / len(rngs))
+    ok = np.full(len(rngs), bool(found))
+    if found:
+        return found, ok, ms
     for i, (rng, state) in enumerate(zip(rngs, states)):
         start = perf_counter()
         rng.bit_generator.state = state
         try:
-            alone = run(slice(i, i + 1))[0]
+            found.append(run(slice(i, i + 1)))
+            ok[i] = True
         except NUMERICAL_FAILURES:
-            alone = None
-        out.append((alone, share_ms + _elapsed_ms(start)))
-    return out
-
-
-def _elapsed_ms(start: float) -> float:
-    return (perf_counter() - start) * 1e3
-
-
-def _split(values: np.ndarray, counts: list[int]) -> list[np.ndarray]:
-    """`values` cut into consecutive runs of `counts` entries, as views (a
-    slice per run costs less than np.split's per-run overhead)."""
-    return [values[end - n:end] for n, end in zip(counts, accumulate(counts))]
+            pass
+        ms[i] += (perf_counter() - start) * 1e3
+    return found, ok, ms
 
 
 @dataclass(frozen=True)
-class _Design:
-    """One method's design at one seed key: the values of its points'
-    digital rows and what their hybrid rows need."""
+class _Designs:
+    """Designs in path-core coordinates, as arrays with a leading design
+    axis, and the digital rate of each point that shares one of them."""
 
-    se: np.ndarray        # digital rate of each point that shares the design
-    cond: float
-    offdiag: float
-    iters: float
-    power: float          # transmit power of the design's point
-    f_target: np.ndarray  # Q_b V_c scaled to `power`, N_t x N_s
-    w_target: np.ndarray  # Q_u U_c, N_r x N_s
-    q_u: np.ndarray       # the true channel Q_u core Q_b^H: N_r x L',
-    core: np.ndarray      # L' x P' at the design's phases,
-    q_b: np.ndarray       # and N_t x P'
+    se: np.ndarray        # (n,) digital rate of each sharing point, design by design
+    owner: np.ndarray     # (n,) the design of each rate
+    point: np.ndarray     # (n,) the group's point of each rate
+    cond: np.ndarray      # (D,)
+    offdiag: np.ndarray   # (D,)
+    iters: np.ndarray     # (D,)
+    power: np.ndarray     # (D,) transmit power of the design's point
+    f_target: np.ndarray  # (D, N_t, N_s) Q_b V_c scaled to `power`
+    w_target: np.ndarray  # (D, N_r, N_s) Q_u U_c
+    q_u: np.ndarray       # the true channel Q_u core Q_b^H: (D, N_r, L'),
+    core: np.ndarray      # (D, L', P') at the design's phases,
+    q_b: np.ndarray       # and (D, N_t, P')
 
 
-def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> list[_Design]:
-    """Each design with `method`, in path-core coordinates, as one stack
-    over the group's rows.
+def _concat(tables: list[_Designs]) -> _Designs:
+    """The designs of `tables`, in order, as one table."""
+    if len(tables) == 1:
+        return tables[0]
+    joined = {f.name: np.concatenate([getattr(t, f.name) for t in tables])
+              for f in fields(_Designs)}
+    starts = accumulate([len(t.power) for t in tables], initial=0)
+    joined["owner"] = np.concatenate([t.owner + k for t, k in zip(tables, starts)])
+    return _Designs(**joined)
+
+
+def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> _Designs:
+    """The table of the group's designs with `method`, made as one stack.
 
     The precoder and combiner come from the SVD of the estimated core and
     live in the column spaces Q_b, Q_u of the estimated steering matrices;
     the hybrid targets are their lifts, the precoder's at the design's
-    power. The digital rate, one for each point that shares the design at
+    power. The digital rate, one for each point that shares a design at
     that point's power, is that of the true core written in those bases,
     (Q_u^est^H Q_u) core (Q_b^H Q_b^est), and the condition number that of
     the true core.
@@ -622,127 +610,110 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> list[_Design]
         to_b = true.q_b[erred].conj().swapaxes(1, 2) @ est.q_b[erred]
         c_seen[erred] = to_u @ c_true[erred] @ to_b
         sigma[erred] = np.linalg.svd(c_true[erred], compute_uv=False)[:, :n_streams]
-    cond = truncated_condition_number(c_true, n_streams, sigma)
-    offdiag = offdiag_ratio(x_true, n_streams)
-    counts = [len(powers) for powers in group.powers]
-    shared = np.repeat(np.arange(len(points)), counts)
-    f_each = digital_precoder(replace(svd, v1=svd.v1[shared]), np.concatenate(group.powers))
-    se = spectral_efficiency(c_seen[shared], f_each, w_core[shared], run_cfg.budget.noise_power)
+    owner = np.repeat(np.arange(len(points)), [len(powers) for powers in group.powers])
+    f_each = digital_precoder(replace(svd, v1=svd.v1[owner]), np.concatenate(group.powers))
     power = np.array([p.cfg.budget.tx_power for p in points])
-    return [_Design(*row) for row in zip(_split(se, counts), cond, offdiag,
-                                         iters, power, est.q_b @ digital_precoder(svd, power),
-                                         est.q_u @ w_core, true.q_u, c_true, true.q_b)]
+    return _Designs(
+        se=spectral_efficiency(c_seen[owner], f_each, w_core[owner], run_cfg.budget.noise_power),
+        owner=owner, point=np.concatenate(group.sharers),
+        cond=truncated_condition_number(c_true, n_streams, sigma),
+        offdiag=offdiag_ratio(x_true, n_streams), iters=iters, power=power,
+        f_target=est.q_b @ digital_precoder(svd, power), w_target=est.q_u @ w_core,
+        q_u=true.q_u, core=c_true, q_b=true.q_b)
 
 
-def _analog_starts(points: list[_Point],
-                   jobs: list[tuple[list[int], np.random.Generator, _Design]]) -> list[np.ndarray]:
-    """Each job's analog starts (K x N x n_rf), precoders then combiners:
-    sqrt(N) times the steering vectors of its points' strongest min(n_rf, P)
-    estimated paths, then uniform random chains drawn from the job's own
-    generator, its precoder's before its combiner's. The jobs share their
-    RF chain counts."""
-    run_cfg = points[jobs[0][0][0]].cfg
-    geometry = run_cfg.geometry
-    est = [points[rows[0]].est_paths for rows, _, _ in jobs]
-    sides = ((geometry.n_tx, run_cfg.n_rf_tx, np.stack([p.bs_lis_aod for p in est])),
-             (geometry.n_rx, run_cfg.n_rf_rx, np.stack([p.lis_ue_aoa for p in est])))
-    starts = []
-    for n, n_rf, angles in sides:
-        steering = math.sqrt(n) * ula_responses(angles[:, :n_rf], n, geometry.spacing_ratio)
-        shape = (max(n_rf - angles.shape[1], 0), n)
-        chains = np.stack([np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape))
-                           for _, rng, _ in jobs])
-        starts.append(np.concatenate([steering, chains], axis=1).swapaxes(1, 2))
-    return starts
+def _hybrid_rates(points: list[_Point], table: _Designs, jobs: np.ndarray, job_of: np.ndarray,
+                  rngs: list[np.random.Generator], sel: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The rates of `table` whose job (`job_of`) is one of jobs[sel], and
+    their spectral efficiency with their job's hybrid precoder and combiner.
 
-
-def _hybrid_rates(points: list[_Point],
-                  jobs: list[tuple[list[int], np.random.Generator, _Design]]) -> list[np.ndarray]:
-    """The spectral efficiency of each job's points with their hybrid
-    precoders and combiners.
-
-    A job is a design and the points that share it at one RF chain count.
-    Every slot of one (N, n_rf) shape, precoders and combiners alike, takes
-    one hybrid_factorize call from the starts of `_analog_starts`, each
-    precoder normalized to its design's transmit power (a slot's result does
-    not depend on its stack); so a config with as many receive as transmit
-    antennas and RF chains takes one call per RF chain count. The jobs of
-    each RF chain count then take one stacked rate on the true cores. Each
-    point rescales its job's digital precoder to its own transmit power: the
-    factorization is scale-equivariant, so this is the precoder factored at
-    that power, up to rounding. The jobs share their noise power and descent
-    settings.
+    A job, a row (design, RF chain count, first point) of `jobs`, is a
+    design and the points that share it at one RF chain count. Its analog
+    starts, precoder and combiner, hold sqrt(N) times the steering vectors
+    of the strongest min(n_rf, P) estimated paths of its first point, then
+    random chains from its generator rngs[job]. Every slot of one (N, n_rf)
+    shape, precoders and combiners alike, takes one hybrid_factorize call,
+    each precoder normalized to its design's power (a slot's result does not
+    depend on its stack), and each RF chain count one stacked rate on the
+    true cores. Each point rescales its job's digital precoder to its own
+    power: the factorization is scale-equivariant, so this is the precoder
+    factored at that power, up to rounding.
     """
-    by_rf: dict[tuple[int, int], list[int]] = {}
-    for k, (rows, _, _) in enumerate(jobs):
-        run_cfg = points[rows[0]].cfg
-        by_rf.setdefault((run_cfg.n_rf_tx, run_cfg.n_rf_rx), []).append(k)
+    ids = np.arange(len(jobs))[sel]
+    entries = np.flatnonzero((ids[0] <= job_of) & (job_of <= ids[-1]))
+    count_of = jobs[job_of[entries], 1]   # the RF chain count of each rate
     by_shape: dict[tuple[int, int], tuple[list, list, list]] = {}  # targets, starts, norms
-    places = []   # per RF chain count, the (shape, slice) of its precoders and combiners
-    for ks in by_rf.values():
-        designs = [jobs[k][2] for k in ks]
-        sides = (([d.f_target for d in designs], [d.power for d in designs]),
-                 ([d.w_target for d in designs], [None] * len(ks)))
+    places = []   # per RF chain count, its jobs and the places of their slots
+    for count in sorted(set(jobs[ids, 1].tolist())):
+        ks = ids[jobs[ids, 1] == count]
+        designs, run_cfg = jobs[ks, 0], points[jobs[ks[0], 2]].cfg
+        geometry, est = run_cfg.geometry, [points[i].est_paths for i in jobs[ks, 2]]
         place = []
-        for start, (targets, norms) in zip(_analog_starts(points, [jobs[k] for k in ks]),
-                                           sides):
+        for n, n_rf, angles, targets, norms in (
+                (geometry.n_tx, run_cfg.n_rf_tx, [p.bs_lis_aod for p in est],
+                 table.f_target[designs], table.power[designs].tolist()),
+                (geometry.n_rx, run_cfg.n_rf_rx, [p.lis_ue_aoa for p in est],
+                 table.w_target[designs], [None] * len(ks))):
+            angles = np.stack(angles)[:, :n_rf]
+            steering = math.sqrt(n) * ula_responses(angles, n, geometry.spacing_ratio)
+            chains = [np.exp(1j * rngs[k].uniform(0.0, 2.0 * np.pi, (n_rf - angles.shape[1], n)))
+                      for k in ks]
+            start = np.concatenate([steering, np.stack(chains)], axis=1).swapaxes(1, 2)
             batch = by_shape.setdefault(start.shape[1:], ([], [], []))
             place.append((start.shape[1:], slice(len(batch[2]), len(batch[2]) + len(ks))))
-            batch[0].extend(targets)
+            batch[0].append(targets)
             batch[1].append(start)
             batch[2].extend(norms)
-        places.append(place)
-    descent = points[0].cfg.descent
-    factored = {shape: hybrid_factorize(np.stack(targets), np.concatenate(starts), descent,
-                                        norms)
+        places.append((count, ks, place))
+    run_cfg = points[0].cfg
+    factored = {shape: hybrid_factorize(np.concatenate(targets), np.concatenate(starts),
+                                        run_cfg.descent, norms)
                 for shape, (targets, starts, norms) in by_shape.items()}
-    rates: list[np.ndarray] = [None] * len(jobs)
-    for ks, ((f_shape, f_at), (w_shape, w_at)) in zip(by_rf.values(), places):
-        sharers, _, designs = zip(*[jobs[k] for k in ks])
-        run_cfg = points[sharers[0][0]].cfg
+    rates = np.empty(len(entries))
+    for count, ks, ((f_shape, f_at), (w_shape, w_at)) in places:
         f_rf, f_bb = (a[f_at] for a in factored[f_shape])
         w_rf, w_bb = (a[w_at] for a in factored[w_shape])
-        counts = [len(rows) for rows in sharers]
-        slot = np.repeat(np.arange(len(ks)), counts)
-        scale = np.sqrt([points[i].cfg.budget.tx_power / d.power
-                         for rows, d in zip(sharers, designs) for i in rows])
-        q_u, core, q_b = (np.stack([getattr(d, name) for d in designs])[slot]
-                          for name in ("q_u", "core", "q_b"))
-        se = spectral_efficiency(core, f_rf[slot] @ (f_bb[slot] * scale[:, None, None]),
-                                 (w_rf @ w_bb)[slot], run_cfg.budget.noise_power,
-                                 bases=(q_u, q_b))
-        for k, part in zip(ks, _split(se, counts)):
-            rates[k] = part
-    return rates
+        mine = np.flatnonzero(count_of == count)
+        slot, design = np.searchsorted(ks, job_of[entries[mine]]), table.owner[entries[mine]]
+        scale = np.sqrt(np.array([points[i].cfg.budget.tx_power
+                                  for i in table.point[entries[mine]]]) / table.power[design])
+        rates[mine] = spectral_efficiency(
+            table.core[design], f_rf[slot] @ (f_bb[slot] * scale[:, None, None]),
+            (w_rf @ w_bb)[slot], run_cfg.budget.noise_power,
+            bases=(table.q_u[design], table.q_b[design]))
+    return entries, rates
 
 
-def _record(method: str, mode: str, design: _Design | None, se: float | None,
-            wall_ms: float) -> _TrialRecord:
-    """A row's record for one point: a failed one without a rate."""
-    if se is None:
-        return _TrialRecord(method, mode, math.nan, math.nan, math.nan, math.nan, wall_ms,
-                            failed=True)
-    return _TrialRecord(method, mode, se, design.cond, design.offdiag, design.iters, wall_ms)
+@dataclass(frozen=True)
+class _Trials:
+    """Per-trial values, one entry per point, method and mode: arrays (n, M,
+    K) over a group's tasks, or (V, M, K, T) over a run's sweep values and
+    trials. A failed entry has NaN values apart from its wall time."""
+
+    rate: np.ndarray
+    cond: np.ndarray
+    offdiag: np.ndarray
+    iters: np.ndarray
+    wall_ms: np.ndarray
+    failed: np.ndarray
+
+
+def _modes(cfg: ExperimentConfig) -> tuple[str, ...]:
+    return ("digital", "hybrid") if cfg.precoding == "both" else (cfg.precoding,)
 
 
 def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
-               tasks: list[tuple[int, int]]) -> list[list[_TrialRecord]]:
-    """Records of each (sweep index, trial index) task of one group, at
-    its sweep value's specialization in `specs` (`_specialize`).
+               tasks: list[tuple[int, int]]) -> _Trials:
+    """The values of each (sweep index, trial index) task of one group, at
+    its sweep value's specialization in `specs`: arrays (tasks, methods, modes).
 
-    The tasks' specialized configs share a geometry and stream count, so
-    their path cores stack. Each trial's path set is drawn once, and for
-    each method the points of one seed key share one design: each method's
-    designs run as one batch over its seed keys, then every hybrid job of
-    the group, one per design and RF chain count, as one batch. The points
-    of a seed key share its generator. A job draws its chains at the state
-    the design left that generator in: the first RF chain count of a design
-    from the generator itself, any other from a copy of that state. A
-    digital row's wall time is its design's share of its method's batch,
-    split evenly among the points that share it, a hybrid row's that plus
-    its job's share of the hybrid batch, split likewise. A method that fails
-    on a design fails its points' rows in every mode, and a failed job its
-    points' hybrid rows.
+    A design's first hybrid job draws from the generator the design drew
+    from, at the state the design left it in, any other from a copy of that
+    state. A digital entry's wall time is its design's share of its
+    method's batch, split evenly among the points that share it, a hybrid
+    entry's that plus its job's share of the hybrid batch, split likewise.
+    A failed design fails its points' entries in every mode, and a failed
+    job its points' hybrid entries.
     """
     trials: dict[int, PathSet] = {}   # each trial's true path set
     generators = {}                   # each (method, seed key)'s generator
@@ -752,47 +723,52 @@ def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float
                                   generators))
         trials.setdefault(trial_idx, points[-1].paths)
     stacks = _stacks(cfg, specs, points, trials)
-    modes = ("digital", "hybrid") if cfg.precoding == "both" else (cfg.precoding,)
-    records: list[list[_TrialRecord]] = [[] for _ in points]
-    jobs, owners = [], []   # (points, generator, design) and (method, ms per point)
-    for method in cfg.methods:
-        sharers, group = stacks[method]
-        found = _batched(lambda sel: _designs(method, group[sel], cfg),
-                         [p.rngs[method] for p in group.points])
-        for rows, (design, ms) in zip(sharers, found):
-            ms /= len(rows)
-            if design is None:
-                for i in rows:
-                    records[i] += [_record(method, mode, None, None, ms) for mode in modes]
-                continue
-            if "digital" in modes:
-                for i, se in zip(rows, design.se):
-                    records[i].append(_record(method, "digital", design, se, ms))
-            if "hybrid" not in modes:
-                continue
-            designed = points[rows[0]].rngs[method]   # the generator the design drew from
-            by_rf: dict[tuple[int, int], list[int]] = {}
-            for i in rows:
-                by_rf.setdefault((points[i].cfg.n_rf_tx, points[i].cfg.n_rf_rx), []).append(i)
-            for n, same_rf in enumerate(by_rf.values()):
-                rng = designed
-                if n:   # another RF chain count draws from its own copy of that state
-                    rng = np.random.default_rng(0)
-                    rng.bit_generator.state = designed.bit_generator.state
-                jobs.append((same_rf, rng, design))
-                owners.append((method, ms))
-    rates = _batched(lambda sel: _hybrid_rates(points, jobs[sel]),
-                     [rng for _, rng, _ in jobs]) if jobs else []
-    for (rows, _, design), (method, ms), (se, hybrid_ms) in zip(jobs, owners, rates):
-        for i, point_se in zip(rows, [None] * len(rows) if se is None else se):
-            records[i].append(_record(method, "hybrid", design, point_se,
-                                      ms + hybrid_ms / len(rows)))
-    return records
-
-
-def _run_trial(cfg: ExperimentConfig, sweep_idx: int, trial_idx: int) -> list[_TrialRecord]:
-    """One channel draw, every method on it: a group of one point."""
-    return _run_group(cfg, _specialize(cfg), [(sweep_idx, trial_idx)])[0]
+    modes = _modes(cfg)
+    shape = (len(points), len(cfg.methods), len(modes))
+    out = _Trials(*np.full((5,) + shape, math.nan), np.zeros(shape, dtype=bool))
+    tables, methods, rngs = [], [], []   # for the hybrid jobs: each design's method, generator
+    for m, method in enumerate(cfg.methods):
+        group = stacks[method]
+        found, ok, ms = _batched(lambda sel: _designs(method, group[sel], cfg),
+                                 [p.rngs[method] for p in group.points])
+        counts = np.array([len(rows) for rows in group.sharers])
+        owner = np.repeat(np.arange(len(counts)), counts)
+        at = np.concatenate(group.sharers)
+        out.wall_ms[at, m] = (ms / counts)[owner, None]
+        out.failed[at, m] = ~ok[owner, None]
+        for table in found:
+            out.cond[table.point, m] = table.cond[table.owner, None]
+            out.offdiag[table.point, m] = table.offdiag[table.owner, None]
+            out.iters[table.point, m] = table.iters[table.owner, None]
+            if modes[0] == "digital":
+                out.rate[table.point, m, 0] = table.se
+        if modes[-1] == "hybrid":
+            tables += found
+            methods += [m] * int(ok.sum())
+            rngs += [group.points[d].rngs[method] for d in np.flatnonzero(ok)]
+    if not tables:
+        return out
+    table = _concat(tables)
+    at, m = table.point, np.array(methods)[table.owner]
+    rf_index: dict[tuple[int, int], int] = {}   # each RF chain count's index
+    rf = np.array([rf_index.setdefault((p.cfg.n_rf_tx, p.cfg.n_rf_rx), len(rf_index))
+                   for p in points])
+    # a job per design and RF chain count of its points: (design, count, first point)
+    keys, firsts, job_of = np.unique(table.owner * len(points) + rf[at], return_index=True,
+                                     return_inverse=True)
+    jobs = np.column_stack([*np.divmod(keys, len(points)), at[firsts]])
+    job_rngs = [rngs[d] if new else deepcopy(rngs[d])
+                for d, new in zip(jobs[:, 0], np.diff(jobs[:, 0], prepend=-1) != 0)]
+    found, ok, ms = _batched(partial(_hybrid_rates, points, table, jobs, job_of, job_rngs),
+                             job_rngs)
+    k, failed = len(modes) - 1, ~ok[job_of]
+    out.wall_ms[at, m, k] += (ms / np.bincount(job_of))[job_of]
+    for values in (out.cond, out.offdiag, out.iters):
+        values[at[failed], m[failed], k] = math.nan
+    out.failed[at[failed], m[failed], k] = True
+    for entries, rates in found:
+        out.rate[at[entries], m[entries], k] = rates
+    return out
 
 
 def _groups(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
@@ -828,15 +804,11 @@ def _groups(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], 
     return groups
 
 
-def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepResult:
-    """Execute the configured sweep; deterministic for fixed config + seed.
-
-    The result does not depend on `parallel` or on how the points are
-    grouped: every point's values equal those of its one-point group.
-
-    Raises ConfigError if `parallel` is below 1 or a sweep value is bad,
-    as `load_config` does, before any trial runs.
-    """
+def _run_trials(cfg: ExperimentConfig, parallel: int = 1) -> _Trials:
+    """The values of every point of the configured sweep: arrays (sweep
+    values, methods, modes, trials), each group's scattered into place.
+    Raises ConfigError if `parallel` is below 1 or a sweep value is bad, as
+    `load_config` does, before any trial runs."""
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, not {parallel}")
     specs = _specialize(cfg)
@@ -850,58 +822,63 @@ def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepResult:
                                       groups, chunksize=1))
     else:
         per_group = [_run_group(cfg, specs, group) for group in groups]
-    by_task = {task: records for group, found in zip(groups, per_group)
-               for task, records in zip(group, found)}
-
-    grouped: dict[tuple[int, str, str], list[_TrialRecord]] = {}
-    for task in tasks:
-        for rec in by_task[task]:
-            grouped.setdefault((task[0], rec.method, rec.precoding), []).append(rec)
-
-    modes = ("digital", "hybrid") if cfg.precoding == "both" else (cfg.precoding,)
-    keys = [(si, method, mode) for si in range(len(cfg.sweep_values))
-            for method in cfg.methods for mode in modes]
-    return SweepResult(rows=_sweep_rows(
-        [(cfg.sweep_values[si], method, mode) for si, method, mode in keys],
-        [grouped.get(key, []) for key in keys]))
+    shape = (len(specs), len(cfg.methods), len(_modes(cfg)), cfg.trials)
+    run = _Trials(*np.empty((5,) + shape), np.empty(shape, dtype=bool))
+    for group, found in zip(groups, per_group):
+        si, ti = np.array(group).T
+        for f in fields(_Trials):
+            getattr(run, f.name)[si, :, :, ti] = getattr(found, f.name)
+    return run
 
 
-def _row_stats(samples: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
-    """The mean and population std of each list of `samples`, NaN for an empty one.
+def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepResult:
+    """Execute the configured sweep; deterministic for fixed config + seed.
 
-    The lists of one length are reduced as the rows of one C-ordered array:
-    numpy sums each row pairwise along its contiguous axis, as it sums the
-    list alone, so each mean and std has the bits of np.mean and np.std of
-    its list (a transposed layout sums sequentially and moves last bits).
+    Reduces `_run_trials` to one row per (sweep value, method, mode), and
+    raises ConfigError as it does. The result does not depend on `parallel`
+    or on how the points are grouped.
     """
-    mean, std = np.full(len(samples), math.nan), np.full(len(samples), math.nan)
-    by_length: dict[int, list[int]] = {}
-    for i, values in enumerate(samples):
-        if values:
-            by_length.setdefault(len(values), []).append(i)
-    for rows in by_length.values():
-        block = np.array([samples[i] for i in rows], dtype=float)
-        mean[rows], std[rows] = block.mean(axis=1), block.std(axis=1)
+    cells = [(value, method, mode) for value in cfg.sweep_values
+             for method in cfg.methods for mode in _modes(cfg)]
+    return SweepResult(rows=_sweep_rows(cells, _run_trials(cfg, parallel)))
+
+
+def _row_stats(values: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and population std of the kept entries of each row of each
+    of `values` (k, rows, n), by `keep` (rows, n); NaN for a row that keeps
+    none.
+
+    The rows that keep one count of entries are reduced as the rows of one
+    C-ordered 2-D array: numpy sums each row pairwise along its contiguous
+    axis, as it sums the row's kept entries alone, so each mean and std has
+    the bits of np.mean and np.std of them (a transposed layout sums
+    sequentially and moves last bits, and so does a 3-D layout).
+    """
+    mean, std = np.full(values.shape[:2], math.nan), np.full(values.shape[:2], math.nan)
+    counts = keep.sum(axis=1)
+    for count in set(counts.tolist()) - {0}:
+        rows = np.flatnonzero(counts == count)
+        block = np.ascontiguousarray(values[:, rows][:, keep[rows]]).reshape(-1, count)
+        mean[:, rows] = block.mean(axis=1).reshape(len(values), -1)
+        std[:, rows] = block.std(axis=1).reshape(len(values), -1)
     return mean, std
 
 
-def _sweep_rows(cells: list[tuple[float, str, str]],
-                records: list[list[_TrialRecord]]) -> tuple[SweepRow, ...]:
-    """One CSV row per (sweep value, method, mode) cell from its records: the
-    mean and std of the rates of its good records and the means of their
-    condition numbers, off-diagonal ratios and iterations (NaN without a good
-    record), its count of failed records and the mean wall time of all."""
-    good = [[r for r in recs if not r.failed] for recs in records]
-    se, std_se = _row_stats([[r.se for r in g] for g in good])
-    cond, offdiag, iters = (_row_stats([[getattr(r, name) for r in g] for g in good])[0]
-                            for name in ("cond", "offdiag", "iters"))
-    wall = _row_stats([[r.wall_ms for r in recs] for recs in records])[0]
-    return tuple(
-        SweepRow(sweep_value=value, method=method, precoding=mode,
-                 mean_se=float(se[k]), std_se=float(std_se[k]), mean_cond=float(cond[k]),
-                 mean_offdiag=float(offdiag[k]), mean_iters=float(iters[k]),
-                 errors=len(records[k]) - len(good[k]), wall_ms=float(wall[k]))
-        for k, (value, method, mode) in enumerate(cells))
+def _sweep_rows(cells: list[tuple[float, str, str]], trials: _Trials) -> tuple[SweepRow, ...]:
+    """One CSV row per (sweep value, method, mode) cell from its entries of
+    `trials`, one row of each array with its leading axes flattened: the
+    mean and std of its good rates and the means of their condition
+    numbers, off-diagonal ratios and iterations (NaN without a good entry),
+    its count of failed entries and the mean wall time of all."""
+    good = ~trials.failed.reshape(len(cells), -1)
+    values = np.stack([trials.rate, trials.cond, trials.offdiag, trials.iters])
+    (se, cond, offdiag, iters), (std_se, *_) = _row_stats(values.reshape(4, len(cells), -1),
+                                                          good)
+    wall = _row_stats(trials.wall_ms.reshape(1, len(cells), -1), np.ones_like(good))[0][0]
+    errors = (~good).sum(axis=1)
+    return tuple(SweepRow(*cell, *stats) for cell, *stats in zip(
+        cells, se.tolist(), std_se.tolist(), cond.tolist(), offdiag.tolist(), iters.tolist(),
+        errors.tolist(), wall.tolist()))
 
 
 def emit_csv(result: SweepResult, path) -> None:

@@ -145,11 +145,11 @@ def _rate_stack(n_streams: int, data, v: np.ndarray):
     return -np.sum(np.log2(1.0 + gain), axis=1), gradient
 
 
-def random_phases(rng: np.random.Generator, m: int) -> PhaseVector:
-    """Unit-modulus vector with independent Uniform(0, 2pi) phases."""
+def random_phases(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Unit-modulus (m,) vector with independent Uniform(0, 2pi) phases."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return PhaseVector(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m)))
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
 
 
 def stream_weights(paths: PathSet, budget: LinkBudget, n_streams: int,
@@ -181,7 +181,7 @@ def optimize_tsvd_stack(core: PathCore, weights: np.ndarray, cfg: DescentConfig,
                         rngs: Sequence[np.random.Generator]) -> StackDescent:
     """`optimize_tsvd` for each row of `core`, of `weights` (T, N_s) and of `rngs`."""
     evaluate, data = tsvd_objective(core, weights)
-    v0 = np.stack([random_phases(rng, core.m).entries for rng in rngs])
+    v0 = np.stack([random_phases(rng, core.m) for rng in rngs])
     return ccm_descent_stack(evaluate, data, v0, cfg)
 
 
@@ -262,7 +262,7 @@ def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
 
     Raises FloatingPointError if a gain is not finite.
     """
-    w = np.stack([random_phases(rng, core.m).entries for rng in rngs])
+    w = np.stack([random_phases(rng, core.m) for rng in rngs])
     data = full = _spgm_data(core)
     c, gain = _spgm_gains(data, w)
     if not np.isfinite(gain).all():

@@ -69,7 +69,7 @@ def test_criterion_1_gradient_correctness():
         evaluate, data = tsvd_objective(
             path_core([paths], geometry),
             stream_weights(paths, DESK_BUDGET, 2, TX_GAIN)[None])
-        v = random_phases(rng, geometry.m).entries
+        v = random_phases(rng, geometry.m)
         worst = max(worst, max_fd_error(evaluate, data, v[None]))
         path_sets.append(paths)
     # the exact rate, as its descent evaluates it, and the sum-path gain,
@@ -80,9 +80,9 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(99)
     for group in range(0, len(path_sets), 4):
         stack = path_core(path_sets[group:group + 4], geometry, TX_GAIN, 30.0)
-        v = np.stack([random_phases(rng, geometry.m).entries for _ in range(4)])
+        v = np.stack([random_phases(rng, geometry.m) for _ in range(4)])
         worst = max(worst, max_fd_error(*rate_objective(stack, [DESK_BUDGET] * 4, 2), v))
-        w = np.stack([random_phases(rng, geometry.m).entries for _ in range(4)])
+        w = np.stack([random_phases(rng, geometry.m) for _ in range(4)])
         worst = max(worst, max_fd_error(spgm_evaluate, _spgm_data(stack), w))
     ok = worst < 1e-5
     _report(1, ok, f"max relative gradient error {worst:.3e} (tolerance 1e-5)")
@@ -143,19 +143,20 @@ def test_criterion_4_method_ordering():
 
 def test_criterion_5_condition_number_trend():
     from dataclasses import replace
-    from lisim.harness import _run_trial
+    from lisim.harness import _run_group, _specialize
     grid = (64.0, 128.0, 256.0)
     cfg = replace(DESK_CONFIG, trials=50, seed=123,
                   sweep_variable="lis_elements", sweep_values=grid,
                   methods=("tsvd", "spgm"))
-    # Per-trial condition numbers from the same (sweep index, trial) records
+    # Per-trial condition numbers from the same (sweep index, trial) values
     # that run_sweep averages, so the medians below belong to its rows.
     conds = {}
     for si, m in enumerate(grid):
         for ti in range(cfg.trials):
-            for rec in _run_trial(cfg, si, ti):
-                if not rec.failed:
-                    conds.setdefault((m, rec.method), []).append(rec.cond)
+            found = _run_group(cfg, _specialize(cfg), [(si, ti)])
+            for k, method in enumerate(cfg.methods):
+                if not found.failed[0, k, 0]:
+                    conds.setdefault((m, method), []).append(found.cond[0, k, 0])
     for row in run_sweep(cfg).rows:
         assert np.mean(conds[(row.sweep_value, row.method)]) == pytest.approx(
             row.mean_cond, rel=1e-12)

@@ -161,8 +161,8 @@ def test_effective_channel_matches_triple_product():
     paths = sample_paths(rng, GEOMETRY, BUDGET, 3, 3)
     chan = assemble_channels(paths, GEOMETRY, tx_gain=2.0, rx_gain=0.5)
     v = random_phases(rng, GEOMETRY.m)
-    naive = 2.0 * 0.5 * chan.r @ np.diag(v.entries.conj()) @ chan.g
-    np.testing.assert_allclose(effective_channel(chan, v.entries), naive, rtol=1e-12)
+    naive = 2.0 * 0.5 * chan.r @ np.diag(v.conj()) @ chan.g
+    np.testing.assert_allclose(effective_channel(chan, v), naive, rtol=1e-12)
 
 
 def test_effective_channel_composite_path_decomposition():
@@ -177,10 +177,10 @@ def test_effective_channel_composite_path_decomposition():
         a_ue = ula_responses(paths.lis_ue_aoa[i], GEOMETRY.n_rx)
         for j in range(paths.n_bs_lis):
             a_bs = ula_responses(paths.bs_lis_aod[j], GEOMETRY.n_tx)
-            d_ij = v.entries.conj() @ bank[i, j]
+            d_ij = v.conj() @ bank[i, j]
             h += (paths.lis_ue_gain[i] * paths.bs_lis_gain[j] * d_ij
                   * np.outer(a_ue, a_bs.conj()))
-    np.testing.assert_allclose(effective_channel(chan, v.entries), h, rtol=1e-10)
+    np.testing.assert_allclose(effective_channel(chan, v), h, rtol=1e-10)
 
 
 def test_composite_vector_modulus():

@@ -91,6 +91,22 @@ def test_run_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("tx_power_dbm = 1e4", "out of range"), ("noise_dbm = 1e4", "out of range"),
+    ("rx_gain_dbi = 1e4", "finite amplitude"), ("tx_gain_dbi = -1e4", "finite amplitude"),
+])
+def test_run_rejects_a_link_budget_out_of_range(tmp_path, capsys, line, message):
+    # each value overflows or vanishes in the link budget: an error message
+    # before any trial runs, not a traceback or a CSV of error rows; the
+    # config's power is its one sweep value, so it has no sweep_values
+    out = tmp_path / "never.csv"
+    text = SMALL_CFG.replace("sweep_values = 40\n", "") + line + "\n"
+    assert main(["run", _cfg(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
     out = tmp_path / "never.csv"
     assert main(["run", _cfg(tmp_path, SMALL_CFG), "--out", str(out), "--seed", "-1"]) == 1

@@ -1,7 +1,7 @@
 """Config parsing, sweep execution, CSV emission, and the brute-force oracle."""
 
 import math
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,9 @@ from lisim.harness import (
     ConfigError,
     ExperimentConfig,
     SweepRow,
-    _TrialRecord,
+    _Trials,
     _apply_sweep,
+    _run_group,
     _specialize,
     _sweep_rows,
     brute_force_phase_oracle,
@@ -39,6 +40,12 @@ SMALL = ExperimentConfig(
     budget=LinkBudget(tx_power=dbm_to_watt(40.0)),
     n_streams=2, n_rf_tx=3, n_rf_rx=3, p_paths=3, l_paths=3,
     sweep_values=(35.0, 40.0), trials=3, seed=42)
+
+
+def _alone(cfg, task):
+    """The per-trial values of one (sweep index, trial index) task, run as
+    a group of one point: arrays (1, methods, modes)."""
+    return _run_group(cfg, _specialize(cfg), [task])
 
 
 def _write(tmp_path, text):
@@ -131,6 +138,10 @@ def test_load_config_overrides(tmp_path):
     ("sweep_values = nan", "must be finite"),
     ("sweep_variable = angle_error_deg\nsweep_values = inf", "must be finite"),
     ("sweep_values = 1e4", "out of range"),   # 10^997 W overflows
+    ("tx_power_dbm = 1e4", "out of range"),
+    ("noise_dbm = 1e4", "out of range"),
+    ("rx_gain_dbi = 1e4", "positive, finite amplitude"),   # 10^500 overflows
+    ("tx_gain_dbi = -1e4", "positive, finite amplitude"),  # 10^-500 is 0
     ("methods = tsvd, tsvd", "must not repeat"),
     ("n_streams = 0", "n_streams must be >= 1"),
     ("sweep_variable = n_streams\nsweep_values = 0, 2", "n_streams must be >= 1"),
@@ -150,6 +161,14 @@ def test_config_stream_constraints():
         ExperimentConfig(n_streams=4, p_paths=3)      # exceeds path count
     with pytest.raises(ConfigError):
         ExperimentConfig(trials=0)
+
+
+@pytest.mark.parametrize("gains", [dict(tx_gain_dbi=-1e4), dict(rx_gain_dbi=1e4)],
+                         ids=["amplitude-0", "amplitude-overflows"])
+def test_config_rejects_a_gain_without_a_finite_amplitude(gains):
+    # a config built in code fails too, not in the first trial or as rows of errors
+    with pytest.raises(ConfigError, match="positive, finite amplitude"):
+        ExperimentConfig(**gains)
 
 
 # -- sweep specialization ----------------------------------------------------
@@ -216,29 +235,30 @@ def test_run_sweep_mean_is_over_per_trial_seeds():
     # each trial is seeded by (sweep index, trial index), so the aggregate
     # mean must equal the average of independently recomputed trials
     from dataclasses import replace
-    from lisim.harness import _run_trial
     cfg = replace(SMALL, trials=3, sweep_values=(40.0,), methods=("random",))
     agg = run_sweep(cfg).rows[0]
-    ses = [_run_trial(cfg, 0, ti)[0].se for ti in range(3)]
+    ses = [_alone(cfg, (0, ti)).rate[0, 0, 0] for ti in range(3)]
     assert agg.mean_se == pytest.approx(np.mean(ses), rel=1e-12)
 
 
-def _rows_one_by_one(cells, records):
+def _rows_one_by_one(cells, trials):
     """The CSV rows as run_sweep built them one at a time, with numpy's 1-D
-    reductions on each row's records: the reference for `_sweep_rows`."""
+    reductions on each row's entries of `trials` (cells, trials): the
+    reference for `_sweep_rows`."""
     rows = []
-    for (value, method, mode), recs in zip(cells, records):
-        good = [r for r in recs if not r.failed]
-        se = np.array([r.se for r in good])
+    for k, (value, method, mode) in enumerate(cells):
+        good = ~trials.failed[k]
+        kept = good.any()
+        se = trials.rate[k][good]
         rows.append(SweepRow(
             sweep_value=value, method=method, precoding=mode,
-            mean_se=float(se.mean()) if good else math.nan,
-            std_se=float(se.std(ddof=0)) if good else math.nan,
-            mean_cond=float(np.mean([r.cond for r in good])) if good else math.nan,
-            mean_offdiag=float(np.mean([r.offdiag for r in good])) if good else math.nan,
-            mean_iters=float(np.mean([r.iters for r in good])) if good else math.nan,
-            errors=len(recs) - len(good),
-            wall_ms=float(np.mean([r.wall_ms for r in recs])) if recs else math.nan))
+            mean_se=float(se.mean()) if kept else math.nan,
+            std_se=float(se.std(ddof=0)) if kept else math.nan,
+            mean_cond=float(np.mean(trials.cond[k][good])) if kept else math.nan,
+            mean_offdiag=float(np.mean(trials.offdiag[k][good])) if kept else math.nan,
+            mean_iters=float(np.mean(trials.iters[k][good])) if kept else math.nan,
+            errors=int(len(good) - good.sum()),
+            wall_ms=float(np.mean(trials.wall_ms[k]))))
     return tuple(rows)
 
 
@@ -248,25 +268,27 @@ def _rows_one_by_one(cells, records):
 @example([(9, 0.0), (13, 0.1), (300, 0.5), (9, 1.0), (13, 0.0)], 0)
 @settings(max_examples=60, deadline=None)
 def test_sweep_rows_reduce_exactly_as_one_row_at_a_time(cells, seed):
-    # rows of one record count reduce together; a row keeps its own count of
-    # good records, one without any is NaN, and wall_ms averages them all
+    # the cells of one trial count reduce together, as one table; a row keeps
+    # its own count of good entries, one without any is NaN, and wall_ms
+    # averages them all
     rng = np.random.default_rng(seed)
-    records = []
-    for count, failing in cells:
+    tables = {}   # trial count -> (cell, values, failed) of its cells
+    for k, (count, failing) in enumerate(cells):
         failed = rng.random(count) < failing
         values = rng.normal(size=(5, count)) * 10.0 ** rng.uniform(-3, 3, (5, count))
-        records.append([
-            _TrialRecord("tsvd", "digital", *((math.nan,) * 4 if bad else values[:4, k]),
-                         values[4, k], failed=bool(bad))
-            for k, bad in enumerate(failed)])
-    keys = [(float(k), "tsvd", "digital") for k in range(len(cells))]
+        values[:4, failed] = math.nan
+        tables.setdefault(count, []).append((k, values, failed))
     bits = lambda rows: [tuple(x.hex() if isinstance(x, float) else x for x in astuple(row))
                          for row in rows]
-    assert bits(_sweep_rows(keys, records)) == bits(_rows_one_by_one(keys, records))
+    for rows in tables.values():
+        keys = [(float(k), "tsvd", "digital") for k, _, _ in rows]
+        trials = _Trials(*np.stack([values for _, values, _ in rows], axis=1),
+                         np.array([failed for _, _, failed in rows]))
+        assert bits(_sweep_rows(keys, trials)) == bits(_rows_one_by_one(keys, trials))
 
 
 def test_a_c_ordered_row_mean_and_std_have_the_bits_of_each_row():
-    # `_sweep_rows` reduces the rows of one record count as one C-ordered
+    # `_sweep_rows` reduces the rows of one good-entry count as one C-ordered
     # array: numpy sums each of its rows pairwise along the contiguous axis,
     # as it sums the row alone. If a numpy release breaks this, CSVs move
     # and this test says why.
@@ -317,6 +339,24 @@ def test_run_sweep_grouping_leaves_the_csv_unchanged(tmp_path, monkeypatch):
             alone = _csv_without_wall(run_sweep(cfg), tmp_path / "alone.csv")
         assert grouped == parallel == alone
         assert all(row.split(",")[-1] == "0" for row in grouped[1:])   # no errors
+
+
+def test_one_group_gives_the_per_trial_values_of_one_point_groups(monkeypatch):
+    # DESK_ANGLES runs as one group of 10 points, with and without an angle
+    # error, or as 10 one-point groups when the byte budget admits only one
+    # point; every per-trial value and failure flag agrees, NaN for NaN
+    from lisim import harness
+    from lisim.harness import _run_trials
+    grouped = _run_trials(DESK_ANGLES)
+    monkeypatch.setattr(harness, "GROUP_BYTES", 1)
+    sizes = _spy(monkeypatch, "_run_group", lambda c, specs, tasks: len(tasks))
+    alone = _run_trials(DESK_ANGLES)
+    assert sizes == [1] * 10
+    assert grouped.rate.shape == (2, 3, 2, 5)   # sweep values, methods, modes, trials
+    for f in fields(_Trials):
+        if f.name != "wall_ms":
+            np.testing.assert_array_equal(getattr(grouped, f.name), getattr(alone, f.name),
+                                          err_msg=f.name)
 
 
 def test_groups_share_geometry_and_stream_count():
@@ -372,20 +412,19 @@ def test_rf_sweep_grouping_leaves_the_csv_unchanged(tmp_path, monkeypatch):
 
 def test_rf_sweep_shared_designs_equal_designs_alone():
     # a trial's points share one design across RF chain counts; each point's
-    # records, hybrid rows too, equal those of its point designed alone. At
+    # values, hybrid ones too, equal those of its point designed alone. At
     # 10 RF chains and 4 paths the hybrid rates depend on the random chains
     # beyond the paths', which each point draws from its own generator
     from dataclasses import replace
-    from lisim.harness import _groups, _run_group, _run_trial
+    from lisim.harness import _groups
     cfg = replace(DESK_ANGLES, trials=2, sweep_variable="n_rf", sweep_values=(6.0, 10.0, 6.0))
     tasks = [(si, ti) for si in range(len(cfg.sweep_values)) for ti in range(2)]
     assert _groups(cfg, _specialize(cfg), tasks, 1) == [tasks]
-    for task, shared in zip(tasks, _run_group(cfg, _specialize(cfg), tasks)):
-        alone = _run_trial(cfg, *task)
-        assert [r.precoding for r in shared] == ["digital"] * 3 + ["hybrid"] * 3
-        assert not any(r.failed for r in shared)
-        assert [replace(r, wall_ms=0.0) for r in shared] == \
-            [replace(r, wall_ms=0.0) for r in alone]
+    shared = _run_group(cfg, _specialize(cfg), tasks)
+    assert shared.rate.shape == (len(tasks), 3, 2)   # 3 methods, digital and hybrid
+    assert not shared.failed.any()
+    for k, task in enumerate(tasks):
+        _assert_values_equal(shared, k, _alone(cfg, task), 0)
 
 
 def test_rf_sweep_digital_rows_are_paired():
@@ -399,6 +438,15 @@ def test_rf_sweep_digital_rows_are_paired():
                if r.precoding == "digital"]
     assert digital[:3] == digital[3:6] == digital[6:]
     assert all(r.errors == 0 for r in rows)
+
+
+def _assert_values_equal(a, i, b, j):
+    """Every per-trial value of point i of `a` equals that of point j of `b`,
+    NaN for NaN, failure flags too; only wall_ms is left out."""
+    for f in fields(_Trials):
+        if f.name != "wall_ms":
+            np.testing.assert_array_equal(getattr(a, f.name)[i], getattr(b, f.name)[j],
+                                          err_msg=f.name)
 
 
 def _spy(monkeypatch, name, record):
@@ -503,27 +551,25 @@ POWERS = replace(DESK_ANGLES, trials=2, sweep_variable="tx_power_dbm",
 
 def test_power_sweep_shared_designs_equal_designs_alone():
     # a trial's points share one spgm and one random design across powers,
-    # made at the first power; each point's records, hybrid rows too, equal
+    # made at the first power; each point's values, hybrid ones too, equal
     # those of its point designed alone, also where its group lacks the
     # first power. At 6 RF chains and 4 paths the hybrid rates depend on the
     # random chains beyond the paths'
-    from lisim.harness import _groups, _run_group, _run_trial
+    from lisim.harness import _groups
     tasks = [(si, ti) for si in range(len(POWERS.sweep_values)) for ti in range(2)]
     assert _groups(POWERS, _specialize(POWERS), tasks, 1) == [tasks]
     shared = _run_group(POWERS, _specialize(POWERS), tasks)
-    for task, records in zip(tasks, shared):
-        alone = _run_trial(POWERS, *task)
-        assert [r.precoding for r in records] == ["digital"] * 3 + ["hybrid"] * 3
-        assert not any(r.failed for r in records)
-        assert [replace(r, wall_ms=0.0) for r in records] == \
-            [replace(r, wall_ms=0.0) for r in alone]
+    assert shared.rate.shape == (len(tasks), 3, 2)   # 3 methods, digital and hybrid
+    assert not shared.failed.any()
+    for k, task in enumerate(tasks):
+        _assert_values_equal(shared, k, _alone(POWERS, task), 0)
     # the shared designs' cond, offdiag and iterations are paired along the
     # power axis; tsvd's, designed at each power, are not
-    design = lambda r: (r.cond, r.offdiag, r.iters)
+    design = lambda k, m: (shared.cond[k, m, 0], shared.offdiag[k, m, 0], shared.iters[k, m, 0])
     for ti in range(2):
-        by_power = [shared[k] for k, task in enumerate(tasks) if task[1] == ti]
+        by_power = [k for k, task in enumerate(tasks) if task[1] == ti]
         for m, method in enumerate(POWERS.methods):
-            values = {design(records[m]) for records in by_power}
+            values = {design(k, m) for k in by_power}
             assert len(values) == (3 if method == "tsvd" else 1)
 
 
@@ -705,7 +751,7 @@ def test_run_sweep_hybrid_failure_is_per_method(monkeypatch):
     def designs(method, group, run_cfg):
         found = real_designs(method, group, run_cfg)
         if method == "spgm":
-            spgm_targets.extend(design.f_target for design in found)
+            spgm_targets.extend(found.f_target)
         return found
 
     def hybrid(targets, start, descent, *args, **kwargs):
@@ -751,7 +797,7 @@ def test_run_sweep_hybrid_failure_is_per_point(monkeypatch):
     def hybrid(targets, start, descent, *args, **kwargs):
         calls.append(len(targets))
         factors = real_hybrid(targets, start, descent, *args, **kwargs)
-        if any(np.array_equal(t, seen[0][1].f_target) for t in targets):
+        if any(np.array_equal(t, seen[0].f_target[1]) for t in targets):
             raise np.linalg.LinAlgError("injected")
         return factors
 
@@ -861,15 +907,13 @@ def test_hybrid_is_exact_with_a_chain_per_path():
     # paths' steering vectors, which the analog start holds, so the hybrid
     # transceiver realizes the digital one on the true and on an estimated
     # path set
-    from lisim.harness import _run_trial
     cfg = ExperimentConfig(n_rf_tx=7, n_rf_rx=7, sweep_variable="angle_error_deg",
                            sweep_values=(0.0, 1.0), trials=2, precoding="both", seed=3)
     for si in range(len(cfg.sweep_values)):
         for ti in range(cfg.trials):
-            records = _run_trial(cfg, si, ti)
-            se = {(rec.method, rec.precoding): rec.se for rec in records}
-            for method in cfg.methods:
-                assert se[method, "hybrid"] == pytest.approx(se[method, "digital"], rel=1e-9)
+            se = _alone(cfg, (si, ti)).rate[0]   # (methods, digital and hybrid)
+            for m in range(len(cfg.methods)):
+                assert se[m, 1] == pytest.approx(se[m, 0], rel=1e-9)
 
 
 def test_run_sweep_lets_a_stream_count_error_through(monkeypatch):

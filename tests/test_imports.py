@@ -1,6 +1,6 @@
-"""Import hygiene: every module-level import in src/lisim is used, and
-every top-level definition there is referenced by the package, the scripts
-or the benchmark.
+"""Import hygiene: every module-level import in src/lisim is used, every
+top-level definition there is referenced by the package, the scripts or the
+benchmark, and every field and method of its classes is read by them.
 
 An import kept only for an outside reader of the module's namespace says so
 with `# noqa: F401` on one of its lines.
@@ -52,6 +52,15 @@ def test_unused_import_is_flagged():
     assert _unused_imports(source) == ["line 1: unused", "line 3: os"]
 
 
+def _dotted_parts(node) -> list[str]:
+    """The parts of `node` if it is a dotted string constant like
+    "channel.sample_paths", else none."""
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _DOTTED.fullmatch(node.value)):
+        return node.value.split(".")
+    return []
+
+
 def _references(nodes) -> set[str]:
     """The names that the AST `nodes` reference: names, attributes, imported
     names and the parts of dotted string constants like "channel.sample_paths"."""
@@ -63,9 +72,7 @@ def _references(nodes) -> set[str]:
             found.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             found.update(alias.name for alias in node.names)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and _DOTTED.fullmatch(node.value)):
-            found.update(node.value.split("."))
+        found.update(_dotted_parts(node))
     return found
 
 
@@ -104,3 +111,57 @@ def test_dead_definition_is_flagged():
                "b": "from .a import imported\n"}
     readers = ["import a\na.by_attribute()\nNAMES = ('a.in_a_string', 'recursive')\n"]
     assert _dead_definitions(modules, readers) == ["a.recursive", "a.Unused"]
+
+
+def _unread_members(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """The fields and methods of the classes of `modules` (name -> source)
+    that no source among `modules` and `readers` reads, as an attribute or
+    as part of a dotted string constant. A name, a keyword argument or an
+    attribute store is not a read. Dunder methods are left out: the
+    language calls them."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = set()
+    for node in (sub for tree in [*trees.values(), *map(ast.parse, readers)]
+                 for sub in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        read.update(_dotted_parts(node))
+    unread = []
+    for name, tree in trees.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    member = item.target.id
+                elif isinstance(item, ast.FunctionDef):
+                    member = item.name
+                else:
+                    continue
+                if member not in read and not (member.startswith("__")
+                                               and member.endswith("__")):
+                    unread.append(f"{name}.{cls.name}.{member}")
+    return unread
+
+
+def test_every_member_is_read():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text() for d in READERS for p in sorted((ROOT / d).glob("*.py"))]
+    assert _unread_members(modules, readers) == []
+
+
+def test_unread_member_is_flagged():
+    modules = {"a": ("from dataclasses import dataclass\n"
+                     "@dataclass\n"
+                     "class Table:\n"
+                     "    read: int\n"
+                     "    in_a_string: int\n"
+                     "    stored: int\n"
+                     "    unread: int\n"
+                     "    def __len__(self): return self.read\n"
+                     "    def called(self): pass\n"
+                     "    def uncalled(self): pass\n"
+                     "def f(t, unread):\n"
+                     "    t.stored = Table(unread=unread)\n"
+                     "    return t.called()\n")}
+    readers = ["NAMES = ('Table.in_a_string',)\n"]
+    assert _unread_members(modules, readers) == [
+        "a.Table.stored", "a.Table.unread", "a.Table.uncalled"]

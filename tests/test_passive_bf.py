@@ -71,7 +71,7 @@ def test_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(20):
         rng, paths = _instance(seed)
-        v = random_phases(rng, GEOMETRY.m).entries
+        v = random_phases(rng, GEOMETRY.m)
         worst = max(worst, max_fd_error(*_surrogate(paths), v[None]))
     assert worst < 1e-5
 
@@ -79,7 +79,7 @@ def test_gradient_matches_finite_differences():
 def test_objective_global_phase_invariant():
     rng, paths = _instance(1)
     evaluate, data = _surrogate(paths)
-    v = random_phases(rng, GEOMETRY.m).entries[None]
+    v = random_phases(rng, GEOMETRY.m)[None]
     rot = v * np.exp(1j * 0.83)
     assert evaluate(data, rot)[0] == pytest.approx(evaluate(data, v)[0], rel=1e-12)
 
@@ -109,11 +109,11 @@ def test_rate_objective_equals_svd_transceiver_rate():
         rng, paths = _instance(seed, p=4, l=3)
         evaluate, data = rate_objective(path_core([paths], GEOMETRY, TX_GAIN, 1.3), [BUDGET], 2)
         v = random_phases(rng, GEOMETRY.m)
-        h = effective_channel(assemble_channels(paths, GEOMETRY, TX_GAIN, 1.3), v.entries)
+        h = effective_channel(assemble_channels(paths, GEOMETRY, TX_GAIN, 1.3), v)
         svd = truncated_svd(h, 2)
         se = spectral_efficiency(h, digital_precoder(svd, BUDGET.tx_power),
                                  digital_combiner(svd), BUDGET.noise_power)
-        assert evaluate(data, v.entries[None])[0] == pytest.approx([-se], rel=1e-10)
+        assert evaluate(data, v[None])[0] == pytest.approx([-se], rel=1e-10)
 
 
 def test_rate_gradient_matches_finite_differences():
@@ -124,7 +124,7 @@ def test_rate_gradient_matches_finite_differences():
     for seed in range(20):
         rng, paths = _instance(seed, p=4, l=3)
         evaluate, data = rate_objective(path_core([paths], GEOMETRY, TX_GAIN, 30.0), [BUDGET], 2)
-        v = random_phases(rng, GEOMETRY.m).entries
+        v = random_phases(rng, GEOMETRY.m)
         worst = max(worst, max_fd_error(evaluate, data, v[None]))
     assert worst < 1e-5
 
@@ -140,7 +140,7 @@ def test_spgm_gradient_matches_finite_differences():
     for seed in range(20):
         rng, paths = _instance(seed, p=4, l=3)
         data = _spgm_data(path_core([paths], GEOMETRY, TX_GAIN, 1.3))
-        w = random_phases(rng, GEOMETRY.m).entries
+        w = random_phases(rng, GEOMETRY.m)
         worst = max(worst, max_fd_error(spgm_evaluate, data, w[None]))
     assert worst < 1e-5
 
@@ -181,7 +181,7 @@ def test_optimize_spgm_maximizes_frobenius_norm():
     v, _ = optimize_spgm(path_core([paths], GEOMETRY), DescentConfig(epsilon=1e-8), rng)
     opt = np.linalg.norm(effective_channel(chan, v.entries)) ** 2
     draws = [np.linalg.norm(effective_channel(
-        chan, random_phases(rng, GEOMETRY.m).entries)) ** 2 for _ in range(50)]
+        chan, random_phases(rng, GEOMETRY.m))) ** 2 for _ in range(50)]
     assert opt > max(draws)
 
 
@@ -206,8 +206,8 @@ def test_spgm_quadratic_form_identity():
     chan = assemble_channels(paths, GEOMETRY)
     q = (chan.r.conj().T @ chan.r) * (chan.g @ chan.g.conj().T).T
     v = random_phases(rng, GEOMETRY.m)
-    w = v.entries.conj()
-    lhs = np.linalg.norm(effective_channel(chan, v.entries)) ** 2
+    w = v.conj()
+    lhs = np.linalg.norm(effective_channel(chan, v)) ** 2
     rhs = np.real(np.vdot(w, q @ w))
     assert lhs == pytest.approx(rhs, rel=1e-10)
     gain = _spgm_gains(_spgm_data(path_core([paths], GEOMETRY)), w[None])[1]
@@ -251,7 +251,7 @@ def test_optimize_spgm_stops_at_the_iteration_cap():
     # one power update: w1 = exp(j arg(F^H F w0)), from the same start as the
     # row's generator draws
     core, rngs = _spgm_stack(range(3))
-    starts = np.stack([random_phases(np.random.default_rng(100 + s), GEOMETRY.m).entries
+    starts = np.stack([random_phases(np.random.default_rng(100 + s), GEOMETRY.m)
                        for s in range(3)])
     result = optimize_spgm_stack(core, DescentConfig(max_iters=1), rngs)
     assert result.stops == ("max_iters",) * 3
@@ -336,7 +336,7 @@ def test_a_stride_0_batch_matmul_has_the_bits_of_each_row(left, right, shared):
 
 def test_random_phases_stats():
     rng = np.random.default_rng(7)
-    v = random_phases(rng, 4096).entries
+    v = random_phases(rng, 4096)
     np.testing.assert_allclose(np.abs(v), 1.0, rtol=1e-12)
     assert np.abs(v.mean()) < 0.1
     with pytest.raises(ValueError):
@@ -349,10 +349,10 @@ def test_coupling_matrix_entries():
     rng, paths = _instance(8)
     bank = composite_path_vectors(paths, GEOMETRY)
     v = random_phases(rng, GEOMETRY.m)
-    gains = coupling_matrix(v.entries[None], path_core([paths], GEOMETRY))
+    gains = coupling_matrix(v[None], path_core([paths], GEOMETRY))
     for i in range(paths.n_lis_ue):
         for j in range(paths.n_bs_lis):
-            d_ij = v.entries.conj() @ bank[i, j]
+            d_ij = v.conj() @ bank[i, j]
             assert gains[0, i, j] == pytest.approx(d_ij, rel=1e-12)
 
 

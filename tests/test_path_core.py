@@ -32,7 +32,6 @@ from lisim.harness import (
     _designs,
     _draw_point,
     _run_group,
-    _run_trial,
     _specialize,
     _stacks,
     load_config,
@@ -89,7 +88,7 @@ def _dense_trial(cfg, seen):
     budget, n_s = cfg.budget, cfg.n_streams
     paths = sort_paths_descending(seen["sample_paths"])
     est_paths = sort_paths_descending(seen.get("perturb_angles", paths))
-    v = seen["random_phases"].entries
+    v = seen["random_phases"]
     h_est = effective_channel(assemble_channels(est_paths, cfg.geometry, tx_g, rx_g), v)
     h_true = effective_channel(assemble_channels(paths, cfg.geometry, tx_g, rx_g), v)
     svd = truncated_svd(h_est, n_s)
@@ -113,16 +112,17 @@ def test_trial_on_the_core_matches_the_dense_channel(monkeypatch, cfg):
     for si in range(len(cfg.sweep_values)):
         for ti in range(cfg.trials):
             spy.seen.clear()
-            digital, hybrid = _run_trial(cfg, si, ti)
+            found = _run_group(cfg, _specialize(cfg), [(si, ti)])
+            conds, rates = found.cond[0, 0], found.rate[0, 0]   # digital, then hybrid
             sigma, cond, se, se_hybrid = _dense_trial(cfg, spy.seen)
             est_paths = sort_paths_descending(
                 spy.seen.get("perturb_angles", spy.seen["sample_paths"]))
             core = path_core([est_paths], cfg.geometry, tx_g, rx_g)
             core_sigma = truncated_svd(
-                core.at(spy.seen["random_phases"].entries[None])[0], cfg.n_streams).sigma1
+                core.at(spy.seen["random_phases"][None])[0], cfg.n_streams).sigma1
             errors = [np.max(np.abs(core_sigma - sigma) / sigma),
-                      abs(digital.cond - cond) / cond, abs(hybrid.cond - cond) / cond,
-                      abs(digital.se - se) / se, abs(hybrid.se - se_hybrid) / se_hybrid]
+                      abs(conds[0] - cond) / cond, abs(conds[1] - cond) / cond,
+                      abs(rates[0] - se) / se, abs(rates[1] - se_hybrid) / se_hybrid]
             worst = max(worst, *errors)
     assert worst < 1e-10
 
@@ -207,27 +207,27 @@ def _one_trial_stacks(name):
 
 def test_a_power_sweep_trial_gives_tsvd_one_bank():
     cfg, stacks = _one_trial_stacks("power_sweep")
-    group = stacks["tsvd"][1]
+    group = stacks["tsvd"]
     assert len(group.points) == len(cfg.sweep_values) > 1
     assert group.true.bank.strides[0] == 0 and group.est is group.true
     # spgm and random share one design, a gathered row
-    assert stacks["spgm"][1].true.bank.flags.owndata
+    assert stacks["spgm"].true.bank.flags.owndata
 
 
 @pytest.mark.parametrize("name", ["power_sweep", "csi_sweep"])
 def test_designs_on_one_bank_equal_designs_on_its_copies(name):
     # csi_sweep: the true cores are one row, the estimated ones are not
     cfg, stacks = _one_trial_stacks(name)
-    shared = stacks["tsvd"][1]
+    shared = stacks["tsvd"]
     assert shared.true.bank.strides[0] == 0
     assert (name == "csi_sweep") == shared.erred.any()
     _, again = _one_trial_stacks(name)   # fresh generators for the same starts
-    copy = again["tsvd"][1]
+    copy = again["tsvd"]
     true = _gathered(copy.true)
     copy = replace(copy, true=true, est=_gathered(copy.est) if copy.erred.any() else true)
-    for one, other in zip(_designs("tsvd", shared, cfg), _designs("tsvd", copy, cfg)):
-        for f in fields(one):
-            np.testing.assert_array_equal(getattr(one, f.name), getattr(other, f.name))
+    one, other = _designs("tsvd", shared, cfg), _designs("tsvd", copy, cfg)
+    for f in fields(one):
+        np.testing.assert_array_equal(getattr(one, f.name), getattr(other, f.name))
 
 
 def test_a_power_sweep_trial_reads_its_bank_once():
