@@ -343,12 +343,6 @@ def perturb_angles(paths: PathSet, beta: float, rng: np.random.Generator) -> Pat
     def jitter(arr):
         return arr + rng.uniform(-beta, beta, len(arr))
 
-    return replace(
-        paths,
-        bs_lis_aod=jitter(paths.bs_lis_aod),
-        bs_lis_aoa_az=jitter(paths.bs_lis_aoa_az),
-        bs_lis_aoa_el=jitter(paths.bs_lis_aoa_el),
-        lis_ue_aod_az=jitter(paths.lis_ue_aod_az),
-        lis_ue_aod_el=jitter(paths.lis_ue_aod_el),
-        lis_ue_aoa=jitter(paths.lis_ue_aoa),
-    )
+    return replace(paths, **{name: jitter(getattr(paths, name)) for name in (
+        "bs_lis_aod", "bs_lis_aoa_az", "bs_lis_aoa_el",
+        "lis_ue_aod_az", "lis_ue_aod_el", "lis_ue_aoa")})

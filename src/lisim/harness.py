@@ -221,8 +221,12 @@ _STR_KEYS = {"sweep_variable", "precoding"}
 def _parse_scalar(key, raw, lineno):
     try:
         value = int(raw) if key in _INT_KEYS else float(raw)
+        if key.endswith("_dbm"):
+            dbm_to_watt(value)   # a power no float holds overflows here, named
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {raw!r}")
+    except OverflowError:
+        raise ConfigError(f"line {lineno}: {key!r} = {raw} is out of range")
     if not math.isfinite(value):
         raise ConfigError(f"line {lineno}: {key!r} must be finite, not {raw!r}")
     return value
@@ -243,6 +247,8 @@ def load_config(path) -> ExperimentConfig:
             if "=" not in stripped:
                 raise ConfigError(f"line {lineno}: expected 'key = value'")
             key, value = (part.strip() for part in stripped.split("=", 1))
+            if key in raw:
+                raise ConfigError(f"line {lineno}: {key!r} is set twice")
             if key in _INT_KEYS or key in _FLOAT_KEYS:
                 raw[key] = _parse_scalar(key, value, lineno)
             elif key in _POS_KEYS:
@@ -320,34 +326,35 @@ def load_config(path) -> ExperimentConfig:
 # -- sweep execution --------------------------------------------------------
 
 def _apply_sweep(cfg: ExperimentConfig, value: float) -> tuple[ExperimentConfig, float]:
-    """Specialize the config for one sweep value; returns (config, angle error rad)."""
-    if not math.isfinite(value):
-        raise ConfigError(f"{cfg.sweep_variable} sweep values must be finite")
-    if cfg.sweep_variable == "tx_power_dbm":
-        return replace(cfg, budget=replace(cfg.budget, tx_power=dbm_to_watt(value))), 0.0
-    if cfg.sweep_variable == "angle_error_deg":
-        if value < 0:
-            raise ConfigError("angle_error_deg sweep values must be non-negative")
-        return cfg, math.radians(value)
-    count = int(value)
-    if count != value:
-        raise ConfigError(f"{cfg.sweep_variable} sweep values must be integers")
-    if cfg.sweep_variable == "n_streams":
-        return replace(cfg, n_streams=count), 0.0
-    if cfg.sweep_variable == "n_rf":
-        return replace(cfg, n_rf_tx=count, n_rf_rx=count), 0.0
-    if count < 1 or count % cfg.geometry.lis_y:
-        raise ConfigError("lis_elements sweep values must be positive multiples of lis_y")
-    return replace(cfg, geometry=replace(cfg.geometry, lis_z=count // cfg.geometry.lis_y)), 0.0
+    """Specialize the config for one sweep value; returns (config, angle error rad).
+    ConfigError names the variable and value for any bad one, also a power with no budget."""
+    try:
+        if not math.isfinite(value):
+            raise ConfigError("sweep values must be finite")
+        if cfg.sweep_variable == "tx_power_dbm":
+            return replace(cfg, budget=replace(cfg.budget, tx_power=dbm_to_watt(value))), 0.0
+        if cfg.sweep_variable == "angle_error_deg":
+            if value < 0:
+                raise ConfigError("sweep values must be non-negative")
+            return cfg, math.radians(value)
+        count = int(value)
+        if count != value:
+            raise ConfigError("sweep values must be integers")
+        if cfg.sweep_variable == "n_streams":
+            return replace(cfg, n_streams=count), 0.0
+        if cfg.sweep_variable == "n_rf":
+            return replace(cfg, n_rf_tx=count, n_rf_rx=count), 0.0
+        if count < 1 or count % cfg.geometry.lis_y:
+            raise ConfigError("sweep values must be positive multiples of lis_y")
+        return replace(cfg, geometry=replace(cfg.geometry, lis_z=count // cfg.geometry.lis_y)), 0.0
+    except (ValueError, OverflowError) as exc:
+        reason = "out of range" if isinstance(exc, OverflowError) else exc
+        raise ConfigError(f"{cfg.sweep_variable} sweep value {value:g}: {reason}") from exc
 
 
 def _specialize(cfg: ExperimentConfig) -> tuple[tuple[ExperimentConfig, float], ...]:
-    """`_apply_sweep` of each sweep value, in order, shared by a run's points;
-    ConfigError for any bad value, also a power that makes no link budget."""
-    try:
-        return tuple(_apply_sweep(cfg, value) for value in cfg.sweep_values)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """`_apply_sweep` of each sweep value, in order, shared by a run's points."""
+    return tuple(_apply_sweep(cfg, value) for value in cfg.sweep_values)
 
 
 @dataclass(frozen=True)
@@ -667,7 +674,7 @@ def _hybrid_rates(points: list[_Point], table: _Designs, jobs: np.ndarray, job_o
         places.append((count, ks, place))
     run_cfg = points[0].cfg
     factored = {shape: hybrid_factorize(np.concatenate(targets), np.concatenate(starts),
-                                        run_cfg.descent, norms)
+                                        run_cfg.descent, norms)[:2]
                 for shape, (targets, starts, norms) in by_shape.items()}
     rates = np.empty(len(entries))
     for count, ks, ((f_shape, f_at), (w_shape, w_at)) in places:

@@ -8,17 +8,18 @@ The engine minimizes; callers negate maximization objectives. It descends a
 stack of T independent problems in one loop (`ccm_descent_stack`): every row
 has its own trial step, Armijo backtracking and stop, a row that has stopped
 is frozen while the others go on, and a row's result does not depend on the
-other rows, bit for bit. `ccm_descent` is the loop on a stack of one.
+other rows, bit for bit. `ccm_descent` is the loop on a stack of one. Its
+record, `StackDescent`, serves the other masked loops of the package too.
 
-The search direction is the Riemannian gradient scaled per element by the
-inverse magnitude of the Euclidean gradient entry, d = riem / |G| (0 where
-G = 0): a per-element metric (Riemannian preconditioning, Mishra &
-Sepulchre, SIAM J. Optim. 2016) under which a step turns each phase by an
-amount that does not depend on the scale of its entry, as the unimodular
-power update of `spgm` does (Soltanalian & Stoica, IEEE TSP 2014). After
-the first iteration, the trial step is the geometric mean of the two
-Barzilai-Borwein quotients in that metric (Dai, Al-Baali & Yang 2015;
-Riemannian BB: Iannazzo & Porcelli, IMA J. Numer. Anal. 2018).
+The search direction scales the Riemannian gradient per element by the
+inverse magnitude of the Euclidean gradient entry: a per-element metric
+(Riemannian preconditioning, Mishra & Sepulchre, SIAM J. Optim. 2016) under
+which a step turns each phase by an amount that does not depend on the
+scale of its entry, as the unimodular power update of `spgm` does
+(Soltanalian & Stoica, IEEE TSP 2014). After the first iteration, the trial
+step is the geometric mean of the two Barzilai-Borwein quotients in that
+metric (Dai, Al-Baali & Yang 2015; Riemannian BB: Iannazzo & Porcelli, IMA
+J. Numer. Anal. 2018); `ccm_descent_stack` gives the formulas.
 
 The engine's fixed cost per round, not its arithmetic, dominates at the
 stack sizes of a sweep group, so a round forms the reciprocal metric 1/|G|
@@ -99,7 +100,7 @@ Gradient = Callable[[np.ndarray], np.ndarray]
 StackObjective = Callable[[tuple, np.ndarray],
                           tuple[np.ndarray, Callable[[], np.ndarray]]]
 
-STOP_REASONS = ("gap", "max_iters", "line_search", "zero_grad")
+STOP_REASONS = ("gap", "max_iters", "line_search", "zero_grad", "floor")
 
 
 def _tangent(entries: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -166,13 +167,19 @@ def armijo_step(f: Objective, v: np.ndarray, riem_grad: np.ndarray, f_v: float,
     raise LineSearchError("no Armijo step accepted")
 
 
-@dataclass(frozen=True)
 class StackDescent:
-    """Per-row outcome of `ccm_descent_stack`."""
+    """Per-row record of a masked stack loop, kept as it runs: each row's
+    final point, trace (one value per iterate, start included) and stop,
+    one of STOP_REASONS (`max_iters` until the loop retires the row), and
+    `live`, the original index of each row still going, in the order of the
+    loop's compacted arrays. It starts with every row live at its value."""
 
-    points: np.ndarray                     # (T, M) final points
-    traces: tuple[tuple[float, ...], ...]  # objective per iterate, start included
-    stops: tuple[str, ...]                 # one of STOP_REASONS per row
+    def __init__(self, points: np.ndarray, values: np.ndarray):
+        self.points = np.empty_like(points)   # (T, ...) final points
+        self.traces = [[] for _ in range(len(points))]
+        self.stops = np.full(len(points), "max_iters", dtype=object)   # a tuple once finished
+        self.live = np.arange(len(points))
+        self.log(values)
 
     @property
     def iters(self) -> np.ndarray:
@@ -182,6 +189,35 @@ class StackDescent:
     def row(self, i: int) -> tuple[PhaseVector, list[float]]:
         """Row i's final point and objective trace."""
         return PhaseVector(self.points[i]), list(self.traces[i])
+
+    def log(self, values: np.ndarray, keep: np.ndarray | None = None) -> None:
+        """Append each live row's value to its trace; with `keep`, only those rows' values.
+        Raises FloatingPointError if a value is not finite."""
+        if not _all(np.isfinite(values)):
+            raise FloatingPointError("a value is not finite")
+        live = self.live
+        if keep is not None and not _all(keep):
+            live, values = live[keep], values[keep]
+        for i, value in zip(live.tolist(), values.tolist()):
+            self.traces[i].append(value)
+
+    def retire(self, go_on: np.ndarray, reasons: str | np.ndarray, points: np.ndarray,
+               *arrays: np.ndarray) -> tuple:
+        """Stop the live rows where `go_on` is False, each for its entry of
+        `reasons` (one string, or one per live row) and at its row of
+        `points`; returns each of `arrays` at the rows that go on."""
+        stopped = ~go_on
+        gone = self.live[stopped]
+        self.stops[gone] = reasons if isinstance(reasons, str) else reasons[stopped]
+        self.points[gone] = points[stopped]
+        self.live = self.live[go_on]
+        return tuple(a[go_on] for a in arrays)
+
+    def finish(self, points: np.ndarray) -> StackDescent:
+        """The record, with the final points of the live rows taken from `points`."""
+        self.points[self.live] = points
+        self.stops = tuple(self.stops.tolist())
+        return self
 
 
 def shares_rows(a: np.ndarray) -> bool:
@@ -247,8 +283,6 @@ def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.n
         f_cand, gradient = evaluate(data, candidate)
         ok = f_cand <= f_v - ARMIJO_SLOPE * step * slope
         if _all(ok):
-            if not _all(np.isfinite(f_cand)):
-                raise FloatingPointError("objective became non-finite")
             go = np.abs(f_cand - f_v) >= cfg.epsilon
             grad = gradient() if need_grad and _any(go) else np.empty_like(v)
             return candidate, f_cand, grad, ok, go, flat
@@ -280,8 +314,6 @@ def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.n
         else:   # every row's first trial, evaluated above
             (candidate, f_cand, gradient, ok), first = first, None
         if _any(ok):
-            if not _all(np.isfinite(f_cand[ok])):
-                raise FloatingPointError("objective became non-finite")
             go = ok & (np.abs(f_cand - f_v[sel]) >= cfg.epsilon)
             if searching.size == n and _all(ok):   # every row accepts this trial
                 grad = gradient() if need_grad and _any(go) else grad_next
@@ -332,12 +364,11 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     (`line_search`, treated as converged) or its Riemannian gradient is zero
     (`zero_grad`, which repeats the last value in the trace).
 
-    Each round forms 1/|G| (0 where G = 0) once, for the direction and the
-    second quotient. Every row tries its trial step on the whole stack;
-    backtracking then re-evaluates only the rows still searching, and
-    gradients are taken only from evaluations where some row accepted a
-    point and goes on. The live rows, and `data`, are compacted only when a
-    row stops.
+    Each round forms 1/|G| once, for the direction and the second quotient.
+    Backtracking re-evaluates only the rows still searching, and gradients
+    are taken only from evaluations where some row accepted a point and goes
+    on. The live rows, and `data`, are compacted only when a row stops
+    (`StackDescent.retire`).
 
     Raises FloatingPointError if a start value, or an accepted value, is not
     finite; RetractionError if a trial point has a zero entry.
@@ -345,17 +376,11 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     v = np.array(v0, dtype=complex)
     if v.ndim != 2:
         raise ValueError("v0 must be a (T, M) stack of phase vectors")
-    n_rows, m = v.shape
     data = tuple(data)
     f_v, gradient = evaluate(data, v)
-    if not _all(np.isfinite(f_v)):
-        raise FloatingPointError("objective is not finite at a start point")
+    record = StackDescent(v, f_v)
     grad = gradient()
-    traces = [[value] for value in f_v.tolist()]
-    stops = ["max_iters"] * n_rows
-    final = v.copy()
-    live = np.arange(n_rows)   # original index of each live row
-    first_step = INITIAL_STEP * math.sqrt(m)
+    first_step = INITIAL_STEP * math.sqrt(v.shape[1])
     prev_v = prev_riem = None
     for it in range(cfg.max_iters):
         riem = _tangent(v, grad)
@@ -379,31 +404,18 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
         v_next, f_next, grad, accepted, go_on, zero = _line_search(
             evaluate, data, v, f_v, riem, direction, slope, trial, cfg,
             it + 1 < cfg.max_iters)
-        if _all(accepted):
-            for i, value in zip(live.tolist(), f_next.tolist()):
-                traces[i].append(value)
-        else:
-            for i, value in zip(live[accepted].tolist(), f_next[accepted].tolist()):
-                traces[i].append(value)
-            for i in live[zero].tolist():
-                traces[i].append(traces[i][-1])
+        record.log(f_next, accepted | zero)   # a zero row's value is its own
 
         prev_v, prev_riem = v, riem
         v, f_v = v_next, f_next
         if not _all(go_on):
-            for reason, mask in (("zero_grad", zero), ("gap", accepted & ~go_on),
-                                 ("line_search", ~zero & ~accepted)):
-                for i in live[mask].tolist():
-                    stops[i] = reason
-            final[live[~go_on]] = v[~go_on]
-            live, v, f_v, grad = live[go_on], v[go_on], f_v[go_on], grad[go_on]
-            prev_v, prev_riem = prev_v[go_on], prev_riem[go_on]
+            reasons = np.where(zero, "zero_grad", np.where(accepted, "gap", "line_search"))
+            v, f_v, grad, prev_v, prev_riem = record.retire(go_on, reasons, v, v, f_v, grad,
+                                                            prev_v, prev_riem)
             data = _compact(data, go_on.nonzero()[0])
-            if not live.size:
+            if not len(v):
                 break
-    final[live] = v
-    return StackDescent(points=final, traces=tuple(tuple(t) for t in traces),
-                        stops=tuple(stops))
+    return record.finish(v)
 
 
 def ccm_descent(f: Objective, grad_f: Gradient, v0: PhaseVector,

@@ -18,10 +18,10 @@ the `StackObjective` the engine calls and its per-row data: evaluate(data, v)
 gives the values of a (T, M) stack v and the function of their gradients.
 `optimize_spgm_stack` maximizes a positive semidefinite quadratic form by
 the unimodular power method instead, with no step size or line search.
-Every optimizer runs all its rows in one masked loop, and a row's result
-equals its result alone, bit for bit, also where the rows read one core row
-in place (`manifold.shares_rows`); `optimize_tsvd` and `optimize_spgm` run a
-stack of one.
+Every optimizer runs all its rows in one masked loop (`manifold.StackDescent`
+records them), and a row's result equals its result alone, bit for bit, also
+where the rows read one core row in place (`manifold.shares_rows`);
+`optimize_tsvd` and `optimize_spgm` run a stack of one.
 
 `coupling_matrix` gives the path-coupling gains v^H p^{ij}, and
 `offdiag_ratio` their off-diagonal diagnostic ratio, used to check that the
@@ -257,42 +257,28 @@ def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
     size and no line search, and F^H F w is taken on the core. A row stops
     when its gain moves by less than cfg.epsilon (`gap`) or after
     cfg.max_iters updates (`max_iters`), and is frozen while the others go
-    on; a row's result equals its result alone, bit for bit. The traces
-    hold the normalized gains, which do not decrease.
+    on. The traces hold the normalized gains, which do not decrease.
 
     Raises FloatingPointError if a gain is not finite.
     """
     w = np.stack([random_phases(rng, core.m) for rng in rngs])
     data = full = _spgm_data(core)
     c, gain = _spgm_gains(data, w)
-    if not np.isfinite(gain).all():
-        raise FloatingPointError("sum-path gain is not finite at a start point")
-    traces = [[value] for value in gain.tolist()]
-    stops = ["max_iters"] * len(w)
-    final = w.copy()
-    live = np.arange(len(w))   # original index of each live row
+    record = StackDescent(w, gain)
     for _ in range(cfg.max_iters):
         ascent = _spgm_ascent(data, c)
         mag = np.abs(ascent)
         w = np.divide(ascent, mag, out=w.copy(), where=mag > 0)
         c, gain_next = _spgm_gains(data, w)
-        if not np.isfinite(gain_next).all():
-            raise FloatingPointError("sum-path gain became non-finite")
-        for i, value in zip(live.tolist(), gain_next.tolist()):
-            traces[i].append(value)
+        record.log(gain_next)
         go_on = np.abs(gain_next - gain) >= cfg.epsilon
         gain = gain_next
         if not go_on.all():
-            for i in live[~go_on].tolist():
-                stops[i] = "gap"
-            final[live[~go_on]] = w[~go_on]
-            live, w, c, gain = live[go_on], w[go_on], c[go_on], gain[go_on]
-            if not live.size:
+            w, c, gain = record.retire(go_on, "gap", w.conj(), w, c, gain)
+            if not len(w):
                 break
-            data = tuple(a[:live.size] if shares_rows(a) else a[live] for a in full)
-    final[live] = w
-    return StackDescent(points=final.conj(), traces=tuple(tuple(t) for t in traces),
-                        stops=tuple(stops))
+            data = tuple(a[:len(w)] if shares_rows(a) else a[record.live] for a in full)
+    return record.finish(w.conj())
 
 
 def coupling_matrix(v: np.ndarray, core: PathCore) -> np.ndarray:

@@ -3,21 +3,15 @@
 The fully digital optimum comes from the truncated SVD of the cascade
 channel with an equal power split per stream. The hybrid factorization
 approximates that optimum with a unit-modulus analog matrix times a small
-digital matrix: from the caller's analog start it alternates the
-least-squares digital update, solved on the n_rf x n_rf Gram matrix of the
-analog matrix, with closed-form column-wise phase updates of the analog
-matrix (Sohrabi & Yu, IEEE JSTSP 2016), computed from the small products
-target F_BB^H and F_BB F_BB^H rather than from an explicit residual matrix.
-A sweep starts from the paths' own steering vectors, which span its targets
-(El Ayach et al., IEEE TWC 2014). The cap of 10 alternations is the rule,
-not a safeguard: a slot with at least as many RF chains as paths is exact
-after one alternation, but with fewer the epsilon stop seldom fires first
-(every slot of configs/power_sweep.cfg runs to the cap), so there the cap
-sets the result. It factors a stack of targets (slots) in one loop: every
-slot has its own start, stop and power norm (None for a combiner), a slot
-that has stopped is frozen while the others go on, and each slot's result
-does not depend on the others, so precoders and combiners of one shape
-share a loop.
+digital matrix, by alternating exact block updates from the caller's analog
+start (Sohrabi & Yu, IEEE JSTSP 2016). A sweep starts from the paths' own
+steering vectors, which span its targets (El Ayach et al., IEEE TWC 2014).
+The cap of 10 alternations is the rule, not a safeguard: a slot with at
+least as many RF chains as paths reaches the residual floor after one
+alternation (`floor`), but with fewer the relative-change stop (`gap`)
+seldom fires first (every slot of configs/power_sweep.cfg stops on
+`max_iters`), so there the cap sets the result. It factors a stack of
+targets (slots) in one loop, one record row per slot (`manifold.StackDescent`).
 Scaling a target scales its digital matrix alone: the least-squares stage
 is linear in the target, and the column phases and both stop tests are
 scale-free, so a sweep factors a precoder once and rescales it for other
@@ -31,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import DescentConfig
+from .manifold import DescentConfig, StackDescent
 from .manifold import ccm_descent  # noqa: F401 -- unused; perfbench/spans.py rebinds it
 
 
@@ -98,17 +92,17 @@ def _phases(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
                      power_norms: Sequence[float | None] | None = None,
-                     max_alternations: int = 10) -> tuple[np.ndarray, np.ndarray]:
+                     max_alternations: int = 10) -> tuple[np.ndarray, np.ndarray, StackDescent]:
     """Factor each slot of `targets` (K x N x N_s) into unit-modulus analog
     (K x N x n_rf) times digital (K x n_rf x N_s) matrices.
 
     Slot k starts from the unit-modulus analog matrix start[k], and the
     start's shape (K x N x n_rf) sets n_rf. Each slot alternates two exact
-    block updates of ||target - F_RF F_BB||_F until its relative residual
-    change drops below cfg.epsilon or its residual is at most
-    RESIDUAL_FLOOR ||target||_F (at most `max_alternations` rounds); a slot
-    that has stopped is frozen while the others go on, so a slot's result is
-    the same alone as in any stack. The updates:
+    block updates of ||target - F_RF F_BB||_F until its residual is at most
+    RESIDUAL_FLOOR ||target||_F (`floor`) or its relative change drops below
+    cfg.epsilon (`gap`), for at most `max_alternations` rounds
+    (`max_iters`); a slot that has stopped is frozen while the others go on,
+    so a slot's result is the same alone as in any stack. The updates:
     - F_BB = (F_RF^H F_RF)^-1 F_RF^H target, the least-squares digital stage,
       solved on the n_rf x n_rf Gram matrix (raises LinAlgError if singular);
     - one Gauss-Seidel pass over the analog columns. With the other columns
@@ -127,6 +121,12 @@ def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
     rescaled so its product has squared Frobenius norm power_norms[k]; a
     slot whose norm is None (a combiner) keeps its least-squares one, so
     precoders and combiners of one shape factor in one call.
+
+    Returns F_RF, F_BB and the slots' record (`StackDescent`): a slot's
+    final analog rows (F_RF^T), its stop and its residual trace, which
+    begins with the start's residual at round 1's least-squares stage and
+    gains one residual per alternation, so its iterations count alternations.
+    Raises FloatingPointError if a residual is not finite.
     """
     targets = np.ascontiguousarray(targets, dtype=complex)
     n_slots, n, n_streams = targets.shape
@@ -138,34 +138,33 @@ def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
 
     rows = start.transpose(0, 2, 1).astype(complex, order="C")   # row k is analog column k
     offdiag = ~np.eye(n_rf, dtype=bool)
-    live = np.arange(n_slots)              # slots still alternating
-    r, t = rows, targets                   # their analog rows and targets
-    prev_residual = np.full(n_slots, np.inf)
-    floor_scale = np.linalg.norm(targets, axis=(1, 2))
-    for _ in range(max_alternations):
-        f_bb = _digital_stage(r, t)
+    r, t = rows, targets                   # the live slots' analog rows and targets
+    floor = RESIDUAL_FLOOR * np.linalg.norm(targets, axis=(1, 2))
+    f_bb = _digital_stage(r, t)
+    residual = np.linalg.norm(t - r.transpose(0, 2, 1) @ f_bb, axis=(1, 2))
+    record = StackDescent(rows, residual)
+    for it in range(max_alternations):
+        if it:   # round 1's digital stage is solved above
+            f_bb = _digital_stage(r, t)
         f_bb_h = f_bb.conj()
         a_rows = f_bb_h @ t.transpose(0, 2, 1)              # row k is A[:, k]
         b_rows = f_bb_h @ f_bb.transpose(0, 2, 1) * offdiag  # row k is B[:, k]
         for k in range(n_rf):
             _phases(a_rows[:, k] - (b_rows[:, k, None] @ r)[:, 0], out=r[:, k])
 
-        residual = np.linalg.norm(t - r.transpose(0, 2, 1) @ f_bb, axis=(1, 2))
-        # a residual at rounding level, or a relative change below epsilon
-        # (multiplied out so the first round's infinite previous residual
-        # gives no inf/inf)
-        stop = (residual <= RESIDUAL_FLOOR * floor_scale) | (
-            np.abs(prev_residual - residual)
-            < cfg.epsilon * np.maximum(prev_residual, np.finfo(float).tiny))
-        if stop.any():
-            rows[live] = r
-            go = ~stop
-            live, r, t, floor_scale = live[go], r[go], t[go], floor_scale[go]
-            if not live.size:
-                break
-            residual = residual[go]
         prev_residual = residual
-    rows[live] = r
+        residual = np.linalg.norm(t - r.transpose(0, 2, 1) @ f_bb, axis=(1, 2))
+        record.log(residual)
+        # a residual at rounding level, or a relative change below epsilon
+        # (multiplied out, so a zero previous residual gives no 0/0)
+        at_floor = residual <= floor
+        stop = at_floor | (np.abs(prev_residual - residual) < cfg.epsilon * prev_residual)
+        if stop.any():
+            r, t, floor, residual = record.retire(~stop, np.where(at_floor, "floor", "gap"),
+                                                  r, r, t, floor, residual)
+            if not len(r):
+                break
+    rows = record.finish(r).points
 
     f_rf = np.ascontiguousarray(rows.transpose(0, 2, 1))
     f_bb = _digital_stage(rows, targets)
@@ -177,4 +176,4 @@ def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
             if norm == 0:
                 raise RankError("degenerate factorization; cannot normalize power")
             f_bb[k] *= np.sqrt(power) / norm
-    return f_rf, f_bb
+    return f_rf, f_bb, record

@@ -107,6 +107,20 @@ def test_run_rejects_a_link_budget_out_of_range(tmp_path, capsys, line, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("sweep_values = 40", "noise_dbm = 1e4", "line 13: 'noise_dbm' = 1e4"),
+    ("sweep_values = 40", "tx_power_dbm = 1e4", "line 13: 'tx_power_dbm' = 1e4"),
+    ("sweep_values = 40", "sweep_values = 30, 1e4", "tx_power_dbm sweep value 10000"),
+], ids=["noise_dbm", "tx_power_dbm", "sweep-value"])
+def test_a_power_out_of_range_is_named(tmp_path, capsys, old, new, named):
+    # the message points at the line and key, or the sweep variable and
+    # value, whose power no float holds
+    text = SMALL_CFG.replace(old, new)
+    assert main(["run", _cfg(tmp_path, text), "--out", str(tmp_path / "never.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.endswith("out of range\n")
+
+
 def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
     out = tmp_path / "never.csv"
     assert main(["run", _cfg(tmp_path, SMALL_CFG), "--out", str(out), "--seed", "-1"]) == 1

@@ -143,6 +143,7 @@ def test_load_config_overrides(tmp_path):
     ("rx_gain_dbi = 1e4", "positive, finite amplitude"),   # 10^500 overflows
     ("tx_gain_dbi = -1e4", "positive, finite amplitude"),  # 10^-500 is 0
     ("methods = tsvd, tsvd", "must not repeat"),
+    ("trials = 2\ntrials = 3", "line 2: 'trials' is set twice"),
     ("n_streams = 0", "n_streams must be >= 1"),
     ("sweep_variable = n_streams\nsweep_values = 0, 2", "n_streams must be >= 1"),
     ("seed = -1", "seed must be non-negative"),
@@ -520,8 +521,8 @@ def test_hybrid_batch_stacks_each_slot_shape_once(monkeypatch, changes, shapes):
         for side, side_norms in ((precoder, [n for n in norms if n is not None]),
                                  (~precoder, None)):
             if side.any():
-                f_rf[side], f_bb[side] = real(targets[side], start[side], descent, side_norms,
-                                              *args)
+                f_rf[side], f_bb[side], _ = real(targets[side], start[side], descent,
+                                                 side_norms, *args)
         return f_rf, f_bb
 
     monkeypatch.setattr(harness, "hybrid_factorize", by_side)
@@ -602,7 +603,7 @@ def test_a_shared_precoder_is_its_design_factored_at_each_power(monkeypatch):
     powers = [dbm_to_watt(v) for v in cfg.sweep_values] * 2
     for f, k, power in zip(precoders[0], [0, 0, 0, 1, 1, 1], powers):
         scaled = targets[k:k + 1] * np.sqrt(power / norms[k])
-        f_rf, f_bb = real_hybrid(scaled, start[k:k + 1], cfg.descent, [power])
+        f_rf, f_bb, _ = real_hybrid(scaled, start[k:k + 1], cfg.descent, [power])
         want = f_rf[0] @ f_bb[0]
         assert np.linalg.norm(f - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -641,6 +642,33 @@ def test_rf_sweep_hybrid_is_digital_at_twice_the_streams(shipped_rf_sweep):
     # n_rf = 8 = 2 N_s: the two-phase split realizes every digital design
     assert shipped_rf_sweep[8.0, "hybrid"] == pytest.approx(shipped_rf_sweep[8.0, "digital"],
                                                             rel=1e-9)
+
+
+def test_shipped_hybrid_slots_stop_where_the_docs_say(monkeypatch):
+    # power_sweep.cfg has 6 RF chains for 7 paths: every hybrid slot, 18
+    # designs per 2 trials on each side, runs to the cap of 10 alternations.
+    # In rf_sweep.cfg the slots with n_rf = 8 >= P chains start from every
+    # path's steering vector, so one alternation reaches the residual floor
+    from lisim import harness
+    real, seen = harness.hybrid_factorize, []
+
+    def hybrid(targets, start, *args):
+        factors = real(targets, start, *args)
+        seen.append((start.shape[2], factors[2]))
+        return factors
+
+    monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    run_sweep(replace(load_config(configs / "power_sweep.cfg"), trials=2))
+    stops = [stop for _, record in seen for stop in record.stops]
+    iters = np.concatenate([record.iters for _, record in seen])
+    assert stops == ["max_iters"] * 36 and np.all(iters == 10)
+    seen.clear()
+    cfg = load_config(configs / "rf_sweep.cfg")
+    run_sweep(replace(cfg, trials=2))
+    full = [record for n_rf, record in seen if n_rf >= cfg.p_paths]
+    assert [stop for record in full for stop in record.stops] == ["floor"] * 4
+    assert all(np.all(record.iters == 1) for record in full)
 
 
 def test_run_sweep_hybrid_mode():

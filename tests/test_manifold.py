@@ -313,7 +313,8 @@ def test_stack_rows_stop_for_their_own_reasons():
     cfg = DescentConfig(epsilon=1e-3, max_iters=6)
     stack = _descend_rows(v0, t, sign, scale, cfg)
     assert stack.stops == ("zero_grad", "gap", "max_iters", "line_search")
-    assert set(stack.stops) == set(STOP_REASONS)
+    # every reason but `floor`, the hybrid factorization's residual floor
+    assert set(stack.stops) == set(STOP_REASONS) - {"floor"}
     np.testing.assert_array_equal(stack.iters, [1, 1, 6, 0])
     for i in range(4):
         alone = _descend_rows(v0[i:i + 1], t[i:i + 1], sign[i:i + 1], scale[i:i + 1], cfg)

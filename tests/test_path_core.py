@@ -96,8 +96,8 @@ def _dense_trial(cfg, seen):
     w = digital_combiner(svd)
     # each side factored alone, as a stack of one
     f_start, w_start = seen["hybrid_starts"][:1], seen["hybrid_starts"][1:]
-    f_rf, f_bb = hybrid_factorize(f[None], f_start, cfg.descent, [budget.tx_power])
-    w_rf, w_bb = hybrid_factorize(w[None], w_start, cfg.descent)
+    f_rf, f_bb, _ = hybrid_factorize(f[None], f_start, cfg.descent, [budget.tx_power])
+    w_rf, w_bb, _ = hybrid_factorize(w[None], w_start, cfg.descent)
     return (svd.sigma1, truncated_condition_number(h_true, n_s),
             spectral_efficiency(h_true, f, w, budget.noise_power),
             spectral_efficiency(h_true, f_rf[0] @ f_bb[0], w_rf[0] @ w_bb[0],
