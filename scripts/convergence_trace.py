@@ -15,7 +15,6 @@ from pathlib import Path
 from lisim.channel import path_core
 from lisim.harness import _draw_point, _specialize, load_config
 from lisim.passive_bf import optimize_tsvd, stream_weights
-from lisim.units import dbi_to_amplitude
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
 
@@ -30,12 +29,12 @@ def main():
     cfg = load_config(CONFIG)
     cfg = replace(cfg, n_streams=args.streams,
                   descent=replace(cfg.descent, epsilon=args.epsilon))
-    gains = dbi_to_amplitude(cfg.tx_gain_dbi), dbi_to_amplitude(cfg.rx_gain_dbi)
 
     for seed in range(args.seeds):
         seeded = replace(cfg, seed=seed)
         point = _draw_point(seeded, _specialize(seeded), 0, 0)
         run_cfg, paths = point.cfg, point.paths
+        gains = run_cfg.gains
         weights = stream_weights(paths, run_cfg.budget, run_cfg.n_streams, *gains)
         _, trace = optimize_tsvd(path_core([paths], run_cfg.geometry, *gains), weights,
                                  run_cfg.descent, point.rngs["tsvd"])

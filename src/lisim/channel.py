@@ -168,10 +168,6 @@ class PathCore:
         return (self.bank @ v.conj()[:, :, None]).reshape(
             len(v), self.left.shape[2], self.right.shape[1])
 
-    def at(self, v: np.ndarray) -> np.ndarray:
-        """The cores left X(v) right at the (T, M) phase entries v."""
-        return self.left @ self.gains(v) @ self.right
-
 
 def ula_responses(gammas: np.ndarray, n: int, spacing_ratio: float = 0.5) -> np.ndarray:
     """Normalized ULA steering vectors for the angles `gammas` (any shape), on a new last axis."""

@@ -54,7 +54,7 @@ from .channel import (  # noqa: F401
     composite_path_vectors,
     effective_channel,
 )
-from .manifold import DescentConfig, PhaseVector, RetractionError
+from .manifold import DescentConfig, RetractionError
 from .metrics import CombinerRankError, spectral_efficiency, truncated_condition_number
 from .passive_bf import (
     coupling_matrix,
@@ -905,7 +905,7 @@ def emit_csv(result: SweepResult, path) -> None:
 # -- brute-force oracle -----------------------------------------------------
 
 def brute_force_phase_oracle(core: PathCore, weights: np.ndarray,
-                             levels: int) -> tuple[PhaseVector, float]:
+                             levels: int) -> tuple[np.ndarray, float]:
     """Exhaustive search over quantized phase states for the rate surrogate.
 
     Enumerates every v with phases on the `levels`-point grid and returns the
@@ -936,4 +936,4 @@ def brute_force_phase_oracle(core: PathCore, weights: np.ndarray,
         if obj[k] > best_obj:
             best_obj = float(obj[k])
             best_v = v[k]
-    return PhaseVector(best_v), best_obj
+    return best_v, best_obj

@@ -38,8 +38,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-UNIT_MODULUS_TOL = 1e-10
-
 # Armijo backtracking: a trial step along the direction d shrinks by
 # ARMIJO_SHRINK until the objective falls by at least
 # ARMIJO_SLOPE * step * <riem, d>, at most MAX_SHRINKS times; the first trial
@@ -56,24 +54,6 @@ class RetractionError(ValueError):
 
 class LineSearchError(RuntimeError):
     """Armijo backtracking exhausted its shrink budget."""
-
-
-@dataclass(frozen=True)
-class PhaseVector:
-    """Unit-modulus complex vector: the LIS reflection state."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 1:
-            raise ValueError("entries must be a 1-D complex vector")
-        if np.max(np.abs(np.abs(entries) - 1.0)) > UNIT_MODULUS_TOL:
-            raise ValueError("entries must have unit modulus")
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -186,9 +166,9 @@ class StackDescent:
         """Iterations per row: trace length minus the start."""
         return np.array([len(trace) - 1 for trace in self.traces])
 
-    def row(self, i: int) -> tuple[PhaseVector, list[float]]:
+    def row(self, i: int) -> tuple[np.ndarray, list[float]]:
         """Row i's final point and objective trace."""
-        return PhaseVector(self.points[i]), list(self.traces[i])
+        return self.points[i], list(self.traces[i])
 
     def log(self, values: np.ndarray, keep: np.ndarray | None = None) -> None:
         """Append each live row's value to its trace; with `keep`, only those rows' values.
@@ -418,15 +398,15 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     return record.finish(v)
 
 
-def ccm_descent(f: Objective, grad_f: Gradient, v0: PhaseVector,
-                cfg: DescentConfig) -> tuple[PhaseVector, list[float]]:
-    """`ccm_descent_stack` on the single point v0 with objective f and gradient grad_f.
+def ccm_descent(f: Objective, grad_f: Gradient, v0: np.ndarray,
+                cfg: DescentConfig) -> tuple[np.ndarray, list[float]]:
+    """`ccm_descent_stack` on the single point v0 (M,) with objective f and gradient grad_f.
 
-    Returns the final point and the objective trace (including the start).
+    Returns the final point (M,) and the objective trace (including the start).
     """
     def evaluate(_data, points):
         point = points[0]
         return (np.array([float(f(point))]),
                 lambda: np.asarray(grad_f(point), dtype=complex)[None])
 
-    return ccm_descent_stack(evaluate, (), v0.entries[None], cfg).row(0)
+    return ccm_descent_stack(evaluate, (), v0[None], cfg).row(0)

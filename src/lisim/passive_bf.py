@@ -38,7 +38,6 @@ import numpy as np
 from .channel import LinkBudget, PathCore, PathSet
 from .manifold import (
     DescentConfig,
-    PhaseVector,
     StackDescent,
     StackObjective,
     ccm_descent_stack,
@@ -169,7 +168,7 @@ def stream_weights(paths: PathSet, budget: LinkBudget, n_streams: int,
 
 
 def optimize_tsvd(core: PathCore, weights: np.ndarray, cfg: DescentConfig,
-                  rng: np.random.Generator) -> tuple[PhaseVector, list[float]]:
+                  rng: np.random.Generator) -> tuple[np.ndarray, list[float]]:
     """Manifold descent on the truncated-SVD rate surrogate from a random start.
 
     `core` is a stack of one and `weights` (N_s,) is one row of `tsvd_objective`'s.
@@ -237,7 +236,7 @@ def _spgm_ascent(data, c: np.ndarray) -> np.ndarray:
 
 
 def optimize_spgm(core: PathCore, cfg: DescentConfig,
-                  rng: np.random.Generator) -> tuple[PhaseVector, list[float]]:
+                  rng: np.random.Generator) -> tuple[np.ndarray, list[float]]:
     """Maximize ||H(v)||_F^2 over the LIS phases by the unimodular power method
     in w = conj(v) from a random start.
 

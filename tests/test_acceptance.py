@@ -7,7 +7,6 @@ numbers before asserting, so a red run still reports every measurement.
 import itertools
 
 import numpy as np
-import pytest
 
 from lisim.channel import (
     ArrayGeometry,
@@ -18,6 +17,7 @@ from lisim.channel import (
 )
 from lisim.harness import (
     ExperimentConfig,
+    _run_trials,
     brute_force_phase_oracle,
     emit_csv,
     run_sweep,
@@ -54,6 +54,27 @@ DESK_CONFIG = ExperimentConfig(
 
 def _report(criterion, ok, detail):
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
+
+
+def _digital(cfg):
+    """One run's per-trial digital values: {method: (rates, condition
+    numbers, good)}, each array (sweep values, trials). Trial t sees one
+    channel under every method and sweep value, so the arrays pair up."""
+    run = _run_trials(cfg)
+    return {method: (run.rate[:, k, 0], run.cond[:, k, 0], ~run.failed[:, k, 0])
+            for k, method in enumerate(cfg.methods)}
+
+
+def _mean(values, good):
+    """The mean of the good entries, as run_sweep's rows take it."""
+    return float(values[good].mean())
+
+
+def _paired_se(a, b, pair, scale=1.0):
+    """The standard error of mean(a) - scale * mean(b) over the trials
+    `pair`, where both are good, from their per-trial differences."""
+    diff = a[pair] - scale * b[pair]
+    return float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
 
 
 def test_criterion_1_gradient_correctness():
@@ -101,7 +122,7 @@ def test_criterion_2_manifold_engine_convergence():
                                  stream_weights(paths, PAPER_BUDGET, 4, TX_GAIN), cfg, rng)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:])), \
             "objective trace must be non-increasing"
-        worst_modulus = max(worst_modulus, np.max(np.abs(np.abs(v.entries) - 1.0)))
+        worst_modulus = max(worst_modulus, np.max(np.abs(np.abs(v) - 1.0)))
         worst_iters = max(worst_iters, len(trace) - 1)
     ok = worst_iters <= 15 and worst_modulus < 1e-12
     _report(2, ok, f"max iterations to flatten {worst_iters} (limit 15), "
@@ -121,7 +142,7 @@ def test_criterion_3_tiny_scale_oracle():
         _, best = brute_force_phase_oracle(core, weights, 8)
         v, _ = optimize_tsvd(core, weights, cfg, rng)
         evaluate, data = tsvd_objective(core, weights[None])
-        ratios.append(-evaluate(data, v.entries[None])[0][0] / best)
+        ratios.append(-evaluate(data, v[None])[0][0] / best)
     ok = min(ratios) >= 0.95
     _report(3, ok, f"min optimizer/oracle ratio {min(ratios):.4f} over 20 seeds "
                    f"(threshold 0.95)")
@@ -132,34 +153,33 @@ def test_criterion_4_method_ordering():
     from dataclasses import replace
     cfg = replace(DESK_CONFIG, trials=100, seed=20_240_401,
                   sweep_values=(40.0,))
-    rows = {r.method: r for r in run_sweep(cfg).rows}
-    tsvd, spgm, rand = (rows[m].mean_se for m in ("tsvd", "spgm", "random"))
+    found = _digital(cfg)
+    (t_rate, _, t_good), (s_rate, _, s_good), (r_rate, _, r_good) = (
+        found[m] for m in ("tsvd", "spgm", "random"))
+    tsvd, spgm, rand = _mean(t_rate, t_good), _mean(s_rate, s_good), _mean(r_rate, r_good)
     margin = tsvd / spgm - 1.0
+    # delta method: the ratio's error is that of mean(tsvd - ratio * spgm) / spgm
+    pair = t_good & s_good
+    se = _paired_se(t_rate, s_rate, pair, tsvd / spgm) / spgm
+    below = np.count_nonzero(t_rate[pair] < s_rate[pair])
     ok = tsvd > spgm > rand and margin >= 0.05
     _report(4, ok, f"mean SE tsvd {tsvd:.3f} > spgm {spgm:.3f} > random {rand:.3f}; "
-                   f"tsvd/spgm margin {100 * margin:.1f}% (need >= 5%)")
+                   f"tsvd/spgm margin {100 * margin:.2f}% ± {100 * se:.2f}% paired s.e. "
+                   f"(need >= 5%); tsvd below spgm on {below} of {pair.sum()} draws")
     assert ok
 
 
 def test_criterion_5_condition_number_trend():
     from dataclasses import replace
-    from lisim.harness import _run_group, _specialize
     grid = (64.0, 128.0, 256.0)
     cfg = replace(DESK_CONFIG, trials=50, seed=123,
                   sweep_variable="lis_elements", sweep_values=grid,
                   methods=("tsvd", "spgm"))
-    # Per-trial condition numbers from the same (sweep index, trial) values
-    # that run_sweep averages, so the medians below belong to its rows.
-    conds = {}
-    for si, m in enumerate(grid):
-        for ti in range(cfg.trials):
-            found = _run_group(cfg, _specialize(cfg), [(si, ti)])
-            for k, method in enumerate(cfg.methods):
-                if not found.failed[0, k, 0]:
-                    conds.setdefault((m, method), []).append(found.cond[0, k, 0])
-    for row in run_sweep(cfg).rows:
-        assert np.mean(conds[(row.sweep_value, row.method)]) == pytest.approx(
-            row.mean_cond, rel=1e-12)
+    # Per-trial condition numbers of the run whose rows run_sweep averages,
+    # so the medians below belong to its rows.
+    conds = {(m, method): cond[si][good[si]]
+             for method, (_, cond, good) in _digital(cfg).items()
+             for si, m in enumerate(grid)}
     spgm, tsvd = ([float(np.median(conds[(m, method)])) for m in grid]
                   for method in ("spgm", "tsvd"))
     means = {method: [f"{np.mean(conds[(m, method)]):.0f}" for m in grid]
@@ -207,7 +227,7 @@ def test_criterion_7_diagonal_dominance():
             core = path_core([paths], geometry)
             v, _ = optimize_tsvd(core, stream_weights(paths, budget, 4, TX_GAIN),
                                  DescentConfig(), rng)
-            ratios.append(offdiag_ratio(coupling_matrix(v.entries[None], core), 4)[0])
+            ratios.append(offdiag_ratio(coupling_matrix(v[None], core), 4)[0])
         means[16 * lis_z] = float(np.mean(ratios))
     decreasing = means[16] > means[64] > means[256]
     ok = means[256] < 0.3 and decreasing
@@ -274,16 +294,24 @@ def test_criterion_10_imperfect_csi_robustness():
                   sweep_variable="angle_error_deg",
                   sweep_values=(0.0, 1.0, 2.0),
                   methods=("tsvd", "spgm"))
-    rows = run_sweep(cfg).rows
-    se = {(r.sweep_value, r.method): r.mean_se for r in rows}
-    tsvd = [se[(b, "tsvd")] for b in (0.0, 1.0, 2.0)]
-    spgm = [se[(b, "spgm")] for b in (0.0, 1.0, 2.0)]
+    found = _digital(cfg)
+    (t_rate, _, t_good), (s_rate, _, s_good) = found["tsvd"], found["spgm"]
+    tsvd = [_mean(t_rate[si], t_good[si]) for si in range(3)]
+    spgm = [_mean(s_rate[si], s_good[si]) for si in range(3)]
     non_increasing = tsvd[0] >= tsvd[1] >= tsvd[2]
     above = all(t > s for t, s in zip(tsvd, spgm))
     ok = non_increasing and above
+    # each margin with the standard error of its per-trial differences
+    lead = [(tsvd[i] - spgm[i], _paired_se(t_rate[i], s_rate[i], t_good[i] & s_good[i]))
+            for i in range(3)]
+    drop = [(tsvd[i] - tsvd[i + 1],
+             _paired_se(t_rate[i], t_rate[i + 1], t_good[i] & t_good[i + 1]))
+            for i in range(2)]
     _report(10, ok, f"mean SE tsvd {[f'{x:.3f}' for x in tsvd]} vs spgm "
                     f"{[f'{x:.3f}' for x in spgm]} over beta = 0/1/2 deg; "
-                    f"tsvd non-increasing: {non_increasing}, above spgm: {above}")
+                    f"tsvd non-increasing: {non_increasing}, above spgm: {above}; "
+                    f"paired tsvd - spgm {[f'{m:.3f} ± {e:.3f}' for m, e in lead]}, "
+                    f"tsvd drop per step {[f'{m:.3f} ± {e:.3f}' for m, e in drop]}")
     assert ok
 
 

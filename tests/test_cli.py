@@ -3,8 +3,10 @@
 import pytest
 
 from lisim import __version__
+from lisim.channel import path_core
 from lisim.cli import main
-from lisim.harness import load_config
+from lisim.harness import _draw_point, _specialize, load_config
+from lisim.passive_bf import optimize_tsvd, stream_weights, tsvd_objective
 
 SMALL_CFG = """
 n_tx = 8
@@ -157,6 +159,24 @@ def test_oracle_searches_at_the_first_sweep_value(tmp_path, capsys, methods):
     assert main(["oracle", _cfg(tmp_path, LIS_SWEEP_ORACLE_CFG + methods)]) == 0
     ratio = float(capsys.readouterr().out.strip().splitlines()[-1].split()[-1])
     assert ratio >= 0.95
+
+
+@pytest.mark.parametrize("text", [ORACLE_CFG, LIS_SWEEP_ORACLE_CFG],
+                         ids=["power", "lis-sweep"])
+def test_oracle_prints_the_surrogate_at_the_optimizer_point(tmp_path, capsys, text):
+    # the printed optimizer objective is the trace's last value; it must be
+    # the surrogate re-evaluated at the point optimize_tsvd returns
+    path = _cfg(tmp_path, text)
+    assert main(["oracle", path]) == 0
+    printed = capsys.readouterr().out.splitlines()[1].split()[-1]
+    cfg = load_config(path)
+    point = _draw_point(cfg, _specialize(cfg), 0, 0)
+    run_cfg = point.cfg
+    core = path_core([point.paths], run_cfg.geometry, *run_cfg.gains)
+    weights = stream_weights(point.paths, run_cfg.budget, run_cfg.n_streams, *run_cfg.gains)
+    v, _ = optimize_tsvd(core, weights, run_cfg.descent, point.rngs["tsvd"])
+    evaluate, data = tsvd_objective(core, weights[None])
+    assert printed == f"{-evaluate(data, v[None])[0][0]:.9f}"
 
 
 def test_oracle_refuses_large_state_space(tmp_path, capsys):

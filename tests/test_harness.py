@@ -1006,7 +1006,7 @@ def test_oracle_beats_every_quantized_competitor():
     weights = stream_weights(paths, budget, 2)
     v, best = brute_force_phase_oracle(core, weights, levels=4)
     evaluate, data = tsvd_objective(core, weights[None])
-    assert -evaluate(data, v.entries[None])[0][0] == pytest.approx(best, rel=1e-12)
+    assert -evaluate(data, v[None])[0][0] == pytest.approx(best, rel=1e-12)
     # exhaustive re-check against an independent python-loop enumeration
     import itertools
     step = 2 * np.pi / 4

@@ -113,17 +113,25 @@ def test_dead_definition_is_flagged():
     assert _dead_definitions(modules, readers) == ["a.recursive", "a.Unused"]
 
 
+def _from_numpy(node) -> bool:
+    """Whether the attribute chain `node` starts at `np`, as np.subtract.at does."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "np"
+
+
 def _unread_members(modules: dict[str, str], readers: list[str]) -> list[str]:
     """The fields and methods of the classes of `modules` (name -> source)
     that no source among `modules` and `readers` reads, as an attribute or
-    as part of a dotted string constant. A name, a keyword argument or an
-    attribute store is not a read. Dunder methods are left out: the
-    language calls them."""
+    as part of a dotted string constant. A name, a keyword argument, an
+    attribute store or an attribute of numpy (np.subtract.at) is not a read.
+    Dunder methods are left out: the language calls them."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     read = set()
     for node in (sub for tree in [*trees.values(), *map(ast.parse, readers)]
                  for sub in ast.walk(tree)):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and not _from_numpy(node)):
             read.add(node.attr)
         read.update(_dotted_parts(node))
     unread = []
@@ -159,9 +167,10 @@ def test_unread_member_is_flagged():
                      "    def __len__(self): return self.read\n"
                      "    def called(self): pass\n"
                      "    def uncalled(self): pass\n"
+                     "    def at(self): pass\n"
                      "def f(t, unread):\n"
                      "    t.stored = Table(unread=unread)\n"
                      "    return t.called()\n")}
-    readers = ["NAMES = ('Table.in_a_string',)\n"]
+    readers = ["NAMES = ('Table.in_a_string',)\nnp.subtract.at(x, [0], 1)\n"]
     assert _unread_members(modules, readers) == [
-        "a.Table.stored", "a.Table.unread", "a.Table.uncalled"]
+        "a.Table.stored", "a.Table.unread", "a.Table.uncalled", "a.Table.at"]

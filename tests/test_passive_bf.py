@@ -154,8 +154,8 @@ def test_optimize_tsvd_improves_over_start():
                              stream_weights(paths, BUDGET, 2, TX_GAIN),
                              DescentConfig(epsilon=1e-8), rng)
     assert trace[-1] <= trace[0]
-    assert evaluate(data, v.entries[None])[0] == pytest.approx([trace[-1]], rel=1e-9)
-    assert np.max(np.abs(np.abs(v.entries) - 1.0)) < 1e-12
+    assert evaluate(data, v[None])[0] == pytest.approx([trace[-1]], rel=1e-9)
+    assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
 
 
 def test_optimize_rate_ascends_from_the_surrogate_solution():
@@ -165,13 +165,13 @@ def test_optimize_rate_ascends_from_the_surrogate_solution():
         v0, _ = optimize_tsvd(core, stream_weights(paths, BUDGET, 2, TX_GAIN),
                               DescentConfig(), rng)
         result = optimize_rate_stack(core, [BUDGET], 2, DescentConfig(epsilon=1e-8),
-                                     v0.entries[None])
+                                     v0[None])
         v, trace = result.row(0)
         evaluate, data = rate_objective(core, [BUDGET], 2)
-        assert trace[0] == pytest.approx(evaluate(data, v0.entries[None])[0][0], rel=1e-12)
+        assert trace[0] == pytest.approx(evaluate(data, v0[None])[0][0], rel=1e-12)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-        assert evaluate(data, v.entries[None])[0][0] == pytest.approx(trace[-1], rel=1e-9)
-        assert np.max(np.abs(np.abs(v.entries) - 1.0)) < 1e-12
+        assert evaluate(data, v[None])[0][0] == pytest.approx(trace[-1], rel=1e-9)
+        assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
 
 
 def test_optimize_spgm_maximizes_frobenius_norm():
@@ -179,7 +179,7 @@ def test_optimize_spgm_maximizes_frobenius_norm():
     # scored on the dense channel, not on the core the optimizer runs on
     chan = assemble_channels(paths, GEOMETRY)
     v, _ = optimize_spgm(path_core([paths], GEOMETRY), DescentConfig(epsilon=1e-8), rng)
-    opt = np.linalg.norm(effective_channel(chan, v.entries)) ** 2
+    opt = np.linalg.norm(effective_channel(chan, v)) ** 2
     draws = [np.linalg.norm(effective_channel(
         chan, random_phases(rng, GEOMETRY.m))) ** 2 for _ in range(50)]
     assert opt > max(draws)
@@ -196,7 +196,7 @@ def test_optimize_spgm_independent_of_channel_scale():
         loud = replace(core, right=1e8 * core.right)
         v, _ = optimize_spgm(core, DescentConfig(), np.random.default_rng(seed))
         v_loud, _ = optimize_spgm(loud, DescentConfig(), np.random.default_rng(seed))
-        np.testing.assert_allclose(v.entries, v_loud.entries, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(v, v_loud, rtol=0, atol=1e-9)
 
 
 def test_spgm_quadratic_form_identity():

@@ -77,6 +77,11 @@ class _Spy:
         return recorded
 
 
+def _at(core, v):
+    """The (T, ., .) core matrices left X(v) right at the (T, M) phases v."""
+    return core.left @ core.gains(v) @ core.right
+
+
 def _lift(core, c):
     """The dense (T, N_r, N_t) channels Q_u c Q_b^H of (T, ., .) core matrices c."""
     return core.q_u @ c @ core.q_b.conj().swapaxes(1, 2)
@@ -119,7 +124,7 @@ def test_trial_on_the_core_matches_the_dense_channel(monkeypatch, cfg):
                 spy.seen.get("perturb_angles", spy.seen["sample_paths"]))
             core = path_core([est_paths], cfg.geometry, tx_g, rx_g)
             core_sigma = truncated_svd(
-                core.at(spy.seen["random_phases"][None])[0], cfg.n_streams).sigma1
+                _at(core, spy.seen["random_phases"][None])[0], cfg.n_streams).sigma1
             errors = [np.max(np.abs(core_sigma - sigma) / sigma),
                       abs(conds[0] - cond) / cond, abs(conds[1] - cond) / cond,
                       abs(rates[0] - se) / se, abs(rates[1] - se_hybrid) / se_hybrid]
@@ -136,7 +141,7 @@ def test_path_core_lifts_to_the_dense_channel():
     assert core.q_b.shape == (1, 3, 3) and core.right.shape == (1, 5, 3)
     v = np.exp(1j * rng.uniform(0, 2 * np.pi, geometry.m))
     dense = effective_channel(assemble_channels(paths, geometry, 2.0, 0.5), v)
-    np.testing.assert_allclose(_lift(core, core.at(v[None]))[0], dense, rtol=0,
+    np.testing.assert_allclose(_lift(core, _at(core, v[None]))[0], dense, rtol=0,
                                atol=1e-12 * np.abs(dense).max())
 
 
@@ -151,14 +156,14 @@ def test_stacked_path_core_equals_stacks_of_one(geometry, p, l, trials):
                  for _ in range(trials)]
     stacked = path_core(path_sets, geometry, 2.0, 0.5)
     v = np.exp(1j * rng.uniform(0, 2 * np.pi, (trials, geometry.m)))
-    at = stacked.at(v)
+    at = _at(stacked, v)
     lifted = _lift(stacked, at)
     for i, paths in enumerate(path_sets):
         alone = path_core([paths], geometry, 2.0, 0.5)
         for name in ("bank", "q_u", "q_b", "left", "right"):
             np.testing.assert_array_equal(getattr(stacked, name)[i], getattr(alone, name)[0])
-        np.testing.assert_array_equal(at[i], alone.at(v[i:i + 1])[0])
-        np.testing.assert_array_equal(lifted[i], _lift(alone, alone.at(v[i:i + 1]))[0])
+        np.testing.assert_array_equal(at[i], _at(alone, v[i:i + 1])[0])
+        np.testing.assert_array_equal(lifted[i], _lift(alone, _at(alone, v[i:i + 1]))[0])
 
 
 # -- one bank read in place ----------------------------------------------------
