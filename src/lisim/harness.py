@@ -96,12 +96,11 @@ ORACLE_STATE_LIMIT = 10 ** 7
 # share the copies, and designs that all sit on one row read it in place
 # (`PathCore.__getitem__`). So it holds up to three budgets of banks (two
 # without an angle error; in a power sweep one more row per trial, which
-# `spgm` and `random` share), plus the rate descent's copy of the banks it
-# gathered: the memory a sweep adds stays within a small multiple of the
-# budget, whatever its trial count. Every descent round and batched call is
-# paid once per group, and the exact-rate descent costs less per point in
-# larger stacks, so a paper sweep of up to 10 points (a chunk of either
-# paper workload in perfbench/) runs as one group.
+# `spgm` and `random` share): the memory a sweep adds stays within a small
+# multiple of the budget, whatever its trial count. Every descent round and
+# batched call is paid once per group, and the exact-rate descent costs less
+# per point in larger stacks, so a paper sweep of up to 10 points (a chunk
+# of either paper workload in perfbench/) runs as one group.
 GROUP_BYTES = 2 ** 21
 
 # Failures a trial may meet on a bad channel draw; they count in the row's
@@ -422,7 +421,7 @@ def _draw_point(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, floa
     index = (sweep_idx, trial_idx)
     est_paths = paths
     if beta > 0:
-        est_paths = sort_paths_descending(perturb_angles(paths, beta, child(index, 1)))
+        est_paths = perturb_angles(paths, beta, child(index, 1))   # only angles move: still sorted
     keys = {method: _seed_key(cfg, method, *index) for method in run_cfg.methods}
     generators = {} if generators is None else generators
     rngs = {}

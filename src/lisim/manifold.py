@@ -152,7 +152,7 @@ class StackDescent:
     final point, trace (one value per iterate, start included) and stop,
     one of STOP_REASONS (`max_iters` until the loop retires the row), and
     `live`, the original index of each row still going, in the order of the
-    loop's compacted arrays. It starts with every row live at its value."""
+    loop's live arrays. It starts with every row live at its value."""
 
     def __init__(self, points: np.ndarray, values: np.ndarray):
         self.points = np.empty_like(points)   # (T, ...) final points
@@ -185,13 +185,14 @@ class StackDescent:
                *arrays: np.ndarray) -> tuple:
         """Stop the live rows where `go_on` is False, each for its entry of
         `reasons` (one string, or one per live row) and at its row of
-        `points`; returns each of `arrays` at the rows that go on."""
+        `points`; returns each of `arrays` at the rows that go on (`_rows`),
+        the one place a loop's live arrays shrink."""
         stopped = ~go_on
         gone = self.live[stopped]
         self.stops[gone] = reasons if isinstance(reasons, str) else reasons[stopped]
         self.points[gone] = points[stopped]
         self.live = self.live[go_on]
-        return tuple(a[go_on] for a in arrays)
+        return tuple(_rows(a, go_on, len(self.live)) for a in arrays)
 
     def finish(self, points: np.ndarray) -> StackDescent:
         """The record, with the final points of the live rows taken from `points`."""
@@ -202,24 +203,17 @@ class StackDescent:
 
 def shares_rows(a: np.ndarray) -> bool:
     """Whether every row of the stacked array `a` is one row read in place, a
-    stride-0 leading axis (`channel.PathCore.__getitem__`). The descents
-    never copy, move or gather the rows of such an array: its first n rows
-    are the rows of any n live rows."""
+    stride-0 leading axis (`channel.PathCore.__getitem__`). The loops never
+    copy or gather the rows of such an array: its first n rows are the rows
+    of any n live rows."""
     return a.strides[0] == 0
 
 
-def _compact(arrays: tuple, keep: np.ndarray) -> tuple:
-    """Move rows `keep` (ascending) of each array to its front, in place, and
-    return views of them; no copy, so a stack costs its memory once. An array
-    whose rows are one row (`shares_rows`) stays as it is."""
-    n = len(keep)
-    for a in arrays:
-        if shares_rows(a):
-            continue
-        for j, i in enumerate(keep.tolist()):
-            if i != j:
-                a[j] = a[i]
-    return tuple(a[:n] for a in arrays)
+def _rows(a: np.ndarray, rows, n: int) -> np.ndarray:
+    """The n rows `rows` (a mask, an index or a slice) of the stacked array
+    `a`: a[rows], or its first n rows in place when its rows are one row
+    (`shares_rows`). The loops never write to what they are handed."""
+    return a[:n] if shares_rows(a) else a[rows]
 
 
 def _inverse(metric: np.ndarray) -> np.ndarray:
@@ -280,16 +274,14 @@ def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.n
         if not searching.size:
             break
         first_row, last_row = searching[0], searching[-1]
-        # a run of consecutive rows is a view of `data`; others are gathered,
-        # except from an array whose rows are all one row (`shares_rows`)
+        # a run of consecutive rows is a view of `data`; others are gathered
         sel = (slice(first_row, last_row + 1)
                if last_row - first_row + 1 == searching.size else searching)
         s = step[sel]
         if first is None:
             candidate = _normalize(v[sel] - s[:, None] * direction[sel])
-            f_cand, gradient = evaluate(
-                tuple(a[:searching.size] if shares_rows(a) else a[sel] for a in data),
-                candidate)
+            f_cand, gradient = evaluate(tuple(_rows(a, sel, searching.size) for a in data),
+                                        candidate)
             ok = f_cand <= f_v[sel] - ARMIJO_SLOPE * s * slope[sel]
         else:   # every row's first trial, evaluated above
             (candidate, f_cand, gradient, ok), first = first, None
@@ -319,10 +311,7 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
 
     `v0` is a (T, M) stack of points on the manifold and `data` holds arrays
     whose leading axis has one entry per row; `evaluate` sees the rows of
-    both that it is asked about. The loop owns `data`: it moves the rows of
-    those arrays in place as rows stop, apart from an array whose rows are
-    one row (`shares_rows`), which it only reads. Each row runs the
-    single-vector rule:
+    both that it is asked about. Each row runs the single-vector rule:
 
     The direction is d = riem / |G|, the Riemannian gradient riem over the
     magnitude of each entry of the Euclidean gradient G (0 where G = 0,
@@ -347,7 +336,7 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     Each round forms 1/|G| once, for the direction and the second quotient.
     Backtracking re-evaluates only the rows still searching, and gradients
     are taken only from evaluations where some row accepted a point and goes
-    on. The live rows, and `data`, are compacted only when a row stops
+    on. The live rows of v and of `data` shrink only when a row stops
     (`StackDescent.retire`).
 
     Raises FloatingPointError if a start value, or an accepted value, is not
@@ -390,9 +379,8 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
         v, f_v = v_next, f_next
         if not _all(go_on):
             reasons = np.where(zero, "zero_grad", np.where(accepted, "gap", "line_search"))
-            v, f_v, grad, prev_v, prev_riem = record.retire(go_on, reasons, v, v, f_v, grad,
-                                                            prev_v, prev_riem)
-            data = _compact(data, go_on.nonzero()[0])
+            v, f_v, grad, prev_v, prev_riem, *data = record.retire(
+                go_on, reasons, v, v, f_v, grad, prev_v, prev_riem, *data)
             if not len(v):
                 break
     return record.finish(v)

@@ -188,12 +188,7 @@ def optimize_rate_stack(core: PathCore, budgets: Sequence[LinkBudget],
                         n_streams: int, cfg: DescentConfig, v0: np.ndarray) -> StackDescent:
     """Manifold descent on the truncated-SVD rate (`rate_objective`) of each
     row of `core` and budget, from the rows of v0 (T, M)."""
-    evaluate, data = rate_objective(core, budgets, n_streams)
-    # the descent moves the rows of its data in place as they stop: it gets a
-    # copy of each array that owns its rows, so the core keeps its row order
-    # for the caller; an array whose rows are one row it only reads
-    return ccm_descent_stack(evaluate, tuple(a if shares_rows(a) else a.copy() for a in data),
-                             v0, cfg)
+    return ccm_descent_stack(*rate_objective(core, budgets, n_streams), v0, cfg)
 
 
 def _spgm_data(core: PathCore) -> tuple[np.ndarray, ...]:
@@ -261,7 +256,7 @@ def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
     Raises FloatingPointError if a gain is not finite.
     """
     w = np.stack([random_phases(rng, core.m) for rng in rngs])
-    data = full = _spgm_data(core)
+    data = _spgm_data(core)
     c, gain = _spgm_gains(data, w)
     record = StackDescent(w, gain)
     for _ in range(cfg.max_iters):
@@ -273,10 +268,9 @@ def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
         go_on = np.abs(gain_next - gain) >= cfg.epsilon
         gain = gain_next
         if not go_on.all():
-            w, c, gain = record.retire(go_on, "gap", w.conj(), w, c, gain)
+            w, c, gain, *data = record.retire(go_on, "gap", w.conj(), w, c, gain, *data)
             if not len(w):
                 break
-            data = tuple(a[:len(w)] if shares_rows(a) else a[record.live] for a in full)
     return record.finish(w.conj())
 
 

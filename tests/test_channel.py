@@ -1,5 +1,7 @@
 """Channel synthesis: steering vectors, path sampling, assembly identities."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +216,21 @@ def test_perturb_angles_bounded_and_gain_preserving():
     np.testing.assert_array_equal(noisy.bs_lis_gain, paths.bs_lis_gain)
     assert np.all(np.abs(noisy.bs_lis_aod - paths.bs_lis_aod) <= beta)
     assert np.all(np.abs(noisy.lis_ue_aod_el - paths.lis_ue_aod_el) <= beta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_perturbed_sorted_paths_stay_sorted(seed):
+    # a sweep perturbs its sorted true paths and does not sort them again:
+    # only angles move, so the stable sort of the result is the identity
+    rng = np.random.default_rng(seed)
+    paths = sort_paths_descending(sample_paths(rng, GEOMETRY, BUDGET, 5, 4))
+    noisy = perturb_angles(paths, 0.03, rng)
+    assert noisy.bs_lis_gain is paths.bs_lis_gain
+    assert noisy.lis_ue_gain is paths.lis_ue_gain
+    again = sort_paths_descending(noisy)
+    for f in fields(noisy):
+        np.testing.assert_array_equal(getattr(again, f.name), getattr(noisy, f.name))
 
 
 @settings(max_examples=20, deadline=None)

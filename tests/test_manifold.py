@@ -1,9 +1,19 @@
 """Complex-circle manifold primitives and the descent engine."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lisim.channel import (
+    ArrayGeometry,
+    LinkBudget,
+    PathCore,
+    path_core,
+    sample_paths,
+    sort_paths_descending,
+)
 from lisim.manifold import (
     STOP_REASONS,
     DescentConfig,
@@ -18,6 +28,9 @@ from lisim.manifold import (
     _normalize,
     _tangent,
 )
+from lisim.passive_bf import optimize_rate_stack, optimize_spgm_stack
+from lisim.transceiver import hybrid_factorize
+from lisim.units import dbm_to_watt
 
 phase_arrays = st.integers(2, 32).flatmap(
     lambda m: st.lists(st.floats(0.0, 2 * np.pi), min_size=m, max_size=m))
@@ -286,12 +299,11 @@ def _stacked_alignment(data, v):
 
 
 def _descend_rows(v0, t, sign, scale, cfg):
-    # the loop compacts the rows of its data in place, so each call gets copies
-    return ccm_descent_stack(_stacked_alignment, (t.copy(), sign.copy(), scale.copy()),
-                             v0, cfg)
+    return ccm_descent_stack(_stacked_alignment, (t, sign, scale), v0, cfg)
 
 
-def test_stack_rows_stop_for_their_own_reasons():
+def _four_reasons():
+    """Four alignment rows that stop for four reasons, row 3 first and row 2 last."""
     m = 8
     rng = np.random.default_rng(0)
     t = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, m)))
@@ -300,6 +312,11 @@ def test_stack_rows_stop_for_their_own_reasons():
     v0[1] = t[1] * np.exp(1j * 0.003 * rng.standard_normal(m))  # one small step away
     sign = np.array([1.0, 1.0, 1.0, -1.0])                    # row 3 climbs
     scale = np.array([1.0, 1.0, 1e3, 1.0])                    # row 2 stays steep
+    return v0, t, sign, scale
+
+
+def test_stack_rows_stop_for_their_own_reasons():
+    v0, t, sign, scale = _four_reasons()
     cfg = DescentConfig(epsilon=1e-3, max_iters=6)
     stack = _descend_rows(v0, t, sign, scale, cfg)
     assert stack.stops == ("zero_grad", "gap", "max_iters", "line_search")
@@ -311,6 +328,60 @@ def test_stack_rows_stop_for_their_own_reasons():
         np.testing.assert_array_equal(stack.points[i], alone.points[0])
         np.testing.assert_array_equal(stack.traces[i], alone.traces[0])
         assert stack.stops[i] == alone.stops[0]
+
+
+def _frozen(a):
+    """A read-only copy of `a`: a loop that writes to it raises ValueError."""
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+def _assert_same_record(one, other):
+    np.testing.assert_array_equal(one.points, other.points)
+    assert one.traces == other.traces
+    assert one.stops == other.stops
+
+
+def test_no_loop_writes_to_its_inputs():
+    # each masked loop runs on read-only inputs whose rows stop out of order,
+    # so live rows are dropped from the middle of its stacks, and gives what
+    # it gives on writable copies
+    v0, t, sign, scale = _four_reasons()
+    cfg = DescentConfig(epsilon=1e-3, max_iters=6)
+    frozen = _descend_rows(*map(_frozen, (v0, t, sign, scale)), cfg)
+    assert np.any(np.diff(frozen.iters) > 0)
+    _assert_same_record(frozen, _descend_rows(v0, t, sign, scale, cfg))
+
+    desk = ArrayGeometry(n_tx=16, n_rx=16, lis_y=8, lis_z=8)
+    budgets = [LinkBudget(tx_power=dbm_to_watt(40.0))] * 6
+    rng = np.random.default_rng(7)
+    core = path_core([sort_paths_descending(sample_paths(rng, desk, budgets[0], 4, 4))
+                      for _ in budgets], desk)
+    frozen_core = PathCore(*(_frozen(getattr(core, f.name)) for f in fields(PathCore)))
+    starts = np.exp(1j * rng.uniform(0, 2 * np.pi, (len(budgets), desk.m)))
+    rate = [optimize_rate_stack(c, budgets, 2, DescentConfig(), v)
+            for c, v in ((frozen_core, _frozen(starts)), (core, starts))]
+    assert np.any(np.diff(rate[0].iters) > 0)
+    _assert_same_record(*rate)
+    rngs = lambda: [np.random.default_rng(k) for k in range(len(budgets))]
+    spgm = [optimize_spgm_stack(c, DescentConfig(), rngs()) for c in (frozen_core, core)]
+    assert np.any(np.diff(spgm[0].iters) > 0)
+    _assert_same_record(*spgm)
+
+    # slot 0 stops on `gap` after 7 alternations, slot 1 runs to the cap
+    # (tests/test_transceiver.py::test_hybrid_stopped_slot_is_frozen)
+    draw = lambda seed: np.random.default_rng(seed).normal(size=(2, 4, 2))
+    targets = np.stack([(x + 1j * y) / np.sqrt(2) for x, y in map(draw, (384, 100))])
+    hybrid_starts = np.stack([np.exp(1j * np.random.default_rng(seed).uniform(
+        0.0, 2.0 * np.pi, (4, 2))) for seed in (384, 100)])
+    (f_rf, f_bb, record), (w_rf, w_bb, w_record) = (
+        hybrid_factorize(a, b, DescentConfig())
+        for a, b in ((_frozen(targets), _frozen(hybrid_starts)), (targets, hybrid_starts)))
+    assert record.iters[0] < record.iters[1]
+    np.testing.assert_array_equal(f_rf, w_rf)
+    np.testing.assert_array_equal(f_bb, w_bb)
+    _assert_same_record(record, w_record)
 
 
 @settings(max_examples=15, deadline=None)
