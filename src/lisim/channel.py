@@ -149,17 +149,23 @@ class PathCore:
         return self.bank.shape[2]
 
     def __getitem__(self, rows: slice | list[int]) -> PathCore:
-        """The cores of `rows`: views for a slice, gathered copies for a list.
+        """The cores of `rows`: views for a slice and for a list whose rows
+        the core holds in that order, read-only gathered copies for others.
 
-        A list that names one row more than once gives read-only views of
-        that row with a stride-0 leading axis instead, so its designs read
-        one bank in place (`manifold.shares_rows`)."""
-        arrays = (getattr(self, f.name) for f in fields(self))
-        if isinstance(rows, list) and len(rows) > 1 and rows.count(rows[0]) == len(rows):
-            r = rows[0]
-            return PathCore(*(np.broadcast_to(a[r:r + 1], (len(rows),) + a.shape[1:])
-                              for a in arrays))
-        return PathCore(*(a[rows] for a in arrays))
+        A list that names consecutive rows r, r + 1, ..., r + n - 1 in order
+        gives the views self[r:r + n], and the core itself when it names
+        every row. A list that names one row more than once gives read-only
+        views of that row with a stride-0 leading axis, which the loops read
+        in place (`manifold.shares_rows`)."""
+        arrays = [getattr(self, f.name) for f in fields(self)]
+        if isinstance(rows, list) and rows:
+            r, n = rows[0], len(rows)
+            if list(range(len(self.bank))[r:r + n]) == rows:
+                return self if n == len(self.bank) else self[r:r + n]
+            if n > 1 and rows.count(r) == n:
+                return PathCore(*(np.broadcast_to(a[r:r + 1], (n,) + a.shape[1:])
+                                  for a in arrays))
+        return PathCore(*(_read_only(a[rows]) for a in arrays))
 
     def gains(self, v: np.ndarray) -> np.ndarray:
         """X(v), the (T, L, P) passive beamforming gains v^H p^{ij} at (T, M) phases v."""
@@ -304,18 +310,25 @@ def composite_path_vectors(paths: PathSet, geometry: ArrayGeometry) -> np.ndarra
 def path_core(paths: Sequence[PathSet], geometry: ArrayGeometry,
               tx_gain: float = 1.0, rx_gain: float = 1.0) -> PathCore:
     """Factor the cascade channels of T path sets of one shape into one stacked
-    path core; one path set is a stack of one."""
+    path core, its arrays read-only; one path set is a stack of one."""
     paths = PathSet(**{f.name: np.stack([getattr(p, f.name) for p in paths])
                        for f in fields(PathSet)})
     s = geometry.spacing_ratio
     q_u, t_u = np.linalg.qr(ula_responses(paths.lis_ue_aoa, geometry.n_rx, s).swapaxes(1, 2))
     q_b, t_b = np.linalg.qr(ula_responses(paths.bs_lis_aod, geometry.n_tx, s).swapaxes(1, 2))
     bank = composite_path_vectors(paths, geometry)
-    return PathCore(
-        bank=bank.reshape(len(bank), -1, geometry.m),
-        q_u=q_u, q_b=q_b,
-        left=tx_gain * rx_gain * t_u * paths.lis_ue_gain[:, None, :],
-        right=t_b.conj().swapaxes(1, 2) * paths.bs_lis_gain[:, :, None])
+    return PathCore(*map(_read_only, (
+        bank.reshape(len(bank), -1, geometry.m),
+        q_u, q_b,
+        tx_gain * rx_gain * t_u * paths.lis_ue_gain[:, None, :],
+        t_b.conj().swapaxes(1, 2) * paths.bs_lis_gain[:, :, None])))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, marked read-only: a core's rows are shared by every design that
+    reads them, so a stray write raises instead of changing the others."""
+    a.flags.writeable = False
+    return a
 
 
 def effective_channel(channel: MmWaveChannel, v: np.ndarray) -> np.ndarray:

@@ -61,7 +61,8 @@ def _cmd_oracle(args) -> int:
     if "tsvd" not in cfg.methods:
         cfg = replace(cfg, methods=cfg.methods + ("tsvd",))
     # trial 0 at the first sweep value, with the paths and the tsvd start
-    # generator that `lisim run` draws for it
+    # generator that `lisim run` draws for it (a method's generator does not
+    # depend on the other methods listed)
     point = _draw_point(cfg, _specialize(cfg), 0, 0)
     run_cfg = point.cfg
     gains = run_cfg.gains

@@ -90,17 +90,18 @@ ORACLE_STATE_LIMIT = 10 ** 7
 # method's design, `_seed_key`): 10 designs of the paper geometry
 # (64-antenna ULAs, 16x16 LIS, 7x7 paths), 128 of the desk geometry
 # (16-antenna ULAs, 8x8 LIS, 4x4 paths). A group factors its trials' path
-# sets and the estimated path sets of its erred points into one core, then
-# gathers a copy of each method's designs' true rows and, when a point has
-# an angle error, of their estimated rows; methods with the same designs
-# share the copies, and designs that all sit on one row read it in place
-# (`PathCore.__getitem__`). So it holds up to three budgets of banks (two
-# without an angle error; in a power sweep one more row per trial, which
-# `spgm` and `random` share): the memory a sweep adds stays within a small
-# multiple of the budget, whatever its trial count. Every descent round and
-# batched call is paid once per group, and the exact-rate descent costs less
-# per point in larger stacks, so a paper sweep of up to 10 points (a chunk
-# of either paper workload in perfbench/) runs as one group.
+# sets and the estimated path sets of its erred points into one core, of
+# at most two budgets, and each method's designs read their true and
+# estimated rows of it in place wherever the core holds them in order or
+# they all sit on one row (`PathCore.__getitem__`); other row lists gather
+# one copy, which methods with the same designs share. So it holds its
+# core and at most one gathered budget each of true and of estimated rows
+# (in a paper group at one power, the core alone): the memory a sweep adds
+# stays within a small multiple of the budget, whatever its trial count.
+# Every descent round and batched call is paid once per group, and the
+# exact-rate descent costs less per point in larger stacks, so a paper
+# sweep of up to 10 points (a chunk of either paper workload in perfbench/)
+# runs as one group.
 GROUP_BYTES = 2 ** 21
 
 # Failures a trial may meet on a bad channel draw; they count in the row's
@@ -401,10 +402,12 @@ def _draw_point(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, floa
     its sweep value's specialization in `specs` (`_specialize`); `paths`,
     when given, is the trial's true path set, drawn already at another value.
 
-    `generators`, when given, maps (method, seed key) to the method
-    generators of earlier points and gains this point's: points with one
-    seed key for a method share one generator, built once, as they share
-    the design that draws from it."""
+    A method's generator is child 2 + its index in METHODS of its seed
+    key's sequence, so its draws do not depend on which other methods the
+    config lists. `generators`, when given, maps (method, seed key) to the
+    method generators of earlier points and gains this point's: points with
+    one seed key for a method share one generator, built once, as they
+    share the design that draws from it."""
     run_cfg, beta = specs[sweep_idx]
     if paths is None:
         chan_rng = np.random.default_rng(
@@ -425,9 +428,9 @@ def _draw_point(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, floa
     keys = {method: _seed_key(cfg, method, *index) for method in run_cfg.methods}
     generators = {} if generators is None else generators
     rngs = {}
-    for k, method in enumerate(run_cfg.methods):
+    for method in run_cfg.methods:
         if (method, keys[method]) not in generators:
-            generators[method, keys[method]] = child(keys[method], 2 + k)
+            generators[method, keys[method]] = child(keys[method], 2 + METHODS.index(method))
         rngs[method] = generators[method, keys[method]]
     return _Point(run_cfg, index, keys, paths, est_paths, rngs)
 
@@ -458,12 +461,13 @@ def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], 
 
     One `path_core` call factors each trial's path set and the estimated
     path set of each point with an angle error. Each method's designs then
-    gather a copy of their true rows and, when one has an error, of their
-    estimated rows; methods with the same designs share the copies. Designs
-    that all sit on one row, such as a one-trial group's `tsvd` designs in a
-    power sweep, get read-only stride-0 views of it instead, which the
-    descents read in place. Every row has the bits of its path set's core
-    built alone.
+    take their true rows and, when one has an error, their estimated rows
+    (`PathCore.__getitem__`): views where the core holds them in order,
+    such as every method's rows of a paper group at one power, or where
+    they all sit on one row, such as a one-trial group's `tsvd` designs in
+    a power sweep; a gathered copy otherwise, which methods with the same
+    designs share. Every row is read-only and has the bits of its path
+    set's core built alone.
     """
     row = {trial: k for k, trial in enumerate(trials)}
     true_rows = [row[p.index[1]] for p in points]

@@ -152,13 +152,18 @@ class StackDescent:
     final point, trace (one value per iterate, start included) and stop,
     one of STOP_REASONS (`max_iters` until the loop retires the row), and
     `live`, the original index of each row still going, in the order of the
-    loop's live arrays. It starts with every row live at its value."""
+    loop's live arrays. It starts with every row live at its value.
 
-    def __init__(self, points: np.ndarray, values: np.ndarray):
+    It also keeps the per-row data the loop is handed, arrays that the loop
+    reads and never changes: `data` holds their live rows, the handed arrays
+    themselves until a row stops."""
+
+    def __init__(self, points: np.ndarray, values: np.ndarray, data: Sequence[np.ndarray] = ()):
         self.points = np.empty_like(points)   # (T, ...) final points
         self.traces = [[] for _ in range(len(points))]
         self.stops = np.full(len(points), "max_iters", dtype=object)   # a tuple once finished
         self.live = np.arange(len(points))
+        self._handed = self.data = tuple(data)
         self.log(values)
 
     @property
@@ -186,13 +191,21 @@ class StackDescent:
         """Stop the live rows where `go_on` is False, each for its entry of
         `reasons` (one string, or one per live row) and at its row of
         `points`; returns each of `arrays` at the rows that go on (`_rows`),
-        the one place a loop's live arrays shrink."""
+        the one place a loop's live arrays shrink.
+
+        `data` is gathered afresh from the handed arrays at the new `live`
+        rows once its previous copy is released, so a loop holds at most
+        one gathered copy of its data; the loop must not keep its own
+        reference to `data` across this call."""
         stopped = ~go_on
         gone = self.live[stopped]
         self.stops[gone] = reasons if isinstance(reasons, str) else reasons[stopped]
         self.points[gone] = points[stopped]
         self.live = self.live[go_on]
-        return tuple(_rows(a, go_on, len(self.live)) for a in arrays)
+        n = len(self.live)
+        self.data = ()
+        self.data = tuple(_rows(a, self.live, n) for a in self._handed)
+        return tuple(_rows(a, go_on, n) for a in arrays)
 
     def finish(self, points: np.ndarray) -> StackDescent:
         """The record, with the final points of the live rows taken from `points`."""
@@ -336,8 +349,9 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     Each round forms 1/|G| once, for the direction and the second quotient.
     Backtracking re-evaluates only the rows still searching, and gradients
     are taken only from evaluations where some row accepted a point and goes
-    on. The live rows of v and of `data` shrink only when a row stops
-    (`StackDescent.retire`).
+    on. The live rows of v shrink only when a row stops, and the record
+    keeps `data` and its live rows (`StackDescent.retire`), so the loop
+    holds at most one gathered copy of them.
 
     Raises FloatingPointError if a start value, or an accepted value, is not
     finite; RetractionError if a trial point has a zero entry.
@@ -347,7 +361,8 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
         raise ValueError("v0 must be a (T, M) stack of phase vectors")
     data = tuple(data)
     f_v, gradient = evaluate(data, v)
-    record = StackDescent(v, f_v)
+    record = StackDescent(v, f_v, data)
+    del data   # the loop reads the record's live rows
     grad = gradient()
     first_step = INITIAL_STEP * math.sqrt(v.shape[1])
     prev_v = prev_riem = None
@@ -371,7 +386,7 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
                 trial = _plain_step(first_step, direction)
                 trial[bb] = np.sqrt(move_sq[bb] / change_sq[bb])
         v_next, f_next, grad, accepted, go_on, zero = _line_search(
-            evaluate, data, v, f_v, riem, direction, slope, trial, cfg,
+            evaluate, record.data, v, f_v, riem, direction, slope, trial, cfg,
             it + 1 < cfg.max_iters)
         record.log(f_next, accepted | zero)   # a zero row's value is its own
 
@@ -379,8 +394,8 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
         v, f_v = v_next, f_next
         if not _all(go_on):
             reasons = np.where(zero, "zero_grad", np.where(accepted, "gap", "line_search"))
-            v, f_v, grad, prev_v, prev_riem, *data = record.retire(
-                go_on, reasons, v, v, f_v, grad, prev_v, prev_riem, *data)
+            v, f_v, grad, prev_v, prev_riem = record.retire(
+                go_on, reasons, v, v, f_v, grad, prev_v, prev_riem)
             if not len(v):
                 break
     return record.finish(v)

@@ -258,17 +258,18 @@ def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
     w = np.stack([random_phases(rng, core.m) for rng in rngs])
     data = _spgm_data(core)
     c, gain = _spgm_gains(data, w)
-    record = StackDescent(w, gain)
+    record = StackDescent(w, gain, data)
+    del data   # the loop reads the record's live rows
     for _ in range(cfg.max_iters):
-        ascent = _spgm_ascent(data, c)
+        ascent = _spgm_ascent(record.data, c)
         mag = np.abs(ascent)
         w = np.divide(ascent, mag, out=w.copy(), where=mag > 0)
-        c, gain_next = _spgm_gains(data, w)
+        c, gain_next = _spgm_gains(record.data, w)
         record.log(gain_next)
         go_on = np.abs(gain_next - gain) >= cfg.epsilon
         gain = gain_next
         if not go_on.all():
-            w, c, gain, *data = record.retire(go_on, "gap", w.conj(), w, c, gain, *data)
+            w, c, gain = record.retire(go_on, "gap", w.conj(), w, c, gain)
             if not len(w):
                 break
     return record.finish(w.conj())

@@ -138,12 +138,13 @@ def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
 
     rows = start.transpose(0, 2, 1).astype(complex, order="C")   # row k is analog column k
     offdiag = ~np.eye(n_rf, dtype=bool)
-    r, t = rows, targets                   # the live slots' analog rows and targets
+    r = rows                               # the live slots' analog rows
     floor = RESIDUAL_FLOOR * np.linalg.norm(targets, axis=(1, 2))
-    f_bb = _digital_stage(r, t)
-    residual = np.linalg.norm(t - r.transpose(0, 2, 1) @ f_bb, axis=(1, 2))
-    record = StackDescent(rows, residual)
+    f_bb = _digital_stage(r, targets)
+    residual = np.linalg.norm(targets - r.transpose(0, 2, 1) @ f_bb, axis=(1, 2))
+    record = StackDescent(rows, residual, (targets, floor))   # data: the live targets, floors
     for it in range(max_alternations):
+        t, floor = record.data
         if it:   # round 1's digital stage is solved above
             f_bb = _digital_stage(r, t)
         f_bb_h = f_bb.conj()
@@ -160,8 +161,9 @@ def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
         at_floor = residual <= floor
         stop = at_floor | (np.abs(prev_residual - residual) < cfg.epsilon * prev_residual)
         if stop.any():
-            r, t, floor, residual = record.retire(~stop, np.where(at_floor, "floor", "gap"),
-                                                  r, r, t, floor, residual)
+            del t, floor   # the record gathers the live ones afresh
+            r, residual = record.retire(~stop, np.where(at_floor, "floor", "gap"),
+                                        r, r, residual)
             if not len(r):
                 break
     rows = record.finish(r).points

@@ -17,6 +17,7 @@ from lisim.channel import (
 )
 from lisim.harness import (
     CSV_COLUMNS,
+    METHODS,
     ConfigError,
     ExperimentConfig,
     SweepRow,
@@ -230,6 +231,15 @@ def test_run_sweep_deterministic_and_parallel():
     strip = lambda rows: [(r.sweep_value, r.method, r.mean_se, r.std_se, r.mean_cond,
                            r.mean_offdiag, r.mean_iters, r.errors) for r in rows]
     assert strip(a.rows) == strip(b.rows) == strip(c.rows)
+
+
+def test_a_method_draws_the_same_starts_whatever_else_is_listed():
+    cfg = replace(SMALL, precoding="both")
+    strip = lambda rows, method: [replace(r, wall_ms=0.0) for r in rows if r.method == method]
+    every = run_sweep(cfg).rows
+    for method in METHODS:
+        alone = run_sweep(replace(cfg, methods=(method,))).rows
+        assert strip(alone, method) == strip(every, method)
 
 
 def test_run_sweep_mean_is_over_per_trial_seeds():

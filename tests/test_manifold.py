@@ -1,6 +1,8 @@
 """Complex-circle manifold primitives and the descent engine."""
 
+import tracemalloc
 from dataclasses import fields
+from itertools import count
 
 import numpy as np
 import pytest
@@ -382,6 +384,58 @@ def test_no_loop_writes_to_its_inputs():
     np.testing.assert_array_equal(f_rf, w_rf)
     np.testing.assert_array_equal(f_bb, w_bb)
     _assert_same_record(record, w_record)
+
+
+def _traced_peak(run):
+    """The tracemalloc peak, in bytes, of run(): what it allocates, not what it is handed."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _one_stop_a_round():
+    """An objective on data (last (T,), any (T, ...)) whose row t falls by 1
+    a round until round last[t], where it falls by 1e-3 and stops on `gap`
+    (epsilon 1e-2). The gradient i v is tangent, so every trial step is 1,
+    the Armijo test asks for a fall of 1e-4 M and every row accepts its
+    first trial: a round is one call."""
+    rounds = count()   # 0 is the start
+
+    def evaluate(data, v):
+        last, _ = data
+        k = next(rounds)
+        return -np.minimum(k, last - 1) - 1e-3 * (k >= last), lambda: 1j * v
+
+    return evaluate
+
+
+def test_a_descent_holds_one_copy_of_its_data():
+    # four rows stop one a round, so the live rows shrink three times; the
+    # engine must let go of one gathered copy of `big` before the next
+    last = np.arange(1, 5)
+    big = np.ones((4, 8192, 8), dtype=complex)   # 4 MiB of per-row data
+    v0 = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * np.pi, (4, 8)))
+    record, peak = _traced_peak(lambda: ccm_descent_stack(
+        _one_stop_a_round(), (last, big), v0, DescentConfig(epsilon=1e-2)))
+    assert record.stops == ("gap",) * 4
+    np.testing.assert_array_equal(record.iters, last)
+    assert peak < big.nbytes
+
+
+def test_the_power_method_holds_one_copy_of_its_core():
+    paper = ArrayGeometry(n_tx=64, n_rx=64, lis_y=16, lis_z=16)
+    rng = np.random.default_rng(0)
+    core = path_core([sort_paths_descending(sample_paths(rng, paper, LinkBudget(), 7, 7))
+                      for _ in range(4)], paper)
+    rngs = lambda: [np.random.default_rng(k) for k in range(4)]
+    optimize_spgm_stack(core, DescentConfig(), rngs())   # first calls set up what later reuse
+    record, peak = _traced_peak(lambda: optimize_spgm_stack(core, DescentConfig(), rngs()))
+    assert len(set(record.iters.tolist())) == 4   # the rows stop one at a time
+    assert peak < core.bank.nbytes
 
 
 @settings(max_examples=15, deadline=None)

@@ -181,11 +181,15 @@ def _gathered(core):
     return PathCore(*(np.ascontiguousarray(getattr(core, f.name)) for f in fields(core)))
 
 
-def test_a_list_of_one_row_gives_stride_0_views():
+def _desk_core(trials):
     rng = np.random.default_rng(4)
     path_sets = [sort_paths_descending(sample_paths(rng, DESK.geometry, LinkBudget(), 4, 4))
-                 for _ in range(3)]
-    core = path_core(path_sets, DESK.geometry, 2.0, 0.5)
+                 for _ in range(trials)]
+    return path_core(path_sets, DESK.geometry, 2.0, 0.5)
+
+
+def test_a_list_of_one_row_gives_stride_0_views():
+    core = _desk_core(3)
     shared = core[[1, 1, 1, 1]]
     for f in fields(core):
         a = getattr(shared, f.name)
@@ -193,11 +197,52 @@ def test_a_list_of_one_row_gives_stride_0_views():
         assert a.strides[0] == 0 and not a.flags.writeable
         assert np.shares_memory(a, getattr(core, f.name))
         np.testing.assert_array_equal(a, getattr(core, f.name)[[1, 1, 1, 1]])
-    # one entry, or distinct rows, are gathered copies as before
-    for rows in ([1], [1, 2, 1]):
+    # rows out of order are gathered copies, read-only like the core
+    for rows in ([1, 2, 1], [2, 1]):
         assert all(getattr(core[rows], f.name).flags.owndata for f in fields(core))
+        assert not any(getattr(core[rows], f.name).flags.writeable for f in fields(core))
     with pytest.raises(ValueError):
         shared.bank[0, 0, 0] = 0.0
+
+
+def test_a_list_of_consecutive_rows_gives_views():
+    core = _desk_core(5)
+    assert core[list(range(5))] is core
+    for rows in ([1, 2, 3], [4], [0, 1]):
+        part = core[rows]
+        for f in fields(core):
+            a, whole = getattr(part, f.name), getattr(core, f.name)
+            assert not a.flags.owndata and np.shares_memory(a, whole)
+            np.testing.assert_array_equal(*(np.ascontiguousarray(x).view(np.uint64)
+                                            for x in (a, whole[rows])))
+
+
+def test_path_cores_are_read_only():
+    core = _desk_core(3)
+    for part in (core, core[1:], core[[0, 1]], core[[2, 0]]):
+        for f in fields(core):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(part, f.name)[0] *= 2.0
+
+
+def test_a_paper_group_gives_every_method_its_core(monkeypatch):
+    # an 8-trial group at one transmit power: each method's designs are the
+    # trials in order, so all three read the group's core with no gather
+    cfg = replace(load_config(CONFIGS / "default.cfg"), trials=8)
+    specs, generators, trials, points = _specialize(cfg), {}, {}, []
+    for ti in range(cfg.trials):
+        points.append(_draw_point(cfg, specs, 0, ti, None, generators))
+        trials[ti] = points[-1].paths
+    made = []
+    monkeypatch.setattr(harness, "path_core",
+                        lambda *args: made.append(path_core(*args)) or made[-1])
+    stacks = _stacks(cfg, specs, points, trials)
+    (core,) = made
+    for method in cfg.methods:
+        group = stacks[method]
+        assert group.est is group.true and not group.erred.any()
+        for f in fields(core):
+            assert np.shares_memory(getattr(group.true, f.name), getattr(core, f.name))
 
 
 def _one_trial_stacks(name):
@@ -215,8 +260,9 @@ def test_a_power_sweep_trial_gives_tsvd_one_bank():
     group = stacks["tsvd"]
     assert len(group.points) == len(cfg.sweep_values) > 1
     assert group.true.bank.strides[0] == 0 and group.est is group.true
-    # spgm and random share one design, a gathered row
-    assert stacks["spgm"].true.bank.flags.owndata
+    # spgm and random share one design, which reads the core's one row in place
+    assert not stacks["spgm"].true.bank.flags.owndata
+    assert np.shares_memory(stacks["spgm"].true.bank, group.true.bank)
 
 
 @pytest.mark.parametrize("name", ["power_sweep", "csi_sweep"])
