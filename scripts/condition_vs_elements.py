@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from lisim.harness import _run_trials, load_config
+from lisim.config import load_config
+from lisim.harness import _run_trials
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "lis_sweep.cfg"
 

@@ -13,7 +13,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from lisim.channel import path_core
-from lisim.harness import _draw_point, _specialize, load_config
+from lisim.config import _specialize, load_config
+from lisim.harness import _draw_point
 from lisim.passive_bf import optimize_tsvd, stream_weights
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"

@@ -163,8 +163,7 @@ class PathCore:
             if list(range(len(self.bank))[r:r + n]) == rows:
                 return self if n == len(self.bank) else self[r:r + n]
             if n > 1 and rows.count(r) == n:
-                return PathCore(*(np.broadcast_to(a[r:r + 1], (n,) + a.shape[1:])
-                                  for a in arrays))
+                return PathCore(*(np.broadcast_to(a[r], (n,) + a.shape[1:]) for a in arrays))
         return PathCore(*(_read_only(a[rows]) for a in arrays))
 
     def gains(self, v: np.ndarray) -> np.ndarray:

@@ -8,15 +8,8 @@ from dataclasses import replace
 
 from . import __version__
 from .channel import path_core
-from .harness import (
-    ConfigError,
-    _draw_point,
-    _specialize,
-    brute_force_phase_oracle,
-    emit_csv,
-    load_config,
-    run_sweep,
-)
+from .config import ConfigError, _specialize, load_config
+from .harness import _draw_point, brute_force_phase_oracle, emit_csv, run_sweep
 from .passive_bf import optimize_tsvd, stream_weights
 
 

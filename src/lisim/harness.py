@@ -1,17 +1,18 @@
 """Seeded Monte-Carlo experiment runner and CSV emission.
 
-A sweep varies one of {tx_power_dbm, lis_elements, n_streams, n_rf,
-angle_error_deg} over a value grid (n_rf sets both RF chain counts). Within
-a trial every method sees the same channel realization, and trial t sees
-the same realization at every sweep value (paired comparison along both
-axes). Per-trial seeds are derived from the master seed and the (sweep
-index, trial index) pair, so growing the trial count never reshuffles
-earlier trials; a method's starts are keyed by the trial alone where the
-sweep variable does not enter its design (`_seed_key`).
+A sweep, an `ExperimentConfig` of `lisim.config`, varies one of
+{tx_power_dbm, lis_elements, n_streams, n_rf, angle_error_deg} over a value
+grid (n_rf sets both RF chain counts). Within a trial every method sees
+the same channel realization, and trial t sees the same realization at
+every sweep value (paired comparison along both axes). Per-trial seeds are
+derived from the master seed and the (sweep index, trial index) pair, so
+growing the trial count never reshuffles earlier trials; a method's starts
+are keyed by the trial alone where the sweep variable does not enter its
+design (`_seed_key`).
 
-A run specializes the config once per sweep value (`_specialize`) and runs
-its points, (sweep index, trial index) pairs, in groups that share a
-geometry and stream count (`_groups`). A group factors its path sets into
+A run specializes the config once per sweep value (`config._specialize`)
+and runs its points, (sweep index, trial index) pairs, in groups that share
+a geometry and stream count (`_groups`). A group factors its path sets into
 one stacked path core (`_stacks`), and the points with one seed key for a
 method share its design. Each method's designs take one batch, which gives
 one design table (`_designs`): arrays with a leading design axis, and the
@@ -30,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from copy import deepcopy
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import accumulate
 from time import perf_counter
@@ -38,8 +39,6 @@ from time import perf_counter
 import numpy as np
 
 from .channel import (
-    ArrayGeometry,
-    LinkBudget,
     PathCore,
     PathSet,
     path_core,
@@ -54,7 +53,10 @@ from .channel import (  # noqa: F401
     composite_path_vectors,
     effective_channel,
 )
-from .manifold import DescentConfig, RetractionError
+from .config import METHODS, ConfigError, ExperimentConfig, _specialize
+# perfbench/run.py imports load_config from here
+from .config import load_config  # noqa: F401
+from .manifold import RetractionError
 from .metrics import CombinerRankError, spectral_efficiency, truncated_condition_number
 from .passive_bf import (
     coupling_matrix,
@@ -75,13 +77,6 @@ from .transceiver import (
     hybrid_factorize,
     truncated_svd,
 )
-from .units import dbi_to_amplitude, dbm_to_watt, thermal_noise_dbm
-
-SWEEP_VARIABLES = ("tx_power_dbm", "lis_elements", "n_streams", "n_rf", "angle_error_deg")
-METHODS = ("tsvd", "spgm", "random")
-PRECODING_MODES = ("digital", "hybrid", "both")
-CSV_COLUMNS = ("sweep_value", "method", "precoding", "mean_se", "std_se",
-               "mean_cond", "mean_offdiag", "mean_iters", "errors", "wall_ms")
 
 ORACLE_STATE_LIMIT = 10 ** 7
 
@@ -112,81 +107,6 @@ NUMERICAL_FAILURES = (RetractionError, RankError, CombinerRankError, FloatingPoi
                       np.linalg.LinAlgError)
 
 
-class ConfigError(ValueError):
-    """Malformed or inconsistent experiment configuration."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one sweep experiment."""
-
-    geometry: ArrayGeometry = ArrayGeometry(n_tx=64, n_rx=64, lis_y=16, lis_z=16)
-    budget: LinkBudget = LinkBudget()
-    n_streams: int = 4
-    n_rf_tx: int = 6
-    n_rf_rx: int = 6
-    p_paths: int = 7
-    l_paths: int = 7
-    bs_pos: tuple[float, float, float] = (2.0, 0.0, 10.0)
-    lis_pos: tuple[float, float, float] = (0.0, 148.0, 10.0)
-    ue_pos: tuple[float, float, float] = (5.0, 150.0, 1.8)
-    tx_gain_dbi: float = 24.5
-    rx_gain_dbi: float = 0.0
-    sweep_variable: str = "tx_power_dbm"
-    sweep_values: tuple[float, ...] = (30.0,)
-    trials: int = 100
-    seed: int = 0
-    methods: tuple[str, ...] = METHODS
-    precoding: str = "digital"
-    descent: DescentConfig = field(default_factory=DescentConfig)
-
-    def __post_init__(self):
-        if self.n_streams < 1:
-            raise ConfigError("n_streams must be >= 1")
-        if self.n_streams > min(self.n_rf_tx, self.n_rf_rx):
-            raise ConfigError("n_streams must not exceed min(n_rf_tx, n_rf_rx)")
-        if self.n_rf_tx > self.geometry.n_tx or self.n_rf_rx > self.geometry.n_rx:
-            raise ConfigError("RF chain counts must not exceed the antenna counts of their side")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.bs_lis_distance == 0 or self.lis_ue_distance == 0:
-            raise ConfigError("bs_pos and ue_pos must differ from lis_pos")
-        if not self.sweep_values:
-            raise ConfigError("sweep_values must be non-empty")
-        if self.sweep_variable not in SWEEP_VARIABLES:
-            raise ConfigError(f"unknown sweep variable {self.sweep_variable!r}")
-        if self.precoding not in PRECODING_MODES:
-            raise ConfigError(f"unknown precoding mode {self.precoding!r}")
-        bad = set(self.methods) - set(METHODS)
-        if bad or not self.methods:
-            raise ConfigError(f"methods must be a non-empty subset of {METHODS}")
-        if len(set(self.methods)) < len(self.methods):
-            raise ConfigError("methods must not repeat")
-        if self.n_streams > min(self.p_paths, self.l_paths):
-            raise ConfigError("n_streams must not exceed min(p_paths, l_paths)")
-        try:
-            finite = all(0.0 < gain < math.inf for gain in self.gains)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigError("tx_gain_dbi and rx_gain_dbi must give a positive, finite amplitude")
-
-    @property
-    def gains(self) -> tuple[float, float]:
-        """The linear amplitudes of the transmit and receive antenna gains."""
-        return dbi_to_amplitude(self.tx_gain_dbi), dbi_to_amplitude(self.rx_gain_dbi)
-
-    @property
-    def bs_lis_distance(self) -> float:
-        return math.dist(self.bs_pos, self.lis_pos)
-
-    @property
-    def lis_ue_distance(self) -> float:
-        return math.dist(self.lis_pos, self.ue_pos)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     sweep_value: float
@@ -201,161 +121,15 @@ class SweepRow:
     wall_ms: float
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-# -- configuration file parsing ---------------------------------------------
-
-_INT_KEYS = {"n_tx", "n_rx", "lis_y", "lis_z", "r_t", "r_r", "n_streams",
-             "p_paths", "l_paths", "trials", "seed", "descent_max_iters"}
-_FLOAT_KEYS = {"spacing_ratio", "tx_power_dbm", "noise_dbm", "bandwidth_hz",
-               "tx_gain_dbi", "rx_gain_dbi", "rician_mu_db",
-               "pathloss_a", "pathloss_b", "shadow_sigma_db", "descent_epsilon"}
-_POS_KEYS = {"bs_pos", "lis_pos", "ue_pos"}
-_LIST_KEYS = {"sweep_values", "methods"}
-_STR_KEYS = {"sweep_variable", "precoding"}
-
-
-def _parse_scalar(key, raw, lineno):
-    try:
-        value = int(raw) if key in _INT_KEYS else float(raw)
-        if key.endswith("_dbm"):
-            dbm_to_watt(value)   # a power no float holds overflows here, named
-    except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {raw!r}")
-    except OverflowError:
-        raise ConfigError(f"line {lineno}: {key!r} = {raw} is out of range")
-    if not math.isfinite(value):
-        raise ConfigError(f"line {lineno}: {key!r} must be finite, not {raw!r}")
-    return value
-
-
-def load_config(path) -> ExperimentConfig:
-    """Parse a flat key/value config file and apply the default setup.
-
-    Lines look like `key = value`; `#` starts a comment. Positions are
-    `x,y,z` meter triples, powers in dBm, gains in dBi, angles in degrees.
-    """
-    raw: dict[str, object] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            if key in raw:
-                raise ConfigError(f"line {lineno}: {key!r} is set twice")
-            if key in _INT_KEYS or key in _FLOAT_KEYS:
-                raw[key] = _parse_scalar(key, value, lineno)
-            elif key in _POS_KEYS:
-                parts = value.split(",")
-                if len(parts) != 3:
-                    raise ConfigError(f"line {lineno}: {key} needs an x,y,z triple")
-                raw[key] = tuple(_parse_scalar(key, p.strip(), lineno) for p in parts)
-            elif key in _LIST_KEYS:
-                items = [p.strip() for p in value.split(",") if p.strip()]
-                if not items:
-                    raise ConfigError(f"line {lineno}: {key} must be non-empty")
-                if key == "sweep_values":
-                    raw[key] = tuple(_parse_scalar(key, p, lineno) for p in items)
-                else:
-                    raw[key] = tuple(items)
-            elif key in _STR_KEYS:
-                raw[key] = value
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-
-    # every default is the dataclasses' own, apart from the noise floor: the
-    # thermal floor of the bandwidth
-    base = ExperimentConfig()
-    g, b = base.geometry, base.budget
-    sweep_variable = raw.get("sweep_variable", base.sweep_variable)
-    sweep_values = raw.get("sweep_values", base.sweep_values)
-    # a power sweep sets the transmit power at every point, so the config's
-    # own power is the one-value default sweep or a conflict
-    if sweep_variable == "tx_power_dbm" and "tx_power_dbm" in raw:
-        if "sweep_values" in raw:
-            raise ConfigError("a tx_power_dbm sweep takes its powers from sweep_values; "
-                              "drop tx_power_dbm or sweep another variable")
-        sweep_values = (raw["tx_power_dbm"],)
-    try:
-        geometry = ArrayGeometry(
-            n_tx=raw.get("n_tx", g.n_tx), n_rx=raw.get("n_rx", g.n_rx),
-            lis_y=raw.get("lis_y", g.lis_y), lis_z=raw.get("lis_z", g.lis_z),
-            spacing_ratio=raw.get("spacing_ratio", g.spacing_ratio))
-        bandwidth = raw.get("bandwidth_hz", b.bandwidth_hz)
-        noise_dbm = raw.get("noise_dbm", thermal_noise_dbm(bandwidth))
-        budget = LinkBudget(
-            a_intercept=raw.get("pathloss_a", b.a_intercept),
-            b_exponent=raw.get("pathloss_b", b.b_exponent),
-            shadow_sigma=raw.get("shadow_sigma_db", b.shadow_sigma),
-            rician_mu=raw.get("rician_mu_db", b.rician_mu),
-            bandwidth_hz=bandwidth,
-            noise_power=dbm_to_watt(noise_dbm),
-            tx_power=dbm_to_watt(raw["tx_power_dbm"]) if "tx_power_dbm" in raw else b.tx_power)
-        descent = DescentConfig(
-            epsilon=raw.get("descent_epsilon", base.descent.epsilon),
-            max_iters=raw.get("descent_max_iters", base.descent.max_iters))
-        cfg = ExperimentConfig(
-            geometry=geometry, budget=budget,
-            n_streams=raw.get("n_streams", base.n_streams),
-            n_rf_tx=raw.get("r_t", base.n_rf_tx), n_rf_rx=raw.get("r_r", base.n_rf_rx),
-            p_paths=raw.get("p_paths", base.p_paths), l_paths=raw.get("l_paths", base.l_paths),
-            bs_pos=raw.get("bs_pos", base.bs_pos),
-            lis_pos=raw.get("lis_pos", base.lis_pos),
-            ue_pos=raw.get("ue_pos", base.ue_pos),
-            tx_gain_dbi=raw.get("tx_gain_dbi", base.tx_gain_dbi),
-            rx_gain_dbi=raw.get("rx_gain_dbi", base.rx_gain_dbi),
-            sweep_variable=sweep_variable,
-            sweep_values=sweep_values,
-            trials=raw.get("trials", base.trials),
-            seed=raw.get("seed", base.seed),
-            methods=raw.get("methods", base.methods),
-            precoding=raw.get("precoding", base.precoding),
-            descent=descent)
-        _specialize(cfg)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
-
-
 # -- sweep execution --------------------------------------------------------
-
-def _apply_sweep(cfg: ExperimentConfig, value: float) -> tuple[ExperimentConfig, float]:
-    """Specialize the config for one sweep value; returns (config, angle error rad).
-    ConfigError names the variable and value for any bad one, also a power with no budget."""
-    try:
-        if not math.isfinite(value):
-            raise ConfigError("sweep values must be finite")
-        if cfg.sweep_variable == "tx_power_dbm":
-            return replace(cfg, budget=replace(cfg.budget, tx_power=dbm_to_watt(value))), 0.0
-        if cfg.sweep_variable == "angle_error_deg":
-            if value < 0:
-                raise ConfigError("sweep values must be non-negative")
-            return cfg, math.radians(value)
-        count = int(value)
-        if count != value:
-            raise ConfigError("sweep values must be integers")
-        if cfg.sweep_variable == "n_streams":
-            return replace(cfg, n_streams=count), 0.0
-        if cfg.sweep_variable == "n_rf":
-            return replace(cfg, n_rf_tx=count, n_rf_rx=count), 0.0
-        if count < 1 or count % cfg.geometry.lis_y:
-            raise ConfigError("sweep values must be positive multiples of lis_y")
-        return replace(cfg, geometry=replace(cfg.geometry, lis_z=count // cfg.geometry.lis_y)), 0.0
-    except (ValueError, OverflowError) as exc:
-        reason = "out of range" if isinstance(exc, OverflowError) else exc
-        raise ConfigError(f"{cfg.sweep_variable} sweep value {value:g}: {reason}") from exc
-
-
-def _specialize(cfg: ExperimentConfig) -> tuple[tuple[ExperimentConfig, float], ...]:
-    """`_apply_sweep` of each sweep value, in order, shared by a run's points."""
-    return tuple(_apply_sweep(cfg, value) for value in cfg.sweep_values)
-
 
 @dataclass(frozen=True)
 class _Point:

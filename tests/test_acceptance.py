@@ -15,13 +15,8 @@ from lisim.channel import (
     sample_paths,
     sort_paths_descending,
 )
-from lisim.harness import (
-    ExperimentConfig,
-    _run_trials,
-    brute_force_phase_oracle,
-    emit_csv,
-    run_sweep,
-)
+from lisim.config import ExperimentConfig
+from lisim.harness import _run_trials, brute_force_phase_oracle, emit_csv, run_sweep
 from lisim.manifold import DescentConfig
 from lisim.metrics import spectral_efficiency
 from lisim.passive_bf import (

@@ -5,7 +5,8 @@ import pytest
 from lisim import __version__
 from lisim.channel import path_core
 from lisim.cli import main
-from lisim.harness import _draw_point, _specialize, load_config
+from lisim.config import _specialize, load_config
+from lisim.harness import _draw_point
 from lisim.passive_bf import optimize_tsvd, stream_weights, tsvd_objective
 
 SMALL_CFG = """

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from lisim.harness import emit_csv, load_config, run_sweep
+from lisim.config import load_config
+from lisim.harness import emit_csv, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"

@@ -1,6 +1,7 @@
 """Config parsing, sweep execution, CSV emission, and the brute-force oracle."""
 
 import math
+import re
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -15,20 +16,23 @@ from lisim.channel import (
     sample_paths,
     sort_paths_descending,
 )
-from lisim.harness import (
-    CSV_COLUMNS,
+from lisim.config import (
+    KEYS,
     METHODS,
     ConfigError,
     ExperimentConfig,
+    _apply_sweep,
+    _specialize,
+    load_config,
+)
+from lisim.harness import (
+    CSV_COLUMNS,
     SweepRow,
     _Trials,
-    _apply_sweep,
     _run_group,
-    _specialize,
     _sweep_rows,
     brute_force_phase_oracle,
     emit_csv,
-    load_config,
     run_sweep,
 )
 from lisim.manifold import DescentConfig
@@ -150,10 +154,33 @@ def test_load_config_overrides(tmp_path):
     ("seed = -1", "seed must be non-negative"),
     ("bs_pos = 0, 148, 10", "must differ from lis_pos"),
     ("ue_pos = 0, 148, 10", "must differ from lis_pos"),
+    ("sweep_values = 30,,40", "line 1: cannot parse value for 'sweep_values': ''"),
+    ("methods = tsvd,", "line 1: cannot parse value for 'methods': ''"),
 ])
 def test_load_config_errors(tmp_path, line, fragment):
     with pytest.raises(ConfigError, match=fragment):
         load_config(_write(tmp_path, line + "\n"))
+
+
+@pytest.mark.parametrize("text", [
+    "p_paths = 3\nl_paths = 3\nsweep_variable = n_streams\nsweep_values = 1, 2",
+    "r_t = 2\nr_r = 2\nsweep_variable = n_streams\nsweep_values = 1, 2",
+    "n_streams = 8\np_paths = 8\nl_paths = 8\nsweep_variable = n_rf\nsweep_values = 8, 10",
+], ids=["streams-over-paths", "streams-over-rf-chains", "rf-chains-under-streams"])
+def test_a_count_sweep_checks_its_points_not_the_unswept_count(tmp_path, text):
+    # every point is valid; the count the sweep replaces (4 streams or 6 RF
+    # chains by default) is not, and no point reads it
+    cfg = replace(load_config(_write(tmp_path, text + "\n")), trials=1)
+    rows = run_sweep(cfg).rows
+    assert [row.sweep_value for row in rows] == [v for v in cfg.sweep_values for _ in METHODS]
+    assert all(row.errors == 0 and math.isfinite(row.mean_se) for row in rows)
+
+
+def test_the_readme_lists_every_config_key():
+    # the keys in the README's key table, its parenthesized notes left out
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| group | keys |", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", table))) == sorted(KEYS)
 
 
 def test_config_stream_constraints():
@@ -720,12 +747,12 @@ def test_run_sweep_raises_config_error_for_a_bad_value(monkeypatch, variable, va
 def test_run_sweep_specializes_each_sweep_value_once(monkeypatch):
     # one specialization per sweep value serves the grouping, every point's
     # draw and every shared design, at any trial count
-    from lisim import harness
+    from lisim import config
     cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs" /
                               "power_sweep.cfg"), trials=2)
     calls = []
-    real = harness._apply_sweep
-    monkeypatch.setattr(harness, "_apply_sweep",
+    real = config._apply_sweep
+    monkeypatch.setattr(config, "_apply_sweep",
                         lambda c, value: calls.append(value) or real(c, value))
     run_sweep(cfg)
     assert calls == list(cfg.sweep_values) and len(calls) == 7

@@ -27,15 +27,8 @@ from lisim.channel import (
     sample_paths,
     sort_paths_descending,
 )
-from lisim.harness import (
-    ExperimentConfig,
-    _designs,
-    _draw_point,
-    _run_group,
-    _specialize,
-    _stacks,
-    load_config,
-)
+from lisim.config import ExperimentConfig, _specialize, load_config
+from lisim.harness import _designs, _draw_point, _run_group, _stacks
 from lisim.metrics import spectral_efficiency, truncated_condition_number
 from lisim.transceiver import (
     digital_combiner,
@@ -190,13 +183,20 @@ def _desk_core(trials):
 
 def test_a_list_of_one_row_gives_stride_0_views():
     core = _desk_core(3)
-    shared = core[[1, 1, 1, 1]]
-    for f in fields(core):
-        a = getattr(shared, f.name)
-        assert a.shape == (4,) + getattr(core, f.name).shape[1:]
-        assert a.strides[0] == 0 and not a.flags.writeable
-        assert np.shares_memory(a, getattr(core, f.name))
-        np.testing.assert_array_equal(a, getattr(core, f.name)[[1, 1, 1, 1]])
+    # a negative row counts from the end, as in the gather
+    for rows in ([1, 1, 1, 1], [-1, -1]):
+        shared = core[rows]
+        for f in fields(core):
+            a, whole = getattr(shared, f.name), getattr(core, f.name)
+            assert a.shape == (len(rows),) + whole.shape[1:]
+            assert a.strides[0] == 0 and not a.flags.writeable
+            assert np.shares_memory(a, whole)
+            np.testing.assert_array_equal(*(np.ascontiguousarray(x).view(np.uint64)
+                                            for x in (a, whole[rows])))
+    # an out-of-range row raises, as in the gather
+    for rows in ([3, 3], [-4, -4], [3, 0]):
+        with pytest.raises(IndexError):
+            core[rows]
     # rows out of order are gathered copies, read-only like the core
     for rows in ([1, 2, 1], [2, 1]):
         assert all(getattr(core[rows], f.name).flags.owndata for f in fields(core))

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from lisim.harness import load_config, run_sweep
+from lisim.config import load_config
+from lisim.harness import run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 
