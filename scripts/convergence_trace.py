@@ -14,7 +14,7 @@ from pathlib import Path
 
 from lisim.channel import path_core
 from lisim.config import _specialize, load_config
-from lisim.harness import _draw_point
+from lisim.harness import _draw_point, _seed_key, _starts
 from lisim.passive_bf import optimize_tsvd, stream_weights
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
@@ -38,7 +38,8 @@ def main():
         gains = run_cfg.gains
         weights = stream_weights(paths, run_cfg.budget, run_cfg.n_streams, *gains)
         _, trace = optimize_tsvd(path_core([paths], run_cfg.geometry, *gains), weights,
-                                 run_cfg.descent, point.rngs["tsvd"])
+                                 run_cfg.descent,
+                                 _starts(seeded, "tsvd", _seed_key(seeded, "tsvd", 0, 0)))
         rates = [-x for x in trace]
         print(f"seed {seed}: {len(trace) - 1} iterations, "
               f"rate surrogate {rates[0]:.3f} -> {rates[-1]:.3f} bits/s/Hz")

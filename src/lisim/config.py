@@ -161,19 +161,23 @@ def load_config(path) -> ExperimentConfig:
     `x,y,z` meter triples, powers in dBm, gains in dBi, angles in degrees.
     """
     raw: dict[str, object] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"line {lineno}: expected 'key = value'")
-            key, text = (part.strip() for part in stripped.split("=", 1))
-            if key in raw:
-                raise ConfigError(f"line {lineno}: {key!r} is set twice")
-            if key not in KEYS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            raw[key] = _parse(key, KEYS[key][1], text, lineno)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {lineno}: expected 'key = value'")
+        key, text = (part.strip() for part in stripped.split("=", 1))
+        if key in raw:
+            raise ConfigError(f"line {lineno}: {key!r} is set twice")
+        if key not in KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        raw[key] = _parse(key, KEYS[key][1], text, lineno)
 
     base = ExperimentConfig()
     variable = raw.get("sweep_variable", base.sweep_variable)

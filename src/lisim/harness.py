@@ -14,16 +14,18 @@ A run specializes the config once per sweep value (`config._specialize`)
 and runs its points, (sweep index, trial index) pairs, in groups that share
 a geometry and stream count (`_groups`). A group factors its path sets into
 one stacked path core (`_stacks`), and the points with one seed key for a
-method share its design. Each method's designs take one batch, which gives
-one design table (`_designs`): arrays with a leading design axis, and the
-digital rate of every point that shares a design. The group's hybrid jobs,
-index rows (design, RF chain count) into the table of all its designs,
-take one more batch (`_hybrid_rates`). `_batched` runs every batch and, on
-a numerical failure, reruns each item alone from its saved generator
-state. A group gives per-trial arrays over its points (`_run_group`);
-`_run_trials` scatters them into (sweep value, method, mode, trial) arrays,
-whose rows `run_sweep` reduces to CSV rows. A point's values do not depend
-on its group, so the CSV is the same for any grouping, serial or parallel.
+method share its design, which owns that key's start generator (`_starts`;
+`_stream` seeds every draw). Each method's designs take one batch, which
+gives one design table (`_designs`): arrays with a leading design axis, and
+the digital rate of every point that shares a design. The group's hybrid
+jobs, index rows (design, RF chain count) into the table of all its
+designs, take one more batch (`_hybrid_rates`). `_batched` runs every batch
+and, on a numerical failure, reruns each item alone from its saved
+generator state. A group gives per-trial arrays over its points
+(`_run_group`); `_run_trials` scatters them into (sweep value, method,
+mode, trial) arrays, whose rows `run_sweep` reduces to CSV rows. A point's
+values do not depend on its group, so the CSV is the same for any
+grouping, serial or parallel.
 """
 
 from __future__ import annotations
@@ -133,15 +135,12 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class _Point:
-    """One (sweep value, trial) pair's path sets and method generators."""
+    """One (sweep value, trial) pair's path sets."""
 
     cfg: ExperimentConfig    # specialized for the sweep value
     index: tuple[int, int]   # (sweep index, trial index)
-    keys: dict[str, tuple[int, int]]      # `_seed_key` of each method
     paths: PathSet
     est_paths: PathSet       # paths itself when there is no angle error
-    rngs: dict[str, np.random.Generator]  # one per method, seeded by its key
-                                          # and shared by the points of that key
 
 
 # The sweep variables that do not enter some methods' designs, and those
@@ -168,54 +167,43 @@ def _seed_key(cfg: ExperimentConfig, method: str, sweep_idx: int,
     return (0 if shared else sweep_idx, trial_idx)
 
 
-def _draw_point(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
-                sweep_idx: int, trial_idx: int, paths: PathSet | None = None,
-                generators: dict[tuple[str, tuple[int, int]], np.random.Generator] | None = None
-                ) -> _Point:
-    """Seed one (sweep index, trial index) pair and draw its path sets at
-    its sweep value's specialization in `specs` (`_specialize`); `paths`,
-    when given, is the trial's true path set, drawn already at another value.
+def _stream(cfg: ExperimentConfig, *spawn_key: int) -> np.random.Generator:
+    """The generator of the master seed's stream `spawn_key`: (trial,) for a
+    channel draw, (sweep, trial, 1) for an angle error and (seed key, 2 +
+    the method's index in METHODS) for a design's starts."""
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=spawn_key))
 
-    A method's generator is child 2 + its index in METHODS of its seed
-    key's sequence, so its draws do not depend on which other methods the
-    config lists. `generators`, when given, maps (method, seed key) to the
-    method generators of earlier points and gains this point's: points with
-    one seed key for a method share one generator, built once, as they
-    share the design that draws from it."""
+
+def _starts(cfg: ExperimentConfig, method: str, key: tuple[int, int]) -> np.random.Generator:
+    """The start generator of the `method` design of seed key `key`
+    (`_seed_key`); it does not depend on which other methods the config lists."""
+    return _stream(cfg, *key, 2 + METHODS.index(method))
+
+
+def _draw_point(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
+                sweep_idx: int, trial_idx: int, paths: PathSet | None = None) -> _Point:
+    """Draw one (sweep index, trial index) pair's path sets at its sweep
+    value's specialization in `specs` (`_specialize`); `paths`, when given,
+    is the trial's true path set, drawn already at another value."""
     run_cfg, beta = specs[sweep_idx]
     if paths is None:
-        chan_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial_idx,)))
         paths = sort_paths_descending(sample_paths(
-            chan_rng, run_cfg.geometry, run_cfg.budget, run_cfg.p_paths, run_cfg.l_paths,
-            run_cfg.bs_lis_distance, run_cfg.lis_ue_distance))
-
-    # child k of a key's seed sequence, as its spawn() would give it
-    def child(key: tuple[int, int], k: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=key + (k,)))
-
-    index = (sweep_idx, trial_idx)
+            _stream(cfg, trial_idx), run_cfg.geometry, run_cfg.budget, run_cfg.p_paths,
+            run_cfg.l_paths, run_cfg.bs_lis_distance, run_cfg.lis_ue_distance))
     est_paths = paths
-    if beta > 0:
-        est_paths = perturb_angles(paths, beta, child(index, 1))   # only angles move: still sorted
-    keys = {method: _seed_key(cfg, method, *index) for method in run_cfg.methods}
-    generators = {} if generators is None else generators
-    rngs = {}
-    for method in run_cfg.methods:
-        if (method, keys[method]) not in generators:
-            generators[method, keys[method]] = child(keys[method], 2 + METHODS.index(method))
-        rngs[method] = generators[method, keys[method]]
-    return _Point(run_cfg, index, keys, paths, est_paths, rngs)
+    if beta > 0:   # only angles move: still sorted
+        est_paths = perturb_angles(paths, beta, _stream(cfg, sweep_idx, trial_idx, 1))
+    return _Point(run_cfg, (sweep_idx, trial_idx), paths, est_paths)
 
 
 @dataclass(frozen=True)
 class _Group:
-    """One method's designs in a group: the point each is made at, the
-    group's points that share it and their transmit powers, and its rows of
-    the group's stacked path cores."""
+    """One method's designs in a group: the point each is made at, its start
+    generator, the group's points that share it and their transmit powers,
+    and its rows of the group's stacked path cores."""
 
     points: list[_Point]
+    rngs: list[np.random.Generator]
     sharers: list[list[int]]
     powers: list[list[float]]
     true: PathCore      # of the true path sets
@@ -223,19 +211,21 @@ class _Group:
     erred: np.ndarray   # (T,) bool, the designs with an angle error
 
     def __getitem__(self, rows: slice) -> _Group:
-        return _Group(self.points[rows], self.sharers[rows], self.powers[rows], self.true[rows],
-                      self.est[rows], self.erred[rows])
+        return _Group(self.points[rows], self.rngs[rows], self.sharers[rows], self.powers[rows],
+                      self.true[rows], self.est[rows], self.erred[rows])
 
 
 def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
-            points: list[_Point], trials: dict[int, PathSet]) -> dict[str, _Group]:
-    """Each method's designs in the group of `points`, whose true path sets
-    are among `trials` (trial index -> path set). Each design is made at its
-    first point, specialized by `specs` for the sweep value of its seed key.
+            tasks: list[tuple[int, int]]) -> tuple[list[_Point], dict[str, _Group]]:
+    """The points of the (sweep index, trial index) `tasks` of one group, and
+    each method's designs among them. Each design is made at its first
+    point, specialized by `specs` for the sweep value of its seed key, and
+    owns the start generator of that key (`_starts`), built once.
 
-    One `path_core` call factors each trial's path set and the estimated
-    path set of each point with an angle error. Each method's designs then
-    take their true rows and, when one has an error, their estimated rows
+    Each trial's true path set is drawn once, at its first point. One
+    `path_core` call factors each trial's path set and the estimated path
+    set of each point with an angle error. Each method's designs then take
+    their true rows and, when one has an error, their estimated rows
     (`PathCore.__getitem__`): views where the core holds them in order,
     such as every method's rows of a paper group at one power, or where
     they all sit on one row, such as a one-trial group's `tsvd` designs in
@@ -243,6 +233,11 @@ def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], 
     designs share. Every row is read-only and has the bits of its path
     set's core built alone.
     """
+    trials: dict[int, PathSet] = {}   # each trial's true path set
+    points = []
+    for sweep_idx, trial_idx in tasks:
+        points.append(_draw_point(cfg, specs, sweep_idx, trial_idx, trials.get(trial_idx)))
+        trials.setdefault(trial_idx, points[-1].paths)
     row = {trial: k for k, trial in enumerate(trials)}
     true_rows = [row[p.index[1]] for p in points]
     paths = list(trials.values())
@@ -256,7 +251,7 @@ def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], 
     for method in cfg.methods:
         by_key: dict[tuple[int, int], list[int]] = {}   # the points of each seed key
         for i, point in enumerate(points):
-            by_key.setdefault(point.keys[method], []).append(i)
+            by_key.setdefault(_seed_key(cfg, method, *point.index), []).append(i)
         sharers = list(by_key.values())
         firsts = tuple(rows[0] for rows in sharers)
         if firsts not in gathered:
@@ -268,9 +263,10 @@ def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], 
             [points[i] if key == points[i].index
              else replace(points[i], cfg=specs[key[0]][0], index=key)
              for key, i in zip(by_key, firsts)],
+            [_starts(cfg, method, key) for key in by_key],
             sharers, [[points[i].cfg.budget.tx_power for i in rows] for rows in sharers],
             *gathered[firsts])
-    return stacks
+    return points, stacks
 
 
 def _passive_beamforming(method: str, group: _Group,
@@ -279,10 +275,9 @@ def _passive_beamforming(method: str, group: _Group,
     optimizer iterations.
 
     The points share a geometry and stream count, so each optimizer runs on
-    the group's stacked core; each point's generator draws its start.
+    the group's stacked core; each design's own generator draws its start.
     """
-    points, core = group.points, group.est
-    rngs = [p.rngs[method] for p in points]
+    points, core, rngs = group.points, group.est, group.rngs
     if method == "tsvd":
         gains = cfg.gains
         weights = np.stack([stream_weights(p.est_paths, p.cfg.budget, p.cfg.n_streams,
@@ -491,30 +486,23 @@ def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float
     """The values of each (sweep index, trial index) task of one group, at
     its sweep value's specialization in `specs`: arrays (tasks, methods, modes).
 
-    A design's first hybrid job draws from the generator the design drew
-    from, at the state the design left it in, any other from a copy of that
-    state. A digital entry's wall time is its design's share of its
-    method's batch, split evenly among the points that share it, a hybrid
-    entry's that plus its job's share of the hybrid batch, split likewise.
-    A failed design fails its points' entries in every mode, and a failed
-    job its points' hybrid entries.
+    The points and each method's designs come from `_stacks`. A design's
+    first hybrid job draws from the design's own generator, at the state
+    the design left it in, any other from a copy of that state. A digital
+    entry's wall time is its design's share of its method's batch, split
+    evenly among the points that share it, a hybrid entry's that plus its
+    job's share of the hybrid batch, split likewise. A failed design fails
+    its points' entries in every mode, and a failed job its points' hybrid
+    entries.
     """
-    trials: dict[int, PathSet] = {}   # each trial's true path set
-    generators = {}                   # each (method, seed key)'s generator
-    points = []
-    for sweep_idx, trial_idx in tasks:
-        points.append(_draw_point(cfg, specs, sweep_idx, trial_idx, trials.get(trial_idx),
-                                  generators))
-        trials.setdefault(trial_idx, points[-1].paths)
-    stacks = _stacks(cfg, specs, points, trials)
+    points, stacks = _stacks(cfg, specs, tasks)
     modes = _modes(cfg)
     shape = (len(points), len(cfg.methods), len(modes))
     out = _Trials(*np.full((5,) + shape, math.nan), np.zeros(shape, dtype=bool))
     tables, methods, rngs = [], [], []   # for the hybrid jobs: each design's method, generator
     for m, method in enumerate(cfg.methods):
         group = stacks[method]
-        found, ok, ms = _batched(lambda sel: _designs(method, group[sel], cfg),
-                                 [p.rngs[method] for p in group.points])
+        found, ok, ms = _batched(lambda sel: _designs(method, group[sel], cfg), group.rngs)
         counts = np.array([len(rows) for rows in group.sharers])
         owner = np.repeat(np.arange(len(counts)), counts)
         at = np.concatenate(group.sharers)
@@ -529,7 +517,7 @@ def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float
         if modes[-1] == "hybrid":
             tables += found
             methods += [m] * int(ok.sum())
-            rngs += [group.points[d].rngs[method] for d in np.flatnonzero(ok)]
+            rngs += [group.rngs[d] for d in np.flatnonzero(ok)]
     if not tables:
         return out
     table = _concat(tables)
@@ -671,6 +659,8 @@ def emit_csv(result: SweepResult, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in result.rows:
+            # each field named, not a loop over fields(SweepRow): the member
+            # check of tests/test_imports.py counts only named reads
             writer.writerow([
                 format(row.sweep_value, ".12g"), row.method, row.precoding,
                 format(row.mean_se, ".12e"), format(row.std_se, ".12e"),

@@ -6,7 +6,7 @@ from lisim import __version__
 from lisim.channel import path_core
 from lisim.cli import main
 from lisim.config import _specialize, load_config
-from lisim.harness import _draw_point
+from lisim.harness import _draw_point, _starts
 from lisim.passive_bf import optimize_tsvd, stream_weights, tsvd_objective
 
 SMALL_CFG = """
@@ -94,6 +94,15 @@ def test_run_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"trials = 2\nseed = \xff\xfe\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "never.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: not UTF-8 text at byte 18\n"
+    assert captured.out == "" and not (tmp_path / "never.csv").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("tx_power_dbm = 1e4", "out of range"), ("noise_dbm = 1e4", "out of range"),
     ("rx_gain_dbi = 1e4", "finite amplitude"), ("tx_gain_dbi = -1e4", "finite amplitude"),
@@ -175,7 +184,7 @@ def test_oracle_prints_the_surrogate_at_the_optimizer_point(tmp_path, capsys, te
     run_cfg = point.cfg
     core = path_core([point.paths], run_cfg.geometry, *run_cfg.gains)
     weights = stream_weights(point.paths, run_cfg.budget, run_cfg.n_streams, *run_cfg.gains)
-    v, _ = optimize_tsvd(core, weights, run_cfg.descent, point.rngs["tsvd"])
+    v, _ = optimize_tsvd(core, weights, run_cfg.descent, _starts(cfg, "tsvd", (0, 0)))
     evaluate, data = tsvd_objective(core, weights[None])
     assert printed == f"{-evaluate(data, v[None])[0][0]:.9f}"
 

@@ -30,6 +30,8 @@ from lisim.harness import (
     SweepRow,
     _Trials,
     _run_group,
+    _stacks,
+    _starts,
     _sweep_rows,
     brute_force_phase_oracle,
     emit_csv,
@@ -581,6 +583,27 @@ def test_power_sweep_designs_spgm_and_random_once_per_trial(monkeypatch):
     assert all(row.errors == 0 for row in run_sweep(cfg).rows)
     assert (tsvd, spgm, len(starts)) == ([6], [2], 2)
     assert factors == [2 * (6 + 2 + 2)]
+
+
+def test_a_group_builds_each_design_generator_once(monkeypatch):
+    # a one-trial group of power_sweep.cfg: tsvd has a design at each of
+    # the 7 powers, spgm and random one for all of them, and the hybrid
+    # jobs draw from their designs' generators
+    cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs" /
+                              "power_sweep.cfg"), trials=1)
+    built = _spy(monkeypatch, "_starts", lambda cfg, method, key: method)
+    _run_group(cfg, _specialize(cfg), [(si, 0) for si in range(len(cfg.sweep_values))])
+    assert {method: built.count(method) for method in set(built)} == {
+        "tsvd": 7, "spgm": 1, "random": 1}
+
+
+def test_a_design_draws_its_starts_from_the_oracle_generator():
+    # trial 0's first tsvd design starts where `lisim oracle` starts tsvd
+    cfg = replace(SMALL, trials=1)
+    specs = _specialize(cfg)
+    _, stacks = _stacks(cfg, specs, [(si, 0) for si in range(len(specs))])
+    assert (stacks["tsvd"].rngs[0].bit_generator.state
+            == _starts(cfg, "tsvd", (0, 0)).bit_generator.state)
 
 
 POWERS = replace(DESK_ANGLES, trials=2, sweep_variable="tx_power_dbm",

@@ -76,6 +76,41 @@ def _references(nodes) -> set[str]:
     return found
 
 
+def _kept_imports(source: str, readers: list[str]) -> list[str]:
+    """The names that the module-level imports of `source` marked `# noqa:
+    F401` bind and that none of the `readers` (sources) names: as a
+    reference (`_references`) or as a string constant like "ccm_descent"."""
+    trees = [ast.parse(reader) for reader in readers]
+    named = _references(trees) | {
+        node.value for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.isidentifier()}
+    lines = source.splitlines()
+    unread = []
+    for node in ast.parse(source).body:
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and any("# noqa: F401" in line
+                        for line in lines[node.lineno - 1:node.end_lineno])):
+            unread += [f"line {node.lineno}: {alias.asname or alias.name}"
+                       for alias in node.names if (alias.asname or alias.name) not in named]
+    return unread
+
+
+def test_kept_imports_are_named_by_a_reader():
+    readers = [p.read_text() for d in READERS for p in sorted((ROOT / d).glob("*.py"))]
+    kept = {p.name: _kept_imports(p.read_text(), readers) for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in kept.items() if found} == {}
+
+
+def test_kept_import_without_a_reader_is_flagged():
+    source = ("from .a import named, in_a_string  # noqa: F401\n"
+              "from .b import imported, gone  # noqa: F401\n"
+              "from .c import used, unmarked\n"
+              "x = used\n")
+    readers = ["from m import imported\nnamed()\nNAMES = ('c.in_a_string', 'gone in prose')\n"]
+    assert _kept_imports(source, readers) == ["line 2: gone"]
+
+
 def _dead_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
     """The top-level functions and classes of `modules` (name -> source) that
     nothing references outside their own definition: not the rest of their

@@ -28,7 +28,7 @@ from lisim.channel import (
     sort_paths_descending,
 )
 from lisim.config import ExperimentConfig, _specialize, load_config
-from lisim.harness import _designs, _draw_point, _run_group, _stacks
+from lisim.harness import _designs, _run_group, _stacks
 from lisim.metrics import spectral_efficiency, truncated_condition_number
 from lisim.transceiver import (
     digital_combiner,
@@ -229,14 +229,10 @@ def test_a_paper_group_gives_every_method_its_core(monkeypatch):
     # an 8-trial group at one transmit power: each method's designs are the
     # trials in order, so all three read the group's core with no gather
     cfg = replace(load_config(CONFIGS / "default.cfg"), trials=8)
-    specs, generators, trials, points = _specialize(cfg), {}, {}, []
-    for ti in range(cfg.trials):
-        points.append(_draw_point(cfg, specs, 0, ti, None, generators))
-        trials[ti] = points[-1].paths
     made = []
     monkeypatch.setattr(harness, "path_core",
                         lambda *args: made.append(path_core(*args)) or made[-1])
-    stacks = _stacks(cfg, specs, points, trials)
+    _, stacks = _stacks(cfg, _specialize(cfg), [(0, ti) for ti in range(cfg.trials)])
     (core,) = made
     for method in cfg.methods:
         group = stacks[method]
@@ -248,11 +244,8 @@ def test_a_paper_group_gives_every_method_its_core(monkeypatch):
 def _one_trial_stacks(name):
     """A one-trial group of a shipped config at every sweep value, drawn afresh."""
     cfg = replace(load_config(CONFIGS / f"{name}.cfg"), trials=1)
-    specs, generators, trials, points = _specialize(cfg), {}, {}, []
-    for si in range(len(specs)):
-        points.append(_draw_point(cfg, specs, si, 0, trials.get(0), generators))
-        trials.setdefault(0, points[-1].paths)
-    return cfg, _stacks(cfg, specs, points, trials)
+    specs = _specialize(cfg)
+    return cfg, _stacks(cfg, specs, [(si, 0) for si in range(len(specs))])[1]
 
 
 def test_a_power_sweep_trial_gives_tsvd_one_bank():
