@@ -3,9 +3,9 @@
 
 Draws trial 0 of configs/default.cfg (64-antenna ULAs, 16x16 LIS, 7x7
 paths) through the harness under each master seed 0, 1, ... and reports,
-per seed, the objective trajectory of the `tsvd` surrogate descent from the
-start the harness gives `tsvd`, and the iteration count needed for the
-trace to flatten.
+per seed, the objective trajectory of the `tsvd` surrogate descent from its
+start at the strongest composite path, and the iteration count needed for
+the trace to flatten.
 """
 
 import argparse
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from lisim.channel import path_core
 from lisim.config import _specialize, load_config
-from lisim.harness import _draw_point, _seed_key, _starts
+from lisim.harness import _draw_point
 from lisim.passive_bf import optimize_tsvd, stream_weights
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
@@ -38,8 +38,7 @@ def main():
         gains = run_cfg.gains
         weights = stream_weights(paths, run_cfg.budget, run_cfg.n_streams, *gains)
         _, trace = optimize_tsvd(path_core([paths], run_cfg.geometry, *gains), weights,
-                                 run_cfg.descent,
-                                 _starts(seeded, "tsvd", _seed_key(seeded, "tsvd", 0, 0)))
+                                 run_cfg.descent)
         rates = [-x for x in trace]
         print(f"seed {seed}: {len(trace) - 1} iterations, "
               f"rate surrogate {rates[0]:.3f} -> {rates[-1]:.3f} bits/s/Hz")

@@ -9,7 +9,7 @@ from dataclasses import replace
 from . import __version__
 from .channel import path_core
 from .config import ConfigError, _specialize, load_config
-from .harness import _draw_point, _seed_key, _starts, brute_force_phase_oracle, emit_csv, run_sweep
+from .harness import _draw_point, brute_force_phase_oracle, emit_csv, run_sweep
 from .passive_bf import optimize_tsvd, stream_weights
 
 
@@ -51,8 +51,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    # trial 0 at the first sweep value, with the paths and the tsvd start
-    # generator that `lisim run` draws for it, whether or not cfg lists tsvd
+    # trial 0 at the first sweep value, with the paths that `lisim run`
+    # draws for it, whether or not cfg lists tsvd
     point = _draw_point(cfg, _specialize(cfg), 0, 0)
     run_cfg = point.cfg
     gains = run_cfg.gains
@@ -60,8 +60,7 @@ def _cmd_oracle(args) -> int:
     weights = stream_weights(point.paths, run_cfg.budget, run_cfg.n_streams, *gains)
     _, best_obj = brute_force_phase_oracle(core, weights, args.levels)
     # the engine logs the negated surrogate at the point it returns
-    _, trace = optimize_tsvd(core, weights, run_cfg.descent,
-                             _starts(cfg, "tsvd", _seed_key(cfg, "tsvd", 0, 0)))
+    _, trace = optimize_tsvd(core, weights, run_cfg.descent)
     achieved = -trace[-1]
     ratio = achieved / best_obj if best_obj > 0 else float("nan")
     print(f"oracle objective:    {best_obj:.9f}")

@@ -176,7 +176,10 @@ def _stream(cfg: ExperimentConfig, *spawn_key: int) -> np.random.Generator:
 
 def _starts(cfg: ExperimentConfig, method: str, key: tuple[int, int]) -> np.random.Generator:
     """The start generator of the `method` design of seed key `key`
-    (`_seed_key`); it does not depend on which other methods the config lists."""
+    (`_seed_key`); it does not depend on which other methods the config lists.
+    `spgm` and `random` draw their phase starts from it, and then the hybrid
+    jobs of every method the random RF chains beyond the strongest paths'
+    steering vectors (`_hybrid_rates`); `tsvd`'s surrogate start reads none."""
     return _stream(cfg, *key, 2 + METHODS.index(method))
 
 
@@ -275,14 +278,16 @@ def _passive_beamforming(method: str, group: _Group,
     optimizer iterations.
 
     The points share a geometry and stream count, so each optimizer runs on
-    the group's stacked core; each design's own generator draws its start.
+    the group's stacked core. `tsvd` starts from each core row's strongest
+    composite path and reads no generator; `spgm` and `random` draw their
+    starts from each design's own generator.
     """
     points, core, rngs = group.points, group.est, group.rngs
     if method == "tsvd":
         gains = cfg.gains
         weights = np.stack([stream_weights(p.est_paths, p.cfg.budget, p.cfg.n_streams,
                                            *gains) for p in points])
-        surrogate = optimize_tsvd_stack(core, weights, cfg.descent, rngs)
+        surrogate = optimize_tsvd_stack(core, weights, cfg.descent)
         refined = optimize_rate_stack(core, [p.cfg.budget for p in points],
                                       points[0].cfg.n_streams, cfg.descent, surrogate.points)
         phases, iters = refined.points, surrogate.iters + refined.iters

@@ -3,7 +3,8 @@
 Three optimizers work on the stacked L x P path core of the cascade channel
 (`channel.PathCore`), one row per core:
 - `optimize_tsvd_stack` maximizes the per-stream composite-path rate
-  surrogate sum_i log2(1 + a_i |v^H p^{ii}|^2) over the top-N_s sorted paths;
+  surrogate sum_i log2(1 + a_i |v^H p^{ii}|^2) over the top-N_s sorted paths,
+  from the phases of the strongest composite path p^{11};
 - `optimize_rate_stack` maximizes the truncated-SVD rate
   sum_{k <= N_s} log2(1 + rho sigma_k^2 / (N_s sigma^2)) of the cascade
   channel itself; the harness starts it from the surrogate's solution;
@@ -167,21 +168,24 @@ def stream_weights(paths: PathSet, budget: LinkBudget, n_streams: int,
         n_streams * budget.noise_power)
 
 
-def optimize_tsvd(core: PathCore, weights: np.ndarray, cfg: DescentConfig,
-                  rng: np.random.Generator) -> tuple[np.ndarray, list[float]]:
-    """Manifold descent on the truncated-SVD rate surrogate from a random start.
+def optimize_tsvd(core: PathCore, weights: np.ndarray,
+                  cfg: DescentConfig) -> tuple[np.ndarray, list[float]]:
+    """Manifold descent on the truncated-SVD rate surrogate from the
+    strongest composite path.
 
+    The start is v0 = exp(j arg p^{11}): every entry of p^{11} has modulus
+    1 / M, so v0 gives the strongest pair its largest gain, |v0^H p^{11}| = 1.
     `core` is a stack of one and `weights` (N_s,) is one row of `tsvd_objective`'s.
     """
-    return optimize_tsvd_stack(core, np.asarray(weights)[None], cfg, [rng]).row(0)
+    return optimize_tsvd_stack(core, np.asarray(weights)[None], cfg).row(0)
 
 
-def optimize_tsvd_stack(core: PathCore, weights: np.ndarray, cfg: DescentConfig,
-                        rngs: Sequence[np.random.Generator]) -> StackDescent:
-    """`optimize_tsvd` for each row of `core`, of `weights` (T, N_s) and of `rngs`."""
+def optimize_tsvd_stack(core: PathCore, weights: np.ndarray,
+                        cfg: DescentConfig) -> StackDescent:
+    """`optimize_tsvd` for each row of `core` and of `weights` (T, N_s); the
+    start is elementwise in row 0 of each row's bank, p^{11}."""
     evaluate, data = tsvd_objective(core, weights)
-    v0 = np.stack([random_phases(rng, core.m) for rng in rngs])
-    return ccm_descent_stack(evaluate, data, v0, cfg)
+    return ccm_descent_stack(evaluate, data, np.exp(1j * np.angle(core.bank[:, 0])), cfg)
 
 
 def optimize_rate_stack(core: PathCore, budgets: Sequence[LinkBudget],

@@ -118,7 +118,7 @@ def test_criterion_2_manifold_engine_convergence():
         paths = sort_paths_descending(
             sample_paths(rng, PAPER_GEOMETRY, PAPER_BUDGET, 7, 7))
         v, trace = optimize_tsvd(path_core([paths], PAPER_GEOMETRY),
-                                 stream_weights(paths, PAPER_BUDGET, 4, TX_GAIN), cfg, rng)
+                                 stream_weights(paths, PAPER_BUDGET, 4, TX_GAIN), cfg)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:])), \
             "objective trace must be non-increasing"
         worst_modulus = max(worst_modulus, np.max(np.abs(np.abs(v) - 1.0)))
@@ -139,7 +139,7 @@ def test_criterion_3_tiny_scale_oracle():
         core = path_core([paths], geometry)
         weights = stream_weights(paths, DESK_BUDGET, 2, TX_GAIN)
         _, best = brute_force_phase_oracle(core, weights, 8)
-        v, _ = optimize_tsvd(core, weights, cfg, rng)
+        v, _ = optimize_tsvd(core, weights, cfg)
         evaluate, data = tsvd_objective(core, weights[None])
         ratios.append(-evaluate(data, v[None])[0][0] / best)
     ok = min(ratios) >= 0.95
@@ -267,7 +267,7 @@ def test_criterion_7_diagonal_dominance():
             paths = sort_paths_descending(sample_paths(rng, geometry, budget, 7, 7))
             core = path_core([paths], geometry)
             v, _ = optimize_tsvd(core, stream_weights(paths, budget, 4, TX_GAIN),
-                                 DescentConfig(), rng)
+                                 DescentConfig())
             ratios.append(offdiag_ratio(coupling_matrix(v[None], core), 4)[0])
         means[16 * lis_z] = float(np.mean(ratios))
     decreasing = means[16] > means[64] > means[256]

@@ -6,7 +6,7 @@ from lisim import __version__
 from lisim.channel import path_core
 from lisim.cli import main
 from lisim.config import _specialize, load_config
-from lisim.harness import _draw_point, _starts
+from lisim.harness import _draw_point
 from lisim.passive_bf import optimize_tsvd, stream_weights, tsvd_objective
 
 SMALL_CFG = """
@@ -184,7 +184,7 @@ def test_oracle_prints_the_surrogate_at_the_optimizer_point(tmp_path, capsys, te
     run_cfg = point.cfg
     core = path_core([point.paths], run_cfg.geometry, *run_cfg.gains)
     weights = stream_weights(point.paths, run_cfg.budget, run_cfg.n_streams, *run_cfg.gains)
-    v, _ = optimize_tsvd(core, weights, run_cfg.descent, _starts(cfg, "tsvd", (0, 0)))
+    v, _ = optimize_tsvd(core, weights, run_cfg.descent)
     evaluate, data = tsvd_objective(core, weights[None])
     assert printed == f"{-evaluate(data, v[None])[0][0]:.9f}"
 

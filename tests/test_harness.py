@@ -597,13 +597,25 @@ def test_a_group_builds_each_design_generator_once(monkeypatch):
         "tsvd": 7, "spgm": 1, "random": 1}
 
 
-def test_a_design_draws_its_starts_from_the_oracle_generator():
-    # trial 0's first tsvd design starts where `lisim oracle` starts tsvd
-    cfg = replace(SMALL, trials=1)
+def test_a_design_draws_its_hybrid_chains_from_its_generator(monkeypatch):
+    # trial 0's first tsvd design owns the generator `_starts` seeds for its
+    # key; its surrogate reads none of it, so at 5 RF chains over 3 paths
+    # the 2 random chains of its precoder's start, then its combiner's, are
+    # that generator's first draws
+    cfg = replace(SMALL, trials=1, n_rf_tx=5, n_rf_rx=5, methods=("tsvd",),
+                  precoding="hybrid")
     specs = _specialize(cfg)
-    _, stacks = _stacks(cfg, specs, [(si, 0) for si in range(len(specs))])
+    tasks = [(si, 0) for si in range(len(specs))]
+    _, stacks = _stacks(cfg, specs, tasks)
     assert (stacks["tsvd"].rngs[0].bit_generator.state
             == _starts(cfg, "tsvd", (0, 0)).bit_generator.state)
+    starts = _spy(monkeypatch, "hybrid_factorize", lambda targets, start, *args: start)
+    _run_group(cfg, specs, tasks)
+    (start,) = starts
+    rng = _starts(cfg, "tsvd", (0, 0))
+    for slot in (0, len(tasks)):   # design 0's precoder, then its combiner
+        chains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 8)))
+        np.testing.assert_array_equal(start[slot][:, 3:], chains.T)
 
 
 POWERS = replace(DESK_ANGLES, trials=2, sweep_variable="tx_power_dbm",
@@ -632,6 +644,27 @@ def test_power_sweep_shared_designs_equal_designs_alone():
         for m, method in enumerate(POWERS.methods):
             values = {design(k, m) for k in by_power}
             assert len(values) == (3 if method == "tsvd" else 1)
+
+
+def test_tsvd_digital_rows_read_no_generator(monkeypatch):
+    # the surrogate starts from each core row's strongest composite path, so
+    # a tsvd start generator of another seed can move only tsvd's hybrid
+    # rows, whose RF chains beyond the 4 paths it draws, and no other row
+    from lisim import harness
+    strip = lambda rows: {(r.precoding, r.method, r.sweep_value): replace(r, wall_ms=0.0)
+                          for r in rows}
+    clean = strip(run_sweep(POWERS).rows)
+    real, built = harness._starts, []
+
+    def other_seed(cfg, method, key):
+        built.append(method)
+        return real(replace(cfg, seed=cfg.seed + 1) if method == "tsvd" else cfg, method, key)
+
+    monkeypatch.setattr(harness, "_starts", other_seed)
+    moved = strip(run_sweep(POWERS).rows)
+    assert "tsvd" in built and moved.keys() == clean.keys()
+    assert all(moved[key] == row for key, row in clean.items()
+               if key[:2] != ("hybrid", "tsvd"))
 
 
 def test_a_shared_precoder_is_its_design_factored_at_each_power(monkeypatch):

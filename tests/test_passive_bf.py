@@ -148,22 +148,78 @@ def test_spgm_gradient_matches_finite_differences():
 # -- optimizers --------------------------------------------------------------
 
 def test_optimize_tsvd_improves_over_start():
-    rng, paths = _instance(4)
+    _, paths = _instance(4)
     evaluate, data = _surrogate(paths)
     v, trace = optimize_tsvd(path_core([paths], GEOMETRY),
                              stream_weights(paths, BUDGET, 2, TX_GAIN),
-                             DescentConfig(epsilon=1e-8), rng)
+                             DescentConfig(epsilon=1e-8))
     assert trace[-1] <= trace[0]
     assert evaluate(data, v[None])[0] == pytest.approx([trace[-1]], rel=1e-9)
     assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
 
 
+def _tsvd_stack(seeds):
+    """The path sets of the draws `seeds`, their stacked core and two-stream weights."""
+    path_sets = [_instance(seed, p=4, l=3)[1] for seed in seeds]
+    weights = np.stack([stream_weights(paths, BUDGET, 2, TX_GAIN) for paths in path_sets])
+    return path_sets, path_core(path_sets, GEOMETRY, TX_GAIN), weights
+
+
+def test_the_surrogate_starts_at_the_strongest_composite_path(monkeypatch):
+    # every entry of p^{11} has modulus 1/M, so the phases of p^{11} give
+    # the strongest pair its largest gain, 1, on every row of a stack
+    from lisim import passive_bf
+    real, seen = passive_bf.ccm_descent_stack, []
+
+    def spied(evaluate, data, v0, cfg):
+        seen.append(v0)
+        return real(evaluate, data, v0, cfg)
+
+    monkeypatch.setattr(passive_bf, "ccm_descent_stack", spied)
+    path_sets, core, weights = _tsvd_stack(range(5))
+    optimize_tsvd_stack(core, weights, DescentConfig())
+    (v0,) = seen
+    np.testing.assert_allclose(np.abs(v0), 1.0, rtol=0, atol=1e-12)
+    for v, paths in zip(v0, path_sets):
+        p11 = composite_path_vectors(paths, GEOMETRY)[0, 0]
+        assert abs(v.conj() @ p11) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_the_surrogate_trace_opens_at_its_start():
+    # trace[0] is the surrogate at exp(j arg p^{11}), not at a random draw
+    path_sets, core, weights = _tsvd_stack(range(5))
+    result = optimize_tsvd_stack(core, weights, DescentConfig())
+    start = np.stack([np.exp(1j * np.angle(composite_path_vectors(paths, GEOMETRY)[0, 0]))
+                      for paths in path_sets])
+    evaluate, data = tsvd_objective(core, weights)
+    assert [t[0] for t in result.traces] == pytest.approx(evaluate(data, start)[0], rel=1e-12)
+
+
+def test_optimize_tsvd_rows_equal_their_runs_alone():
+    # the start is elementwise in each row's own bank, so a row keeps its
+    # bits in a stack of other draws and on a stride-0 core shared by powers
+    _, core, weights = _tsvd_stack(range(7))
+    powers = np.arange(10.0, 41.0, 5.0)
+    shared, _, paths = _one_bank(3, len(powers))
+    shared_weights = np.stack([stream_weights(paths, LinkBudget(tx_power=dbm_to_watt(p)), 4,
+                                              TX_GAIN) for p in powers])
+    cfg = DescentConfig(epsilon=1e-8)
+    for stack, rows in ((core, weights), (shared, shared_weights)):
+        result = optimize_tsvd_stack(stack, rows, cfg)
+        assert len(set(result.iters.tolist())) > 2
+        for i in range(len(rows)):
+            alone = optimize_tsvd_stack(stack[i:i + 1], rows[i:i + 1], cfg)
+            np.testing.assert_array_equal(alone.points[0], result.points[i])
+            assert alone.traces[0] == result.traces[i]
+            assert alone.stops[0] == result.stops[i]
+
+
 def test_optimize_rate_ascends_from_the_surrogate_solution():
     for seed in range(5):
-        rng, paths = _instance(seed, p=4, l=4)
+        _, paths = _instance(seed, p=4, l=4)
         core = path_core([paths], GEOMETRY, TX_GAIN)
         v0, _ = optimize_tsvd(core, stream_weights(paths, BUDGET, 2, TX_GAIN),
-                              DescentConfig(), rng)
+                              DescentConfig())
         result = optimize_rate_stack(core, [BUDGET], 2, DescentConfig(epsilon=1e-8),
                                      v0[None])
         v, trace = result.row(0)
@@ -295,7 +351,7 @@ def test_optimizers_on_one_bank_equal_their_runs_on_its_copies():
     weights = np.stack([stream_weights(paths, b, 4, TX_GAIN) for b in budgets])
     cfg = DescentConfig()
     rngs = lambda: [np.random.default_rng(200 + k) for k in range(len(powers))]
-    surrogate = [optimize_tsvd_stack(core, weights, cfg, rngs()) for core in (shared, gathered)]
+    surrogate = [optimize_tsvd_stack(core, weights, cfg) for core in (shared, gathered)]
     _assert_same_descent(*surrogate)
     assert len(set(surrogate[0].iters.tolist())) > 2
     refined = [optimize_rate_stack(core, budgets, 4, cfg, surrogate[0].points)
