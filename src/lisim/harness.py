@@ -8,21 +8,22 @@ every sweep value (paired comparison along both axes). Per-trial seeds are
 derived from the master seed and the (sweep index, trial index) pair, so
 growing the trial count never reshuffles earlier trials; a method's starts
 are keyed by the trial alone where the sweep variable does not enter its
-design (`_seed_key`).
+design (`_seed_key`). Each draw builds its generator from its key where
+it draws (`_stream`), so what an item draws does not depend on what ran
+before it.
 
 A run specializes the config once per sweep value (`config._specialize`)
 and runs its points, (sweep index, trial index) pairs, in groups that share
 a geometry and stream count (`_groups`). A group factors its path sets into
 one stacked path core (`_stacks`), and the points with one seed key for a
-method share its design, which owns that key's start generator (`_starts`;
-`_stream` seeds every draw). Each method's designs take one batch, which
-gives one design table (`_designs`): arrays with a leading design axis, and
-the digital rate of every point that shares a design. The group's hybrid
-jobs, index rows (design, RF chain count) into the table of all its
-designs, take one more batch (`_hybrid_rates`). `_batched` runs every batch
-and, on a numerical failure, reruns each item alone from its saved
-generator state. A group gives per-trial arrays over its points
-(`_run_group`); `_run_trials` scatters them into (sweep value, method,
+method share its design, made at a point whose index is that key. Each
+method's designs take one batch, which gives one design table
+(`_designs`): arrays with a leading design axis, and the digital rate of
+every point that shares a design. The group's hybrid jobs, index rows
+(design, RF chain count) into the table of all its designs, take one more
+batch (`_hybrid_rates`). `_batched` runs every batch and, on a numerical
+failure, reruns each item alone. A group gives per-trial arrays over its
+points (`_run_group`); `_run_trials` scatters them into (sweep value, method,
 mode, trial) arrays, whose rows `run_sweep` reduces to CSV rows. A point's
 values do not depend on its group, so the CSV is the same for any
 grouping, serial or parallel.
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import csv
 import math
-from copy import deepcopy
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import accumulate
@@ -169,17 +169,18 @@ def _seed_key(cfg: ExperimentConfig, method: str, sweep_idx: int,
 
 def _stream(cfg: ExperimentConfig, *spawn_key: int) -> np.random.Generator:
     """The generator of the master seed's stream `spawn_key`: (trial,) for a
-    channel draw, (sweep, trial, 1) for an angle error and (seed key, 2 +
-    the method's index in METHODS) for a design's starts."""
+    channel draw, (sweep, trial, 1) for an angle error, (seed key, 2) for a
+    hybrid job's random RF chains and (seed key, 2 + the method's index in
+    METHODS) for an `spgm` or `random` design's phase start. It is the only
+    place a generator is built: each is built where it draws."""
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=spawn_key))
 
 
 def _starts(cfg: ExperimentConfig, method: str, key: tuple[int, int]) -> np.random.Generator:
-    """The start generator of the `method` design of seed key `key`
-    (`_seed_key`); it does not depend on which other methods the config lists.
-    `spgm` and `random` draw their phase starts from it, and then the hybrid
-    jobs of every method the random RF chains beyond the strongest paths'
-    steering vectors (`_hybrid_rates`); `tsvd`'s surrogate start reads none."""
+    """The start generator of the `spgm` or `random` design of seed key `key`
+    (`_seed_key`), from which it draws its phase start; it does not depend
+    on which other methods the config lists. `tsvd`'s surrogate start reads
+    no generator."""
     return _stream(cfg, *key, 2 + METHODS.index(method))
 
 
@@ -201,12 +202,11 @@ def _draw_point(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, floa
 
 @dataclass(frozen=True)
 class _Group:
-    """One method's designs in a group: the point each is made at, its start
-    generator, the group's points that share it and their transmit powers,
-    and its rows of the group's stacked path cores."""
+    """One method's designs in a group: the point each is made at, whose
+    index is the design's seed key, the group's points that share it and
+    their transmit powers, and its rows of the group's stacked path cores."""
 
     points: list[_Point]
-    rngs: list[np.random.Generator]
     sharers: list[list[int]]
     powers: list[list[float]]
     true: PathCore      # of the true path sets
@@ -214,7 +214,7 @@ class _Group:
     erred: np.ndarray   # (T,) bool, the designs with an angle error
 
     def __getitem__(self, rows: slice) -> _Group:
-        return _Group(self.points[rows], self.rngs[rows], self.sharers[rows], self.powers[rows],
+        return _Group(self.points[rows], self.sharers[rows], self.powers[rows],
                       self.true[rows], self.est[rows], self.erred[rows])
 
 
@@ -222,8 +222,8 @@ def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], 
             tasks: list[tuple[int, int]]) -> tuple[list[_Point], dict[str, _Group]]:
     """The points of the (sweep index, trial index) `tasks` of one group, and
     each method's designs among them. Each design is made at its first
-    point, specialized by `specs` for the sweep value of its seed key, and
-    owns the start generator of that key (`_starts`), built once.
+    point, specialized by `specs` for the sweep value of its seed key and
+    indexed by that key.
 
     Each trial's true path set is drawn once, at its first point. One
     `path_core` call factors each trial's path set and the estimated path
@@ -266,7 +266,6 @@ def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], 
             [points[i] if key == points[i].index
              else replace(points[i], cfg=specs[key[0]][0], index=key)
              for key, i in zip(by_key, firsts)],
-            [_starts(cfg, method, key) for key in by_key],
             sharers, [[points[i].cfg.budget.tx_power for i in rows] for rows in sharers],
             *gathered[firsts])
     return points, stacks
@@ -280,9 +279,9 @@ def _passive_beamforming(method: str, group: _Group,
     The points share a geometry and stream count, so each optimizer runs on
     the group's stacked core. `tsvd` starts from each core row's strongest
     composite path and reads no generator; `spgm` and `random` draw their
-    starts from each design's own generator.
+    starts from each design's start generator (`_starts`), built here.
     """
-    points, core, rngs = group.points, group.est, group.rngs
+    points, core = group.points, group.est
     if method == "tsvd":
         gains = cfg.gains
         weights = np.stack([stream_weights(p.est_paths, p.cfg.budget, p.cfg.n_streams,
@@ -292,37 +291,36 @@ def _passive_beamforming(method: str, group: _Group,
                                       points[0].cfg.n_streams, cfg.descent, surrogate.points)
         phases, iters = refined.points, surrogate.iters + refined.iters
     elif method == "spgm":
-        result = optimize_spgm_stack(core, cfg.descent, rngs)
+        result = optimize_spgm_stack(core, cfg.descent,
+                                     [_starts(cfg, method, p.index) for p in points])
         phases, iters = result.points, result.iters
     else:
-        phases = np.stack([random_phases(rng, core.m) for rng in rngs])
+        phases = np.stack([random_phases(_starts(cfg, method, p.index), core.m) for p in points])
         iters = np.zeros(len(points))
     return phases, np.asarray(iters, dtype=float)
 
 
-def _batched(run, rngs: list[np.random.Generator]) -> tuple[list, np.ndarray, np.ndarray]:
+def _batched(run, n: int) -> tuple[list, np.ndarray, np.ndarray]:
     """The results of `run` that succeeded, and each item's success and ms.
 
-    `run` maps a slice of the items to one result for them, and item i draws
-    only from rngs[i]. The batch runs once and each item is charged an
-    equal share of its time. If it meets a numerical failure, each item
-    runs alone, on its own slice, from the state its generator had before
-    the batch, so only a failing item counts the error; the results are
+    `run` maps a slice of its `n` items to one result for them, and what an
+    item draws depends on its seed key alone. The batch runs once and each
+    item is charged an equal share of its time. If it meets a numerical
+    failure, each item runs alone, on its own slice, and draws what it drew
+    in the batch, so only a failing item counts the error; the results are
     then those of the items that succeeded, in order.
     """
-    states = [rng.bit_generator.state for rng in rngs]
     start = perf_counter()
     try:
         found = [run(slice(None))]
     except NUMERICAL_FAILURES:
         found = []
-    ms = np.full(len(rngs), (perf_counter() - start) * 1e3 / len(rngs))
-    ok = np.full(len(rngs), bool(found))
+    ms = np.full(n, (perf_counter() - start) * 1e3 / n)
+    ok = np.full(n, bool(found))
     if found:
         return found, ok, ms
-    for i, (rng, state) in enumerate(zip(rngs, states)):
+    for i in range(n):
         start = perf_counter()
-        rng.bit_generator.state = state
         try:
             found.append(run(slice(i, i + 1)))
             ok[i] = True
@@ -407,7 +405,7 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> _Designs:
 
 
 def _hybrid_rates(points: list[_Point], table: _Designs, jobs: np.ndarray, job_of: np.ndarray,
-                  rngs: list[np.random.Generator], sel: slice) -> tuple[np.ndarray, np.ndarray]:
+                  keys: list[tuple[int, int]], sel: slice) -> tuple[np.ndarray, np.ndarray]:
     """The rates of `table` whose job (`job_of`) is one of jobs[sel], and
     their spectral efficiency with their job's hybrid precoder and combiner.
 
@@ -415,7 +413,9 @@ def _hybrid_rates(points: list[_Point], table: _Designs, jobs: np.ndarray, job_o
     design and the points that share it at one RF chain count. Its analog
     starts, precoder and combiner, hold sqrt(N) times the steering vectors
     of the strongest min(n_rf, P) estimated paths of its first point, then
-    random chains from its generator rngs[job]. Every slot of one (N, n_rf)
+    random chains, the precoder's and then the combiner's, drawn from the
+    chain stream of its design's seed key keys[design] (`_stream`); a job
+    that draws no chain builds no generator. Every slot of one (N, n_rf)
     shape, precoders and combiners alike, takes one hybrid_factorize call,
     each precoder normalized to its design's power (a slot's result does not
     depend on its stack), and each RF chain count one stacked rate on the
@@ -432,7 +432,7 @@ def _hybrid_rates(points: list[_Point], table: _Designs, jobs: np.ndarray, job_o
         ks = ids[jobs[ids, 1] == count]
         designs, run_cfg = jobs[ks, 0], points[jobs[ks[0], 2]].cfg
         geometry, est = run_cfg.geometry, [points[i].est_paths for i in jobs[ks, 2]]
-        place = []
+        place, rngs = [], []   # each job's chain generator, built at its first chain
         for n, n_rf, angles, targets, norms in (
                 (geometry.n_tx, run_cfg.n_rf_tx, [p.bs_lis_aod for p in est],
                  table.f_target[designs], table.power[designs].tolist()),
@@ -440,9 +440,12 @@ def _hybrid_rates(points: list[_Point], table: _Designs, jobs: np.ndarray, job_o
                  table.w_target[designs], [None] * len(ks))):
             angles = np.stack(angles)[:, :n_rf]
             steering = math.sqrt(n) * ula_responses(angles, n, geometry.spacing_ratio)
-            chains = [np.exp(1j * rngs[k].uniform(0.0, 2.0 * np.pi, (n_rf - angles.shape[1], n)))
-                      for k in ks]
-            start = np.concatenate([steering, np.stack(chains)], axis=1).swapaxes(1, 2)
+            if n_rf > angles.shape[1]:
+                rngs = rngs or [_stream(run_cfg, *keys[d], 2) for d in designs]
+                chains = np.stack([rng.uniform(0.0, 2.0 * np.pi, (n_rf - angles.shape[1], n))
+                                   for rng in rngs])
+                steering = np.concatenate([steering, np.exp(1j * chains)], axis=1)
+            start = steering.swapaxes(1, 2)
             batch = by_shape.setdefault(start.shape[1:], ([], [], []))
             place.append((start.shape[1:], slice(len(batch[2]), len(batch[2]) + len(ks))))
             batch[0].append(targets)
@@ -491,9 +494,7 @@ def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float
     """The values of each (sweep index, trial index) task of one group, at
     its sweep value's specialization in `specs`: arrays (tasks, methods, modes).
 
-    The points and each method's designs come from `_stacks`. A design's
-    first hybrid job draws from the design's own generator, at the state
-    the design left it in, any other from a copy of that state. A digital
+    The points and each method's designs come from `_stacks`. A digital
     entry's wall time is its design's share of its method's batch, split
     evenly among the points that share it, a hybrid entry's that plus its
     job's share of the hybrid batch, split likewise. A failed design fails
@@ -504,10 +505,10 @@ def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float
     modes = _modes(cfg)
     shape = (len(points), len(cfg.methods), len(modes))
     out = _Trials(*np.full((5,) + shape, math.nan), np.zeros(shape, dtype=bool))
-    tables, methods, rngs = [], [], []   # for the hybrid jobs: each design's method, generator
+    tables, methods, keys = [], [], []   # for the hybrid jobs: each design's method, seed key
     for m, method in enumerate(cfg.methods):
         group = stacks[method]
-        found, ok, ms = _batched(lambda sel: _designs(method, group[sel], cfg), group.rngs)
+        found, ok, ms = _batched(lambda sel: _designs(method, group[sel], cfg), len(group.points))
         counts = np.array([len(rows) for rows in group.sharers])
         owner = np.repeat(np.arange(len(counts)), counts)
         at = np.concatenate(group.sharers)
@@ -522,7 +523,7 @@ def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float
         if modes[-1] == "hybrid":
             tables += found
             methods += [m] * int(ok.sum())
-            rngs += [group.rngs[d] for d in np.flatnonzero(ok)]
+            keys += [group.points[d].index for d in np.flatnonzero(ok)]
     if not tables:
         return out
     table = _concat(tables)
@@ -531,13 +532,10 @@ def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float
     rf = np.array([rf_index.setdefault((p.cfg.n_rf_tx, p.cfg.n_rf_rx), len(rf_index))
                    for p in points])
     # a job per design and RF chain count of its points: (design, count, first point)
-    keys, firsts, job_of = np.unique(table.owner * len(points) + rf[at], return_index=True,
-                                     return_inverse=True)
-    jobs = np.column_stack([*np.divmod(keys, len(points)), at[firsts]])
-    job_rngs = [rngs[d] if new else deepcopy(rngs[d])
-                for d, new in zip(jobs[:, 0], np.diff(jobs[:, 0], prepend=-1) != 0)]
-    found, ok, ms = _batched(partial(_hybrid_rates, points, table, jobs, job_of, job_rngs),
-                             job_rngs)
+    codes, firsts, job_of = np.unique(table.owner * len(points) + rf[at], return_index=True,
+                                      return_inverse=True)
+    jobs = np.column_stack([*np.divmod(codes, len(points)), at[firsts]])
+    found, ok, ms = _batched(partial(_hybrid_rates, points, table, jobs, job_of, keys), len(jobs))
     k, failed = len(modes) - 1, ~ok[job_of]
     out.wall_ms[at, m, k] += (ms / np.bincount(job_of))[job_of]
     for values in (out.cond, out.offdiag, out.iters):

@@ -30,8 +30,7 @@ from lisim.harness import (
     SweepRow,
     _Trials,
     _run_group,
-    _stacks,
-    _starts,
+    _stream,
     _sweep_rows,
     brute_force_phase_oracle,
     emit_csv,
@@ -453,8 +452,8 @@ def test_rf_sweep_grouping_leaves_the_csv_unchanged(tmp_path, monkeypatch):
 def test_rf_sweep_shared_designs_equal_designs_alone():
     # a trial's points share one design across RF chain counts; each point's
     # values, hybrid ones too, equal those of its point designed alone. At
-    # 10 RF chains and 4 paths the hybrid rates depend on the random chains
-    # beyond the paths', which each point draws from its own generator
+    # 10 RF chains and 4 paths each job draws random chains beyond the
+    # paths' from the chain stream of its design's seed key
     from dataclasses import replace
     from lisim.harness import _groups
     cfg = replace(DESK_ANGLES, trials=2, sweep_variable="n_rf", sweep_values=(6.0, 10.0, 6.0))
@@ -586,36 +585,41 @@ def test_power_sweep_designs_spgm_and_random_once_per_trial(monkeypatch):
 
 
 def test_a_group_builds_each_design_generator_once(monkeypatch):
-    # a one-trial group of power_sweep.cfg: tsvd has a design at each of
-    # the 7 powers, spgm and random one for all of them, and the hybrid
-    # jobs draw from their designs' generators
+    # a one-trial group of power_sweep.cfg: spgm and random have one design
+    # for all 7 powers, each building its start generator once; tsvd's
+    # designs draw no start, and at 6 RF chains over 7 paths no hybrid job
+    # draws a chain, so besides those two and the trial's channel draw no
+    # generator is built
     cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs" /
                               "power_sweep.cfg"), trials=1)
     built = _spy(monkeypatch, "_starts", lambda cfg, method, key: method)
+    streams = _spy(monkeypatch, "_stream", lambda cfg, *key: key)
     _run_group(cfg, _specialize(cfg), [(si, 0) for si in range(len(cfg.sweep_values))])
-    assert {method: built.count(method) for method in set(built)} == {
-        "tsvd": 7, "spgm": 1, "random": 1}
+    assert sorted(built) == ["random", "spgm"]
+    assert sorted(streams) == [(0,), (0, 0, 2 + METHODS.index("spgm")),
+                               (0, 0, 2 + METHODS.index("random"))]
 
 
 def test_a_design_draws_its_hybrid_chains_from_its_generator(monkeypatch):
-    # trial 0's first tsvd design owns the generator `_starts` seeds for its
-    # key; its surrogate reads none of it, so at 5 RF chains over 3 paths
-    # the 2 random chains of its precoder's start, then its combiner's, are
-    # that generator's first draws
-    cfg = replace(SMALL, trials=1, n_rf_tx=5, n_rf_rx=5, methods=("tsvd",),
-                  precoding="hybrid")
+    # at 5 RF chains over 3 paths the 2 random chains of a job's precoder
+    # start, then its combiner's, are the first draws of the chain stream of
+    # its design's seed key. Trial 0's first tsvd design and its spgm and
+    # random designs, shared across the powers, all have seed key (0, 0), so
+    # their jobs start from the same chains
+    cfg = replace(SMALL, trials=1, n_rf_tx=5, n_rf_rx=5, precoding="hybrid")
     specs = _specialize(cfg)
     tasks = [(si, 0) for si in range(len(specs))]
-    _, stacks = _stacks(cfg, specs, tasks)
-    assert (stacks["tsvd"].rngs[0].bit_generator.state
-            == _starts(cfg, "tsvd", (0, 0)).bit_generator.state)
     starts = _spy(monkeypatch, "hybrid_factorize", lambda targets, start, *args: start)
     _run_group(cfg, specs, tasks)
     (start,) = starts
-    rng = _starts(cfg, "tsvd", (0, 0))
-    for slot in (0, len(tasks)):   # design 0's precoder, then its combiner
-        chains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 8)))
-        np.testing.assert_array_equal(start[slot][:, 3:], chains.T)
+    # the jobs of tsvd's design at each power, then spgm's and random's
+    jobs = len(tasks) + 2
+    assert len(start) == 2 * jobs   # their precoders, then their combiners
+    for job in (0, len(tasks), len(tasks) + 1):
+        rng = _stream(cfg, 0, 0, 2)
+        for slot in (job, jobs + job):
+            chains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 8)))
+            np.testing.assert_array_equal(start[slot][:, 3:], chains.T)
 
 
 POWERS = replace(DESK_ANGLES, trials=2, sweep_variable="tx_power_dbm",
@@ -626,8 +630,9 @@ def test_power_sweep_shared_designs_equal_designs_alone():
     # a trial's points share one spgm and one random design across powers,
     # made at the first power; each point's values, hybrid ones too, equal
     # those of its point designed alone, also where its group lacks the
-    # first power. At 6 RF chains and 4 paths the hybrid rates depend on the
-    # random chains beyond the paths'
+    # first power. At 6 RF chains and 4 paths each job draws random chains
+    # beyond the paths', but the paths' steering columns already span its
+    # targets, so the chains move its hybrid rate only by rounding
     from lisim.harness import _groups
     tasks = [(si, ti) for si in range(len(POWERS.sweep_values)) for ti in range(2)]
     assert _groups(POWERS, _specialize(POWERS), tasks, 1) == [tasks]
@@ -648,23 +653,25 @@ def test_power_sweep_shared_designs_equal_designs_alone():
 
 def test_tsvd_digital_rows_read_no_generator(monkeypatch):
     # the surrogate starts from each core row's strongest composite path, so
-    # a tsvd start generator of another seed can move only tsvd's hybrid
-    # rows, whose RF chains beyond the 4 paths it draws, and no other row
+    # no tsvd start generator is ever built; and chain streams of another
+    # seed, drawn for the RF chains beyond the 4 paths, move no digital row
     from lisim import harness
     strip = lambda rows: {(r.precoding, r.method, r.sweep_value): replace(r, wall_ms=0.0)
                           for r in rows}
     clean = strip(run_sweep(POWERS).rows)
-    real, built = harness._starts, []
+    real, chains = harness._stream, []
 
-    def other_seed(cfg, method, key):
-        built.append(method)
-        return real(replace(cfg, seed=cfg.seed + 1) if method == "tsvd" else cfg, method, key)
+    def other_seed(cfg, *key):
+        if len(key) == 3 and key[2] == 2:   # a hybrid job's chain stream
+            chains.append(key)
+            cfg = replace(cfg, seed=cfg.seed + 1)
+        return real(cfg, *key)
 
-    monkeypatch.setattr(harness, "_starts", other_seed)
+    monkeypatch.setattr(harness, "_stream", other_seed)
+    built = _spy(monkeypatch, "_starts", lambda cfg, method, key: method)
     moved = strip(run_sweep(POWERS).rows)
-    assert "tsvd" in built and moved.keys() == clean.keys()
-    assert all(moved[key] == row for key, row in clean.items()
-               if key[:2] != ("hybrid", "tsvd"))
+    assert chains and set(built) == {"spgm", "random"} and moved.keys() == clean.keys()
+    assert all(moved[key] == row for key, row in clean.items() if key[0] == "digital")
 
 
 def test_a_shared_precoder_is_its_design_factored_at_each_power(monkeypatch):
@@ -899,52 +906,59 @@ def test_run_sweep_hybrid_failure_is_per_point(monkeypatch):
     # a singular solve in one design's spgm slot fails the group's hybrid
     # batch (2 powers x 2 trials, one group); each job is then factored
     # alone, so only the spgm hybrid rows of the points that share that
-    # design, trial 1 at both powers, count the error
+    # design, trial 1 at both powers, count the error. At 3 RF chains over
+    # 3 paths no job draws a chain; at 5 each draws 2 per side, and a job
+    # factored alone starts from the chains it drew in the batch
     from dataclasses import replace
     from lisim import harness
-    cfg = replace(SMALL, precoding="both", trials=2)
-    clean = run_sweep(cfg).rows
-    seen = []   # spgm's design stacks; the second design of the first is the bad one
     real_designs, real_hybrid = harness._designs, harness.hybrid_factorize
+    for n_rf in (3, 5):
+        cfg = replace(SMALL, precoding="both", trials=2, n_rf_tx=n_rf, n_rf_rx=n_rf)
+        clean = run_sweep(cfg).rows
+        seen = []   # spgm's design stacks; the second design of the first is the bad one
 
-    def designs(method, group, run_cfg):
-        found = real_designs(method, group, run_cfg)
-        if method == "spgm":
-            seen.append(found)
-        return found
+        def designs(method, group, run_cfg):
+            found = real_designs(method, group, run_cfg)
+            if method == "spgm":
+                seen.append(found)
+            return found
 
-    calls = []
+        calls = []   # the analog starts of each call
 
-    def hybrid(targets, start, descent, *args, **kwargs):
-        calls.append(len(targets))
-        factors = real_hybrid(targets, start, descent, *args, **kwargs)
-        if any(np.array_equal(t, seen[0].f_target[1]) for t in targets):
-            raise np.linalg.LinAlgError("injected")
-        return factors
+        def hybrid(targets, start, descent, *args, **kwargs):
+            calls.append(start)
+            factors = real_hybrid(targets, start, descent, *args, **kwargs)
+            if any(np.array_equal(t, seen[0].f_target[1]) for t in targets):
+                raise np.linalg.LinAlgError("injected")
+            return factors
 
-    monkeypatch.setattr(harness, "_designs", designs)
-    monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
-    rows = run_sweep(cfg).rows
-    # the batch of 4 tsvd jobs and 2 each of spgm and random (one per trial)
-    # fails at its one call, 8 precoders and 8 combiners; then each job runs
-    # alone, one call of its precoder and its combiner each
-    assert calls == [16] + [2] * 8
-    strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
-                       r.errors)
-    for got, want in zip(rows, clean):
-        assert (got.sweep_value, got.method, got.precoding) == (
-            want.sweep_value, want.method, want.precoding)
-        if (got.method, got.precoding) == ("spgm", "hybrid"):
-            assert got.errors == 1 and math.isfinite(got.mean_se)
-        else:
-            assert strip(got) == strip(want)
+        monkeypatch.setattr(harness, "_designs", designs)
+        monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
+        rows = run_sweep(cfg).rows
+        monkeypatch.undo()
+        # the batch of 4 tsvd jobs and 2 each of spgm and random (one per
+        # trial) fails at its one call, 8 precoders and 8 combiners; then
+        # each job runs alone, one call of its precoder and its combiner each,
+        # from the starts it had in the batch
+        assert [len(start) for start in calls] == [16] + [2] * 8
+        for job, alone in enumerate(calls[1:]):
+            np.testing.assert_array_equal(alone, calls[0][[job, 8 + job]])
+        strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
+                           r.errors)
+        for got, want in zip(rows, clean):
+            assert (got.sweep_value, got.method, got.precoding) == (
+                want.sweep_value, want.method, want.precoding)
+            if (got.method, got.precoding) == ("spgm", "hybrid"):
+                assert got.errors == 1 and math.isfinite(got.mean_se)
+            else:
+                assert strip(got) == strip(want)
 
 
 def test_run_sweep_descent_failure_is_per_point(monkeypatch):
     # a numerical failure in the stacked spgm descent of a group (3 trials x
     # 2 powers, one spgm design per trial): each design then descends alone
-    # from its saved generator state, so only the points that share the one
-    # that fails (trial 1, at both powers) count errors, in both modes
+    # from the start its seed key draws, so only the points that share the
+    # one that fails (trial 1, at both powers) count errors, in both modes
     from dataclasses import replace
     from lisim import harness
     cfg = replace(SMALL, precoding="both")
@@ -977,8 +991,8 @@ def test_run_sweep_descent_failure_is_per_point(monkeypatch):
 def test_run_sweep_digital_stage_failure_is_per_point(monkeypatch):
     # a numerical failure in the stacked spgm digital stage of a group (3
     # trials x 2 powers, one spgm design per trial), after the descents have
-    # drawn their starts: each design then runs the method alone from its
-    # saved generator state, so only the points that share the failing one
+    # drawn their starts: each design then runs the method alone from the
+    # start its seed key draws, so only the points that share the failing one
     # (trial 1, at both powers) count errors, digital and hybrid
     from dataclasses import replace
     from lisim import harness

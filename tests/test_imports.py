@@ -1,6 +1,7 @@
 """Import hygiene: every module-level import in src/lisim is used, every
 top-level definition there is referenced by the package, the scripts or the
-benchmark, and every field and method of its classes is read by them.
+benchmark, and every field and method of its classes is read by them. A
+generator is built only where a draw seeds it, and never copied or rewound.
 
 An import kept only for an outside reader of the module's namespace says so
 with `# noqa: F401` on one of its lines.
@@ -209,3 +210,62 @@ def test_unread_member_is_flagged():
     readers = ["NAMES = ('Table.in_a_string',)\nnp.subtract.at(x, [0], 1)\n"]
     assert _unread_members(modules, readers) == [
         "a.Table.stored", "a.Table.unread", "a.Table.uncalled", "a.Table.at"]
+
+
+# the callables that build a generator, a bit generator or a seed sequence
+_BUILDERS = {"default_rng", "Generator", "RandomState", "SeedSequence", "BitGenerator",
+             "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"}
+
+
+def _generator_handling(modules: dict[str, str]) -> list[str]:
+    """Where the sources `modules` (name -> source) handle a generator other
+    than by drawing from it: a call that builds one (`_BUILDERS`) outside
+    harness._stream, an import or read of deepcopy, or a store to a bit
+    generator's state. Each draw builds its generator from its seed key in
+    `_stream`, so no generator needs to be copied or rewound."""
+    found = []
+    for name, source in modules.items():
+        hits = []
+        for top in ast.parse(source).body:
+            seeds = (name, getattr(top, "name", None)) == ("harness", "_stream")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and not seeds:
+                    func = node.func
+                    called = getattr(func, "attr", getattr(func, "id", ""))
+                    if called in _BUILDERS:
+                        hits.append((node.lineno, f"builds {called}"))
+                elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                      and any(alias.name.split(".")[-1] == "deepcopy" for alias in node.names)
+                      or isinstance(node, ast.Attribute) and node.attr == "deepcopy"):
+                    hits.append((node.lineno, "deepcopy"))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and node.attr == "state" and isinstance(node.value, ast.Attribute)
+                      and node.value.attr == "bit_generator"):
+                    hits.append((node.lineno, "stores bit_generator.state"))
+        found += [f"{name} line {line}: {what}" for line, what in sorted(hits)]
+    return found
+
+
+def test_generators_are_built_only_where_they_draw():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _generator_handling(modules) == []
+
+
+def test_generator_handling_is_flagged():
+    modules = {"harness": ("import numpy as np\n"
+                           "from copy import deepcopy\n"
+                           "def _stream(cfg, *key):\n"
+                           "    seq = np.random.SeedSequence(cfg.seed, spawn_key=key)\n"
+                           "    return np.random.default_rng(seq)\n"
+                           "def retry(rng: np.random.Generator, state):\n"
+                           "    rng.bit_generator.state = state\n"
+                           "    return np.random.default_rng(1).uniform(), rng.uniform()\n"),
+               "other": ("import copy\n"
+                         "from numpy.random import PCG64, Generator, SeedSequence\n"
+                         "def _stream(rng):\n"
+                         "    return Generator(PCG64(SeedSequence(1))), copy.deepcopy(rng)\n")}
+    assert _generator_handling(modules) == [
+        "harness line 2: deepcopy", "harness line 7: stores bit_generator.state",
+        "harness line 8: builds default_rng", "other line 4: builds Generator",
+        "other line 4: builds PCG64", "other line 4: builds SeedSequence",
+        "other line 4: deepcopy"]
