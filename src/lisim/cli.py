@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -43,6 +44,12 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
+    # an --out that cannot be written fails before any trial runs; the probe
+    # truncates nothing and leaves no new file behind
+    created = not os.path.exists(args.out)
+    open(args.out, "a").close()
+    if created:
+        os.remove(args.out)
     result = run_sweep(cfg, parallel=args.parallel)
     emit_csv(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")

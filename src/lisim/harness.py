@@ -21,7 +21,8 @@ method's designs take one batch, which gives one design table
 (`_designs`): arrays with a leading design axis, and the digital rate of
 every point that shares a design. The group's hybrid jobs, index rows
 (design, RF chain count) into the table of all its designs, take one more
-batch (`_hybrid_rates`). `_batched` runs every batch and, on a numerical
+batch (`_hybrid_rates`), which draws nothing: each slot starts from its
+paths' steering vectors. `_batched` runs every batch and, on a numerical
 failure, reruns each item alone. A group gives per-trial arrays over its
 points (`_run_group`); `_run_trials` scatters them into (sweep value, method,
 mode, trial) arrays, whose rows `run_sweep` reduces to CSV rows. A point's
@@ -169,18 +170,19 @@ def _seed_key(cfg: ExperimentConfig, method: str, sweep_idx: int,
 
 def _stream(cfg: ExperimentConfig, *spawn_key: int) -> np.random.Generator:
     """The generator of the master seed's stream `spawn_key`: (trial,) for a
-    channel draw, (sweep, trial, 1) for an angle error, (seed key, 2) for a
-    hybrid job's random RF chains and (seed key, 2 + the method's index in
-    METHODS) for an `spgm` or `random` design's phase start. It is the only
-    place a generator is built: each is built where it draws."""
+    channel draw, (sweep, trial, 1) for an angle error and (seed key, 2 +
+    the method's index in METHODS) for an `spgm` or `random` design's phase
+    start. It is the only place a generator is built: each is built where
+    it draws."""
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=spawn_key))
 
 
 def _starts(cfg: ExperimentConfig, method: str, key: tuple[int, int]) -> np.random.Generator:
     """The start generator of the `spgm` or `random` design of seed key `key`
     (`_seed_key`), from which it draws its phase start; it does not depend
-    on which other methods the config lists. `tsvd`'s surrogate start reads
-    no generator."""
+    on which other methods the config lists. `tsvd` reads no generator, and
+    child 2 of a seed key (its index) is no longer used; `spgm` and `random`
+    keep children 3 and 4, so their rows do not move."""
     return _stream(cfg, *key, 2 + METHODS.index(method))
 
 
@@ -405,61 +407,58 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> _Designs:
 
 
 def _hybrid_rates(points: list[_Point], table: _Designs, jobs: np.ndarray, job_of: np.ndarray,
-                  keys: list[tuple[int, int]], sel: slice) -> tuple[np.ndarray, np.ndarray]:
+                  sel: slice) -> tuple[np.ndarray, np.ndarray]:
     """The rates of `table` whose job (`job_of`) is one of jobs[sel], and
     their spectral efficiency with their job's hybrid precoder and combiner.
 
     A job, a row (design, RF chain count, first point) of `jobs`, is a
     design and the points that share it at one RF chain count. Its analog
     starts, precoder and combiner, hold sqrt(N) times the steering vectors
-    of the strongest min(n_rf, P) estimated paths of its first point, then
-    random chains, the precoder's and then the combiner's, drawn from the
-    chain stream of its design's seed key keys[design] (`_stream`); a job
-    that draws no chain builds no generator. Every slot of one (N, n_rf)
-    shape, precoders and combiners alike, takes one hybrid_factorize call,
-    each precoder normalized to its design's power (a slot's result does not
-    depend on its stack), and each RF chain count one stacked rate on the
-    true cores. Each point rescales its job's digital precoder to its own
-    power: the factorization is scale-equivariant, so this is the precoder
-    factored at that power, up to rounding.
+    of the strongest min(n_rf, P) estimated paths of its first point (L on
+    the UE side), and nothing else: they span its targets, so chains beyond
+    the paths would add nothing to them, and a job draws nothing.
+    Every slot of one (N, n_rf) shape, precoders and combiners alike, takes
+    one hybrid_factorize call (a slot's result does not depend on its
+    stack), and each RF chain count one stacked rate on the true cores. Each
+    precoder is normalized to its design's power, and then each point
+    rescales it to its own: the factorization is scale-equivariant, so this
+    is the precoder factored at that power, up to rounding.
     """
     ids = np.arange(len(jobs))[sel]
     entries = np.flatnonzero((ids[0] <= job_of) & (job_of <= ids[-1]))
     count_of = jobs[job_of[entries], 1]   # the RF chain count of each rate
-    by_shape: dict[tuple[int, int], tuple[list, list, list]] = {}  # targets, starts, norms
-    places = []   # per RF chain count, its jobs and the places of their slots
+    by_shape: dict[tuple[int, int], tuple[list, list]] = {}   # targets, starts
+    places = []   # per RF chain count, its jobs, their designs and the places of their slots
     for count in sorted(set(jobs[ids, 1].tolist())):
         ks = ids[jobs[ids, 1] == count]
         designs, run_cfg = jobs[ks, 0], points[jobs[ks[0], 2]].cfg
         geometry, est = run_cfg.geometry, [points[i].est_paths for i in jobs[ks, 2]]
-        place, rngs = [], []   # each job's chain generator, built at its first chain
-        for n, n_rf, angles, targets, norms in (
+        place = []
+        for n, n_rf, angles, targets in (
                 (geometry.n_tx, run_cfg.n_rf_tx, [p.bs_lis_aod for p in est],
-                 table.f_target[designs], table.power[designs].tolist()),
+                 table.f_target[designs]),
                 (geometry.n_rx, run_cfg.n_rf_rx, [p.lis_ue_aoa for p in est],
-                 table.w_target[designs], [None] * len(ks))):
+                 table.w_target[designs])):
             angles = np.stack(angles)[:, :n_rf]
-            steering = math.sqrt(n) * ula_responses(angles, n, geometry.spacing_ratio)
-            if n_rf > angles.shape[1]:
-                rngs = rngs or [_stream(run_cfg, *keys[d], 2) for d in designs]
-                chains = np.stack([rng.uniform(0.0, 2.0 * np.pi, (n_rf - angles.shape[1], n))
-                                   for rng in rngs])
-                steering = np.concatenate([steering, np.exp(1j * chains)], axis=1)
-            start = steering.swapaxes(1, 2)
-            batch = by_shape.setdefault(start.shape[1:], ([], [], []))
-            place.append((start.shape[1:], slice(len(batch[2]), len(batch[2]) + len(ks))))
+            start = math.sqrt(n) * ula_responses(angles, n, geometry.spacing_ratio).swapaxes(1, 2)
+            batch = by_shape.setdefault(start.shape[1:], ([], []))
+            at = sum(map(len, batch[1]))
+            place.append((start.shape[1:], slice(at, at + len(ks))))
             batch[0].append(targets)
             batch[1].append(start)
-            batch[2].extend(norms)
-        places.append((count, ks, place))
+        places.append((count, ks, designs, place))
     run_cfg = points[0].cfg
     factored = {shape: hybrid_factorize(np.concatenate(targets), np.concatenate(starts),
-                                        run_cfg.descent, norms)[:2]
-                for shape, (targets, starts, norms) in by_shape.items()}
+                                        run_cfg.descent)[:2]
+                for shape, (targets, starts) in by_shape.items()}
     rates = np.empty(len(entries))
-    for count, ks, ((f_shape, f_at), (w_shape, w_at)) in places:
+    for count, ks, designs, ((f_shape, f_at), (w_shape, w_at)) in places:
         f_rf, f_bb = (a[f_at] for a in factored[f_shape])
         w_rf, w_bb = (a[w_at] for a in factored[w_shape])
+        norm = np.array([np.linalg.norm(rf @ bb) for rf, bb in zip(f_rf, f_bb)])
+        if not norm.all():
+            raise RankError("degenerate factorization; cannot normalize power")
+        f_bb = f_bb * (np.sqrt(table.power[designs]) / norm)[:, None, None]
         mine = np.flatnonzero(count_of == count)
         slot, design = np.searchsorted(ks, job_of[entries[mine]]), table.owner[entries[mine]]
         scale = np.sqrt(np.array([points[i].cfg.budget.tx_power
@@ -494,18 +493,18 @@ def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float
     """The values of each (sweep index, trial index) task of one group, at
     its sweep value's specialization in `specs`: arrays (tasks, methods, modes).
 
-    The points and each method's designs come from `_stacks`. A digital
-    entry's wall time is its design's share of its method's batch, split
-    evenly among the points that share it, a hybrid entry's that plus its
-    job's share of the hybrid batch, split likewise. A failed design fails
-    its points' entries in every mode, and a failed job its points' hybrid
-    entries.
+    The points and each method's designs come from `_stacks`, and the hybrid
+    jobs index the design table, with no seed key. A digital entry's wall
+    time is its design's share of its method's batch, split evenly among
+    the points that share it, a hybrid entry's that plus its job's share of
+    the hybrid batch, split likewise. A failed design fails its points'
+    entries in every mode, and a failed job its points' hybrid entries.
     """
     points, stacks = _stacks(cfg, specs, tasks)
     modes = _modes(cfg)
     shape = (len(points), len(cfg.methods), len(modes))
     out = _Trials(*np.full((5,) + shape, math.nan), np.zeros(shape, dtype=bool))
-    tables, methods, keys = [], [], []   # for the hybrid jobs: each design's method, seed key
+    tables, methods = [], []   # for the hybrid jobs, and each design's method
     for m, method in enumerate(cfg.methods):
         group = stacks[method]
         found, ok, ms = _batched(lambda sel: _designs(method, group[sel], cfg), len(group.points))
@@ -523,7 +522,6 @@ def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float
         if modes[-1] == "hybrid":
             tables += found
             methods += [m] * int(ok.sum())
-            keys += [group.points[d].index for d in np.flatnonzero(ok)]
     if not tables:
         return out
     table = _concat(tables)
@@ -535,7 +533,7 @@ def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float
     codes, firsts, job_of = np.unique(table.owner * len(points) + rf[at], return_index=True,
                                       return_inverse=True)
     jobs = np.column_stack([*np.divmod(codes, len(points)), at[firsts]])
-    found, ok, ms = _batched(partial(_hybrid_rates, points, table, jobs, job_of, keys), len(jobs))
+    found, ok, ms = _batched(partial(_hybrid_rates, points, table, jobs, job_of), len(jobs))
     k, failed = len(modes) - 1, ~ok[job_of]
     out.wall_ms[at, m, k] += (ms / np.bincount(job_of))[job_of]
     for values in (out.cond, out.offdiag, out.iters):

@@ -12,15 +12,15 @@ alternation (`floor`), but with fewer the relative-change stop (`gap`)
 seldom fires first (every slot of configs/power_sweep.cfg stops on
 `max_iters`), so there the cap sets the result. It factors a stack of
 targets (slots) in one loop, one record row per slot (`manifold.StackDescent`).
-Scaling a target scales its digital matrix alone: the least-squares stage
-is linear in the target, and the column phases and both stop tests are
-scale-free, so a sweep factors a precoder once and rescales it for other
-transmit powers.
+The factorization knows no transmit power, so a precoder slot and a
+combiner slot are the same plain problem. Scaling a target scales its
+digital matrix alone: the least-squares stage is linear in the target, and
+the column phases and both stop tests are scale-free, so a sweep factors a
+precoder once and sets its power itself, for every transmit power.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +91,6 @@ def _phases(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
-                     power_norms: Sequence[float | None] | None = None,
                      max_alternations: int = 10) -> tuple[np.ndarray, np.ndarray, StackDescent]:
     """Factor each slot of `targets` (K x N x N_s) into unit-modulus analog
     (K x N x n_rf) times digital (K x n_rf x N_s) matrices.
@@ -116,11 +115,10 @@ def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
     Neither step can increase the residual, and both turn with a phase of a
     target column (the phase an SVD leaves free): from one start, a target
     T D, D diagonal unit-modulus, gives the product F_RF F_BB D. The digital
-    stage is solved once more for the final analog matrices. When power_norms
-    is given, each slot k with a norm (a precoder) has its digital matrix
-    rescaled so its product has squared Frobenius norm power_norms[k]; a
-    slot whose norm is None (a combiner) keeps its least-squares one, so
-    precoders and combiners of one shape factor in one call.
+    stage is solved once more for the final analog matrices: F_BB is the
+    least-squares one for every slot, precoder or combiner, so slots of one
+    shape factor in one call whatever they are, and a caller that needs a
+    power rescales F_BB itself.
 
     Returns F_RF, F_BB and the slots' record (`StackDescent`): a slot's
     final analog rows (F_RF^T), its stop and its residual trace, which
@@ -169,13 +167,4 @@ def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
     rows = record.finish(r).points
 
     f_rf = np.ascontiguousarray(rows.transpose(0, 2, 1))
-    f_bb = _digital_stage(rows, targets)
-    if power_norms is not None:
-        for k, power in enumerate(power_norms):
-            if power is None:
-                continue
-            norm = np.linalg.norm(f_rf[k] @ f_bb[k])
-            if norm == 0:
-                raise RankError("degenerate factorization; cannot normalize power")
-            f_bb[k] *= np.sqrt(power) / norm
-    return f_rf, f_bb, record
+    return f_rf, _digital_stage(rows, targets), record

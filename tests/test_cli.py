@@ -145,6 +145,30 @@ def test_run_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_run_checks_out_before_any_trial(tmp_path, capsys, monkeypatch, where):
+    # an --out in a missing directory, or one that is a directory, stops
+    # the run before the sweep
+    from lisim import cli
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "missing" / "out.csv" if where == "missing-dir" else tmp_path
+    assert main(["run", _cfg(tmp_path, SMALL_CFG), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and calls == []
+
+
+def test_run_that_fails_keeps_an_existing_out(tmp_path, capsys):
+    # the check of --out does not truncate an existing file, which a run
+    # that then fails leaves as it was
+    out = tmp_path / "kept.csv"
+    out.write_text("earlier results\n")
+    assert main(["run", _cfg(tmp_path, SMALL_CFG), "--out", str(out), "--parallel", "0"]) == 1
+    assert out.read_text() == "earlier results\n"
+    assert capsys.readouterr().err == "error: parallel must be >= 1, not 0\n"
+
+
 def test_config_power_is_its_one_sweep_value(tmp_path):
     # without sweep_values, a config's tx_power_dbm is the default power
     # sweep's one value, so `run` and `oracle` draw at 40 dBm, not at 30

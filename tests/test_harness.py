@@ -15,6 +15,7 @@ from lisim.channel import (
     path_core,
     sample_paths,
     sort_paths_descending,
+    ula_responses,
 )
 from lisim.config import (
     KEYS,
@@ -29,8 +30,8 @@ from lisim.harness import (
     CSV_COLUMNS,
     SweepRow,
     _Trials,
+    _draw_point,
     _run_group,
-    _stream,
     _sweep_rows,
     brute_force_phase_oracle,
     emit_csv,
@@ -452,8 +453,8 @@ def test_rf_sweep_grouping_leaves_the_csv_unchanged(tmp_path, monkeypatch):
 def test_rf_sweep_shared_designs_equal_designs_alone():
     # a trial's points share one design across RF chain counts; each point's
     # values, hybrid ones too, equal those of its point designed alone. At
-    # 10 RF chains and 4 paths each job draws random chains beyond the
-    # paths' from the chain stream of its design's seed key
+    # 10 RF chains and 4 paths each job starts from its 4 paths' steering
+    # vectors, as at 6
     from dataclasses import replace
     from lisim.harness import _groups
     cfg = replace(DESK_ANGLES, trials=2, sweep_variable="n_rf", sweep_values=(6.0, 10.0, 6.0))
@@ -524,8 +525,10 @@ def test_a_group_factors_estimated_paths_of_erred_points_only(monkeypatch):
 
 def test_rf_sweep_designs_each_trial_once(monkeypatch):
     # 2 trials x 3 RF chain counts in one group: one tsvd design per trial,
-    # then one call for each RF chain count, its 2 precoders and 2 combiners
-    # (8 transmit and 8 receive antennas) stacked
+    # then one call for every hybrid slot: over 3 paths a slot starts from
+    # their 3 steering vectors at every RF chain count, so the 2 precoders
+    # and 2 combiners (8 transmit and 8 receive antennas) of each count share
+    # one (8, 3) shape
     from dataclasses import replace
     designs = _spy(monkeypatch, "optimize_tsvd_stack", lambda core, *args: len(core.bank))
     factors = _spy(monkeypatch, "hybrid_factorize", lambda targets, start, *args: start.shape)
@@ -533,37 +536,30 @@ def test_rf_sweep_designs_each_trial_once(monkeypatch):
                   methods=("tsvd",), precoding="both")
     assert all(row.errors == 0 for row in run_sweep(cfg).rows)
     assert designs == [2]
-    assert factors == [(4, 8, n_rf) for n_rf in (3, 4, 6)]
+    assert factors == [(12, 8, 3)]
 
 
 @pytest.mark.parametrize("changes, shapes", [
     ({}, {(8, 3)}),
     (dict(geometry=ArrayGeometry(n_tx=8, n_rx=6, lis_y=4, lis_z=4)), {(8, 3), (6, 3)}),
-    (dict(n_rf_rx=4), {(8, 3), (8, 4)}),
+    (dict(n_rf_rx=2), {(8, 3), (8, 2)}),
 ], ids=["square", "n_tx!=n_rx", "r_t!=r_r"])
 def test_hybrid_batch_stacks_each_slot_shape_once(monkeypatch, changes, shapes):
     # the group's hybrid batch (2 trials x 2 powers) takes one call per
-    # (N, n_rf) slot shape, precoders (with a power norm) and combiners (with
-    # None) alike, and its rows equal those of factoring each side alone
+    # (N, n_rf) slot shape, precoders and combiners alike, and its rows
+    # equal those of factoring each slot alone
     from lisim import harness
     cfg = replace(SMALL, trials=2, precoding="both", **changes)
     clean = run_sweep(cfg).rows
     real = harness.hybrid_factorize
     seen = []
 
-    def by_side(targets, start, descent, norms, *args):
+    def by_slot(targets, start, *args):
         seen.append(start.shape[1:])
-        precoder = np.array([norm is not None for norm in norms])
-        f_rf = np.empty(start.shape, dtype=complex)
-        f_bb = np.empty((len(targets), start.shape[2], targets.shape[2]), dtype=complex)
-        for side, side_norms in ((precoder, [n for n in norms if n is not None]),
-                                 (~precoder, None)):
-            if side.any():
-                f_rf[side], f_bb[side], _ = real(targets[side], start[side], descent,
-                                                 side_norms, *args)
-        return f_rf, f_bb
+        alone = [real(targets[k:k + 1], start[k:k + 1], *args) for k in range(len(targets))]
+        return tuple(np.concatenate([slot[i] for slot in alone]) for i in (0, 1))
 
-    monkeypatch.setattr(harness, "hybrid_factorize", by_side)
+    monkeypatch.setattr(harness, "hybrid_factorize", by_slot)
     rows = run_sweep(cfg).rows
     assert len(seen) == len(shapes) and set(seen) == shapes
     assert [replace(r, wall_ms=0.0) for r in rows] == [replace(r, wall_ms=0.0) for r in clean]
@@ -587,9 +583,8 @@ def test_power_sweep_designs_spgm_and_random_once_per_trial(monkeypatch):
 def test_a_group_builds_each_design_generator_once(monkeypatch):
     # a one-trial group of power_sweep.cfg: spgm and random have one design
     # for all 7 powers, each building its start generator once; tsvd's
-    # designs draw no start, and at 6 RF chains over 7 paths no hybrid job
-    # draws a chain, so besides those two and the trial's channel draw no
-    # generator is built
+    # designs draw no start, and the hybrid batch draws nothing, so besides
+    # those two and the trial's channel draw no generator is built
     cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs" /
                               "power_sweep.cfg"), trials=1)
     built = _spy(monkeypatch, "_starts", lambda cfg, method, key: method)
@@ -600,26 +595,42 @@ def test_a_group_builds_each_design_generator_once(monkeypatch):
                                (0, 0, 2 + METHODS.index("random"))]
 
 
-def test_a_design_draws_its_hybrid_chains_from_its_generator(monkeypatch):
-    # at 5 RF chains over 3 paths the 2 random chains of a job's precoder
-    # start, then its combiner's, are the first draws of the chain stream of
-    # its design's seed key. Trial 0's first tsvd design and its spgm and
-    # random designs, shared across the powers, all have seed key (0, 0), so
-    # their jobs start from the same chains
-    cfg = replace(SMALL, trials=1, n_rf_tx=5, n_rf_rx=5, precoding="hybrid")
+@pytest.mark.parametrize("name, methods, streams", [
+    ("rf_sweep", ("tsvd",), []),
+    ("desk", ("spgm", "random"), [(0, t, 2 + METHODS.index(m)) for t in (0, 1)
+                                 for m in ("spgm", "random")]),
+], ids=["rf_sweep", "desk"])
+def test_the_hybrid_batch_builds_no_generator(monkeypatch, name, methods, streams):
+    # 2 trials of rf_sweep.cfg (n_rf up to 8 over 7 paths), and of a desk
+    # n_rf sweep up to 10 RF chains over 4 paths: the only generators built
+    # are each trial's channel draw and each spgm or random design's start
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    cfg = (load_config(configs / "rf_sweep.cfg") if name == "rf_sweep" else
+           replace(DESK_ANGLES, sweep_variable="n_rf", sweep_values=(4.0, 10.0)))
+    cfg = replace(cfg, trials=2, methods=methods, precoding="hybrid")
+    built = _spy(monkeypatch, "_stream", lambda cfg, *key: key)
+    assert all(row.errors == 0 for row in run_sweep(cfg).rows)
+    assert sorted(built) == sorted([(0,), (1,)] + streams)
+
+
+def test_a_hybrid_start_is_its_paths_steering_vectors(monkeypatch):
+    # at 5 RF chains over 4 transmit-side and 3 receive-side paths, a job's
+    # precoder start holds sqrt(N) times the steering vectors of its first
+    # point's 4 estimated paths and its combiner start those of its 3,
+    # strongest first, and nothing else; the two shapes take a call each,
+    # the precoders' first. Trial 0 has tsvd designs at both powers, and
+    # one spgm and one random design shared across them, all on one path set
+    cfg = replace(SMALL, trials=1, p_paths=4, n_rf_tx=5, n_rf_rx=5, precoding="hybrid")
     specs = _specialize(cfg)
     tasks = [(si, 0) for si in range(len(specs))]
     starts = _spy(monkeypatch, "hybrid_factorize", lambda targets, start, *args: start)
     _run_group(cfg, specs, tasks)
-    (start,) = starts
-    # the jobs of tsvd's design at each power, then spgm's and random's
-    jobs = len(tasks) + 2
-    assert len(start) == 2 * jobs   # their precoders, then their combiners
-    for job in (0, len(tasks), len(tasks) + 1):
-        rng = _stream(cfg, 0, 0, 2)
-        for slot in (job, jobs + job):
-            chains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 8)))
-            np.testing.assert_array_equal(start[slot][:, 3:], chains.T)
+    paths = _draw_point(cfg, specs, 0, 0).paths
+    assert [start.shape for start in starts] == [(len(tasks) + 2, 8, 4), (len(tasks) + 2, 8, 3)]
+    for start, angles in zip(starts, (paths.bs_lis_aod, paths.lis_ue_aoa)):
+        want = math.sqrt(8) * ula_responses(angles, 8, cfg.geometry.spacing_ratio).T
+        for slot in start:
+            np.testing.assert_array_equal(slot, want)
 
 
 POWERS = replace(DESK_ANGLES, trials=2, sweep_variable="tx_power_dbm",
@@ -630,9 +641,8 @@ def test_power_sweep_shared_designs_equal_designs_alone():
     # a trial's points share one spgm and one random design across powers,
     # made at the first power; each point's values, hybrid ones too, equal
     # those of its point designed alone, also where its group lacks the
-    # first power. At 6 RF chains and 4 paths each job draws random chains
-    # beyond the paths', but the paths' steering columns already span its
-    # targets, so the chains move its hybrid rate only by rounding
+    # first power. At 6 RF chains and 4 paths each job starts from the 4
+    # paths' steering columns, which span its targets
     from lisim.harness import _groups
     tasks = [(si, ti) for si in range(len(POWERS.sweep_values)) for ti in range(2)]
     assert _groups(POWERS, _specialize(POWERS), tasks, 1) == [tasks]
@@ -653,39 +663,40 @@ def test_power_sweep_shared_designs_equal_designs_alone():
 
 def test_tsvd_digital_rows_read_no_generator(monkeypatch):
     # the surrogate starts from each core row's strongest composite path, so
-    # no tsvd start generator is ever built; and chain streams of another
-    # seed, drawn for the RF chains beyond the 4 paths, move no digital row
+    # no tsvd start generator is ever built; and start streams of another
+    # seed move spgm's and random's rows but no tsvd row, digital or hybrid
     from lisim import harness
     strip = lambda rows: {(r.precoding, r.method, r.sweep_value): replace(r, wall_ms=0.0)
                           for r in rows}
     clean = strip(run_sweep(POWERS).rows)
-    real, chains = harness._stream, []
+    real = harness._stream
 
     def other_seed(cfg, *key):
-        if len(key) == 3 and key[2] == 2:   # a hybrid job's chain stream
-            chains.append(key)
+        if len(key) == 3 and key[2] >= 2:   # a design's start stream
             cfg = replace(cfg, seed=cfg.seed + 1)
         return real(cfg, *key)
 
     monkeypatch.setattr(harness, "_stream", other_seed)
     built = _spy(monkeypatch, "_starts", lambda cfg, method, key: method)
     moved = strip(run_sweep(POWERS).rows)
-    assert chains and set(built) == {"spgm", "random"} and moved.keys() == clean.keys()
-    assert all(moved[key] == row for key, row in clean.items() if key[0] == "digital")
+    assert set(built) == {"spgm", "random"} and moved.keys() == clean.keys()
+    for key, row in clean.items():
+        assert (moved[key] == row) == (key[1] == "tsvd"), key
 
 
 def test_a_shared_precoder_is_its_design_factored_at_each_power(monkeypatch):
-    # a point's hybrid precoder is its design's, factored at the design's
-    # power and its digital stage rescaled to the point's. hybrid_factorize
-    # is scale-equivariant, so that matches the design's target scaled to
-    # the point's power and factored there, to a relative 1e-10
+    # a point's hybrid precoder is its design's, factored, set to the
+    # design's power and its digital stage rescaled to the point's.
+    # hybrid_factorize is scale-equivariant, so that matches the design's
+    # target scaled to the point's power, factored and set to that power,
+    # to a relative 1e-10
     from lisim import harness
     real_hybrid, real_rate = harness.hybrid_factorize, harness.spectral_efficiency
     calls, precoders = [], []
 
-    def hybrid(targets, start, descent, *args):
-        calls.append((targets, start, *args))
-        return real_hybrid(targets, start, descent, *args)
+    def hybrid(targets, start, *args):
+        calls.append((targets, start))
+        return real_hybrid(targets, start, *args)
 
     def rate(h, f, w, sigma2, bases=None):
         if bases is not None:
@@ -697,14 +708,17 @@ def test_a_shared_precoder_is_its_design_factored_at_each_power(monkeypatch):
     cfg = replace(SMALL, trials=2, sweep_values=(10.0, 25.0, 40.0), methods=("spgm",),
                   precoding="hybrid")
     assert all(row.errors == 0 for row in run_sweep(cfg).rows)
-    (targets, start, norms), = calls   # the precoders, then the combiners
-    assert len(targets) == 4 and norms[2:] == [None, None] and len(precoders) == 1
-    # the points of trial 0 at each power, then those of trial 1
+    (targets, start), = calls   # the precoders, then the combiners
+    assert len(targets) == 4 and len(precoders) == 1
+    # spgm's designs are made at the first power; the points of trial 0 at
+    # each power, then those of trial 1
+    design_power = dbm_to_watt(cfg.sweep_values[0])
     powers = [dbm_to_watt(v) for v in cfg.sweep_values] * 2
     for f, k, power in zip(precoders[0], [0, 0, 0, 1, 1, 1], powers):
-        scaled = targets[k:k + 1] * np.sqrt(power / norms[k])
-        f_rf, f_bb, _ = real_hybrid(scaled, start[k:k + 1], cfg.descent, [power])
+        scaled = targets[k:k + 1] * np.sqrt(power / design_power)
+        f_rf, f_bb, _ = real_hybrid(scaled, start[k:k + 1], cfg.descent)
         want = f_rf[0] @ f_bb[0]
+        want *= np.sqrt(power) / np.linalg.norm(want)
         assert np.linalg.norm(f - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -738,8 +752,9 @@ def test_rf_sweep_hybrid_rate_does_not_fall_with_more_rf_chains(shipped_rf_sweep
     assert len(hybrid) == 4 and np.all(np.diff(hybrid) >= 0)
 
 
-def test_rf_sweep_hybrid_is_digital_at_twice_the_streams(shipped_rf_sweep):
-    # n_rf = 8 = 2 N_s: the two-phase split realizes every digital design
+def test_rf_sweep_hybrid_is_digital_with_a_chain_per_path(shipped_rf_sweep):
+    # n_rf = 8 >= P = 7: the steering vectors of the 7 paths, which the
+    # analog starts hold, span every precoder and combiner target
     assert shipped_rf_sweep[8.0, "hybrid"] == pytest.approx(shipped_rf_sweep[8.0, "digital"],
                                                             rel=1e-9)
 
@@ -907,13 +922,15 @@ def test_run_sweep_hybrid_failure_is_per_point(monkeypatch):
     # batch (2 powers x 2 trials, one group); each job is then factored
     # alone, so only the spgm hybrid rows of the points that share that
     # design, trial 1 at both powers, count the error. At 3 RF chains over
-    # 3 paths no job draws a chain; at 5 each draws 2 per side, and a job
-    # factored alone starts from the chains it drew in the batch
+    # 3 paths per hop precoders and combiners share one shape; at 5 over 4
+    # transmit-side and 3 receive-side paths they take a call each. A job
+    # factored alone starts from its starts in the batch
     from dataclasses import replace
     from lisim import harness
     real_designs, real_hybrid = harness._designs, harness.hybrid_factorize
-    for n_rf in (3, 5):
-        cfg = replace(SMALL, precoding="both", trials=2, n_rf_tx=n_rf, n_rf_rx=n_rf)
+    for n_rf, p_paths in ((3, 3), (5, 4)):
+        cfg = replace(SMALL, precoding="both", trials=2, n_rf_tx=n_rf, n_rf_rx=n_rf,
+                      p_paths=p_paths)
         clean = run_sweep(cfg).rows
         seen = []   # spgm's design stacks; the second design of the first is the bad one
 
@@ -937,12 +954,20 @@ def test_run_sweep_hybrid_failure_is_per_point(monkeypatch):
         rows = run_sweep(cfg).rows
         monkeypatch.undo()
         # the batch of 4 tsvd jobs and 2 each of spgm and random (one per
-        # trial) fails at its one call, 8 precoders and 8 combiners; then
-        # each job runs alone, one call of its precoder and its combiner each,
-        # from the starts it had in the batch
-        assert [len(start) for start in calls] == [16] + [2] * 8
-        for job, alone in enumerate(calls[1:]):
-            np.testing.assert_array_equal(alone, calls[0][[job, 8 + job]])
+        # trial), 8 precoders and 8 combiners, fails at the call that holds
+        # the precoders; then each job runs alone from the starts it had in
+        # the batch, and the bad one, job 5, fails at its precoder
+        if p_paths == 3:   # one call for both sides
+            assert [len(start) for start in calls] == [16] + [2] * 8
+            for job, alone in enumerate(calls[1:]):
+                np.testing.assert_array_equal(alone, calls[0][[job, 8 + job]])
+        else:   # a call for each side
+            assert [start.shape[:3] for start in calls] == (
+                [(8, 8, 4)] + [(1, 8, 4), (1, 8, 3)] * 5 + [(1, 8, 4)]
+                + [(1, 8, 4), (1, 8, 3)] * 2)
+            precoders = [start for start in calls[1:] if start.shape[2] == 4]
+            for job, alone in enumerate(precoders):
+                np.testing.assert_array_equal(alone[0], calls[0][job])
         strip = lambda r: (r.mean_se, r.std_se, r.mean_cond, r.mean_offdiag, r.mean_iters,
                            r.errors)
         for got, want in zip(rows, clean):
@@ -1038,17 +1063,19 @@ def test_digital_rows_ignore_hybrid():
 
 
 def test_hybrid_is_exact_with_a_chain_per_path():
-    # n_rf = P = L = 7 with N_s = 4: every target lies in the span of its
-    # paths' steering vectors, which the analog start holds, so the hybrid
-    # transceiver realizes the digital one on the true and on an estimated
-    # path set
-    cfg = ExperimentConfig(n_rf_tx=7, n_rf_rx=7, sweep_variable="angle_error_deg",
-                           sweep_values=(0.0, 1.0), trials=2, precoding="both", seed=3)
-    for si in range(len(cfg.sweep_values)):
-        for ti in range(cfg.trials):
-            se = _alone(cfg, (si, ti)).rate[0]   # (methods, digital and hybrid)
-            for m in range(len(cfg.methods)):
-                assert se[m, 1] == pytest.approx(se[m, 0], rel=1e-9)
+    # n_rf = P = L = 7, and n_rf = 10 above them, with N_s = 4: every target
+    # lies in the span of its paths' steering vectors, which the analog
+    # start holds (at 10 RF chains the start is those 7 columns alone), so
+    # the hybrid transceiver realizes the digital one on the true and on an
+    # estimated path set
+    for n_rf in (7, 10):
+        cfg = ExperimentConfig(n_rf_tx=n_rf, n_rf_rx=n_rf, sweep_variable="angle_error_deg",
+                               sweep_values=(0.0, 1.0), trials=2, precoding="both", seed=3)
+        for si in range(len(cfg.sweep_values)):
+            for ti in range(cfg.trials):
+                se = _alone(cfg, (si, ti)).rate[0]   # (methods, digital and hybrid)
+                for m in range(len(cfg.methods)):
+                    assert se[m, 1] == pytest.approx(se[m, 0], rel=1e-9)
 
 
 def test_run_sweep_lets_a_stream_count_error_through(monkeypatch):

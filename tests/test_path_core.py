@@ -92,14 +92,16 @@ def _dense_trial(cfg, seen):
     svd = truncated_svd(h_est, n_s)
     f = digital_precoder(svd, budget.tx_power)
     w = digital_combiner(svd)
-    # each side factored alone, as a stack of one
+    # each side factored alone, as a stack of one, and the precoder set to
+    # the transmit power
     f_start, w_start = seen["hybrid_starts"][:1], seen["hybrid_starts"][1:]
-    f_rf, f_bb, _ = hybrid_factorize(f[None], f_start, cfg.descent, [budget.tx_power])
+    f_rf, f_bb, _ = hybrid_factorize(f[None], f_start, cfg.descent)
     w_rf, w_bb, _ = hybrid_factorize(w[None], w_start, cfg.descent)
+    f_hybrid = f_rf[0] @ f_bb[0]
+    f_hybrid *= np.sqrt(budget.tx_power) / np.linalg.norm(f_hybrid)
     return (svd.sigma1, truncated_condition_number(h_true, n_s),
             spectral_efficiency(h_true, f, w, budget.noise_power),
-            spectral_efficiency(h_true, f_rf[0] @ f_bb[0], w_rf[0] @ w_bb[0],
-                                budget.noise_power))
+            spectral_efficiency(h_true, f_hybrid, w_rf[0] @ w_bb[0], budget.noise_power))
 
 
 @pytest.mark.parametrize("cfg", [PAPER, DESK], ids=["paper", "desk"])

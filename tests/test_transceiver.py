@@ -123,12 +123,11 @@ def _start(rng, n, n_rf):
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n_rf)))
 
 
-def _factor_one(target, n_rf, rng, power_norm=None, **kwargs):
+def _factor_one(target, n_rf, rng, **kwargs):
     """Factor a single target as a stack of one from a uniform-phase start
     drawn from rng; returns 2-D (F_RF, F_BB)."""
     f_rf, f_bb, _ = hybrid_factorize(target[None], _start(rng, len(target), n_rf)[None],
-                                     DescentConfig(),
-                                     None if power_norm is None else [power_norm], **kwargs)
+                                     DescentConfig(), **kwargs)
     return f_rf[0], f_bb[0]
 
 
@@ -151,17 +150,24 @@ def test_hybrid_reduces_residual():
     np.testing.assert_allclose(np.abs(f_rf), 1.0, rtol=1e-12)
 
 
-def test_hybrid_power_normalization():
+def test_hybrid_scaled_target_scales_the_digital_stage_alone():
+    # the factorization knows no power: each slot's digital stage is the
+    # least-squares one for its analog matrix, and scaling a target scales
+    # that digital stage alone, so a caller may factor a precoder once and
+    # set its power afterwards
     rng = np.random.default_rng(7)
     targets = np.stack([_random_matrix(rng, 12, 2) for _ in range(3)])
     starts = np.stack([_start(np.random.default_rng(s), 12, 4) for s in range(3)])
-    f_rf, f_bb, _ = hybrid_factorize(targets, starts, DescentConfig(), [3.0, 1.0, 0.5])
-    norms = np.linalg.norm(f_rf @ f_bb, axis=(1, 2)) ** 2
-    np.testing.assert_allclose(norms, [3.0, 1.0, 0.5], rtol=1e-10)
-    # without power norms each slot keeps its least-squares digital stage
-    _, f_bb_ls, _ = hybrid_factorize(targets, starts, DescentConfig())
+    f_rf, f_bb, record = hybrid_factorize(targets, starts, DescentConfig())
+    for rf, bb, target in zip(f_rf, f_bb, targets):
+        np.testing.assert_allclose(bb, np.linalg.pinv(rf) @ target, rtol=0, atol=1e-10)
     _, f_bb_alone = _factor_one(targets[1], 4, np.random.default_rng(1))
-    np.testing.assert_array_equal(f_bb_ls[1], f_bb_alone)
+    np.testing.assert_array_equal(f_bb[1], f_bb_alone)
+    scale = np.array([3.0, 1.0, 0.5])[:, None, None]
+    scaled_rf, scaled_bb, scaled = hybrid_factorize(targets * scale, starts, DescentConfig())
+    np.testing.assert_allclose(scaled_rf, f_rf, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(scaled_bb, f_bb * scale, rtol=1e-9)
+    assert scaled.stops == record.stops
 
 
 @settings(max_examples=30, deadline=None)
@@ -184,7 +190,7 @@ def test_hybrid_residual_monotone_in_alternations(seed):
     assert np.all(np.diff(residuals) <= 1e-12)
 
 
-def _reference_hybrid(target, start, cfg, power_norm=None, max_alternations=10):
+def _reference_hybrid(target, start, cfg, max_alternations=10):
     """The plain form of the algorithm from the analog start `start`: pinv least
     squares, then column updates on an explicit residual matrix kept current
     with rank-one terms. The first relative change is taken from the
@@ -206,10 +212,7 @@ def _reference_hybrid(target, start, cfg, power_norm=None, max_alternations=10):
                 or abs(prev_residual - residual) / denom < cfg.epsilon):
             break
         prev_residual = residual
-    f_bb = np.linalg.pinv(f_rf, rcond=1e-12) @ target
-    if power_norm is not None:
-        f_bb = f_bb * (np.sqrt(power_norm) / np.linalg.norm(f_rf @ f_bb))
-    return f_rf, f_bb
+    return f_rf, np.linalg.pinv(f_rf, rcond=1e-12) @ target
 
 
 def _random_stack(rng, k):
@@ -221,9 +224,8 @@ def _random_stack(rng, k):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([None, 2.5]), st.sampled_from([1, 30]),
-       st.sampled_from([1, 3]))
-def test_hybrid_matches_residual_matrix_reference(seed, power_norm, max_alternations, k):
+@given(st.integers(0, 10_000), st.sampled_from([1, 30]), st.sampled_from([1, 3]))
+def test_hybrid_matches_residual_matrix_reference(seed, max_alternations, k):
     # the Gram-matrix solve and the A/B column targets are a cheaper route
     # to the same iterates, so both forms agree from one start, slot by slot
     # of a stack
@@ -231,13 +233,10 @@ def test_hybrid_matches_residual_matrix_reference(seed, power_norm, max_alternat
     targets, n_rf = _random_stack(rng, k)
     n = targets.shape[1]
     starts = np.stack([_start(rng, n, n_rf) for _ in range(k)])
-    got_rf, got_bb, _ = hybrid_factorize(targets, starts, DescentConfig(),
-                                         None if power_norm is None else [power_norm] * k,
-                                         max_alternations)
+    got_rf, got_bb, _ = hybrid_factorize(targets, starts, DescentConfig(), max_alternations)
     assert got_rf.shape == (k, n, n_rf)
     for target, start, slot_rf, slot_bb in zip(targets, starts, got_rf, got_bb):
-        want_rf, want_bb = _reference_hybrid(target, start, DescentConfig(),
-                                             power_norm, max_alternations)
+        want_rf, want_bb = _reference_hybrid(target, start, DescentConfig(), max_alternations)
         np.testing.assert_allclose(slot_rf, want_rf, rtol=0, atol=1e-9)
         want = want_rf @ want_bb
         assert np.linalg.norm(slot_rf @ slot_bb - want) <= 1e-10 * np.linalg.norm(want)
@@ -248,16 +247,14 @@ def test_hybrid_matches_residual_matrix_reference(seed, power_norm, max_alternat
 def test_hybrid_slot_alone_equals_slot_in_stack(seed, k, max_alternations):
     rng = np.random.default_rng(seed)
     targets, n_rf = _random_stack(rng, k)
-    power = list(rng.uniform(0.5, 2.0, k)) if rng.random() < 0.5 else None
     seeds = rng.integers(0, 2 ** 32, size=k)
     starts = np.stack([_start(np.random.default_rng(s), targets.shape[1], n_rf)
                        for s in seeds])
-    got_rf, got_bb, record = hybrid_factorize(targets, starts, DescentConfig(), power,
+    got_rf, got_bb, record = hybrid_factorize(targets, starts, DescentConfig(),
                                               max_alternations)
     for slot in range(k):
         alone_rf, alone_bb, alone = hybrid_factorize(
-            targets[slot:slot + 1], starts[slot:slot + 1], DescentConfig(),
-            None if power is None else [power[slot]], max_alternations)
+            targets[slot:slot + 1], starts[slot:slot + 1], DescentConfig(), max_alternations)
         np.testing.assert_array_equal(got_rf[slot], alone_rf[0])
         np.testing.assert_array_equal(got_bb[slot], alone_bb[0])
         assert record.traces[slot] == alone.traces[0]
@@ -279,31 +276,6 @@ def test_hybrid_trace_does_not_increase(seed, k):
         assert np.all(np.diff(trace) / np.linalg.norm(target) <= 1e-12)
         assert 1 <= iters <= 10 and stop in ("floor", "gap", "max_iters")
         assert iters == 10 or stop != "max_iters"
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000),
-       st.lists(st.booleans(), min_size=2, max_size=5).filter(lambda k: any(k) and not all(k)),
-       st.sampled_from([1, 30]))
-def test_hybrid_precoders_and_combiners_in_one_call_equal_each_alone(seed, precoder,
-                                                                     max_alternations):
-    # slots of one shape, precoders with a power norm and combiners with
-    # None, factor in one call; each equals its slot factored alone
-    rng = np.random.default_rng(seed)
-    targets, n_rf = _random_stack(rng, len(precoder))
-    starts = np.stack([_start(rng, targets.shape[1], n_rf) for _ in precoder])
-    norms = [float(rng.uniform(0.5, 2.0)) if p else None for p in precoder]
-    got_rf, got_bb, _ = hybrid_factorize(targets, starts, DescentConfig(), norms,
-                                         max_alternations)
-    for slot, norm in enumerate(norms):
-        alone_rf, alone_bb, _ = hybrid_factorize(targets[slot:slot + 1], starts[slot:slot + 1],
-                                                 DescentConfig(),
-                                                 None if norm is None else [norm],
-                                                 max_alternations)
-        np.testing.assert_array_equal(got_rf[slot], alone_rf[0])
-        np.testing.assert_array_equal(got_bb[slot], alone_bb[0])
-        if norm is not None:
-            assert np.linalg.norm(got_rf[slot] @ got_bb[slot]) ** 2 == pytest.approx(norm)
 
 
 def test_hybrid_stopped_slot_is_frozen():
@@ -354,8 +326,8 @@ def test_hybrid_full_rf_stops_at_rounding_level(n):
     # slot, and a cap of 2 alternations gives the default's result
     for seed in range(5):
         target = _random_matrix(np.random.default_rng(seed), n, 2)
-        capped = _factor_one(target, n, np.random.default_rng(seed), 2.0, max_alternations=2)
-        default = _factor_one(target, n, np.random.default_rng(seed), 2.0)
+        capped = _factor_one(target, n, np.random.default_rng(seed), max_alternations=2)
+        default = _factor_one(target, n, np.random.default_rng(seed))
         for got, want in zip(capped, default):
             np.testing.assert_array_equal(got, want)
 
@@ -379,7 +351,7 @@ def test_hybrid_follows_a_column_phase_of_the_target(seed, kind):
     # (full-rank targets 1.3e-13), so it gets a looser bound
     rng = np.random.default_rng(seed)
     if kind == "zero":
-        target, n_rf, power = np.zeros((int(rng.integers(1, 65)), 1), dtype=complex), 1, None
+        target, n_rf = np.zeros((int(rng.integers(1, 65)), 1), dtype=complex), 1
     else:
         if kind == "full":
             n, n_s = int(rng.integers(4, 65)), int(rng.integers(1, 5))
@@ -389,10 +361,9 @@ def test_hybrid_follows_a_column_phase_of_the_target(seed, kind):
             n, n_s = int(rng.integers(16, 65)), int(rng.integers(3, 5))
             target = _random_matrix(rng, n, 2) @ _random_matrix(rng, 2, n_s)
             n_rf = int(rng.integers(n_s, 2 * n_s + 1))
-        power = 2.0 if rng.random() < 0.5 else None
     d = np.exp(1j * rng.uniform(0, 2 * np.pi, target.shape[1]))
-    f_rf, f_bb = _factor_one(target, n_rf, np.random.default_rng(seed), power)
-    g_rf, g_bb = _factor_one(target * d, n_rf, np.random.default_rng(seed), power)
+    f_rf, f_bb = _factor_one(target, n_rf, np.random.default_rng(seed))
+    g_rf, g_bb = _factor_one(target * d, n_rf, np.random.default_rng(seed))
     np.testing.assert_allclose(np.abs(g_rf), 1.0, rtol=1e-12)
     bound = 1e-10 if kind == "rank-deficient" else 1e-12
     assert np.linalg.norm(g_rf @ g_bb - f_rf @ f_bb * d) <= bound * np.linalg.norm(target)
