@@ -70,6 +70,9 @@ class ExperimentConfig:
             raise ConfigError("methods must not repeat")
         if self.n_streams > min(self.p_paths, self.l_paths):
             raise ConfigError("n_streams must not exceed min(p_paths, l_paths)")
+        # the cascade channel has rank at most the LIS element count
+        if self.n_streams > self.geometry.m:
+            raise ConfigError("n_streams must not exceed the LIS element count lis_y * lis_z")
         try:
             finite = all(0.0 < gain < math.inf for gain in self.gains)
         except OverflowError:

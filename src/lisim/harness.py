@@ -69,7 +69,6 @@ from .passive_bf import (
     optimize_tsvd_stack,
     random_phases,
     stream_weights,
-    tsvd_objective,
 )
 # Sweeps descend stacks of points; perfbench/spans.py looks these names up here.
 from .passive_bf import optimize_spgm, optimize_tsvd  # noqa: F401
@@ -80,8 +79,6 @@ from .transceiver import (
     hybrid_factorize,
     truncated_svd,
 )
-
-ORACLE_STATE_LIMIT = 10 ** 7
 
 # Byte budget of one group's stacked path-core banks, one bank per design of
 # the method with the most designs (points with one seed key share a
@@ -105,7 +102,7 @@ GROUP_BYTES = 2 ** 21
 # Failures a trial may meet on a bad channel draw; they count in the row's
 # `errors`. Any other exception is a bug and propagates out of run_sweep,
 # among them passive_bf.StreamCountError, which a config that loads cannot
-# meet (n_streams is capped by the path and RF chain counts).
+# meet (n_streams is capped by the path, RF chain and LIS element counts).
 NUMERICAL_FAILURES = (RetractionError, RankError, CombinerRankError, FloatingPointError,
                       np.linalg.LinAlgError)
 
@@ -587,10 +584,12 @@ def _run_trials(cfg: ExperimentConfig, parallel: int = 1) -> _Trials:
     specs = _specialize(cfg)
     tasks = [(si, ti) for si in range(len(specs)) for ti in range(cfg.trials)]
     groups = _groups(cfg, specs, tasks, parallel)
-    if parallel > 1:
+    # a pool starts all its workers at once: no more than there are groups
+    workers = min(parallel, len(groups))
+    if workers > 1:
         # imported here: it pulls in multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_group = list(pool.map(_run_group, [cfg] * len(groups), [specs] * len(groups),
                                       groups, chunksize=1))
     else:
@@ -669,39 +668,3 @@ def emit_csv(result: SweepResult, path) -> None:
                 format(row.mean_iters, ".12e"), str(row.errors),
                 format(row.wall_ms, ".12e")])
 
-
-# -- brute-force oracle -----------------------------------------------------
-
-def brute_force_phase_oracle(core: PathCore, weights: np.ndarray,
-                             levels: int) -> tuple[np.ndarray, float]:
-    """Exhaustive search over quantized phase states for the rate surrogate.
-
-    Enumerates every v with phases on the `levels`-point grid and returns the
-    maximizer of sum_i log2(1 + a_i |v^H p^{ii}|^2) together with its value;
-    `core` is a stack of one and `weights` (N_s,) is as for `optimize_tsvd`.
-
-    Raises ConfigError if `levels` is below 1 or the search space holds more
-    than ORACLE_STATE_LIMIT states.
-    """
-    if levels < 1:
-        raise ConfigError(f"levels must be >= 1, not {levels}")
-    m = core.m
-    total = levels ** m
-    if total > ORACLE_STATE_LIMIT:
-        raise ConfigError(f"search space {levels}^{m} exceeds {ORACLE_STATE_LIMIT}")
-    _, (diag_vectors, weights) = tsvd_objective(core, np.asarray(weights)[None])
-    step = 2.0 * np.pi / levels
-    best_obj = -np.inf
-    best_v = None
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        digits = np.stack(np.unravel_index(idx, (levels,) * m), axis=1)
-        v = np.exp(1j * step * digits)                    # (chunk, M)
-        d = v.conj() @ diag_vectors[0].T                  # (chunk, N_s)
-        obj = np.sum(np.log2(1.0 + weights * np.abs(d) ** 2), axis=1)
-        k = int(np.argmax(obj))
-        if obj[k] > best_obj:
-            best_obj = float(obj[k])
-            best_v = v[k]
-    return best_v, best_obj

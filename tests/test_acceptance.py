@@ -16,7 +16,7 @@ from lisim.channel import (
     sort_paths_descending,
 )
 from lisim.config import ExperimentConfig
-from lisim.harness import _run_trials, brute_force_phase_oracle, emit_csv, run_sweep
+from lisim.harness import _run_trials, emit_csv, run_sweep
 from lisim.manifold import DescentConfig
 from lisim.metrics import spectral_efficiency
 from lisim.passive_bf import (
@@ -31,6 +31,7 @@ from lisim.passive_bf import (
 )
 from lisim.transceiver import digital_combiner, truncated_svd
 from lisim.units import dbi_to_amplitude, dbm_to_watt
+from phase_oracle import brute_force_phase_oracle
 from transceiver_algebra import water_filling
 from wirtinger_fd import max_fd_error, spgm_evaluate
 

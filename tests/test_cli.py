@@ -3,11 +3,8 @@
 import pytest
 
 from lisim import __version__
-from lisim.channel import path_core
 from lisim.cli import main
-from lisim.config import _specialize, load_config
-from lisim.harness import _draw_point
-from lisim.passive_bf import optimize_tsvd, stream_weights, tsvd_objective
+from lisim.config import load_config
 
 SMALL_CFG = """
 n_tx = 8
@@ -25,7 +22,7 @@ sweep_values = 40
 methods = tsvd, random
 """
 
-ORACLE_CFG = """
+POWER_ONLY_CFG = """
 n_tx = 4
 n_rx = 4
 lis_y = 2
@@ -40,10 +37,18 @@ tx_power_dbm = 40
 descent_epsilon = 1e-8
 """
 
-# 2 x 4 LIS elements in the base config, 4 at the one sweep value
-LIS_SWEEP_ORACLE_CFG = ORACLE_CFG.replace("lis_z = 2", "lis_z = 4") + """
-sweep_variable = lis_elements
-sweep_values = 4
+# three streams over a cascade of rank at most lis_y * lis_z = 2
+NARROW_LIS_CFG = """
+n_tx = 16
+n_rx = 16
+lis_y = 1
+lis_z = 2
+r_t = 4
+r_r = 4
+n_streams = 3
+p_paths = 4
+l_paths = 4
+trials = 2
 """
 
 
@@ -171,69 +176,72 @@ def test_run_that_fails_keeps_an_existing_out(tmp_path, capsys):
 
 def test_config_power_is_its_one_sweep_value(tmp_path):
     # without sweep_values, a config's tx_power_dbm is the default power
-    # sweep's one value, so `run` and `oracle` draw at 40 dBm, not at 30
-    cfg = load_config(_cfg(tmp_path, ORACLE_CFG))
+    # sweep's one value, so `run` draws at 40 dBm, not at 30
+    cfg = load_config(_cfg(tmp_path, POWER_ONLY_CFG))
     assert (cfg.sweep_variable, cfg.sweep_values) == ("tx_power_dbm", (40.0,))
 
 
-def test_oracle_reports_ratio(tmp_path, capsys):
-    assert main(["oracle", _cfg(tmp_path, ORACLE_CFG)]) == 0
-    out = capsys.readouterr().out
-    assert "oracle objective:" in out and "ratio:" in out
-    ratio = float(out.strip().splitlines()[-1].split()[-1])
-    assert ratio >= 0.95
-
-
-@pytest.mark.parametrize("methods", ["", "methods = spgm, random\n"],
-                         ids=["default-methods", "without-tsvd"])
-def test_oracle_searches_at_the_first_sweep_value(tmp_path, capsys, methods):
-    # `lisim run` sweeps this config at M = 4 (8^4 oracle states), not at
-    # the base config's M = 8 (8^8 states, over the limit); the oracle runs
-    # tsvd whether or not the config lists it
-    assert main(["oracle", _cfg(tmp_path, LIS_SWEEP_ORACLE_CFG + methods)]) == 0
-    ratio = float(capsys.readouterr().out.strip().splitlines()[-1].split()[-1])
-    assert ratio >= 0.95
-
-
-@pytest.mark.parametrize("text", [ORACLE_CFG, LIS_SWEEP_ORACLE_CFG],
-                         ids=["power", "lis-sweep"])
-def test_oracle_prints_the_surrogate_at_the_optimizer_point(tmp_path, capsys, text):
-    # the printed optimizer objective is the trace's last value; it must be
-    # the surrogate re-evaluated at the point optimize_tsvd returns
-    path = _cfg(tmp_path, text)
-    assert main(["oracle", path]) == 0
-    printed = capsys.readouterr().out.splitlines()[1].split()[-1]
-    cfg = load_config(path)
-    point = _draw_point(cfg, _specialize(cfg), 0, 0)
-    run_cfg = point.cfg
-    core = path_core([point.paths], run_cfg.geometry, *run_cfg.gains)
-    weights = stream_weights(point.paths, run_cfg.budget, run_cfg.n_streams, *run_cfg.gains)
-    v, _ = optimize_tsvd(core, weights, run_cfg.descent)
-    evaluate, data = tsvd_objective(core, weights[None])
-    assert printed == f"{-evaluate(data, v[None])[0][0]:.9f}"
-
-
-def test_oracle_refuses_large_state_space(tmp_path, capsys):
-    assert main(["oracle", _cfg(tmp_path, SMALL_CFG)]) == 1
-    assert "exceeds" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command, cfg_text, option, value, message", [
-    ("run", SMALL_CFG, "--parallel", "0", "parallel must be >= 1"),
-    ("run", SMALL_CFG, "--parallel", "-1", "parallel must be >= 1"),
-    ("oracle", ORACLE_CFG, "--levels", "0", "levels must be >= 1"),
-    ("oracle", ORACLE_CFG, "--levels", "-2", "levels must be >= 1"),
-], ids=["parallel-0", "parallel-minus-1", "levels-0", "levels-minus-2"])
-def test_counts_below_one_are_rejected(tmp_path, capsys, command, cfg_text, option, value,
-                                       message):
+@pytest.mark.parametrize("value", ["0", "-1"], ids=["parallel-0", "parallel-minus-1"])
+def test_counts_below_one_are_rejected(tmp_path, capsys, value):
     out = tmp_path / "never.csv"
-    args = [command, _cfg(tmp_path, cfg_text), option, value]
-    if command == "run":
-        args += ["--out", str(out)]
-    assert main(args) == 1
+    assert main(["run", _cfg(tmp_path, SMALL_CFG), "--parallel", value, "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}, not {value}\n"
+    assert captured.err == f"error: parallel must be >= 1, not {value}\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    (NARROW_LIS_CFG, ""),
+    (NARROW_LIS_CFG.replace("lis_z = 2", "lis_z = 8")
+     + "sweep_variable = lis_elements\nsweep_values = 2, 8\n", "lis_elements sweep value 2: "),
+], ids=["base", "lis-elements-sweep"])
+def test_more_streams_than_lis_elements_are_rejected(tmp_path, capsys, text, named):
+    # a cascade of rank below n_streams gives rows of rounding-level rates
+    # and no error counted: the config, or the sweep value, fails at load
+    out = tmp_path / "never.csv"
+    assert main(["run", _cfg(tmp_path, text), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {named}n_streams must not exceed the LIS element "
+                            "count lis_y * lis_z\n")
+    assert captured.out == "" and not out.exists()
+
+
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that maps in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("trials, parallel, workers", [
+    ("2", "64", [2]), ("3", "2", [2]), ("1", "4", []),
+], ids=["2-groups-of-64", "3-groups-of-2", "1-group"])
+def test_parallel_starts_at_most_one_worker_per_group(tmp_path, monkeypatch, trials, parallel,
+                                                      workers):
+    # a pool forks all its workers at its first task, so --parallel K
+    # starts min(K, groups) of them, and none for one group
+    import concurrent.futures
+    started = []
+
+    def pool(max_workers):
+        started.append(max_workers)
+        return _SerialPool()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    cfg = _cfg(tmp_path, SMALL_CFG)
+    serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
+    assert main(["run", cfg, "--trials", trials, "--out", str(serial)]) == 0
+    assert main(["run", cfg, "--trials", trials, "--parallel", parallel,
+                 "--out", str(pooled)]) == 0
+    assert started == workers
+    strip = lambda p: [",".join(l.split(",")[:-1]) for l in p.read_text().splitlines()]
+    assert strip(serial) == strip(pooled)
 
 
 def test_a_bug_in_a_run_is_not_reported_as_a_config_error(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""Config parsing, sweep execution, CSV emission, and the brute-force oracle."""
+"""Config parsing, sweep execution, CSV emission, and the exhaustive phase
+oracle that criterion 3 checks against."""
 
 import math
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from lisim.channel import (
     ArrayGeometry,
@@ -20,6 +21,8 @@ from lisim.channel import (
 from lisim.config import (
     KEYS,
     METHODS,
+    PRECODING_MODES,
+    SWEEP_VARIABLES,
     ConfigError,
     ExperimentConfig,
     _apply_sweep,
@@ -33,13 +36,13 @@ from lisim.harness import (
     _draw_point,
     _run_group,
     _sweep_rows,
-    brute_force_phase_oracle,
     emit_csv,
     run_sweep,
 )
 from lisim.manifold import DescentConfig
 from lisim.passive_bf import stream_weights, tsvd_objective
 from lisim.units import dbm_to_watt, thermal_noise_dbm
+from phase_oracle import brute_force_phase_oracle
 
 
 SMALL = ExperimentConfig(
@@ -192,6 +195,9 @@ def test_config_stream_constraints():
         ExperimentConfig(n_streams=4, p_paths=3)      # exceeds path count
     with pytest.raises(ConfigError):
         ExperimentConfig(trials=0)
+    with pytest.raises(ConfigError, match="LIS element count"):   # cascade rank <= M = 2
+        ExperimentConfig(geometry=ArrayGeometry(n_tx=16, n_rx=16, lis_y=1, lis_z=2),
+                         n_streams=3, n_rf_tx=4, n_rf_rx=4, p_paths=4, l_paths=4)
 
 
 @pytest.mark.parametrize("gains", [dict(tx_gain_dbi=-1e4), dict(rx_gain_dbi=1e4)],
@@ -200,6 +206,93 @@ def test_config_rejects_a_gain_without_a_finite_amplitude(gains):
     # a config built in code fails too, not in the first trial or as rows of errors
     with pytest.raises(ConfigError, match="positive, finite amplitude"):
         ExperimentConfig(**gains)
+
+
+_POSITIONS = st.tuples(*[st.integers(-50, 200)] * 3).map(lambda xyz: ", ".join(map(str, xyz)))
+
+# The value of each key of KEYS in a drawn small config (`_small_configs`);
+# a key with no strategy here is one that the config sets outright.
+_SMALL_KEY_VALUES = {
+    "spacing_ratio": st.floats(0.5, 2.0),
+    "tx_power_dbm": st.floats(0.0, 50.0),
+    "noise_dbm": st.floats(-120.0, -60.0),
+    "bandwidth_hz": st.floats(1e6, 1e9),
+    "tx_gain_dbi": st.floats(0.0, 30.0),
+    "rx_gain_dbi": st.floats(0.0, 30.0),
+    "rician_mu_db": st.floats(0.0, 20.0),
+    "pathloss_a": st.floats(40.0, 80.0),
+    "pathloss_b": st.floats(1.5, 4.0),
+    "shadow_sigma_db": st.floats(0.0, 40.0),
+    "bs_pos": _POSITIONS,
+    "lis_pos": _POSITIONS,
+    "ue_pos": _POSITIONS,
+    "seed": st.integers(0, 2 ** 31),
+    "methods": st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True)
+                 .map(", ".join),
+    "precoding": st.sampled_from(PRECODING_MODES),
+    "descent_epsilon": st.floats(1e-10, 1e-2),
+    "descent_max_iters": st.integers(1, 500),
+}
+
+
+# Each count of a small config that must be at least another, and that other
+_SMALL_BOUNDS = {"r_t": "n_streams", "r_r": "n_streams", "p_paths": "n_streams",
+                 "l_paths": "n_streams", "n_tx": "r_t", "n_rx": "r_r"}
+
+
+def _small_counts(draw) -> dict[str, int]:
+    """The counts of a small config: 1-4 streams, 1-6 paths and RF chains,
+    1-16 antennas and LIS sides of 1-4. Each count of _SMALL_BOUNDS meets
+    its bound, apart from at most one drawn count that is one below it, so
+    that most configs load and the rest break one bound by one."""
+    counts = {"n_streams": draw(st.integers(1, 4)), "lis_y": draw(st.integers(1, 4)),
+              "lis_z": draw(st.integers(1, 4))}
+    for key, bound in _SMALL_BOUNDS.items():
+        top = 16 if key.startswith("n_") else 6
+        counts[key] = draw(st.integers(counts[bound], top))
+    broken = draw(st.none() | st.sampled_from(list(_SMALL_BOUNDS)))
+    if broken:
+        counts[broken] = max(1, counts[_SMALL_BOUNDS[broken]] - 1)
+    return counts
+
+
+@st.composite
+def _small_configs(draw):
+    """The text of a config over every key of KEYS: small counts always set
+    (`_small_counts`), a sweep of any variable over 1-3 values, 2 trials,
+    and each other key either left at its default or drawn from
+    `_SMALL_KEY_VALUES`."""
+    counts = _small_counts(draw)
+    variable = draw(st.sampled_from(SWEEP_VARIABLES))
+    value = {"tx_power_dbm": st.floats(0.0, 50.0),
+             "lis_elements": st.integers(1, 4).map(lambda k: k * counts["lis_y"]),
+             "n_streams": st.integers(1, 6), "n_rf": st.integers(1, 6),
+             "angle_error_deg": st.floats(0.0, 3.0)}[variable]
+    lines = {**counts, "sweep_variable": variable, "trials": 2,
+             "sweep_values": ", ".join(map(repr, draw(st.lists(value, min_size=1,
+                                                               max_size=3))))}
+    for key, values in _SMALL_KEY_VALUES.items():
+        if draw(st.booleans()):
+            lines[key] = draw(values)
+    if variable == "tx_power_dbm" and "tx_power_dbm" in lines and draw(st.booleans()):
+        del lines["sweep_values"]   # the config's power is then its one sweep value
+    return "".join(f"{key} = {text}\n" for key, text in lines.items())
+
+
+@given(_small_configs())
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_small_config_fails_at_load_or_runs_clean(tmp_path, text):
+    # every key of KEYS is drawn: a config either names its fault at load,
+    # or each of its rows holds a finite rate and counts no error
+    assert set(_SMALL_KEY_VALUES) | set(_SMALL_BOUNDS) | {
+        "n_streams", "lis_y", "lis_z", "sweep_variable", "sweep_values", "trials"} == set(KEYS)
+    try:
+        cfg = load_config(_write(tmp_path, text))
+    except ConfigError:
+        return
+    rows = run_sweep(cfg).rows
+    assert all(math.isfinite(row.mean_se) and row.errors == 0 for row in rows), text
 
 
 # -- sweep specialization ----------------------------------------------------
@@ -1129,7 +1222,7 @@ def test_emit_csv_deterministic(tmp_path):
     assert strip(a) == strip(b)
 
 
-# -- brute-force oracle ------------------------------------------------------
+# -- exhaustive phase oracle (tests/phase_oracle.py) -------------------------
 
 def test_oracle_beats_every_quantized_competitor():
     geometry = ArrayGeometry(n_tx=4, n_rx=4, lis_y=2, lis_z=2)
@@ -1148,23 +1241,3 @@ def test_oracle_beats_every_quantized_competitor():
         -evaluate(data, np.exp(1j * step * np.array(digits))[None])[0][0]
         for digits in itertools.product(range(4), repeat=4))
     assert best == pytest.approx(brute, rel=1e-12)
-
-
-def test_oracle_state_limit():
-    geometry = ArrayGeometry(n_tx=4, n_rx=4, lis_y=4, lis_z=4)
-    budget = LinkBudget()
-    rng = np.random.default_rng(1)
-    paths = sample_paths(rng, geometry, budget, 2, 2)
-    with pytest.raises(ConfigError, match="exceeds"):
-        brute_force_phase_oracle(path_core([paths], geometry),
-                                 stream_weights(paths, budget, 2), levels=8)
-
-
-@pytest.mark.parametrize("levels", [0, -2])
-def test_oracle_rejects_levels_below_one(levels):
-    geometry = ArrayGeometry(n_tx=4, n_rx=4, lis_y=2, lis_z=2)
-    budget = LinkBudget()
-    paths = sample_paths(np.random.default_rng(1), geometry, budget, 2, 2)
-    with pytest.raises(ConfigError, match="levels must be >= 1"):
-        brute_force_phase_oracle(path_core([paths], geometry),
-                                 stream_weights(paths, budget, 2), levels=levels)
