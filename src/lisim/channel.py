@@ -64,6 +64,8 @@ class LinkBudget:
     def __post_init__(self):
         if self.noise_power <= 0 or self.tx_power <= 0 or self.bandwidth_hz <= 0:
             raise ValueError("noise_power, tx_power and bandwidth_hz must be positive")
+        if self.shadow_sigma < 0:
+            raise ValueError(f"shadow_sigma must be non-negative, not {self.shadow_sigma}")
 
 
 @dataclass(frozen=True)

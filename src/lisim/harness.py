@@ -6,9 +6,9 @@ grid (n_rf sets both RF chain counts). Within a trial every method sees
 the same channel realization, and trial t sees the same realization at
 every sweep value (paired comparison along both axes). Per-trial seeds are
 derived from the master seed and the (sweep index, trial index) pair, so
-growing the trial count never reshuffles earlier trials; a method's starts
-are keyed by the trial alone where the sweep variable does not enter its
-design (`_seed_key`). Each draw builds its generator from its key where
+growing the trial count never reshuffles earlier trials; a method's
+designs are keyed by the trial alone where the sweep variable does not
+enter them (`_seed_key`). Each draw builds its generator from its key where
 it draws (`_stream`), so what an item draws does not depend on what ran
 before it.
 
@@ -149,17 +149,18 @@ _SHARED_DESIGNS = {"n_rf": METHODS, "tx_power_dbm": ("spgm", "random")}
 
 def _seed_key(cfg: ExperimentConfig, method: str, sweep_idx: int,
               trial_idx: int) -> tuple[int, int]:
-    """The seed key of a point's `method` starts.
+    """The seed key of a point's `method` design, which the points with one
+    key share; it seeds only a `random` design's start.
 
     The channel draw is keyed by the trial index alone so that trial t sees
     the same realization at every sweep value (paired along the sweep axis),
-    and angle errors by (sweep, trial). Method starts are keyed by (sweep,
-    trial) too, unless the sweep variable does not enter the method's
-    design: every method in an n_rf sweep, `spgm` and `random` in a power
-    sweep. Their starts are keyed by (0, trial), so their rows are paired
-    along the sweep axis and a trial's points share one design, made at the
-    first sweep value. An n_streams sweep keeps (sweep, trial) for every
-    method, since its points never share a group.
+    and angle errors by (sweep, trial). Designs are keyed by (sweep, trial)
+    too, unless the sweep variable does not enter the method's design: every
+    method in an n_rf sweep, `spgm` and `random` in a power sweep. Those are
+    keyed by (0, trial), so their rows are paired along the sweep axis and a
+    trial's points share one design, made at the first sweep value. An
+    n_streams sweep keeps (sweep, trial) for every method, since its points
+    never share a group.
     """
     shared = method in _SHARED_DESIGNS.get(cfg.sweep_variable, ())
     return (0 if shared else sweep_idx, trial_idx)
@@ -167,20 +168,11 @@ def _seed_key(cfg: ExperimentConfig, method: str, sweep_idx: int,
 
 def _stream(cfg: ExperimentConfig, *spawn_key: int) -> np.random.Generator:
     """The generator of the master seed's stream `spawn_key`: (trial,) for a
-    channel draw, (sweep, trial, 1) for an angle error and (seed key, 2 +
-    the method's index in METHODS) for an `spgm` or `random` design's phase
-    start. It is the only place a generator is built: each is built where
-    it draws."""
+    channel draw, (sweep, trial, 1) for an angle error and (seed key, 4)
+    for a `random` design's phase start; children 2 and 3 of a seed key are
+    unused, since no other design draws. It is the only place a generator
+    is built: each is built where it draws."""
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=spawn_key))
-
-
-def _starts(cfg: ExperimentConfig, method: str, key: tuple[int, int]) -> np.random.Generator:
-    """The start generator of the `spgm` or `random` design of seed key `key`
-    (`_seed_key`), from which it draws its phase start; it does not depend
-    on which other methods the config lists. `tsvd` reads no generator, and
-    child 2 of a seed key (its index) is no longer used; `spgm` and `random`
-    keep children 3 and 4, so their rows do not move."""
-    return _stream(cfg, *key, 2 + METHODS.index(method))
 
 
 def _draw_point(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
@@ -276,9 +268,9 @@ def _passive_beamforming(method: str, group: _Group,
     optimizer iterations.
 
     The points share a geometry and stream count, so each optimizer runs on
-    the group's stacked core. `tsvd` starts from each core row's strongest
-    composite path and reads no generator; `spgm` and `random` draw their
-    starts from each design's start generator (`_starts`), built here.
+    the group's stacked core. `tsvd` and `spgm` start from each core row's
+    strongest composite path and draw nothing; a `random` design draws its
+    phases from child 4 of its seed key (`_stream`), built here.
     """
     points, core = group.points, group.est
     if method == "tsvd":
@@ -290,11 +282,10 @@ def _passive_beamforming(method: str, group: _Group,
                                       points[0].cfg.n_streams, cfg.descent, surrogate.points)
         phases, iters = refined.points, surrogate.iters + refined.iters
     elif method == "spgm":
-        result = optimize_spgm_stack(core, cfg.descent,
-                                     [_starts(cfg, method, p.index) for p in points])
+        result = optimize_spgm_stack(core, cfg.descent)
         phases, iters = result.points, result.iters
     else:
-        phases = np.stack([random_phases(_starts(cfg, method, p.index), core.m) for p in points])
+        phases = np.stack([random_phases(_stream(cfg, *p.index, 4), core.m) for p in points])
         iters = np.zeros(len(points))
     return phases, np.asarray(iters, dtype=float)
 

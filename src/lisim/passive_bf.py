@@ -3,8 +3,7 @@
 Three optimizers work on the stacked L x P path core of the cascade channel
 (`channel.PathCore`), one row per core:
 - `optimize_tsvd_stack` maximizes the per-stream composite-path rate
-  surrogate sum_i log2(1 + a_i |v^H p^{ii}|^2) over the top-N_s sorted paths,
-  from the phases of the strongest composite path p^{11};
+  surrogate sum_i log2(1 + a_i |v^H p^{ii}|^2) over the top-N_s sorted paths;
 - `optimize_rate_stack` maximizes the truncated-SVD rate
   sum_{k <= N_s} log2(1 + rho sigma_k^2 / (N_s sigma^2)) of the cascade
   channel itself; the harness starts it from the surrogate's solution;
@@ -12,6 +11,8 @@ Three optimizers work on the stacked L x P path core of the cascade channel
   (the sum-path-gain baseline), normalized by its mean over uniformly
   random phases so its absolute stop gap means the same at any channel
   scale.
+The surrogate and the power method start from the strongest composite path
+p^{11} (`strongest_path_start`); only `random_phases` draws.
 
 The first two descend on the manifold engine (`manifold.ccm_descent_stack`).
 Each has one builder, `tsvd_objective` or `rate_objective`, that returns
@@ -145,6 +146,14 @@ def _rate_stack(n_streams: int, data, v: np.ndarray):
     return -np.sum(np.log2(1.0 + gain), axis=1), gradient
 
 
+def strongest_path_start(core: PathCore) -> np.ndarray:
+    """v0 = exp(j arg p^{11}) (T, M) of each row of `core`, the start of both
+    optimizers (w0 = conj(v0) for the power method): every entry of p^{11}
+    has modulus 1 / M, so |v0^H p^{11}| = 1, the strongest pair's largest
+    gain. It is elementwise in each row's bank: a row has its bits alone."""
+    return np.exp(1j * np.angle(core.bank[:, 0]))
+
+
 def random_phases(rng: np.random.Generator, m: int) -> np.ndarray:
     """Unit-modulus (m,) vector with independent Uniform(0, 2pi) phases."""
     if m < 1:
@@ -171,10 +180,8 @@ def stream_weights(paths: PathSet, budget: LinkBudget, n_streams: int,
 def optimize_tsvd(core: PathCore, weights: np.ndarray,
                   cfg: DescentConfig) -> tuple[np.ndarray, list[float]]:
     """Manifold descent on the truncated-SVD rate surrogate from the
-    strongest composite path.
+    strongest composite path (`strongest_path_start`).
 
-    The start is v0 = exp(j arg p^{11}): every entry of p^{11} has modulus
-    1 / M, so v0 gives the strongest pair its largest gain, |v0^H p^{11}| = 1.
     `core` is a stack of one and `weights` (N_s,) is one row of `tsvd_objective`'s.
     """
     return optimize_tsvd_stack(core, np.asarray(weights)[None], cfg).row(0)
@@ -182,10 +189,9 @@ def optimize_tsvd(core: PathCore, weights: np.ndarray,
 
 def optimize_tsvd_stack(core: PathCore, weights: np.ndarray,
                         cfg: DescentConfig) -> StackDescent:
-    """`optimize_tsvd` for each row of `core` and of `weights` (T, N_s); the
-    start is elementwise in row 0 of each row's bank, p^{11}."""
+    """`optimize_tsvd` for each row of `core` and of `weights` (T, N_s)."""
     evaluate, data = tsvd_objective(core, weights)
-    return ccm_descent_stack(evaluate, data, np.exp(1j * np.angle(core.bank[:, 0])), cfg)
+    return ccm_descent_stack(evaluate, data, strongest_path_start(core), cfg)
 
 
 def optimize_rate_stack(core: PathCore, budgets: Sequence[LinkBudget],
@@ -234,20 +240,19 @@ def _spgm_ascent(data, c: np.ndarray) -> np.ndarray:
     return (y.reshape(len(y), 1, -1).conj() @ bank)[:, 0].conj()
 
 
-def optimize_spgm(core: PathCore, cfg: DescentConfig,
-                  rng: np.random.Generator) -> tuple[np.ndarray, list[float]]:
+def optimize_spgm(core: PathCore, cfg: DescentConfig) -> tuple[np.ndarray, list[float]]:
     """Maximize ||H(v)||_F^2 over the LIS phases by the unimodular power method
-    in w = conj(v) from a random start.
+    in w = conj(v), from the strongest composite path: w0 = exp(-j arg p^{11})
+    (`strongest_path_start`), where X(w0)[0, 0] = 1.
 
     Returns v = conj(w) and the trace of the normalized sum-path gain
     ||H||_F^2 / (g^2 tr Q), start included; `core` is a stack of one.
     """
-    return optimize_spgm_stack(core, cfg, [rng]).row(0)
+    return optimize_spgm_stack(core, cfg).row(0)
 
 
-def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
-                        rngs: Sequence[np.random.Generator]) -> StackDescent:
-    """`optimize_spgm` for each row of `core` and generator; the points are v = conj(w).
+def optimize_spgm_stack(core: PathCore, cfg: DescentConfig) -> StackDescent:
+    """`optimize_spgm` for each row of `core`; the points are v = conj(w).
 
     ||F w||^2 is a positive semidefinite form, so the power update
     w <- exp(j arg(F^H F w)) never lowers it (Soltanalian & Stoica, IEEE TSP
@@ -259,7 +264,7 @@ def optimize_spgm_stack(core: PathCore, cfg: DescentConfig,
 
     Raises FloatingPointError if a gain is not finite.
     """
-    w = np.stack([random_phases(rng, core.m) for rng in rngs])
+    w = strongest_path_start(core).conj()
     data = _spgm_data(core)
     c, gain = _spgm_gains(data, w)
     record = StackDescent(w, gain, data)

@@ -111,16 +111,20 @@ def test_run_config_that_is_not_utf8(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ("tx_power_dbm = 1e4", "out of range"), ("noise_dbm = 1e4", "out of range"),
     ("rx_gain_dbi = 1e4", "finite amplitude"), ("tx_gain_dbi = -1e4", "finite amplitude"),
+    ("shadow_sigma_db = -5.8", "shadow_sigma must be non-negative, not -5.8"),
 ])
 def test_run_rejects_a_link_budget_out_of_range(tmp_path, capsys, line, message):
-    # each value overflows or vanishes in the link budget: an error message
-    # before any trial runs, not a traceback or a CSV of error rows; the
+    # each value overflows, vanishes or has no meaning in the link budget
+    # (a negative shadowing sigma would run as no shadowing): an error
+    # message before any trial runs, not a traceback or a CSV of rows; the
     # config's power is its one sweep value, so it has no sweep_values
     out = tmp_path / "never.csv"
     text = SMALL_CFG.replace("sweep_values = 40\n", "") + line + "\n"
     assert main(["run", _cfg(tmp_path, text), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and captured.out == ""
     assert not out.exists()
 
 

@@ -222,7 +222,7 @@ _SMALL_KEY_VALUES = {
     "rician_mu_db": st.floats(0.0, 20.0),
     "pathloss_a": st.floats(40.0, 80.0),
     "pathloss_b": st.floats(1.5, 4.0),
-    "shadow_sigma_db": st.floats(0.0, 40.0),
+    "shadow_sigma_db": st.floats(-10.0, 40.0),   # below 0 fails at load
     "bs_pos": _POSITIONS,
     "lis_pos": _POSITIONS,
     "ue_pos": _POSITIONS,
@@ -674,29 +674,27 @@ def test_power_sweep_designs_spgm_and_random_once_per_trial(monkeypatch):
 
 
 def test_a_group_builds_each_design_generator_once(monkeypatch):
-    # a one-trial group of power_sweep.cfg: spgm and random have one design
-    # for all 7 powers, each building its start generator once; tsvd's
-    # designs draw no start, and the hybrid batch draws nothing, so besides
-    # those two and the trial's channel draw no generator is built
+    # a one-trial group of power_sweep.cfg: random has one design for all 7
+    # powers, which builds its start generator, child 4 of its seed key,
+    # once; tsvd and spgm start from the strongest composite path and the
+    # hybrid batch draws nothing, so besides it and the trial's channel draw
+    # no generator is built
     cfg = replace(load_config(Path(__file__).resolve().parent.parent / "configs" /
                               "power_sweep.cfg"), trials=1)
-    built = _spy(monkeypatch, "_starts", lambda cfg, method, key: method)
+    assert cfg.methods == METHODS
     streams = _spy(monkeypatch, "_stream", lambda cfg, *key: key)
     _run_group(cfg, _specialize(cfg), [(si, 0) for si in range(len(cfg.sweep_values))])
-    assert sorted(built) == ["random", "spgm"]
-    assert sorted(streams) == [(0,), (0, 0, 2 + METHODS.index("spgm")),
-                               (0, 0, 2 + METHODS.index("random"))]
+    assert sorted(streams) == [(0,), (0, 0, 4)]
 
 
 @pytest.mark.parametrize("name, methods, streams", [
     ("rf_sweep", ("tsvd",), []),
-    ("desk", ("spgm", "random"), [(0, t, 2 + METHODS.index(m)) for t in (0, 1)
-                                 for m in ("spgm", "random")]),
+    ("desk", ("spgm", "random"), [(0, t, 4) for t in (0, 1)]),
 ], ids=["rf_sweep", "desk"])
 def test_the_hybrid_batch_builds_no_generator(monkeypatch, name, methods, streams):
     # 2 trials of rf_sweep.cfg (n_rf up to 8 over 7 paths), and of a desk
     # n_rf sweep up to 10 RF chains over 4 paths: the only generators built
-    # are each trial's channel draw and each spgm or random design's start
+    # are each trial's channel draw and each random design's start
     configs = Path(__file__).resolve().parent.parent / "configs"
     cfg = (load_config(configs / "rf_sweep.cfg") if name == "rf_sweep" else
            replace(DESK_ANGLES, sweep_variable="n_rf", sweep_values=(4.0, 10.0)))
@@ -755,26 +753,27 @@ def test_power_sweep_shared_designs_equal_designs_alone():
 
 
 def test_tsvd_digital_rows_read_no_generator(monkeypatch):
-    # the surrogate starts from each core row's strongest composite path, so
-    # no tsvd start generator is ever built; and start streams of another
-    # seed move spgm's and random's rows but no tsvd row, digital or hybrid
+    # the surrogate and the power method start from each core row's
+    # strongest composite path, so only random builds a start generator;
+    # and start streams of another seed move random's rows but no tsvd or
+    # spgm row, digital or hybrid
     from lisim import harness
     strip = lambda rows: {(r.precoding, r.method, r.sweep_value): replace(r, wall_ms=0.0)
                           for r in rows}
     clean = strip(run_sweep(POWERS).rows)
-    real = harness._stream
+    real, starts = harness._stream, []
 
     def other_seed(cfg, *key):
         if len(key) == 3 and key[2] >= 2:   # a design's start stream
+            starts.append(key[2])
             cfg = replace(cfg, seed=cfg.seed + 1)
         return real(cfg, *key)
 
     monkeypatch.setattr(harness, "_stream", other_seed)
-    built = _spy(monkeypatch, "_starts", lambda cfg, method, key: method)
     moved = strip(run_sweep(POWERS).rows)
-    assert set(built) == {"spgm", "random"} and moved.keys() == clean.keys()
+    assert set(starts) == {4} and moved.keys() == clean.keys()
     for key, row in clean.items():
-        assert (moved[key] == row) == (key[1] == "tsvd"), key
+        assert (moved[key] == row) == (key[1] != "random"), key
 
 
 def test_a_shared_precoder_is_its_design_factored_at_each_power(monkeypatch):

@@ -269,3 +269,32 @@ def test_generator_handling_is_flagged():
         "harness line 8: builds default_rng", "other line 4: builds Generator",
         "other line 4: builds PCG64", "other line 4: builds SeedSequence",
         "other line 4: deepcopy"]
+
+
+def _generator_parameters(source: str) -> list[str]:
+    """The functions of `source` that take a generator: a parameter
+    annotated with a Generator type or named like one (rng, rngs)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+            if "Generator" in annotation or arg.arg in ("rng", "rngs"):
+                found.append(f"{node.name}({arg.arg})")
+    return found
+
+
+def test_only_random_phases_takes_a_generator():
+    # every optimizer starts from the channel's structure, so the one
+    # function of passive_bf that draws is the `random` baseline's
+    assert _generator_parameters((SRC / "passive_bf.py").read_text()) == ["random_phases(rng)"]
+
+
+def test_generator_parameters_are_flagged():
+    source = ("import numpy as np\n"
+              "def start(core, rngs: list[np.random.Generator]): pass\n"
+              "def draw(rng): pass\n"
+              "def plain(core, cfg: int, *, seed: int = 0): pass\n")
+    assert _generator_parameters(source) == ["start(rngs)", "draw(rng)"]

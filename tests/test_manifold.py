@@ -366,8 +366,7 @@ def test_no_loop_writes_to_its_inputs():
             for c, v in ((frozen_core, _frozen(starts)), (core, starts))]
     assert np.any(np.diff(rate[0].iters) > 0)
     _assert_same_record(*rate)
-    rngs = lambda: [np.random.default_rng(k) for k in range(len(budgets))]
-    spgm = [optimize_spgm_stack(c, DescentConfig(), rngs()) for c in (frozen_core, core)]
+    spgm = [optimize_spgm_stack(c, DescentConfig()) for c in (frozen_core, core)]
     assert np.any(np.diff(spgm[0].iters) > 0)
     _assert_same_record(*spgm)
 
@@ -427,14 +426,15 @@ def test_a_descent_holds_one_copy_of_its_data():
 
 
 def test_the_power_method_holds_one_copy_of_its_core():
+    # five draws whose rows stop after 6, 2, 6, 4 and 3 updates from the
+    # strongest path: the live rows shrink three times before the last stop
     paper = ArrayGeometry(n_tx=64, n_rx=64, lis_y=16, lis_z=16)
     rng = np.random.default_rng(0)
     core = path_core([sort_paths_descending(sample_paths(rng, paper, LinkBudget(), 7, 7))
-                      for _ in range(4)], paper)
-    rngs = lambda: [np.random.default_rng(k) for k in range(4)]
-    optimize_spgm_stack(core, DescentConfig(), rngs())   # first calls set up what later reuse
-    record, peak = _traced_peak(lambda: optimize_spgm_stack(core, DescentConfig(), rngs()))
-    assert len(set(record.iters.tolist())) == 4   # the rows stop one at a time
+                      for _ in range(5)], paper)
+    optimize_spgm_stack(core, DescentConfig())   # first calls set up what later reuse
+    record, peak = _traced_peak(lambda: optimize_spgm_stack(core, DescentConfig()))
+    assert len(set(record.iters.tolist())) == 4
     assert peak < core.bank.nbytes
 
 

@@ -33,6 +33,7 @@ from lisim.passive_bf import (
     random_phases,
     rate_objective,
     stream_weights,
+    strongest_path_start,
     tsvd_objective,
 )
 from lisim.transceiver import digital_combiner, digital_precoder, truncated_svd
@@ -234,7 +235,7 @@ def test_optimize_spgm_maximizes_frobenius_norm():
     rng, paths = _instance(5)
     # scored on the dense channel, not on the core the optimizer runs on
     chan = assemble_channels(paths, GEOMETRY)
-    v, _ = optimize_spgm(path_core([paths], GEOMETRY), DescentConfig(epsilon=1e-8), rng)
+    v, _ = optimize_spgm(path_core([paths], GEOMETRY), DescentConfig(epsilon=1e-8))
     opt = np.linalg.norm(effective_channel(chan, v)) ** 2
     draws = [np.linalg.norm(effective_channel(
         chan, random_phases(rng, GEOMETRY.m))) ** 2 for _ in range(50)]
@@ -244,14 +245,15 @@ def test_optimize_spgm_maximizes_frobenius_norm():
 def test_optimize_spgm_independent_of_channel_scale():
     # The path loss scales w^H Q w by ~1e-14; an absolute stop gap must not
     # turn that into a one-step descent, so scaling the BS->LIS hop must not
-    # move the phases.
+    # move the phases. Both start at the same phases: the start reads only
+    # the bank, which the scale does not touch.
     from dataclasses import replace
     for seed in range(10):
         _, paths = _instance(seed)
         core = path_core([paths], GEOMETRY)
         loud = replace(core, right=1e8 * core.right)
-        v, _ = optimize_spgm(core, DescentConfig(), np.random.default_rng(seed))
-        v_loud, _ = optimize_spgm(loud, DescentConfig(), np.random.default_rng(seed))
+        (v, trace), (v_loud, trace_loud) = (optimize_spgm(c, DescentConfig()) for c in (core, loud))
+        assert len(trace) > 2 and len(trace_loud) == len(trace)
         np.testing.assert_allclose(v, v_loud, rtol=0, atol=1e-9)
 
 
@@ -271,16 +273,39 @@ def test_spgm_quadratic_form_identity():
 
 
 def _spgm_stack(seeds, geometry=GEOMETRY):
-    """The stacked core of the draws `seeds` and one start generator per row."""
-    core = path_core([_instance(seed, p=4, l=3)[1] for seed in seeds], geometry, TX_GAIN)
-    return core, [np.random.default_rng(100 + seed) for seed in seeds]
+    """The stacked core of the draws `seeds` and the path sets of its rows."""
+    path_sets = [_instance(seed, p=4, l=3)[1] for seed in seeds]
+    return path_core(path_sets, geometry, TX_GAIN), path_sets
+
+
+def test_the_power_method_starts_at_the_strongest_composite_path(monkeypatch):
+    # w0 = exp(-j arg p^{11}) row by row, tsvd's start conjugated, so that
+    # X(w0)[0, 0] = w0^T p^{11} = 1, the strongest pair's largest gain; each
+    # trace opens at the normalized gain there
+    from lisim import passive_bf
+    real, seen = passive_bf._spgm_gains, []
+
+    def spied(data, w):
+        seen.append(w)
+        return real(data, w)
+
+    monkeypatch.setattr(passive_bf, "_spgm_gains", spied)
+    core, path_sets = _spgm_stack(range(5))
+    result = optimize_spgm_stack(core, DescentConfig())
+    w0 = seen[0]
+    for w, paths in zip(w0, path_sets):
+        p11 = composite_path_vectors(paths, GEOMETRY)[0, 0]
+        np.testing.assert_allclose(w, np.exp(-1j * np.angle(p11)), rtol=0, atol=1e-12)
+        assert w @ p11 == pytest.approx(1.0, abs=1e-12)
+    gains = real(_spgm_data(core), w0)[1]
+    assert [t[0] for t in result.traces] == pytest.approx(gains, rel=1e-12)
 
 
 def test_optimize_spgm_traces_do_not_decrease():
     # the power update never lowers a positive semidefinite form, and the
     # trace holds the normalized gain it maximizes, ending at the final point
-    core, rngs = _spgm_stack(range(12))
-    result = optimize_spgm_stack(core, DescentConfig(epsilon=1e-9), rngs)
+    core, _ = _spgm_stack(range(12))
+    result = optimize_spgm_stack(core, DescentConfig(epsilon=1e-9))
     gains = _spgm_gains(_spgm_data(core), result.points.conj())[1]
     for trace, gain in zip(result.traces, gains):
         assert len(trace) > 2 and np.all(np.diff(trace) >= 0)
@@ -292,24 +317,21 @@ def test_optimize_spgm_rows_equal_their_runs_alone():
     # rows that stop at different iterations are frozen while the others go
     # on, and no row reads another: each equals its run alone, bit for bit
     desk = ArrayGeometry(n_tx=16, n_rx=16, lis_y=8, lis_z=8)
-    core, rngs = _spgm_stack(range(7), desk)
-    result = optimize_spgm_stack(core, DescentConfig(), rngs)
+    core, _ = _spgm_stack(range(7), desk)
+    result = optimize_spgm_stack(core, DescentConfig())
     assert len(set(result.iters.tolist())) > 2
-    for i in range(len(rngs)):
-        alone = optimize_spgm_stack(core[i:i + 1], DescentConfig(),
-                                    [np.random.default_rng(100 + i)])
+    for i in range(len(result.points)):
+        alone = optimize_spgm_stack(core[i:i + 1], DescentConfig())
         np.testing.assert_array_equal(alone.points[0], result.points[i])
         assert alone.traces[0] == result.traces[i]
         assert alone.stops[0] == result.stops[i]
 
 
 def test_optimize_spgm_stops_at_the_iteration_cap():
-    # one power update: w1 = exp(j arg(F^H F w0)), from the same start as the
-    # row's generator draws
-    core, rngs = _spgm_stack(range(3))
-    starts = np.stack([random_phases(np.random.default_rng(100 + s), GEOMETRY.m)
-                       for s in range(3)])
-    result = optimize_spgm_stack(core, DescentConfig(max_iters=1), rngs)
+    # one power update: w1 = exp(j arg(F^H F w0)), from w0 = exp(-j arg p^{11})
+    core, _ = _spgm_stack(range(3))
+    starts = strongest_path_start(core).conj()
+    result = optimize_spgm_stack(core, DescentConfig(max_iters=1))
     assert result.stops == ("max_iters",) * 3
     np.testing.assert_array_equal(result.iters, [1, 1, 1])
     data = _spgm_data(core)
@@ -350,7 +372,6 @@ def test_optimizers_on_one_bank_equal_their_runs_on_its_copies():
     shared, gathered, paths = _one_bank(3, len(powers))
     weights = np.stack([stream_weights(paths, b, 4, TX_GAIN) for b in budgets])
     cfg = DescentConfig()
-    rngs = lambda: [np.random.default_rng(200 + k) for k in range(len(powers))]
     surrogate = [optimize_tsvd_stack(core, weights, cfg) for core in (shared, gathered)]
     _assert_same_descent(*surrogate)
     assert len(set(surrogate[0].iters.tolist())) > 2
@@ -358,9 +379,14 @@ def test_optimizers_on_one_bank_equal_their_runs_on_its_copies():
                for core in (shared, gathered)]
     _assert_same_descent(*refined)
     assert len(set(refined[0].iters.tolist())) > 2
-    spgm = [optimize_spgm_stack(core, cfg, rngs()) for core in (shared, gathered)]
+    # spgm reads no power and draws no start: its rows on one bank are one
+    # design, which has the bits of the copies' and of a row run alone
+    spgm = [optimize_spgm_stack(core, cfg) for core in (shared, gathered)]
     _assert_same_descent(*spgm)
-    assert len(set(spgm[0].iters.tolist())) > 2
+    alone = optimize_spgm_stack(shared[:1], cfg)
+    for i in range(len(powers)):
+        np.testing.assert_array_equal(spgm[0].points[i], alone.points[0])
+        assert spgm[0].traces[i] == alone.traces[0]
 
 
 @pytest.mark.parametrize("left, right, shared", [
