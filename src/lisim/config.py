@@ -5,6 +5,7 @@ each sweep value (`_specialize`)."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from .channel import ArrayGeometry, LinkBudget
@@ -79,6 +80,25 @@ class ExperimentConfig:
             finite = False
         if not finite:
             raise ConfigError("tx_gain_dbi and rx_gain_dbi must give a positive, finite amplitude")
+        # each hop's LOS and NLOS path power in dB (array prefactor, 6 sigma of
+        # shadowing either way) and the cascade's extremes, the top one over the
+        # noise, must be normal float64 values, or a draw or rate over/underflows
+        budget, hops = self.budget, []
+        for distance, n, count in ((self.bs_lis_distance, self.geometry.n_tx, self.p_paths),
+                                   (self.lis_ue_distance, self.geometry.n_rx, self.l_paths)):
+            power = (10 * math.log10(n * self.geometry.m / count) - budget.a_intercept
+                     - 10 * budget.b_exponent * math.log10(distance))
+            hops.append([power + shift * budget.shadow_sigma - mu for shift in (-6, 6)
+                         for mu in (0.0, budget.rician_mu)])
+        gain = self.tx_gain_dbi + self.rx_gain_dbi
+        snr = 10 * (math.log10(budget.tx_power) - math.log10(budget.noise_power))
+        powers = [*hops[0], *hops[1], min(hops[0]) + min(hops[1]) + gain,
+                  max(hops[0]) + max(hops[1]) + gain + max(snr, 0.0)]
+        low, high = (10 * math.log10(x) for x in (sys.float_info.min, sys.float_info.max))
+        for power in powers:
+            if not low <= power <= high:
+                raise ConfigError(f"the link budget reaches {power:.6g} dB, outside float64's "
+                                  f"{low:.1f} to {high:.1f} dB")
 
     @property
     def gains(self) -> tuple[float, float]:

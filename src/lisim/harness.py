@@ -19,10 +19,11 @@ one stacked path core (`_stacks`), and the points with one seed key for a
 method share its design, made at a point whose index is that key. Each
 method's designs take one batch, which gives one design table
 (`_designs`): arrays with a leading design axis, and the digital rate of
-every point that shares a design. The group's hybrid jobs, index rows
-(design, RF chain count) into the table of all its designs, take one more
-batch (`_hybrid_rates`), which draws nothing: each slot starts from its
-paths' steering vectors. `_batched` runs every batch and, on a numerical
+every point that shares a design. The group's hybrid jobs, one per design
+and pair of RF chain counts, take one more batch (`_hybrid_rates`): one
+pass over a table of slots, which draws nothing (each slot starts from its
+paths' steering vectors), then one stacked rate, each precoder scaled
+there to its point's power. `_batched` runs every batch and, on a numerical
 failure, reruns each item alone. A group gives per-trial arrays over its
 points (`_run_group`); `_run_trials` scatters them into (sweep value, method,
 mode, trial) arrays, whose rows `run_sweep` reduces to CSV rows. A point's
@@ -331,8 +332,7 @@ class _Designs:
     cond: np.ndarray      # (D,)
     offdiag: np.ndarray   # (D,)
     iters: np.ndarray     # (D,)
-    power: np.ndarray     # (D,) transmit power of the design's point
-    f_target: np.ndarray  # (D, N_t, N_s) Q_b V_c scaled to `power`
+    f_target: np.ndarray  # (D, N_t, N_s) Q_b V_c, of no power: `_hybrid_rates` sets it
     w_target: np.ndarray  # (D, N_r, N_s) Q_u U_c
     q_u: np.ndarray       # the true channel Q_u core Q_b^H: (D, N_r, L'),
     core: np.ndarray      # (D, L', P') at the design's phases,
@@ -345,7 +345,7 @@ def _concat(tables: list[_Designs]) -> _Designs:
         return tables[0]
     joined = {f.name: np.concatenate([getattr(t, f.name) for t in tables])
               for f in fields(_Designs)}
-    starts = accumulate([len(t.power) for t in tables], initial=0)
+    starts = accumulate([len(t.iters) for t in tables], initial=0)
     joined["owner"] = np.concatenate([t.owner + k for t, k in zip(tables, starts)])
     return _Designs(**joined)
 
@@ -355,8 +355,8 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> _Designs:
 
     The precoder and combiner come from the SVD of the estimated core and
     live in the column spaces Q_b, Q_u of the estimated steering matrices;
-    the hybrid targets are their lifts, the precoder's at the design's
-    power. The digital rate, one for each point that shares a design at
+    the hybrid targets are their unit lifts, Q_b V_c and Q_u U_c. The
+    digital rate, one for each point that shares a design at
     that point's power, is that of the true core written in those bases,
     (Q_u^est^H Q_u) core (Q_b^H Q_b^est), and the condition number that of
     the true core.
@@ -384,13 +384,12 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> _Designs:
         sigma[erred] = np.linalg.svd(c_true[erred], compute_uv=False)[:, :n_streams]
     owner = np.repeat(np.arange(len(points)), [len(powers) for powers in group.powers])
     f_each = digital_precoder(replace(svd, v1=svd.v1[owner]), np.concatenate(group.powers))
-    power = np.array([p.cfg.budget.tx_power for p in points])
     return _Designs(
         se=spectral_efficiency(c_seen[owner], f_each, w_core[owner], run_cfg.budget.noise_power),
         owner=owner, point=np.concatenate(group.sharers),
         cond=truncated_condition_number(c_true, n_streams, sigma),
-        offdiag=offdiag_ratio(x_true, n_streams), iters=iters, power=power,
-        f_target=est.q_b @ digital_precoder(svd, power), w_target=est.q_u @ w_core,
+        offdiag=offdiag_ratio(x_true, n_streams), iters=iters,
+        f_target=est.q_b @ svd.v1, w_target=est.q_u @ w_core,
         q_u=true.q_u, core=c_true, q_b=true.q_b)
 
 
@@ -399,63 +398,44 @@ def _hybrid_rates(points: list[_Point], table: _Designs, jobs: np.ndarray, job_o
     """The rates of `table` whose job (`job_of`) is one of jobs[sel], and
     their spectral efficiency with their job's hybrid precoder and combiner.
 
-    A job, a row (design, RF chain count, first point) of `jobs`, is a
-    design and the points that share it at one RF chain count. Its analog
-    starts, precoder and combiner, hold sqrt(N) times the steering vectors
-    of the strongest min(n_rf, P) estimated paths of its first point (L on
-    the UE side), and nothing else: they span its targets, so chains beyond
-    the paths would add nothing to them, and a job draws nothing.
-    Every slot of one (N, n_rf) shape, precoders and combiners alike, takes
-    one hybrid_factorize call (a slot's result does not depend on its
-    stack), and each RF chain count one stacked rate on the true cores. Each
-    precoder is normalized to its design's power, and then each point
-    rescales it to its own: the factorization is scale-equivariant, so this
-    is the precoder factored at that power, up to rounding.
+    A job, a row (design, first point) of `jobs`, is a design and the points
+    that share it at one pair of RF chain counts. Its analog starts,
+    precoder and combiner, hold sqrt(N) times the steering vectors of the
+    strongest min(n_rf, P) estimated paths of its first point (L on the UE
+    side), and nothing else: they span its targets, so chains beyond the
+    paths would add nothing to them, and a job draws nothing. Every slot of
+    one (N, n_rf) shape, precoders and combiners alike, takes one
+    hybrid_factorize call (a slot's result does not depend on its stack),
+    and every rate one stacked rate on the true cores. The targets are unit
+    lifts, and each rate's precoder is its job's F_RF F_BB scaled once to
+    its point's power (El Ayach et al., IEEE TWC 2014).
     """
     ids = np.arange(len(jobs))[sel]
     entries = np.flatnonzero((ids[0] <= job_of) & (job_of <= ids[-1]))
-    count_of = jobs[job_of[entries], 1]   # the RF chain count of each rate
-    by_shape: dict[tuple[int, int], tuple[list, list]] = {}   # targets, starts
-    places = []   # per RF chain count, its jobs, their designs and the places of their slots
-    for count in sorted(set(jobs[ids, 1].tolist())):
-        ks = ids[jobs[ids, 1] == count]
-        designs, run_cfg = jobs[ks, 0], points[jobs[ks[0], 2]].cfg
-        geometry, est = run_cfg.geometry, [points[i].est_paths for i in jobs[ks, 2]]
-        place = []
-        for n, n_rf, angles, targets in (
-                (geometry.n_tx, run_cfg.n_rf_tx, [p.bs_lis_aod for p in est],
-                 table.f_target[designs]),
-                (geometry.n_rx, run_cfg.n_rf_rx, [p.lis_ue_aoa for p in est],
-                 table.w_target[designs])):
-            angles = np.stack(angles)[:, :n_rf]
-            start = math.sqrt(n) * ula_responses(angles, n, geometry.spacing_ratio).swapaxes(1, 2)
-            batch = by_shape.setdefault(start.shape[1:], ([], []))
-            at = sum(map(len, batch[1]))
-            place.append((start.shape[1:], slice(at, at + len(ks))))
-            batch[0].append(targets)
-            batch[1].append(start)
-        places.append((count, ks, designs, place))
-    run_cfg = points[0].cfg
-    factored = {shape: hybrid_factorize(np.concatenate(targets), np.concatenate(starts),
-                                        run_cfg.descent)[:2]
-                for shape, (targets, starts) in by_shape.items()}
-    rates = np.empty(len(entries))
-    for count, ks, designs, ((f_shape, f_at), (w_shape, w_at)) in places:
-        f_rf, f_bb = (a[f_at] for a in factored[f_shape])
-        w_rf, w_bb = (a[w_at] for a in factored[w_shape])
-        norm = np.array([np.linalg.norm(rf @ bb) for rf, bb in zip(f_rf, f_bb)])
-        if not norm.all():
-            raise RankError("degenerate factorization; cannot normalize power")
-        f_bb = f_bb * (np.sqrt(table.power[designs]) / norm)[:, None, None]
-        mine = np.flatnonzero(count_of == count)
-        slot, design = np.searchsorted(ks, job_of[entries[mine]]), table.owner[entries[mine]]
-        scale = np.sqrt(np.array([points[i].cfg.budget.tx_power
-                                  for i in table.point[entries[mine]]]) / table.power[design])
-        rates[mine] = spectral_efficiency(
-            table.core[design], f_rf[slot] @ (f_bb[slot] * scale[:, None, None]),
-            (w_rf @ w_bb)[slot], run_cfg.budget.noise_power,
-            bases=(table.q_u[design], table.q_b[design]))
-    return entries, rates
+    run_cfg, firsts = points[0].cfg, [points[i] for i in jobs[ids, 1]]
+    f, w = (np.empty((len(ids),) + t.shape[1:], complex) for t in (table.f_target, table.w_target))
+    slots: dict[tuple[int, int], list] = {}   # (N, n_rf): its slots' target, angles, product
+    for targets, products, angles in (
+            (table.f_target, f, [p.est_paths.bs_lis_aod[:p.cfg.n_rf_tx] for p in firsts]),
+            (table.w_target, w, [p.est_paths.lis_ue_aoa[:p.cfg.n_rf_rx] for p in firsts])):
+        for design, found, product in zip(jobs[ids, 0], angles, products):
+            slots.setdefault((len(product), len(found)), []).append(
+                (targets[design], found, product))
+    for (n, _), batch in slots.items():
+        targets, angles, products = zip(*batch)
+        start = math.sqrt(n) * ula_responses(np.stack(angles), n,
+                                             run_cfg.geometry.spacing_ratio).swapaxes(1, 2)
+        f_rf, f_bb = hybrid_factorize(np.stack(targets), start, run_cfg.descent)[:2]
+        for product, value in zip(products, f_rf @ f_bb):
+            product[:] = value   # F_RF F_BB, into its job's row of f or w
+    norm = np.linalg.norm(f, axis=(1, 2))
+    if not norm.all():
+        raise RankError("degenerate factorization; cannot normalize power")
+    job, design = job_of[entries] - ids[0], table.owner[entries]
+    power = np.array([points[i].cfg.budget.tx_power for i in table.point[entries]])
+    return entries, spectral_efficiency(
+        table.core[design], f[job] * (np.sqrt(power) / norm[job])[:, None, None], w[job],
+        run_cfg.budget.noise_power, bases=(table.q_u[design], table.q_b[design]))
 
 
 @dataclass(frozen=True)
@@ -514,13 +494,11 @@ def _run_group(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float
         return out
     table = _concat(tables)
     at, m = table.point, np.array(methods)[table.owner]
-    rf_index: dict[tuple[int, int], int] = {}   # each RF chain count's index
-    rf = np.array([rf_index.setdefault((p.cfg.n_rf_tx, p.cfg.n_rf_rx), len(rf_index))
-                   for p in points])
-    # a job per design and RF chain count of its points: (design, count, first point)
-    codes, firsts, job_of = np.unique(table.owner * len(points) + rf[at], return_index=True,
-                                      return_inverse=True)
-    jobs = np.column_stack([*np.divmod(codes, len(points)), at[firsts]])
+    # a job per design and RF chain counts of its points: (design, first point)
+    rf = np.array([(p.cfg.n_rf_tx, p.cfg.n_rf_rx) for p in points])
+    _, firsts, job_of = np.unique(np.column_stack([table.owner, rf[at]]), axis=0,
+                                  return_index=True, return_inverse=True)
+    jobs = np.column_stack([table.owner[firsts], at[firsts]])
     found, ok, ms = _batched(partial(_hybrid_rates, points, table, jobs, job_of), len(jobs))
     k, failed = len(modes) - 1, ~ok[job_of]
     out.wall_ms[at, m, k] += (ms / np.bincount(job_of))[job_of]

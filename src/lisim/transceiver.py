@@ -16,7 +16,7 @@ The factorization knows no transmit power, so a precoder slot and a
 combiner slot are the same plain problem. Scaling a target scales its
 digital matrix alone: the least-squares stage is linear in the target, and
 the column phases and both stop tests are scale-free, so a sweep factors a
-precoder once and sets its power itself, for every transmit power.
+precoder's unit target once and scales F_RF F_BB to each power itself.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def hybrid_factorize(targets: np.ndarray, start: np.ndarray, cfg: DescentConfig,
     stage is solved once more for the final analog matrices: F_BB is the
     least-squares one for every slot, precoder or combiner, so slots of one
     shape factor in one call whatever they are, and a caller that needs a
-    power rescales F_BB itself.
+    power rescales the product F_RF F_BB itself.
 
     Returns F_RF, F_BB and the slots' record (`StackDescent`): a slot's
     final analog rows (F_RF^T), its stop and its residual trace, which

@@ -112,6 +112,14 @@ def test_run_config_that_is_not_utf8(tmp_path, capsys):
     ("tx_power_dbm = 1e4", "out of range"), ("noise_dbm = 1e4", "out of range"),
     ("rx_gain_dbi = 1e4", "finite amplitude"), ("tx_gain_dbi = -1e4", "finite amplitude"),
     ("shadow_sigma_db = -5.8", "shadow_sigma must be non-negative, not -5.8"),
+    # a path or cascade power, at 6 sigma of shadowing, that no normal
+    # float64 holds: a draw overflows or underflows, and every rate is NaN;
+    # or a cascade that float64 holds but whose rate at 30 dBm over the
+    # noise overflows (an inf rate that counted no error)
+    ("pathloss_a = 1e4", "link budget"), ("pathloss_a = 1600", "link budget"),
+    ("rician_mu_db = -3000", "link budget"), ("pathloss_b = -1e3", "link budget"),
+    ("bs_pos = 1e308, 0, 0", "link budget"), ("shadow_sigma_db = 1e4", "link budget"),
+    ("pathloss_a = -1500", "link budget"),
 ])
 def test_run_rejects_a_link_budget_out_of_range(tmp_path, capsys, line, message):
     # each value overflows, vanishes or has no meaning in the link budget

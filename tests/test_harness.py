@@ -659,6 +659,26 @@ def test_hybrid_batch_stacks_each_slot_shape_once(monkeypatch, changes, shapes):
     assert all(r.errors == 0 for r in rows)
 
 
+def test_a_hybrid_batch_takes_one_rate_call_for_all_rf_chain_counts(monkeypatch):
+    # 2 trials x 2 RF chain counts in one group, 3 methods: every hybrid
+    # rate of the batch, 12 of them over 2 slot shapes, comes from one
+    # stacked call on the true cores
+    from lisim import harness
+    real, rates = harness.spectral_efficiency, []
+
+    def rate(h, f, w, sigma2, bases=None):
+        if bases is not None:
+            rates.append(len(h))
+        return real(h, f, w, sigma2, bases)
+
+    monkeypatch.setattr(harness, "spectral_efficiency", rate)
+    cfg = replace(SMALL, trials=2, sweep_variable="n_rf", sweep_values=(2.0, 3.0),
+                  precoding="both")
+    tasks = [(si, ti) for si in range(2) for ti in range(2)]
+    assert not _run_group(cfg, _specialize(cfg), tasks).failed.any()
+    assert rates == [len(tasks) * len(cfg.methods)]
+
+
 def test_power_sweep_designs_spgm_and_random_once_per_trial(monkeypatch):
     # 2 trials x 3 powers in one group: tsvd designs each point, spgm and
     # random each trial once; the hybrid batch factors one slot per design
@@ -777,11 +797,9 @@ def test_tsvd_digital_rows_read_no_generator(monkeypatch):
 
 
 def test_a_shared_precoder_is_its_design_factored_at_each_power(monkeypatch):
-    # a point's hybrid precoder is its design's, factored, set to the
-    # design's power and its digital stage rescaled to the point's.
-    # hybrid_factorize is scale-equivariant, so that matches the design's
-    # target scaled to the point's power, factored and set to that power,
-    # to a relative 1e-10
+    # a point's hybrid precoder is its design's unit target Q_b V_c,
+    # factored once, with the product F_RF F_BB set to the point's power,
+    # to a relative 1e-10; the targets know no power
     from lisim import harness
     real_hybrid, real_rate = harness.hybrid_factorize, harness.spectral_efficiency
     calls, precoders = [], []
@@ -802,13 +820,12 @@ def test_a_shared_precoder_is_its_design_factored_at_each_power(monkeypatch):
     assert all(row.errors == 0 for row in run_sweep(cfg).rows)
     (targets, start), = calls   # the precoders, then the combiners
     assert len(targets) == 4 and len(precoders) == 1
+    np.testing.assert_allclose(np.linalg.norm(targets, axis=(1, 2)), math.sqrt(cfg.n_streams))
     # spgm's designs are made at the first power; the points of trial 0 at
     # each power, then those of trial 1
-    design_power = dbm_to_watt(cfg.sweep_values[0])
     powers = [dbm_to_watt(v) for v in cfg.sweep_values] * 2
     for f, k, power in zip(precoders[0], [0, 0, 0, 1, 1, 1], powers):
-        scaled = targets[k:k + 1] * np.sqrt(power / design_power)
-        f_rf, f_bb, _ = real_hybrid(scaled, start[k:k + 1], cfg.descent)
+        f_rf, f_bb, _ = real_hybrid(targets[k:k + 1], start[k:k + 1], cfg.descent)
         want = f_rf[0] @ f_bb[0]
         want *= np.sqrt(power) / np.linalg.norm(want)
         assert np.linalg.norm(f - want) <= 1e-10 * np.linalg.norm(want)
@@ -1069,6 +1086,44 @@ def test_run_sweep_hybrid_failure_is_per_point(monkeypatch):
                 assert got.errors == 1 and math.isfinite(got.mean_se)
             else:
                 assert strip(got) == strip(want)
+
+
+def test_a_zero_precoder_product_fails_only_its_jobs_hybrid_cells(monkeypatch):
+    # a factorization whose precoder product F_RF F_BB is 0 has no power to
+    # scale: a RankError fails the group's hybrid batch (2 powers x 2
+    # trials), and each job then runs alone, so only the hybrid cells of
+    # the points that share the bad spgm design, trial 1 at both powers,
+    # fail; every other value is the clean run's
+    from lisim import harness
+    cfg = replace(SMALL, precoding="both", trials=2)
+    specs = _specialize(cfg)
+    tasks = [(si, ti) for si in range(2) for ti in range(2)]
+    clean = _run_group(cfg, specs, tasks)
+    real_designs, real_hybrid = harness._designs, harness.hybrid_factorize
+    bad = []   # spgm's precoder target of trial 1
+
+    def designs(method, group, run_cfg):
+        found = real_designs(method, group, run_cfg)
+        if method == "spgm" and not bad:
+            bad.append(found.f_target[1])
+        return found
+
+    def hybrid(targets, start, *args):
+        f_rf, f_bb, record = real_hybrid(targets, start, *args)
+        f_bb[[np.array_equal(t, bad[0]) for t in targets]] = 0.0
+        return f_rf, f_bb, record
+
+    monkeypatch.setattr(harness, "_designs", designs)
+    monkeypatch.setattr(harness, "hybrid_factorize", hybrid)
+    found = _run_group(cfg, specs, tasks)
+    want = np.zeros_like(clean.failed)
+    want[[1, 3], cfg.methods.index("spgm"), 1] = True
+    np.testing.assert_array_equal(found.failed, want)
+    for f in fields(_Trials):
+        if f.name not in ("wall_ms", "failed"):
+            values = getattr(found, f.name)
+            assert np.isnan(values[want]).all()
+            np.testing.assert_array_equal(values[~want], getattr(clean, f.name)[~want])
 
 
 def test_run_sweep_descent_failure_is_per_point(monkeypatch):

@@ -1,5 +1,6 @@
-"""Smoke runs of the experiment scripts in scripts/ and of the shipped
-experiment that replaced one of them, at their smallest sizes."""
+"""Smoke runs of the experiment scripts in scripts/, of the shipped
+experiment that replaced one of them and of tests/trial_diff.py, at their
+smallest sizes."""
 
 import math
 import os
@@ -37,3 +38,30 @@ def test_rf_sweep_runs():
     assert len(rows) == 2 * len(cfg.sweep_values)
     for row in rows:
         assert row.errors == 0 and math.isfinite(row.mean_se) and row.mean_se > 0
+
+
+def test_trial_diff_finds_identical_dumps_and_a_nudge(tmp_path, capsys):
+    # two dumps of the shipped configs at one trial compare identical; a
+    # copy with one rate nudged reports that entry, and one with a flipped
+    # failure flag fails the comparison
+    import numpy as np
+    from trial_diff import main
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    assert main(["dump", str(a), "--trials", "1"]) == 0
+    assert main(["dump", str(b), "--trials", "1"]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 * 2 * 5 and all(line.endswith(": identical") for line in lines)
+    with np.load(a) as found:
+        arrays = dict(found)
+    arrays["default.hybrid.rate"][0, 0, 0] *= 1 + 1e-9
+    np.savez(b, **arrays)
+    assert main(["compare", str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    nudged = [line for line in lines if not line.endswith(": identical")]
+    assert len(nudged) == 1 and nudged[0].startswith(
+        "default.hybrid.rate: largest relative difference 1e-09, 1 of ")
+    arrays["default.hybrid.failed"][0, 0, 0] ^= True
+    np.savez(b, **arrays)
+    assert main(["compare", str(a), str(b)]) == 1
