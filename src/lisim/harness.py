@@ -19,7 +19,9 @@ one stacked path core (`_stacks`), and the points with one seed key for a
 method share its design, made at a point whose index is that key. Each
 method's designs take one batch, which gives one design table
 (`_designs`): arrays with a leading design axis, and the digital rate of
-every point that shares a design. The group's hybrid jobs, one per design
+every point that shares a design. Every rate, digital or hybrid, is one
+form on the true cores with their bases, S = (Q_u^H U_W)^H core (Q_b^H F)
+(`spectral_efficiency`). The group's hybrid jobs, one per design
 and pair of RF chain counts, take one more batch (`_hybrid_rates`): one
 pass over a table of slots, which draws nothing (each slot starts from its
 paths' steering vectors), then one stacked rate, each precoder scaled
@@ -206,8 +208,9 @@ class _Group:
     erred: np.ndarray   # (T,) bool, the designs with an angle error
 
     def __getitem__(self, rows: slice) -> _Group:
-        return _Group(self.points[rows], self.sharers[rows], self.powers[rows],
-                      self.true[rows], self.est[rows], self.erred[rows])
+        true = self.true[rows]
+        return _Group(self.points[rows], self.sharers[rows], self.powers[rows], true,
+                      true if self.est is self.true else self.est[rows], self.erred[rows])
 
 
 def _stacks(cfg: ExperimentConfig, specs: tuple[tuple[ExperimentConfig, float], ...],
@@ -332,8 +335,8 @@ class _Designs:
     cond: np.ndarray      # (D,)
     offdiag: np.ndarray   # (D,)
     iters: np.ndarray     # (D,)
-    f_target: np.ndarray  # (D, N_t, N_s) Q_b V_c, of no power: `_hybrid_rates` sets it
-    w_target: np.ndarray  # (D, N_r, N_s) Q_u U_c
+    f_target: np.ndarray  # (D, N_t, N_s) Q_b V_c, of no power: each rate scales it
+    w_target: np.ndarray  # (D, N_r, N_s) Q_u U_c, the digital combiner
     q_u: np.ndarray       # the true channel Q_u core Q_b^H: (D, N_r, L'),
     core: np.ndarray      # (D, L', P') at the design's phases,
     q_b: np.ndarray       # and (D, N_t, P')
@@ -354,12 +357,12 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> _Designs:
     """The table of the group's designs with `method`, made as one stack.
 
     The precoder and combiner come from the SVD of the estimated core and
-    live in the column spaces Q_b, Q_u of the estimated steering matrices;
-    the hybrid targets are their unit lifts, Q_b V_c and Q_u U_c. The
-    digital rate, one for each point that shares a design at
-    that point's power, is that of the true core written in those bases,
-    (Q_u^est^H Q_u) core (Q_b^H Q_b^est), and the condition number that of
-    the true core.
+    live in the column spaces Q_b, Q_u of the estimated steering matrices:
+    they are the unit lifts Q_b V_c and Q_u U_c, which are also the hybrid
+    targets. The digital rate, one for each point that shares a design at
+    that point's power, is taken as `_hybrid_rates` takes a hybrid one, on
+    the true core with its bases, and the condition number is that of the
+    true core.
     """
     phases, iters = _passive_beamforming(method, group, cfg)
     points, true, est = group.points, group.true, group.est
@@ -368,29 +371,24 @@ def _designs(method: str, group: _Group, cfg: ExperimentConfig) -> _Designs:
     # X(v) of the true cores, taken once for the cores and the coupling; the
     # estimated cores are the true ones when no design has an angle error
     x_true = coupling_matrix(phases, true)
-    erred = group.erred
-    x_est = est.gains(phases) if erred.any() else x_true
-    c_est = est.left @ x_est @ est.right
-    svd = truncated_svd(c_est, n_streams)
-    w_core = digital_combiner(svd)
-    # with an angle error, rate and cond are those of the true core, whose
-    # singular values the estimated core's SVD does not give
-    c_true, c_seen, sigma = c_est, c_est, svd.sigma1
-    if erred.any():
-        c_true, c_seen, sigma = true.left @ x_true @ true.right, c_est.copy(), sigma.copy()
-        to_u = est.q_u[erred].conj().swapaxes(1, 2) @ true.q_u[erred]
-        to_b = true.q_b[erred].conj().swapaxes(1, 2) @ est.q_b[erred]
-        c_seen[erred] = to_u @ c_true[erred] @ to_b
-        sigma[erred] = np.linalg.svd(c_true[erred], compute_uv=False)[:, :n_streams]
+    c_true = true.left @ x_true @ true.right
+    svd = truncated_svd(c_true if est is true else est.left @ est.gains(phases) @ est.right,
+                        n_streams)
+    # with an angle error, cond is that of the true core, whose singular
+    # values the estimated core's SVD does not give
+    sigma = svd.sigma1.copy()
+    sigma[group.erred] = np.linalg.svd(c_true[group.erred], compute_uv=False)[:, :n_streams]
+    f_target, w_target = est.q_b @ svd.v1, est.q_u @ digital_combiner(svd)
     owner = np.repeat(np.arange(len(points)), [len(powers) for powers in group.powers])
-    f_each = digital_precoder(replace(svd, v1=svd.v1[owner]), np.concatenate(group.powers))
+    f_each = digital_precoder(f_target[owner], np.concatenate(group.powers))
     return _Designs(
-        se=spectral_efficiency(c_seen[owner], f_each, w_core[owner], run_cfg.budget.noise_power),
+        se=spectral_efficiency(c_true[owner], f_each, w_target[owner],
+                               run_cfg.budget.noise_power,
+                               bases=(true.q_u[owner], true.q_b[owner])),
         owner=owner, point=np.concatenate(group.sharers),
         cond=truncated_condition_number(c_true, n_streams, sigma),
         offdiag=offdiag_ratio(x_true, n_streams), iters=iters,
-        f_target=est.q_b @ svd.v1, w_target=est.q_u @ w_core,
-        q_u=true.q_u, core=c_true, q_b=true.q_b)
+        f_target=f_target, w_target=w_target, q_u=true.q_u, core=c_true, q_b=true.q_b)
 
 
 def _hybrid_rates(points: list[_Point], table: _Designs, jobs: np.ndarray, job_of: np.ndarray,

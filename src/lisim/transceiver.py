@@ -61,10 +61,10 @@ def truncated_svd(h: np.ndarray, n_streams: int) -> TruncatedSvd:
                         v1=vh[..., :n_streams, :].conj().swapaxes(-1, -2))
 
 
-def digital_precoder(svd: TruncatedSvd, rho: float | np.ndarray) -> np.ndarray:
-    """V_1 with power rho split equally over the streams; for the SVD of a
-    stack, rho holds one power per matrix."""
-    return np.sqrt(np.asarray(rho) / svd.v1.shape[-1])[..., None, None] * svd.v1
+def digital_precoder(v1: np.ndarray, rho: float | np.ndarray) -> np.ndarray:
+    """The precoder v1 (N_t x N_s, orthonormal columns) with power rho split
+    equally over the streams; for a stack v1, rho holds one power per matrix."""
+    return np.sqrt(np.asarray(rho) / v1.shape[-1])[..., None, None] * v1
 
 
 def digital_combiner(svd: TruncatedSvd) -> np.ndarray:

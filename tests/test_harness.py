@@ -3,6 +3,7 @@ oracle that criterion 3 checks against."""
 
 import math
 import re
+import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -667,7 +668,7 @@ def test_a_hybrid_batch_takes_one_rate_call_for_all_rf_chain_counts(monkeypatch)
     real, rates = harness.spectral_efficiency, []
 
     def rate(h, f, w, sigma2, bases=None):
-        if bases is not None:
+        if sys._getframe(1).f_code.co_name == "_hybrid_rates":
             rates.append(len(h))
         return real(h, f, w, sigma2, bases)
 
@@ -677,6 +678,37 @@ def test_a_hybrid_batch_takes_one_rate_call_for_all_rf_chain_counts(monkeypatch)
     tasks = [(si, ti) for si in range(2) for ti in range(2)]
     assert not _run_group(cfg, _specialize(cfg), tasks).failed.any()
     assert rates == [len(tasks) * len(cfg.methods)]
+
+
+def test_every_rate_is_taken_on_the_true_cores_with_their_bases(monkeypatch):
+    # DESK_ANGLES runs as one group of 5 trials at 0 and 1 degree of angle
+    # error: each method's digital rates and the hybrid batch's rates are
+    # taken on the true cores, and every call passes their Q_u and Q_b rows
+    # as its bases, at the erred points too, whose estimated rows differ
+    from lisim import harness
+    real_core, real_rate = harness.path_core, harness.spectral_efficiency
+    cores, calls = [], []
+
+    def core(*args):
+        cores.append(real_core(*args))
+        return cores[-1]
+
+    def rate(h, f, w, sigma2, bases=None):
+        calls.append((sys._getframe(1).f_code.co_name, len(h), bases))
+        return real_rate(h, f, w, sigma2, bases)
+
+    monkeypatch.setattr(harness, "path_core", core)
+    monkeypatch.setattr(harness, "spectral_efficiency", rate)
+    assert not harness._run_trials(DESK_ANGLES).failed.any()
+    (found,) = cores   # the 5 trials' true rows, then the 1 degree points' estimated rows
+    assert len(found.bank) == 10 and not np.array_equal(found.q_b[5:], found.q_b[:5])
+    true_rows = list(range(5)) * 2   # the trial of each point, 0 degrees first
+    assert [call[:2] for call in calls] == [("_designs", 10)] * 3 + [("_hybrid_rates", 30)]
+    for _, n, bases in calls:
+        assert bases is not None
+        rows = true_rows * (n // 10)   # the hybrid batch holds all 3 methods' rates
+        np.testing.assert_array_equal(bases[0], found.q_u[rows])
+        np.testing.assert_array_equal(bases[1], found.q_b[rows])
 
 
 def test_power_sweep_designs_spgm_and_random_once_per_trial(monkeypatch):
@@ -809,7 +841,7 @@ def test_a_shared_precoder_is_its_design_factored_at_each_power(monkeypatch):
         return real_hybrid(targets, start, *args)
 
     def rate(h, f, w, sigma2, bases=None):
-        if bases is not None:
+        if sys._getframe(1).f_code.co_name == "_hybrid_rates":
             precoders.append(f)
         return real_rate(h, f, w, sigma2, bases)
 
@@ -865,7 +897,7 @@ def test_rf_sweep_hybrid_is_digital_with_a_chain_per_path(shipped_rf_sweep):
     # n_rf = 8 >= P = 7: the steering vectors of the 7 paths, which the
     # analog starts hold, span every precoder and combiner target
     assert shipped_rf_sweep[8.0, "hybrid"] == pytest.approx(shipped_rf_sweep[8.0, "digital"],
-                                                            rel=1e-9)
+                                                            rel=1e-12)
 
 
 def test_shipped_hybrid_slots_stop_where_the_docs_say(monkeypatch):
@@ -1222,7 +1254,7 @@ def test_hybrid_is_exact_with_a_chain_per_path():
             for ti in range(cfg.trials):
                 se = _alone(cfg, (si, ti)).rate[0]   # (methods, digital and hybrid)
                 for m in range(len(cfg.methods)):
-                    assert se[m, 1] == pytest.approx(se[m, 0], rel=1e-9)
+                    assert se[m, 1] == pytest.approx(se[m, 0], rel=1e-12)
 
 
 def test_run_sweep_lets_a_stream_count_error_through(monkeypatch):

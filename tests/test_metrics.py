@@ -191,7 +191,7 @@ def test_stacked_digital_stage_equals_each_matrix_alone(n, n_s):
     h = np.stack([_random_matrix(rng, n, n) for _ in range(5)])
     rho = rng.uniform(0.1, 10.0, len(h))
     svd = truncated_svd(h, n_s)
-    f, w = digital_precoder(svd, rho), digital_combiner(svd)
+    f, w = digital_precoder(svd.v1, rho), digital_combiner(svd)
     se = spectral_efficiency(h, f, w, 0.3)
     cond = truncated_condition_number(h, n_s)
     cond_given = truncated_condition_number(h, n_s, svd.sigma1)
@@ -201,7 +201,7 @@ def test_stacked_digital_stage_equals_each_matrix_alone(n, n_s):
         np.testing.assert_array_equal(svd.u1[k], alone.u1)
         np.testing.assert_array_equal(svd.sigma1[k], alone.sigma1)
         np.testing.assert_array_equal(svd.v1[k], alone.v1)
-        f_alone = digital_precoder(alone, rho[k])
+        f_alone = digital_precoder(alone.v1, rho[k])
         np.testing.assert_array_equal(f[k], f_alone)
         np.testing.assert_array_equal(
             se[k], spectral_efficiency(h[k], f_alone, digital_combiner(alone), 0.3))

@@ -112,7 +112,7 @@ def test_rate_objective_equals_svd_transceiver_rate():
         v = random_phases(rng, GEOMETRY.m)
         h = effective_channel(assemble_channels(paths, GEOMETRY, TX_GAIN, 1.3), v)
         svd = truncated_svd(h, 2)
-        se = spectral_efficiency(h, digital_precoder(svd, BUDGET.tx_power),
+        se = spectral_efficiency(h, digital_precoder(svd.v1, BUDGET.tx_power),
                                  digital_combiner(svd), BUDGET.noise_power)
         assert evaluate(data, v[None])[0] == pytest.approx([-se], rel=1e-10)
 

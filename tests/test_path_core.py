@@ -90,7 +90,7 @@ def _dense_trial(cfg, seen):
     h_est = effective_channel(assemble_channels(est_paths, cfg.geometry, tx_g, rx_g), v)
     h_true = effective_channel(assemble_channels(paths, cfg.geometry, tx_g, rx_g), v)
     svd = truncated_svd(h_est, n_s)
-    f = digital_precoder(svd, budget.tx_power)
+    f = digital_precoder(svd.v1, budget.tx_power)
     w = digital_combiner(svd)
     # each side factored alone, as a stack of one, and the precoder set to
     # the transmit power

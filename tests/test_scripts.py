@@ -43,7 +43,8 @@ def test_rf_sweep_runs():
 def test_trial_diff_finds_identical_dumps_and_a_nudge(tmp_path, capsys):
     # two dumps of the shipped configs at one trial compare identical; a
     # copy with one rate nudged reports that entry, and one with a flipped
-    # failure flag fails the comparison
+    # failure flag fails the comparison; each comparison ends with a
+    # summary line
     import numpy as np
     from trial_diff import main
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
@@ -51,17 +52,19 @@ def test_trial_diff_finds_identical_dumps_and_a_nudge(tmp_path, capsys):
     assert main(["dump", str(b), "--trials", "1"]) == 0
     capsys.readouterr()
     assert main(["compare", str(a), str(b)]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    *lines, summary = capsys.readouterr().out.splitlines()
     assert len(lines) == 5 * 2 * 5 and all(line.endswith(": identical") for line in lines)
+    assert summary == "50 of 50 arrays identical"
     with np.load(a) as found:
         arrays = dict(found)
     arrays["default.hybrid.rate"][0, 0, 0] *= 1 + 1e-9
     np.savez(b, **arrays)
     assert main(["compare", str(a), str(b)]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    *lines, summary = capsys.readouterr().out.splitlines()
     nudged = [line for line in lines if not line.endswith(": identical")]
     assert len(nudged) == 1 and nudged[0].startswith(
         "default.hybrid.rate: largest relative difference 1e-09, 1 of ")
+    assert summary == "49 of 50 arrays identical, largest relative difference 1e-09 over the rest"
     arrays["default.hybrid.failed"][0, 0, 0] ^= True
     np.savez(b, **arrays)
     assert main(["compare", str(a), str(b)]) == 1

@@ -102,7 +102,7 @@ def test_digital_precoder_power():
     rng = np.random.default_rng(3)
     svd = truncated_svd(_random_matrix(rng, 6, 6), 3)
     rho = 2.5
-    f = digital_precoder(svd, rho)
+    f = digital_precoder(svd.v1, rho)
     assert np.linalg.norm(f) ** 2 == pytest.approx(rho, rel=1e-10)
     powers, _ = water_filling(svd.sigma1, rho, 0.3)
     f = svd.v1 * np.sqrt(powers)

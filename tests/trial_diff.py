@@ -10,8 +10,9 @@ array, whether two dumps are identical or how far apart they are. From the repos
 
 Without --trials each config runs its own trial count. `compare` prints
 one line per array, `identical` or the largest relative difference and
-the number of entries that differ, and exits 1 when the keys, the shapes
-or the `failed` masks differ. pytest does not collect this file;
+the number of entries that differ, then one summary line: how many arrays
+are identical, and the largest relative difference over the rest. It
+exits 1 when the keys, the shapes or the `failed` masks differ. pytest does not collect this file;
 tests/test_scripts.py runs it at one trial.
 """
 
@@ -48,7 +49,7 @@ def compare(a_path: str, b_path: str) -> bool:
     if a.keys() != b.keys():
         print(f"keys differ: {sorted(a.keys() ^ b.keys())}")
         return False
-    same = True
+    same, identical, largest = True, 0, []
     for key in sorted(a):
         x, y = a[key], b[key]
         if x.shape != y.shape:
@@ -58,6 +59,7 @@ def compare(a_path: str, b_path: str) -> bool:
         differ = ~((x == y) | (np.isnan(x) & np.isnan(y)) if x.dtype.kind == "f" else x == y)
         if not differ.any():
             print(f"{key}: identical")
+            identical += 1
             continue
         if key.endswith(".failed"):
             same = False
@@ -65,8 +67,11 @@ def compare(a_path: str, b_path: str) -> bool:
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.abs(x - y)[differ] / np.maximum(np.abs(x), np.abs(y))[differ]
-        print(f"{key}: largest relative difference {np.max(rel):.3g}, "
+        largest.append(np.max(rel))
+        print(f"{key}: largest relative difference {largest[-1]:.3g}, "
               f"{differ.sum()} of {x.size} entries differ")
+    rest = f", largest relative difference {max(largest):.3g} over the rest" if largest else ""
+    print(f"{identical} of {len(a)} arrays identical{rest}")
     return same
 
 
