@@ -16,10 +16,12 @@ inverse magnitude of the Euclidean gradient entry: a per-element metric
 (Riemannian preconditioning, Mishra & Sepulchre, SIAM J. Optim. 2016) under
 which a step turns each phase by an amount that does not depend on the
 scale of its entry, as the unimodular power update of `spgm` does
-(Soltanalian & Stoica, IEEE TSP 2014). After the first iteration, the trial
-step is the geometric mean of the two Barzilai-Borwein quotients in that
-metric (Dai, Al-Baali & Yang 2015; Riemannian BB: Iannazzo & Porcelli, IMA
-J. Numer. Anal. 2018); `ccm_descent_stack` gives the formulas.
+(Soltanalian & Stoica, IEEE TSP 2014). No entry of the direction exceeds 1
+in modulus, so the first trial step is the unit step, which turns no phase
+by more than pi/4; later ones are the geometric mean of the two
+Barzilai-Borwein quotients in that metric (Dai, Al-Baali & Yang 2015;
+Riemannian BB: Iannazzo & Porcelli, IMA J. Numer. Anal. 2018);
+`ccm_descent_stack` gives the formulas.
 
 The engine's fixed cost per round, not its arithmetic, dominates at the
 stack sizes of a sweep group, so a round forms the reciprocal metric 1/|G|
@@ -32,7 +34,6 @@ row rejects it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,8 +41,9 @@ import numpy as np
 
 # Armijo backtracking: a trial step along the direction d shrinks by
 # ARMIJO_SHRINK until the objective falls by at least
-# ARMIJO_SLOPE * step * <riem, d>, at most MAX_SHRINKS times; the first trial
-# step of a descent is a displacement of INITIAL_STEP RMS per element.
+# ARMIJO_SLOPE * step * <riem, d>, at most MAX_SHRINKS times. The first trial
+# step of a descent is INITIAL_STEP along d itself: |d_m| <= 1, so a unit step
+# turns each phase by at most atan(1) = pi/4.
 ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
 INITIAL_STEP = 1.0
@@ -238,12 +240,6 @@ def _inverse(metric: np.ndarray) -> np.ndarray:
     return np.divide(1.0, metric, out=np.zeros_like(metric), where=metric > 0)
 
 
-def _plain_step(first_step: float, direction: np.ndarray) -> np.ndarray:
-    """The first iteration's trial step: a unit RMS per-element displacement."""
-    with np.errstate(divide="ignore"):   # a zero gradient stops its row unused
-        return first_step / row_norm(direction)
-
-
 def _line_search(evaluate: StackObjective, data: tuple, v: np.ndarray, f_v: np.ndarray,
                  riem: np.ndarray, direction: np.ndarray, slope: np.ndarray,
                  step: np.ndarray, cfg: DescentConfig, need_grad: bool):
@@ -330,13 +326,14 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     magnitude of each entry of the Euclidean gradient G (0 where G = 0,
     where riem is 0 too), and a trial point is _normalize(v - step d). The
     Armijo trial step is warm-started each iteration: the first iteration
-    normalizes INITIAL_STEP to a unit RMS per-element displacement along d,
+    tries INITIAL_STEP itself, which turns no phase by more than
+    atan(1) = pi/4 since |d_m| = |riem_m| / |G_m| <= 1, however short d is;
     later iterations take the geometric mean of the two Barzilai-Borwein
     quotients of the previous move dv = v - v_prev and gradient change
     dr = riem - riem_prev in the same metric,
     sqrt(<dv, |G| dv> / <dr, dr / |G|>), with |G| at v and entries where
     G = 0 adding 0. Both sums are non-negative; a row where either is 0
-    keeps the first iteration's rule. The first quotient alone,
+    tries INITIAL_STEP again. The first quotient alone,
     <dv, |G| dv> / |<dv, dr>|, overshoots and pays for it in Armijo
     retries. A fixed trial step stalls badly on the composite-path
     objective because its curvature scales with the LIS size; backtracking
@@ -364,7 +361,6 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
     record = StackDescent(v, f_v, data)
     del data   # the loop reads the record's live rows
     grad = gradient()
-    first_step = INITIAL_STEP * math.sqrt(v.shape[1])
     prev_v = prev_riem = None
     for it in range(cfg.max_iters):
         riem = _tangent(v, grad)
@@ -372,19 +368,14 @@ def ccm_descent_stack(evaluate: StackObjective, data: Sequence[np.ndarray],
         inverse = _inverse(metric)
         direction = riem * inverse
         slope = row_dot(riem, direction)
-        if prev_v is None:
-            trial = _plain_step(first_step, direction)
-        else:
+        trial = np.full(len(v), INITIAL_STEP)
+        if prev_v is not None:
             move = v - prev_v
             change = riem - prev_riem
             move_sq = row_dot(move, metric * move)
             change_sq = row_dot(change, change * inverse)
             bb = (move_sq > 0) & (change_sq > 0)
-            if _all(bb):
-                trial = np.sqrt(move_sq / change_sq)
-            else:
-                trial = _plain_step(first_step, direction)
-                trial[bb] = np.sqrt(move_sq[bb] / change_sq[bb])
+            trial[bb] = np.sqrt(move_sq[bb] / change_sq[bb])
         v_next, f_next, grad, accepted, go_on, zero = _line_search(
             evaluate, record.data, v, f_v, riem, direction, slope, trial, cfg,
             it + 1 < cfg.max_iters)

@@ -16,7 +16,8 @@ def spectral_efficiency(h_eff: np.ndarray, f: np.ndarray, w: np.ndarray,
 
     Only the combiner's column space counts: with U_W its left singular
     vectors, the rate is that of the Hermitian form S^H S, S = U_W^H H F,
-    accumulated in the log domain. One SVD of W gives both U_W and the rank
+    summed as log1p(eigenvalue / sigma2) / ln 2, which keeps the relative
+    precision of a low-SNR rate. One SVD of W gives both U_W and the rank
     test (numpy's matrix_rank tolerance). With `bases` = (Q_u, Q_b), whose
     columns are orthonormal, h_eff is the core of the channel
     H = Q_u h_eff Q_b^H, which is never formed: S = (Q_u^H U_W)^H h_eff
@@ -33,7 +34,7 @@ def spectral_efficiency(h_eff: np.ndarray, f: np.ndarray, w: np.ndarray,
         u, f = q_u.conj().swapaxes(-1, -2) @ u, q_b.conj().swapaxes(-1, -2) @ f
     s = u.conj().swapaxes(-1, -2) @ (h_eff @ f)
     eigs = np.clip(np.linalg.eigvalsh(s.conj().swapaxes(-1, -2) @ s), 0.0, None)
-    rates = np.sum(np.log2(1.0 + eigs / sigma2), axis=-1)
+    rates = np.sum(np.log1p(eigs / sigma2), axis=-1) / np.log(2.0)
     return float(rates) if rates.ndim == 0 else rates
 
 

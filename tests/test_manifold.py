@@ -23,6 +23,7 @@ from lisim.manifold import (
     RetractionError,
     ARMIJO_SHRINK,
     ARMIJO_SLOPE,
+    INITIAL_STEP,
     ccm_descent,
     ccm_descent_stack,
     row_dot,
@@ -222,8 +223,8 @@ def test_preconditioned_descent_solves_an_ill_scaled_objective(seed):
 
 
 def test_first_iteration_is_a_scaled_armijo_step():
-    # one iteration: the unit-RMS trial along d = riem / |G|, halved until the
-    # decrease meets ARMIJO_SLOPE step <riem, d>
+    # one iteration: the unit trial step along d = riem / |G|, halved until
+    # the decrease meets ARMIJO_SLOPE step <riem, d>
     f, grad, t = _alignment_problem(20, 11)
     rng = np.random.default_rng(12)
     v0 = t * np.exp(1j * rng.uniform(-0.1, 0.1, 20))   # near t: the first trial overshoots
@@ -231,7 +232,7 @@ def test_first_iteration_is_a_scaled_armijo_step():
     riem = g - (g * v0.conj()).real * v0
     d = riem / np.abs(g)
     slope = np.vdot(riem, d).real
-    step, shrinks = np.sqrt(20) / np.linalg.norm(d), 0
+    step, shrinks = INITIAL_STEP, 0
     while f(_normalize(v0 - step * d)) > f(v0) - ARMIJO_SLOPE * step * slope:
         step, shrinks = step * ARMIJO_SHRINK, shrinks + 1
     assert shrinks >= 1
@@ -260,7 +261,7 @@ def test_second_iteration_is_a_geometric_mean_bb_step():
     f, grad, t = _alignment_problem(20, 13)
     v0 = t * np.exp(1j * np.random.default_rng(14).uniform(-1.0, 1.0, 20))
     riem0, _, d0 = _scaled_direction(grad, v0)
-    v1 = _armijo(f, v0, d0, np.vdot(riem0, d0).real, np.sqrt(20) / np.linalg.norm(d0))
+    v1 = _armijo(f, v0, d0, np.vdot(riem0, d0).real, INITIAL_STEP)
     riem1, metric, d1 = _scaled_direction(grad, v1)
     dv, d_riem = v1 - v0, riem1 - riem0
     trial = np.sqrt(np.vdot(dv, metric * dv).real / np.vdot(d_riem, d_riem / metric).real)
@@ -270,10 +271,10 @@ def test_second_iteration_is_a_geometric_mean_bb_step():
     np.testing.assert_allclose(v, v2, rtol=0, atol=1e-14)
 
 
-def test_an_undefined_bb_quotient_keeps_the_unit_rms_step():
+def test_an_undefined_bb_quotient_keeps_the_unit_step():
     # The first iteration moves only entry 1, where the gradient is 0 at the
     # new point, so <dv, |G| dv> = 0: the quotient gives no step, and the
-    # second iteration takes the unit-RMS trial step along d again. (A zero
+    # second iteration takes the unit trial step along d again. (A zero
     # d_riem with a nonzero Riemannian gradient cannot arise: riem at a point
     # is tangent there, so it keeps its value only on entries that did not
     # move; the denominator falls back the same way.) The engine reads only
@@ -285,10 +286,34 @@ def test_an_undefined_bb_quotient_keeps_the_unit_rms_step():
 
     v0 = np.ones((1, 2), dtype=complex)
     stack = ccm_descent_stack(evaluate, (), v0, DescentConfig(epsilon=1e-12, max_iters=2))
-    step = np.sqrt(2)   # unit RMS: d = (0, i), then (i, 0)
-    expected = _normalize(np.array([1.0 - step * 1j, 1.0 - step * 1j]))
+    # d = (0, i), then (i, 0): each unit step turns one phase by pi/4
+    expected = _normalize(np.array([1.0 - 1j, 1.0 - 1j]))
     np.testing.assert_allclose(stack.points[0], expected, rtol=0, atol=1e-15)
     assert stack.iters[0] == 2 and stack.stops[0] == "max_iters"
+
+
+@settings(max_examples=50, deadline=None)
+@given(phase_arrays, st.integers(0, 2 ** 31 - 1))
+def test_the_first_trial_turns_no_phase_by_more_than_a_quarter_turn(phases, seed):
+    # |d_m| = |riem_m| / |G_m| <= 1, so the unit trial step moves an entry by
+    # at most 1 along its tangent, a turn of at most atan(1) = pi/4, whatever
+    # the scale of the gradient; row 1's gradient is tangent, so |d_m| = 1
+    # and every phase turns by pi/4 exactly
+    v0 = np.stack([_vec(phases)] * 2)
+    rng = np.random.default_rng(seed)
+    m = len(phases)
+    gradient = np.stack([_random_grad(rng, m) * 10.0 ** rng.uniform(-9, 3, m),
+                         1j * v0[1] * rng.uniform(0.5, 2.0, m)])
+    trials = []
+
+    def evaluate(_data, points):
+        trials.append(points.copy())
+        return np.full(len(points), -float(len(trials) > 1)), lambda: gradient
+
+    ccm_descent_stack(evaluate, (), v0, DescentConfig(max_iters=1))
+    turn = np.abs(np.angle(trials[1] * v0.conj()))
+    assert turn.max() <= np.pi / 4 + 1e-12
+    np.testing.assert_allclose(turn[1], np.pi / 4, rtol=0, atol=1e-12)
 
 
 # -- stacked descent ---------------------------------------------------------

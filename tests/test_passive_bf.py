@@ -1,10 +1,12 @@
 """Passive-beamforming objectives, gradients, and the optimizers."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lisim import manifold, passive_bf
 from lisim.channel import (
     ArrayGeometry,
     LinkBudget,
@@ -16,6 +18,8 @@ from lisim.channel import (
     sample_paths,
     sort_paths_descending,
 )
+from lisim.config import load_config
+from lisim.harness import run_sweep
 from lisim.manifold import DescentConfig
 from lisim.metrics import spectral_efficiency
 from lisim.passive_bf import (
@@ -367,9 +371,10 @@ def _assert_same_descent(one, other):
 def test_optimizers_on_one_bank_equal_their_runs_on_its_copies():
     # seven powers on one channel, as a power sweep designs them: the rows
     # stop at different iterations, so the descents compact and gather rows
+    # (a channel whose surrogate rows stop at more than two counts)
     powers = np.arange(10.0, 41.0, 5.0)
     budgets = [LinkBudget(tx_power=dbm_to_watt(p)) for p in powers]
-    shared, gathered, paths = _one_bank(3, len(powers))
+    shared, gathered, paths = _one_bank(5, len(powers))
     weights = np.stack([stream_weights(paths, b, 4, TX_GAIN) for b in budgets])
     cfg = DescentConfig()
     surrogate = [optimize_tsvd_stack(core, weights, cfg) for core in (shared, gathered)]
@@ -387,6 +392,40 @@ def test_optimizers_on_one_bank_equal_their_runs_on_its_copies():
     for i in range(len(powers)):
         np.testing.assert_array_equal(spgm[0].points[i], alone.points[0])
         assert spgm[0].traces[i] == alone.traces[0]
+
+
+def test_round_one_of_both_tsvd_descents_evaluates_once(monkeypatch):
+    # both descents start at or near the strongest composite path, where the
+    # direction is short; the unit first trial turns no phase by more than
+    # pi/4, and every row of the first 8-trial group of default.cfg accepts
+    # it, so round 1 of the surrogate and of the rate descent each make one
+    # stacked objective call
+    line_search, descent = manifold._line_search, passive_bf.ccm_descent_stack
+    rounds, first_rounds = [], []
+
+    def counted_line_search(evaluate, *args):
+        calls = 0
+
+        def counted(data, points):
+            nonlocal calls
+            calls += 1
+            return evaluate(data, points)
+
+        found = line_search(counted, *args)
+        rounds.append(calls)
+        return found
+
+    def recorded_descent(*args):
+        rounds.clear()
+        record = descent(*args)
+        first_rounds.append(rounds[0])
+        return record
+
+    monkeypatch.setattr(manifold, "_line_search", counted_line_search)
+    monkeypatch.setattr(passive_bf, "ccm_descent_stack", recorded_descent)
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.cfg")
+    run_sweep(replace(cfg, trials=8, methods=("tsvd",)))
+    assert first_rounds == [1, 1]
 
 
 @pytest.mark.parametrize("left, right, shared", [

@@ -53,18 +53,21 @@ def test_trial_diff_finds_identical_dumps_and_a_nudge(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(a), str(b)]) == 0
     *lines, summary = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5 * 2 * 5 and all(line.endswith(": identical") for line in lines)
-    assert summary == "50 of 50 arrays identical"
+    # five arrays per mode and method: two modes, three methods in four
+    # configs and one in rf_sweep.cfg
+    assert len(lines) == 5 * 2 * (4 * 3 + 1) and all(line.endswith(": identical")
+                                                     for line in lines)
+    assert summary == "130 of 130 arrays identical"
     with np.load(a) as found:
         arrays = dict(found)
-    arrays["default.hybrid.rate"][0, 0, 0] *= 1 + 1e-9
+    arrays["default.hybrid.spgm.rate"][0, 0] *= 1 + 1e-9
     np.savez(b, **arrays)
     assert main(["compare", str(a), str(b)]) == 0
     *lines, summary = capsys.readouterr().out.splitlines()
     nudged = [line for line in lines if not line.endswith(": identical")]
     assert len(nudged) == 1 and nudged[0].startswith(
-        "default.hybrid.rate: largest relative difference 1e-09, 1 of ")
-    assert summary == "49 of 50 arrays identical, largest relative difference 1e-09 over the rest"
-    arrays["default.hybrid.failed"][0, 0, 0] ^= True
+        "default.hybrid.spgm.rate: largest relative difference 1e-09, 1 of ")
+    assert summary == "129 of 130 arrays identical, largest relative difference 1e-09 over the rest"
+    arrays["default.hybrid.spgm.failed"][0, 0] ^= True
     np.savez(b, **arrays)
     assert main(["compare", str(a), str(b)]) == 1

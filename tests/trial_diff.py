@@ -2,8 +2,10 @@
 
 `dump` runs `harness._run_trials` on each configs/*.cfg with precoding =
 both and saves every `_Trials` array but `wall_ms`, split along its mode
-axis and keyed `<config>.<mode>.<array>`; `compare` reports, array by
-array, whether two dumps are identical or how far apart they are. From the repository root:
+and method axes and keyed `<config>.<mode>.<method>.<array>`; `compare`
+reports, array by array, whether two dumps are identical or how far apart
+they are, so one run shows which method's arrays moved. From the
+repository root:
 
     PYTHONPATH=src python tests/trial_diff.py dump OUT.npz [--trials N]
     PYTHONPATH=src python tests/trial_diff.py compare A.npz B.npz
@@ -37,7 +39,8 @@ def dump(out: str, trials: int | None = None) -> None:
         found = _run_trials(cfg if trials is None else replace(cfg, trials=trials))
         for name in (f.name for f in fields(_Trials) if f.name != "wall_ms"):
             for k, mode in enumerate(("digital", "hybrid")):
-                arrays[f"{path.stem}.{mode}.{name}"] = getattr(found, name)[:, :, k]
+                for m, method in enumerate(cfg.methods):
+                    arrays[f"{path.stem}.{mode}.{method}.{name}"] = getattr(found, name)[:, m, k]
     np.savez(out, **arrays)
 
 
